@@ -25,11 +25,15 @@ import numpy as np
 
 from . import controller, inference, pareto, scorer, simulator, spectral
 from .core import (
+    DimensionMismatch,
     DomainError,
+    RecordFormatError,
     StrategySpec,
+    Trajectory,
     dumps_trajectories,
     group_by_strategy,
     read_trajectories,
+    validate_trajectory,
 )
 
 SCHEMA_VERSION = "1"
@@ -101,7 +105,12 @@ def _setting(args, config: dict[str, str], name: str, cast, default):
     if flag_value is not None:
         return flag_value
     if name in config:
-        return cast(config[name])
+        try:
+            return cast(config[name])
+        except ValueError:
+            raise _UsageError(
+                f"config value {name} = {config[name]!r} is not a valid {cast.__name__}"
+            ) from None
     return default
 
 
@@ -114,8 +123,13 @@ def _resolve_strategy(name: str, sigma: float) -> StrategySpec:
         return simulator.preset(name, sigma)
     path = Path(name)
     if path.is_file():
-        with open(path, "r", encoding="utf-8") as f:
-            return StrategySpec.from_dict(json.load(f))
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                return StrategySpec.from_dict(json.load(f))
+        except (ValueError, KeyError, TypeError, DomainError) as exc:
+            raise _UsageError(
+                f"bad strategy file {name!r}: {type(exc).__name__}: {exc}"
+            ) from exc
     raise _UsageError(
         f"unknown strategy {name!r}: not a preset "
         f"({'|'.join(sorted(simulator.PRESET_DRIFT_DIAGONALS))}) or a spec file"
@@ -137,10 +151,13 @@ def cmd_simulate(args) -> int:
     out = Path(_setting(args, config, "out", str, "trajectories.jsonl"))
 
     strategy = _resolve_strategy(strategy_name, sigma)
-    cfg = simulator.SimConfig(
-        strategy=strategy, sessions=sessions, iterations=iterations,
-        dt=dt, base_seed=seed,
-    )
+    try:
+        cfg = simulator.SimConfig(
+            strategy=strategy, sessions=sessions, iterations=iterations,
+            dt=dt, base_seed=seed,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     data = simulator.simulate_set(cfg)
     _write_text(out, dumps_trajectories(data))
     print(f"simulate: strategy={strategy.id} sessions={sessions} "
@@ -159,6 +176,10 @@ def cmd_analyze(args) -> int:
         unknown = [s for s in stages if s not in ANALYZE_STAGES]
         if unknown:
             raise _UsageError(f"unknown stages {unknown}; choose from {ANALYZE_STAGES}")
+    if args.tail < 1:
+        raise _UsageError(f"--tail must be >= 1, got {args.tail}")
+    if not args.zero_tol > 0:
+        raise _UsageError(f"--zero-tol must be > 0, got {args.zero_tol}")
     out_dir = Path(args.out)
 
     trajectories = read_trajectories(args.infile)
@@ -168,6 +189,12 @@ def cmd_analyze(args) -> int:
             print(f"analyze: no sessions for strategy {args.strategy!r}", file=sys.stderr)
             return 1
         by_strategy = {args.strategy: by_strategy[args.strategy]}
+    widths = {data.dimension for data in by_strategy.values()}
+    if len(widths) > 1:
+        raise DimensionMismatch(
+            "strategies differ in width: "
+            + ", ".join(f"{sid}={data.dimension}" for sid, data in by_strategy.items())
+        )
 
     needs_model = {"drift", "spectrum", "prediction"} & set(stages)
     bundles: dict[str, dict] = {s: {} for s in stages}
@@ -228,15 +255,20 @@ def cmd_control(args) -> int:
         try:
             with open(args.schedule, "r", encoding="utf-8") as f:
                 schedule = controller.parse_schedule(json.load(f))
-        except (OSError, json.JSONDecodeError, DomainError) as exc:
+        except (OSError, ValueError, DomainError) as exc:
             raise _UsageError(f"bad schedule file {args.schedule!r}: {exc}") from exc
 
     strategy = _resolve_strategy(args.strategy, args.sigma)
-    sim = simulator.SimConfig(
-        strategy=strategy, sessions=1, iterations=args.iterations,
-        dt=args.dt, base_seed=args.seed,
-    )
-    cfg = controller.ControllerConfig(window=args.window, phase_schedule=schedule)
+    try:
+        sim = simulator.SimConfig(
+            strategy=strategy, sessions=1, iterations=args.iterations,
+            dt=args.dt, base_seed=args.seed,
+        )
+        cfg = controller.ControllerConfig(window=args.window, phase_schedule=schedule)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    if args.window > args.iterations:
+        raise _UsageError(f"--window {args.window} > --iterations {args.iterations}")
     traj, events = controller.run_controlled(
         sim, cfg, halt_on_intervention=args.halt_on_intervention
     )
@@ -244,7 +276,7 @@ def cmd_control(args) -> int:
     events_path = Path(f"{args.out}.events.jsonl")
     _write_text(traj_path, dumps_trajectories([traj]))
     _write_text(events_path, controller.dumps_events(events))
-    print(f"control: {len(traj.points) - 1} steps, {len(events)} events -> {traj_path}")
+    print(f"control: {len(traj) - 1} steps, {len(events)} events -> {traj_path}")
     return 0
 
 
@@ -252,10 +284,16 @@ def cmd_control(args) -> int:
 # score
 # ---------------------------------------------------------------------------
 
+def _read_source(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _score_one(path: str, expected_length: int, as_json: bool) -> str:
-    with open(path, "r", encoding="utf-8") as f:
-        src = f.read()
-    breakdown = scorer.score_all(src, expected_length)
+    breakdown = scorer.score_all(_read_source(path), expected_length)
     if as_json:
         return dumps_report(breakdown.to_dict()) + "\n"
     lines = [
@@ -267,48 +305,76 @@ def _score_one(path: str, expected_length: int, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _manifest_int(row: dict, column: str, lineno: int) -> int:
+    try:
+        return int(row[column])
+    except (TypeError, ValueError):
+        raise RecordFormatError(
+            f"manifest line {lineno}: {column} {row[column]!r} is not an integer"
+        ) from None
+
+
+def _manifest_trajectories(rows: list[dict], scores: list) -> list[Trajectory]:
+    """One validated trajectory per session_id, points ordered by iteration.
+
+    Iterations of a session must be exactly 0..T (any row order) and its
+    rows must agree on the strategy; anything else is a RecordFormatError.
+    """
+    sessions: dict[str, tuple[str, dict[int, list[float]]]] = {}
+    for lineno, (row, b) in enumerate(zip(rows, scores), start=2):
+        sid, strategy = row["session_id"], row["strategy"]
+        first_strategy, points = sessions.setdefault(sid, (strategy, {}))
+        if strategy != first_strategy:
+            raise RecordFormatError(
+                f"manifest line {lineno}: session {sid!r} changes strategy "
+                f"{first_strategy!r} -> {strategy!r}"
+            )
+        it = _manifest_int(row, "iteration", lineno)
+        if it in points:
+            raise RecordFormatError(
+                f"manifest line {lineno}: session {sid!r} repeats iteration {it}"
+            )
+        points[it] = [b.security, b.efficiency, b.functionality]
+    trajs = []
+    for sid, (strategy, points) in sessions.items():
+        iterations = sorted(points)
+        if iterations != list(range(len(iterations))):
+            raise RecordFormatError(
+                f"manifest session {sid!r} has iterations {iterations}, "
+                f"expected 0..{len(iterations) - 1}"
+            )
+        trajs.append(validate_trajectory(
+            Trajectory(sid, strategy, [points[i] for i in iterations])
+        ))
+    return trajs
+
+
 def cmd_score(args) -> int:
     if args.manifest:
         with open(args.manifest, "r", encoding="utf-8", newline="") as f:
             rows = list(csv.DictReader(f))
         if not rows:
             raise _UsageError(f"empty manifest {args.manifest!r}")
-        has_meta = {"session_id", "strategy", "iteration"} <= set(rows[0])
-        if has_meta:
-            sessions: dict[str, dict] = {}
-            for row in rows:
-                with open(row["path"], "r", encoding="utf-8") as f:
-                    src = f.read()
-                b = scorer.score_all(src, int(row["expected_length"]))
-                entry = sessions.setdefault(
-                    row["session_id"], {"strategy": row["strategy"], "points": {}}
-                )
-                entry["points"][int(row["iteration"])] = [
-                    b.security, b.efficiency, b.functionality
-                ]
-            out_lines = []
-            for sid, entry in sessions.items():
-                for it in sorted(entry["points"]):
-                    out_lines.append(json.dumps({
-                        "session_id": sid,
-                        "strategy": entry["strategy"],
-                        "iteration": it,
-                        "objectives": entry["points"][it],
-                    }))
-            text = "".join(line + "\n" for line in out_lines)
+        columns = set(rows[0])
+        if not {"path", "expected_length"} <= columns:
+            raise _UsageError(f"manifest {args.manifest!r} needs path,expected_length columns")
+        scores = [
+            scorer.score_all(_read_source(row["path"]),
+                             _manifest_int(row, "expected_length", lineno))
+            for lineno, row in enumerate(rows, start=2)
+        ]
+        if {"session_id", "strategy", "iteration"} <= columns:
+            text = dumps_trajectories(_manifest_trajectories(rows, scores))
         else:
-            out_lines = []
-            for row in rows:
-                with open(row["path"], "r", encoding="utf-8") as f:
-                    src = f.read()
-                b = scorer.score_all(src, int(row["expected_length"]))
-                out_lines.append(json.dumps({
+            text = "".join(
+                json.dumps({
                     "path": row["path"],
                     "security": b.security,
                     "efficiency": b.efficiency,
                     "functionality": b.functionality,
-                }))
-            text = "".join(line + "\n" for line in out_lines)
+                }) + "\n"
+                for row, b in zip(rows, scores)
+            )
         if args.out:
             _write_text(Path(args.out), text)
             print(f"score: {len(rows)} files -> {args.out}")

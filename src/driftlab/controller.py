@@ -23,9 +23,9 @@ import numpy as np
 
 from . import inference, simulator, spectral
 from .core import (
+    DimensionMismatch,
     DomainError,
     InsufficientData,
-    ObjectiveVector,
     RankDeficientDesign,
     ScheduleExhausted,
     StrategySpec,
@@ -95,45 +95,56 @@ def phased_schedule_default() -> tuple[Phase, ...]:
     )
 
 
-def _window_rate(states: np.ndarray, deltas: np.ndarray) -> float | None:
-    """Convergence rate of the locally fitted drift, or None when the
+def _window_spectrum(m: np.ndarray, t: int, window: int) -> list[complex] | None:
+    """Spectrum of the affine drift fitted on the `window` steps ending at
+    iteration t of m, or None before a full window exists or when the
     window regression is unsolvable (too few samples / rank deficient)."""
+    if t < window:
+        return None
+    w = m[t - window:t + 1]
     try:
-        A, _b, _sigma, _n = inference.fit_affine(states, deltas)
+        A, _b, _sigma, _n = inference.fit_affine(w[:-1], np.diff(w, axis=0))
     except (InsufficientData, RankDeficientDesign):
         return None
-    spectrum = spectral.eigen_spectrum(A)
-    return -max(lam.real for lam in spectrum)
+    return spectral.eigen_spectrum(A)
+
+
+def _interventions_at(m: np.ndarray, t: int, cfg: ControllerConfig,
+                      rate: float | None) -> list[ControlEvent]:
+    """The three trigger rules at iteration t of the (T+1, n) matrix m, in
+    order: (a) security below the floor, (b) efficiency dropping by more
+    than the configured fraction since t-1, (c) the windowed local
+    convergence rate (None when there is no fit) above the ceiling."""
+    events: list[ControlEvent] = []
+    sec = float(m[t, SECURITY_AXIS])
+    if sec < cfg.security_floor:
+        events.append(ControlEvent(t, EventKind.INTERVENTION, "security_floor", sec))
+    if t >= 1:
+        prev = float(m[t - 1, EFFICIENCY_AXIS])
+        cur = float(m[t, EFFICIENCY_AXIS])
+        # drops are measured against a positive base
+        if prev > 0 and cur < (1.0 - cfg.efficiency_drop) * prev:
+            events.append(ControlEvent(
+                t, EventKind.INTERVENTION, "efficiency_drop", 1.0 - cur / prev
+            ))
+    if rate is not None and rate > cfg.rate_ceiling:
+        events.append(ControlEvent(t, EventKind.INTERVENTION, "rate_ceiling", rate))
+    return events
 
 
 def check_interventions(traj: Trajectory, cfg: ControllerConfig) -> list[ControlEvent]:
     """Offline scan of a finished trajectory for all three trigger rules.
 
-    Rules, applied at every iteration they hold (one event per rule per
-    iteration): (a) security below the floor, (b) efficiency dropping by
-    more than the configured fraction between consecutive iterations,
-    (c) windowed local convergence rate above the ceiling.
+    Applies the rules `run_controlled` applies online at every iteration,
+    including the initial point (one event per rule per iteration).
     """
     m = traj.values_matrix
     events: list[ControlEvent] = []
-    for t in range(m.shape[0]):
-        sec = float(m[t, SECURITY_AXIS])
-        if sec < cfg.security_floor:
-            events.append(ControlEvent(t, EventKind.INTERVENTION, "security_floor", sec))
-        if t >= 1:
-            prev = float(m[t - 1, EFFICIENCY_AXIS])
-            cur = float(m[t, EFFICIENCY_AXIS])
-            # drops are measured against a positive base
-            if prev > 0 and cur < (1.0 - cfg.efficiency_drop) * prev:
-                events.append(ControlEvent(
-                    t, EventKind.INTERVENTION, "efficiency_drop", 1.0 - cur / prev
-                ))
-        if t >= cfg.window:
-            window = m[t - cfg.window:t + 1]
-            rate = _window_rate(window[:-1], np.diff(window, axis=0))
-            if rate is not None and rate > cfg.rate_ceiling:
-                events.append(ControlEvent(t, EventKind.INTERVENTION, "rate_ceiling", rate))
-    return sorted(events, key=lambda e: e.iteration)
+    for t in range(len(m)):
+        spectrum = _window_spectrum(m, t, cfg.window)
+        rate = None if spectrum is None else -max(lam.real for lam in spectrum)
+        events.extend(_interventions_at(m, t, cfg, rate))
+    return events
 
 
 @dataclass
@@ -176,47 +187,29 @@ def run_controlled(
         state = _LoopState(strategy=sim.strategy)
 
     n = state.strategy.dimension
-    x0 = simulator._resolve_initial(sim, session_index)
-    points = [ObjectiveVector(x0)]
+    m = np.empty((sim.iterations + 1, n))
+    m[0] = simulator._resolve_initial(sim, session_index)
     events: list[ControlEvent] = []
 
     for t in range(sim.iterations):
+        if state.strategy.dimension != n:
+            raise DimensionMismatch(
+                f"strategy {state.strategy.id!r} has dimension "
+                f"{state.strategy.dimension}, the run has {n}"
+            )
         eps = simulator.step_noise(sim.base_seed, session_index, t, n)
-        nxt = simulator.em_step(points[-1], state.strategy, sim.dt, eps,
-                                bounds=sim.clip_bounds)
-        points.append(nxt)
         now = t + 1
-        step_events: list[ControlEvent] = []
-
-        # (a) security floor on the new point
-        sec = nxt[SECURITY_AXIS]
-        if sec < cfg.security_floor:
-            step_events.append(ControlEvent(now, EventKind.INTERVENTION,
-                                            "security_floor", sec))
-        # (b) efficiency drop across the new pair
-        prev_eff = points[-2][EFFICIENCY_AXIS]
-        cur_eff = nxt[EFFICIENCY_AXIS]
-        if prev_eff > 0 and cur_eff < (1.0 - cfg.efficiency_drop) * prev_eff:
-            step_events.append(ControlEvent(now, EventKind.INTERVENTION,
-                                            "efficiency_drop", 1.0 - cur_eff / prev_eff))
+        m[now] = simulator._step(m[t], state.strategy, sim.dt, eps, sim.clip_bounds)
 
         # local spectrum over the trailing window
+        spectrum = _window_spectrum(m, now, cfg.window)
         report = None
-        if now >= cfg.window:
-            m = np.stack([p.values for p in points[-(cfg.window + 1):]])
-            try:
-                A, _b, _s, _c = inference.fit_affine(m[:-1], np.diff(m, axis=0))
-            except (InsufficientData, RankDeficientDesign):
-                A = None
-            if A is not None:
-                report = spectral.classify_regime(
-                    spectral.eigen_spectrum(A), sim.dt, cfg.zero_tol
-                )
+        if spectrum is not None:
+            report = spectral.classify_regime(spectrum, sim.dt, cfg.zero_tol)
+        step_events = _interventions_at(
+            m, now, cfg, None if report is None else report.convergence_rate
+        )
         if report is not None:
-            # (c) rate ceiling
-            if report.convergence_rate > cfg.rate_ceiling:
-                step_events.append(ControlEvent(now, EventKind.INTERVENTION,
-                                                "rate_ceiling", report.convergence_rate))
             # exploration -> exploitation: the local spectrum just lost
             # its complex parts
             has_complex = any(abs(lam.imag) > cfg.zero_tol for lam in report.eigenvalues)
@@ -283,7 +276,7 @@ def run_controlled(
             break
 
     traj = Trajectory(simulator.session_label(session_index),
-                      "controlled", points)
+                      "controlled", m[:now + 1])
     return traj, events
 
 

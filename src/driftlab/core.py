@@ -5,6 +5,10 @@ reports, control loops) speaks in the types defined here. All types are
 immutable after construction and safe to share across threads; the
 operations are pure functions.
 
+A trajectory is one read-only (T+1, n) float64 matrix, checked for shape
+and finiteness once when the `Trajectory` is built; every consumer
+(simulation, estimation, Pareto reports, control) works on that matrix.
+
 Score bounds (the 0-10 scale) are enforced once, at the ingestion
 boundary (`validate_trajectory` / the JSONL reader), never re-checked in
 hot loops. Generated data with clipping disabled may legitimately leave
@@ -23,9 +27,6 @@ import numpy as np
 
 SCORE_LOW = 0.0
 SCORE_HIGH = 10.0
-
-# Fixed axis order for the three-objective instantiation.
-OBJECTIVE_NAMES = ("security", "efficiency", "functionality")
 
 
 # ---------------------------------------------------------------------------
@@ -138,50 +139,59 @@ class ObjectiveVector:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Ordered iterates of one session: points indexed by iteration t = 0..T.
+    """Ordered iterates of one session: row t of `values_matrix` is iteration t.
 
-    Construction is permissive (any point count, mixed dimensions) so that
-    `validate_trajectory` is the single place that accepts or rejects.
+    The data is a single read-only (T+1, n) float64 matrix with n >= 2 and
+    finite entries, checked here; any point count is accepted so that
+    `validate_trajectory` alone decides on length and score range.
     """
 
     session_id: str
     strategy_id: str
-    points: tuple[ObjectiveVector, ...]
+    values_matrix: np.ndarray
 
     def __init__(self, session_id: str, strategy_id: str,
-                 points: Iterable[ObjectiveVector | Sequence[float]]):
+                 points: np.ndarray | Iterable[ObjectiveVector | Sequence[float]]):
+        if not isinstance(points, np.ndarray):
+            points = [p.values if isinstance(p, ObjectiveVector) else p for p in points]
+        try:
+            m = np.array(points, dtype=np.float64)
+        except ValueError:
+            dims = sorted({np.shape(p) for p in points})
+            if len(dims) > 1:
+                raise DimensionMismatch(
+                    f"trajectory {session_id!r} mixes point shapes {dims}"
+                ) from None
+            raise
+        if m.ndim != 2 or m.shape[1] < 2:
+            raise DimensionMismatch(
+                f"trajectory {session_id!r} must be a (T+1, n) matrix with n >= 2, "
+                f"got shape {m.shape}"
+            )
+        if not np.all(np.isfinite(m)):
+            raise NonFinite(f"trajectory {session_id!r} has non-finite values")
         object.__setattr__(self, "session_id", session_id)
         object.__setattr__(self, "strategy_id", strategy_id)
-        norm = tuple(
-            p if isinstance(p, ObjectiveVector) else ObjectiveVector(p)
-            for p in points
-        )
-        object.__setattr__(self, "points", norm)
+        object.__setattr__(self, "values_matrix", _readonly(m))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.values_matrix.shape[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trajectory):
             return NotImplemented
         return (self.session_id == other.session_id
                 and self.strategy_id == other.strategy_id
-                and len(self.points) == len(other.points)
-                and all(a == b for a, b in zip(self.points, other.points)))
+                and np.array_equal(self.values_matrix, other.values_matrix))
 
     @property
     def dimension(self) -> int:
-        return self.points[0].dimension
+        return self.values_matrix.shape[1]
 
     @cached_property
-    def values_matrix(self) -> np.ndarray:
-        """(T+1, n) matrix of all points; requires a consistent dimension."""
-        dims = {p.dimension for p in self.points}
-        if len(dims) != 1:
-            raise DimensionMismatch(
-                f"trajectory {self.session_id!r} mixes dimensions {sorted(dims)}"
-            )
-        return _readonly(np.stack([p.values for p in self.points]))
+    def points(self) -> tuple[ObjectiveVector, ...]:
+        """Per-iteration view of `values_matrix`, built on first access."""
+        return tuple(ObjectiveVector(row) for row in self.values_matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,26 +450,25 @@ class PredictionReport:
 def validate_trajectory(raw: Trajectory) -> Trajectory:
     """Accept a trajectory iff every invariant holds; normalize nothing.
 
+    Shape and finiteness already hold by construction.
+
     Raises:
         TooShort: fewer than 2 points (no step change exists).
-        DimensionMismatch: points disagree on dimension.
-        OutOfRangeScore: any component outside [0, 10].
+        OutOfRangeScore: any component outside [0, 10]; the message names
+            the first offending iteration.
     """
-    dims = {p.dimension for p in raw.points}
-    if len(dims) > 1:
-        raise DimensionMismatch(
-            f"trajectory {raw.session_id!r} mixes dimensions {sorted(dims)}"
-        )
-    if len(raw.points) < 2:
+    m = raw.values_matrix
+    if len(m) < 2:
         raise TooShort(
-            f"trajectory {raw.session_id!r} has {len(raw.points)} point(s); need >= 2"
+            f"trajectory {raw.session_id!r} has {len(m)} point(s); need >= 2"
         )
-    for t, p in enumerate(raw.points):
-        if np.any(p.values < SCORE_LOW) or np.any(p.values > SCORE_HIGH):
-            raise OutOfRangeScore(
-                f"trajectory {raw.session_id!r} iteration {t}: "
-                f"{p.to_list()} outside [{SCORE_LOW}, {SCORE_HIGH}]"
-            )
+    outside = np.any((m < SCORE_LOW) | (m > SCORE_HIGH), axis=1)
+    if outside.any():
+        t = int(np.argmax(outside))
+        raise OutOfRangeScore(
+            f"trajectory {raw.session_id!r} iteration {t}: "
+            f"{m[t].tolist()} outside [{SCORE_LOW}, {SCORE_HIGH}]"
+        )
     return raw
 
 
@@ -467,7 +476,7 @@ def step_changes(traj: Trajectory) -> list[tuple[ObjectiveVector, np.ndarray]]:
     """All (state, next-state minus state) pairs, one per step t = 0..T-1."""
     m = traj.values_matrix
     deltas = np.diff(m, axis=0)
-    return [(traj.points[t], deltas[t]) for t in range(len(traj.points) - 1)]
+    return [(traj.points[t], deltas[t]) for t in range(len(traj) - 1)]
 
 
 def pooled_step_matrix(data: SessionSet) -> tuple[np.ndarray, np.ndarray]:
@@ -488,12 +497,12 @@ def pooled_step_matrix(data: SessionSet) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def trajectory_records(traj: Trajectory) -> Iterator[dict]:
-    for t, p in enumerate(traj.points):
+    for t, row in enumerate(traj.values_matrix.tolist()):
         yield {
             "session_id": traj.session_id,
             "strategy": traj.strategy_id,
             "iteration": t,
-            "objectives": p.to_list(),
+            "objectives": row,
         }
 
 
@@ -517,8 +526,7 @@ def loads_trajectories(text: str) -> list[Trajectory]:
     single strategy per session; anything else is a RecordFormatError.
     Every trajectory is passed through `validate_trajectory`.
     """
-    sessions: dict[str, dict] = {}
-    order: list[str] = []
+    sessions: dict[str, tuple[str, list[list[float]]]] = {}
     current: str | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -527,36 +535,40 @@ def loads_trajectories(text: str) -> list[Trajectory]:
             rec = json.loads(line)
             sid = rec["session_id"]
             strategy = rec["strategy"]
-            iteration = int(rec["iteration"])
+            iteration = rec["iteration"]
             objectives = [float(v) for v in rec["objectives"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise RecordFormatError(f"line {lineno}: malformed record ({exc})") from exc
+        if not isinstance(sid, str) or not isinstance(strategy, str):
+            raise RecordFormatError(
+                f"line {lineno}: session_id and strategy must be strings, "
+                f"got {sid!r} and {strategy!r}"
+            )
+        if type(iteration) is not int:
+            raise RecordFormatError(
+                f"line {lineno}: iteration must be an integer, got {iteration!r}"
+            )
         if sid != current:
             if sid in sessions:
                 raise RecordFormatError(
                     f"line {lineno}: session {sid!r} is not contiguous"
                 )
-            sessions[sid] = {"strategy": strategy, "points": []}
-            order.append(sid)
+            sessions[sid] = (strategy, [])
             current = sid
-        entry = sessions[sid]
-        if strategy != entry["strategy"]:
+        first_strategy, rows = sessions[sid]
+        if strategy != first_strategy:
             raise RecordFormatError(
                 f"line {lineno}: session {sid!r} changes strategy "
-                f"{entry['strategy']!r} -> {strategy!r}"
+                f"{first_strategy!r} -> {strategy!r}"
             )
-        expected = len(entry["points"])
-        if iteration != expected:
+        if iteration != len(rows):
             raise RecordFormatError(
-                f"line {lineno}: session {sid!r} expected iteration {expected}, "
+                f"line {lineno}: session {sid!r} expected iteration {len(rows)}, "
                 f"got {iteration} (gap or disorder)"
             )
-        entry["points"].append(objectives)
-    out = []
-    for sid in order:
-        entry = sessions[sid]
-        out.append(validate_trajectory(Trajectory(sid, entry["strategy"], entry["points"])))
-    return out
+        rows.append(objectives)
+    return [validate_trajectory(Trajectory(sid, strategy, rows))
+            for sid, (strategy, rows) in sessions.items()]
 
 
 def read_trajectories(path) -> list[Trajectory]:

@@ -51,8 +51,8 @@ def equilibrium_estimate(traj: Trajectory, tail: int = 3) -> ObjectiveVector:
     """Component-wise mean of the final `tail` points."""
     if tail < 1:
         raise ValueError(f"tail must be >= 1, got {tail}")
-    if tail > len(traj.points):
-        raise TailTooLong(f"tail {tail} > trajectory length {len(traj.points)}")
+    if tail > len(traj):
+        raise TailTooLong(f"tail {tail} > trajectory length {len(traj)}")
     return ObjectiveVector(traj.values_matrix[-tail:].mean(axis=0))
 
 

@@ -16,7 +16,6 @@ drift matrices with zero intercept and a default diffusion of 0.5 * I.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -150,12 +149,23 @@ def em_step(
     """One Euler-Maruyama step. Noise is supplied by the caller (determinism)."""
     xv = x.values if isinstance(x, ObjectiveVector) else np.asarray(x, dtype=np.float64)
     eps = np.asarray(noise, dtype=np.float64)
+    if xv.shape != (strategy.dimension,):
+        raise DimensionMismatch(
+            f"state shape {xv.shape} != strategy dimension ({strategy.dimension},)"
+        )
     if eps.shape != xv.shape:
         raise DimensionMismatch(f"noise shape {eps.shape} != state shape {xv.shape}")
-    nxt = xv + drift(strategy, xv) * dt + strategy.diffusion @ eps * np.sqrt(dt)
+    return ObjectiveVector(_step(xv, strategy, dt, eps, bounds))
+
+
+def _step(x: np.ndarray, strategy: StrategySpec, dt: float, eps: np.ndarray,
+          bounds: tuple[float, float] | None) -> np.ndarray:
+    """Unchecked array form of `em_step`, shared by the simulation loops."""
+    nxt = x + (strategy.drift_matrix @ x + strategy.drift_intercept) * dt \
+        + strategy.diffusion @ eps * np.sqrt(dt)
     if bounds is not None:
         nxt = np.clip(nxt, bounds[0], bounds[1])
-    return ObjectiveVector(nxt)
+    return nxt
 
 
 def _resolve_initial(cfg: SimConfig, session_index: int) -> np.ndarray:
@@ -181,13 +191,12 @@ def simulate_session(cfg: SimConfig, session_index: int) -> Trajectory:
     if session_index >= cfg.sessions:
         raise ValueError(f"session index {session_index} >= sessions {cfg.sessions}")
     n = cfg.strategy.dimension
-    x = _resolve_initial(cfg, session_index)
-    points = [ObjectiveVector(x)]
+    m = np.empty((cfg.iterations + 1, n))
+    m[0] = _resolve_initial(cfg, session_index)
     for t in range(cfg.iterations):
         eps = step_noise(cfg.base_seed, session_index, t, n)
-        nxt = em_step(points[-1], cfg.strategy, cfg.dt, eps, bounds=cfg.clip_bounds)
-        points.append(nxt)
-    return Trajectory(session_label(session_index), cfg.strategy.id, points)
+        m[t + 1] = _step(m[t], cfg.strategy, cfg.dt, eps, cfg.clip_bounds)
+    return Trajectory(session_label(session_index), cfg.strategy.id, m)
 
 
 def simulate_set(cfg: SimConfig) -> SessionSet:
@@ -195,11 +204,3 @@ def simulate_set(cfg: SimConfig) -> SessionSet:
     trajs = [simulate_session(cfg, i) for i in range(cfg.sessions)]
     return SessionSet(cfg.strategy.id, trajs)
 
-
-def strategy_from_catalog(
-    name: str, catalog: Mapping[str, StrategySpec] | None = None
-) -> StrategySpec:
-    cat = preset_catalog() if catalog is None else catalog
-    if name not in cat:
-        raise KeyError(f"unknown strategy {name!r}; catalog has {sorted(cat)}")
-    return cat[name]

@@ -300,3 +300,133 @@ def test_report_floats_have_17_significant_digits():
 def test_dumps_report_rejects_non_finite():
     with pytest.raises(ValueError):
         cli.dumps_report({"v": float("nan")})
+
+
+def test_score_manifest_gapped_iterations_exit_1(tmp_path, capsys):
+    f = tmp_path / "a.py"
+    f.write_text("def f():\n    return 1\n")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,expected_length,session_id,strategy,iteration\n"
+                        f"{f},5,s000,AI,0\n{f},5,s000,AI,2\n")
+    out = tmp_path / "scored.jsonl"
+    assert run_cli("score", "--manifest", str(manifest), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "RecordFormatError" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_score_manifest_duplicated_iteration_exit_1(tmp_path, capsys):
+    f = tmp_path / "a.py"
+    f.write_text("def f():\n    return 1\n")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,expected_length,session_id,strategy,iteration\n"
+                        f"{f},5,s000,AI,0\n{f},5,s000,AI,1\n{f},5,s000,AI,1\n")
+    assert run_cli("score", "--manifest", str(manifest)) == 1
+    assert "RecordFormatError" in capsys.readouterr().err
+
+
+def test_score_manifest_matches_trajectory_writer(tmp_path, capsys):
+    files = []
+    for i, body in enumerate(["x = eval(input())\n", "def f():\n    return 1\n"]):
+        f = tmp_path / f"{i}.py"
+        f.write_text(body)
+        files.append(f)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,expected_length,session_id,strategy,iteration\n"
+                        f"{files[1]},5,s000,AI,1\n{files[0]},5,s000,AI,0\n")
+    assert run_cli("score", "--manifest", str(manifest)) == 0
+    text = capsys.readouterr().out
+    assert core.dumps_trajectories(core.loads_trajectories(text)) == text
+    assert [json.loads(line)["iteration"] for line in text.splitlines()] == [0, 1]
+
+
+def test_analyze_mixed_widths_exit_1_before_writing(tmp_path, capsys):
+    spec = StrategySpec("P2", np.diag([-0.5, -0.4]), [2.5, 2.0], 0.3 * np.eye(2))
+    spec_path = tmp_path / "p2.json"
+    spec_path.write_text(json.dumps(spec.to_dict()))
+    narrow, wide = tmp_path / "narrow.jsonl", tmp_path / "wide.jsonl"
+    assert run_cli("simulate", "--strategy", str(spec_path), "--sessions", "20",
+                   "--iterations", "10", "--seed", "1", "--out", str(narrow)) == 0
+    assert run_cli("simulate", "--strategy", "AI", "--sessions", "20",
+                   "--iterations", "10", "--seed", "2", "--out", str(wide)) == 0
+    renamed = [core.Trajectory("w" + t.session_id, t.strategy_id, t.values_matrix)
+               for t in core.read_trajectories(wide)]
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(narrow.read_text() + core.dumps_trajectories(renamed))
+    capsys.readouterr()
+    out_dir = tmp_path / "report"
+    assert run_cli("analyze", "--in", str(mixed), "--out", str(out_dir)) == 1
+    err = capsys.readouterr().err
+    assert "DimensionMismatch" in err and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_cli_paths_never_build_per_point_objects(tmp_path, monkeypatch):
+    def forbidden(self):
+        raise AssertionError("Trajectory.points used on a CLI path")
+
+    monkeypatch.setattr(core.Trajectory, "points", property(forbidden))
+    data = tmp_path / "t.jsonl"
+    assert run_cli("simulate", "--strategy", "SF", "--sessions", "20",
+                   "--iterations", "8", "--seed", "3", "--out", str(data)) == 0
+    assert run_cli("analyze", "--in", str(data), "--out", str(tmp_path / "r")) == 0
+    assert run_cli("control", "--iterations", "12", "--seed", "3",
+                   "--out", str(tmp_path / "c")) == 0
+
+
+def _bad_invocation(tmp_path, case):
+    if case == "simulate-sessions-0":
+        return ["simulate", "--sessions", "0", "--out", str(tmp_path / "x.jsonl")]
+    if case == "simulate-iterations-0":
+        return ["simulate", "--iterations", "0", "--out", str(tmp_path / "x.jsonl")]
+    if case == "control-window-1":
+        return ["control", "--window", "1", "--out", str(tmp_path / "c")]
+    if case in ("analyze-tail-0", "analyze-zero-tol-0"):
+        data = tmp_path / "t.jsonl"
+        assert run_cli("simulate", "--strategy", "AI", "--sessions", "10",
+                       "--iterations", "6", "--seed", "1", "--out", str(data)) == 0
+        flag = "--tail" if case == "analyze-tail-0" else "--zero-tol"
+        return ["analyze", "--in", str(data), flag, "0", "--out", str(tmp_path / "r")]
+    if case == "config-not-int":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sessions = abc\n")
+        return ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")]
+    if case == "strategy-bad-json":
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"id": "X", "drift_matrix": [[0.1, 0')
+        return ["simulate", "--strategy", str(spec), "--out", str(tmp_path / "x.jsonl")]
+    if case == "score-not-utf8":
+        src = tmp_path / "latin1.py"
+        src.write_bytes(b"name = '\xe9t\xe9'\n")
+        return ["score", "--src", str(src)]
+    if case == "manifest-length-not-int":
+        src = tmp_path / "a.py"
+        src.write_text("x = 1\n")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path,expected_length\n{src},five\n")
+        return ["score", "--manifest", str(manifest)]
+    if case == "manifest-no-length-column":
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path\n{tmp_path / 'a.py'}\n")
+        return ["score", "--manifest", str(manifest)]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case, code", [
+    ("simulate-sessions-0", 2),
+    ("simulate-iterations-0", 2),
+    ("control-window-1", 2),
+    ("analyze-tail-0", 2),
+    ("analyze-zero-tol-0", 2),
+    ("config-not-int", 2),
+    ("strategy-bad-json", 2),
+    ("score-not-utf8", 1),
+    ("manifest-length-not-int", 1),
+    ("manifest-no-length-column", 2),
+])
+def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
+    argv = _bad_invocation(tmp_path, case)
+    capsys.readouterr()
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    assert err.strip() and err.count("\n") == 1

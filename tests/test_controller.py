@@ -10,7 +10,7 @@ from driftlab.controller import (
     phased_schedule_default,
     run_controlled,
 )
-from driftlab.core import ScheduleExhausted, StrategySpec, Trajectory
+from driftlab.core import DimensionMismatch, ScheduleExhausted, StrategySpec, Trajectory
 
 from oracles import contraction_trajectory
 
@@ -225,6 +225,19 @@ def test_boundary_avoid_switch_on_near_zero_spectrum():
     assert "LZ->AI" in found.detail
 
 
+def test_switch_to_strategy_of_other_width_is_dimension_mismatch():
+    # a 2-D strategy near the boundary switches to the 3-D fallback preset
+    lazy = StrategySpec("LZ", np.diag([-0.001, -0.5]), np.zeros(2), 0.4 * np.eye(2))
+    raised = 0
+    for seed in range(30):
+        sim = simulator.SimConfig(strategy=lazy, iterations=12, base_seed=seed)
+        try:
+            run_controlled(sim, ControllerConfig())
+        except DimensionMismatch:
+            raised += 1
+    assert raised
+
+
 def test_exploration_to_exploitation_transition_logged():
     # noisy windowed fits flip between complex and real spectra; the
     # complex->real edge must be logged
@@ -261,3 +274,21 @@ def test_parse_schedule_rejects_malformed():
         controller.parse_schedule("FF")
     good = controller.parse_schedule([["FF", 2, 3], ["AI", 1, None]])
     assert good == (Phase("FF", 2, 3), Phase("AI", 1, None))
+
+
+def test_online_interventions_match_offline_scan():
+    # run_controlled and check_interventions share one rule engine; with
+    # halting off they must agree on every iteration after the start
+    seen = set()
+    for sigma in (0.5, 2.0, 4.0):
+        for schedule in (phased_schedule_default(), None):
+            cfg = ControllerConfig(phase_schedule=schedule)
+            for seed in range(8):
+                sim = simulator.SimConfig(strategy=simulator.preset("FF", sigma=sigma),
+                                          iterations=30, base_seed=seed)
+                t, events = run_controlled(sim, cfg)
+                online = [e for e in events if e.kind is EventKind.INTERVENTION]
+                offline = [e for e in check_interventions(t, cfg) if e.iteration >= 1]
+                assert online == offline
+                seen.update(e.detail for e in online)
+    assert seen == {"security_floor", "efficiency_drop", "rate_ceiling"}

@@ -244,3 +244,58 @@ def test_group_by_strategy():
     groups = core.group_by_strategy(ts)
     assert set(groups) == {"AI", "FF"}
     assert [t.session_id for t in groups["AI"]] == ["a", "c"]
+
+
+# ---------------------------------------------------------------------------
+# trajectory storage: one read-only (T+1, n) matrix
+# ---------------------------------------------------------------------------
+
+def test_trajectory_holds_one_readonly_matrix():
+    src = np.array([[5.0, 5.0, 5.0], [6.0, 4.0, 5.0]])
+    t = traj(src)
+    assert t.values_matrix.shape == (2, 3) and t.values_matrix.dtype == np.float64
+    with pytest.raises(ValueError):
+        t.values_matrix[0, 0] = 1.0
+    src[0, 0] = 9.0  # the trajectory keeps its own copy
+    assert t.values_matrix[0, 0] == 5.0
+    assert len(t) == 2 and t.dimension == 3
+    assert t.points == (ObjectiveVector([5, 5, 5]), ObjectiveVector([6, 4, 5]))
+    assert traj([ObjectiveVector([5, 5, 5]), [6, 4, 5]]) == t
+
+
+@pytest.mark.parametrize("points", [
+    [[5, 5, 5], [5, 5]],  # ragged
+    [5, 5, 5],  # 1-D
+    [[5], [6]],  # n < 2
+    [],  # no points, so no dimension
+])
+def test_trajectory_rejects_bad_shapes(points):
+    with pytest.raises(DimensionMismatch):
+        traj(points)
+
+
+def test_trajectory_rejects_non_finite():
+    with pytest.raises(core.NonFinite):
+        traj([[5, 5, 5], [5, float("inf"), 5]])
+
+
+def test_validate_names_first_offending_iteration():
+    with pytest.raises(OutOfRangeScore, match=r"iteration 2: \[5\.0, -1\.0, 5\.0\]"):
+        validate_trajectory(traj([[5, 5, 5], [5, 5, 5], [5, -1, 5], [11, 5, 5]]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("iteration", True),
+    ("iteration", 1.9),
+    ("session_id", 7),
+    ("strategy", 3),
+])
+def test_reader_rejects_mistyped_fields(field, value):
+    # every other field is well formed, so only the mistyped value can fail
+    records = [{"session_id": "s0", "strategy": "AI", "iteration": t,
+                "objectives": [5.0, 5.0, 5.0]} for t in range(2)]
+    for rec in records[1:] if field == "iteration" else records:
+        rec[field] = value
+    text = "".join(json.dumps(rec) + "\n" for rec in records)
+    with pytest.raises(RecordFormatError):
+        core.loads_trajectories(text)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftlab import core
+from driftlab import core, simulator
 from driftlab.core import DimensionMismatch, ObjectiveVector, StrategySpec
 from driftlab.simulator import SimConfig, drift, em_step, preset, simulate_session, simulate_set
 
@@ -207,3 +207,18 @@ def test_fixed_center_sentinel_and_explicit_start():
     explicit = SimConfig(strategy=ef, iterations=1,
                          initial_state=ObjectiveVector([2, 3, 4]))
     assert simulate_session(explicit, 0).points[0] == ObjectiveVector([2, 3, 4])
+
+
+def test_session_rows_are_chained_em_steps():
+    s = StrategySpec("R", np.diag([0.4, -0.3, 0.2]), [0.5, 0.1, -0.2], 1.5 * np.eye(3))
+    cfg = SimConfig(strategy=s, sessions=2, iterations=25, dt=0.5, base_seed=13)
+    got = simulate_session(cfg, 1).values_matrix
+    x = ObjectiveVector(got[0])
+    for t in range(cfg.iterations):
+        x = em_step(x, s, cfg.dt, simulator.step_noise(13, 1, t, 3))
+        assert np.array_equal(got[t + 1], x.values)
+
+
+def test_em_step_checks_state_dimension():
+    with pytest.raises(DimensionMismatch):
+        em_step(np.zeros(4), preset("AI"), 1.0, np.zeros(4))
