@@ -180,6 +180,8 @@ def cmd_analyze(args) -> int:
         raise _UsageError(f"--tail must be >= 1, got {args.tail}")
     if not args.zero_tol > 0:
         raise _UsageError(f"--zero-tol must be > 0, got {args.zero_tol}")
+    if not args.dt > 0:
+        raise _UsageError(f"--dt must be > 0, got {args.dt}")
     out_dir = Path(args.out)
 
     trajectories = read_trajectories(args.infile)

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -225,6 +225,12 @@ class SessionSet:
 
     def __iter__(self) -> Iterator[Trajectory]:
         return iter(self.trajectories)
+
+    @cached_property
+    def _pooled_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        xs = [t.values_matrix[:-1] for t in self.trajectories]
+        ds = [np.diff(t.values_matrix, axis=0) for t in self.trajectories]
+        return _readonly(np.concatenate(xs, axis=0)), _readonly(np.concatenate(ds, axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,14 +488,11 @@ def step_changes(traj: Trajectory) -> list[tuple[ObjectiveVector, np.ndarray]]:
 def pooled_step_matrix(data: SessionSet) -> tuple[np.ndarray, np.ndarray]:
     """Pool step changes across all sessions of a strategy, in session order.
 
-    Returns (states, deltas), each shaped (total_steps, n).
+    Returns read-only (states, deltas), each shaped (total_steps, n). The
+    pair is built on the first call for a `SessionSet` and shared by every
+    later call.
     """
-    xs, ds = [], []
-    for traj in data:
-        m = traj.values_matrix
-        xs.append(m[:-1])
-        ds.append(np.diff(m, axis=0))
-    return np.concatenate(xs, axis=0), np.concatenate(ds, axis=0)
+    return data._pooled_steps
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +522,13 @@ def write_trajectories(f: TextIO, trajectories: Iterable[Trajectory]) -> None:
     f.write(dumps_trajectories(trajectories))
 
 
+_JSON_NUMBERS = (int, float)  # exact types: a JSON true/false is not a score
+
+
+def _not_a_number(value) -> NoReturn:
+    raise TypeError(f"objectives must be JSON numbers, got {value!r}")
+
+
 def loads_trajectories(text: str) -> list[Trajectory]:
     """Parse and validate the JSONL trajectory format.
 
@@ -536,8 +546,9 @@ def loads_trajectories(text: str) -> list[Trajectory]:
             sid = rec["session_id"]
             strategy = rec["strategy"]
             iteration = rec["iteration"]
-            objectives = [float(v) for v in rec["objectives"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            objectives = [float(v) if type(v) in _JSON_NUMBERS else _not_a_number(v)
+                          for v in rec["objectives"]]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RecordFormatError(f"line {lineno}: malformed record ({exc})") from exc
         if not isinstance(sid, str) or not isinstance(strategy, str):
             raise RecordFormatError(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import InvalidExpectedLength
 
@@ -100,7 +100,9 @@ class _Logical(NamedTuple):
 
 @dataclass
 class SourceScan:
-    logical_lines: list[_Logical]
+    """Every signal the three axis rules read, gathered by `scan_source`:
+    counts and flags only, so no rule goes back to the source text."""
+
     nonblank_lines: int
     structurally_valid: bool
     max_depth: int = 0
@@ -113,15 +115,20 @@ class SourceScan:
     has_docstring: bool = False
     has_try: bool = False
     has_except: bool = False
+    eval_exec_calls: int = 0
+    shell_true_calls: int = 0      # only on lines that spawn a process
+    sql_string_builds: int = 0
+    has_validation: bool = False
 
 
-def _clean_lines(source: str) -> tuple[list[_Logical], bool]:
+def _clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
     """Strip strings and comments, join continuations, balance brackets.
 
-    Returns the logical lines plus a validity flag covering bracket
-    balance and string termination.
+    Returns the logical lines, a validity flag covering bracket balance
+    and string termination, and the count of non-blank physical lines.
     """
     valid = True
+    nonblank = 0
     logical: list[_Logical] = []
     cur_parts: list[str] = []
     cur_literals: list[_Literal] = []
@@ -148,8 +155,10 @@ def _clean_lines(source: str) -> tuple[list[_Logical], bool]:
 
     for raw in source.splitlines():
         line = raw.expandtabs()
+        blank = not line.strip()
+        nonblank += not blank
         if triple is None and single is None and not open_logical:
-            if not line.strip():
+            if blank:
                 continue
             cur_indent = len(line) - len(line.lstrip(" "))
         i = 0
@@ -235,7 +244,7 @@ def _clean_lines(source: str) -> tuple[list[_Logical], bool]:
             if literal_buf:
                 end_literal()
             flush()
-    return logical, valid
+    return logical, valid, nonblank
 
 
 def _first_word(text: str) -> str:
@@ -244,18 +253,20 @@ def _first_word(text: str) -> str:
 
 
 def scan_source(source: str) -> SourceScan:
-    """One pass over the source collecting every signal the scorers need."""
-    logical, valid = _clean_lines(source)
-    nonblank = sum(1 for line in source.splitlines() if line.strip())
-    scan = SourceScan(logical_lines=logical, nonblank_lines=nonblank,
-                      structurally_valid=valid)
+    """Read the source once and return every signal of all three axes.
+
+    This is the only function that reads source text: the axis rules
+    work on the `SourceScan` it returns.
+    """
+    logical, valid, nonblank = _clean_lines(source)
+    scan = SourceScan(nonblank_lines=nonblank, structurally_valid=valid)
 
     # Block analysis over logical lines: stack entries are
     # (body_indent, opener_is_loop) for each enclosing block.
     stack: list[tuple[int, bool]] = []
     pending: tuple[int, bool, bool] | None = None  # (opener_indent, is_loop, wants_doc)
     first_statement = True
-    for indent, cleaned, _literals in logical:
+    for indent, cleaned, literals in logical:
         stripped = cleaned.strip()
         if not stripped:
             continue
@@ -307,6 +318,21 @@ def scan_source(source: str) -> SourceScan:
                 scan.nested_loop_pairs += 1
             wants_doc = word in ("def", "class")
             pending = (indent, is_loop, wants_doc)
+
+        scan.eval_exec_calls += len(_EVAL_EXEC_RE.findall(cleaned))
+        if _SPAWN_CONTEXT_RE.search(cleaned):
+            scan.shell_true_calls += len(_SHELL_TRUE_RE.findall(cleaned))
+        if not scan.has_validation:
+            scan.has_validation = any(rx.search(cleaned) for rx in _VALIDATION_RES)
+        # SQL-keyword literals that are concatenated or interpolated
+        # (f-string braces, +, %-format, .format)
+        positions = [m.start() for m in re.finditer(_MARK, cleaned)] if literals else ()
+        for pos, lit in zip(positions, literals):
+            if _SQL_KEYWORD_RE.search(lit.text) and (
+                    ("f" in lit.prefix.lower() and "{" in lit.text)
+                    or cleaned[:pos].rstrip().endswith("+")
+                    or cleaned[pos + 1:].lstrip().startswith(("+", "%", ".format("))):
+                scan.sql_string_builds += 1
     if pending is not None:
         # block opener with no body
         scan.structurally_valid = False
@@ -342,103 +368,46 @@ class ScoreBreakdown:
         }
 
 
-def _clip(x: float) -> float:
-    return min(SCORE_HIGH, max(SCORE_LOW, x))
+def _table_or_default(table: Mapping[str, float] | None) -> Mapping[str, float]:
+    return default_rules() if table is None else table
 
 
-def _sql_build_count(scan: SourceScan) -> int:
-    """String literals carrying SQL keywords that are concatenated or
-    interpolated (f-string braces, +, %-format, .format)."""
-    count = 0
-    for indent, cleaned, literals in scan.logical_lines:
-        if not literals:
-            continue
-        marker_positions = [m.start() for m in re.finditer(_MARK, cleaned)]
-        for pos, lit in zip(marker_positions, literals):
-            if not _SQL_KEYWORD_RE.search(lit.text):
-                continue
-            before = cleaned[:pos].rstrip()
-            after = cleaned[pos + 1:].lstrip()
-            interpolated = (
-                ("f" in lit.prefix.lower() and "{" in lit.text)
-                or before.endswith("+")
-                or after.startswith("+")
-                or after.startswith("%")
-                or after.startswith(".format(")
-            )
-            if interpolated:
-                count += 1
-    return count
+def _axis_score(axis: str, hits: list[RuleHit], t: Mapping[str, float]) -> float:
+    """clip(base + sum of the axis's rule-hit deltas): every score is this."""
+    return min(SCORE_HIGH, max(SCORE_LOW, t[f"{axis}.base"] + sum(h.delta for h in hits)))
 
 
-def score_security(
-    src: str, table: Mapping[str, float] | None = None
-) -> tuple[float, list[RuleHit]]:
-    """Pattern-rule security score: base 5.0, unsafe calls subtract,
-    exception handling and input validation add (once each)."""
-    t = default_rules() if table is None else table
-    scan = scan_source(src)
-    hits: list[RuleHit] = []
-
-    eval_count = 0
-    shell_count = 0
-    validated = False
-    for _indent, cleaned, _lits in scan.logical_lines:
-        eval_count += len(_EVAL_EXEC_RE.findall(cleaned))
-        if _SPAWN_CONTEXT_RE.search(cleaned):
-            shell_count += len(_SHELL_TRUE_RE.findall(cleaned))
-        if not validated and any(rx.search(cleaned) for rx in _VALIDATION_RES):
-            validated = True
-    sql_count = _sql_build_count(scan)
-
-    if eval_count:
-        hits.append(RuleHit("security.eval_exec_call", eval_count,
-                            eval_count * t["security.eval_exec_call"]))
-    if shell_count:
-        hits.append(RuleHit("security.shell_true", shell_count,
-                            shell_count * t["security.shell_true"]))
-    if sql_count:
-        hits.append(RuleHit("security.sql_string_build", sql_count,
-                            sql_count * t["security.sql_string_build"]))
-    if scan.has_try and scan.has_except:
-        hits.append(RuleHit("security.exception_handling", 1,
-                            t["security.exception_handling"]))
-    if validated:
-        hits.append(RuleHit("security.input_validation", 1,
-                            t["security.input_validation"]))
-    score = _clip(t["security.base"] + sum(h.delta for h in hits))
-    return score, hits
+def _check_expected_length(expected_length: int) -> None:
+    if expected_length < 1:
+        raise InvalidExpectedLength(f"expected_length must be >= 1, got {expected_length}")
 
 
-def score_efficiency(
-    src: str, table: Mapping[str, float] | None = None
-) -> tuple[float, list[RuleHit]]:
-    """Complexity score from nesting depth, nested loops, and branch count.
+def _weighted(counts: Iterable[tuple[str, int]], t: Mapping[str, float]) -> list[RuleHit]:
+    """One hit per (rule_id, count) that fired, its delta count x weight."""
+    return [RuleHit(rule_id, n, n * t[rule_id]) for rule_id, n in counts if n]
 
-    Structurally unparseable source short-circuits to the flat invalid
-    baseline.
-    """
-    t = default_rules() if table is None else table
-    scan = scan_source(src)
+
+def _security_hits(scan: SourceScan, t: Mapping[str, float]) -> list[RuleHit]:
+    return _weighted((
+        ("security.eval_exec_call", scan.eval_exec_calls),
+        ("security.shell_true", scan.shell_true_calls),
+        ("security.sql_string_build", scan.sql_string_builds),
+        ("security.exception_handling", int(scan.has_try and scan.has_except)),
+        ("security.input_validation", int(scan.has_validation)),
+    ), t)
+
+
+def _efficiency_hits(scan: SourceScan, t: Mapping[str, float]) -> list[RuleHit]:
     if not scan.structurally_valid:
         delta = t["efficiency.invalid_score"] - t["efficiency.base"]
-        hits = [RuleHit("efficiency.invalid_baseline", 1, delta)]
-        return _clip(t["efficiency.base"] + delta), hits
-
-    hits = []
-    excess_depth = max(0, scan.max_depth - int(t["efficiency.free_depth"]))
-    if excess_depth:
-        hits.append(RuleHit("efficiency.depth_beyond_free", excess_depth,
-                            excess_depth * t["efficiency.depth_beyond_free"]))
-    if scan.nested_loop_pairs:
-        hits.append(RuleHit("efficiency.nested_loop_pair", scan.nested_loop_pairs,
-                            scan.nested_loop_pairs * t["efficiency.nested_loop_pair"]))
-    extra_cf = max(0, scan.control_flow_count - int(t["efficiency.free_control_flow"]))
-    if extra_cf:
-        hits.append(RuleHit("efficiency.extra_control_flow", extra_cf,
-                            extra_cf * t["efficiency.extra_control_flow"]))
-    score = _clip(t["efficiency.base"] + sum(h.delta for h in hits))
-    return score, hits
+        return [RuleHit("efficiency.invalid_baseline", 1, delta)]
+    return _weighted((
+        ("efficiency.depth_beyond_free",
+         max(0, scan.max_depth - int(t["efficiency.free_depth"]))),
+        ("efficiency.nested_loop_pair", scan.nested_loop_pairs),
+        ("efficiency.extra_control_flow",
+         max(0, scan.control_flow_count - int(t["efficiency.free_control_flow"]))),
+    ), t)
 
 
 _FEATURE_CLASSES = (
@@ -451,6 +420,41 @@ _FEATURE_CLASSES = (
 )
 
 
+def _functionality_hits(
+    scan: SourceScan, t: Mapping[str, float], expected_length: int
+) -> list[RuleHit]:
+    hits = [RuleHit(f"functionality.feature.{name}", 1, t["functionality.feature_class"])
+            for name, present in _FEATURE_CLASSES if present(scan)]
+    preclip = t["functionality.base"] + sum(h.delta for h in hits)
+    factor = min(1.0, scan.nonblank_lines / (t["functionality.stub_fraction"] * expected_length))
+    if factor < 1.0:
+        hits.append(RuleHit("functionality.length_scale", 1, preclip * (factor - 1.0)))
+    return hits
+
+
+def score_security(
+    src: str, table: Mapping[str, float] | None = None
+) -> tuple[float, list[RuleHit]]:
+    """Pattern-rule security score: base 5.0, unsafe calls subtract,
+    exception handling and input validation add (once each)."""
+    t = _table_or_default(table)
+    hits = _security_hits(scan_source(src), t)
+    return _axis_score("security", hits, t), hits
+
+
+def score_efficiency(
+    src: str, table: Mapping[str, float] | None = None
+) -> tuple[float, list[RuleHit]]:
+    """Complexity score from nesting depth, nested loops, and branch count.
+
+    Structurally unparseable source short-circuits to the flat invalid
+    baseline.
+    """
+    t = _table_or_default(table)
+    hits = _efficiency_hits(scan_source(src), t)
+    return _axis_score("efficiency", hits, t), hits
+
+
 def score_functionality(
     src: str, expected_length: int, table: Mapping[str, float] | None = None
 ) -> tuple[float, list[RuleHit]]:
@@ -459,35 +463,28 @@ def score_functionality(
     The pre-clip score scales by min(1, lines / (stub_fraction *
     expected_length)) so near-empty answers to long tasks score near 0.
     """
-    if expected_length < 1:
-        raise InvalidExpectedLength(f"expected_length must be >= 1, got {expected_length}")
-    t = default_rules() if table is None else table
-    scan = scan_source(src)
-    hits = []
-    for name, present in _FEATURE_CLASSES:
-        if present(scan):
-            hits.append(RuleHit(f"functionality.feature.{name}", 1,
-                                t["functionality.feature_class"]))
-    preclip = t["functionality.base"] + sum(h.delta for h in hits)
-    factor = min(1.0, scan.nonblank_lines / (t["functionality.stub_fraction"] * expected_length))
-    if factor < 1.0:
-        hits.append(RuleHit("functionality.length_scale", 1, preclip * (factor - 1.0)))
-    score = _clip(t["functionality.base"] + sum(h.delta for h in hits))
-    return score, hits
+    _check_expected_length(expected_length)
+    t = _table_or_default(table)
+    hits = _functionality_hits(scan_source(src), t, expected_length)
+    return _axis_score("functionality", hits, t), hits
 
 
 def score_all(
     src: str, expected_length: int, table: Mapping[str, float] | None = None
 ) -> ScoreBreakdown:
-    """All three axes of one source text. Never executes the input."""
-    sec, sec_hits = score_security(src, table)
-    eff, eff_hits = score_efficiency(src, table)
-    fun, fun_hits = score_functionality(src, expected_length, table)
+    """All three axes of one source text, from one scan. Never executes
+    the input."""
+    _check_expected_length(expected_length)
+    t = _table_or_default(table)
+    scan = scan_source(src)
+    sec = _security_hits(scan, t)
+    eff = _efficiency_hits(scan, t)
+    fun = _functionality_hits(scan, t, expected_length)
     return ScoreBreakdown(
-        security=sec,
-        efficiency=eff,
-        functionality=fun,
-        rule_hits=tuple(sec_hits + eff_hits + fun_hits),
+        security=_axis_score("security", sec, t),
+        efficiency=_axis_score("efficiency", eff, t),
+        functionality=_axis_score("functionality", fun, t),
+        rule_hits=tuple(sec + eff + fun),
     )
 
 
@@ -495,12 +492,9 @@ def reconstruct_scores(
     breakdown: ScoreBreakdown, table: Mapping[str, float] | None = None
 ) -> dict[str, float]:
     """Recompute each axis as clip(base + sum of its rule-hit deltas)."""
-    t = default_rules() if table is None else table
-    out = {}
-    for axis in ("security", "efficiency", "functionality"):
-        total = t[f"{axis}.base"]
-        for hit in breakdown.rule_hits:
-            if hit.rule_id.startswith(axis + "."):
-                total += hit.delta
-        out[axis] = _clip(total)
-    return out
+    t = _table_or_default(table)
+    return {
+        axis: _axis_score(axis, [h for h in breakdown.rule_hits
+                                 if h.rule_id.startswith(axis + ".")], t)
+        for axis in ("security", "efficiency", "functionality")
+    }

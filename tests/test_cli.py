@@ -381,12 +381,18 @@ def _bad_invocation(tmp_path, case):
         return ["simulate", "--iterations", "0", "--out", str(tmp_path / "x.jsonl")]
     if case == "control-window-1":
         return ["control", "--window", "1", "--out", str(tmp_path / "c")]
-    if case in ("analyze-tail-0", "analyze-zero-tol-0"):
+    analyze_flags = {
+        "analyze-tail-0": ("--tail", "0"),
+        "analyze-zero-tol-0": ("--zero-tol", "0"),
+        "analyze-dt-0": ("--dt", "0"),
+        "analyze-dt-negative": ("--dt", "-0.5"),
+    }
+    if case in analyze_flags:
         data = tmp_path / "t.jsonl"
         assert run_cli("simulate", "--strategy", "AI", "--sessions", "10",
                        "--iterations", "6", "--seed", "1", "--out", str(data)) == 0
-        flag = "--tail" if case == "analyze-tail-0" else "--zero-tol"
-        return ["analyze", "--in", str(data), flag, "0", "--out", str(tmp_path / "r")]
+        flag, value = analyze_flags[case]
+        return ["analyze", "--in", str(data), flag, value, "--out", str(tmp_path / "r")]
     if case == "config-not-int":
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sessions = abc\n")
@@ -418,6 +424,8 @@ def _bad_invocation(tmp_path, case):
     ("control-window-1", 2),
     ("analyze-tail-0", 2),
     ("analyze-zero-tol-0", 2),
+    ("analyze-dt-0", 2),
+    ("analyze-dt-negative", 2),
     ("config-not-int", 2),
     ("strategy-bad-json", 2),
     ("score-not-utf8", 1),

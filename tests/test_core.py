@@ -246,6 +246,17 @@ def test_group_by_strategy():
     assert [t.session_id for t in groups["AI"]] == ["a", "c"]
 
 
+def test_pooled_steps_are_built_once_and_read_only():
+    data = SessionSet("AI", [traj([[1, 1, 1], [2, 3, 4]], session_id="a"),
+                             traj([[5, 5, 5], [4, 4, 4], [6, 5, 4]], session_id="b")])
+    states, deltas = core.pooled_step_matrix(data)
+    again = core.pooled_step_matrix(data)
+    assert again[0] is states and again[1] is deltas
+    assert not states.flags.writeable and not deltas.flags.writeable
+    assert states.tolist() == [[1, 1, 1], [5, 5, 5], [4, 4, 4]]
+    assert deltas.tolist() == [[1, 2, 3], [-1, -1, -1], [2, 1, 0]]
+
+
 # ---------------------------------------------------------------------------
 # trajectory storage: one read-only (T+1, n) matrix
 # ---------------------------------------------------------------------------
@@ -289,6 +300,9 @@ def test_validate_names_first_offending_iteration():
     ("iteration", 1.9),
     ("session_id", 7),
     ("strategy", 3),
+    ("objectives", "555"),
+    ("objectives", ["5.0", True, 5]),
+    ("objectives", [5.0, False, 5.0]),
 ])
 def test_reader_rejects_mistyped_fields(field, value):
     # every other field is well formed, so only the mistyped value can fail

@@ -298,11 +298,36 @@ def test_reconstruction_identity():
     ]
     for _ in range(50):
         text = "".join(s for s in snippets if rng.random() < 0.5)
-        b = score_all(text, int(rng.integers(1, 60)))
+        expected_length = int(rng.integers(1, 60))
+        b = score_all(text, expected_length)
         rec = reconstruct_scores(b)
         assert rec["security"] == b.security
         assert rec["efficiency"] == b.efficiency
         assert rec["functionality"] == b.functionality
+        axes = (score_security(text), score_efficiency(text),
+                score_functionality(text, expected_length))
+        assert ((b.security, b.efficiency, b.functionality), b.rule_hits) == (
+            tuple(score for score, _ in axes), tuple(h for _, hits in axes for h in hits))
+
+
+def test_reconstruction_matches_scores_under_a_custom_table():
+    table = dict(scorer.default_rules())
+    table["security.eval_exec_call"] = -0.3
+    b = score_all("eval(a)\neval(a)\nsubprocess.run(c, shell=True)\n", 10, table)
+    assert b.security == 2.9
+    assert reconstruct_scores(b, table)["security"] == b.security
+
+
+def test_score_all_scans_once(monkeypatch):
+    calls = []
+
+    def counting_scan(source):
+        calls.append(source)
+        return scan_source(source)
+
+    monkeypatch.setattr(scorer, "scan_source", counting_scan)
+    score_all("import os\nx = eval(os.environ['X'])\n", 5)
+    assert len(calls) == 1
 
 
 def test_scoring_never_touches_filesystem(tmp_path, monkeypatch):
