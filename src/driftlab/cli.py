@@ -27,6 +27,7 @@ from . import controller, inference, pareto, scorer, simulator, spectral
 from .core import (
     DimensionMismatch,
     DomainError,
+    InsufficientData,
     RecordFormatError,
     StrategySpec,
     Trajectory,
@@ -185,6 +186,8 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
 
     trajectories = read_trajectories(args.infile)
+    if not trajectories:
+        raise InsufficientData(f"no trajectory records in {args.infile}")
     by_strategy = group_by_strategy(trajectories)
     if args.strategy:
         if args.strategy not in by_strategy:

@@ -28,17 +28,52 @@ def dominates(a: ObjectiveVector | np.ndarray, b: ObjectiveVector | np.ndarray) 
     return bool(np.all(av >= bv) and np.any(av > bv))
 
 
+_BLOCK = 512  # rows checked per step of the sweep in `non_dominated_mask`
+
+
+def _dominated(C: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Mask over the rows of B: True where some row of C dominates it.
+
+    Builds (|C|, |B|) boolean temporaries one objective at a time, never a
+    (|C|, |B|, n) array.
+    """
+    ge = np.ones((len(C), len(B)), dtype=bool)
+    gt = np.zeros_like(ge)
+    for k in range(B.shape[1]):
+        c = C[:, None, k]
+        b = B[None, :, k]
+        ge &= c >= b
+        gt |= c > b
+    return np.any(ge & gt, axis=0)
+
+
 def non_dominated_mask(points: np.ndarray) -> np.ndarray:
     """Boolean mask over (T, n) rows: True where no other row dominates.
 
-    Exact duplicates never dominate each other, so copies of a maximal
-    point all survive.
+    The rows are swept in descending lexicographic order. A dominator is
+    >= on every axis and > on at least one, so it sorts strictly before
+    the rows it dominates; each block of `_BLOCK` rows therefore needs
+    checking only against the front found so far plus the block itself
+    (a dominated dominator is itself dominated by a front row, which then
+    dominates the same point). Exact duplicates never dominate each other,
+    so copies of a maximal point all survive.
+
+    Memory is O((|front| + _BLOCK) * _BLOCK) booleans: O(T * _BLOCK) in the
+    worst case, where every row is on the front.
     """
     P = np.asarray(points, dtype=np.float64)
-    ge = np.all(P[:, None, :] >= P[None, :, :], axis=2)
-    gt = np.any(P[:, None, :] > P[None, :, :], axis=2)
-    dominated = np.any(ge & gt, axis=0)
-    return ~dominated
+    order = np.lexsort(P.T[::-1])[::-1]
+    S = P[order]
+    keep = np.empty(len(S), dtype=bool)
+    front = S[:0]
+    for start in range(0, len(S), _BLOCK):
+        B = S[start:start + _BLOCK]
+        survivors = ~_dominated(np.concatenate((front, B)), B)
+        keep[start:start + len(B)] = survivors
+        front = np.concatenate((front, B[survivors]))
+    mask = np.empty_like(keep)
+    mask[order] = keep
+    return mask
 
 
 def pareto_efficiency(traj: Trajectory) -> float:

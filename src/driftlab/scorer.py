@@ -222,7 +222,8 @@ def _clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
                 backslash_eol = True
                 i += 1
                 continue
-            cur_parts.append(ch)
+            # a raw NUL in code must not pass for a literal marker
+            cur_parts.append(" " if ch == _MARK else ch)
             i += 1
         if single is not None:
             # string ran off the end of its line: recover, flag invalid

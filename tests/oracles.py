@@ -34,12 +34,12 @@ def naive_pearson(x, y) -> float:
 # Brute-force Pareto efficiency
 # ---------------------------------------------------------------------------
 
-def brute_efficiency(points) -> float:
-    """Fraction of points not dominated by any other point, via full
-    pairwise scanning with early exits."""
+def brute_non_dominated(points) -> list[bool]:
+    """Per point: True when no other point dominates it, via full pairwise
+    scanning with early exits."""
     pts = [tuple(float(v) for v in p) for p in points]
     total = len(pts)
-    survivors = 0
+    flags = []
     for i in range(total):
         pi = pts[i]
         dominated = False
@@ -58,9 +58,14 @@ def brute_efficiency(points) -> float:
             if ge and gt:
                 dominated = True
                 break
-        if not dominated:
-            survivors += 1
-    return survivors / total
+        flags.append(not dominated)
+    return flags
+
+
+def brute_efficiency(points) -> float:
+    """Fraction of points not dominated by any other point."""
+    flags = brute_non_dominated(points)
+    return sum(flags) / len(flags)
 
 
 # ---------------------------------------------------------------------------

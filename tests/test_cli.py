@@ -393,6 +393,10 @@ def _bad_invocation(tmp_path, case):
                        "--iterations", "6", "--seed", "1", "--out", str(data)) == 0
         flag, value = analyze_flags[case]
         return ["analyze", "--in", str(data), flag, value, "--out", str(tmp_path / "r")]
+    if case == "analyze-no-records":
+        data = tmp_path / "empty.jsonl"
+        data.write_text("")
+        return ["analyze", "--in", str(data), "--out", str(tmp_path / "r")]
     if case == "config-not-int":
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sessions = abc\n")
@@ -426,6 +430,7 @@ def _bad_invocation(tmp_path, case):
     ("analyze-zero-tol-0", 2),
     ("analyze-dt-0", 2),
     ("analyze-dt-negative", 2),
+    ("analyze-no-records", 1),
     ("config-not-int", 2),
     ("strategy-bad-json", 2),
     ("score-not-utf8", 1),
@@ -438,3 +443,4 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     assert run_cli(*argv) == code
     err = capsys.readouterr().err
     assert err.strip() and err.count("\n") == 1
+    assert not any((tmp_path / "r").glob("*"))  # analyze wrote nothing

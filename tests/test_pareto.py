@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,45 @@ def test_matches_brute_force_oracle():
             pts = pts.round(0)  # force ties and duplicates
         t = traj(pts)
         assert pareto.pareto_efficiency(t) == brute_efficiency(pts)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_matches_brute_force_oracle_across_blocks(monkeypatch, block):
+    monkeypatch.setattr(pareto, "_BLOCK", block)
+    rng = np.random.default_rng(55)
+    for _ in range(40):
+        length = int(rng.integers(2, 40))
+        n = int(rng.integers(2, 5))
+        pts = rng.uniform(0, 10, size=(length, n))
+        if rng.random() < 0.5:
+            pts = pts.round(0)  # force ties and duplicates
+        assert pareto.pareto_efficiency(traj(pts)) == brute_efficiency(pts)
+    # every point of an integer simplex is on the front
+    simplex = np.array([[i, j, 10 - i - j] for i in range(11) for j in range(11 - i)], float)
+    simplex = simplex[rng.permutation(len(simplex))]
+    assert pareto.pareto_efficiency(traj(simplex)) == brute_efficiency(simplex) == 1.0
+    # many copies of the maximal point, among points it dominates or ties
+    pts = np.vstack([np.full((15, 3), 9.0), rng.integers(0, 10, size=(25, 3))])
+    pts = pts[rng.permutation(len(pts))]
+    assert pareto.pareto_efficiency(traj(pts)) == brute_efficiency(pts) == 15 / 40
+
+
+def test_mask_memory_is_bounded_at_50k_points():
+    pts = np.random.default_rng(56).uniform(0, 10, size=(50_000, 3))
+    tracemalloc.start()
+    try:
+        mask = pareto.non_dominated_mask(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # exact on the result: no point dominates a front point, and every
+    # other point is dominated by some front point
+    covered = np.zeros(len(pts), dtype=bool)
+    for f in pts[mask]:
+        assert not np.any(np.all(pts >= f, axis=1) & np.any(pts > f, axis=1))
+        covered |= np.all(f >= pts, axis=1) & np.any(f > pts, axis=1)
+    assert np.array_equal(covered, ~mask)
 
 
 def test_efficiency_invariant_under_reordering():

@@ -1,16 +1,21 @@
 """Property tests of the JSONL trajectory format: a write then a read gives
 back the same trajectories, and a record with any one field corrupted is
-rejected with a DomainError, never with a bare exception."""
+rejected with a DomainError, never with a bare exception. Also: the Pareto
+mask equals a brute-force scan whatever the sweep's block size."""
 
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from driftlab import core
+from driftlab import core, pareto
 from driftlab.core import DomainError, Trajectory
+
+from oracles import brute_non_dominated
 
 # Fixed examples keep tier-1 deterministic; no example database is written.
 _SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -86,3 +91,16 @@ def test_single_field_corruption_raises_domain_error(field, trajectories, data):
     with pytest.raises(DomainError) as info:
         core.loads_trajectories(text)
     assert "\n" not in str(info.value)
+
+
+# Small integer grids make ties, duplicates and block-crossing dominators common.
+_grids = st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=30))
+
+
+@_SETTINGS
+@given(_grids, st.integers(1, 5))
+def test_pareto_mask_matches_brute_force(rows, block):
+    with mock.patch.object(pareto, "_BLOCK", block):
+        mask = pareto.non_dominated_mask(np.array(rows, dtype=float))
+    assert mask.tolist() == brute_non_dominated(rows)

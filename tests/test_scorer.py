@@ -109,6 +109,13 @@ def test_parameterized_sql_is_safe():
     assert all(h.rule_id != "security.sql_string_build" for h in hits)
 
 
+def test_raw_nul_in_code_is_not_a_literal_marker():
+    plain = scan_source('f(a+1, "SELECT x")\n')
+    nul = scan_source('f(\x00+1, "SELECT x")\n')
+    assert nul.sql_string_builds == plain.sql_string_builds == 0
+    assert not scan_source("\x00\nx = 1\n").has_docstring
+
+
 def test_scores_clipped_to_zero():
     body = "\n".join(f"x{i} = eval(v{i})" for i in range(6))
     score, _ = score_security(body)
