@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -120,6 +121,8 @@ def _setting(args, config: dict[str, str], name: str, cast, default):
 # ---------------------------------------------------------------------------
 
 def _resolve_strategy(name: str, sigma: float) -> StrategySpec:
+    if not math.isfinite(sigma):
+        raise _UsageError(f"sigma must be finite, got {sigma}")
     if name in simulator.PRESET_DRIFT_DIAGONALS:
         return simulator.preset(name, sigma)
     path = Path(name)
@@ -181,8 +184,8 @@ def cmd_analyze(args) -> int:
         raise _UsageError(f"--tail must be >= 1, got {args.tail}")
     if not args.zero_tol > 0:
         raise _UsageError(f"--zero-tol must be > 0, got {args.zero_tol}")
-    if not args.dt > 0:
-        raise _UsageError(f"--dt must be > 0, got {args.dt}")
+    if not (args.dt > 0 and math.isfinite(args.dt)):
+        raise _UsageError(f"--dt must be finite and > 0, got {args.dt}")
     out_dir = Path(args.out)
 
     trajectories = read_trajectories(args.infile)

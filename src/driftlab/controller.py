@@ -187,8 +187,10 @@ def run_controlled(
         state = _LoopState(strategy=sim.strategy)
 
     n = state.strategy.dimension
+    noise = simulator._SessionStream(sim.base_seed, session_index)
     m = np.empty((sim.iterations + 1, n))
-    m[0] = simulator._resolve_initial(sim, session_index)
+    m[0] = simulator._resolve_initial(sim, noise)
+    eps = np.empty(n)
     events: list[ControlEvent] = []
 
     for t in range(sim.iterations):
@@ -197,7 +199,7 @@ def run_controlled(
                 f"strategy {state.strategy.id!r} has dimension "
                 f"{state.strategy.dimension}, the run has {n}"
             )
-        eps = simulator.step_noise(sim.base_seed, session_index, t, n)
+        noise.normal(t, eps)
         now = t + 1
         m[now] = simulator._step(m[t], state.strategy, sim.dt, eps, sim.clip_bounds)
 

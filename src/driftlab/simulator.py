@@ -9,12 +9,21 @@ with eps a standard-normal vector. Noise comes from a counter-based
 session set is bitwise reproducible no matter how the sessions are
 scheduled or parallelized.
 
+A Philox draw is a pure function of (key, counter). Each session therefore
+keeps one generator and rewinds its counter before every draw, which gives
+the bytes of a generator built afresh for that draw (`step_noise`) at a
+fraction of the cost. All sessions of a set are stepped together, one
+stacked matrix-vector product per row, which rounds exactly like the lone
+`A @ x` of a single session; `simulate_session` is the same kernel run on
+one session, so a session's bytes do not depend on the set around it.
+
 Ships the four built-in strategy presets (EF, SF, FF, AI) as diagonal
 drift matrices with zero intercept and a default diffusion of 0.5 * I.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +79,44 @@ def step_noise(base_seed: int, session_index: int, iteration: int, n: int) -> np
     return _stream(base_seed, session_index, iteration + 1).standard_normal(n)
 
 
+class _SessionStream:
+    """One session's noise source: a single Philox generator whose counter
+    is rewound to [0, 0, 0, tag] before each draw, with the output buffer
+    marked empty. Tag 0 is the init_box draw and tag t+1 the noise of step
+    t, the same counters `_stream` starts from."""
+
+    __slots__ = ("_bitgen", "_gen", "_state")
+
+    def __init__(self, base_seed: int, session_index: int):
+        # The key is built exactly as `_stream` builds it and read back from
+        # the generator, so both streams run on the same key words.
+        self._bitgen = np.random.Philox(key=[session_seed(base_seed, session_index), _GOLDEN])
+        self._gen = np.random.Generator(self._bitgen)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": self._bitgen.state["state"]["key"]},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def _at(self, tag: int) -> np.random.Generator:
+        self._state["state"]["counter"][3] = tag
+        self._bitgen.state = self._state
+        return self._gen
+
+    def normal(self, iteration: int, out: np.ndarray) -> np.ndarray:
+        """Fill the float64 vector `out` with what `step_noise` returns for
+        this session at `iteration`, and return it."""
+        return self._at(iteration + 1).standard_normal(out=out)
+
+    def uniform(self, low: float, high: float, n: int) -> np.ndarray:
+        """The init_box start draw."""
+        return self._at(0).uniform(low, high, size=n)
+
+
 def preset(strategy_id: str, sigma: float = DEFAULT_SIGMA) -> StrategySpec:
     """One of the built-in strategies with diffusion sigma * I."""
     try:
@@ -98,7 +145,9 @@ class SimConfig:
     initial_state "fixed-center" (or None) means the midpoint of the clip
     box, [5, ..., 5] when clipping is disabled. init_box, when given as
     (low, high), overrides it with a per-session uniform draw. clip_bounds
-    None disables clipping entirely.
+    None disables clipping entirely; otherwise init_box and an explicit
+    initial_state must lie inside the clip box. base_seed is a 64-bit
+    unsigned integer.
     """
 
     strategy: StrategySpec
@@ -115,10 +164,21 @@ class SimConfig:
             raise ValueError(f"sessions must be >= 1, got {self.sessions}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if not 0 <= self.base_seed <= _MASK64:
+            raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
         if self.clip_bounds is not None and not self.clip_bounds[0] < self.clip_bounds[1]:
             raise ValueError(f"clip bounds must satisfy low < high, got {self.clip_bounds}")
+        if self.init_box is not None:
+            low, high = self.init_box
+            if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+                raise ValueError(f"init_box must be finite with low <= high, got {self.init_box}")
+            if self.clip_bounds is not None \
+                    and not self.clip_bounds[0] <= low <= high <= self.clip_bounds[1]:
+                raise ValueError(
+                    f"init_box {self.init_box} lies outside clip bounds {self.clip_bounds}"
+                )
         if isinstance(self.initial_state, str) and self.initial_state != "fixed-center":
             raise ValueError(f"unknown initial_state {self.initial_state!r}")
         if isinstance(self.initial_state, ObjectiveVector) \
@@ -127,6 +187,12 @@ class SimConfig:
                 f"initial state dimension {self.initial_state.dimension} != "
                 f"strategy dimension {self.strategy.dimension}"
             )
+        if isinstance(self.initial_state, ObjectiveVector) and self.clip_bounds is not None:
+            v = self.initial_state.values
+            if not np.all((v >= self.clip_bounds[0]) & (v <= self.clip_bounds[1])):
+                raise ValueError(
+                    f"initial state {v.tolist()} lies outside clip bounds {self.clip_bounds}"
+                )
 
 
 def drift(strategy: StrategySpec, x: ObjectiveVector | np.ndarray) -> np.ndarray:
@@ -158,21 +224,28 @@ def em_step(
     return ObjectiveVector(_step(xv, strategy, dt, eps, bounds))
 
 
+def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for every row x of X, shape (n,) or (N, n). The stacked product
+    rounds each row exactly like a lone `M @ x`; `X @ M.T` does not."""
+    return (M @ X[..., None])[..., 0]
+
+
 def _step(x: np.ndarray, strategy: StrategySpec, dt: float, eps: np.ndarray,
           bounds: tuple[float, float] | None) -> np.ndarray:
-    """Unchecked array form of `em_step`, shared by the simulation loops."""
-    nxt = x + (strategy.drift_matrix @ x + strategy.drift_intercept) * dt \
-        + strategy.diffusion @ eps * np.sqrt(dt)
+    """Unchecked array form of `em_step`, for one state (n,) or a stack of
+    states (N, n) with their noise rows."""
+    nxt = x + (_matvec(strategy.drift_matrix, x) + strategy.drift_intercept) * dt \
+        + _matvec(strategy.diffusion, eps) * np.sqrt(dt)
     if bounds is not None:
         nxt = np.clip(nxt, bounds[0], bounds[1])
     return nxt
 
 
-def _resolve_initial(cfg: SimConfig, session_index: int) -> np.ndarray:
+def _resolve_initial(cfg: SimConfig, stream: _SessionStream) -> np.ndarray:
     n = cfg.strategy.dimension
     if cfg.init_box is not None:
         low, high = cfg.init_box
-        return _stream(cfg.base_seed, session_index, 0).uniform(low, high, size=n)
+        return stream.uniform(low, high, n)
     if isinstance(cfg.initial_state, ObjectiveVector):
         return np.array(cfg.initial_state.values)
     if cfg.clip_bounds is not None:
@@ -180,6 +253,21 @@ def _resolve_initial(cfg: SimConfig, session_index: int) -> np.ndarray:
     else:
         center = 5.0
     return np.full(n, center)
+
+
+def _simulate(cfg: SimConfig, session_indices: range) -> np.ndarray:
+    """Iterates of the given sessions, stepped together: a (T+1, N, n) array
+    whose [:, j] is session session_indices[j]."""
+    n = cfg.strategy.dimension
+    streams = [_SessionStream(cfg.base_seed, i) for i in session_indices]
+    X = np.empty((cfg.iterations + 1, len(streams), n))
+    X[0] = [_resolve_initial(cfg, stream) for stream in streams]
+    eps = np.empty((len(streams), n))
+    for t in range(cfg.iterations):
+        for stream, row in zip(streams, eps):
+            stream.normal(t, row)
+        X[t + 1] = _step(X[t], cfg.strategy, cfg.dt, eps, cfg.clip_bounds)
+    return X
 
 
 def session_label(session_index: int) -> str:
@@ -190,17 +278,13 @@ def simulate_session(cfg: SimConfig, session_index: int) -> Trajectory:
     """Generate one session; fully determined by (base_seed, session_index)."""
     if session_index >= cfg.sessions:
         raise ValueError(f"session index {session_index} >= sessions {cfg.sessions}")
-    n = cfg.strategy.dimension
-    m = np.empty((cfg.iterations + 1, n))
-    m[0] = _resolve_initial(cfg, session_index)
-    for t in range(cfg.iterations):
-        eps = step_noise(cfg.base_seed, session_index, t, n)
-        m[t + 1] = _step(m[t], cfg.strategy, cfg.dt, eps, cfg.clip_bounds)
-    return Trajectory(session_label(session_index), cfg.strategy.id, m)
+    X = _simulate(cfg, range(session_index, session_index + 1))
+    return Trajectory(session_label(session_index), cfg.strategy.id, X[:, 0])
 
 
 def simulate_set(cfg: SimConfig) -> SessionSet:
     """All sessions of a config, assembled in session-index order."""
-    trajs = [simulate_session(cfg, i) for i in range(cfg.sessions)]
+    X = _simulate(cfg, range(cfg.sessions))
+    trajs = [Trajectory(session_label(i), cfg.strategy.id, X[:, i])
+             for i in range(cfg.sessions)]
     return SessionSet(cfg.strategy.id, trajs)
-

@@ -2,8 +2,10 @@
 
 Each implementation here is deliberately naive and kept separate from the
 library code paths it checks: textbook Pearson correlation via fsum
-loops, O(T^2) dominance scanning, and closed-form characteristic-
-polynomial eigenvalues for n <= 3 (quadratic formula / Cardano).
+loops, O(T^2) dominance scanning, closed-form characteristic-
+polynomial eigenvalues for n <= 3 (quadratic formula / Cardano), and a
+one-session-at-a-time Euler-Maruyama loop that builds a fresh Philox
+generator for every draw.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import cmath
 import math
 
 import numpy as np
+
+from driftlab.core import ObjectiveVector
 
 
 # ---------------------------------------------------------------------------
@@ -152,3 +156,50 @@ def contraction_trajectory(diag, center, amplitudes, steps: int) -> list[list[fl
         points.append((c + offset).tolist())
         offset = mult * offset
     return points
+
+
+# ---------------------------------------------------------------------------
+# Sequential Euler-Maruyama, one fresh generator per draw
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def fresh_generator(base_seed: int, session_index: int, tag: int) -> np.random.Generator:
+    """A new Philox generator at counter [0, 0, 0, tag], keyed by the
+    session seed base_seed XOR splitmix64(session_index). Tag 0 is the
+    start-state draw and tag t+1 the noise of step t."""
+    z = (session_index + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    seed = (base_seed & _MASK64) ^ ((z ^ (z >> 31)) & _MASK64)
+    return np.random.Generator(np.random.Philox(counter=[0, 0, 0, tag], key=[seed, _GOLDEN]))
+
+
+def sequential_sessions(cfg) -> list[np.ndarray]:
+    """The (T+1, n) matrix of every session of a `SimConfig`, each session
+    stepped on its own, one row at a time, with plain `A @ x` products."""
+    spec = cfg.strategy
+    A, b, S = spec.drift_matrix, spec.drift_intercept, spec.diffusion
+    n = A.shape[0]
+    out = []
+    for i in range(cfg.sessions):
+        if cfg.init_box is not None:
+            low, high = cfg.init_box
+            x = fresh_generator(cfg.base_seed, i, 0).uniform(low, high, size=n)
+        elif isinstance(cfg.initial_state, ObjectiveVector):
+            x = np.array(cfg.initial_state.values, dtype=np.float64)
+        elif cfg.clip_bounds is not None:
+            x = np.full(n, (cfg.clip_bounds[0] + cfg.clip_bounds[1]) / 2.0)
+        else:
+            x = np.full(n, 5.0)
+        rows = [x]
+        for t in range(cfg.iterations):
+            eps = fresh_generator(cfg.base_seed, i, t + 1).standard_normal(n)
+            x = x + (A @ x + b) * cfg.dt + (S @ eps) * np.sqrt(cfg.dt)
+            if cfg.clip_bounds is not None:
+                x = np.clip(x, cfg.clip_bounds[0], cfg.clip_bounds[1])
+            rows.append(x)
+        out.append(np.stack(rows))
+    return out

@@ -381,11 +381,27 @@ def _bad_invocation(tmp_path, case):
         return ["simulate", "--iterations", "0", "--out", str(tmp_path / "x.jsonl")]
     if case == "control-window-1":
         return ["control", "--window", "1", "--out", str(tmp_path / "c")]
+    run_flags = {
+        "simulate-dt-inf": ("--dt", "inf"),
+        "simulate-sigma-inf": ("--sigma", "inf"),
+        "simulate-sigma-nan": ("--sigma", "nan"),
+        "simulate-seed-above-64-bits": ("--seed", str(2**64 + 5)),
+        "simulate-seed-negative": ("--seed", "-1"),
+        "control-dt-inf": ("--dt", "inf"),
+        "control-sigma-inf": ("--sigma", "inf"),
+        "control-seed-above-64-bits": ("--seed", str(2**64)),
+        "control-seed-negative": ("--seed", "-1"),
+    }
+    if case in run_flags:
+        command = case.split("-")[0]
+        out = tmp_path / ("x.jsonl" if command == "simulate" else "c")
+        return [command, *run_flags[case], "--out", str(out)]
     analyze_flags = {
         "analyze-tail-0": ("--tail", "0"),
         "analyze-zero-tol-0": ("--zero-tol", "0"),
         "analyze-dt-0": ("--dt", "0"),
         "analyze-dt-negative": ("--dt", "-0.5"),
+        "analyze-dt-inf": ("--dt", "inf"),
     }
     if case in analyze_flags:
         data = tmp_path / "t.jsonl"
@@ -426,10 +442,20 @@ def _bad_invocation(tmp_path, case):
     ("simulate-sessions-0", 2),
     ("simulate-iterations-0", 2),
     ("control-window-1", 2),
+    ("simulate-dt-inf", 2),
+    ("simulate-sigma-inf", 2),
+    ("simulate-sigma-nan", 2),
+    ("simulate-seed-above-64-bits", 2),
+    ("simulate-seed-negative", 2),
+    ("control-dt-inf", 2),
+    ("control-sigma-inf", 2),
+    ("control-seed-above-64-bits", 2),
+    ("control-seed-negative", 2),
     ("analyze-tail-0", 2),
     ("analyze-zero-tol-0", 2),
     ("analyze-dt-0", 2),
     ("analyze-dt-negative", 2),
+    ("analyze-dt-inf", 2),
     ("analyze-no-records", 1),
     ("config-not-int", 2),
     ("strategy-bad-json", 2),

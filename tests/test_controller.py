@@ -10,9 +10,15 @@ from driftlab.controller import (
     phased_schedule_default,
     run_controlled,
 )
-from driftlab.core import DimensionMismatch, ScheduleExhausted, StrategySpec, Trajectory
+from driftlab.core import (
+    DimensionMismatch,
+    ScheduleExhausted,
+    StrategySpec,
+    Trajectory,
+    dumps_trajectories,
+)
 
-from oracles import contraction_trajectory
+from oracles import contraction_trajectory, fresh_generator
 
 
 def traj(points):
@@ -150,6 +156,41 @@ def test_run_controlled_deterministic():
     t2, e2 = run_controlled(sim, cfg)
     assert t1 == t2
     assert e1 == e2
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+@pytest.mark.parametrize("schedule", ["default", "none"])
+@pytest.mark.parametrize("halt", [False, True])
+@pytest.mark.parametrize("start", ["center", "init-box"])
+def test_run_controlled_draws_the_step_noise_stream(monkeypatch, sigma, schedule, halt, start):
+    seed, session = 41, 2
+    sim = simulator.SimConfig(strategy=simulator.preset("AI", sigma), sessions=3,
+                              iterations=300, base_seed=seed,
+                              init_box=(3.0, 7.0) if start == "init-box" else None)
+    cfg = ControllerConfig(
+        phase_schedule=phased_schedule_default() if schedule == "default" else None
+    )
+    got_traj, got_events = run_controlled(sim, cfg, halt_on_intervention=halt,
+                                          session_index=session)
+
+    # reference: a generator built afresh for every draw, the k-th draw
+    # being the noise of step k
+    steps = iter(range(sim.iterations))
+
+    def step_noise(self, iteration, out):
+        out[:] = simulator.step_noise(seed, session, next(steps), len(out))
+        return out
+
+    def start_draw(self, low, high, n):
+        return fresh_generator(seed, session, 0).uniform(low, high, size=n)
+
+    monkeypatch.setattr(simulator._SessionStream, "normal", step_noise)
+    monkeypatch.setattr(simulator._SessionStream, "uniform", start_draw)
+    want_traj, want_events = run_controlled(sim, cfg, halt_on_intervention=halt,
+                                            session_index=session)
+    assert got_events
+    assert dumps_trajectories([got_traj]) == dumps_trajectories([want_traj])
+    assert controller.dumps_events(got_events) == controller.dumps_events(want_events)
 
 
 def test_halt_on_intervention_truncates_run():

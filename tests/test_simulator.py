@@ -4,6 +4,7 @@ import pytest
 from driftlab import core, simulator
 from driftlab.core import DimensionMismatch, ObjectiveVector, StrategySpec
 from driftlab.simulator import SimConfig, drift, em_step, preset, simulate_session, simulate_set
+from oracles import fresh_generator, sequential_sessions
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +201,54 @@ def test_config_validation():
         SimConfig(strategy=preset("AI"), initial_state="somewhere")
 
 
+@pytest.mark.parametrize("dt", [float("inf"), float("nan"), -1.0])
+def test_config_rejects_non_finite_or_negative_dt(dt):
+    with pytest.raises(ValueError, match="dt must be finite"):
+        SimConfig(strategy=preset("AI"), dt=dt)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_config_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="base_seed"):
+        SimConfig(strategy=preset("AI"), base_seed=seed)
+
+
+def test_config_accepts_the_full_64_bit_seed_range():
+    for seed in (0, 2**32, 2**64 - 1):
+        SimConfig(strategy=preset("AI"), base_seed=seed)
+
+
+@pytest.mark.parametrize("box", [(7.0, 3.0), (float("nan"), 7.0), (3.0, float("inf")),
+                                 (float("-inf"), 7.0)])
+def test_config_rejects_bad_init_box(box):
+    for clip in ((0.0, 10.0), None):
+        with pytest.raises(ValueError, match="init_box must be finite"):
+            SimConfig(strategy=preset("AI"), init_box=box, clip_bounds=clip)
+
+
+@pytest.mark.parametrize("box", [(-5.0, 20.0), (-0.5, 7.0), (3.0, 10.5)])
+def test_config_rejects_init_box_outside_clip_box(box):
+    with pytest.raises(ValueError, match="outside clip bounds"):
+        SimConfig(strategy=preset("AI"), init_box=box)
+    # without clipping any finite box is a valid start region
+    SimConfig(strategy=preset("AI"), init_box=box, clip_bounds=None)
+
+
+def test_config_rejects_initial_state_outside_clip_box():
+    for state in ([12.0, 5.0, 5.0], [5.0, -0.1, 5.0]):
+        with pytest.raises(ValueError, match="outside clip bounds"):
+            SimConfig(strategy=preset("AI"), initial_state=ObjectiveVector(state))
+        SimConfig(strategy=preset("AI"), initial_state=ObjectiveVector(state),
+                  clip_bounds=None)
+
+
+def test_config_accepts_start_states_on_the_clip_box():
+    SimConfig(strategy=preset("AI"), init_box=(3.0, 7.0))
+    SimConfig(strategy=preset("AI"), init_box=(0.0, 10.0))
+    SimConfig(strategy=preset("AI"), init_box=(4.0, 4.0))
+    SimConfig(strategy=preset("AI"), initial_state=ObjectiveVector([0.0, 10.0, 5.0]))
+
+
 def test_fixed_center_sentinel_and_explicit_start():
     ef = preset("EF", sigma=0.0)
     named = SimConfig(strategy=ef, iterations=1, initial_state="fixed-center")
@@ -222,3 +271,75 @@ def test_session_rows_are_chained_em_steps():
 def test_em_step_checks_state_dimension():
     with pytest.raises(DimensionMismatch):
         em_step(np.zeros(4), preset("AI"), 1.0, np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# rewound streams and the batched kernel against the sequential oracle
+# ---------------------------------------------------------------------------
+
+def test_rewound_stream_matches_step_noise_in_order_and_out_of_order():
+    seeds = (0, 13, 2**40 + 7, 2**64 - 1)
+    draws = [(seed, i, t, n) for seed in seeds for i in (0, 1, 5, 1000)
+             for t in range(50) for n in (3, 2, 4)]
+    assert len(draws) == 2400
+    streams = {}
+
+    def rewound(seed, i, t, n):
+        stream = streams.setdefault((seed, i), simulator._SessionStream(seed, i))
+        return stream.normal(t, np.empty(n)).copy()
+
+    for seed, i, t, n in draws:
+        assert np.array_equal(rewound(seed, i, t, n), simulator.step_noise(seed, i, t, n))
+    order = np.random.default_rng(3).permutation(len(draws))
+    for k in order:
+        seed, i, t, n = draws[k]
+        assert np.array_equal(rewound(seed, i, t, n), simulator.step_noise(seed, i, t, n))
+
+
+def test_rewound_stream_start_draw_is_tag_zero():
+    for seed, i in ((0, 0), (7, 3), (2**33, 11), (2**64 - 1, 2)):
+        stream = simulator._SessionStream(seed, i)
+        stream.normal(4, np.empty(3))  # a step draw first must not shift the start draw
+        got = stream.uniform(3.0, 7.0, 3)
+        assert np.array_equal(got, fresh_generator(seed, i, 0).uniform(3.0, 7.0, size=3))
+        after = stream.normal(4, np.empty(3))
+        assert np.array_equal(after, simulator.step_noise(seed, i, 4, 3))
+
+
+def _dense(n, seed, intercept=True):
+    rng = np.random.default_rng(seed)
+    return StrategySpec(f"D{n}", rng.normal(0, 0.5, (n, n)),
+                        rng.normal(0, 0.4, n) if intercept else np.zeros(n),
+                        rng.normal(0, 0.8, (n, n)))
+
+
+ORACLE_CONFIGS = {
+    **{sid: SimConfig(strategy=preset(sid), sessions=30, iterations=20, base_seed=7)
+       for sid in ("EF", "SF", "FF", "AI")},
+    "dense3-dt0.7-init-box": SimConfig(strategy=_dense(3, 1), sessions=25, iterations=30,
+                                       dt=0.7, base_seed=11, init_box=(3.0, 7.0)),
+    "dense4-unclipped": SimConfig(strategy=_dense(4, 2), sessions=20, iterations=30,
+                                  base_seed=5, clip_bounds=None),
+    "dense2-dt0.3-big-seed": SimConfig(strategy=_dense(2, 3), sessions=20, iterations=30,
+                                       dt=0.3, base_seed=2**40 + 123),
+    "dense2-unclipped-init-box": SimConfig(strategy=_dense(2, 4), sessions=15, iterations=25,
+                                           dt=1.7, base_seed=2**64 - 2, clip_bounds=None,
+                                           init_box=(-3.0, 12.0)),
+    "dense4-dt2.5-init-box": SimConfig(strategy=_dense(4, 5, intercept=False), sessions=15,
+                                       iterations=25, dt=2.5, base_seed=99,
+                                       init_box=(1.0, 9.0)),
+    "dense3-explicit-start": SimConfig(strategy=_dense(3, 6), sessions=10, iterations=25,
+                                       dt=0.45, base_seed=3,
+                                       initial_state=ObjectiveVector([1.0, 9.0, 4.0])),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+def test_simulation_matches_sequential_oracle(name):
+    cfg = ORACLE_CONFIGS[name]
+    want = [core.Trajectory(simulator.session_label(i), cfg.strategy.id, m)
+            for i, m in enumerate(sequential_sessions(cfg))]
+    assert core.dumps_trajectories(simulate_set(cfg)) == core.dumps_trajectories(want)
+    for i in (0, cfg.sessions // 2, cfg.sessions - 1):
+        assert core.dumps_trajectories([simulate_session(cfg, i)]) \
+            == core.dumps_trajectories([want[i]])
