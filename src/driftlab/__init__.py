@@ -11,7 +11,6 @@ from .core import (
     InvalidExpectedLength,
     NonFinite,
     NonSquare,
-    ObjectiveVector,
     OutOfRangeScore,
     PredictionReport,
     RankDeficientDesign,
@@ -28,9 +27,7 @@ from .core import (
     group_by_strategy,
     loads_trajectories,
     read_trajectories,
-    step_changes,
     validate_trajectory,
-    write_trajectories,
 )
 from .simulator import SimConfig, drift, em_step, preset, preset_catalog, simulate_session, simulate_set
 from .inference import fit_drift, interference_matrix, predictive_r2

@@ -89,29 +89,39 @@ def _write_text(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def load_config_file(path: str) -> dict[str, str]:
+    """The file's key = value pairs, each key at most once (see `_setting`)."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"bad config file {path!r}: {exc}") from None
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise DomainError(f"{path}:{lineno}: expected key = value")
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise _UsageError(f"{path}:{lineno}: expected key = value")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in values:
+            raise _UsageError(f"{path}:{lineno}: config key {key!r} repeated")
+        values[key] = value.strip()
     return values
 
 
 def _setting(args, config: dict[str, str], name: str, cast, default):
+    """The flag, else the config value (popped from `config`), else the default."""
     flag_value = getattr(args, name.replace("-", "_"))
+    raw = config.pop(name, None)
     if flag_value is not None:
         return flag_value
-    if name in config:
+    if raw is not None:
         try:
-            return cast(config[name])
+            return cast(raw)
         except ValueError:
             raise _UsageError(
-                f"config value {name} = {config[name]!r} is not a valid {cast.__name__}"
+                f"config value {name} = {raw!r} is not a valid {cast.__name__}"
             ) from None
     return default
 
@@ -153,6 +163,8 @@ def cmd_simulate(args) -> int:
     dt = _setting(args, config, "dt", float, 1.0)
     strategy_name = _setting(args, config, "strategy", str, "AI")
     out = Path(_setting(args, config, "out", str, "trajectories.jsonl"))
+    if config:
+        raise _UsageError(f"unknown config key(s) {sorted(config)} in {args.config!r}")
 
     strategy = _resolve_strategy(strategy_name, sigma)
     try:
@@ -265,6 +277,9 @@ def cmd_control(args) -> int:
                 schedule = controller.parse_schedule(json.load(f))
         except (OSError, ValueError, DomainError) as exc:
             raise _UsageError(f"bad schedule file {args.schedule!r}: {exc}") from exc
+        unknown = sorted({p.strategy_id for p in schedule} - set(simulator.PRESET_DRIFT_DIAGONALS))
+        if unknown:
+            raise _UsageError(f"bad schedule file {args.schedule!r}: unknown strategies {unknown}")
 
     strategy = _resolve_strategy(args.strategy, args.sigma)
     try:

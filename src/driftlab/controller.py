@@ -180,6 +180,8 @@ def run_controlled(
         raise ValueError(
             f"window {cfg.window} > total iterations {sim.iterations}"
         )
+    if session_index < 0:
+        raise ValueError(f"session index must be >= 0, got {session_index}")
 
     if schedule:
         state = _LoopState(strategy=cat[schedule[0].strategy_id])

@@ -5,9 +5,11 @@ reports, control loops) speaks in the types defined here. All types are
 immutable after construction and safe to share across threads; the
 operations are pure functions.
 
-A trajectory is one read-only (T+1, n) float64 matrix, checked for shape
-and finiteness once when the `Trajectory` is built; every consumer
-(simulation, estimation, Pareto reports, control) works on that matrix.
+A state, one point of the n-dimensional objective space (n >= 2), is a
+plain float64 array; there is no per-point type. A trajectory is one
+read-only (T+1, n) float64 matrix, checked for shape and finiteness once
+when the `Trajectory` is built; every consumer (simulation, estimation,
+Pareto reports, control) works on that matrix.
 
 Score bounds (the 0-10 scale) are enforced once, at the ingestion
 boundary (`validate_trajectory` / the JSONL reader), never re-checked in
@@ -21,7 +23,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -99,45 +101,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class ObjectiveVector:
-    """A point in the n-dimensional objective space (n >= 2).
-
-    Components are unitless scores; finite-ness and dimension are checked
-    here, the [0, 10] range only at ingestion (see module docstring).
-    """
-
-    values: np.ndarray
-
-    def __init__(self, values: Sequence[float] | np.ndarray):
-        arr = np.array(values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 2:
-            raise DimensionMismatch(
-                f"objective vector must be 1-D with n >= 2, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise NonFinite(f"objective vector has non-finite components: {arr}")
-        object.__setattr__(self, "values", _readonly(arr))
-
-    @property
-    def dimension(self) -> int:
-        return self.values.size
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.values[i])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ObjectiveVector):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-    def to_list(self) -> list[float]:
-        return [float(v) for v in self.values]
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Ordered iterates of one session: row t of `values_matrix` is iteration t.
 
@@ -151,9 +114,9 @@ class Trajectory:
     values_matrix: np.ndarray
 
     def __init__(self, session_id: str, strategy_id: str,
-                 points: np.ndarray | Iterable[ObjectiveVector | Sequence[float]]):
+                 points: np.ndarray | Iterable[Sequence[float]]):
         if not isinstance(points, np.ndarray):
-            points = [p.values if isinstance(p, ObjectiveVector) else p for p in points]
+            points = list(points)
         try:
             m = np.array(points, dtype=np.float64)
         except ValueError:
@@ -188,10 +151,10 @@ class Trajectory:
     def dimension(self) -> int:
         return self.values_matrix.shape[1]
 
-    @cached_property
-    def points(self) -> tuple[ObjectiveVector, ...]:
-        """Per-iteration view of `values_matrix`, built on first access."""
-        return tuple(ObjectiveVector(row) for row in self.values_matrix)
+    @property
+    def points(self) -> tuple[np.ndarray, ...]:
+        """The read-only rows of `values_matrix`, one per iteration."""
+        return tuple(self.values_matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,13 +441,6 @@ def validate_trajectory(raw: Trajectory) -> Trajectory:
     return raw
 
 
-def step_changes(traj: Trajectory) -> list[tuple[ObjectiveVector, np.ndarray]]:
-    """All (state, next-state minus state) pairs, one per step t = 0..T-1."""
-    m = traj.values_matrix
-    deltas = np.diff(m, axis=0)
-    return [(traj.points[t], deltas[t]) for t in range(len(traj) - 1)]
-
-
 def pooled_step_matrix(data: SessionSet) -> tuple[np.ndarray, np.ndarray]:
     """Pool step changes across all sessions of a strategy, in session order.
 
@@ -516,10 +472,6 @@ def dumps_trajectories(trajectories: Iterable[Trajectory]) -> str:
         for rec in trajectory_records(traj):
             lines.append(json.dumps(rec))
     return "".join(line + "\n" for line in lines)
-
-
-def write_trajectories(f: TextIO, trajectories: Iterable[Trajectory]) -> None:
-    f.write(dumps_trajectories(trajectories))
 
 
 _JSON_NUMBERS = (int, float)  # exact types: a JSON true/false is not a score

@@ -10,19 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    DimensionMismatch,
-    ObjectiveVector,
-    SessionSet,
-    TailTooLong,
-    Trajectory,
-)
+from .core import DimensionMismatch, SessionSet, TailTooLong, Trajectory
 
 
-def dominates(a: ObjectiveVector | np.ndarray, b: ObjectiveVector | np.ndarray) -> bool:
+def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     """True iff a >= b component-wise with at least one strict improvement."""
-    av = a.values if isinstance(a, ObjectiveVector) else np.asarray(a, dtype=np.float64)
-    bv = b.values if isinstance(b, ObjectiveVector) else np.asarray(b, dtype=np.float64)
+    av = np.asarray(a, dtype=np.float64)
+    bv = np.asarray(b, dtype=np.float64)
     if av.shape != bv.shape:
         raise DimensionMismatch(f"cannot compare shapes {av.shape} and {bv.shape}")
     return bool(np.all(av >= bv) and np.any(av > bv))
@@ -82,13 +76,13 @@ def pareto_efficiency(traj: Trajectory) -> float:
     return float(np.count_nonzero(mask)) / float(mask.size)
 
 
-def equilibrium_estimate(traj: Trajectory, tail: int = 3) -> ObjectiveVector:
+def equilibrium_estimate(traj: Trajectory, tail: int = 3) -> np.ndarray:
     """Component-wise mean of the final `tail` points."""
     if tail < 1:
         raise ValueError(f"tail must be >= 1, got {tail}")
     if tail > len(traj):
         raise TailTooLong(f"tail {tail} > trajectory length {len(traj)}")
-    return ObjectiveVector(traj.values_matrix[-tail:].mean(axis=0))
+    return traj.values_matrix[-tail:].mean(axis=0)
 
 
 def efficiency_rows(data: SessionSet, tail: int = 3) -> list[dict]:
@@ -101,17 +95,15 @@ def efficiency_rows(data: SessionSet, tail: int = 3) -> list[dict]:
             "session_id": traj.session_id,
             "efficiency": pareto_efficiency(traj),
         }
-        for i, v in enumerate(eq.values, start=1):
+        for i, v in enumerate(eq, start=1):
             row[f"eq_{i}"] = float(v)
         rows.append(row)
     return rows
 
 
-def cross_strategy_front(
-    equilibria: dict[str, ObjectiveVector]
-) -> dict[str, bool]:
+def cross_strategy_front(equilibria: dict[str, np.ndarray]) -> dict[str, bool]:
     """Which strategies' equilibria survive dominance against the others."""
     names = list(equilibria)
-    P = np.stack([equilibria[k].values for k in names])
+    P = np.stack([equilibria[k] for k in names])
     mask = non_dominated_mask(P)
     return {name: bool(flag) for name, flag in zip(names, mask)}

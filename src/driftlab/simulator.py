@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DimensionMismatch,
-    ObjectiveVector,
-    SessionSet,
-    StrategySpec,
-    Trajectory,
-)
+from .core import DimensionMismatch, NonFinite, SessionSet, StrategySpec, Trajectory
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -142,19 +136,20 @@ def preset_catalog(sigma: float = DEFAULT_SIGMA) -> dict[str, StrategySpec]:
 class SimConfig:
     """Parameters of one batch simulation.
 
-    initial_state "fixed-center" (or None) means the midpoint of the clip
-    box, [5, ..., 5] when clipping is disabled. init_box, when given as
-    (low, high), overrides it with a per-session uniform draw. clip_bounds
-    None disables clipping entirely; otherwise init_box and an explicit
-    initial_state must lie inside the clip box. base_seed is a 64-bit
-    unsigned integer.
+    initial_state None means the midpoint of the clip box, [5, ..., 5]
+    when clipping is disabled; otherwise it is a finite state vector of the
+    strategy's dimension, stored as a tuple of floats. init_box, when given
+    as (low, high), overrides it with a per-session uniform draw.
+    clip_bounds None disables clipping entirely; otherwise init_box and an
+    explicit initial_state must lie inside the clip box. base_seed is a
+    64-bit unsigned integer.
     """
 
     strategy: StrategySpec
     sessions: int = 1
     iterations: int = 1
     dt: float = 1.0
-    initial_state: ObjectiveVector | str | None = "fixed-center"
+    initial_state: tuple[float, ...] | None = None
     base_seed: int = 0
     clip_bounds: tuple[float, float] | None = (0.0, 10.0)
     init_box: tuple[float, float] | None = None
@@ -179,25 +174,26 @@ class SimConfig:
                 raise ValueError(
                     f"init_box {self.init_box} lies outside clip bounds {self.clip_bounds}"
                 )
-        if isinstance(self.initial_state, str) and self.initial_state != "fixed-center":
-            raise ValueError(f"unknown initial_state {self.initial_state!r}")
-        if isinstance(self.initial_state, ObjectiveVector) \
-                and self.initial_state.dimension != self.strategy.dimension:
-            raise DimensionMismatch(
-                f"initial state dimension {self.initial_state.dimension} != "
-                f"strategy dimension {self.strategy.dimension}"
-            )
-        if isinstance(self.initial_state, ObjectiveVector) and self.clip_bounds is not None:
-            v = self.initial_state.values
-            if not np.all((v >= self.clip_bounds[0]) & (v <= self.clip_bounds[1])):
-                raise ValueError(
-                    f"initial state {v.tolist()} lies outside clip bounds {self.clip_bounds}"
+        if self.initial_state is not None:
+            x = np.array(self.initial_state, dtype=np.float64)  # a string is a ValueError
+            if x.shape != (self.strategy.dimension,):
+                raise DimensionMismatch(
+                    f"initial state shape {x.shape} != strategy dimension "
+                    f"({self.strategy.dimension},)"
                 )
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"initial state must be finite, got {x.tolist()}")
+            if self.clip_bounds is not None \
+                    and not np.all((x >= self.clip_bounds[0]) & (x <= self.clip_bounds[1])):
+                raise ValueError(
+                    f"initial state {x.tolist()} lies outside clip bounds {self.clip_bounds}"
+                )
+            object.__setattr__(self, "initial_state", tuple(x.tolist()))
 
 
-def drift(strategy: StrategySpec, x: ObjectiveVector | np.ndarray) -> np.ndarray:
+def drift(strategy: StrategySpec, x: np.ndarray) -> np.ndarray:
     """Deterministic instantaneous change A x + b."""
-    xv = x.values if isinstance(x, ObjectiveVector) else np.asarray(x, dtype=np.float64)
+    xv = np.asarray(x, dtype=np.float64)
     if xv.shape != (strategy.dimension,):
         raise DimensionMismatch(
             f"state shape {xv.shape} != strategy dimension ({strategy.dimension},)"
@@ -206,14 +202,14 @@ def drift(strategy: StrategySpec, x: ObjectiveVector | np.ndarray) -> np.ndarray
 
 
 def em_step(
-    x: ObjectiveVector | np.ndarray,
+    x: np.ndarray,
     strategy: StrategySpec,
     dt: float,
     noise: np.ndarray,
     bounds: tuple[float, float] | None = (0.0, 10.0),
-) -> ObjectiveVector:
+) -> np.ndarray:
     """One Euler-Maruyama step. Noise is supplied by the caller (determinism)."""
-    xv = x.values if isinstance(x, ObjectiveVector) else np.asarray(x, dtype=np.float64)
+    xv = np.asarray(x, dtype=np.float64)
     eps = np.asarray(noise, dtype=np.float64)
     if xv.shape != (strategy.dimension,):
         raise DimensionMismatch(
@@ -221,7 +217,10 @@ def em_step(
         )
     if eps.shape != xv.shape:
         raise DimensionMismatch(f"noise shape {eps.shape} != state shape {xv.shape}")
-    return ObjectiveVector(_step(xv, strategy, dt, eps, bounds))
+    nxt = _step(xv, strategy, dt, eps, bounds)
+    if not np.all(np.isfinite(nxt)):
+        raise NonFinite(f"step from {xv.tolist()} gives non-finite state {nxt.tolist()}")
+    return nxt
 
 
 def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -246,8 +245,8 @@ def _resolve_initial(cfg: SimConfig, stream: _SessionStream) -> np.ndarray:
     if cfg.init_box is not None:
         low, high = cfg.init_box
         return stream.uniform(low, high, n)
-    if isinstance(cfg.initial_state, ObjectiveVector):
-        return np.array(cfg.initial_state.values)
+    if cfg.initial_state is not None:
+        return np.array(cfg.initial_state)
     if cfg.clip_bounds is not None:
         center = (cfg.clip_bounds[0] + cfg.clip_bounds[1]) / 2.0
     else:
@@ -276,8 +275,8 @@ def session_label(session_index: int) -> str:
 
 def simulate_session(cfg: SimConfig, session_index: int) -> Trajectory:
     """Generate one session; fully determined by (base_seed, session_index)."""
-    if session_index >= cfg.sessions:
-        raise ValueError(f"session index {session_index} >= sessions {cfg.sessions}")
+    if not 0 <= session_index < cfg.sessions:
+        raise ValueError(f"session index {session_index} outside [0, {cfg.sessions})")
     X = _simulate(cfg, range(session_index, session_index + 1))
     return Trajectory(session_label(session_index), cfg.strategy.id, X[:, 0])
 

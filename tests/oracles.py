@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 
-from driftlab.core import ObjectiveVector
-
 
 # ---------------------------------------------------------------------------
 # Pearson correlation, the long way
@@ -188,8 +186,8 @@ def sequential_sessions(cfg) -> list[np.ndarray]:
         if cfg.init_box is not None:
             low, high = cfg.init_box
             x = fresh_generator(cfg.base_seed, i, 0).uniform(low, high, size=n)
-        elif isinstance(cfg.initial_state, ObjectiveVector):
-            x = np.array(cfg.initial_state.values, dtype=np.float64)
+        elif cfg.initial_state is not None:
+            x = np.array(cfg.initial_state, dtype=np.float64)
         elif cfg.clip_bounds is not None:
             x = np.full(n, (cfg.clip_bounds[0] + cfg.clip_bounds[1]) / 2.0)
         else:

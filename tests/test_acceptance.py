@@ -39,7 +39,7 @@ def test_c01_moment_matching():
         eps = rng.standard_normal((n_draws, 3))
         deltas = np.empty((n_draws, 3))
         for i in range(n_draws):
-            deltas[i] = simulator.em_step(x, ai, 1.0, eps[i], bounds=None).values - x
+            deltas[i] = simulator.em_step(x, ai, 1.0, eps[i], bounds=None) - x
         elapsed = time.perf_counter() - start
         mu = simulator.drift(ai, x)
         assert np.max(np.abs(deltas.mean(axis=0) - mu)) <= 0.02
@@ -169,7 +169,7 @@ def test_c07_qualitative_equilibria():
                 iterations=10, base_seed=707, init_box=(3.0, 7.0),
             )
             data = simulator.simulate_set(cfg)
-            eqs = np.stack([pareto.equilibrium_estimate(t, 3).values for t in data])
+            eqs = np.stack([pareto.equilibrium_estimate(t, 3) for t in data])
             effs = [pareto.pareto_efficiency(t) for t in data]
             stats[sid] = (eqs.mean(axis=0), float(np.mean(effs)))
         ff_eq, ff_eff = stats["FF"]

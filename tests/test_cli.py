@@ -69,6 +69,20 @@ def test_simulate_config_file_defaults_and_flag_priority(tmp_path):
     assert len(core.read_trajectories(out2)) == 2
 
 
+def test_simulate_config_file_names_unknown_and_repeated_keys(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "x.jsonl"
+    for text, key in (("sessions = 2\nsesions = 5\n", "sesions"),
+                      ("seed = 1\nsessions = 2\nsessions = 5\n", "sessions")):
+        cfg.write_text(text)
+        capsys.readouterr()
+        # a flag for the same setting does not excuse the bad key
+        assert run_cli("simulate", "--config", str(cfg), "--sessions", "3",
+                       "--out", str(out)) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -417,6 +431,18 @@ def _bad_invocation(tmp_path, case):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sessions = abc\n")
         return ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")]
+    if case in ("config-not-utf8", "config-unknown-key", "config-repeated-key",
+                "config-no-equals"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes({"config-not-utf8": b"strategy = \xe9t\xe9\n",
+                         "config-no-equals": b"sessions 2\n",
+                         "config-unknown-key": b"sessions = 2\nsesions = 5\n",
+                         "config-repeated-key": b"sessions = 2\nsessions = 5\n"}[case])
+        return ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")]
+    if case == "control-schedule-unknown-strategy":
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text('[["XX", 1, null]]')
+        return ["control", "--schedule", str(schedule), "--out", str(tmp_path / "c")]
     if case == "strategy-bad-json":
         spec = tmp_path / "spec.json"
         spec.write_text('{"id": "X", "drift_matrix": [[0.1, 0')
@@ -458,6 +484,11 @@ def _bad_invocation(tmp_path, case):
     ("analyze-dt-inf", 2),
     ("analyze-no-records", 1),
     ("config-not-int", 2),
+    ("config-not-utf8", 2),
+    ("config-unknown-key", 2),
+    ("config-repeated-key", 2),
+    ("config-no-equals", 2),
+    ("control-schedule-unknown-strategy", 2),
     ("strategy-bad-json", 2),
     ("score-not-utf8", 1),
     ("manifest-length-not-int", 1),

@@ -204,6 +204,13 @@ def test_halt_on_intervention_truncates_run():
     assert all(e.iteration <= first for e in events)
 
 
+def test_run_controlled_rejects_negative_session_index():
+    sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=10)
+    for index in (-1, -3):
+        with pytest.raises(ValueError, match="session index"):
+            run_controlled(sim, ControllerConfig(), session_index=index)
+
+
 def test_controlled_trajectory_respects_clip_box():
     for seed in (0, 1, 2):
         sim = simulator.SimConfig(strategy=simulator.preset("FF"), iterations=12,

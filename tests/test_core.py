@@ -8,7 +8,6 @@ from driftlab.core import (
     DimensionMismatch,
     DriftModel,
     InterferenceMatrix,
-    ObjectiveVector,
     OutOfRangeScore,
     PredictionReport,
     RecordFormatError,
@@ -56,60 +55,23 @@ def test_validate_rejects_mixed_dimensions():
         validate_trajectory(traj([[5, 5, 5], [5, 5]]))
 
 
-def test_objective_vector_requires_two_dims_and_finite():
-    with pytest.raises(DimensionMismatch):
-        ObjectiveVector([5.0])
-    with pytest.raises(core.NonFinite):
-        ObjectiveVector([5.0, float("nan")])
-
-
-# ---------------------------------------------------------------------------
-# step_changes
-# ---------------------------------------------------------------------------
-
-def test_step_changes_direct_subtraction():
-    pairs = core.step_changes(traj([[5, 5, 5], [6, 4, 5]]))
-    assert len(pairs) == 1
-    state, delta = pairs[0]
-    assert state == ObjectiveVector([5, 5, 5])
-    assert np.array_equal(delta, [1, -1, 0])
-
-
-def test_step_changes_zero_change():
-    (_, delta), = core.step_changes(traj([[2, 2, 2], [2, 2, 2]]))
-    assert np.array_equal(delta, [0, 0, 0])
-
-
-def test_step_changes_multiple_steps():
-    pairs = core.step_changes(traj([[0, 0, 0], [1, 1, 1], [3, 3, 3]]))
-    assert np.array_equal([d for _, d in pairs], [[1, 1, 1], [2, 2, 2]])
-
-
-def test_step_changes_length_property():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        length = int(rng.integers(2, 40))
-        t = traj(rng.uniform(0, 10, size=(length, 3)))
-        assert len(core.step_changes(t)) == length - 1
-
-
 # ---------------------------------------------------------------------------
 # immutability
 # ---------------------------------------------------------------------------
 
 def test_core_arrays_are_readonly():
-    v = ObjectiveVector([1, 2, 3])
+    t = traj([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
-        v.values[0] = 9.0
+        t.values_matrix[0, 0] = 9.0
     s = StrategySpec("X", np.eye(3), np.zeros(3), np.eye(3))
     with pytest.raises(ValueError):
         s.drift_matrix[0, 0] = 2.0
 
 
 def test_types_are_frozen():
-    v = ObjectiveVector([1, 2, 3])
+    t = traj([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(Exception):
-        v.values = np.zeros(3)
+        t.values_matrix = np.zeros((2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +232,8 @@ def test_trajectory_holds_one_readonly_matrix():
     src[0, 0] = 9.0  # the trajectory keeps its own copy
     assert t.values_matrix[0, 0] == 5.0
     assert len(t) == 2 and t.dimension == 3
-    assert t.points == (ObjectiveVector([5, 5, 5]), ObjectiveVector([6, 4, 5]))
-    assert traj([ObjectiveVector([5, 5, 5]), [6, 4, 5]]) == t
+    assert np.array_equal(t.points, [[5, 5, 5], [6, 4, 5]])
+    assert traj([np.array([5, 5, 5]), [6, 4, 5]]) == t
 
 
 @pytest.mark.parametrize("points", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftlab import pareto, simulator
-from driftlab.core import DimensionMismatch, ObjectiveVector, TailTooLong, Trajectory
+from driftlab.core import DimensionMismatch, TailTooLong, Trajectory
 
 from oracles import brute_efficiency
 
@@ -141,12 +141,12 @@ def test_appending_dominated_point_never_grows_front():
 def test_constant_trajectory_equilibrium():
     t = traj([[4, 4.2, 8.2]] * 5)
     for tail in (1, 3, 5):
-        assert pareto.equilibrium_estimate(t, tail) == ObjectiveVector([4, 4.2, 8.2])
+        assert np.array_equal(pareto.equilibrium_estimate(t, tail), [4, 4.2, 8.2])
 
 
 def test_equilibrium_is_tail_mean():
     t = traj([[0, 0, 0], [2, 2, 2]])
-    assert pareto.equilibrium_estimate(t, 2) == ObjectiveVector([1, 1, 1])
+    assert np.array_equal(pareto.equilibrium_estimate(t, 2), [1, 1, 1])
 
 
 def test_tail_too_long():
@@ -160,7 +160,7 @@ def test_ff_simulation_saturates_functionality_and_loses_security():
     cfg = simulator.SimConfig(strategy=simulator.preset("FF", sigma=0.5),
                               sessions=200, iterations=10, base_seed=61)
     data = simulator.simulate_set(cfg)
-    eqs = np.stack([pareto.equilibrium_estimate(t, 3).values for t in data])
+    eqs = np.stack([pareto.equilibrium_estimate(t, 3) for t in data])
     mean_eq = eqs.mean(axis=0)
     assert mean_eq[0] <= 1.0   # security collapses
     assert mean_eq[2] >= 8.0   # functionality saturates
@@ -181,9 +181,9 @@ def test_efficiency_rows_shape():
 
 def test_cross_strategy_front():
     eqs = {
-        "A": ObjectiveVector([5, 5, 5]),
-        "B": ObjectiveVector([4, 4, 4]),   # dominated by A
-        "C": ObjectiveVector([6, 1, 1]),   # trade-off, survives
+        "A": [5, 5, 5],
+        "B": [4, 4, 4],   # dominated by A
+        "C": [6, 1, 1],   # trade-off, survives
     }
     front = pareto.cross_strategy_front(eqs)
     assert front == {"A": True, "B": False, "C": True}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from driftlab import core, simulator
-from driftlab.core import DimensionMismatch, ObjectiveVector, StrategySpec
+from driftlab.core import DimensionMismatch, StrategySpec
 from driftlab.simulator import SimConfig, drift, em_step, preset, simulate_session, simulate_set
 from oracles import fresh_generator, sequential_sessions
 
@@ -32,7 +32,7 @@ def test_unknown_preset():
 # ---------------------------------------------------------------------------
 
 def test_drift_ef_at_center():
-    assert np.allclose(drift(preset("EF"), ObjectiveVector([5, 5, 5])), [0, 0.8, 0], atol=1e-12)
+    assert np.allclose(drift(preset("EF"), [5, 5, 5]), [0, 0.8, 0], atol=1e-12)
 
 
 def test_drift_ff_at_ones():
@@ -55,31 +55,31 @@ def test_drift_dimension_mismatch():
 
 def test_em_step_identity_case():
     still = StrategySpec("Z", np.zeros((3, 3)), np.zeros(3), np.zeros((3, 3)))
-    out = em_step(ObjectiveVector([5, 5, 5]), still, 1.0, np.zeros(3))
-    assert out == ObjectiveVector([5, 5, 5])
+    out = em_step([5, 5, 5], still, 1.0, np.zeros(3))
+    assert np.array_equal(out, [5, 5, 5])
 
 
 def test_em_step_clips_at_boundary():
     push = StrategySpec("P", np.zeros((3, 3)), [1.0, 0.0, 0.0], np.zeros((3, 3)))
-    out = em_step(ObjectiveVector([9.5, 5, 5]), push, 1.0, np.zeros(3))
-    assert out == ObjectiveVector([10.0, 5.0, 5.0])
+    out = em_step([9.5, 5, 5], push, 1.0, np.zeros(3))
+    assert np.array_equal(out, [10.0, 5.0, 5.0])
 
 
 def test_em_step_ai_hand_value():
     ai = preset("AI", sigma=0.0)
-    out = em_step(ObjectiveVector([5, 5, 5]), ai, 1.0, np.zeros(3))
-    assert np.allclose(out.values, [5.4, 5.4, 5.4], atol=1e-12)
+    out = em_step([5, 5, 5], ai, 1.0, np.zeros(3))
+    assert np.allclose(out, [5.4, 5.4, 5.4], atol=1e-12)
 
 
 def test_em_step_noise_shape_checked():
     with pytest.raises(DimensionMismatch):
-        em_step(ObjectiveVector([5, 5, 5]), preset("AI"), 1.0, np.zeros(2))
+        em_step([5, 5, 5], preset("AI"), 1.0, np.zeros(2))
 
 
 def test_em_step_scales_noise_by_sqrt_dt():
     s = StrategySpec("N", np.zeros((3, 3)), np.zeros(3), np.eye(3))
     out = em_step(np.full(3, 5.0), s, 0.25, np.ones(3), bounds=None)
-    assert np.allclose(out.values, 5.0 + 0.5, atol=1e-15)
+    assert np.allclose(out, 5.0 + 0.5, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def test_moment_matching_small_n():
     rng = np.random.default_rng(17)
     eps = rng.standard_normal((n_draws, 3))
     deltas = np.stack([
-        em_step(x, ai, 1.0, eps[i], bounds=None).values - x for i in range(n_draws)
+        em_step(x, ai, 1.0, eps[i], bounds=None) - x for i in range(n_draws)
     ])
     bound = 4.0 * 0.5 * np.sqrt(1.0 / n_draws)
     assert np.all(np.abs(deltas.mean(axis=0) - drift(ai, x)) <= bound)
@@ -237,8 +237,8 @@ def test_config_rejects_init_box_outside_clip_box(box):
 def test_config_rejects_initial_state_outside_clip_box():
     for state in ([12.0, 5.0, 5.0], [5.0, -0.1, 5.0]):
         with pytest.raises(ValueError, match="outside clip bounds"):
-            SimConfig(strategy=preset("AI"), initial_state=ObjectiveVector(state))
-        SimConfig(strategy=preset("AI"), initial_state=ObjectiveVector(state),
+            SimConfig(strategy=preset("AI"), initial_state=state)
+        SimConfig(strategy=preset("AI"), initial_state=state,
                   clip_bounds=None)
 
 
@@ -246,31 +246,74 @@ def test_config_accepts_start_states_on_the_clip_box():
     SimConfig(strategy=preset("AI"), init_box=(3.0, 7.0))
     SimConfig(strategy=preset("AI"), init_box=(0.0, 10.0))
     SimConfig(strategy=preset("AI"), init_box=(4.0, 4.0))
-    SimConfig(strategy=preset("AI"), initial_state=ObjectiveVector([0.0, 10.0, 5.0]))
+    SimConfig(strategy=preset("AI"), initial_state=[0.0, 10.0, 5.0])
 
 
 def test_fixed_center_sentinel_and_explicit_start():
     ef = preset("EF", sigma=0.0)
-    named = SimConfig(strategy=ef, iterations=1, initial_state="fixed-center")
-    assert simulate_session(named, 0).points[0] == ObjectiveVector([5, 5, 5])
+    named = SimConfig(strategy=ef, iterations=1, initial_state=None)
+    assert np.array_equal(simulate_session(named, 0).points[0], [5, 5, 5])
     explicit = SimConfig(strategy=ef, iterations=1,
-                         initial_state=ObjectiveVector([2, 3, 4]))
-    assert simulate_session(explicit, 0).points[0] == ObjectiveVector([2, 3, 4])
+                         initial_state=[2, 3, 4])
+    assert np.array_equal(simulate_session(explicit, 0).points[0], [2, 3, 4])
 
 
 def test_session_rows_are_chained_em_steps():
     s = StrategySpec("R", np.diag([0.4, -0.3, 0.2]), [0.5, 0.1, -0.2], 1.5 * np.eye(3))
     cfg = SimConfig(strategy=s, sessions=2, iterations=25, dt=0.5, base_seed=13)
     got = simulate_session(cfg, 1).values_matrix
-    x = ObjectiveVector(got[0])
+    x = got[0]
     for t in range(cfg.iterations):
         x = em_step(x, s, cfg.dt, simulator.step_noise(13, 1, t, 3))
-        assert np.array_equal(got[t + 1], x.values)
+        assert np.array_equal(got[t + 1], x)
 
 
 def test_em_step_checks_state_dimension():
     with pytest.raises(DimensionMismatch):
         em_step(np.zeros(4), preset("AI"), 1.0, np.zeros(4))
+
+
+def test_em_step_rejects_a_non_finite_result():
+    for bounds in ((0.0, 10.0), None):
+        with pytest.raises(core.NonFinite):
+            em_step([5, 5, 5], preset("AI"), 1.0, [float("nan"), 0.0, 0.0], bounds=bounds)
+
+
+# ---------------------------------------------------------------------------
+# start state: None (the clip-box centre) or one finite state vector
+# ---------------------------------------------------------------------------
+
+def test_array_initial_state_is_the_first_row():
+    cfg = SimConfig(strategy=preset("EF", 0.0), iterations=1,
+                    initial_state=np.array([2.0, 3.0, 4.0]))
+    assert cfg.initial_state == (2.0, 3.0, 4.0)
+    assert cfg == SimConfig(strategy=cfg.strategy, iterations=1, initial_state=[2, 3, 4])
+    assert simulate_session(cfg, 0).values_matrix[0].tolist() == [2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("state", [[99.0, 3.0], [1.0, 2.0, 3.0, 4.0], 5.0, [[1.0, 2.0, 3.0]]])
+def test_initial_state_of_wrong_length_is_rejected(state):
+    with pytest.raises(DimensionMismatch):
+        SimConfig(strategy=preset("EF", 0.0), initial_state=state)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_initial_state_is_rejected_without_clipping(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(strategy=preset("AI"), initial_state=[5.0, bad, 5.0], clip_bounds=None)
+
+
+def test_string_initial_state_is_rejected():
+    for state in ("somewhere", "center"):
+        with pytest.raises(ValueError):
+            SimConfig(strategy=preset("AI"), initial_state=state)
+
+
+def test_simulate_session_rejects_negative_index():
+    cfg = SimConfig(strategy=preset("SF"), sessions=2, iterations=3)
+    for index in (-1, -3, 2):
+        with pytest.raises(ValueError, match="session index"):
+            simulate_session(cfg, index)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +373,7 @@ ORACLE_CONFIGS = {
                                        init_box=(1.0, 9.0)),
     "dense3-explicit-start": SimConfig(strategy=_dense(3, 6), sessions=10, iterations=25,
                                        dt=0.45, base_seed=3,
-                                       initial_state=ObjectiveVector([1.0, 9.0, 4.0])),
+                                       initial_state=[1.0, 9.0, 4.0]),
 }
 
 
