@@ -167,8 +167,9 @@ def run_controlled(
 
     Starts from the schedule's first phase when one is configured,
     otherwise from sim.strategy (a balanced start by convention). Raises
-    ScheduleExhausted when a fully bounded schedule runs out with
-    iterations remaining and no fallback strategy is configured.
+    KeyError before the run when a scheduled or fallback strategy is not in
+    the catalog, and ScheduleExhausted when a fully bounded schedule runs
+    out with iterations remaining and no fallback strategy is configured.
     """
     cat = simulator.preset_catalog() if catalog is None else dict(catalog)
     schedule = cfg.phase_schedule
@@ -176,6 +177,8 @@ def run_controlled(
         missing = [p.strategy_id for p in schedule if p.strategy_id not in cat]
         if missing:
             raise KeyError(f"scheduled strategies missing from catalog: {missing}")
+    if cfg.fallback_strategy_id is not None and cfg.fallback_strategy_id not in cat:
+        raise KeyError(f"fallback strategy missing from catalog: {cfg.fallback_strategy_id!r}")
     if cfg.window > sim.iterations:
         raise ValueError(
             f"window {cfg.window} > total iterations {sim.iterations}"

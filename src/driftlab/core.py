@@ -455,26 +455,26 @@ def pooled_step_matrix(data: SessionSet) -> tuple[np.ndarray, np.ndarray]:
 # Trajectory persistence (JSON Lines, one record per iteration)
 # ---------------------------------------------------------------------------
 
-def trajectory_records(traj: Trajectory) -> Iterator[dict]:
-    for t, row in enumerate(traj.values_matrix.tolist()):
-        yield {
-            "session_id": traj.session_id,
-            "strategy": traj.strategy_id,
-            "iteration": t,
-            "objectives": row,
-        }
-
-
 def dumps_trajectories(trajectories: Iterable[Trajectory]) -> str:
-    """Serialize trajectories to the JSONL wire format (LF-terminated)."""
+    """Serialize trajectories to the JSONL wire format (LF-terminated).
+
+    One record per iteration, the bytes `json.dumps` gives for
+    `{"session_id": …, "strategy": …, "iteration": t, "objectives": row}`.
+    The ids are encoded once per session; a row is rendered by `repr` of
+    its list of floats, which is what `json` writes for finite floats, and
+    a `Trajectory` holds only finite values.
+    """
     lines = []
     for traj in trajectories:
-        for rec in trajectory_records(traj):
-            lines.append(json.dumps(rec))
-    return "".join(line + "\n" for line in lines)
+        head = (f'{{"session_id": {json.dumps(traj.session_id)}, '
+                f'"strategy": {json.dumps(traj.strategy_id)}, "iteration": ')
+        lines += [f'{head}{t}, "objectives": {row!r}}}\n'
+                  for t, row in enumerate(traj.values_matrix.tolist())]
+    return "".join(lines)
 
 
 _JSON_NUMBERS = (int, float)  # exact types: a JSON true/false is not a score
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _not_a_number(value) -> NoReturn:
@@ -484,23 +484,39 @@ def _not_a_number(value) -> NoReturn:
 def loads_trajectories(text: str) -> list[Trajectory]:
     """Parse and validate the JSONL trajectory format.
 
-    Sessions must be contiguous blocks with iterations 0,1,2,... and a
-    single strategy per session; anything else is a RecordFormatError.
-    Every trajectory is passed through `validate_trajectory`.
+    Lines are those of `str.splitlines`, and each non-blank line must hold
+    exactly one record. Sessions must be contiguous blocks with iterations
+    0,1,2,... and a single strategy per session; anything else is a
+    RecordFormatError that names the line. Every trajectory is passed
+    through `validate_trajectory`.
+
+    Each line is decoded in place, at its offset in `text`, and the value
+    is kept only when it ends exactly where the line ends. Anything else
+    (leading or trailing whitespace, a value that runs on past the line
+    break, a syntax error) is decoded again by `json.loads(line)`, so the
+    values and error messages are those of a per-line `json.loads`.
     """
     sessions: dict[str, tuple[str, list[list[float]]]] = {}
     current: str | None = None
+    pos = 0  # offset in `text` of the next line
     for lineno, line in enumerate(text.splitlines(), start=1):
+        start, end = pos, pos + len(line)
+        pos = end + (2 if text.startswith("\r\n", end) else 1)
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec, stop = _raw_decode(text, start)
+        except (ValueError, RecursionError):
+            stop = None
+        try:
+            if stop != end:
+                rec = json.loads(line)
             sid = rec["session_id"]
             strategy = rec["strategy"]
             iteration = rec["iteration"]
             objectives = [float(v) if type(v) in _JSON_NUMBERS else _not_a_number(v)
                           for v in rec["objectives"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise RecordFormatError(f"line {lineno}: malformed record ({exc})") from exc
         if not isinstance(sid, str) or not isinstance(strategy, str):
             raise RecordFormatError(

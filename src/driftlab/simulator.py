@@ -24,6 +24,7 @@ drift matrices with zero intercept and a default diffusion of 0.5 * I.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,12 @@ class SimConfig:
                 raise DimensionMismatch(
                     f"initial state shape {x.shape} != strategy dimension "
                     f"({self.strategy.dimension},)"
+                )
+            # float64 conversion also takes numeric strings, bytes and bools
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                       for v in self.initial_state):
+                raise ValueError(
+                    f"initial state entries must be real numbers, got {self.initial_state!r}"
                 )
             if not np.all(np.isfinite(x)):
                 raise ValueError(f"initial state must be finite, got {x.tolist()}")

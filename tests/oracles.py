@@ -3,17 +3,22 @@
 Each implementation here is deliberately naive and kept separate from the
 library code paths it checks: textbook Pearson correlation via fsum
 loops, O(T^2) dominance scanning, closed-form characteristic-
-polynomial eigenvalues for n <= 3 (quadratic formula / Cardano), and a
+polynomial eigenvalues for n <= 3 (quadratic formula / Cardano), a
 one-session-at-a-time Euler-Maruyama loop that builds a fresh Philox
-generator for every draw.
+generator for every draw, and a JSONL writer and reader that go through
+one dict and one `json.dumps` / `json.loads` per record.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
+from typing import Iterator
 
 import numpy as np
+
+from driftlab.core import RecordFormatError, Trajectory, validate_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -201,3 +206,74 @@ def sequential_sessions(cfg) -> list[np.ndarray]:
             rows.append(x)
         out.append(np.stack(rows))
     return out
+
+
+# ---------------------------------------------------------------------------
+# JSONL trajectories, one dict and one json call per record
+# ---------------------------------------------------------------------------
+
+def reference_records(traj: Trajectory) -> Iterator[dict]:
+    """The wire records of one trajectory, one dict per iteration."""
+    for t, row in enumerate(traj.values_matrix.tolist()):
+        yield {
+            "session_id": traj.session_id,
+            "strategy": traj.strategy_id,
+            "iteration": t,
+            "objectives": row,
+        }
+
+
+def reference_dumps(trajectories) -> str:
+    """`json.dumps` of every record, each followed by a line feed."""
+    return "".join(json.dumps(rec) + "\n"
+                   for traj in trajectories for rec in reference_records(traj))
+
+
+def reference_loads(text: str) -> list[Trajectory]:
+    """The JSONL reader as a `json.loads` per line of `str.splitlines`,
+    with the same checks and messages as `core.loads_trajectories`."""
+    sessions: dict[str, tuple[str, list[list[float]]]] = {}
+    current = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            sid = rec["session_id"]
+            strategy = rec["strategy"]
+            iteration = rec["iteration"]
+            objectives = []
+            for v in rec["objectives"]:
+                if type(v) not in (int, float):
+                    raise TypeError(f"objectives must be JSON numbers, got {v!r}")
+                objectives.append(float(v))
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise RecordFormatError(f"line {lineno}: malformed record ({exc})") from exc
+        if not isinstance(sid, str) or not isinstance(strategy, str):
+            raise RecordFormatError(
+                f"line {lineno}: session_id and strategy must be strings, "
+                f"got {sid!r} and {strategy!r}"
+            )
+        if type(iteration) is not int:
+            raise RecordFormatError(
+                f"line {lineno}: iteration must be an integer, got {iteration!r}"
+            )
+        if sid != current:
+            if sid in sessions:
+                raise RecordFormatError(f"line {lineno}: session {sid!r} is not contiguous")
+            sessions[sid] = (strategy, [])
+            current = sid
+        first_strategy, rows = sessions[sid]
+        if strategy != first_strategy:
+            raise RecordFormatError(
+                f"line {lineno}: session {sid!r} changes strategy "
+                f"{first_strategy!r} -> {strategy!r}"
+            )
+        if iteration != len(rows):
+            raise RecordFormatError(
+                f"line {lineno}: session {sid!r} expected iteration {len(rows)}, "
+                f"got {iteration} (gap or disorder)"
+            )
+        rows.append(objectives)
+    return [validate_trajectory(Trajectory(sid, strategy, rows))
+            for sid, (strategy, rows) in sessions.items()]

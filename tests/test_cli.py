@@ -427,6 +427,10 @@ def _bad_invocation(tmp_path, case):
         data = tmp_path / "empty.jsonl"
         data.write_text("")
         return ["analyze", "--in", str(data), "--out", str(tmp_path / "r")]
+    if case == "analyze-deep-nesting":
+        data = tmp_path / "deep.jsonl"
+        data.write_text("[" * 100_000 + "\n")
+        return ["analyze", "--in", str(data), "--out", str(tmp_path / "r")]
     if case == "config-not-int":
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sessions = abc\n")
@@ -483,6 +487,7 @@ def _bad_invocation(tmp_path, case):
     ("analyze-dt-negative", 2),
     ("analyze-dt-inf", 2),
     ("analyze-no-records", 1),
+    ("analyze-deep-nesting", 1),
     ("config-not-int", 2),
     ("config-not-utf8", 2),
     ("config-unknown-key", 2),

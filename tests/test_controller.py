@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,22 @@ def test_catalog_must_cover_schedule():
     cfg = ControllerConfig(phase_schedule=(Phase("ZZ", 1, None),))
     with pytest.raises(KeyError):
         run_controlled(sim, cfg)
+
+
+def test_catalog_must_hold_the_fallback():
+    # checked before the run, not at the first switch that needs it
+    sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=8)
+    for schedule in (None, (Phase("SF", 1, 2),)):
+        cfg = ControllerConfig(phase_schedule=schedule, fallback_strategy_id="ZZ")
+        with mock.patch.object(simulator, "_step", side_effect=AssertionError("ran")):
+            with pytest.raises(KeyError, match="fallback strategy missing from catalog: 'ZZ'"):
+                run_controlled(sim, cfg)
+    catalog = {k: v for k, v in simulator.preset_catalog().items() if k != "AI"}
+    with pytest.raises(KeyError, match="'AI'"):
+        run_controlled(simulator.SimConfig(strategy=simulator.preset("SF"), iterations=8),
+                       ControllerConfig(), catalog=catalog)
+    run_controlled(simulator.SimConfig(strategy=simulator.preset("SF"), iterations=8),
+                   ControllerConfig(fallback_strategy_id=None), catalog=catalog)
 
 
 def test_window_cannot_exceed_iterations():

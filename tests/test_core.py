@@ -275,3 +275,21 @@ def test_reader_rejects_mistyped_fields(field, value):
     text = "".join(json.dumps(rec) + "\n" for rec in records)
     with pytest.raises(RecordFormatError):
         core.loads_trajectories(text)
+
+
+def test_reader_rejects_deep_nesting_with_its_line():
+    text = _record("s0", 0) + "\n" + "[" * 100_000 + "\n"
+    with pytest.raises(RecordFormatError, match=r"^line 2: malformed record \(.*recursion"):
+        core.loads_trajectories(text)
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+                                 "\u2028", "\u2029"])
+def test_well_formed_lines_decode_in_place(sep, monkeypatch):
+    # every record is decoded at its offset in the text; none needs the
+    # per-line json.loads, whatever the line separator
+    trajs = [traj([[1, 2, 3], [4.5, 0.0, 10.0]], session_id=f"s{i}") for i in range(3)]
+    text = core.dumps_trajectories(trajs).replace("\n", sep)
+    monkeypatch.setattr(core.json, "loads", None)
+    assert core.loads_trajectories(text) == trajs
+    assert core.loads_trajectories(text + sep + sep) == trajs

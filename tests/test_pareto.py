@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftlab import pareto, simulator
-from driftlab.core import DimensionMismatch, TailTooLong, Trajectory
+from driftlab.core import DimensionMismatch, SessionSet, TailTooLong, Trajectory
 
 from oracles import brute_efficiency
 
@@ -177,6 +177,21 @@ def test_efficiency_rows_shape():
     assert len(rows) == 3
     assert set(rows[0]) == {"strategy", "session_id", "efficiency", "eq_1", "eq_2", "eq_3"}
     assert rows[0]["strategy"] == "AI"
+
+
+def test_efficiency_rows_equal_per_session_efficiency():
+    # 700 sessions of T=21 fill more than one stacked chunk (594 at the
+    # default _BLOCK); T=600 > _BLOCK takes the sweep; a small integer grid
+    # makes ties and exact duplicates common
+    assert pareto._BLOCK**2 // 21**2 < 700 and 600 > pareto._BLOCK
+    rng = np.random.default_rng(57)
+    lengths = [21] * 700 + [600, 5, 5, 600]
+    data = SessionSet("X", [Trajectory(f"s{i}", "X", rng.integers(0, 4, size=(T, 3)))
+                            for i, T in enumerate(lengths)])
+    rows = pareto.efficiency_rows(data, tail=3)
+    assert [row["efficiency"] for row in rows] == [pareto.pareto_efficiency(t) for t in data]
+    assert [row["eq_2"] for row in rows] == \
+        [float(pareto.equilibrium_estimate(t, 3)[1]) for t in data]
 
 
 def test_cross_strategy_front():

@@ -1,7 +1,10 @@
 """Property tests of the JSONL trajectory format: a write then a read gives
 back the same trajectories, and a record with any one field corrupted is
-rejected with a DomainError, never with a bare exception. Also: the Pareto
-mask equals a brute-force scan whatever the sweep's block size."""
+rejected with a DomainError, never with a bare exception. The writer is
+byte-identical, and the reader gives the same trajectories or the same
+error, as the one-`json`-call-per-record reference in `oracles`. Also: the
+Pareto mask and the per-session efficiencies equal a brute-force scan
+whatever the sweep's block size."""
 
 import json
 from unittest import mock
@@ -13,9 +16,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from driftlab import core, pareto
-from driftlab.core import DomainError, Trajectory
+from driftlab.core import DomainError, SessionSet, Trajectory
 
-from oracles import brute_non_dominated
+from oracles import (brute_efficiency, brute_non_dominated, reference_dumps,
+                     reference_loads, reference_records)
 
 # Fixed examples keep tier-1 deterministic; no example database is written.
 _SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -65,12 +69,11 @@ def test_jsonl_round_trip_is_identity(trajectories):
     assert core.dumps_trajectories(back) == text
 
 
-@pytest.mark.parametrize("field", [
-    "session_id", "strategy", "iteration", "objectives", "one objective", "missing"])
-@settings(_SETTINGS, max_examples=20)
-@given(trajectory_lists(), st.data())
-def test_single_field_corruption_raises_domain_error(field, trajectories, data):
-    records = [rec for traj in trajectories for rec in core.trajectory_records(traj)]
+_FIELDS = ("session_id", "strategy", "iteration", "objectives", "one objective", "missing")
+
+
+def _corrupt_one_field(records, field, data):
+    """Corrupt `field` of one drawn record in place."""
     rec = records[data.draw(st.integers(0, len(records) - 1))]
     if field in ("session_id", "strategy"):
         old = rec[field]
@@ -87,10 +90,112 @@ def test_single_field_corruption_raises_domain_error(field, trajectories, data):
         rec["objectives"][i] = data.draw(_bad_scores)
     else:
         del rec[data.draw(st.sampled_from(sorted(rec)))]
+
+
+@pytest.mark.parametrize("field", _FIELDS)
+@settings(_SETTINGS, max_examples=20)
+@given(trajectory_lists(), st.data())
+def test_single_field_corruption_raises_domain_error(field, trajectories, data):
+    records = [rec for traj in trajectories for rec in reference_records(traj)]
+    _corrupt_one_field(records, field, data)
     text = "".join(json.dumps(r) + "\n" for r in records)
     with pytest.raises(DomainError) as info:
         core.loads_trajectories(text)
     assert "\n" not in str(info.value)
+
+
+# Any finite float, with the ones whose text is easiest to get wrong.
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e16,
+                     -1e16, 1.2345678901234567e16, 9007199254740993.0, 1e308]),
+)
+
+
+@st.composite
+def finite_trajectory_lists(draw):
+    trajectories = []
+    for sid in draw(st.lists(_text, min_size=0, max_size=4, unique=True)):
+        n = draw(st.integers(2, 4))
+        rows = draw(st.lists(st.lists(_finite, min_size=n, max_size=n), max_size=4))
+        trajectories.append(Trajectory(sid, draw(_text), np.array(rows).reshape(-1, n)))
+    return trajectories
+
+
+@_SETTINGS
+@given(finite_trajectory_lists())
+def test_writer_is_byte_identical_to_reference(trajectories):
+    assert core.dumps_trajectories(trajectories) == reference_dumps(trajectories)
+
+
+# Line-level damage, each kind aimed at a way a whole-text parse could
+# pair records and lines up wrongly.
+_DAMAGE = ("none", "two on one line", "split record", "lone bracket", "trailing comma",
+           "padding", "bom", "raw u+2028", "blank line")
+# Every separator `str.splitlines` knows, CRLF as one.
+_SEPARATORS = ("\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029")
+
+
+def _damage(lines, kind, data):
+    i = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    if kind == "two on one line":
+        lines[i:i + 2] = [data.draw(st.sampled_from([", ", " ", ""])).join(lines[i:i + 2])]
+    elif kind == "split record":
+        cut = data.draw(st.integers(0, len(line)))
+        lines[i:i + 1] = [line[:cut], line[cut:]]
+    elif kind == "lone bracket":
+        lines.insert(i, data.draw(st.sampled_from(["[", "]", "[{}", "{}]"])))
+    elif kind == "trailing comma":
+        lines[i] = line + ","
+    elif kind == "padding":
+        pads = st.sampled_from(["", " ", "\t", "\xa0"])
+        lines[i] = data.draw(pads) + line + data.draw(pads)
+    elif kind == "bom":
+        lines[i] = "\ufeff" + line
+    elif kind == "raw u+2028":
+        at = line.index('"', line.index(":")) + 1  # inside the first string after a key
+        lines[i] = line[:at] + "\u2028" + line[at:]
+    elif kind == "blank line":
+        lines.insert(i, data.draw(st.sampled_from(["", " ", "\t"])))
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", (None,) + _FIELDS)
+@settings(_SETTINGS, max_examples=30)
+@given(trajectory_lists(), st.sampled_from(_DAMAGE), st.data())
+def test_reader_matches_per_line_reference(field, trajectories, kind, data):
+    records = [rec for traj in trajectories for rec in reference_records(traj)]
+    if field is not None:
+        _corrupt_one_field(records, field, data)
+    lines = [json.dumps(r) for r in records]
+    _damage(lines, kind, data)
+    seps = data.draw(st.lists(st.sampled_from(_SEPARATORS),
+                              min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + sep for line, sep in zip(lines, seps))
+    if data.draw(st.booleans()):
+        text = text[:-len(seps[-1])]
+    assert _outcome(core.loads_trajectories, text) == _outcome(reference_loads, text)
+
+
+def test_reader_keeps_records_on_their_own_lines():
+    # As one bracketed JSON array these three lines parse to three valid
+    # records; read line by line, line 1 is not a record.
+    a, b, c = (json.dumps({"session_id": "s", "strategy": "X", "iteration": t,
+                           "objectives": [1, 2]}) for t in range(3))
+    text = f'{a[:-1]}, "pad": [{{}}\n{{}}]}}\n{b}, {c}\n'
+    assert json.loads("[" + ",".join(text.splitlines()) + "]")[0]["iteration"] == 0
+    for read in (core.loads_trajectories, reference_loads):
+        with pytest.raises(core.RecordFormatError, match="^line 1: malformed record"):
+            read(text)
+    assert _outcome(core.loads_trajectories, text) == _outcome(reference_loads, text)
 
 
 # Small integer grids make ties, duplicates and block-crossing dominators common.
@@ -104,3 +209,23 @@ def test_pareto_mask_matches_brute_force(rows, block):
     with mock.patch.object(pareto, "_BLOCK", block):
         mask = pareto.non_dominated_mask(np.array(rows, dtype=float))
     assert mask.tolist() == brute_non_dominated(rows)
+
+
+@st.composite
+def grid_session_sets(draw):
+    """Sessions of small integer grids, in lengths that repeat, so that
+    runs of equal length span several chunks and meet longer sessions."""
+    n = draw(st.integers(2, 4))
+    lengths = draw(st.lists(st.sampled_from([1, 2, 3, 9]), min_size=1, max_size=20))
+    return [draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                          min_size=T, max_size=T)) for T in lengths]
+
+
+@_SETTINGS
+@given(grid_session_sets(), st.integers(1, 5))
+def test_efficiency_rows_match_per_session_efficiency(sessions, block):
+    data = SessionSet("X", [Trajectory(f"s{i}", "X", rows) for i, rows in enumerate(sessions)])
+    with mock.patch.object(pareto, "_BLOCK", block):
+        got = [row["efficiency"] for row in pareto.efficiency_rows(data, tail=1)]
+        want = [pareto.pareto_efficiency(traj) for traj in data]
+    assert got == want == [brute_efficiency(rows) for rows in sessions]

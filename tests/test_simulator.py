@@ -309,6 +309,19 @@ def test_string_initial_state_is_rejected():
             SimConfig(strategy=preset("AI"), initial_state=state)
 
 
+@pytest.mark.parametrize("state", [["1", "2", "3"], [b"1", b"2", b"3"], [5.0, "5", 5.0],
+                                   [1.0, True, 5.0], [False, 0.0, 0.0],
+                                   np.array([True, False, True])])
+def test_initial_state_entries_must_be_real_numbers(state):
+    with pytest.raises(ValueError, match="real numbers"):
+        SimConfig(strategy=preset("AI"), initial_state=state)
+
+
+def test_initial_state_takes_numpy_and_integer_entries():
+    cfg = SimConfig(strategy=preset("AI"), initial_state=[np.float64(1.5), np.int32(2), 3])
+    assert cfg.initial_state == (1.5, 2.0, 3.0)
+
+
 def test_simulate_session_rejects_negative_index():
     cfg = SimConfig(strategy=preset("SF"), sessions=2, iterations=3)
     for index in (-1, -3, 2):
