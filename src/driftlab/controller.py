@@ -9,7 +9,10 @@ drop, convergence-rate ceiling).
 
 Interventions are logged, not enacted; callers may stop at the first one
 via halt_on_intervention. Small windows routinely produce rank-deficient
-local fits; the controller then simply holds the current strategy.
+local fits, most often because an axis sits clipped at the box for the
+whole window (a constant state column, which `inference.fit_affine`
+rejects before any decomposition); the controller then simply holds the
+current strategy.
 """
 
 from __future__ import annotations

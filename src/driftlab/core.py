@@ -104,9 +104,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class Trajectory:
     """Ordered iterates of one session: row t of `values_matrix` is iteration t.
 
-    The data is a single read-only (T+1, n) float64 matrix with n >= 2 and
-    finite entries, checked here; any point count is accepted so that
-    `validate_trajectory` alone decides on length and score range.
+    The ids are str and the data is a single read-only (T+1, n) float64
+    matrix with n >= 2 and finite entries, checked here; any point count
+    is accepted so that `validate_trajectory` alone decides on length and
+    score range.
     """
 
     session_id: str
@@ -115,6 +116,11 @@ class Trajectory:
 
     def __init__(self, session_id: str, strategy_id: str,
                  points: np.ndarray | Iterable[Sequence[float]]):
+        if not (isinstance(session_id, str) and isinstance(strategy_id, str)):
+            raise TypeError(
+                f"session_id and strategy_id must be str, "
+                f"got {session_id!r} and {strategy_id!r}"
+            )
         if not isinstance(points, np.ndarray):
             points = list(points)
         try:

@@ -19,6 +19,7 @@ from .core import (
     DriftModel,
     InsufficientData,
     InterferenceMatrix,
+    NonFinite,
     PredictionReport,
     RankDeficientDesign,
     SessionSet,
@@ -29,11 +30,18 @@ from .core import (
 def fit_affine(
     states: np.ndarray, deltas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Least-squares fit of deltas on [states | 1].
+    """Least-squares fit of deltas on [states | 1], with one decomposition.
 
     Returns (A, b, residual covariance, sample count). Raises
-    InsufficientData when there are fewer than n+1 samples and
-    RankDeficientDesign when the design matrix loses column rank.
+    InsufficientData when there are fewer than n+1 samples, NonFinite when
+    either input holds a NaN or an infinity, and RankDeficientDesign when
+    the design matrix loses column rank. A state column that is constant
+    across the samples is an exact multiple of the bias column, so it is
+    rejected before any decomposition; otherwise the rank is the one
+    `lstsq` reports, whose cut-off (eps * max(N, n+1) * largest singular
+    value) is the one `np.linalg.matrix_rank` uses. The two compute the
+    singular values with different LAPACK routines, so on a design within
+    a few percent of the cut-off they can decide differently.
     """
     X = np.asarray(states, dtype=np.float64)
     D = np.asarray(deltas, dtype=np.float64)
@@ -42,12 +50,20 @@ def fit_affine(
     count, n = X.shape
     if count < n + 1:
         raise InsufficientData(f"{count} step(s) < n+1 = {n + 1} required for the fit")
-    Z = np.hstack([X, np.ones((count, 1))])
-    if np.linalg.matrix_rank(Z) < n + 1:
+    if not (np.isfinite(X).all() and np.isfinite(D).all()):
+        raise NonFinite("states and deltas must be finite for the fit")
+    if (X == X[0]).all(axis=0).any():
+        raise RankDeficientDesign(
+            f"design matrix rank < {n + 1}; a state column is constant"
+        )
+    Z = np.empty((count, n + 1))
+    Z[:, :n] = X
+    Z[:, n] = 1.0
+    theta, _res, rank, _s = np.linalg.lstsq(Z, D, rcond=None)
+    if rank < n + 1:
         raise RankDeficientDesign(
             f"design matrix rank < {n + 1}; states do not span the space"
         )
-    theta, *_ = np.linalg.lstsq(Z, D, rcond=None)
     A = theta[:n].T
     b = theta[n]
     resid = D - Z @ theta

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DimensionMismatch, SessionSet, TailTooLong, Trajectory
+from .core import DimensionMismatch, SessionSet, TailTooLong, TooShort, Trajectory
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
@@ -80,7 +80,12 @@ def non_dominated_mask(points: np.ndarray) -> np.ndarray:
 
 
 def pareto_efficiency(traj: Trajectory) -> float:
-    """Fraction of trajectory points on the trajectory's own Pareto front."""
+    """Fraction of trajectory points on the trajectory's own Pareto front.
+
+    Raises TooShort on a trajectory with no points.
+    """
+    if len(traj) == 0:
+        raise TooShort(f"trajectory {traj.session_id!r} has no points")
     mask = non_dominated_mask(traj.values_matrix)
     return float(np.count_nonzero(mask)) / float(mask.size)
 

@@ -5,8 +5,10 @@ library code paths it checks: textbook Pearson correlation via fsum
 loops, O(T^2) dominance scanning, closed-form characteristic-
 polynomial eigenvalues for n <= 3 (quadratic formula / Cardano), a
 one-session-at-a-time Euler-Maruyama loop that builds a fresh Philox
-generator for every draw, and a JSONL writer and reader that go through
-one dict and one `json.dumps` / `json.loads` per record.
+generator for every draw, a JSONL writer and reader that go through
+one dict and one `json.dumps` / `json.loads` per record, and an affine
+fit that checks the design's rank with its own `np.linalg.matrix_rank`
+before solving.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from typing import Iterator
 
 import numpy as np
 
-from driftlab.core import RecordFormatError, Trajectory, validate_trajectory
+from driftlab.core import (
+    InsufficientData,
+    RankDeficientDesign,
+    RecordFormatError,
+    Trajectory,
+    validate_trajectory,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +145,36 @@ def match_multisets(a, b, tol: float) -> bool:
             return False
         remaining.pop(best)
     return not remaining
+
+
+# ---------------------------------------------------------------------------
+# Affine fit with a separate rank decomposition
+# ---------------------------------------------------------------------------
+
+def reference_fit_affine(states, deltas):
+    """`inference.fit_affine` as two decompositions: `np.linalg.matrix_rank`
+    decides whether [states | 1] has full column rank, and then `lstsq`
+    solves. Same returns and errors, non-finite input aside."""
+    X = np.asarray(states, dtype=np.float64)
+    D = np.asarray(deltas, dtype=np.float64)
+    if X.ndim != 2 or X.shape != D.shape:
+        raise ValueError(f"states {X.shape} and deltas {D.shape} must match (N, n)")
+    count, n = X.shape
+    if count < n + 1:
+        raise InsufficientData(f"{count} step(s) < n+1 = {n + 1} required for the fit")
+    Z = np.hstack([X, np.ones((count, 1))])
+    if np.linalg.matrix_rank(Z) < n + 1:
+        raise RankDeficientDesign(
+            f"design matrix rank < {n + 1}; states do not span the space"
+        )
+    theta, *_ = np.linalg.lstsq(Z, D, rcond=None)
+    A = theta[:n].T
+    b = theta[n]
+    resid = D - Z @ theta
+    dof = max(1, count - (n + 1))
+    sigma = (resid.T @ resid) / dof
+    sigma = (sigma + sigma.T) / 2.0
+    return A, b, sigma, count
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from driftlab import controller, simulator
+from driftlab import controller, inference, simulator
 from driftlab.controller import (
     ControllerConfig,
     EventKind,
@@ -20,7 +20,7 @@ from driftlab.core import (
     dumps_trajectories,
 )
 
-from oracles import contraction_trajectory, fresh_generator
+from oracles import contraction_trajectory, fresh_generator, reference_fit_affine
 
 
 def traj(points):
@@ -193,6 +193,28 @@ def test_run_controlled_draws_the_step_noise_stream(monkeypatch, sigma, schedule
     assert got_events
     assert dumps_trajectories([got_traj]) == dumps_trajectories([want_traj])
     assert controller.dumps_events(got_events) == controller.dumps_events(want_events)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 4.0])
+@pytest.mark.parametrize("schedule", ["default", "none"])
+@pytest.mark.parametrize("halt", [False, True])
+def test_controller_bytes_match_the_rank_oracle_fit(monkeypatch, sigma, schedule, halt):
+    # fit_affine's single decomposition must steer the loop exactly as
+    # matrix_rank-then-lstsq did: same trajectory bytes, same events
+    cfg = ControllerConfig(
+        phase_schedule=phased_schedule_default() if schedule == "default" else None
+    )
+    runs = []
+    for fit in (inference.fit_affine, reference_fit_affine):
+        monkeypatch.setattr(inference, "fit_affine", fit)
+        for seed in (5, 6):
+            sim = simulator.SimConfig(strategy=simulator.preset("AI", sigma),
+                                      iterations=400, base_seed=seed)
+            t, events = run_controlled(sim, cfg, halt_on_intervention=halt)
+            runs.append((dumps_trajectories([t]), controller.dumps_events(events),
+                         check_interventions(t, cfg)))
+    assert runs[:2] == runs[2:]
+    assert all(events for _, events, _ in runs)
 
 
 def test_halt_on_intervention_truncates_run():

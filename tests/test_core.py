@@ -252,6 +252,18 @@ def test_trajectory_rejects_non_finite():
         traj([[5, 5, 5], [5, float("inf"), 5]])
 
 
+@pytest.mark.parametrize("session_id, strategy_id", [
+    (7, "X"),
+    ("s000", None),
+    (b"s000", "X"),
+])
+def test_trajectory_rejects_non_str_ids(session_id, strategy_id):
+    # the writer would put the id on the wire as is, in a file its own
+    # reader rejects
+    with pytest.raises(TypeError, match="session_id and strategy_id must be str"):
+        Trajectory(session_id, strategy_id, [[1, 2], [3, 4]])
+
+
 def test_validate_names_first_offending_iteration():
     with pytest.raises(OutOfRangeScore, match=r"iteration 2: \[5\.0, -1\.0, 5\.0\]"):
         validate_trajectory(traj([[5, 5, 5], [5, 5, 5], [5, -1, 5], [11, 5, 5]]))

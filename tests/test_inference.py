@@ -4,14 +4,16 @@ import pytest
 from driftlab import inference, simulator
 from driftlab.core import (
     DegenerateVariance,
+    DomainError,
     DriftModel,
     InsufficientData,
+    NonFinite,
     RankDeficientDesign,
     SessionSet,
     Trajectory,
 )
 
-from oracles import naive_pearson
+from oracles import naive_pearson, reference_fit_affine
 
 
 def affine_sessions(A, b, starts, steps, strategy_id="X", clip=False):
@@ -118,6 +120,161 @@ def test_sigma_hat_is_psd_and_symmetric():
     _A, _b, sigma, _n = inference.fit_affine(X, D)
     assert np.array_equal(sigma, sigma.T)
     assert np.min(np.linalg.eigvalsh(sigma)) >= -1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("arg", ["states", "deltas"])
+def test_fit_affine_rejects_non_finite_input(capfd, arg, bad):
+    rng = np.random.default_rng(38)
+    X = rng.uniform(0, 10, size=(8, 3))
+    D = rng.normal(0, 1, size=(8, 3))
+    (X if arg == "states" else D)[3, 1] = bad
+    with pytest.raises(NonFinite, match="must be finite"):
+        inference.fit_affine(X, D)
+    assert issubclass(NonFinite, DomainError)
+    # no LAPACK complaint on stderr: nothing was decomposed
+    assert capfd.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# fit_affine against the two-decomposition oracle
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(np.float64).eps
+
+
+def fit_outcome(fit, X, D):
+    """(A, b, sigma) of a fit, or None when it raises RankDeficientDesign."""
+    try:
+        A, b, sigma, _count = fit(X, D)
+    except RankDeficientDesign:
+        return None
+    return A, b, sigma
+
+
+def assert_same_fit(X, D):
+    """fit_affine raises exactly where the oracle does, and otherwise
+    returns bit-identical A, b and sigma. Returns True when deficient."""
+    got = fit_outcome(inference.fit_affine, X, D)
+    want = fit_outcome(reference_fit_affine, X, D)
+    assert (got is None) == (want is None), (X, D)
+    if got is not None:
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (X, D)
+    return got is None
+
+
+def test_fit_affine_matches_rank_oracle_on_simulated_windows():
+    # trailing windows of 4 (= n+1), 5 (the controller's) and 8 steps
+    # over clipped sessions: axes pinned at the box make constant columns,
+    # a few windows are deficient without one, and the rest are full rank
+    counts = {"constant": 0, "other deficient": 0, "full": 0}
+    for seed in range(4):
+        for strategy in ("AI", "FF"):
+            for sigma in (0.5, 2.0, 4.0):
+                cfg = simulator.SimConfig(
+                    strategy=simulator.preset(strategy, sigma=sigma), sessions=3,
+                    iterations=50, base_seed=seed,
+                )
+                for traj in simulator.simulate_set(cfg):
+                    m = traj.values_matrix
+                    D = np.diff(m, axis=0)
+                    for size in (4, 5, 8):
+                        for t in range(size, len(m)):
+                            X = m[t - size:t]
+                            if not assert_same_fit(X, D[t - size:t]):
+                                counts["full"] += 1
+                            elif (X == X[0]).all(axis=0).any():
+                                counts["constant"] += 1
+                            else:
+                                counts["other deficient"] += 1
+    # 6267, 78 and 3447 with this build of numpy
+    assert counts["constant"] > 1000 and counts["full"] > 1000
+    assert counts["other deficient"] > 10
+
+
+def crafted_designs():
+    """(family, states, deltas) designs at and around the rank cut-off.
+    Each family but "constant" falls on both sides of it."""
+    rng = np.random.default_rng(2024)
+    for count, n in ((4, 3), (5, 3), (8, 3), (3, 2), (6, 4)):
+        for k in range(0, 64, 3):
+            base = rng.uniform(0.0, 10.0, (count, n))
+            D = rng.normal(0.0, 1.0, (count, n))
+            j = k % n
+            X = base.copy()
+            X[:, j] = 1.0 + k * EPS  # the bias column times (1 + k eps)
+            yield "constant", X, D
+            X = base.copy()
+            X[:, j] = 1.0 + k * EPS * rng.integers(-8, 9, count)
+            yield "ulp-spread", X, D
+            X = base.copy()
+            X[:, j] = X[:, j - 1] * (1.0 + k * EPS * rng.standard_normal(count))
+            yield "collinear", X, D
+            X = 5.0 + 2.0 ** (-52 + k / 3) * rng.standard_normal((count, n))
+            yield "tiny-spread", X, D
+    for scale in (0.0, 1e-300, 1e-8, 1e8, 1e300, -3.5):
+        X = rng.uniform(0.0, 10.0, (6, 3))
+        X[:, 1] = scale
+        yield "constant", X, rng.normal(0.0, 1.0, (6, 3))
+
+
+def test_fit_affine_matches_rank_oracle_on_crafted_designs():
+    outcomes = set()
+    for family, X, D in crafted_designs():
+        outcomes.add((family, assert_same_fit(X, D)))
+    assert outcomes == {
+        ("constant", True),
+        ("ulp-spread", True), ("ulp-spread", False),
+        ("collinear", True), ("collinear", False),
+        ("tiny-spread", True), ("tiny-spread", False),
+    }
+
+
+# Documented examples within rounding of the cut-off. `matrix_rank` takes
+# its singular values from one LAPACK routine (xGESDD) and `lstsq` from
+# another (xGELSD); both keep those above eps * max(N, n+1) * s_max, but the
+# smallest singular value is only accurate to about eps * s_max, so on a
+# design within a few percent of the cut-off the two may decide
+# differently. A search over designs tuned onto the cut-off found such
+# disagreements only within 0.956-1.021 times it; none occurred on any
+# simulated window. With this build of numpy both examples below disagree:
+# the oracle calls the first design deficient and `lstsq` gives it full
+# rank, and the reverse for the second.
+CUTOFF_EXAMPLES = [
+    # column 1 is 1 + 3.22e-14 * noise
+    [[9.467529428594245, 1.0000000000000198, 1.7929141041810759],
+     [3.498892405959575, 1.000000000000021, 6.704457427727847],
+     [1.1507938212344748, 0.9999999999999889, 8.581304890839089],
+     [0.0282703218662006, 0.999999999999984, 1.0685127402373995],
+     [2.579549587609903, 0.9999999999999963, 4.536161218532765],
+     [4.681465909439007, 0.9999999999999805, 2.5877108942215044]],
+    # column 1 is column 0 times (1 + 2.44e-15 * noise)
+    [[0.4377532363899661, 0.4377532363899657, 8.3921258251103],
+     [5.871430475880585, 5.871430475880607, 7.517922718186155],
+     [2.636921974783747, 2.6369219747837422, 4.510313870011089],
+     [9.553145792212376, 9.553145792212339, 2.7863302551894353],
+     [2.7853429777937566, 2.7853429777937593, 0.040777249859886844],
+     [3.089237677451262, 3.089237677451246, 8.382047782684793]],
+]
+
+
+@pytest.mark.parametrize("example", range(len(CUTOFF_EXAMPLES)))
+def test_fit_affine_at_the_cutoff_follows_lstsq_rank(example):
+    X = np.array(CUTOFF_EXAMPLES[example])
+    D = np.random.default_rng(39).normal(0.0, 1.0, X.shape)
+    Z = np.hstack([X, np.ones((len(X), 1))])
+    s = np.linalg.svd(Z, compute_uv=False)
+    assert 0.95 < s[-1] / (EPS * max(Z.shape) * s[0]) < 1.05
+    theta, _res, rank, _s = np.linalg.lstsq(Z, D, rcond=None)
+    got = fit_outcome(inference.fit_affine, X, D)
+    if rank < Z.shape[1]:
+        assert got is None
+    else:
+        assert np.array_equal(got[0], theta[:-1].T)
+        assert np.array_equal(got[1], theta[-1])
+    want = fit_outcome(reference_fit_affine, X, D)
+    assert (want is None) == (np.linalg.matrix_rank(Z) < Z.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from driftlab import pareto, simulator
-from driftlab.core import DimensionMismatch, SessionSet, TailTooLong, Trajectory
+from driftlab.core import (
+    DimensionMismatch,
+    SessionSet,
+    TailTooLong,
+    TooShort,
+    Trajectory,
+)
 
 from oracles import brute_efficiency
 
@@ -147,6 +153,11 @@ def test_constant_trajectory_equilibrium():
 def test_equilibrium_is_tail_mean():
     t = traj([[0, 0, 0], [2, 2, 2]])
     assert np.array_equal(pareto.equilibrium_estimate(t, 2), [1, 1, 1])
+
+
+def test_empty_trajectory_efficiency_is_too_short():
+    with pytest.raises(TooShort, match="'s000' has no points"):
+        pareto.pareto_efficiency(traj(np.empty((0, 3))))
 
 
 def test_tail_too_long():
