@@ -1,0 +1,3 @@
+from .cli import entry
+
+entry()

@@ -1,18 +1,28 @@
 """Adaptive strategy-switching loop and intervention triggers.
 
-Drives a live simulation step by step: after every step it refits the
-local drift on a trailing window, classifies the spectrum, logs
-exploration-to-exploitation and boundary-proximity transitions, applies
-phase-schedule switches, and raises intervention flags when the run
-crosses the configured safety thresholds (security floor, efficiency
-drop, convergence-rate ceiling).
+Drives a live simulation: after every step it refits the local drift on
+a trailing window, classifies the spectrum, logs exploration-to-
+exploitation and boundary-proximity transitions, applies phase-schedule
+switches, and raises intervention flags when the run crosses the
+configured safety thresholds (security floor, efficiency drop,
+convergence-rate ceiling).
 
 Interventions are logged, not enacted; callers may stop at the first one
 via halt_on_intervention. Small windows routinely produce rank-deficient
 local fits, most often because an axis sits clipped at the box for the
-whole window (a constant state column, which `inference.fit_affine`
-rejects before any decomposition); the controller then simply holds the
-current strategy.
+whole window (a constant state column, which the window fit rejects
+before any decomposition); the controller then simply holds the current
+strategy.
+
+The loop runs in segments, as a speedup only. Each step's noise is drawn
+once, in step order. A segment steps the state ahead with the current
+strategy, fits all its windows in one stacked pass
+(`inference.fit_windows`) and takes their spectra in one `eigvals` call,
+then applies the rules step by step, as the one-step-at-a-time loop
+would. A strategy switch at step `now` drops the rows after it, and the
+next segment starts from `now` on the stored noise; a halt or an
+exception ends the run at its own step. Segments start at 16 steps after
+every switch and double up to 1024.
 """
 
 from __future__ import annotations
@@ -28,8 +38,7 @@ from . import inference, simulator, spectral
 from .core import (
     DimensionMismatch,
     DomainError,
-    InsufficientData,
-    RankDeficientDesign,
+    NonFinite,
     ScheduleExhausted,
     StrategySpec,
     Trajectory,
@@ -98,18 +107,45 @@ def phased_schedule_default() -> tuple[Phase, ...]:
     )
 
 
-def _window_spectrum(m: np.ndarray, t: int, window: int) -> list[complex] | None:
-    """Spectrum of the affine drift fitted on the `window` steps ending at
-    iteration t of m, or None before a full window exists or when the
-    window regression is unsolvable (too few samples / rank deficient)."""
-    if t < window:
-        return None
-    w = m[t - window:t + 1]
+def _window_signals(rows: np.ndarray, window: int, zero_tol: float
+                    ) -> tuple[list[tuple[float, bool, float] | None], Exception | None]:
+    """What the rules read from the spectrum of the affine drift fitted on
+    each `window`-step window of rows, for the windows ending at
+    rows[window:], in order: (convergence rate -Re lambda_max, whether an
+    imaginary part exceeds zero_tol, min |Re lambda|), or None when the fit
+    is unsolvable (too few samples / rank deficient). The list stops short
+    at the first window whose fit or spectrum raises, with that exception.
+
+    All fits are one `inference.fit_windows` pass, and all spectra one
+    `np.linalg.eigvals` call over the stack, bit-identical to per-matrix
+    calls.
+    """
+    full, A, error = inference.fit_windows(rows, window)
     try:
-        A, _b, _sigma, _n = inference.fit_affine(w[:-1], np.diff(w, axis=0))
-    except (InsufficientData, RankDeficientDesign):
-        return None
-    return spectral.eigen_spectrum(A)
+        lams = np.linalg.eigvals(A)
+        rate = -lams.real.max(axis=1)
+        stacked = np.isfinite(lams).all() and rate.all()
+    except np.linalg.LinAlgError:
+        stacked = False
+    if stacked:
+        fitted = zip(rate.tolist(), (np.abs(lams.imag) > zero_tol).any(axis=1).tolist(),
+                     np.abs(lams.real).min(axis=1).tolist())
+    else:
+        # One matrix at a time: a failure (a non-finite matrix, no
+        # convergence) belongs to its own window, and a stacked max or min
+        # may pick another signed zero or NaN than the scan below.
+        signals = []
+        for a in A:
+            try:
+                spectrum = spectral.eigen_spectrum(a)
+            except (NonFinite, np.linalg.LinAlgError) as exc:
+                full, error = full[:np.flatnonzero(full)[len(signals)]], exc
+                break
+            signals.append((-max(lam.real for lam in spectrum),
+                            any(abs(lam.imag) > zero_tol for lam in spectrum),
+                            min(abs(lam.real) for lam in spectrum)))
+        fitted = iter(signals)
+    return [next(fitted) if f else None for f in full.tolist()], error
 
 
 def _interventions_at(m: np.ndarray, t: int, cfg: ControllerConfig,
@@ -142,12 +178,21 @@ def check_interventions(traj: Trajectory, cfg: ControllerConfig) -> list[Control
     including the initial point (one event per rule per iteration).
     """
     m = traj.values_matrix
+    spectra, error = _window_signals(m, cfg.window, cfg.zero_tol)
+    if error is not None:
+        raise error
+    rates = [None] * min(cfg.window, len(m)) + [None if s is None else s[0] for s in spectra]
     events: list[ControlEvent] = []
-    for t in range(len(m)):
-        spectrum = _window_spectrum(m, t, cfg.window)
-        rate = None if spectrum is None else -max(lam.real for lam in spectrum)
+    for t, rate in enumerate(rates):
         events.extend(_interventions_at(m, t, cfg, rate))
     return events
+
+
+# Steps per segment of `run_controlled`: the first segment and the first
+# after a strategy switch are short, and each next one twice as long, up
+# to the last size.
+_FIRST_SEGMENT = 16
+_LAST_SEGMENT = 1024
 
 
 @dataclass
@@ -157,6 +202,81 @@ class _LoopState:
     phase_iters: int = 0
     had_complex: bool = False
     near_zero: bool = False
+
+
+def _rules_at(state: _LoopState, m: np.ndarray, now: int,
+              spectrum: tuple[float, bool, float] | None, cfg: ControllerConfig,
+              cat: Mapping[str, StrategySpec], steps: int) -> tuple[list[ControlEvent], bool]:
+    """Every rule at step `now` of a run of `steps` steps, in order: the
+    three triggers, exploration to exploitation, boundary proximity and the
+    phase schedule, given the window's signals from `_window_signals` (None
+    when there is no fit). Updates `state`, whose strategy switches where a
+    rule says so. Returns the step's events and whether one intervened."""
+    step_events = _interventions_at(
+        m, now, cfg, None if spectrum is None else spectrum[0]
+    )
+    if spectrum is not None:
+        rate, has_complex, min_abs_re = spectrum
+        # exploration -> exploitation: the local spectrum just lost its
+        # complex parts
+        if state.had_complex and not has_complex:
+            step_events.append(ControlEvent(
+                now, EventKind.EXPLORATION_TO_EXPLOITATION,
+                "local spectrum turned real", rate,
+            ))
+        state.had_complex = has_complex
+        # boundary proximity (edge-triggered)
+        near = min_abs_re < cfg.zero_margin
+        if near and not state.near_zero:
+            detail = "eigenvalue near zero"
+            if cfg.phase_schedule is None and cfg.fallback_strategy_id \
+                    and state.strategy.id != cfg.fallback_strategy_id:
+                detail += f"; switching {state.strategy.id}->{cfg.fallback_strategy_id}"
+                state.strategy = cat[cfg.fallback_strategy_id]
+            step_events.append(ControlEvent(
+                now, EventKind.BOUNDARY_AVOID_SWITCH, detail, min_abs_re
+            ))
+        state.near_zero = near
+
+    intervened = any(e.kind is EventKind.INTERVENTION for e in step_events)
+
+    # phase schedule transitions at min_iters, deferred by interventions
+    # but never past max_iters
+    schedule = cfg.phase_schedule
+    if schedule is not None and state.phase_index < len(schedule):
+        state.phase_iters += 1
+        phase = schedule[state.phase_index]
+        at_max = phase.max_iters is not None and state.phase_iters >= phase.max_iters
+        due = state.phase_iters >= phase.min_iters
+        if due and (at_max or not intervened):
+            nxt_index = state.phase_index + 1
+            if nxt_index < len(schedule):
+                target = schedule[nxt_index].strategy_id
+                step_events.append(ControlEvent(
+                    now, EventKind.PHASE_SWITCH,
+                    f"{phase.strategy_id}->{target}", float(state.phase_iters),
+                ))
+                state.strategy = cat[target]
+                state.phase_index = nxt_index
+                state.phase_iters = 0
+            elif phase.max_iters is not None:
+                # bounded final phase exhausted
+                if at_max and now < steps:
+                    if cfg.fallback_strategy_id is None:
+                        raise ScheduleExhausted(
+                            f"schedule exhausted at iteration {now} with "
+                            f"{steps - now} step(s) remaining"
+                        )
+                    target = cfg.fallback_strategy_id
+                    step_events.append(ControlEvent(
+                        now, EventKind.PHASE_SWITCH,
+                        f"{phase.strategy_id}->{target} (fallback)",
+                        float(state.phase_iters),
+                    ))
+                    state.strategy = cat[target]
+                    state.phase_index = nxt_index
+                    state.phase_iters = 0
+    return step_events, intervened
 
 
 def run_controlled(
@@ -195,99 +315,58 @@ def run_controlled(
         state = _LoopState(strategy=sim.strategy)
 
     n = state.strategy.dimension
+    steps = sim.iterations
     noise = simulator._SessionStream(sim.base_seed, session_index)
-    m = np.empty((sim.iterations + 1, n))
+    m = np.empty((steps + 1, n))
     m[0] = simulator._resolve_initial(sim, noise)
-    eps = np.empty(n)
+    eps = np.empty((steps, n))  # row t: the noise of step t, drawn once
+    drawn = 0
     events: list[ControlEvent] = []
+    window = cfg.window
 
-    for t in range(sim.iterations):
-        if state.strategy.dimension != n:
+    # Rows up to m[start] are settled. Each segment steps ahead with the
+    # current strategy, then fits every window ending in it at once and
+    # walks the rules step by step. A strategy switch at step `now` drops
+    # the rows after it, and the next segment starts there.
+    start, length = 0, _FIRST_SEGMENT
+    while start < steps:
+        strategy = state.strategy
+        if strategy.dimension != n:
             raise DimensionMismatch(
-                f"strategy {state.strategy.id!r} has dimension "
-                f"{state.strategy.dimension}, the run has {n}"
+                f"strategy {strategy.id!r} has dimension "
+                f"{strategy.dimension}, the run has {n}"
             )
-        noise.normal(t, eps)
-        now = t + 1
-        m[now] = simulator._step(m[t], state.strategy, sim.dt, eps, sim.clip_bounds)
+        stop = min(steps, start + length)
+        for t in range(drawn, stop):
+            noise.normal(t, eps[t])
+        drawn = max(drawn, stop)
+        for t in range(start, stop):
+            m[t + 1] = simulator._step(m[t], strategy, sim.dt, eps[t], sim.clip_bounds)
+        # windows ending at start+1 .. stop; the first ends at `first`
+        first = max(start + 1, window)
+        spectra, error = _window_signals(m[first - window:stop + 1], window, cfg.zero_tol)
 
-        # local spectrum over the trailing window
-        spectrum = _window_spectrum(m, now, cfg.window)
-        report = None
-        if spectrum is not None:
-            report = spectral.classify_regime(spectrum, sim.dt, cfg.zero_tol)
-        step_events = _interventions_at(
-            m, now, cfg, None if report is None else report.convergence_rate
-        )
-        if report is not None:
-            # exploration -> exploitation: the local spectrum just lost
-            # its complex parts
-            has_complex = any(abs(lam.imag) > cfg.zero_tol for lam in report.eigenvalues)
-            if state.had_complex and not has_complex:
-                step_events.append(ControlEvent(
-                    now, EventKind.EXPLORATION_TO_EXPLOITATION,
-                    "local spectrum turned real", report.convergence_rate,
-                ))
-            state.had_complex = has_complex
-            # boundary proximity (edge-triggered)
-            min_abs_re = min(abs(lam.real) for lam in report.eigenvalues)
-            near = min_abs_re < cfg.zero_margin
-            if near and not state.near_zero:
-                detail = "eigenvalue near zero"
-                if schedule is None and cfg.fallback_strategy_id \
-                        and state.strategy.id != cfg.fallback_strategy_id:
-                    detail += f"; switching {state.strategy.id}->{cfg.fallback_strategy_id}"
-                    state.strategy = cat[cfg.fallback_strategy_id]
-                step_events.append(ControlEvent(
-                    now, EventKind.BOUNDARY_AVOID_SWITCH, detail, min_abs_re
-                ))
-            state.near_zero = near
+        for now in range(start + 1, stop + 1):
+            spectrum = None
+            if now >= first:
+                if now - first == len(spectra):
+                    raise error
+                spectrum = spectra[now - first]
+            step_events, intervened = _rules_at(state, m, now, spectrum, cfg, cat, steps)
+            events.extend(step_events)
+            if halt_on_intervention and intervened:
+                return _controlled(m[:now + 1], session_index), events
+            if state.strategy is not strategy:
+                break
+        start = now
+        length = _FIRST_SEGMENT if state.strategy is not strategy \
+            else min(2 * length, _LAST_SEGMENT)
 
-        intervened = any(e.kind is EventKind.INTERVENTION for e in step_events)
+    return _controlled(m, session_index), events
 
-        # phase schedule transitions at min_iters, deferred by interventions
-        # but never past max_iters
-        if schedule is not None and state.phase_index < len(schedule):
-            state.phase_iters += 1
-            phase = schedule[state.phase_index]
-            at_max = phase.max_iters is not None and state.phase_iters >= phase.max_iters
-            due = state.phase_iters >= phase.min_iters
-            if due and (at_max or not intervened):
-                nxt_index = state.phase_index + 1
-                if nxt_index < len(schedule):
-                    target = schedule[nxt_index].strategy_id
-                    step_events.append(ControlEvent(
-                        now, EventKind.PHASE_SWITCH,
-                        f"{phase.strategy_id}->{target}", float(state.phase_iters),
-                    ))
-                    state.strategy = cat[target]
-                    state.phase_index = nxt_index
-                    state.phase_iters = 0
-                elif phase.max_iters is not None:
-                    # bounded final phase exhausted
-                    if at_max and t < sim.iterations - 1:
-                        if cfg.fallback_strategy_id is None:
-                            raise ScheduleExhausted(
-                                f"schedule exhausted at iteration {now} with "
-                                f"{sim.iterations - now} step(s) remaining"
-                            )
-                        target = cfg.fallback_strategy_id
-                        step_events.append(ControlEvent(
-                            now, EventKind.PHASE_SWITCH,
-                            f"{phase.strategy_id}->{target} (fallback)",
-                            float(state.phase_iters),
-                        ))
-                        state.strategy = cat[target]
-                        state.phase_index = nxt_index
-                        state.phase_iters = 0
 
-        events.extend(step_events)
-        if halt_on_intervention and intervened:
-            break
-
-    traj = Trajectory(simulator.session_label(session_index),
-                      "controlled", m[:now + 1])
-    return traj, events
+def _controlled(m: np.ndarray, session_index: int) -> Trajectory:
+    return Trajectory(simulator.session_label(session_index), "controlled", m)
 
 
 def dumps_events(events: Iterable[ControlEvent]) -> str:

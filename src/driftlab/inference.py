@@ -4,6 +4,8 @@ Fits the affine one-step model delta ~ A x + b by pooled least squares
 (bias column appended to the state design matrix), estimates residual
 covariance, computes the interference matrix of cross-objective
 step-change correlations, and scores one-step predictive R-squared.
+`fit_windows` is `fit_affine` over every trailing window of one
+trajectory, with its checks run on all windows at once.
 
 Steps are pooled across every session and iteration of a strategy, in
 session order; all reductions run in a fixed order so results do not
@@ -12,7 +14,10 @@ depend on scheduling.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     DegenerateVariance,
@@ -25,6 +30,24 @@ from .core import (
     SessionSet,
     pooled_step_matrix,
 )
+
+
+_NON_FINITE = "states and deltas must be finite for the fit"
+
+
+def _design(X: np.ndarray) -> np.ndarray:
+    """The design matrix [X | 1]."""
+    Z = np.empty((len(X), X.shape[1] + 1))
+    Z[:, :-1] = X
+    Z[:, -1] = 1.0
+    return Z
+
+
+def _solve(Z: np.ndarray, D: np.ndarray) -> np.ndarray | None:
+    """The least-squares theta of Z theta ~ D, or None when the rank that
+    `lstsq` reports is below Z's column count."""
+    theta, _res, rank, _s = np.linalg.lstsq(Z, D, rcond=None)
+    return theta if rank == Z.shape[1] else None
 
 
 def fit_affine(
@@ -51,16 +74,14 @@ def fit_affine(
     if count < n + 1:
         raise InsufficientData(f"{count} step(s) < n+1 = {n + 1} required for the fit")
     if not (np.isfinite(X).all() and np.isfinite(D).all()):
-        raise NonFinite("states and deltas must be finite for the fit")
+        raise NonFinite(_NON_FINITE)
     if (X == X[0]).all(axis=0).any():
         raise RankDeficientDesign(
             f"design matrix rank < {n + 1}; a state column is constant"
         )
-    Z = np.empty((count, n + 1))
-    Z[:, :n] = X
-    Z[:, n] = 1.0
-    theta, _res, rank, _s = np.linalg.lstsq(Z, D, rcond=None)
-    if rank < n + 1:
+    Z = _design(X)
+    theta = _solve(Z, D)
+    if theta is None:
         raise RankDeficientDesign(
             f"design matrix rank < {n + 1}; states do not span the space"
         )
@@ -71,6 +92,60 @@ def fit_affine(
     sigma = (resid.T @ resid) / dof
     sigma = (sigma + sigma.T) / 2.0
     return A, b, sigma, count
+
+
+class WindowFits(NamedTuple):
+    """`fit_affine` over the windows of one trajectory, in order.
+
+    full[k] says whether window k has a full-rank fit, and A stacks the
+    (n, n) drift matrices of those windows. When error is not None, the
+    fit of window len(full) raises it, and later windows are left out.
+    """
+    full: np.ndarray
+    A: np.ndarray
+    error: Exception | None
+
+
+def fit_windows(rows: np.ndarray, window: int) -> WindowFits:
+    """`fit_affine(w[:-1], np.diff(w, axis=0))` on every window
+    w = rows[k:k + window + 1] of a (T+1, n) matrix, k = 0 .. T - window.
+
+    A window that raises InsufficientData or RankDeficientDesign has no
+    fit. The finiteness and constant-column checks run on all windows at
+    once; each window left gets one `lstsq` call on the same values as in
+    `fit_affine`, so it has the same bits and the same rank decision.
+    """
+    m = np.asarray(rows, dtype=np.float64)
+    n = m.shape[1]
+    X, D = m[:-1], np.diff(m, axis=0)
+    count = max(0, len(X) - window + 1)
+    if window < n + 1 or count == 0:
+        return WindowFits(np.zeros(count, dtype=bool), np.empty((0, n, n)), None)
+    error = None
+    bad = np.flatnonzero(~(np.isfinite(X).all(axis=1) & np.isfinite(D).all(axis=1)))
+    # the first window that holds a non-finite step
+    cut = max(0, int(bad[0]) - window + 1) if len(bad) else count
+    if cut < count:
+        count, error = cut, NonFinite(_NON_FINITE)
+    # moves[j, i]: how often column i changes between rows 0 and j; a window
+    # in which some column never changes has a constant column
+    moves = np.zeros(X.shape, dtype=np.int64)
+    np.cumsum(X[1:] != X[:-1], axis=0, out=moves[1:])
+    flat = (moves[window - 1:window - 1 + count] == moves[:count]).any(axis=1)
+    Zw = sliding_window_view(_design(X), (window, n + 1))[:, 0]
+    Dw = sliding_window_view(D, (window, n))[:, 0]
+    full = np.zeros(count, dtype=bool)
+    A = []
+    for k in np.flatnonzero(~flat).tolist():
+        try:
+            theta = _solve(Zw[k], Dw[k])
+        except np.linalg.LinAlgError as exc:
+            full, error = full[:k], exc
+            break
+        if theta is not None:
+            full[k] = True
+            A.append(theta[:n].T)
+    return WindowFits(full, np.array(A).reshape(-1, n, n), error)
 
 
 def fit_drift(data: SessionSet) -> DriftModel:

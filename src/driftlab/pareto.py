@@ -18,7 +18,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DimensionMismatch, SessionSet, TailTooLong, TooShort, Trajectory
+from .core import (
+    DimensionMismatch,
+    InsufficientData,
+    SessionSet,
+    TailTooLong,
+    TooShort,
+    Trajectory,
+)
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
@@ -145,6 +152,8 @@ def efficiency_rows(data: SessionSet, tail: int = 3) -> list[dict]:
 def cross_strategy_front(equilibria: dict[str, np.ndarray]) -> dict[str, bool]:
     """Which strategies' equilibria survive dominance against the others."""
     names = list(equilibria)
+    if not names:
+        raise InsufficientData("cross-strategy front needs at least one equilibrium")
     P = np.stack([equilibria[k] for k in names])
     mask = non_dominated_mask(P)
     return {name: bool(flag) for name, flag in zip(names, mask)}

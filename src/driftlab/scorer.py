@@ -44,6 +44,9 @@ _VALIDATION_RES = (
     re.compile(r"(?<!\w)raise\s+(?:TypeError|ValueError)\b"),
 )
 
+_WORD_RE = re.compile(r"[A-Za-z_]\w*")
+_IMPORT_RE = re.compile(r"\bimport\b")
+
 _MARK = "\x00"  # stand-in for a string literal in cleaned code
 
 
@@ -249,7 +252,7 @@ def _clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
 
 
 def _first_word(text: str) -> str:
-    m = re.match(r"[A-Za-z_]\w*", text)
+    m = _WORD_RE.match(text)
     return m.group(0) if m else ""
 
 
@@ -304,7 +307,7 @@ def scan_source(source: str) -> SourceScan:
             scan.has_functions = True
         elif word == "class":
             scan.has_classes = True
-        elif word == "import" or (word == "from" and re.search(r"\bimport\b", stripped)):
+        elif word == "import" or (word == "from" and _IMPORT_RE.search(stripped)):
             scan.has_imports = True
         elif word == "return":
             scan.has_returns = True

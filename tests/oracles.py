@@ -6,9 +6,10 @@ loops, O(T^2) dominance scanning, closed-form characteristic-
 polynomial eigenvalues for n <= 3 (quadratic formula / Cardano), a
 one-session-at-a-time Euler-Maruyama loop that builds a fresh Philox
 generator for every draw, a JSONL writer and reader that go through
-one dict and one `json.dumps` / `json.loads` per record, and an affine
+one dict and one `json.dumps` / `json.loads` per record, an affine
 fit that checks the design's rank with its own `np.linalg.matrix_rank`
-before solving.
+before solving, and the controller loop that takes one step, one window
+fit and one spectrum at a time.
 """
 
 from __future__ import annotations
@@ -16,14 +17,20 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
+from driftlab import inference, simulator, spectral
+from driftlab.controller import ControlEvent, EventKind, _interventions_at
 from driftlab.core import (
+    DimensionMismatch,
     InsufficientData,
     RankDeficientDesign,
     RecordFormatError,
+    ScheduleExhausted,
+    StrategySpec,
     Trajectory,
     validate_trajectory,
 )
@@ -177,6 +184,25 @@ def reference_fit_affine(states, deltas):
     return A, b, sigma, count
 
 
+def reference_fit_windows(rows, window, fit=inference.fit_affine):
+    """`inference.fit_windows` as one `fit` call per window, in order."""
+    m = np.asarray(rows, dtype=np.float64)
+    n = m.shape[1]
+    full, A, error = [], [], None
+    for k in range(len(m) - window):
+        w = m[k:k + window + 1]
+        try:
+            A.append(fit(w[:-1], np.diff(w, axis=0))[0])
+            full.append(True)
+        except (InsufficientData, RankDeficientDesign):
+            full.append(False)
+        except Exception as exc:  # what the window raises ends the scan
+            error = exc
+            break
+    return inference.WindowFits(np.array(full, dtype=bool),
+                                np.array(A).reshape(-1, n, n), error)
+
+
 # ---------------------------------------------------------------------------
 # Exact affine contraction trajectories (controller probes)
 # ---------------------------------------------------------------------------
@@ -315,3 +341,162 @@ def reference_loads(text: str) -> list[Trajectory]:
         rows.append(objectives)
     return [validate_trajectory(Trajectory(sid, strategy, rows))
             for sid, (strategy, rows) in sessions.items()]
+
+
+# ---------------------------------------------------------------------------
+# The controller, one step, one window fit and one spectrum at a time
+# ---------------------------------------------------------------------------
+
+def reference_window_spectrum(m: np.ndarray, t: int, window: int) -> list[complex] | None:
+    """Spectrum of the affine drift fitted on the `window` steps ending at
+    iteration t of m, or None before a full window exists or when the
+    window regression is unsolvable (too few samples / rank deficient)."""
+    if t < window:
+        return None
+    w = m[t - window:t + 1]
+    try:
+        A, _b, _sigma, _n = inference.fit_affine(w[:-1], np.diff(w, axis=0))
+    except (InsufficientData, RankDeficientDesign):
+        return None
+    return spectral.eigen_spectrum(A)
+
+
+def reference_check_interventions(traj: Trajectory, cfg) -> list[ControlEvent]:
+    """`controller.check_interventions` with one window fit per iteration."""
+    m = traj.values_matrix
+    events: list[ControlEvent] = []
+    for t in range(len(m)):
+        spectrum = reference_window_spectrum(m, t, cfg.window)
+        rate = None if spectrum is None else -max(lam.real for lam in spectrum)
+        events.extend(_interventions_at(m, t, cfg, rate))
+    return events
+
+
+@dataclass
+class _LoopState:
+    strategy: StrategySpec
+    phase_index: int = 0
+    phase_iters: int = 0
+    had_complex: bool = False
+    near_zero: bool = False
+
+
+def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
+                             session_index=0):
+    """`controller.run_controlled` as the step-by-step loop: draw one step's
+    noise, take the step, fit its trailing window, classify the spectrum
+    and apply the rules, then the next step."""
+    cat = simulator.preset_catalog() if catalog is None else dict(catalog)
+    schedule = cfg.phase_schedule
+    if schedule:
+        missing = [p.strategy_id for p in schedule if p.strategy_id not in cat]
+        if missing:
+            raise KeyError(f"scheduled strategies missing from catalog: {missing}")
+    if cfg.fallback_strategy_id is not None and cfg.fallback_strategy_id not in cat:
+        raise KeyError(f"fallback strategy missing from catalog: {cfg.fallback_strategy_id!r}")
+    if cfg.window > sim.iterations:
+        raise ValueError(
+            f"window {cfg.window} > total iterations {sim.iterations}"
+        )
+    if session_index < 0:
+        raise ValueError(f"session index must be >= 0, got {session_index}")
+
+    if schedule:
+        state = _LoopState(strategy=cat[schedule[0].strategy_id])
+    else:
+        state = _LoopState(strategy=sim.strategy)
+
+    n = state.strategy.dimension
+    noise = simulator._SessionStream(sim.base_seed, session_index)
+    m = np.empty((sim.iterations + 1, n))
+    m[0] = simulator._resolve_initial(sim, noise)
+    eps = np.empty(n)
+    events: list[ControlEvent] = []
+
+    for t in range(sim.iterations):
+        if state.strategy.dimension != n:
+            raise DimensionMismatch(
+                f"strategy {state.strategy.id!r} has dimension "
+                f"{state.strategy.dimension}, the run has {n}"
+            )
+        noise.normal(t, eps)
+        now = t + 1
+        m[now] = simulator._step(m[t], state.strategy, sim.dt, eps, sim.clip_bounds)
+
+        # local spectrum over the trailing window
+        spectrum = reference_window_spectrum(m, now, cfg.window)
+        report = None
+        if spectrum is not None:
+            report = spectral.classify_regime(spectrum, sim.dt, cfg.zero_tol)
+        step_events = _interventions_at(
+            m, now, cfg, None if report is None else report.convergence_rate
+        )
+        if report is not None:
+            # exploration -> exploitation: the local spectrum just lost
+            # its complex parts
+            has_complex = any(abs(lam.imag) > cfg.zero_tol for lam in report.eigenvalues)
+            if state.had_complex and not has_complex:
+                step_events.append(ControlEvent(
+                    now, EventKind.EXPLORATION_TO_EXPLOITATION,
+                    "local spectrum turned real", report.convergence_rate,
+                ))
+            state.had_complex = has_complex
+            # boundary proximity (edge-triggered)
+            min_abs_re = min(abs(lam.real) for lam in report.eigenvalues)
+            near = min_abs_re < cfg.zero_margin
+            if near and not state.near_zero:
+                detail = "eigenvalue near zero"
+                if schedule is None and cfg.fallback_strategy_id \
+                        and state.strategy.id != cfg.fallback_strategy_id:
+                    detail += f"; switching {state.strategy.id}->{cfg.fallback_strategy_id}"
+                    state.strategy = cat[cfg.fallback_strategy_id]
+                step_events.append(ControlEvent(
+                    now, EventKind.BOUNDARY_AVOID_SWITCH, detail, min_abs_re
+                ))
+            state.near_zero = near
+
+        intervened = any(e.kind is EventKind.INTERVENTION for e in step_events)
+
+        # phase schedule transitions at min_iters, deferred by interventions
+        # but never past max_iters
+        if schedule is not None and state.phase_index < len(schedule):
+            state.phase_iters += 1
+            phase = schedule[state.phase_index]
+            at_max = phase.max_iters is not None and state.phase_iters >= phase.max_iters
+            due = state.phase_iters >= phase.min_iters
+            if due and (at_max or not intervened):
+                nxt_index = state.phase_index + 1
+                if nxt_index < len(schedule):
+                    target = schedule[nxt_index].strategy_id
+                    step_events.append(ControlEvent(
+                        now, EventKind.PHASE_SWITCH,
+                        f"{phase.strategy_id}->{target}", float(state.phase_iters),
+                    ))
+                    state.strategy = cat[target]
+                    state.phase_index = nxt_index
+                    state.phase_iters = 0
+                elif phase.max_iters is not None:
+                    # bounded final phase exhausted
+                    if at_max and t < sim.iterations - 1:
+                        if cfg.fallback_strategy_id is None:
+                            raise ScheduleExhausted(
+                                f"schedule exhausted at iteration {now} with "
+                                f"{sim.iterations - now} step(s) remaining"
+                            )
+                        target = cfg.fallback_strategy_id
+                        step_events.append(ControlEvent(
+                            now, EventKind.PHASE_SWITCH,
+                            f"{phase.strategy_id}->{target} (fallback)",
+                            float(state.phase_iters),
+                        ))
+                        state.strategy = cat[target]
+                        state.phase_index = nxt_index
+                        state.phase_iters = 0
+
+        events.extend(step_events)
+        if halt_on_intervention and intervened:
+            break
+
+    traj = Trajectory(simulator.session_label(session_index),
+                      "controlled", m[:now + 1])
+    return traj, events

@@ -298,6 +298,16 @@ def test_module_invocation_matches_direct_call(tmp_path):
     assert out.read_bytes() == direct.read_bytes()
 
 
+def test_package_runs_as_a_module_with_one_line_errors():
+    proc = subprocess.run(
+        [sys.executable, "-m", "driftlab", "control", "--window", "9", "--iterations", "3"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "--window 9 > --iterations 3" in proc.stderr
+
+
 def test_usage_error_from_argparse_is_exit_2(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "driftlab.cli", "simulate", "--bogus-flag"],

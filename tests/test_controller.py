@@ -1,9 +1,12 @@
+from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftlab import controller, inference, simulator
+from driftlab import controller, inference, simulator, spectral
 from driftlab.controller import (
     ControllerConfig,
     EventKind,
@@ -14,13 +17,22 @@ from driftlab.controller import (
 )
 from driftlab.core import (
     DimensionMismatch,
+    NonFinite,
     ScheduleExhausted,
     StrategySpec,
     Trajectory,
     dumps_trajectories,
 )
 
-from oracles import contraction_trajectory, fresh_generator, reference_fit_affine
+import oracles
+from oracles import (
+    contraction_trajectory,
+    fresh_generator,
+    reference_check_interventions,
+    reference_fit_affine,
+    reference_fit_windows,
+    reference_run_controlled,
+)
 
 
 def traj(points):
@@ -199,14 +211,19 @@ def test_run_controlled_draws_the_step_noise_stream(monkeypatch, sigma, schedule
 @pytest.mark.parametrize("schedule", ["default", "none"])
 @pytest.mark.parametrize("halt", [False, True])
 def test_controller_bytes_match_the_rank_oracle_fit(monkeypatch, sigma, schedule, halt):
-    # fit_affine's single decomposition must steer the loop exactly as
-    # matrix_rank-then-lstsq did: same trajectory bytes, same events
+    # the stacked window fit, one lstsq per window, must steer the loop
+    # exactly as matrix_rank-then-lstsq on each window did: same
+    # trajectory bytes, same events
     cfg = ControllerConfig(
         phase_schedule=phased_schedule_default() if schedule == "default" else None
     )
     runs = []
-    for fit in (inference.fit_affine, reference_fit_affine):
-        monkeypatch.setattr(inference, "fit_affine", fit)
+    calls = []
+    for fit in (inference.fit_windows, partial(reference_fit_windows, fit=reference_fit_affine)):
+        def counted(*args, fit=fit):
+            calls.append(fit)
+            return fit(*args)
+        monkeypatch.setattr(inference, "fit_windows", counted)
         for seed in (5, 6):
             sim = simulator.SimConfig(strategy=simulator.preset("AI", sigma),
                                       iterations=400, base_seed=seed)
@@ -215,6 +232,7 @@ def test_controller_bytes_match_the_rank_oracle_fit(monkeypatch, sigma, schedule
                          check_interventions(t, cfg)))
     assert runs[:2] == runs[2:]
     assert all(events for _, events, _ in runs)
+    assert len(set(calls)) == 2
 
 
 def test_halt_on_intervention_truncates_run():
@@ -380,3 +398,222 @@ def test_online_interventions_match_offline_scan():
                 assert online == offline
                 seen.update(e.detail for e in online)
     assert seen == {"security_floor", "efficiency_drop", "rate_ceiling"}
+
+
+# ---------------------------------------------------------------------------
+# segmented run_controlled against the step-by-step reference loop
+# ---------------------------------------------------------------------------
+
+def outcome(monkeypatch, module, run, *args, **kwargs):
+    """What a run gives: its trajectory and event bytes, or the type and
+    message of what it raises; with the iterations whose trigger rules ran,
+    in order, which places a raise at its step."""
+    rules = module._interventions_at
+    seen = []
+
+    def spy(m, t, cfg, rate):
+        seen.append(t)
+        return rules(m, t, cfg, rate)
+
+    monkeypatch.setattr(module, "_interventions_at", spy)
+    try:
+        traj, events = run(*args, **kwargs)
+        result = (dumps_trajectories([traj]), controller.dumps_events(events))
+    except Exception as exc:  # compared with the reference's, whatever it is
+        result = (type(exc), str(exc))
+    finally:
+        monkeypatch.setattr(module, "_interventions_at", rules)
+    return result + (seen,)
+
+
+def assert_matches_reference(monkeypatch, sim, cfg, **kwargs):
+    got = outcome(monkeypatch, controller, run_controlled, sim, cfg, **kwargs)
+    want = outcome(monkeypatch, oracles, reference_run_controlled, sim, cfg, **kwargs)
+    assert got[:2] == want[:2]
+    assert got[2] == want[2]
+    return got
+
+
+def raised(result):
+    return result[0] if isinstance(result[0], type) else None
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 4.0])
+@pytest.mark.parametrize("schedule", ["default", "none"])
+@pytest.mark.parametrize("halt", [False, True])
+def test_run_controlled_matches_reference_on_presets(monkeypatch, sigma, schedule, halt):
+    cfg = ControllerConfig(
+        phase_schedule=phased_schedule_default() if schedule == "default" else None
+    )
+    for strategy in ("AI", "FF", "SF", "EF"):
+        for box in (None, (3.0, 7.0)):
+            sim = simulator.SimConfig(strategy=simulator.preset(strategy, sigma),
+                                      iterations=150, base_seed=17, init_box=box)
+            assert_matches_reference(monkeypatch, sim, cfg, halt_on_intervention=halt)
+
+
+def switching_schedule(seed, phases, last_open):
+    """A schedule whose phases last 1 or 2 steps, over the presets."""
+    rng = np.random.default_rng(seed)
+    ids = ["AI", "FF", "SF", "EF"]
+    rows = [Phase(ids[rng.integers(4)], 1, int(rng.integers(1, 3))) for _ in range(phases)]
+    if last_open:
+        rows[-1] = Phase(rows[-1].strategy_id, 1, None)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("fallback", ["AI", None])
+@pytest.mark.parametrize("halt", [False, True])
+def test_run_controlled_matches_reference_on_fast_switching_schedules(monkeypatch, fallback, halt):
+    # a switch every step or two restarts the segment every step or two
+    switches = 0
+    for seed in range(4):
+        cfg = ControllerConfig(phase_schedule=switching_schedule(seed, 90, last_open=True),
+                               fallback_strategy_id=fallback)
+        sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=160,
+                                  base_seed=seed, init_box=(2.0, 8.0))
+        result = assert_matches_reference(monkeypatch, sim, cfg, halt_on_intervention=halt)
+        switches += result[1].count("PhaseSwitch") if raised(result) is None else 0
+    assert switches > (0 if halt else 100)
+
+
+@pytest.mark.parametrize("fallback", ["AI", None])
+def test_run_controlled_matches_reference_when_a_bounded_schedule_runs_out(monkeypatch, fallback):
+    outcomes = set()
+    for seed in range(3):
+        cfg = ControllerConfig(phase_schedule=switching_schedule(seed, 12, last_open=False),
+                               fallback_strategy_id=fallback)
+        sim = simulator.SimConfig(strategy=simulator.preset("AI", 2.0), iterations=60,
+                                  base_seed=seed)
+        outcomes.add(raised(assert_matches_reference(monkeypatch, sim, cfg)))
+    assert outcomes == ({None} if fallback else {ScheduleExhausted})
+
+
+@pytest.mark.parametrize("window", [2, 3, 8])
+@pytest.mark.parametrize("dt", [1.0, 0.5])
+def test_run_controlled_matches_reference_across_windows_and_dt(monkeypatch, window, dt):
+    for schedule in (phased_schedule_default(), None):
+        cfg = ControllerConfig(window=window, phase_schedule=schedule)
+        for strategy in ("AI", "FF"):
+            sim = simulator.SimConfig(strategy=simulator.preset(strategy, 2.0),
+                                      iterations=200, dt=dt, base_seed=window)
+            assert_matches_reference(monkeypatch, sim, cfg)
+
+
+def dense_catalog(n, seed):
+    """Three dense n-dimensional strategies P, Q, R with drifts near -0.3 I."""
+    rng = np.random.default_rng(seed)
+    return {sid: StrategySpec(sid, -0.3 * np.eye(n) + 0.15 * rng.standard_normal((n, n)),
+                              rng.normal(1.5, 0.5, n), 0.8 * np.eye(n) + 0.1 * rng.random((n, n)))
+            for sid in "PQR"}
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_run_controlled_matches_reference_on_custom_catalogs(monkeypatch, n):
+    catalog = dense_catalog(n, n)
+    schedules = (None, (Phase("P", 2, 3), Phase("Q", 1, 2), Phase("R", 3, 5), Phase("P", 1, None)))
+    for schedule in schedules:
+        for window in (n + 1, n + 3):
+            cfg = ControllerConfig(window=window, phase_schedule=schedule,
+                                   fallback_strategy_id="R")
+            for seed in (1, 2):
+                sim = simulator.SimConfig(strategy=catalog["Q"], iterations=200,
+                                          base_seed=seed, init_box=(2.0, 8.0))
+                for halt in (False, True):
+                    assert_matches_reference(monkeypatch, sim, cfg, catalog=catalog,
+                                             halt_on_intervention=halt)
+
+
+def test_run_controlled_matches_reference_on_a_switch_to_another_width(monkeypatch):
+    lazy = StrategySpec("LZ", np.diag([-0.001, -0.5]), np.zeros(2), 0.4 * np.eye(2))
+    outcomes = set()
+    for seed in range(12):
+        sim = simulator.SimConfig(strategy=lazy, iterations=30, base_seed=seed)
+        outcomes.add(raised(assert_matches_reference(monkeypatch, sim, ControllerConfig(window=3))))
+    assert outcomes == {None, DimensionMismatch}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("window", [2, 5, 8])
+@pytest.mark.parametrize("halt", [False, True])
+def test_unclipped_overflow_raises_or_halts_as_the_reference_does(monkeypatch, window, halt):
+    # AI drift grows the state by 2.6x a step at dt = 20 until it
+    # overflows: a window fit over an infinite row raises NonFinite at its
+    # step (windows 5 and 8); with no fit at all (window 2 < n+1) the
+    # trajectory is rejected at the end. A start below the security floor
+    # halts the run at step 1 before anything overflows.
+    outcomes = set()
+    for seed, box in ((1, (4.0, 6.0)), (2, (4.0, 6.0)), (3, (-3.0, -1.0))):
+        sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=900, dt=20.0,
+                                  base_seed=seed, clip_bounds=None, init_box=box)
+        result = assert_matches_reference(monkeypatch, sim, ControllerConfig(window=window),
+                                          halt_on_intervention=halt)
+        outcomes.add(raised(result))
+        if raised(result) is NonFinite and window > 3:
+            assert len(result[2]) < 900  # raised by a window fit
+    assert NonFinite in outcomes
+    assert (None in outcomes) == halt
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), iterations=st.integers(8, 120),
+       window=st.integers(2, 8), sigma=st.sampled_from([0.3, 1.0, 2.0, 4.0]),
+       strategy=st.sampled_from(["AI", "FF", "SF", "EF"]), scheduled=st.booleans(),
+       halt=st.booleans())
+def test_run_controlled_matches_reference_property(seed, iterations, window, sigma, strategy,
+                                                   scheduled, halt):
+    sim = simulator.SimConfig(strategy=simulator.preset(strategy, sigma),
+                              iterations=max(iterations, window), base_seed=seed)
+    cfg = ControllerConfig(window=window,
+                           phase_schedule=phased_schedule_default() if scheduled else None)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_matches_reference(monkeypatch, sim, cfg, halt_on_intervention=halt)
+
+
+@pytest.mark.parametrize("window", [5, 8])
+def test_check_interventions_matches_per_window_reference(window):
+    cfg = ControllerConfig(window=window)
+    seen = set()
+    for strategy in ("AI", "FF"):
+        sim = simulator.SimConfig(strategy=simulator.preset(strategy, 2.0), iterations=2000,
+                                  base_seed=window)
+        t = simulator.simulate_session(sim, 0)
+        got = check_interventions(t, cfg)
+        assert controller.dumps_events(got) == \
+            controller.dumps_events(reference_check_interventions(t, cfg))
+        seen.update(e.detail for e in got)
+    assert {"security_floor", "efficiency_drop"} <= seen
+
+
+def per_matrix_signals(A, zero_tol):
+    report = spectral.classify_regime(spectral.eigen_spectrum(A), 1.0, zero_tol)
+    lams = report.eigenvalues
+    return (report.convergence_rate, any(abs(lam.imag) > zero_tol for lam in lams),
+            min(abs(lam.real) for lam in lams))
+
+
+def test_window_signals_match_per_matrix_reports(monkeypatch):
+    # signed zeros, where a stacked max may pick another zero than the
+    # scan over the sorted spectrum, and a non-finite matrix mid-stack,
+    # which raises at its own window
+    rng = np.random.default_rng(5)
+    stack = [np.diag([-0.0, 0.0, -1.0]), np.diag([0.0, -0.0, -1.0]), np.zeros((3, 3)),
+             np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -0.0]]),
+             rng.standard_normal((3, 3)), np.full((3, 3), np.inf), rng.standard_normal((3, 3))]
+    full = np.array([True, False, True, True, True, True, False, True, True])
+    fits = inference.WindowFits(full, np.array(stack), None)
+    monkeypatch.setattr(inference, "fit_windows", lambda rows, window: fits)
+    signals, error = controller._window_signals(None, 5, 0.01)
+    want = [per_matrix_signals(a, 0.01) for a in stack[:5]]
+    assert repr(signals) == repr([want[0], None, want[1], want[2], want[3], want[4], None])
+    assert isinstance(error, NonFinite) and str(error) == "matrix has non-finite entries"
+    # signed zeros alone
+    fits = inference.WindowFits(np.ones(4, dtype=bool), np.array(stack[:4]), None)
+    signals, error = controller._window_signals(None, 5, 0.01)
+    assert error is None and repr(signals) == repr(want[:4])
+    # without the bad matrix the stacked path serves every window
+    fits = inference.WindowFits(full[:6], np.array(stack[4:5] * 5), None)
+    signals, error = controller._window_signals(None, 5, 0.01)
+    assert error is None and signals[1] is None
+    assert repr([s for s in signals if s]) == repr([per_matrix_signals(stack[4], 0.01)] * 5)

@@ -13,7 +13,7 @@ from driftlab.core import (
     Trajectory,
 )
 
-from oracles import naive_pearson, reference_fit_affine
+from oracles import naive_pearson, reference_fit_affine, reference_fit_windows
 
 
 def affine_sessions(A, b, starts, steps, strategy_id="X", clip=False):
@@ -275,6 +275,94 @@ def test_fit_affine_at_the_cutoff_follows_lstsq_rank(example):
         assert np.array_equal(got[1], theta[-1])
     want = fit_outcome(reference_fit_affine, X, D)
     assert (want is None) == (np.linalg.matrix_rank(Z) < Z.shape[1])
+
+
+# ---------------------------------------------------------------------------
+# fit_windows against one fit_affine call per window
+# ---------------------------------------------------------------------------
+
+def assert_same_windows(rows, window):
+    """fit_windows gives what fit_affine gives window by window: the same
+    full-rank windows, bit-identical A, and the same first exception at
+    the same window. Returns the number of full-rank windows."""
+    got = inference.fit_windows(rows, window)
+    want = reference_fit_windows(rows, window)
+    assert np.array_equal(got.full, want.full), window
+    assert got.A.shape == want.A.shape and got.A.tobytes() == want.A.tobytes()
+    assert type(got.error) is type(want.error) and str(got.error) == str(want.error)
+    return int(got.full.sum())
+
+
+def test_fit_windows_matches_fit_affine_on_simulated_sessions():
+    # the two sizes below n+1 never fit; 4 to 8 steps mix constant-column,
+    # other deficient and full-rank windows
+    full = 0
+    for seed in range(3):
+        for strategy in ("AI", "FF"):
+            for sigma in (0.5, 2.0, 4.0):
+                cfg = simulator.SimConfig(strategy=simulator.preset(strategy, sigma=sigma),
+                                          iterations=120, base_seed=seed)
+                m = simulator.simulate_session(cfg, 0).values_matrix
+                for window in (2, 3, 4, 5, 8, 120):
+                    full += assert_same_windows(m, window)
+    assert full > 1000
+
+
+def pinned_walk(rng, steps, n):
+    """A random walk whose columns stick at a value for runs of 1 to 9 rows,
+    some of them with ulp-sized wobbles, so windows fall on both sides of
+    every constant-column edge and of the rank cut-off."""
+    m = np.empty((steps + 1, n))
+    x = rng.uniform(0.0, 10.0, n)
+    hold = np.zeros(n, dtype=int)
+    for t in range(steps + 1):
+        for i in range(n):
+            if hold[i] == 0:
+                x[i] = rng.uniform(0.0, 10.0)
+                hold[i] = rng.integers(0, 10) if rng.random() < 0.5 else 0
+            else:
+                hold[i] -= 1
+                if rng.random() < 0.2:
+                    x[i] = x[i] * (1.0 + EPS * rng.integers(-4, 5))
+        m[t] = x
+    return m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fit_windows_matches_fit_affine_at_constant_column_edges(n):
+    rng = np.random.default_rng(40 + n)
+    m = pinned_walk(rng, 400, n)
+    for window in (n + 1, n + 2, 8):
+        want = reference_fit_windows(m, window)
+        assert 0 < want.full.sum() < len(want.full)
+        assert_same_windows(m, window)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's residuals overflow
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_windows_stops_at_the_first_non_finite_window(capfd, bad):
+    rng = np.random.default_rng(41)
+    m = rng.uniform(0.0, 10.0, (40, 3))
+    for row in (0, 1, 4, 5, 6, 20, 39):
+        w = m.copy()
+        w[row, 1] = bad
+        for window in (3, 4, 5, 8):
+            assert_same_windows(w, window)
+        assert len(inference.fit_windows(w, 5).full) == max(0, row - 5)
+    # a step whose change alone overflows
+    w = m.copy()
+    w[10, 0], w[11, 0] = -1.5e308, 1.5e308
+    assert_same_windows(w, 4)
+    assert isinstance(inference.fit_windows(w, 4).error, NonFinite)
+    assert capfd.readouterr().err == ""
+
+
+def test_fit_windows_without_a_whole_window_is_empty():
+    m = np.arange(12.0).reshape(4, 3)
+    for window in (3, 4, 9):
+        fits = inference.fit_windows(m, window)
+        assert fits.full.shape == (max(0, 4 - window),)
+        assert fits.A.shape == (0, 3, 3) and fits.error is None
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from driftlab import pareto, simulator
 from driftlab.core import (
     DimensionMismatch,
+    InsufficientData,
     SessionSet,
     TailTooLong,
     TooShort,
@@ -213,3 +214,8 @@ def test_cross_strategy_front():
     }
     front = pareto.cross_strategy_front(eqs)
     assert front == {"A": True, "B": False, "C": True}
+
+
+def test_cross_strategy_front_of_no_strategies_is_insufficient_data():
+    with pytest.raises(InsufficientData, match="at least one equilibrium"):
+        pareto.cross_strategy_front({})
