@@ -171,8 +171,7 @@ class SessionSet:
     trajectories: tuple[Trajectory, ...]
     dimension: int
 
-    def __init__(self, strategy_id: str, trajectories: Iterable[Trajectory],
-                 dimension: int | None = None):
+    def __init__(self, strategy_id: str, trajectories: Iterable[Trajectory]):
         trajs = tuple(trajectories)
         if not trajs:
             raise InsufficientData("session set must contain at least one trajectory")
@@ -180,8 +179,6 @@ class SessionSet:
         if len(dims) != 1:
             raise DimensionMismatch(f"session set mixes dimensions {sorted(dims)}")
         n = dims.pop()
-        if dimension is not None and dimension != n:
-            raise DimensionMismatch(f"declared dimension {dimension} != data dimension {n}")
         bad = [t.session_id for t in trajs if t.strategy_id != strategy_id]
         if bad:
             raise DomainError(f"sessions {bad} do not belong to strategy {strategy_id!r}")
@@ -204,7 +201,11 @@ class SessionSet:
 
 @dataclass(frozen=True, eq=False)
 class StrategySpec:
-    """Affine drift plus constant diffusion: mu(x) = A x + b, noise scale sigma."""
+    """Affine drift plus constant diffusion: mu(x) = A x + b, noise scale sigma.
+
+    The id is a str and the state has n >= 2 objectives, as a `Trajectory`
+    of the strategy must.
+    """
 
     id: str
     drift_matrix: np.ndarray
@@ -212,12 +213,16 @@ class StrategySpec:
     diffusion: np.ndarray
 
     def __init__(self, id: str, drift_matrix, drift_intercept, diffusion):
+        if not isinstance(id, str):
+            raise TypeError(f"strategy id must be str, got {id!r}")
         A = np.array(drift_matrix, dtype=np.float64)
         b = np.array(drift_intercept, dtype=np.float64)
         S = np.array(diffusion, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise NonSquare(f"drift matrix must be square, got shape {A.shape}")
         n = A.shape[0]
+        if n < 2:
+            raise DimensionMismatch(f"strategy must have n >= 2 objectives, got {n}")
         if S.shape != (n, n):
             raise DimensionMismatch(f"diffusion shape {S.shape} != ({n}, {n})")
         if b.shape != (n,):

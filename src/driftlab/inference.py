@@ -57,8 +57,9 @@ def fit_affine(
 
     Returns (A, b, residual covariance, sample count). Raises
     InsufficientData when there are fewer than n+1 samples, NonFinite when
-    either input holds a NaN or an infinity, and RankDeficientDesign when
-    the design matrix loses column rank. A state column that is constant
+    either input holds a NaN or an infinity or when A, b or the residual
+    covariance overflows to one, and RankDeficientDesign when the design
+    matrix loses column rank. A state column that is constant
     across the samples is an exact multiple of the bias column, so it is
     rejected before any decomposition; otherwise the rank is the one
     `lstsq` reports, whose cut-off (eps * max(N, n+1) * largest singular
@@ -87,10 +88,13 @@ def fit_affine(
         )
     A = theta[:n].T
     b = theta[n]
-    resid = D - Z @ theta
-    dof = max(1, count - (n + 1))
-    sigma = (resid.T @ resid) / dof
-    sigma = (sigma + sigma.T) / 2.0
+    with np.errstate(all="ignore"):  # an overflow shows in the finiteness check
+        resid = D - Z @ theta
+        dof = max(1, count - (n + 1))
+        sigma = (resid.T @ resid) / dof
+        sigma = (sigma + sigma.T) / 2.0
+    if not (np.isfinite(theta).all() and np.isfinite(sigma).all()):
+        raise NonFinite("the fit overflowed: A, b or the residual covariance is not finite")
     return A, b, sigma, count
 
 
@@ -113,7 +117,9 @@ def fit_windows(rows: np.ndarray, window: int) -> WindowFits:
     A window that raises InsufficientData or RankDeficientDesign has no
     fit. The finiteness and constant-column checks run on all windows at
     once; each window left gets one `lstsq` call on the same values as in
-    `fit_affine`, so it has the same bits and the same rank decision.
+    `fit_affine`, so it has the same bits and the same rank decision. Only
+    A is computed, so a window whose b or residual covariance overflows,
+    where `fit_affine` raises NonFinite, keeps its fit here.
     """
     m = np.asarray(rows, dtype=np.float64)
     n = m.shape[1]

@@ -48,6 +48,16 @@ _WORD_RE = re.compile(r"[A-Za-z_]\w*")
 _IMPORT_RE = re.compile(r"\bimport\b")
 
 _MARK = "\x00"  # stand-in for a string literal in cleaned code
+_PAIRS = {")": "(", "]": "[", "}": "{"}
+# In code, a run up to the next quote, bracket, backslash or comment.
+_CODE_RUN_RE = re.compile(r"[^\"'#()\[\]{}\\]*")
+# Inside a literal, its body up to the closing delimiter or the line end:
+# a backslash takes the character after it, and a triple-quoted body may
+# hold its quote character alone or doubled.
+_LITERAL_BODY_RES = {
+    **{q: re.compile(rf"(?:[^\\{q}]+|\\.?)*") for q in "'\""},
+    **{q * 3: re.compile(rf"(?:[^\\{q}]+|\\.?|{q}(?!{q}{q}))*") for q in "'\""},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -127,127 +137,90 @@ class SourceScan:
 def _clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
     """Strip strings and comments, join continuations, balance brackets.
 
+    One state says whether a string literal is open: `close`, its closing
+    delimiter, or None in code. Each step consumes a whole run with one
+    precompiled match: in code, the characters up to the next quote,
+    bracket, backslash or `#`; inside a literal, its body up to the close
+    or the line end. A literal's prefix is the string-prefix letters
+    (at most three) that end the code run before its opening quote.
+
     Returns the logical lines, a validity flag covering bracket balance
     and string termination, and the count of non-blank physical lines.
     """
     valid = True
     nonblank = 0
     logical: list[_Logical] = []
-    cur_parts: list[str] = []
-    cur_literals: list[_Literal] = []
-    cur_indent = 0
-    open_logical = False       # inside brackets or after a backslash
-    triple: str | None = None  # closing delimiter when inside a triple string
-    single: str | None = None  # closing quote when inside a one-line string
-    literal_buf: list[str] = []
-    literal_prefix = ""
-    bracket_stack: list[str] = []
-    pairs = {")": "(", "]": "[", "}": "{"}
-
-    def flush():
-        nonlocal cur_parts, cur_literals, open_logical
-        logical.append(_Logical(cur_indent, "".join(cur_parts), cur_literals))
-        cur_parts, cur_literals = [], []
-        open_logical = False
-
-    def end_literal():
-        nonlocal literal_buf, literal_prefix
-        cur_literals.append(_Literal("".join(literal_buf), literal_prefix))
-        cur_parts.append(_MARK)
-        literal_buf, literal_prefix = [], ""
-
+    # The open logical line's code: empty only between logical lines, as
+    # every step in code appends its run, even an empty one.
+    parts: list[str] = []
+    literals: list[_Literal] = []
+    indent = 0
+    close: str | None = None
+    body: list[str] = []
+    prefix = ""
+    brackets: list[str] = []
     for raw in source.splitlines():
         line = raw.expandtabs()
         blank = not line.strip()
         nonblank += not blank
-        if triple is None and single is None and not open_logical:
+        if not parts:
             if blank:
                 continue
-            cur_indent = len(line) - len(line.lstrip(" "))
-        i = 0
+            indent = len(line) - len(line.lstrip(" "))
+        i, end = 0, len(line)
         backslash_eol = False
-        while i < len(line):
-            ch = line[i]
-            if triple is not None:
-                if ch == "\\" and i + 1 < len(line):
-                    literal_buf.append(line[i:i + 2])
-                    i += 2
-                    continue
-                if line.startswith(triple, i):
-                    i += 3
-                    triple = None
-                    end_literal()
-                    continue
-                literal_buf.append(ch)
-                i += 1
-                continue
-            if single is not None:
-                if ch == "\\" and i + 1 < len(line):
-                    literal_buf.append(line[i:i + 2])
-                    i += 2
-                    continue
-                if ch == single:
-                    single = None
-                    end_literal()
-                    i += 1
-                    continue
-                literal_buf.append(ch)
-                i += 1
-                continue
-            if ch == "#":
-                break
-            if ch in "\"'":
-                prefix = ""
-                while cur_parts and len(prefix) < 3:
-                    if not cur_parts[-1]:
-                        cur_parts.pop()
-                        continue
-                    if cur_parts[-1][-1] not in "rbfuRBFU":
+        while True:
+            if close is not None:
+                m = _LITERAL_BODY_RES[close].match(line, i)
+                body.append(m[0])
+                i = m.end() + len(close)
+                if i > end:
+                    if len(close) == 3:
                         break
-                    prefix = cur_parts[-1][-1] + prefix
-                    cur_parts[-1] = cur_parts[-1][:-1]
-                literal_prefix = prefix
-                if line.startswith(ch * 3, i):
-                    triple = ch * 3
-                    i += 3
-                else:
-                    single = ch
-                    i += 1
-                continue
-            if ch in "([{":
-                bracket_stack.append(ch)
-            elif ch in ")]}":
-                if not bracket_stack or bracket_stack[-1] != pairs[ch]:
+                    # string ran off the end of its line: recover, flag invalid
                     valid = False
-                else:
-                    bracket_stack.pop()
-            elif ch == "\\" and i == len(line) - 1:
-                backslash_eol = True
-                i += 1
-                continue
+                literals.append(_Literal("".join(body), prefix))
+                parts.append(_MARK)
+                close, body = None, []
+            m = _CODE_RUN_RE.match(line, i)
             # a raw NUL in code must not pass for a literal marker
-            cur_parts.append(" " if ch == _MARK else ch)
+            parts.append(m[0].replace(_MARK, " "))
+            i = m.end()
+            if i == end or line[i] == "#":
+                break
+            ch = line[i]
+            if ch in "\"'":
+                tail = parts[-1][-3:]
+                prefix = tail[len(tail.rstrip("rbfuRBFU")):]
+                parts[-1] = parts[-1][:len(parts[-1]) - len(prefix)]
+                close = ch * 3 if line.startswith(ch * 3, i) else ch
+                i += len(close)
+                continue
             i += 1
-        if single is not None:
-            # string ran off the end of its line: recover, flag invalid
-            valid = False
-            single = None
-            end_literal()
-        if triple is not None:
-            literal_buf.append("\n")
-            open_logical = True
-            continue
-        if backslash_eol or bracket_stack:
-            cur_parts.append(" ")
-            open_logical = True
-            continue
-        flush()
-    if triple is not None or single is not None or bracket_stack or open_logical:
+            if ch == "\\" and i == end:
+                backslash_eol = True
+                break
+            if ch in "([{":
+                brackets.append(ch)
+            elif ch in _PAIRS:
+                if brackets and brackets[-1] == _PAIRS[ch]:
+                    brackets.pop()
+                else:
+                    valid = False
+            parts.append(ch)
+        if close is not None:
+            body.append("\n")
+        elif backslash_eol or brackets:
+            parts.append(" ")
+        else:
+            logical.append(_Logical(indent, "".join(parts), literals))
+            parts, literals = [], []
+    if parts:
         valid = False
-        if cur_parts or cur_literals or literal_buf:
-            if literal_buf:
-                end_literal()
-            flush()
+        if close is not None:
+            literals.append(_Literal("".join(body), prefix))
+            parts.append(_MARK)
+        logical.append(_Logical(indent, "".join(parts), literals))
     return logical, valid, nonblank
 
 

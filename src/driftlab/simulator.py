@@ -143,7 +143,8 @@ class SimConfig:
     as (low, high), overrides it with a per-session uniform draw.
     clip_bounds None disables clipping entirely; otherwise init_box and an
     explicit initial_state must lie inside the clip box. base_seed is a
-    64-bit unsigned integer.
+    64-bit unsigned integer. The run's states, sessions x (iterations + 1)
+    x n float64 values, must fit in the byte range of one numpy array.
     """
 
     strategy: StrategySpec
@@ -160,6 +161,13 @@ class SimConfig:
             raise ValueError(f"sessions must be >= 1, got {self.sessions}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        size = self.sessions * (self.iterations + 1) * self.strategy.dimension * 8
+        if size > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"{self.sessions} session(s) x {self.iterations + 1} states x "
+                f"{self.strategy.dimension} float64 values need {size} bytes, "
+                f"more than one array can hold"
+            )
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0 <= self.base_seed <= _MASK64:

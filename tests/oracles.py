@@ -8,8 +8,9 @@ one-session-at-a-time Euler-Maruyama loop that builds a fresh Philox
 generator for every draw, a JSONL writer and reader that go through
 one dict and one `json.dumps` / `json.loads` per record, an affine
 fit that checks the design's rank with its own `np.linalg.matrix_rank`
-before solving, and the controller loop that takes one step, one window
-fit and one spectrum at a time.
+before solving, the controller loop that takes one step, one window fit
+and one spectrum at a time, and the scorer's source cleaner that walks
+one character at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from driftlab.controller import ControlEvent, EventKind, _interventions_at
 from driftlab.core import (
     DimensionMismatch,
     InsufficientData,
+    NonFinite,
     RankDeficientDesign,
     RecordFormatError,
     ScheduleExhausted,
@@ -34,6 +36,7 @@ from driftlab.core import (
     Trajectory,
     validate_trajectory,
 )
+from driftlab.scorer import _MARK, _Literal, _Logical
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +187,23 @@ def reference_fit_affine(states, deltas):
     return A, b, sigma, count
 
 
-def reference_fit_windows(rows, window, fit=inference.fit_affine):
+def unchecked_fit_affine(states, deltas):
+    """`inference.fit_affine` without its check that the results are finite.
+    Where the fit overflows, fit_affine raises NonFinite, but `fit_windows`
+    and the controller, which read A alone, keep the A that `lstsq` gave:
+    so does this, with None for b and the residual covariance."""
+    try:
+        return inference.fit_affine(states, deltas)
+    except NonFinite:
+        X = np.asarray(states, dtype=np.float64)
+        D = np.asarray(deltas, dtype=np.float64)
+        if not (np.isfinite(X).all() and np.isfinite(D).all()):
+            raise
+    theta = inference._solve(inference._design(X), D)
+    return theta[:X.shape[1]].T, None, None, len(X)
+
+
+def reference_fit_windows(rows, window, fit=unchecked_fit_affine):
     """`inference.fit_windows` as one `fit` call per window, in order."""
     m = np.asarray(rows, dtype=np.float64)
     n = m.shape[1]
@@ -355,7 +374,7 @@ def reference_window_spectrum(m: np.ndarray, t: int, window: int) -> list[comple
         return None
     w = m[t - window:t + 1]
     try:
-        A, _b, _sigma, _n = inference.fit_affine(w[:-1], np.diff(w, axis=0))
+        A, _b, _sigma, _n = unchecked_fit_affine(w[:-1], np.diff(w, axis=0))
     except (InsufficientData, RankDeficientDesign):
         return None
     return spectral.eigen_spectrum(A)
@@ -500,3 +519,135 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
     traj = Trajectory(simulator.session_label(session_index),
                       "controlled", m[:now + 1])
     return traj, events
+
+
+# ---------------------------------------------------------------------------
+# Source cleaner, one character at a time
+# ---------------------------------------------------------------------------
+
+def reference_clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
+    """`scorer._clean_lines` one character at a time: strip strings and
+    comments, join continuations, balance brackets.
+
+    Returns the logical lines, a validity flag covering bracket balance
+    and string termination, and the count of non-blank physical lines.
+    """
+    valid = True
+    nonblank = 0
+    logical: list[_Logical] = []
+    cur_parts: list[str] = []
+    cur_literals: list[_Literal] = []
+    cur_indent = 0
+    open_logical = False       # inside brackets or after a backslash
+    triple: str | None = None  # closing delimiter when inside a triple string
+    single: str | None = None  # closing quote when inside a one-line string
+    literal_buf: list[str] = []
+    literal_prefix = ""
+    bracket_stack: list[str] = []
+    pairs = {")": "(", "]": "[", "}": "{"}
+
+    def flush():
+        nonlocal cur_parts, cur_literals, open_logical
+        logical.append(_Logical(cur_indent, "".join(cur_parts), cur_literals))
+        cur_parts, cur_literals = [], []
+        open_logical = False
+
+    def end_literal():
+        nonlocal literal_buf, literal_prefix
+        cur_literals.append(_Literal("".join(literal_buf), literal_prefix))
+        cur_parts.append(_MARK)
+        literal_buf, literal_prefix = [], ""
+
+    for raw in source.splitlines():
+        line = raw.expandtabs()
+        blank = not line.strip()
+        nonblank += not blank
+        if triple is None and single is None and not open_logical:
+            if blank:
+                continue
+            cur_indent = len(line) - len(line.lstrip(" "))
+        i = 0
+        backslash_eol = False
+        while i < len(line):
+            ch = line[i]
+            if triple is not None:
+                if ch == "\\" and i + 1 < len(line):
+                    literal_buf.append(line[i:i + 2])
+                    i += 2
+                    continue
+                if line.startswith(triple, i):
+                    i += 3
+                    triple = None
+                    end_literal()
+                    continue
+                literal_buf.append(ch)
+                i += 1
+                continue
+            if single is not None:
+                if ch == "\\" and i + 1 < len(line):
+                    literal_buf.append(line[i:i + 2])
+                    i += 2
+                    continue
+                if ch == single:
+                    single = None
+                    end_literal()
+                    i += 1
+                    continue
+                literal_buf.append(ch)
+                i += 1
+                continue
+            if ch == "#":
+                break
+            if ch in "\"'":
+                prefix = ""
+                while cur_parts and len(prefix) < 3:
+                    if not cur_parts[-1]:
+                        cur_parts.pop()
+                        continue
+                    if cur_parts[-1][-1] not in "rbfuRBFU":
+                        break
+                    prefix = cur_parts[-1][-1] + prefix
+                    cur_parts[-1] = cur_parts[-1][:-1]
+                literal_prefix = prefix
+                if line.startswith(ch * 3, i):
+                    triple = ch * 3
+                    i += 3
+                else:
+                    single = ch
+                    i += 1
+                continue
+            if ch in "([{":
+                bracket_stack.append(ch)
+            elif ch in ")]}":
+                if not bracket_stack or bracket_stack[-1] != pairs[ch]:
+                    valid = False
+                else:
+                    bracket_stack.pop()
+            elif ch == "\\" and i == len(line) - 1:
+                backslash_eol = True
+                i += 1
+                continue
+            # a raw NUL in code must not pass for a literal marker
+            cur_parts.append(" " if ch == _MARK else ch)
+            i += 1
+        if single is not None:
+            # string ran off the end of its line: recover, flag invalid
+            valid = False
+            single = None
+            end_literal()
+        if triple is not None:
+            literal_buf.append("\n")
+            open_logical = True
+            continue
+        if backslash_eol or bracket_stack:
+            cur_parts.append(" ")
+            open_logical = True
+            continue
+        flush()
+    if triple is not None or single is not None or bracket_stack or open_logical:
+        valid = False
+        if cur_parts or cur_literals or literal_buf:
+            if literal_buf:
+                end_literal()
+            flush()
+    return logical, valid, nonblank

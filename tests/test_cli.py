@@ -415,6 +415,9 @@ def _bad_invocation(tmp_path, case):
         "control-sigma-inf": ("--sigma", "inf"),
         "control-seed-above-64-bits": ("--seed", str(2**64)),
         "control-seed-negative": ("--seed", "-1"),
+        # more states than one array can index: rejected before any allocation
+        "simulate-iterations-above-intp": ("--iterations", str(10**20)),
+        "control-iterations-above-intp": ("--iterations", str(10**20)),
     }
     if case in run_flags:
         command = case.split("-")[0]
@@ -461,6 +464,20 @@ def _bad_invocation(tmp_path, case):
         spec = tmp_path / "spec.json"
         spec.write_text('{"id": "X", "drift_matrix": [[0.1, 0')
         return ["simulate", "--strategy", str(spec), "--out", str(tmp_path / "x.jsonl")]
+    strategy_files = {
+        "strategy-id-not-str": {"id": 7, "drift_matrix": [[-0.5, 0], [0, -0.5]],
+                                "drift_intercept": [0, 0], "diffusion": [[1, 0], [0, 1]]},
+        "strategy-1x1": {"id": "X", "drift_matrix": [[-0.5]], "drift_intercept": [0],
+                         "diffusion": [[1]]},
+    }
+    command, _, kind = case.partition("-")
+    if kind in strategy_files:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(strategy_files[kind]))
+        if command == "simulate":
+            return ["simulate", "--strategy", str(spec), "--out", str(tmp_path / "x.jsonl")]
+        return ["control", "--schedule", "none", "--strategy", str(spec),
+                "--out", str(tmp_path / "c")]
     if case == "score-not-utf8":
         src = tmp_path / "latin1.py"
         src.write_bytes(b"name = '\xe9t\xe9'\n")
@@ -505,6 +522,12 @@ def _bad_invocation(tmp_path, case):
     ("config-no-equals", 2),
     ("control-schedule-unknown-strategy", 2),
     ("strategy-bad-json", 2),
+    ("simulate-strategy-id-not-str", 2),
+    ("control-strategy-id-not-str", 2),
+    ("simulate-strategy-1x1", 2),
+    ("control-strategy-1x1", 2),
+    ("simulate-iterations-above-intp", 2),
+    ("control-iterations-above-intp", 2),
     ("score-not-utf8", 1),
     ("manifest-length-not-int", 1),
     ("manifest-no-length-column", 2),
@@ -516,3 +539,5 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     err = capsys.readouterr().err
     assert err.strip() and err.count("\n") == 1
     assert not any((tmp_path / "r").glob("*"))  # analyze wrote nothing
+    if case.endswith(("strategy-id-not-str", "strategy-1x1")):
+        assert "bad strategy file" in err

@@ -136,6 +136,23 @@ def test_fit_affine_rejects_non_finite_input(capfd, arg, bad):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("overflow", ["A", "b and sigma"])
+def test_fit_affine_raises_non_finite_when_the_fit_overflows(capfd, overflow):
+    if overflow == "A":
+        # deltas near the float range over a tiny spread of states
+        rng = np.random.default_rng(1)
+        X = rng.uniform(0, 1e-5, (6, 2))
+        D = rng.uniform(-1e305, 1e305, (6, 2))
+    else:
+        # one delta near the float range: A stays finite, b and the residuals do not
+        m = np.random.default_rng(0).uniform(0.0, 10.0, (12, 3))
+        m[10, 0] = -1.5e308
+        X, D = m[6:10], np.diff(m[6:11], axis=0)
+    with pytest.raises(NonFinite, match="overflowed"):
+        inference.fit_affine(X, D)
+    assert capfd.readouterr().err == ""  # no RuntimeWarning
+
+
 # ---------------------------------------------------------------------------
 # fit_affine against the two-decomposition oracle
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ rejected with a DomainError, never with a bare exception. The writer is
 byte-identical, and the reader gives the same trajectories or the same
 error, as the one-`json`-call-per-record reference in `oracles`. Also: the
 Pareto mask and the per-session efficiencies equal a brute-force scan
-whatever the sweep's block size."""
+whatever the sweep's block size. And the scorer's source cleaner gives the
+same logical lines, validity flag and non-blank count as the reference
+that walks one character at a time."""
 
 import json
 from unittest import mock
@@ -15,11 +17,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from driftlab import core, pareto
+from driftlab import core, pareto, scorer
 from driftlab.core import DomainError, SessionSet, Trajectory
 
-from oracles import (brute_efficiency, brute_non_dominated, reference_dumps,
-                     reference_loads, reference_records)
+from oracles import (brute_efficiency, brute_non_dominated, reference_clean_lines,
+                     reference_dumps, reference_loads, reference_records)
 
 # Fixed examples keep tier-1 deterministic; no example database is written.
 _SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -229,3 +231,20 @@ def test_efficiency_rows_match_per_session_efficiency(sessions, block):
         got = [row["efficiency"] for row in pareto.efficiency_rows(data, tail=1)]
         want = [pareto.pareto_efficiency(traj) for traj in data]
     assert got == want == [brute_efficiency(rows) for rows in sessions]
+
+
+# Quotes, string prefixes, backslashes mid-line and before every line break,
+# brackets, comments, NUL, tabs and every `str.splitlines` separator.
+_SOURCE_TOKENS = (["'", '"', "'''", '"""', "\\", "(", ")", "[", "]", "{", "}", "#",
+                   "\x00", "\t", " ", "    ", "x", "=", ":", "+"]
+                  + list("rbfuRBFU") + list(_SEPARATORS) + ["\\" + b for b in _SEPARATORS])
+
+
+@settings(_SETTINGS, max_examples=600)
+@given(st.lists(st.sampled_from(_SOURCE_TOKENS), max_size=40).map("".join))
+def test_clean_lines_matches_per_character_reference(source):
+    logical, valid, nonblank = scorer._clean_lines(source)
+    ref_logical, ref_valid, ref_nonblank = reference_clean_lines(source)
+    assert logical == ref_logical  # indent, cleaned text, each literal's text and prefix
+    assert valid == ref_valid
+    assert nonblank == ref_nonblank
