@@ -93,7 +93,7 @@ def load_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"bad config file {path!r}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
@@ -478,6 +478,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"{args.command}: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -5,20 +5,19 @@ indentation, pattern rules from tokenized line matching. It targets
 indentation-delimited source and never parses a full grammar, never
 executes, spawns, or writes anything.
 
-Rule weights live in ``scorer_rules.cfg`` next to this module; every
-score is reproducible as clip(base + sum of rule-hit deltas, 0, 10).
+Rule weights live in ``scorer_rules.cfg`` next to this module, read once
+at import; every score is reproducible as clip(base + sum of rule-hit
+deltas, 0, 10).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .core import InvalidExpectedLength
-
-SCORE_LOW, SCORE_HIGH = 0.0, 10.0
+from .core import SCORE_HIGH, SCORE_LOW, InvalidExpectedLength
 
 _BLOCK_KEYWORDS = {
     "def", "class", "if", "elif", "else", "for", "while", "with",
@@ -26,6 +25,7 @@ _BLOCK_KEYWORDS = {
 }
 _LOOP_KEYWORDS = {"for", "while"}
 _CONTROL_FLOW_KEYWORDS = {"for", "while", "if", "elif"}
+_ERROR_WORDS = {"try", "except"}  # both must open a line to count as handling
 
 _EVAL_EXEC_RE = re.compile(r"(?<![\w.])(?:eval|exec)\s*\(")
 _SHELL_TRUE_RE = re.compile(r"shell\s*=\s*True\b")
@@ -77,23 +77,8 @@ def parse_rule_table(text: str) -> dict[str, float]:
     return table
 
 
-def load_rule_table(path=None) -> dict[str, float]:
-    """The packaged default table, or one loaded from `path`."""
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            return parse_rule_table(f.read())
-    text = resources.files(__package__).joinpath("scorer_rules.cfg").read_text("utf-8")
-    return parse_rule_table(text)
-
-
-_DEFAULT_TABLE: dict[str, float] | None = None
-
-
-def default_rules() -> dict[str, float]:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = load_rule_table()
-    return _DEFAULT_TABLE
+_RULES = parse_rule_table(
+    resources.files(__package__).joinpath("scorer_rules.cfg").read_text("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -114,20 +99,17 @@ class _Logical(NamedTuple):
 @dataclass
 class SourceScan:
     """Every signal the three axis rules read, gathered by `scan_source`:
-    counts and flags only, so no rule goes back to the source text."""
+    counts, flags and first words only, so no rule goes back to the source
+    text. `words` holds the first word of each logical line, after an
+    `async`, with "import" for a `from ... import` line."""
 
     nonblank_lines: int
     structurally_valid: bool
     max_depth: int = 0
     nested_loop_pairs: int = 0
     control_flow_count: int = 0
-    has_functions: bool = False
-    has_classes: bool = False
-    has_imports: bool = False
-    has_returns: bool = False
+    words: set[str] = field(default_factory=set)
     has_docstring: bool = False
-    has_try: bool = False
-    has_except: bool = False
     eval_exec_calls: int = 0
     shell_true_calls: int = 0      # only on lines that spawn a process
     sql_string_builds: int = 0
@@ -274,20 +256,11 @@ def scan_source(source: str) -> SourceScan:
         if word == "async":
             rest = stripped[len("async"):].lstrip()
             word = _first_word(rest)
+        elif word == "from" and _IMPORT_RE.search(stripped):
+            word = "import"
+        scan.words.add(word)
         if word in _CONTROL_FLOW_KEYWORDS:
             scan.control_flow_count += 1
-        if word == "def":
-            scan.has_functions = True
-        elif word == "class":
-            scan.has_classes = True
-        elif word == "import" or (word == "from" and _IMPORT_RE.search(stripped)):
-            scan.has_imports = True
-        elif word == "return":
-            scan.has_returns = True
-        elif word == "try":
-            scan.has_try = True
-        elif word == "except":
-            scan.has_except = True
 
         if word in _BLOCK_KEYWORDS and stripped.endswith(":"):
             is_loop = word in _LOOP_KEYWORDS
@@ -345,13 +318,9 @@ class ScoreBreakdown:
         }
 
 
-def _table_or_default(table: Mapping[str, float] | None) -> Mapping[str, float]:
-    return default_rules() if table is None else table
-
-
-def _axis_score(axis: str, hits: list[RuleHit], t: Mapping[str, float]) -> float:
+def _axis_score(axis: str, hits: list[RuleHit]) -> float:
     """clip(base + sum of the axis's rule-hit deltas): every score is this."""
-    return min(SCORE_HIGH, max(SCORE_LOW, t[f"{axis}.base"] + sum(h.delta for h in hits)))
+    return min(SCORE_HIGH, max(SCORE_LOW, _RULES[f"{axis}.base"] + sum(h.delta for h in hits)))
 
 
 def _check_expected_length(expected_length: int) -> None:
@@ -359,119 +328,103 @@ def _check_expected_length(expected_length: int) -> None:
         raise InvalidExpectedLength(f"expected_length must be >= 1, got {expected_length}")
 
 
-def _weighted(counts: Iterable[tuple[str, int]], t: Mapping[str, float]) -> list[RuleHit]:
+def _weighted(counts: Iterable[tuple[str, int]]) -> list[RuleHit]:
     """One hit per (rule_id, count) that fired, its delta count x weight."""
-    return [RuleHit(rule_id, n, n * t[rule_id]) for rule_id, n in counts if n]
+    return [RuleHit(rule_id, n, n * _RULES[rule_id]) for rule_id, n in counts if n]
 
 
-def _security_hits(scan: SourceScan, t: Mapping[str, float]) -> list[RuleHit]:
+def _security_hits(scan: SourceScan) -> list[RuleHit]:
     return _weighted((
         ("security.eval_exec_call", scan.eval_exec_calls),
         ("security.shell_true", scan.shell_true_calls),
         ("security.sql_string_build", scan.sql_string_builds),
-        ("security.exception_handling", int(scan.has_try and scan.has_except)),
+        ("security.exception_handling", int(_ERROR_WORDS <= scan.words)),
         ("security.input_validation", int(scan.has_validation)),
-    ), t)
+    ))
 
 
-def _efficiency_hits(scan: SourceScan, t: Mapping[str, float]) -> list[RuleHit]:
+def _efficiency_hits(scan: SourceScan) -> list[RuleHit]:
     if not scan.structurally_valid:
-        delta = t["efficiency.invalid_score"] - t["efficiency.base"]
+        delta = _RULES["efficiency.invalid_score"] - _RULES["efficiency.base"]
         return [RuleHit("efficiency.invalid_baseline", 1, delta)]
     return _weighted((
         ("efficiency.depth_beyond_free",
-         max(0, scan.max_depth - int(t["efficiency.free_depth"]))),
+         max(0, scan.max_depth - int(_RULES["efficiency.free_depth"]))),
         ("efficiency.nested_loop_pair", scan.nested_loop_pairs),
         ("efficiency.extra_control_flow",
-         max(0, scan.control_flow_count - int(t["efficiency.free_control_flow"]))),
-    ), t)
+         max(0, scan.control_flow_count - int(_RULES["efficiency.free_control_flow"]))),
+    ))
 
 
 _FEATURE_CLASSES = (
-    ("functions", lambda s: s.has_functions),
-    ("classes", lambda s: s.has_classes),
-    ("imports", lambda s: s.has_imports),
-    ("returns", lambda s: s.has_returns),
+    ("functions", lambda s: "def" in s.words),
+    ("classes", lambda s: "class" in s.words),
+    ("imports", lambda s: "import" in s.words),
+    ("returns", lambda s: "return" in s.words),
     ("docstrings", lambda s: s.has_docstring),
-    ("error_handling", lambda s: s.has_try and s.has_except),
+    ("error_handling", lambda s: _ERROR_WORDS <= s.words),
 )
 
 
-def _functionality_hits(
-    scan: SourceScan, t: Mapping[str, float], expected_length: int
-) -> list[RuleHit]:
-    hits = [RuleHit(f"functionality.feature.{name}", 1, t["functionality.feature_class"])
+def _functionality_hits(scan: SourceScan, expected_length: int) -> list[RuleHit]:
+    hits = [RuleHit(f"functionality.feature.{name}", 1, _RULES["functionality.feature_class"])
             for name, present in _FEATURE_CLASSES if present(scan)]
-    preclip = t["functionality.base"] + sum(h.delta for h in hits)
-    factor = min(1.0, scan.nonblank_lines / (t["functionality.stub_fraction"] * expected_length))
+    preclip = _RULES["functionality.base"] + sum(h.delta for h in hits)
+    stub_lines = _RULES["functionality.stub_fraction"] * expected_length
+    factor = min(1.0, scan.nonblank_lines / stub_lines)
     if factor < 1.0:
         hits.append(RuleHit("functionality.length_scale", 1, preclip * (factor - 1.0)))
     return hits
 
 
-def score_security(
-    src: str, table: Mapping[str, float] | None = None
-) -> tuple[float, list[RuleHit]]:
+def score_security(src: str) -> tuple[float, list[RuleHit]]:
     """Pattern-rule security score: base 5.0, unsafe calls subtract,
     exception handling and input validation add (once each)."""
-    t = _table_or_default(table)
-    hits = _security_hits(scan_source(src), t)
-    return _axis_score("security", hits, t), hits
+    hits = _security_hits(scan_source(src))
+    return _axis_score("security", hits), hits
 
 
-def score_efficiency(
-    src: str, table: Mapping[str, float] | None = None
-) -> tuple[float, list[RuleHit]]:
+def score_efficiency(src: str) -> tuple[float, list[RuleHit]]:
     """Complexity score from nesting depth, nested loops, and branch count.
 
     Structurally unparseable source short-circuits to the flat invalid
     baseline.
     """
-    t = _table_or_default(table)
-    hits = _efficiency_hits(scan_source(src), t)
-    return _axis_score("efficiency", hits, t), hits
+    hits = _efficiency_hits(scan_source(src))
+    return _axis_score("efficiency", hits), hits
 
 
-def score_functionality(
-    src: str, expected_length: int, table: Mapping[str, float] | None = None
-) -> tuple[float, list[RuleHit]]:
+def score_functionality(src: str, expected_length: int) -> tuple[float, list[RuleHit]]:
     """Structural-richness score with a stub-length penalty.
 
     The pre-clip score scales by min(1, lines / (stub_fraction *
     expected_length)) so near-empty answers to long tasks score near 0.
     """
     _check_expected_length(expected_length)
-    t = _table_or_default(table)
-    hits = _functionality_hits(scan_source(src), t, expected_length)
-    return _axis_score("functionality", hits, t), hits
+    hits = _functionality_hits(scan_source(src), expected_length)
+    return _axis_score("functionality", hits), hits
 
 
-def score_all(
-    src: str, expected_length: int, table: Mapping[str, float] | None = None
-) -> ScoreBreakdown:
+def score_all(src: str, expected_length: int) -> ScoreBreakdown:
     """All three axes of one source text, from one scan. Never executes
     the input."""
     _check_expected_length(expected_length)
-    t = _table_or_default(table)
     scan = scan_source(src)
-    sec = _security_hits(scan, t)
-    eff = _efficiency_hits(scan, t)
-    fun = _functionality_hits(scan, t, expected_length)
+    sec = _security_hits(scan)
+    eff = _efficiency_hits(scan)
+    fun = _functionality_hits(scan, expected_length)
     return ScoreBreakdown(
-        security=_axis_score("security", sec, t),
-        efficiency=_axis_score("efficiency", eff, t),
-        functionality=_axis_score("functionality", fun, t),
+        security=_axis_score("security", sec),
+        efficiency=_axis_score("efficiency", eff),
+        functionality=_axis_score("functionality", fun),
         rule_hits=tuple(sec + eff + fun),
     )
 
 
-def reconstruct_scores(
-    breakdown: ScoreBreakdown, table: Mapping[str, float] | None = None
-) -> dict[str, float]:
+def reconstruct_scores(breakdown: ScoreBreakdown) -> dict[str, float]:
     """Recompute each axis as clip(base + sum of its rule-hit deltas)."""
-    t = _table_or_default(table)
     return {
         axis: _axis_score(axis, [h for h in breakdown.rule_hits
-                                 if h.rule_id.startswith(axis + ".")], t)
+                                 if h.rule_id.startswith(axis + ".")])
         for axis in ("security", "efficiency", "functionality")
     }

@@ -144,7 +144,11 @@ class SimConfig:
     clip_bounds None disables clipping entirely; otherwise init_box and an
     explicit initial_state must lie inside the clip box. base_seed is a
     64-bit unsigned integer. The run's states, sessions x (iterations + 1)
-    x n float64 values, must fit in the byte range of one numpy array.
+    x n float64 values, must fit in the byte range of one numpy array;
+    simulating a run that fits that range but not in memory raises
+    MemoryError. A simulated step whose arithmetic overflows or turns
+    invalid before the clip raises NonFinite, so no infinite state is
+    clipped into the box (`control` does not apply this rule).
     """
 
     strategy: StrategySpec
@@ -271,16 +275,26 @@ def _resolve_initial(cfg: SimConfig, stream: _SessionStream) -> np.ndarray:
 
 def _simulate(cfg: SimConfig, session_indices: range) -> np.ndarray:
     """Iterates of the given sessions, stepped together: a (T+1, N, n) array
-    whose [:, j] is session session_indices[j]."""
+    whose [:, j] is session session_indices[j].
+
+    The states are allocated before any session stream, so a run too large
+    for memory fails at once with MemoryError. A step whose arithmetic
+    overflows or turns invalid, before the clip, raises NonFinite naming
+    the step.
+    """
     n = cfg.strategy.dimension
+    X = np.empty((cfg.iterations + 1, len(session_indices), n))
     streams = [_SessionStream(cfg.base_seed, i) for i in session_indices]
-    X = np.empty((cfg.iterations + 1, len(streams), n))
     X[0] = [_resolve_initial(cfg, stream) for stream in streams]
     eps = np.empty((len(streams), n))
-    for t in range(cfg.iterations):
-        for stream, row in zip(streams, eps):
-            stream.normal(t, row)
-        X[t + 1] = _step(X[t], cfg.strategy, cfg.dt, eps, cfg.clip_bounds)
+    with np.errstate(over="raise", invalid="raise"):
+        for t in range(cfg.iterations):
+            for stream, row in zip(streams, eps):
+                stream.normal(t, row)
+            try:
+                X[t + 1] = _step(X[t], cfg.strategy, cfg.dt, eps, cfg.clip_bounds)
+            except FloatingPointError:
+                raise NonFinite(f"step {t} gives a non-finite state") from None
     return X
 
 

@@ -418,6 +418,9 @@ def _bad_invocation(tmp_path, case):
         # more states than one array can index: rejected before any allocation
         "simulate-iterations-above-intp": ("--iterations", str(10**20)),
         "control-iterations-above-intp": ("--iterations", str(10**20)),
+        # within that range, but more bytes than any machine holds
+        "simulate-iterations-out-of-memory": ("--iterations", str(2**58)),
+        "control-iterations-out-of-memory": ("--schedule", "none", "--iterations", str(2**58)),
     }
     if case in run_flags:
         command = case.split("-")[0]
@@ -444,6 +447,11 @@ def _bad_invocation(tmp_path, case):
         data = tmp_path / "deep.jsonl"
         data.write_text("[" * 100_000 + "\n")
         return ["analyze", "--in", str(data), "--out", str(tmp_path / "r")]
+    if case == "config-missing":
+        return ["simulate", "--config", str(tmp_path / "missing.cfg"),
+                "--out", str(tmp_path / "x.jsonl")]
+    if case == "config-is-directory":
+        return ["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "x.jsonl")]
     if case == "config-not-int":
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sessions = abc\n")
@@ -469,6 +477,8 @@ def _bad_invocation(tmp_path, case):
                                 "drift_intercept": [0, 0], "diffusion": [[1, 0], [0, 1]]},
         "strategy-1x1": {"id": "X", "drift_matrix": [[-0.5]], "drift_intercept": [0],
                          "diffusion": [[1]]},
+        "strategy-overflows": {"id": "X", "drift_matrix": [[1e308, 0], [0, 0]],
+                               "drift_intercept": [0, 0], "diffusion": [[1, 0], [0, 1]]},
     }
     command, _, kind = case.partition("-")
     if kind in strategy_files:
@@ -528,6 +538,11 @@ def _bad_invocation(tmp_path, case):
     ("control-strategy-1x1", 2),
     ("simulate-iterations-above-intp", 2),
     ("control-iterations-above-intp", 2),
+    ("simulate-iterations-out-of-memory", 1),
+    ("control-iterations-out-of-memory", 1),
+    ("config-missing", 2),
+    ("config-is-directory", 2),
+    ("simulate-strategy-overflows", 1),
     ("score-not-utf8", 1),
     ("manifest-length-not-int", 1),
     ("manifest-no-length-column", 2),

@@ -279,6 +279,21 @@ def test_em_step_rejects_a_non_finite_result():
             em_step([5, 5, 5], preset("AI"), 1.0, [float("nan"), 0.0, 0.0], bounds=bounds)
 
 
+def test_run_too_large_for_memory_fails_before_building_streams(monkeypatch):
+    built = []
+
+    class CountingStream(simulator._SessionStream):
+        def __init__(self, *args):
+            built.append(args)
+            if len(built) > 10:
+                raise AssertionError("session streams built before the state allocation")
+            super().__init__(*args)
+
+    monkeypatch.setattr(simulator, "_SessionStream", CountingStream)
+    with pytest.raises(MemoryError):
+        simulate_set(SimConfig(strategy=preset("SF"), sessions=10**17, iterations=1))
+
+
 # ---------------------------------------------------------------------------
 # start state: None (the clip-box centre) or one finite state vector
 # ---------------------------------------------------------------------------
