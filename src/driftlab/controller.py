@@ -3,9 +3,10 @@
 Drives a live simulation: after every step it refits the local drift on
 a trailing window, classifies the spectrum, logs exploration-to-
 exploitation and boundary-proximity transitions, applies phase-schedule
-switches, and raises intervention flags when the run crosses the
-configured safety thresholds (security floor, efficiency drop,
-convergence-rate ceiling).
+switches, and raises intervention flags when the run crosses a fixed
+safety threshold: security below SECURITY_FLOOR, efficiency dropping by
+more than EFFICIENCY_DROP of its last value, or the windowed convergence
+rate above RATE_CEILING.
 
 Interventions are logged, not enacted; callers may stop at the first one
 via halt_on_intervention. Small windows routinely produce rank-deficient
@@ -23,6 +24,12 @@ would. A strategy switch at step `now` drops the rows after it, and the
 next segment starts from `now` on the stored noise; a halt or an
 exception ends the run at its own step. Segments start at 16 steps after
 every switch and double up to 1024.
+
+A step whose arithmetic overflows or turns invalid, before the clip,
+raises NonFinite naming the step, as in `simulator`. A segment that
+overflows ahead of the rules ends before that step, and the rules walk up
+to it first: a switch or a halt there means the step is never taken, and
+otherwise the next segment starts at that step and raises.
 """
 
 from __future__ import annotations
@@ -46,6 +53,13 @@ from .core import (
 
 SECURITY_AXIS = 0
 EFFICIENCY_AXIS = 1
+
+# Intervention thresholds, and the |Re lambda| under which a window's
+# spectrum counts as near the stability boundary.
+SECURITY_FLOOR = 2.0
+EFFICIENCY_DROP = 0.30
+RATE_CEILING = 1.5
+ZERO_MARGIN = 0.05
 
 
 class Phase(NamedTuple):
@@ -80,21 +94,12 @@ class ControlEvent:
 @dataclass(frozen=True)
 class ControllerConfig:
     window: int = 5
-    zero_margin: float = 0.05
-    security_floor: float = 2.0
-    efficiency_drop: float = 0.30
-    rate_ceiling: float = 1.5
-    zero_tol: float = spectral.DEFAULT_ZERO_TOL
     phase_schedule: tuple[Phase, ...] | None = None
     fallback_strategy_id: str | None = "AI"
 
     def __post_init__(self):
         if self.window < 2:
             raise ValueError(f"window must be >= 2, got {self.window}")
-        for name in ("zero_margin", "security_floor", "efficiency_drop",
-                     "rate_ceiling", "zero_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
 
 
 def phased_schedule_default() -> tuple[Phase, ...]:
@@ -107,14 +112,15 @@ def phased_schedule_default() -> tuple[Phase, ...]:
     )
 
 
-def _window_signals(rows: np.ndarray, window: int, zero_tol: float
+def _window_signals(rows: np.ndarray, window: int
                     ) -> tuple[list[tuple[float, bool, float] | None], Exception | None]:
     """What the rules read from the spectrum of the affine drift fitted on
     each `window`-step window of rows, for the windows ending at
     rows[window:], in order: (convergence rate -Re lambda_max, whether an
-    imaginary part exceeds zero_tol, min |Re lambda|), or None when the fit
-    is unsolvable (too few samples / rank deficient). The list stops short
-    at the first window whose fit or spectrum raises, with that exception.
+    imaginary part exceeds spectral.DEFAULT_ZERO_TOL, min |Re lambda|), or
+    None when the fit is unsolvable (too few samples / rank deficient). The
+    list stops short at the first window whose fit or spectrum raises, with
+    that exception.
 
     All fits are one `inference.fit_windows` pass, and all spectra one
     `np.linalg.eigvals` call over the stack, bit-identical to per-matrix
@@ -128,8 +134,8 @@ def _window_signals(rows: np.ndarray, window: int, zero_tol: float
     except np.linalg.LinAlgError:
         stacked = False
     if stacked:
-        fitted = zip(rate.tolist(), (np.abs(lams.imag) > zero_tol).any(axis=1).tolist(),
-                     np.abs(lams.real).min(axis=1).tolist())
+        has_complex = (np.abs(lams.imag) > spectral.DEFAULT_ZERO_TOL).any(axis=1)
+        fitted = zip(rate.tolist(), has_complex.tolist(), np.abs(lams.real).min(axis=1).tolist())
     else:
         # One matrix at a time: a failure (a non-finite matrix, no
         # convergence) belongs to its own window, and a stacked max or min
@@ -142,31 +148,31 @@ def _window_signals(rows: np.ndarray, window: int, zero_tol: float
                 full, error = full[:np.flatnonzero(full)[len(signals)]], exc
                 break
             signals.append((-max(lam.real for lam in spectrum),
-                            any(abs(lam.imag) > zero_tol for lam in spectrum),
+                            any(abs(lam.imag) > spectral.DEFAULT_ZERO_TOL
+                                for lam in spectrum),
                             min(abs(lam.real) for lam in spectrum)))
         fitted = iter(signals)
     return [next(fitted) if f else None for f in full.tolist()], error
 
 
-def _interventions_at(m: np.ndarray, t: int, cfg: ControllerConfig,
-                      rate: float | None) -> list[ControlEvent]:
+def _interventions_at(m: np.ndarray, t: int, rate: float | None) -> list[ControlEvent]:
     """The three trigger rules at iteration t of the (T+1, n) matrix m, in
-    order: (a) security below the floor, (b) efficiency dropping by more
-    than the configured fraction since t-1, (c) the windowed local
-    convergence rate (None when there is no fit) above the ceiling."""
+    order: (a) security below SECURITY_FLOOR, (b) efficiency dropping by
+    more than EFFICIENCY_DROP of its value at t-1, (c) the windowed local
+    convergence rate (None when there is no fit) above RATE_CEILING."""
     events: list[ControlEvent] = []
     sec = float(m[t, SECURITY_AXIS])
-    if sec < cfg.security_floor:
+    if sec < SECURITY_FLOOR:
         events.append(ControlEvent(t, EventKind.INTERVENTION, "security_floor", sec))
     if t >= 1:
         prev = float(m[t - 1, EFFICIENCY_AXIS])
         cur = float(m[t, EFFICIENCY_AXIS])
         # drops are measured against a positive base
-        if prev > 0 and cur < (1.0 - cfg.efficiency_drop) * prev:
+        if prev > 0 and cur < (1.0 - EFFICIENCY_DROP) * prev:
             events.append(ControlEvent(
                 t, EventKind.INTERVENTION, "efficiency_drop", 1.0 - cur / prev
             ))
-    if rate is not None and rate > cfg.rate_ceiling:
+    if rate is not None and rate > RATE_CEILING:
         events.append(ControlEvent(t, EventKind.INTERVENTION, "rate_ceiling", rate))
     return events
 
@@ -178,13 +184,13 @@ def check_interventions(traj: Trajectory, cfg: ControllerConfig) -> list[Control
     including the initial point (one event per rule per iteration).
     """
     m = traj.values_matrix
-    spectra, error = _window_signals(m, cfg.window, cfg.zero_tol)
+    spectra, error = _window_signals(m, cfg.window)
     if error is not None:
         raise error
     rates = [None] * min(cfg.window, len(m)) + [None if s is None else s[0] for s in spectra]
     events: list[ControlEvent] = []
     for t, rate in enumerate(rates):
-        events.extend(_interventions_at(m, t, cfg, rate))
+        events.extend(_interventions_at(m, t, rate))
     return events
 
 
@@ -212,9 +218,7 @@ def _rules_at(state: _LoopState, m: np.ndarray, now: int,
     phase schedule, given the window's signals from `_window_signals` (None
     when there is no fit). Updates `state`, whose strategy switches where a
     rule says so. Returns the step's events and whether one intervened."""
-    step_events = _interventions_at(
-        m, now, cfg, None if spectrum is None else spectrum[0]
-    )
+    step_events = _interventions_at(m, now, None if spectrum is None else spectrum[0])
     if spectrum is not None:
         rate, has_complex, min_abs_re = spectrum
         # exploration -> exploitation: the local spectrum just lost its
@@ -226,7 +230,7 @@ def _rules_at(state: _LoopState, m: np.ndarray, now: int,
             ))
         state.had_complex = has_complex
         # boundary proximity (edge-triggered)
-        near = min_abs_re < cfg.zero_margin
+        near = min_abs_re < ZERO_MARGIN
         if near and not state.near_zero:
             detail = "eigenvalue near zero"
             if cfg.phase_schedule is None and cfg.fallback_strategy_id \
@@ -248,34 +252,27 @@ def _rules_at(state: _LoopState, m: np.ndarray, now: int,
         phase = schedule[state.phase_index]
         at_max = phase.max_iters is not None and state.phase_iters >= phase.max_iters
         due = state.phase_iters >= phase.min_iters
+        target = None
         if due and (at_max or not intervened):
-            nxt_index = state.phase_index + 1
-            if nxt_index < len(schedule):
-                target = schedule[nxt_index].strategy_id
-                step_events.append(ControlEvent(
-                    now, EventKind.PHASE_SWITCH,
-                    f"{phase.strategy_id}->{target}", float(state.phase_iters),
-                ))
-                state.strategy = cat[target]
-                state.phase_index = nxt_index
-                state.phase_iters = 0
-            elif phase.max_iters is not None:
-                # bounded final phase exhausted
-                if at_max and now < steps:
-                    if cfg.fallback_strategy_id is None:
-                        raise ScheduleExhausted(
-                            f"schedule exhausted at iteration {now} with "
-                            f"{steps - now} step(s) remaining"
-                        )
-                    target = cfg.fallback_strategy_id
-                    step_events.append(ControlEvent(
-                        now, EventKind.PHASE_SWITCH,
-                        f"{phase.strategy_id}->{target} (fallback)",
-                        float(state.phase_iters),
-                    ))
-                    state.strategy = cat[target]
-                    state.phase_index = nxt_index
-                    state.phase_iters = 0
+            if state.phase_index + 1 < len(schedule):
+                target = detail = schedule[state.phase_index + 1].strategy_id
+            elif at_max and now < steps:
+                # a bounded last phase at its max with steps left
+                if cfg.fallback_strategy_id is None:
+                    raise ScheduleExhausted(
+                        f"schedule exhausted at iteration {now} with "
+                        f"{steps - now} step(s) remaining"
+                    )
+                target = cfg.fallback_strategy_id
+                detail = f"{target} (fallback)"
+        if target is not None:
+            step_events.append(ControlEvent(
+                now, EventKind.PHASE_SWITCH, f"{phase.strategy_id}->{detail}",
+                float(state.phase_iters),
+            ))
+            state.strategy = cat[target]
+            state.phase_index += 1
+            state.phase_iters = 0
     return step_events, intervened
 
 
@@ -340,11 +337,17 @@ def run_controlled(
         for t in range(drawn, stop):
             noise.normal(t, eps[t])
         drawn = max(drawn, stop)
-        for t in range(start, stop):
-            m[t + 1] = simulator._step(m[t], strategy, sim.dt, eps[t], sim.clip_bounds)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for t in range(start, stop):
+                    m[t + 1] = simulator._step(m[t], strategy, sim.dt, eps[t], sim.clip_bounds)
+        except FloatingPointError:
+            if t == start:
+                raise NonFinite(f"step {t} gives a non-finite state") from None
+            stop = t  # the rules walk up to row t, then the next segment starts there
         # windows ending at start+1 .. stop; the first ends at `first`
         first = max(start + 1, window)
-        spectra, error = _window_signals(m[first - window:stop + 1], window, cfg.zero_tol)
+        spectra, error = _window_signals(m[first - window:stop + 1], window)
 
         for now in range(start + 1, stop + 1):
             spectrum = None

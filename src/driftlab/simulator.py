@@ -11,10 +11,10 @@ scheduled or parallelized.
 
 A Philox draw is a pure function of (key, counter). Each session therefore
 keeps one generator and rewinds its counter before every draw, which gives
-the bytes of a generator built afresh for that draw (`step_noise`) at a
-fraction of the cost. All sessions of a set are stepped together, one
-stacked matrix-vector product per row, which rounds exactly like the lone
-`A @ x` of a single session; `simulate_session` is the same kernel run on
+the bytes of a generator built afresh for that draw at a fraction of the
+cost. All sessions of a set are stepped together, one stacked
+matrix-vector product per row, which rounds exactly like the lone `A @ x`
+of a single session; `simulate_session` is the same kernel run on
 one session, so a session's bytes do not depend on the set around it.
 
 Ships the four built-in strategy presets (EF, SF, FF, AI) as diagonal
@@ -59,32 +59,23 @@ def session_seed(base_seed: int, session_index: int) -> int:
     return (base_seed & _MASK64) ^ _splitmix64(session_index)
 
 
-def _stream(base_seed: int, session_index: int, counter_tag: int) -> np.random.Generator:
-    # Iteration goes in the high counter word: low words are consumed as the
-    # generator runs, so distinct tags can never overlap.
-    bitgen = np.random.Philox(
-        counter=[0, 0, 0, counter_tag],
-        key=[session_seed(base_seed, session_index), _GOLDEN],
-    )
-    return np.random.Generator(bitgen)
-
-
 def step_noise(base_seed: int, session_index: int, iteration: int, n: int) -> np.ndarray:
     """The standard-normal draw used for step `iteration` of one session."""
-    return _stream(base_seed, session_index, iteration + 1).standard_normal(n)
+    return _SessionStream(base_seed, session_index).normal(iteration, np.empty(n))
 
 
 class _SessionStream:
     """One session's noise source: a single Philox generator whose counter
     is rewound to [0, 0, 0, tag] before each draw, with the output buffer
     marked empty. Tag 0 is the init_box draw and tag t+1 the noise of step
-    t, the same counters `_stream` starts from."""
+    t. The tag sits in the high counter word because a draw consumes the
+    low words as it runs, so the draws of distinct tags never overlap."""
 
     __slots__ = ("_bitgen", "_gen", "_state")
 
     def __init__(self, base_seed: int, session_index: int):
-        # The key is built exactly as `_stream` builds it and read back from
-        # the generator, so both streams run on the same key words.
+        # The key is read back from the generator, so every rewound state
+        # carries the key words numpy derived from this list.
         self._bitgen = np.random.Philox(key=[session_seed(base_seed, session_index), _GOLDEN])
         self._gen = np.random.Generator(self._bitgen)
         self._state = {
@@ -103,8 +94,8 @@ class _SessionStream:
         return self._gen
 
     def normal(self, iteration: int, out: np.ndarray) -> np.ndarray:
-        """Fill the float64 vector `out` with what `step_noise` returns for
-        this session at `iteration`, and return it."""
+        """Fill the float64 vector `out` with the noise of step `iteration`,
+        and return it."""
         return self._at(iteration + 1).standard_normal(out=out)
 
     def uniform(self, low: float, high: float, n: int) -> np.ndarray:
@@ -148,7 +139,7 @@ class SimConfig:
     simulating a run that fits that range but not in memory raises
     MemoryError. A simulated step whose arithmetic overflows or turns
     invalid before the clip raises NonFinite, so no infinite state is
-    clipped into the box (`control` does not apply this rule).
+    clipped into the box.
     """
 
     strategy: StrategySpec

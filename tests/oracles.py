@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from driftlab import inference, simulator, spectral
-from driftlab.controller import ControlEvent, EventKind, _interventions_at
+from driftlab.controller import ZERO_MARGIN, ControlEvent, EventKind, _interventions_at
 from driftlab.core import (
     DimensionMismatch,
     InsufficientData,
@@ -387,7 +387,7 @@ def reference_check_interventions(traj: Trajectory, cfg) -> list[ControlEvent]:
     for t in range(len(m)):
         spectrum = reference_window_spectrum(m, t, cfg.window)
         rate = None if spectrum is None else -max(lam.real for lam in spectrum)
-        events.extend(_interventions_at(m, t, cfg, rate))
+        events.extend(_interventions_at(m, t, rate))
     return events
 
 
@@ -404,7 +404,8 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
                              session_index=0):
     """`controller.run_controlled` as the step-by-step loop: draw one step's
     noise, take the step, fit its trailing window, classify the spectrum
-    and apply the rules, then the next step."""
+    and apply the rules, then the next step. A step whose arithmetic
+    overflows raises NonFinite there."""
     cat = simulator.preset_catalog() if catalog is None else dict(catalog)
     schedule = cfg.phase_schedule
     if schedule:
@@ -440,20 +441,25 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
             )
         noise.normal(t, eps)
         now = t + 1
-        m[now] = simulator._step(m[t], state.strategy, sim.dt, eps, sim.clip_bounds)
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                m[now] = simulator._step(m[t], state.strategy, sim.dt, eps, sim.clip_bounds)
+            except FloatingPointError:
+                raise NonFinite(f"step {t} gives a non-finite state") from None
 
         # local spectrum over the trailing window
         spectrum = reference_window_spectrum(m, now, cfg.window)
         report = None
         if spectrum is not None:
-            report = spectral.classify_regime(spectrum, sim.dt, cfg.zero_tol)
+            report = spectral.classify_regime(spectrum, sim.dt, spectral.DEFAULT_ZERO_TOL)
         step_events = _interventions_at(
-            m, now, cfg, None if report is None else report.convergence_rate
+            m, now, None if report is None else report.convergence_rate
         )
         if report is not None:
             # exploration -> exploitation: the local spectrum just lost
             # its complex parts
-            has_complex = any(abs(lam.imag) > cfg.zero_tol for lam in report.eigenvalues)
+            has_complex = any(abs(lam.imag) > spectral.DEFAULT_ZERO_TOL
+                              for lam in report.eigenvalues)
             if state.had_complex and not has_complex:
                 step_events.append(ControlEvent(
                     now, EventKind.EXPLORATION_TO_EXPLOITATION,
@@ -462,7 +468,7 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
             state.had_complex = has_complex
             # boundary proximity (edge-triggered)
             min_abs_re = min(abs(lam.real) for lam in report.eigenvalues)
-            near = min_abs_re < cfg.zero_margin
+            near = min_abs_re < ZERO_MARGIN
             if near and not state.near_zero:
                 detail = "eigenvalue near zero"
                 if schedule is None and cfg.fallback_strategy_id \

@@ -421,6 +421,8 @@ def _bad_invocation(tmp_path, case):
         # within that range, but more bytes than any machine holds
         "simulate-iterations-out-of-memory": ("--iterations", str(2**58)),
         "control-iterations-out-of-memory": ("--schedule", "none", "--iterations", str(2**58)),
+        # the first step overflows before the clip
+        "control-dt-overflows": ("--dt", "1e308", "--iterations", "5"),
     }
     if case in run_flags:
         command = case.split("-")[0]
@@ -543,6 +545,7 @@ def _bad_invocation(tmp_path, case):
     ("config-missing", 2),
     ("config-is-directory", 2),
     ("simulate-strategy-overflows", 1),
+    ("control-dt-overflows", 1),
     ("score-not-utf8", 1),
     ("manifest-length-not-int", 1),
     ("manifest-no-length-column", 2),

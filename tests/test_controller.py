@@ -192,7 +192,7 @@ def test_run_controlled_draws_the_step_noise_stream(monkeypatch, sigma, schedule
     steps = iter(range(sim.iterations))
 
     def step_noise(self, iteration, out):
-        out[:] = simulator.step_noise(seed, session, next(steps), len(out))
+        out[:] = fresh_generator(seed, session, next(steps) + 1).standard_normal(len(out))
         return out
 
     def start_draw(self, low, high, n):
@@ -282,6 +282,17 @@ def test_exhausted_schedule_falls_back():
     assert len(fallbacks) == 1
 
 
+@pytest.mark.parametrize("fallback", ["AI", None])
+def test_bounded_schedule_ending_on_the_last_step_is_not_exhausted(fallback):
+    # SF reaches its max at step 5 of 5: no step is left to fall back for
+    schedule = (Phase("FF", 2, 2), Phase("SF", 3, 3))
+    sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=5, base_seed=2)
+    cfg = ControllerConfig(phase_schedule=schedule, fallback_strategy_id=fallback)
+    _t, events = run_controlled(sim, cfg)
+    switches = [(e.iteration, e.detail) for e in events if e.kind is EventKind.PHASE_SWITCH]
+    assert switches == [(2, "FF->SF")]
+
+
 def test_catalog_must_cover_schedule():
     sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=8)
     cfg = ControllerConfig(phase_schedule=(Phase("ZZ", 1, None),))
@@ -327,7 +338,7 @@ def test_boundary_avoid_switch_on_near_zero_spectrum():
             found = boundary[0]
             break
     assert found is not None
-    assert found.triggering_value < ControllerConfig().zero_margin
+    assert found.triggering_value < controller.ZERO_MARGIN
     assert "LZ->AI" in found.detail
 
 
@@ -411,9 +422,9 @@ def outcome(monkeypatch, module, run, *args, **kwargs):
     rules = module._interventions_at
     seen = []
 
-    def spy(m, t, cfg, rate):
+    def spy(m, t, rate):
         seen.append(t)
-        return rules(m, t, cfg, rate)
+        return rules(m, t, rate)
 
     monkeypatch.setattr(module, "_interventions_at", spy)
     try:
@@ -533,16 +544,13 @@ def test_run_controlled_matches_reference_on_a_switch_to_another_width(monkeypat
     assert outcomes == {None, DimensionMismatch}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("window", [2, 5, 8])
 @pytest.mark.parametrize("halt", [False, True])
 def test_unclipped_overflow_raises_or_halts_as_the_reference_does(monkeypatch, window, halt):
-    # AI drift grows the state by 2.6x a step at dt = 20 until it
-    # overflows: a window fit over an infinite row raises NonFinite at its
-    # step (windows 5 and 8); with no fit at all (window 2 < n+1) the
-    # trajectory is rejected at the end. A start below the security floor
-    # halts the run at step 1 before anything overflows.
+    # AI drift grows the state by 2.6x a step at dt = 20 until a step
+    # overflows, which raises NonFinite naming that step, after the rules
+    # at its start row. A start below the security floor halts the run at
+    # step 1 before anything overflows.
     outcomes = set()
     for seed, box in ((1, (4.0, 6.0)), (2, (4.0, 6.0)), (3, (-3.0, -1.0))):
         sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=900, dt=20.0,
@@ -550,10 +558,31 @@ def test_unclipped_overflow_raises_or_halts_as_the_reference_does(monkeypatch, w
         result = assert_matches_reference(monkeypatch, sim, ControllerConfig(window=window),
                                           halt_on_intervention=halt)
         outcomes.add(raised(result))
-        if raised(result) is NonFinite and window > 3:
-            assert len(result[2]) < 900  # raised by a window fit
+        if raised(result) is NonFinite:
+            assert result[1] == f"step {result[2][-1]} gives a non-finite state"
     assert NonFinite in outcomes
     assert (None in outcomes) == halt
+
+
+@pytest.mark.parametrize("window", [2, 3, 5])
+def test_an_overflow_raises_only_where_the_rules_reach_it(monkeypatch, window):
+    # BOOM's steps from 5 reach 5e150, then 5e300, then overflow; CALM
+    # holds the state where it is
+    zero = np.zeros((2, 2))
+    catalog = {"BOOM": StrategySpec("BOOM", 1e150 * np.eye(2), np.zeros(2), zero),
+               "CALM": StrategySpec("CALM", zero, np.zeros(2), zero)}
+    sim = simulator.SimConfig(strategy=catalog["BOOM"], iterations=12, clip_bounds=None)
+    # the segment steps ahead with BOOM past its switch at step 1, into the
+    # overflow of step 2, which the step-by-step loop never takes
+    cfg = ControllerConfig(window=window, fallback_strategy_id=None,
+                           phase_schedule=(Phase("BOOM", 1, 1), Phase("CALM", 1, None)))
+    result = assert_matches_reference(monkeypatch, sim, cfg, catalog=catalog)
+    assert raised(result) is None and '"detail": "BOOM->CALM"' in result[1]
+    # with no switch the rules at step 2 run, then step 2 raises
+    cfg = ControllerConfig(window=window, fallback_strategy_id=None,
+                           phase_schedule=(Phase("BOOM", 1, None),))
+    result = assert_matches_reference(monkeypatch, sim, cfg, catalog=catalog)
+    assert result == (NonFinite, "step 2 gives a non-finite state", [1, 2])
 
 
 @settings(max_examples=30, deadline=None)
@@ -604,16 +633,16 @@ def test_window_signals_match_per_matrix_reports(monkeypatch):
     full = np.array([True, False, True, True, True, True, False, True, True])
     fits = inference.WindowFits(full, np.array(stack), None)
     monkeypatch.setattr(inference, "fit_windows", lambda rows, window: fits)
-    signals, error = controller._window_signals(None, 5, 0.01)
+    signals, error = controller._window_signals(None, 5)
     want = [per_matrix_signals(a, 0.01) for a in stack[:5]]
     assert repr(signals) == repr([want[0], None, want[1], want[2], want[3], want[4], None])
     assert isinstance(error, NonFinite) and str(error) == "matrix has non-finite entries"
     # signed zeros alone
     fits = inference.WindowFits(np.ones(4, dtype=bool), np.array(stack[:4]), None)
-    signals, error = controller._window_signals(None, 5, 0.01)
+    signals, error = controller._window_signals(None, 5)
     assert error is None and repr(signals) == repr(want[:4])
     # without the bad matrix the stacked path serves every window
     fits = inference.WindowFits(full[:6], np.array(stack[4:5] * 5), None)
-    signals, error = controller._window_signals(None, 5, 0.01)
+    signals, error = controller._window_signals(None, 5)
     assert error is None and signals[1] is None
     assert repr([s for s in signals if s]) == repr([per_matrix_signals(stack[4], 0.01)] * 5)

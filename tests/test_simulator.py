@@ -359,12 +359,16 @@ def test_rewound_stream_matches_step_noise_in_order_and_out_of_order():
         stream = streams.setdefault((seed, i), simulator._SessionStream(seed, i))
         return stream.normal(t, np.empty(n)).copy()
 
+    def fresh(seed, i, t, n):
+        return fresh_generator(seed, i, t + 1).standard_normal(n)
+
     for seed, i, t, n in draws:
-        assert np.array_equal(rewound(seed, i, t, n), simulator.step_noise(seed, i, t, n))
+        assert np.array_equal(rewound(seed, i, t, n), fresh(seed, i, t, n))
+        assert np.array_equal(simulator.step_noise(seed, i, t, n), fresh(seed, i, t, n))
     order = np.random.default_rng(3).permutation(len(draws))
     for k in order:
         seed, i, t, n = draws[k]
-        assert np.array_equal(rewound(seed, i, t, n), simulator.step_noise(seed, i, t, n))
+        assert np.array_equal(rewound(seed, i, t, n), fresh(seed, i, t, n))
 
 
 def test_rewound_stream_start_draw_is_tag_zero():
@@ -374,7 +378,7 @@ def test_rewound_stream_start_draw_is_tag_zero():
         got = stream.uniform(3.0, 7.0, 3)
         assert np.array_equal(got, fresh_generator(seed, i, 0).uniform(3.0, 7.0, size=3))
         after = stream.normal(4, np.empty(3))
-        assert np.array_equal(after, simulator.step_noise(seed, i, 4, 3))
+        assert np.array_equal(after, fresh_generator(seed, i, 5).standard_normal(3))
 
 
 def _dense(n, seed, intercept=True):
