@@ -16,7 +16,8 @@ before any decomposition); the controller then simply holds the current
 strategy.
 
 The loop runs in segments, as a speedup only. Each step's noise is drawn
-once, in step order. A segment steps the state ahead with the current
+once, in step order: a segment draws the rows it has not yet drawn in one
+`simulator._normals` call. A segment steps the state ahead with the current
 strategy, fits all its windows in one stacked pass
 (`inference.fit_windows`) and takes their spectra in one `eigvals` call,
 then applies the rules step by step, as the one-step-at-a-time loop
@@ -303,8 +304,8 @@ def run_controlled(
         raise ValueError(
             f"window {cfg.window} > total iterations {sim.iterations}"
         )
-    if session_index < 0:
-        raise ValueError(f"session index must be >= 0, got {session_index}")
+    if not 0 <= session_index < 2**64:
+        raise ValueError(f"session index must be in [0, 2**64), got {session_index}")
 
     if schedule:
         state = _LoopState(strategy=cat[schedule[0].strategy_id])
@@ -313,9 +314,9 @@ def run_controlled(
 
     n = state.strategy.dimension
     steps = sim.iterations
-    noise = simulator._SessionStream(sim.base_seed, session_index)
+    keys = simulator._session_keys(sim.base_seed, range(session_index, session_index + 1))
     m = np.empty((steps + 1, n))
-    m[0] = simulator._resolve_initial(sim, noise)
+    m[0] = simulator._resolve_initial(sim, keys)
     eps = np.empty((steps, n))  # row t: the noise of step t, drawn once
     drawn = 0
     events: list[ControlEvent] = []
@@ -334,9 +335,9 @@ def run_controlled(
                 f"{strategy.dimension}, the run has {n}"
             )
         stop = min(steps, start + length)
-        for t in range(drawn, stop):
-            noise.normal(t, eps[t])
-        drawn = max(drawn, stop)
+        if stop > drawn:
+            eps[drawn:stop] = simulator._normals(keys, range(drawn + 1, stop + 1), n)[:, 0]
+            drawn = stop
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for t in range(start, stop):

@@ -9,12 +9,17 @@ with eps a standard-normal vector. Noise comes from a counter-based
 session set is bitwise reproducible no matter how the sessions are
 scheduled or parallelized.
 
-A Philox draw is a pure function of (key, counter). Each session therefore
-keeps one generator and rewinds its counter before every draw, which gives
-the bytes of a generator built afresh for that draw at a fraction of the
-cost. All sessions of a set are stepped together, one stacked
-matrix-vector product per row, which rounds exactly like the lone `A @ x`
-of a single session; `simulate_session` is the same kernel run on
+The draw at tag t of a session is the one numpy's
+`Generator(Philox(key, counter=[0, 0, 0, t])).standard_normal(n)` makes:
+tag 0 is the init_box start and tag t+1 the noise of step t. Noise does
+not depend on the state, so a run computes its draws up front, many rows
+per numpy call. Word k of a row is word k % 4 of the Philox4x64-10 block
+at counter [k // 4 + 1, 0, 0, t], and each word becomes a normal on the
+accept path of numpy's 256-layer ziggurat. A row with a word off that
+path (about 1.5% of words) is drawn again by numpy itself, so every row
+holds numpy's bytes. All sessions of a set are stepped together, one
+stacked matrix-vector product per row, which rounds exactly like the lone
+`A @ x` of a single session; `simulate_session` is the same kernel run on
 one session, so a session's bytes do not depend on the set around it.
 
 Ships the four built-in strategy presets (EF, SF, FF, AI) as diagonal
@@ -29,10 +34,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ziggurat import KI_DOUBLE, WI_DOUBLE
 from .core import DimensionMismatch, NonFinite, SessionSet, StrategySpec, Trajectory
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# Philox4x64-10: the round multipliers and the Weyl increments of the key
+# (Random123, as numpy implements it).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+# Rows of noise per kernel pass: long runs make few passes, and a pass's
+# temporaries stay well under 1 MB.
+_CHUNK_ROWS = 8192
+
+_LO32 = np.uint64(0xFFFFFFFF)
+_MAG52 = np.uint64((1 << 52) - 1)
 
 # Diagonal drift coefficients of the built-in presets, axis order
 # [security, efficiency, functionality].
@@ -46,61 +65,140 @@ PRESET_DRIFT_DIAGONALS: dict[str, tuple[float, float, float]] = {
 DEFAULT_SIGMA = 0.5
 
 
-def _splitmix64(z: int) -> int:
-    """Stable 64-bit integer hash (splitmix64 finalizer)."""
-    z = (z + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+def _philox_key(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two Philox key words that numpy derives from the list
+    [seed, _GOLDEN], for each uint64 session seed. For a seed below 2**63
+    numpy converts that list through float64, so both words are rounded
+    and the seed's low bits are lost (ROADMAP item 7)."""
+    k0 = seeds.copy()
+    k1 = np.full(len(seeds), _GOLDEN, dtype=np.uint64)
+    low = seeds < np.uint64(1 << 63)
+    k0[low] = seeds[low].astype(np.float64).astype(np.uint64)
+    k1[low] = int(float(_GOLDEN))
+    return k0, k1
 
 
-def session_seed(base_seed: int, session_index: int) -> int:
-    """Per-session stream seed: base_seed XOR hash(session_index)."""
-    return (base_seed & _MASK64) ^ _splitmix64(session_index)
+def _session_keys(base_seed: int, sessions: range) -> tuple[np.ndarray, np.ndarray]:
+    """The Philox keys of the given sessions. A session's seed is base_seed
+    XOR splitmix64(session_index)."""
+    z = np.arange(sessions.start, sessions.stop, dtype=np.uint64) + np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return _philox_key(np.uint64(base_seed) ^ z ^ (z >> np.uint64(31)))
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of the 128-bit products m * x, built
+    from four 32-bit products."""
+    ml, mh = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    xl, xh = x & _LO32, x >> np.uint64(32)
+    lh, hl = xl * mh, xh * ml
+    mid = ((xl * ml) >> np.uint64(32)) + (lh & _LO32) + (hl & _LO32)
+    hi = xh * mh + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
+    return hi, x * np.uint64(m)
+
+
+def _philox_words(k0: np.ndarray, k1: np.ndarray, tags: np.ndarray, n: int) -> np.ndarray:
+    """The first n words that a Philox generator keyed (k0[i], k1[i]) at
+    counter [0, 0, 0, tags[i]] gives, as row i of a (rows, n) uint64 array.
+    The generator steps its counter before each block of four words, so
+    word k is word k % 4 of Philox4x64-10 at counter [k // 4 + 1, 0, 0, tag].
+    The tag sits in the high counter word, so the draws of distinct tags
+    never overlap."""
+    blocks = -(-n // 4)
+    shape = (len(tags), blocks)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    c1 = c2 = np.zeros(shape, dtype=np.uint64)
+    c3 = np.broadcast_to(tags[:, None], shape)
+    k0, k1 = k0[:, None], k1[:, None]
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(len(tags), 4 * blocks)[:, :n]
+
+
+def _ziggurat(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normals that numpy's ziggurat makes of the uint64 words r on its
+    accept path, and where that path accepts: the low byte picks the layer,
+    bit 8 is the sign and the next 52 bits are the magnitude."""
+    idx = (r & np.uint64(0xFF)).astype(np.intp)
+    rabs = (r >> np.uint64(9)) & _MAG52
+    x = rabs.astype(np.float64) * WI_DOUBLE[idx]
+    np.negative(x, out=x, where=(r & np.uint64(0x100)).astype(bool))
+    return x, rabs < KI_DOUBLE[idx]
+
+
+def _redraw(k0: np.ndarray, k1: np.ndarray, tags: np.ndarray, rows: list[int],
+            out: np.ndarray) -> None:
+    """Draw the given rows of the C-contiguous float64 array `out` again with
+    numpy itself, through one Philox generator whose state is set to each
+    row's key and counter [0, 0, 0, tag], with its output buffer empty."""
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # a new generator's: its buffer is empty
+    counter, key = state["state"]["counter"], state["state"]["key"]
+    for i, tag, a, b in zip(rows, tags[rows].tolist(), k0[rows].tolist(), k1[rows].tolist()):
+        counter[3], key[0], key[1] = tag, a, b
+        bitgen.state = state
+        gen.standard_normal(out=out[i])
+
+
+def _normal_rows(k0: np.ndarray, k1: np.ndarray, tags: np.ndarray, n: int) -> np.ndarray:
+    """Row i of the (rows, n) result is the standard-normal draw at tag
+    tags[i] of the session keyed (k0[i], k1[i]). A row with any word off the
+    ziggurat's accept path is drawn again by numpy."""
+    x, accepted = _ziggurat(_philox_words(k0, k1, tags, n))
+    rejected = np.flatnonzero(~accepted.all(axis=1)).tolist()
+    if rejected:
+        _redraw(k0, k1, tags, rejected, x)
+    return x
+
+
+def _normals(keys: tuple[np.ndarray, np.ndarray], tags: range, n: int) -> np.ndarray:
+    """The standard-normal draws of every session at every tag: a
+    (len(tags), sessions, n) array whose [s, j] is the draw at tag tags[s]
+    of the session with key (keys[0][j], keys[1][j]), computed _CHUNK_ROWS
+    rows at a time."""
+    sessions = len(keys[0])
+    tag = np.arange(tags.start, tags.stop, dtype=np.uint64)
+    out = np.empty((len(tag) * sessions, n))
+    for lo in range(0, len(out), _CHUNK_ROWS):
+        row = np.arange(lo, min(lo + _CHUNK_ROWS, len(out)))
+        j = row % sessions
+        out[lo:lo + len(row)] = _normal_rows(keys[0][j], keys[1][j], tag[row // sessions], n)
+    return out.reshape(len(tag), sessions, n)
+
+
+def _uniform_starts(keys: tuple[np.ndarray, np.ndarray], low: float, high: float,
+                    n: int) -> np.ndarray:
+    """The init_box start of each session, a (sessions, n) array: numpy's
+    `uniform(low, high, n)` at tag 0, low + (high - low) * u with u the top
+    53 bits of a word over 2**53."""
+    out = np.empty((len(keys[0]), n))
+    for lo in range(0, len(out), _CHUNK_ROWS):
+        k0, k1 = keys[0][lo:lo + _CHUNK_ROWS], keys[1][lo:lo + _CHUNK_ROWS]
+        r = _philox_words(k0, k1, np.zeros(len(k0), dtype=np.uint64), n)
+        out[lo:lo + len(k0)] = low + (high - low) * ((r >> np.uint64(11)) * 2.0**-53)
+    return out
 
 
 def step_noise(base_seed: int, session_index: int, iteration: int, n: int) -> np.ndarray:
-    """The standard-normal draw used for step `iteration` of one session."""
-    return _SessionStream(base_seed, session_index).normal(iteration, np.empty(n))
-
-
-class _SessionStream:
-    """One session's noise source: a single Philox generator whose counter
-    is rewound to [0, 0, 0, tag] before each draw, with the output buffer
-    marked empty. Tag 0 is the init_box draw and tag t+1 the noise of step
-    t. The tag sits in the high counter word because a draw consumes the
-    low words as it runs, so the draws of distinct tags never overlap."""
-
-    __slots__ = ("_bitgen", "_gen", "_state")
-
-    def __init__(self, base_seed: int, session_index: int):
-        # The key is read back from the generator, so every rewound state
-        # carries the key words numpy derived from this list.
-        self._bitgen = np.random.Philox(key=[session_seed(base_seed, session_index), _GOLDEN])
-        self._gen = np.random.Generator(self._bitgen)
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64),
-                      "key": self._bitgen.state["state"]["key"]},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def _at(self, tag: int) -> np.random.Generator:
-        self._state["state"]["counter"][3] = tag
-        self._bitgen.state = self._state
-        return self._gen
-
-    def normal(self, iteration: int, out: np.ndarray) -> np.ndarray:
-        """Fill the float64 vector `out` with the noise of step `iteration`,
-        and return it."""
-        return self._at(iteration + 1).standard_normal(out=out)
-
-    def uniform(self, low: float, high: float, n: int) -> np.ndarray:
-        """The init_box start draw."""
-        return self._at(0).uniform(low, high, size=n)
+    """The standard-normal draw used for step `iteration` of one session.
+    For one row numpy's own draw is the quicker path, so this is the
+    kernel's fallback alone."""
+    if not 0 <= base_seed <= _MASK64:
+        raise ValueError(f"base_seed must be in [0, 2**64), got {base_seed}")
+    if not 0 <= session_index <= _MASK64:
+        raise ValueError(f"session index must be in [0, 2**64), got {session_index}")
+    if not 0 <= iteration < _MASK64:
+        raise ValueError(f"iteration must be in [0, 2**64 - 1), got {iteration}")
+    k0, k1 = _session_keys(base_seed, range(session_index, session_index + 1))
+    out = np.empty((1, n))
+    _redraw(k0, k1, np.array([iteration + 1], dtype=np.uint64), [0], out)
+    return out[0]
 
 
 def preset(strategy_id: str, sigma: float = DEFAULT_SIGMA) -> StrategySpec:
@@ -131,7 +229,8 @@ class SimConfig:
     initial_state None means the midpoint of the clip box, [5, ..., 5]
     when clipping is disabled; otherwise it is a finite state vector of the
     strategy's dimension, stored as a tuple of floats. init_box, when given
-    as (low, high), overrides it with a per-session uniform draw.
+    as (low, high) with a finite width, overrides it with a per-session
+    uniform draw.
     clip_bounds None disables clipping entirely; otherwise init_box and an
     explicit initial_state must lie inside the clip box. base_seed is a
     64-bit unsigned integer. The run's states, sessions x (iterations + 1)
@@ -171,8 +270,12 @@ class SimConfig:
             raise ValueError(f"clip bounds must satisfy low < high, got {self.clip_bounds}")
         if self.init_box is not None:
             low, high = self.init_box
-            if not (math.isfinite(low) and math.isfinite(high) and low <= high):
-                raise ValueError(f"init_box must be finite with low <= high, got {self.init_box}")
+            # the start draw is low + (high - low) * u, so the width must be finite too
+            if not (math.isfinite(high - low) and low <= high):
+                raise ValueError(
+                    f"init_box must be finite with low <= high and a finite width, "
+                    f"got {self.init_box}"
+                )
             if self.clip_bounds is not None \
                     and not self.clip_bounds[0] <= low <= high <= self.clip_bounds[1]:
                 raise ValueError(
@@ -218,7 +321,10 @@ def em_step(
     noise: np.ndarray,
     bounds: tuple[float, float] | None = (0.0, 10.0),
 ) -> np.ndarray:
-    """One Euler-Maruyama step. Noise is supplied by the caller (determinism)."""
+    """One Euler-Maruyama step. Noise is supplied by the caller (determinism).
+
+    A step whose arithmetic overflows or turns invalid before the clip, or
+    whose result is not finite, raises NonFinite."""
     xv = np.asarray(x, dtype=np.float64)
     eps = np.asarray(noise, dtype=np.float64)
     if xv.shape != (strategy.dimension,):
@@ -227,7 +333,11 @@ def em_step(
         )
     if eps.shape != xv.shape:
         raise DimensionMismatch(f"noise shape {eps.shape} != state shape {xv.shape}")
-    nxt = _step(xv, strategy, dt, eps, bounds)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            nxt = _step(xv, strategy, dt, eps, bounds)
+    except FloatingPointError:
+        raise NonFinite(f"step from {xv.tolist()} overflows or turns invalid") from None
     if not np.all(np.isfinite(nxt)):
         raise NonFinite(f"step from {xv.tolist()} gives non-finite state {nxt.tolist()}")
     return nxt
@@ -250,11 +360,13 @@ def _step(x: np.ndarray, strategy: StrategySpec, dt: float, eps: np.ndarray,
     return nxt
 
 
-def _resolve_initial(cfg: SimConfig, stream: _SessionStream) -> np.ndarray:
+def _resolve_initial(cfg: SimConfig, keys: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The start state of each session with the given keys, as a
+    (sessions, n) array or one (n,) state shared by all."""
     n = cfg.strategy.dimension
     if cfg.init_box is not None:
         low, high = cfg.init_box
-        return stream.uniform(low, high, n)
+        return _uniform_starts(keys, low, high, n)
     if cfg.initial_state is not None:
         return np.array(cfg.initial_state)
     if cfg.clip_bounds is not None:
@@ -268,24 +380,27 @@ def _simulate(cfg: SimConfig, session_indices: range) -> np.ndarray:
     """Iterates of the given sessions, stepped together: a (T+1, N, n) array
     whose [:, j] is session session_indices[j].
 
-    The states are allocated before any session stream, so a run too large
-    for memory fails at once with MemoryError. A step whose arithmetic
-    overflows or turns invalid, before the clip, raises NonFinite naming
-    the step.
+    The states are allocated before any noise is drawn, so a run too large
+    for memory fails at once with MemoryError. The noise is drawn for
+    _CHUNK_ROWS rows (or one step) at a time, ahead of the steps that use
+    it. A step whose arithmetic overflows or turns invalid, before the clip,
+    raises NonFinite naming the step.
     """
     n = cfg.strategy.dimension
-    X = np.empty((cfg.iterations + 1, len(session_indices), n))
-    streams = [_SessionStream(cfg.base_seed, i) for i in session_indices]
-    X[0] = [_resolve_initial(cfg, stream) for stream in streams]
-    eps = np.empty((len(streams), n))
-    with np.errstate(over="raise", invalid="raise"):
-        for t in range(cfg.iterations):
-            for stream, row in zip(streams, eps):
-                stream.normal(t, row)
-            try:
-                X[t + 1] = _step(X[t], cfg.strategy, cfg.dt, eps, cfg.clip_bounds)
-            except FloatingPointError:
-                raise NonFinite(f"step {t} gives a non-finite state") from None
+    sessions = len(session_indices)
+    X = np.empty((cfg.iterations + 1, sessions, n))
+    keys = _session_keys(cfg.base_seed, session_indices)
+    X[0] = _resolve_initial(cfg, keys)
+    ahead = max(1, _CHUNK_ROWS // sessions)
+    for start in range(0, cfg.iterations, ahead):
+        eps = _normals(keys, range(start + 1, min(start + ahead, cfg.iterations) + 1), n)
+        with np.errstate(over="raise", invalid="raise"):
+            for t in range(start, start + len(eps)):
+                try:
+                    X[t + 1] = _step(X[t], cfg.strategy, cfg.dt, eps[t - start],
+                                     cfg.clip_bounds)
+                except FloatingPointError:
+                    raise NonFinite(f"step {t} gives a non-finite state") from None
     return X
 
 

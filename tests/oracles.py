@@ -252,15 +252,33 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def session_seed(base_seed: int, session_index: int) -> int:
+    """base_seed XOR splitmix64(session_index), in Python integers."""
+    z = (session_index + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (base_seed & _MASK64) ^ ((z ^ (z >> 31)) & _MASK64)
+
+
 def fresh_generator(base_seed: int, session_index: int, tag: int) -> np.random.Generator:
     """A new Philox generator at counter [0, 0, 0, tag], keyed by the
     session seed base_seed XOR splitmix64(session_index). Tag 0 is the
     start-state draw and tag t+1 the noise of step t."""
-    z = (session_index + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    seed = (base_seed & _MASK64) ^ ((z ^ (z >> 31)) & _MASK64)
+    seed = session_seed(base_seed, session_index)
     return np.random.Generator(np.random.Philox(counter=[0, 0, 0, tag], key=[seed, _GOLDEN]))
+
+
+def start_state(cfg, session_index: int, n: int) -> np.ndarray:
+    """The start state of one session of a `SimConfig`: a fresh uniform draw
+    in the init_box, the explicit initial state, or the clip-box centre."""
+    if cfg.init_box is not None:
+        low, high = cfg.init_box
+        return fresh_generator(cfg.base_seed, session_index, 0).uniform(low, high, size=n)
+    if cfg.initial_state is not None:
+        return np.array(cfg.initial_state, dtype=np.float64)
+    if cfg.clip_bounds is not None:
+        return np.full(n, (cfg.clip_bounds[0] + cfg.clip_bounds[1]) / 2.0)
+    return np.full(n, 5.0)
 
 
 def sequential_sessions(cfg) -> list[np.ndarray]:
@@ -271,15 +289,7 @@ def sequential_sessions(cfg) -> list[np.ndarray]:
     n = A.shape[0]
     out = []
     for i in range(cfg.sessions):
-        if cfg.init_box is not None:
-            low, high = cfg.init_box
-            x = fresh_generator(cfg.base_seed, i, 0).uniform(low, high, size=n)
-        elif cfg.initial_state is not None:
-            x = np.array(cfg.initial_state, dtype=np.float64)
-        elif cfg.clip_bounds is not None:
-            x = np.full(n, (cfg.clip_bounds[0] + cfg.clip_bounds[1]) / 2.0)
-        else:
-            x = np.full(n, 5.0)
+        x = start_state(cfg, i, n)
         rows = [x]
         for t in range(cfg.iterations):
             eps = fresh_generator(cfg.base_seed, i, t + 1).standard_normal(n)
@@ -418,8 +428,8 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
         raise ValueError(
             f"window {cfg.window} > total iterations {sim.iterations}"
         )
-    if session_index < 0:
-        raise ValueError(f"session index must be >= 0, got {session_index}")
+    if not 0 <= session_index < 2**64:
+        raise ValueError(f"session index must be in [0, 2**64), got {session_index}")
 
     if schedule:
         state = _LoopState(strategy=cat[schedule[0].strategy_id])
@@ -427,10 +437,8 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
         state = _LoopState(strategy=sim.strategy)
 
     n = state.strategy.dimension
-    noise = simulator._SessionStream(sim.base_seed, session_index)
     m = np.empty((sim.iterations + 1, n))
-    m[0] = simulator._resolve_initial(sim, noise)
-    eps = np.empty(n)
+    m[0] = start_state(sim, session_index, n)
     events: list[ControlEvent] = []
 
     for t in range(sim.iterations):
@@ -439,7 +447,7 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
                 f"strategy {state.strategy.id!r} has dimension "
                 f"{state.strategy.dimension}, the run has {n}"
             )
-        noise.normal(t, eps)
+        eps = fresh_generator(sim.base_seed, session_index, t + 1).standard_normal(n)
         now = t + 1
         with np.errstate(over="raise", invalid="raise"):
             try:

@@ -187,22 +187,26 @@ def test_run_controlled_draws_the_step_noise_stream(monkeypatch, sigma, schedule
     got_traj, got_events = run_controlled(sim, cfg, halt_on_intervention=halt,
                                           session_index=session)
 
-    # reference: a generator built afresh for every draw, the k-th draw
-    # being the noise of step k
-    steps = iter(range(sim.iterations))
+    # reference: a generator built afresh for every row, the k-th row drawn
+    # being the noise of step k; the tags asked for must run 1, 2, 3, ...
+    tags = []
 
-    def step_noise(self, iteration, out):
-        out[:] = fresh_generator(seed, session, next(steps) + 1).standard_normal(len(out))
-        return out
+    def normals(keys, want_tags, n):
+        rows = [fresh_generator(seed, session, len(tags) + k + 1).standard_normal(n)
+                for k in range(len(want_tags))]
+        tags.extend(want_tags)
+        return np.array(rows)[:, None]
 
-    def start_draw(self, low, high, n):
-        return fresh_generator(seed, session, 0).uniform(low, high, size=n)
+    def uniform_starts(keys, low, high, n):
+        return fresh_generator(seed, session, 0).uniform(low, high, size=(1, n))
 
-    monkeypatch.setattr(simulator._SessionStream, "normal", step_noise)
-    monkeypatch.setattr(simulator._SessionStream, "uniform", start_draw)
+    monkeypatch.setattr(simulator, "_normals", normals)
+    monkeypatch.setattr(simulator, "_uniform_starts", uniform_starts)
     want_traj, want_events = run_controlled(sim, cfg, halt_on_intervention=halt,
                                             session_index=session)
     assert got_events
+    assert tags == list(range(1, len(tags) + 1))
+    assert len(want_traj) - 1 <= len(tags) <= sim.iterations
     assert dumps_trajectories([got_traj]) == dumps_trajectories([want_traj])
     assert controller.dumps_events(got_events) == controller.dumps_events(want_events)
 
@@ -248,7 +252,7 @@ def test_halt_on_intervention_truncates_run():
 
 def test_run_controlled_rejects_negative_session_index():
     sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=10)
-    for index in (-1, -3):
+    for index in (-1, -3, 2**64):
         with pytest.raises(ValueError, match="session index"):
             run_controlled(sim, ControllerConfig(), session_index=index)
 

@@ -4,7 +4,7 @@ import pytest
 from driftlab import core, simulator
 from driftlab.core import DimensionMismatch, StrategySpec
 from driftlab.simulator import SimConfig, drift, em_step, preset, simulate_session, simulate_set
-from oracles import fresh_generator, sequential_sessions
+from oracles import fresh_generator, sequential_sessions, session_seed
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_config_accepts_the_full_64_bit_seed_range():
 
 
 @pytest.mark.parametrize("box", [(7.0, 3.0), (float("nan"), 7.0), (3.0, float("inf")),
-                                 (float("-inf"), 7.0)])
+                                 (float("-inf"), 7.0), (-1e308, 1e308)])
 def test_config_rejects_bad_init_box(box):
     for clip in ((0.0, 10.0), None):
         with pytest.raises(ValueError, match="init_box must be finite"):
@@ -279,19 +279,27 @@ def test_em_step_rejects_a_non_finite_result():
             em_step([5, 5, 5], preset("AI"), 1.0, [float("nan"), 0.0, 0.0], bounds=bounds)
 
 
+def test_em_step_raises_on_an_overflow_before_the_clip():
+    # the overflowing state must not be clipped into the box and returned
+    for bounds in ((0.0, 10.0), None):
+        with pytest.raises(core.NonFinite, match="overflows"):
+            em_step(np.array([1e300, 5, 5]), preset("AI"), 1e10, np.ones(3), bounds=bounds)
+
+
 def test_run_too_large_for_memory_fails_before_building_streams(monkeypatch):
-    built = []
+    calls = []
+    draw = simulator._normals
 
-    class CountingStream(simulator._SessionStream):
-        def __init__(self, *args):
-            built.append(args)
-            if len(built) > 10:
-                raise AssertionError("session streams built before the state allocation")
-            super().__init__(*args)
+    def counting(*args):
+        calls.append(args)
+        return draw(*args)
 
-    monkeypatch.setattr(simulator, "_SessionStream", CountingStream)
+    monkeypatch.setattr(simulator, "_normals", counting)
     with pytest.raises(MemoryError):
         simulate_set(SimConfig(strategy=preset("SF"), sessions=10**17, iterations=1))
+    assert not calls, "noise drawn before the state allocation"
+    simulate_set(SimConfig(strategy=preset("SF"), sessions=3, iterations=2))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -345,40 +353,127 @@ def test_simulate_session_rejects_negative_index():
 
 
 # ---------------------------------------------------------------------------
-# rewound streams and the batched kernel against the sequential oracle
+# the noise kernel against numpy's own generators, and the batched
+# simulator against the sequential oracle
 # ---------------------------------------------------------------------------
 
-def test_rewound_stream_matches_step_noise_in_order_and_out_of_order():
-    seeds = (0, 13, 2**40 + 7, 2**64 - 1)
-    draws = [(seed, i, t, n) for seed in seeds for i in (0, 1, 5, 1000)
-             for t in range(50) for n in (3, 2, 4)]
-    assert len(draws) == 2400
-    streams = {}
+# Session seeds on both sides of 2**53 and 2**63, where numpy's conversion
+# of the key list changes.
+EDGE_SEEDS = (0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1)
 
-    def rewound(seed, i, t, n):
-        stream = streams.setdefault((seed, i), simulator._SessionStream(seed, i))
-        return stream.normal(t, np.empty(n)).copy()
 
-    def fresh(seed, i, t, n):
-        return fresh_generator(seed, i, t + 1).standard_normal(n)
+def _keys_of(pairs):
+    """The Philox keys of the (base_seed, session_index) pairs, one row each."""
+    keys = [simulator._session_keys(seed, range(i, i + 1)) for seed, i in pairs]
+    return tuple(np.concatenate(words) for words in zip(*keys))
 
-    for seed, i, t, n in draws:
-        assert np.array_equal(rewound(seed, i, t, n), fresh(seed, i, t, n))
-        assert np.array_equal(simulator.step_noise(seed, i, t, n), fresh(seed, i, t, n))
+
+def test_session_keys_are_the_keys_numpy_derives():
+    rng = np.random.default_rng(8)
+    seeds = [*EDGE_SEEDS, *rng.integers(0, 2**53, 20).tolist(),
+             *rng.integers(2**53, 2**63, 20).tolist(),
+             *rng.integers(0, 2**64 - 1, 40, dtype=np.uint64, endpoint=True).tolist()]
+    k0, k1 = simulator._philox_key(np.array(seeds, dtype=np.uint64))
+    for seed, got in zip(seeds, zip(k0.tolist(), k1.tolist())):
+        want = np.random.Philox(key=[seed, simulator._GOLDEN]).state["state"]["key"]
+        assert list(got) == want.tolist(), f"session seed {seed:#x}"
+
+
+def test_kernel_rows_are_numpys_draws_in_every_layer(monkeypatch):
+    # 50k rows, each against a generator built afresh for it: every
+    # ziggurat layer and both signs occur, and some rows take the fallback
+    redrawn = []
+    redraw = simulator._redraw
+
+    def counting(k0, k1, tags, rows, out):
+        redrawn.extend(rows)
+        return redraw(k0, k1, tags, rows, out)
+
+    monkeypatch.setattr(simulator, "_redraw", counting)
+    rng = np.random.default_rng(21)
+    seeds = [*EDGE_SEEDS, *rng.integers(0, 2**53, 3).tolist(),
+             *rng.integers(2**53, 2**63, 4).tolist(),
+             *rng.integers(2**63, 2**64 - 1, 4, dtype=np.uint64, endpoint=True).tolist()]
+    # base seeds that give session i the session seed seeds[i]
+    pairs = [(seed ^ session_seed(0, i), i) for i, seed in enumerate(seeds)]
+    keys = _keys_of(pairs)
+    rows = 0
+    for n in (2, 3, 4, 5, 9):
+        tags = range(1000 * n, 1000 * n + 500)
+        got = simulator._normals(keys, tags, n)
+        want = np.array([[fresh_generator(base, i, tag).standard_normal(n) for base, i in pairs]
+                         for tag in tags])
+        bad = np.argwhere((got != want).any(axis=2))
+        assert not len(bad), (
+            f"n={n}: {len(bad)} kernel rows differ from numpy {np.__version__}'s own draws, "
+            f"first at session seed {seeds[bad[0][1]]:#x}, tag {tags[bad[0][0]]}; "
+            f"check the ziggurat tables in driftlab/_ziggurat.py against this numpy"
+        )
+        words = simulator._philox_words(np.tile(keys[0], len(tags)), np.tile(keys[1], len(tags)),
+                                        np.repeat(np.arange(tags.start, tags.stop,
+                                                            dtype=np.uint64), len(seeds)), n)
+        assert len(np.unique(words & np.uint64(0xFF))) == 256
+        assert np.unique((words >> np.uint64(8)) & np.uint64(1)).tolist() == [0, 1]
+        rows += got.shape[0] * got.shape[1]
+    assert rows == 50_000
+    assert redrawn
+
+
+def test_kernel_rows_match_fresh_generators_in_any_order():
+    draws = [(seed, i, t) for seed in (0, 13, 2**40 + 7, 2**64 - 1)
+             for i in (0, 1, 5, 1000) for t in range(50)]
+    k0, k1 = _keys_of([(seed, i) for seed, i, _ in draws])
+    tags = np.array([t + 1 for *_, t in draws], dtype=np.uint64)
     order = np.random.default_rng(3).permutation(len(draws))
-    for k in order:
-        seed, i, t, n = draws[k]
-        assert np.array_equal(rewound(seed, i, t, n), fresh(seed, i, t, n))
+    for n in (3, 2, 4):
+        want = np.array([fresh_generator(seed, i, t + 1).standard_normal(n)
+                         for seed, i, t in draws])
+        assert np.array_equal(simulator._normal_rows(k0, k1, tags, n), want)
+        assert np.array_equal(simulator._normal_rows(k0[order], k1[order], tags[order], n),
+                              want[order])
+        for k in order:
+            assert np.array_equal(simulator.step_noise(*draws[k], n), want[k])
 
 
-def test_rewound_stream_start_draw_is_tag_zero():
+def test_kernel_start_draw_is_tag_zero():
     for seed, i in ((0, 0), (7, 3), (2**33, 11), (2**64 - 1, 2)):
-        stream = simulator._SessionStream(seed, i)
-        stream.normal(4, np.empty(3))  # a step draw first must not shift the start draw
-        got = stream.uniform(3.0, 7.0, 3)
-        assert np.array_equal(got, fresh_generator(seed, i, 0).uniform(3.0, 7.0, size=3))
-        after = stream.normal(4, np.empty(3))
-        assert np.array_equal(after, fresh_generator(seed, i, 5).standard_normal(3))
+        keys = simulator._session_keys(seed, range(i, i + 3))
+        for box in ((3.0, 7.0), (-3.0, 12.0), (0.1, 0.7), (2.5, 2.5), (-1e300, 1e300)):
+            got = simulator._uniform_starts(keys, *box, 3)
+            for j in range(3):
+                assert np.array_equal(got[j], fresh_generator(seed, i + j, 0).uniform(*box, size=3))
+        noise = simulator._normals(keys, range(5, 6), 3)[0]
+        for j in range(3):
+            assert np.array_equal(noise[j], fresh_generator(seed, i + j, 5).standard_normal(3))
+
+
+@pytest.mark.parametrize("args, what", [((0, 0, -1, 3), "iteration"),
+                                        ((0, -1, 0, 3), "session index"),
+                                        ((2**64, 0, 0, 3), "base_seed")])
+def test_step_noise_rejects_out_of_range_arguments(args, what):
+    with pytest.raises(ValueError, match=what):
+        simulator.step_noise(*args)
+
+
+@pytest.mark.parametrize("sessions, iterations", [(10, 30), (100, 3), (3, 100)])
+def test_noise_is_drawn_in_chunks_of_bounded_rows(monkeypatch, sessions, iterations):
+    # with 64-row chunks: several steps per chunk, several chunks per step,
+    # and the same bytes as the sequential oracle across every chunk edge
+    sizes = []
+    words = simulator._philox_words
+
+    def counting(k0, k1, tags, n):
+        sizes.append(len(tags))
+        return words(k0, k1, tags, n)
+
+    monkeypatch.setattr(simulator, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(simulator, "_philox_words", counting)
+    cfg = SimConfig(strategy=_dense(3, 7), sessions=sessions, iterations=iterations,
+                    base_seed=2**63 - 5, clip_bounds=None)
+    got = [t.values_matrix for t in simulate_set(cfg)]
+    assert max(sizes) <= 64
+    assert sum(sizes) == sessions * iterations
+    assert all(np.array_equal(a, b) for a, b in zip(got, sequential_sessions(cfg)))
 
 
 def _dense(n, seed, intercept=True):
