@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -34,6 +35,7 @@ from .core import (
     Trajectory,
     dumps_trajectories,
     group_by_strategy,
+    read_text,
     read_trajectories,
     validate_trajectory,
 )
@@ -267,6 +269,8 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_control(args) -> int:
+    strategy = _resolve_strategy(args.strategy, args.sigma)
+    catalog = simulator.preset_catalog(args.sigma)
     if args.schedule == "default":
         schedule = controller.phased_schedule_default()
     elif args.schedule == "none":
@@ -277,11 +281,10 @@ def cmd_control(args) -> int:
                 schedule = controller.parse_schedule(json.load(f))
         except (OSError, ValueError, DomainError) as exc:
             raise _UsageError(f"bad schedule file {args.schedule!r}: {exc}") from exc
-        unknown = sorted({p.strategy_id for p in schedule} - set(simulator.PRESET_DRIFT_DIAGONALS))
+        unknown = sorted({p.strategy_id for p in schedule} - set(catalog))
         if unknown:
             raise _UsageError(f"bad schedule file {args.schedule!r}: unknown strategies {unknown}")
 
-    strategy = _resolve_strategy(args.strategy, args.sigma)
     try:
         sim = simulator.SimConfig(
             strategy=strategy, sessions=1, iterations=args.iterations,
@@ -293,7 +296,7 @@ def cmd_control(args) -> int:
     if args.window > args.iterations:
         raise _UsageError(f"--window {args.window} > --iterations {args.iterations}")
     traj, events = controller.run_controlled(
-        sim, cfg, halt_on_intervention=args.halt_on_intervention
+        sim, cfg, catalog, halt_on_intervention=args.halt_on_intervention
     )
     traj_path = Path(f"{args.out}.jsonl")
     events_path = Path(f"{args.out}.events.jsonl")
@@ -307,16 +310,8 @@ def cmd_control(args) -> int:
 # score
 # ---------------------------------------------------------------------------
 
-def _read_source(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
 def _score_one(path: str, expected_length: int, as_json: bool) -> str:
-    breakdown = scorer.score_all(_read_source(path), expected_length)
+    breakdown = scorer.score_all(read_text(path), expected_length)
     if as_json:
         return dumps_report(breakdown.to_dict()) + "\n"
     lines = [
@@ -374,15 +369,19 @@ def _manifest_trajectories(rows: list[dict], scores: list) -> list[Trajectory]:
 
 def cmd_score(args) -> int:
     if args.manifest:
-        with open(args.manifest, "r", encoding="utf-8", newline="") as f:
-            rows = list(csv.DictReader(f))
+        reader = csv.DictReader(io.StringIO(read_text(args.manifest, newline=""), newline=""))
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            # the DictReader's own line_num is only set after a whole row
+            raise RecordFormatError(f"manifest line {reader.reader.line_num}: {exc}") from None
         if not rows:
             raise _UsageError(f"empty manifest {args.manifest!r}")
         columns = set(rows[0])
         if not {"path", "expected_length"} <= columns:
             raise _UsageError(f"manifest {args.manifest!r} needs path,expected_length columns")
         scores = [
-            scorer.score_all(_read_source(row["path"]),
+            scorer.score_all(read_text(row["path"]),
                              _manifest_int(row, "expected_length", lineno))
             for lineno, row in enumerate(rows, start=2)
         ]

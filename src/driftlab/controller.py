@@ -287,10 +287,14 @@ def run_controlled(
     """One controlled run; deterministic given (sim.base_seed, session_index).
 
     Starts from the schedule's first phase when one is configured,
-    otherwise from sim.strategy (a balanced start by convention). Raises
-    KeyError before the run when a scheduled or fallback strategy is not in
-    the catalog, and ScheduleExhausted when a fully bounded schedule runs
-    out with iterations remaining and no fallback strategy is configured.
+    otherwise from sim.strategy (a balanced start by convention). Phases
+    and the fallback strategy are looked up in `catalog`, which defaults to
+    `simulator.preset_catalog()`: the four presets at
+    simulator.DEFAULT_SIGMA (0.5), whatever the diffusion of sim.strategy.
+    Raises KeyError before the run when a scheduled or fallback strategy is
+    not in the catalog, and ScheduleExhausted when a fully bounded schedule
+    runs out with iterations remaining and no fallback strategy is
+    configured.
     """
     cat = simulator.preset_catalog() if catalog is None else dict(catalog)
     schedule = cfg.phase_schedule

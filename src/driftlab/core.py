@@ -315,10 +315,6 @@ class DriftModel:
             "sample_count": self.sample_count,
         }
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "DriftModel":
-        return cls(d["A_hat"], d["b_hat"], d["sigma_hat"], d["sample_count"])
-
 
 @dataclass(frozen=True, eq=False)
 class InterferenceMatrix:
@@ -353,10 +349,6 @@ class InterferenceMatrix:
     def to_dict(self) -> dict:
         return {"entries": [[float(v) for v in row] for row in self.entries]}
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "InterferenceMatrix":
-        return cls(d["entries"])
-
 
 class Regime(Enum):
     EXPONENTIAL = "Exponential"
@@ -388,16 +380,6 @@ class SpectrumReport:
             "discrete_stable": self.discrete_stable,
         }
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SpectrumReport":
-        return cls(
-            eigenvalues=tuple(complex(re, im) for re, im in d["eigenvalues"]),
-            discrete_eigenvalues=tuple(complex(re, im) for re, im in d["discrete_eigenvalues"]),
-            convergence_rate=float(d["convergence_rate"]),
-            regime=Regime(d["regime"]),
-            discrete_stable=bool(d["discrete_stable"]),
-        )
-
 
 @dataclass(frozen=True)
 class PredictionReport:
@@ -413,14 +395,6 @@ class PredictionReport:
             "per_dimension_r_squared": list(self.per_dimension_r_squared),
             "step_count": self.step_count,
         }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "PredictionReport":
-        return cls(
-            r_squared=float(d["r_squared"]),
-            per_dimension_r_squared=tuple(float(v) for v in d["per_dimension_r_squared"]),
-            step_count=int(d["step_count"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +535,18 @@ def loads_trajectories(text: str) -> list[Trajectory]:
             for sid, (strategy, rows) in sessions.items()]
 
 
+def read_text(path, newline: str | None = None) -> str:
+    """The text of a UTF-8 file, read with `open`'s newline mode. A file
+    that is not UTF-8 raises DomainError naming the file and the byte."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_trajectories(path) -> list[Trajectory]:
-    with open(path, "r", encoding="utf-8") as f:
-        return loads_trajectories(f.read())
+    return loads_trajectories(read_text(path))
 
 
 def group_by_strategy(trajectories: Iterable[Trajectory]) -> dict[str, SessionSet]:

@@ -2,8 +2,7 @@
 
 All objectives are maximized. Efficiency is self-referential: the
 fraction of a trajectory's points not dominated by any other point of the
-same trajectory. A cross-strategy front over session equilibria is
-available as a separate report and is never the headline metric.
+same trajectory.
 
 One dominance kernel, `_dominated`, serves two paths: a trajectory longer
 than `_BLOCK` points is swept in sorted blocks by `non_dominated_mask`,
@@ -20,7 +19,6 @@ import numpy as np
 
 from .core import (
     DimensionMismatch,
-    InsufficientData,
     SessionSet,
     TailTooLong,
     TooShort,
@@ -147,13 +145,3 @@ def efficiency_rows(data: SessionSet, tail: int = 3) -> list[dict]:
             row[f"eq_{i}"] = v
         rows.append(row)
     return rows
-
-
-def cross_strategy_front(equilibria: dict[str, np.ndarray]) -> dict[str, bool]:
-    """Which strategies' equilibria survive dominance against the others."""
-    names = list(equilibria)
-    if not names:
-        raise InsufficientData("cross-strategy front needs at least one equilibrium")
-    P = np.stack([equilibria[k] for k in names])
-    mask = non_dominated_mask(P)
-    return {name: bool(flag) for name, flag in zip(names, mask)}

@@ -29,7 +29,6 @@ drift matrices with zero intercept and a default diffusion of 0.5 * I.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,26 +225,22 @@ def preset_catalog(sigma: float = DEFAULT_SIGMA) -> dict[str, StrategySpec]:
 class SimConfig:
     """Parameters of one batch simulation.
 
-    initial_state None means the midpoint of the clip box, [5, ..., 5]
-    when clipping is disabled; otherwise it is a finite state vector of the
-    strategy's dimension, stored as a tuple of floats. init_box, when given
-    as (low, high) with a finite width, overrides it with a per-session
-    uniform draw.
-    clip_bounds None disables clipping entirely; otherwise init_box and an
-    explicit initial_state must lie inside the clip box. base_seed is a
-    64-bit unsigned integer. The run's states, sessions x (iterations + 1)
-    x n float64 values, must fit in the byte range of one numpy array;
-    simulating a run that fits that range but not in memory raises
-    MemoryError. A simulated step whose arithmetic overflows or turns
-    invalid before the clip raises NonFinite, so no infinite state is
-    clipped into the box.
+    A session starts at the midpoint of the clip box, [5, ..., 5] when
+    clipping is disabled, or, when init_box is given as (low, high) with a
+    finite width, at its own uniform draw in that box.
+    clip_bounds None disables clipping entirely; otherwise init_box must
+    lie inside the clip box. base_seed is a 64-bit unsigned integer. The
+    run's states, sessions x (iterations + 1) x n float64 values, must fit
+    in the byte range of one numpy array; simulating a run that fits that
+    range but not in memory raises MemoryError. A simulated step whose
+    arithmetic overflows or turns invalid before the clip raises NonFinite,
+    so no infinite state is clipped into the box.
     """
 
     strategy: StrategySpec
     sessions: int = 1
     iterations: int = 1
     dt: float = 1.0
-    initial_state: tuple[float, ...] | None = None
     base_seed: int = 0
     clip_bounds: tuple[float, float] | None = (0.0, 10.0)
     init_box: tuple[float, float] | None = None
@@ -281,27 +276,6 @@ class SimConfig:
                 raise ValueError(
                     f"init_box {self.init_box} lies outside clip bounds {self.clip_bounds}"
                 )
-        if self.initial_state is not None:
-            x = np.array(self.initial_state, dtype=np.float64)  # a string is a ValueError
-            if x.shape != (self.strategy.dimension,):
-                raise DimensionMismatch(
-                    f"initial state shape {x.shape} != strategy dimension "
-                    f"({self.strategy.dimension},)"
-                )
-            # float64 conversion also takes numeric strings, bytes and bools
-            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                       for v in self.initial_state):
-                raise ValueError(
-                    f"initial state entries must be real numbers, got {self.initial_state!r}"
-                )
-            if not np.all(np.isfinite(x)):
-                raise ValueError(f"initial state must be finite, got {x.tolist()}")
-            if self.clip_bounds is not None \
-                    and not np.all((x >= self.clip_bounds[0]) & (x <= self.clip_bounds[1])):
-                raise ValueError(
-                    f"initial state {x.tolist()} lies outside clip bounds {self.clip_bounds}"
-                )
-            object.__setattr__(self, "initial_state", tuple(x.tolist()))
 
 
 def drift(strategy: StrategySpec, x: np.ndarray) -> np.ndarray:
@@ -367,8 +341,6 @@ def _resolve_initial(cfg: SimConfig, keys: tuple[np.ndarray, np.ndarray]) -> np.
     if cfg.init_box is not None:
         low, high = cfg.init_box
         return _uniform_starts(keys, low, high, n)
-    if cfg.initial_state is not None:
-        return np.array(cfg.initial_state)
     if cfg.clip_bounds is not None:
         center = (cfg.clip_bounds[0] + cfg.clip_bounds[1]) / 2.0
     else:

@@ -270,12 +270,10 @@ def fresh_generator(base_seed: int, session_index: int, tag: int) -> np.random.G
 
 def start_state(cfg, session_index: int, n: int) -> np.ndarray:
     """The start state of one session of a `SimConfig`: a fresh uniform draw
-    in the init_box, the explicit initial state, or the clip-box centre."""
+    in the init_box, or the clip-box centre."""
     if cfg.init_box is not None:
         low, high = cfg.init_box
         return fresh_generator(cfg.base_seed, session_index, 0).uniform(low, high, size=n)
-    if cfg.initial_state is not None:
-        return np.array(cfg.initial_state, dtype=np.float64)
     if cfg.clip_bounds is not None:
         return np.full(n, (cfg.clip_bounds[0] + cfg.clip_bounds[1]) / 2.0)
     return np.full(n, 5.0)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from driftlab import cli, core
+from driftlab import cli, controller, core, simulator
 from driftlab.core import StrategySpec
 
 
@@ -220,6 +220,38 @@ def test_control_deterministic(tmp_path):
                        "--out", str(p)) == 0
     assert (tmp_path / "d1.jsonl").read_bytes() == (tmp_path / "d2.jsonl").read_bytes()
     assert (tmp_path / "d1.events.jsonl").read_bytes() == (tmp_path / "d2.events.jsonl").read_bytes()
+
+
+def _control_bytes(tmp_path, name, *flags):
+    assert run_cli("control", *flags, "--out", str(tmp_path / name)) == 0
+    return ((tmp_path / f"{name}.jsonl").read_bytes(),
+            (tmp_path / f"{name}.events.jsonl").read_bytes())
+
+
+def _library_bytes(sim, cfg, catalog):
+    traj, events = controller.run_controlled(sim, cfg, catalog)
+    return (core.dumps_trajectories([traj]).encode(),
+            controller.dumps_events(events).encode())
+
+
+def test_control_sigma_reaches_every_scheduled_phase(tmp_path):
+    flags = ("--iterations", "10", "--seed", "7")
+    wide = _control_bytes(tmp_path, "wide", *flags, "--sigma", "3")
+    assert wide[0] != _control_bytes(tmp_path, "narrow", *flags, "--sigma", "0.5")[0]
+    sim = simulator.SimConfig(strategy=simulator.preset("AI", 3.0), iterations=10, base_seed=7)
+    cfg = controller.ControllerConfig(phase_schedule=controller.phased_schedule_default())
+    assert wide == _library_bytes(sim, cfg, simulator.preset_catalog(3.0))
+
+
+def test_control_sigma_reaches_the_fallback_after_a_switch(tmp_path):
+    got = _control_bytes(tmp_path, "sf", "--schedule", "none", "--strategy", "SF",
+                         "--sigma", "3", "--iterations", "20", "--seed", "7")
+    switches = [json.loads(line)["iteration"] for line in got[1].decode().splitlines()
+                if "switching SF->AI" in line]
+    assert switches and switches[0] < 20
+    sim = simulator.SimConfig(strategy=simulator.preset("SF", 3.0), iterations=20, base_seed=7)
+    cfg = controller.ControllerConfig()
+    assert got == _library_bytes(sim, cfg, simulator.preset_catalog(3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +526,19 @@ def _bad_invocation(tmp_path, case):
         src = tmp_path / "latin1.py"
         src.write_bytes(b"name = '\xe9t\xe9'\n")
         return ["score", "--src", str(src)]
+    if case == "analyze-in-not-utf8":
+        data = tmp_path / "latin1.jsonl"
+        data.write_bytes(b'{"session_id": "s\xe9", "strategy": "AI", "iteration": 0, '
+                         b'"objectives": [5.0, 5.0, 5.0]}\n')
+        return ["analyze", "--in", str(data), "--out", str(tmp_path / "r")]
+    if case == "manifest-not-utf8":
+        manifest = tmp_path / "m.csv"
+        manifest.write_bytes(b"path,expected_length\n\xe9t\xe9.py,1\n")
+        return ["score", "--manifest", str(manifest)]
+    if case == "manifest-field-too-large":
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f'path,expected_length\n"{"a" * 200_000}",1\n')
+        return ["score", "--manifest", str(manifest)]
     if case == "manifest-length-not-int":
         src = tmp_path / "a.py"
         src.write_text("x = 1\n")
@@ -549,6 +594,9 @@ def _bad_invocation(tmp_path, case):
     ("score-not-utf8", 1),
     ("manifest-length-not-int", 1),
     ("manifest-no-length-column", 2),
+    ("analyze-in-not-utf8", 1),
+    ("manifest-not-utf8", 1),
+    ("manifest-field-too-large", 1),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     argv = _bad_invocation(tmp_path, case)
@@ -559,3 +607,7 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     assert not any((tmp_path / "r").glob("*"))  # analyze wrote nothing
     if case.endswith(("strategy-id-not-str", "strategy-1x1")):
         assert "bad strategy file" in err
+    if case in ("score-not-utf8", "analyze-in-not-utf8", "manifest-not-utf8"):
+        assert "not UTF-8 text" in err
+    if case == "manifest-field-too-large":
+        assert "RecordFormatError: manifest line 2:" in err

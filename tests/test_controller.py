@@ -407,7 +407,7 @@ def test_online_interventions_match_offline_scan():
             for seed in range(8):
                 sim = simulator.SimConfig(strategy=simulator.preset("FF", sigma=sigma),
                                           iterations=30, base_seed=seed)
-                t, events = run_controlled(sim, cfg)
+                t, events = run_controlled(sim, cfg, catalog=simulator.preset_catalog(sigma))
                 online = [e for e in events if e.kind is EventKind.INTERVENTION]
                 offline = [e for e in check_interventions(t, cfg) if e.iteration >= 1]
                 assert online == offline

@@ -6,14 +6,9 @@ import pytest
 from driftlab import core
 from driftlab.core import (
     DimensionMismatch,
-    DriftModel,
-    InterferenceMatrix,
     OutOfRangeScore,
-    PredictionReport,
     RecordFormatError,
-    Regime,
     SessionSet,
-    SpectrumReport,
     StrategySpec,
     TooShort,
     Trajectory,
@@ -107,34 +102,6 @@ def test_jsonl_record_shape_matches_wire_format():
 def test_strategy_spec_round_trip():
     s = StrategySpec("FF", np.diag([-0.82, -0.88, 0.9]), [0.0, 0.1, -0.2], 0.5 * np.eye(3))
     assert StrategySpec.from_dict(json.loads(json.dumps(s.to_dict()))) == s
-
-
-def test_drift_model_round_trip():
-    m = DriftModel(np.diag([-0.3, 0.1, 0.0]), [0.01, -0.02, 0.0], 0.25 * np.eye(3), 40)
-    assert DriftModel.from_dict(json.loads(json.dumps(m.to_dict()))) == m
-
-
-def test_interference_round_trip():
-    # report-format fixture only; the values are not an oracle
-    entries = np.array([[0.0, 0.0, -0.09], [0.0, 0.0, -0.17], [-0.09, -0.17, 0.0]])
-    im = InterferenceMatrix(entries)
-    assert InterferenceMatrix.from_dict(json.loads(json.dumps(im.to_dict()))) == im
-
-
-def test_spectrum_report_round_trip():
-    rep = SpectrumReport(
-        eigenvalues=(complex(-0.5, 0.8), complex(-0.5, -0.8), complex(-1.0, 0.0)),
-        discrete_eigenvalues=(complex(0.5, 0.8), complex(0.5, -0.8), complex(0.0, 0.0)),
-        convergence_rate=0.5,
-        regime=Regime.OSCILLATORY,
-        discrete_stable=True,
-    )
-    assert SpectrumReport.from_dict(json.loads(json.dumps(rep.to_dict()))) == rep
-
-
-def test_prediction_report_round_trip():
-    rep = PredictionReport(0.74, (0.7, 0.8, 0.72), 4000)
-    assert PredictionReport.from_dict(json.loads(json.dumps(rep.to_dict()))) == rep
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from driftlab import pareto, simulator
 from driftlab.core import (
     DimensionMismatch,
-    InsufficientData,
     SessionSet,
     TailTooLong,
     TooShort,
@@ -204,18 +203,3 @@ def test_efficiency_rows_equal_per_session_efficiency():
     assert [row["efficiency"] for row in rows] == [pareto.pareto_efficiency(t) for t in data]
     assert [row["eq_2"] for row in rows] == \
         [float(pareto.equilibrium_estimate(t, 3)[1]) for t in data]
-
-
-def test_cross_strategy_front():
-    eqs = {
-        "A": [5, 5, 5],
-        "B": [4, 4, 4],   # dominated by A
-        "C": [6, 1, 1],   # trade-off, survives
-    }
-    front = pareto.cross_strategy_front(eqs)
-    assert front == {"A": True, "B": False, "C": True}
-
-
-def test_cross_strategy_front_of_no_strategies_is_insufficient_data():
-    with pytest.raises(InsufficientData, match="at least one equilibrium"):
-        pareto.cross_strategy_front({})

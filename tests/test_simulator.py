@@ -197,8 +197,6 @@ def test_config_validation():
         SimConfig(strategy=preset("AI"), iterations=0)
     with pytest.raises(ValueError):
         SimConfig(strategy=preset("AI"), dt=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(strategy=preset("AI"), initial_state="somewhere")
 
 
 @pytest.mark.parametrize("dt", [float("inf"), float("nan"), -1.0])
@@ -234,28 +232,16 @@ def test_config_rejects_init_box_outside_clip_box(box):
     SimConfig(strategy=preset("AI"), init_box=box, clip_bounds=None)
 
 
-def test_config_rejects_initial_state_outside_clip_box():
-    for state in ([12.0, 5.0, 5.0], [5.0, -0.1, 5.0]):
-        with pytest.raises(ValueError, match="outside clip bounds"):
-            SimConfig(strategy=preset("AI"), initial_state=state)
-        SimConfig(strategy=preset("AI"), initial_state=state,
-                  clip_bounds=None)
-
-
 def test_config_accepts_start_states_on_the_clip_box():
     SimConfig(strategy=preset("AI"), init_box=(3.0, 7.0))
     SimConfig(strategy=preset("AI"), init_box=(0.0, 10.0))
     SimConfig(strategy=preset("AI"), init_box=(4.0, 4.0))
-    SimConfig(strategy=preset("AI"), initial_state=[0.0, 10.0, 5.0])
 
 
 def test_fixed_center_sentinel_and_explicit_start():
     ef = preset("EF", sigma=0.0)
-    named = SimConfig(strategy=ef, iterations=1, initial_state=None)
+    named = SimConfig(strategy=ef, iterations=1)
     assert np.array_equal(simulate_session(named, 0).points[0], [5, 5, 5])
-    explicit = SimConfig(strategy=ef, iterations=1,
-                         initial_state=[2, 3, 4])
-    assert np.array_equal(simulate_session(explicit, 0).points[0], [2, 3, 4])
 
 
 def test_session_rows_are_chained_em_steps():
@@ -300,49 +286,6 @@ def test_run_too_large_for_memory_fails_before_building_streams(monkeypatch):
     assert not calls, "noise drawn before the state allocation"
     simulate_set(SimConfig(strategy=preset("SF"), sessions=3, iterations=2))
     assert len(calls) == 1
-
-
-# ---------------------------------------------------------------------------
-# start state: None (the clip-box centre) or one finite state vector
-# ---------------------------------------------------------------------------
-
-def test_array_initial_state_is_the_first_row():
-    cfg = SimConfig(strategy=preset("EF", 0.0), iterations=1,
-                    initial_state=np.array([2.0, 3.0, 4.0]))
-    assert cfg.initial_state == (2.0, 3.0, 4.0)
-    assert cfg == SimConfig(strategy=cfg.strategy, iterations=1, initial_state=[2, 3, 4])
-    assert simulate_session(cfg, 0).values_matrix[0].tolist() == [2.0, 3.0, 4.0]
-
-
-@pytest.mark.parametrize("state", [[99.0, 3.0], [1.0, 2.0, 3.0, 4.0], 5.0, [[1.0, 2.0, 3.0]]])
-def test_initial_state_of_wrong_length_is_rejected(state):
-    with pytest.raises(DimensionMismatch):
-        SimConfig(strategy=preset("EF", 0.0), initial_state=state)
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_non_finite_initial_state_is_rejected_without_clipping(bad):
-    with pytest.raises(ValueError, match="finite"):
-        SimConfig(strategy=preset("AI"), initial_state=[5.0, bad, 5.0], clip_bounds=None)
-
-
-def test_string_initial_state_is_rejected():
-    for state in ("somewhere", "center"):
-        with pytest.raises(ValueError):
-            SimConfig(strategy=preset("AI"), initial_state=state)
-
-
-@pytest.mark.parametrize("state", [["1", "2", "3"], [b"1", b"2", b"3"], [5.0, "5", 5.0],
-                                   [1.0, True, 5.0], [False, 0.0, 0.0],
-                                   np.array([True, False, True])])
-def test_initial_state_entries_must_be_real_numbers(state):
-    with pytest.raises(ValueError, match="real numbers"):
-        SimConfig(strategy=preset("AI"), initial_state=state)
-
-
-def test_initial_state_takes_numpy_and_integer_entries():
-    cfg = SimConfig(strategy=preset("AI"), initial_state=[np.float64(1.5), np.int32(2), 3])
-    assert cfg.initial_state == (1.5, 2.0, 3.0)
 
 
 def test_simulate_session_rejects_negative_index():
@@ -498,9 +441,6 @@ ORACLE_CONFIGS = {
     "dense4-dt2.5-init-box": SimConfig(strategy=_dense(4, 5, intercept=False), sessions=15,
                                        iterations=25, dt=2.5, base_seed=99,
                                        init_box=(1.0, 9.0)),
-    "dense3-explicit-start": SimConfig(strategy=_dense(3, 6), sessions=10, iterations=25,
-                                       dt=0.45, base_seed=3,
-                                       initial_state=[1.0, 9.0, 4.0]),
 }
 
 
