@@ -16,7 +16,6 @@ from .core import (
     RankDeficientDesign,
     RecordFormatError,
     Regime,
-    ScheduleExhausted,
     SessionSet,
     SpectrumReport,
     StrategySpec,
@@ -31,7 +30,7 @@ from .core import (
 )
 from .simulator import SimConfig, drift, em_step, preset, preset_catalog, simulate_session, simulate_set
 from .inference import fit_drift, interference_matrix, predictive_r2
-from .spectral import classify_regime, eigen_spectrum, stability_bridge_check
+from .spectral import classify_regime, eigen_spectrum
 from .pareto import dominates, equilibrium_estimate, pareto_efficiency
 from .controller import (
     ControlEvent,

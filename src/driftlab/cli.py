@@ -35,6 +35,7 @@ from .core import (
     Trajectory,
     dumps_trajectories,
     group_by_strategy,
+    parse_key_values,
     read_text,
     read_trajectories,
     validate_trajectory,
@@ -94,22 +95,11 @@ def load_config_file(path: str) -> dict[str, str]:
     """The file's key = value pairs, each key at most once (see `_setting`)."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
+            return parse_key_values(f.read(), path)
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"bad config file {path!r}: {exc}") from None
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise _UsageError(f"{path}:{lineno}: expected key = value")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key in values:
-            raise _UsageError(f"{path}:{lineno}: config key {key!r} repeated")
-        values[key] = value.strip()
-    return values
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _setting(args, config: dict[str, str], name: str, cast, default):
@@ -332,14 +322,31 @@ def _manifest_int(row: dict, column: str, lineno: int) -> int:
         ) from None
 
 
-def _manifest_trajectories(rows: list[dict], scores: list) -> list[Trajectory]:
+def _manifest_rows(text: str) -> list[tuple[int, dict]]:
+    """Each row after the header as (the physical line it starts on, the row
+    keyed by the header, None for a missing field), blank lines skipped."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, start = [], 1
+    try:
+        header = next(reader, [])
+        start = reader.line_num + 1
+        for values in reader:
+            if values:
+                rows.append((start, dict(zip(header, values + [None] * len(header)))))
+            start = reader.line_num + 1
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise RecordFormatError(f"manifest line {start}: {exc}") from None
+    return rows
+
+
+def _manifest_trajectories(rows: list[tuple[int, dict]], scores: list) -> list[Trajectory]:
     """One validated trajectory per session_id, points ordered by iteration.
 
     Iterations of a session must be exactly 0..T (any row order) and its
     rows must agree on the strategy; anything else is a RecordFormatError.
     """
     sessions: dict[str, tuple[str, dict[int, list[float]]]] = {}
-    for lineno, (row, b) in enumerate(zip(rows, scores), start=2):
+    for (lineno, row), b in zip(rows, scores):
         sid, strategy = row["session_id"], row["strategy"]
         first_strategy, points = sessions.setdefault(sid, (strategy, {}))
         if strategy != first_strategy:
@@ -369,21 +376,16 @@ def _manifest_trajectories(rows: list[dict], scores: list) -> list[Trajectory]:
 
 def cmd_score(args) -> int:
     if args.manifest:
-        reader = csv.DictReader(io.StringIO(read_text(args.manifest, newline=""), newline=""))
-        try:
-            rows = list(reader)
-        except csv.Error as exc:  # e.g. a field over csv's size limit
-            # the DictReader's own line_num is only set after a whole row
-            raise RecordFormatError(f"manifest line {reader.reader.line_num}: {exc}") from None
+        rows = _manifest_rows(read_text(args.manifest, newline=""))
         if not rows:
             raise _UsageError(f"empty manifest {args.manifest!r}")
-        columns = set(rows[0])
+        columns = set(rows[0][1])
         if not {"path", "expected_length"} <= columns:
             raise _UsageError(f"manifest {args.manifest!r} needs path,expected_length columns")
         scores = [
             scorer.score_all(read_text(row["path"]),
                              _manifest_int(row, "expected_length", lineno))
-            for lineno, row in enumerate(rows, start=2)
+            for lineno, row in rows
         ]
         if {"session_id", "strategy", "iteration"} <= columns:
             text = dumps_trajectories(_manifest_trajectories(rows, scores))
@@ -395,7 +397,7 @@ def cmd_score(args) -> int:
                     "efficiency": b.efficiency,
                     "functionality": b.functionality,
                 }) + "\n"
-                for row, b in zip(rows, scores)
+                for (_, row), b in zip(rows, scores)
             )
         if args.out:
             _write_text(Path(args.out), text)

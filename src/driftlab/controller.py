@@ -8,6 +8,9 @@ safety threshold: security below SECURITY_FLOOR, efficiency dropping by
 more than EFFICIENCY_DROP of its last value, or the windowed convergence
 rate above RATE_CEILING.
 
+A controlled run is always session 0 of its base seed, and its fallback
+strategy is always FALLBACK_STRATEGY (AI).
+
 Interventions are logged, not enacted; callers may stop at the first one
 via halt_on_intervention. Small windows routinely produce rank-deficient
 local fits, most often because an axis sits clipped at the box for the
@@ -47,7 +50,6 @@ from .core import (
     DimensionMismatch,
     DomainError,
     NonFinite,
-    ScheduleExhausted,
     StrategySpec,
     Trajectory,
 )
@@ -61,6 +63,9 @@ SECURITY_FLOOR = 2.0
 EFFICIENCY_DROP = 0.30
 RATE_CEILING = 1.5
 ZERO_MARGIN = 0.05
+
+# The strategy a run falls back to; every catalog must hold it.
+FALLBACK_STRATEGY = "AI"
 
 
 class Phase(NamedTuple):
@@ -96,7 +101,6 @@ class ControlEvent:
 class ControllerConfig:
     window: int = 5
     phase_schedule: tuple[Phase, ...] | None = None
-    fallback_strategy_id: str | None = "AI"
 
     def __post_init__(self):
         if self.window < 2:
@@ -234,10 +238,9 @@ def _rules_at(state: _LoopState, m: np.ndarray, now: int,
         near = min_abs_re < ZERO_MARGIN
         if near and not state.near_zero:
             detail = "eigenvalue near zero"
-            if cfg.phase_schedule is None and cfg.fallback_strategy_id \
-                    and state.strategy.id != cfg.fallback_strategy_id:
-                detail += f"; switching {state.strategy.id}->{cfg.fallback_strategy_id}"
-                state.strategy = cat[cfg.fallback_strategy_id]
+            if cfg.phase_schedule is None and state.strategy.id != FALLBACK_STRATEGY:
+                detail += f"; switching {state.strategy.id}->{FALLBACK_STRATEGY}"
+                state.strategy = cat[FALLBACK_STRATEGY]
             step_events.append(ControlEvent(
                 now, EventKind.BOUNDARY_AVOID_SWITCH, detail, min_abs_re
             ))
@@ -259,13 +262,7 @@ def _rules_at(state: _LoopState, m: np.ndarray, now: int,
                 target = detail = schedule[state.phase_index + 1].strategy_id
             elif at_max and now < steps:
                 # a bounded last phase at its max with steps left
-                if cfg.fallback_strategy_id is None:
-                    raise ScheduleExhausted(
-                        f"schedule exhausted at iteration {now} with "
-                        f"{steps - now} step(s) remaining"
-                    )
-                target = cfg.fallback_strategy_id
-                detail = f"{target} (fallback)"
+                target, detail = FALLBACK_STRATEGY, f"{FALLBACK_STRATEGY} (fallback)"
         if target is not None:
             step_events.append(ControlEvent(
                 now, EventKind.PHASE_SWITCH, f"{phase.strategy_id}->{detail}",
@@ -282,19 +279,17 @@ def run_controlled(
     cfg: ControllerConfig,
     catalog: Mapping[str, StrategySpec] | None = None,
     halt_on_intervention: bool = False,
-    session_index: int = 0,
 ) -> tuple[Trajectory, list[ControlEvent]]:
-    """One controlled run; deterministic given (sim.base_seed, session_index).
+    """One controlled run, session 0 of sim.base_seed; deterministic given
+    the seed.
 
     Starts from the schedule's first phase when one is configured,
     otherwise from sim.strategy (a balanced start by convention). Phases
-    and the fallback strategy are looked up in `catalog`, which defaults to
-    `simulator.preset_catalog()`: the four presets at
-    simulator.DEFAULT_SIGMA (0.5), whatever the diffusion of sim.strategy.
-    Raises KeyError before the run when a scheduled or fallback strategy is
-    not in the catalog, and ScheduleExhausted when a fully bounded schedule
-    runs out with iterations remaining and no fallback strategy is
-    configured.
+    and the fallback strategy, always FALLBACK_STRATEGY (AI), are looked
+    up in `catalog`, which defaults to `simulator.preset_catalog()`: the
+    four presets at simulator.DEFAULT_SIGMA (0.5), whatever the diffusion
+    of sim.strategy. Raises KeyError before the run when a scheduled
+    strategy or the fallback is not in the catalog.
     """
     cat = simulator.preset_catalog() if catalog is None else dict(catalog)
     schedule = cfg.phase_schedule
@@ -302,14 +297,12 @@ def run_controlled(
         missing = [p.strategy_id for p in schedule if p.strategy_id not in cat]
         if missing:
             raise KeyError(f"scheduled strategies missing from catalog: {missing}")
-    if cfg.fallback_strategy_id is not None and cfg.fallback_strategy_id not in cat:
-        raise KeyError(f"fallback strategy missing from catalog: {cfg.fallback_strategy_id!r}")
+    if FALLBACK_STRATEGY not in cat:
+        raise KeyError(f"fallback strategy missing from catalog: {FALLBACK_STRATEGY!r}")
     if cfg.window > sim.iterations:
         raise ValueError(
             f"window {cfg.window} > total iterations {sim.iterations}"
         )
-    if not 0 <= session_index < 2**64:
-        raise ValueError(f"session index must be in [0, 2**64), got {session_index}")
 
     if schedule:
         state = _LoopState(strategy=cat[schedule[0].strategy_id])
@@ -318,7 +311,7 @@ def run_controlled(
 
     n = state.strategy.dimension
     steps = sim.iterations
-    keys = simulator._session_keys(sim.base_seed, range(session_index, session_index + 1))
+    keys = simulator._session_keys(sim.base_seed, range(1))
     m = np.empty((steps + 1, n))
     m[0] = simulator._resolve_initial(sim, keys)
     eps = np.empty((steps, n))  # row t: the noise of step t, drawn once
@@ -363,18 +356,14 @@ def run_controlled(
             step_events, intervened = _rules_at(state, m, now, spectrum, cfg, cat, steps)
             events.extend(step_events)
             if halt_on_intervention and intervened:
-                return _controlled(m[:now + 1], session_index), events
+                return Trajectory(simulator.session_label(0), "controlled", m[:now + 1]), events
             if state.strategy is not strategy:
                 break
         start = now
         length = _FIRST_SEGMENT if state.strategy is not strategy \
             else min(2 * length, _LAST_SEGMENT)
 
-    return _controlled(m, session_index), events
-
-
-def _controlled(m: np.ndarray, session_index: int) -> Trajectory:
-    return Trajectory(simulator.session_label(session_index), "controlled", m)
+    return Trajectory(simulator.session_label(0), "controlled", m), events
 
 
 def dumps_events(events: Iterable[ControlEvent]) -> str:

@@ -71,10 +71,6 @@ class TailTooLong(DomainError):
     pass
 
 
-class ScheduleExhausted(DomainError):
-    pass
-
-
 class InvalidExpectedLength(DomainError):
     pass
 
@@ -543,6 +539,25 @@ def read_text(path, newline: str | None = None) -> str:
             return f.read()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def parse_key_values(text: str, where: str) -> dict[str, str]:
+    """The `key = value` pairs of a text read in text mode, skipping blank
+    and `#` lines. A line without `=`, or a key given twice, raises
+    ValueError naming `where:line`."""
+    values: dict[str, str] = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{where}:{lineno}: expected key = value")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"{where}:{lineno}: config key {key!r} repeated")
+        values[key] = value.strip()
+    return values
 
 
 def read_trajectories(path) -> list[Trajectory]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, NamedTuple
 
-from .core import SCORE_HIGH, SCORE_LOW, InvalidExpectedLength
+from .core import SCORE_HIGH, SCORE_LOW, InvalidExpectedLength, parse_key_values
 
 _BLOCK_KEYWORDS = {
     "def", "class", "if", "elif", "else", "for", "while", "with",
@@ -60,25 +60,9 @@ _LITERAL_BODY_RES = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Rule table
-# ---------------------------------------------------------------------------
-
-def parse_rule_table(text: str) -> dict[str, float]:
-    table: dict[str, float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"rule table line {lineno}: expected key = value")
-        key, _, value = stripped.partition("=")
-        table[key.strip()] = float(value.strip())
-    return table
-
-
-_RULES = parse_rule_table(
-    resources.files(__package__).joinpath("scorer_rules.cfg").read_text("utf-8"))
+_RULES = {key: float(value) for key, value in parse_key_values(
+    resources.files(__package__).joinpath("scorer_rules.cfg").read_text("utf-8"),
+    "scorer_rules.cfg").items()}
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +403,3 @@ def score_all(src: str, expected_length: int) -> ScoreBreakdown:
         functionality=_axis_score("functionality", fun),
         rule_hits=tuple(sec + eff + fun),
     )
-
-
-def reconstruct_scores(breakdown: ScoreBreakdown) -> dict[str, float]:
-    """Recompute each axis as clip(base + sum of its rule-hit deltas)."""
-    return {
-        axis: _axis_score(axis, [h for h in breakdown.rule_hits
-                                 if h.rule_id.startswith(axis + ".")])
-        for axis in ("security", "efficiency", "functionality")
-    }

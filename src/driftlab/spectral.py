@@ -31,11 +31,6 @@ def eigen_spectrum(A: np.ndarray) -> list[complex]:
     return sorted((complex(v) for v in vals), key=lambda z: (-z.real, -z.imag))
 
 
-def discretize(spectrum: list[complex], dt: float) -> list[complex]:
-    """Map continuous eigenvalues to the one-step map: 1 + lambda * dt."""
-    return [1.0 + lam * dt for lam in spectrum]
-
-
 def classify_regime(
     spectrum: list[complex],
     dt: float = 1.0,
@@ -49,6 +44,8 @@ def classify_regime(
     """
     if zero_tol <= 0:
         raise ValueError(f"zero_tol must be > 0, got {zero_tol}")
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
     lams = list(spectrum)
     if not lams:
         raise ValueError("empty spectrum")
@@ -60,7 +57,7 @@ def classify_regime(
         regime = Regime.OSCILLATORY
     else:
         regime = Regime.EXPONENTIAL
-    disc = discretize(lams, dt)
+    disc = [1.0 + lam * dt for lam in lams]  # the one-step map's eigenvalues
     return SpectrumReport(
         eigenvalues=tuple(lams),
         discrete_eigenvalues=tuple(disc),
@@ -68,17 +65,3 @@ def classify_regime(
         regime=regime,
         discrete_stable=all(abs(z) < 1.0 for z in disc),
     )
-
-
-def stability_bridge_check(
-    lam_cont: complex, dt: float
-) -> tuple[complex, bool, bool]:
-    """(lambda_discrete, continuous-stable, discrete-stable) for one eigenvalue.
-
-    The two criteria can disagree: lambda = -3 with dt = 1 is stable in
-    continuous time but maps to -2, outside the unit circle.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    lam_disc = 1.0 + lam_cont * dt
-    return lam_disc, lam_cont.real < 0.0, abs(lam_disc) < 1.0

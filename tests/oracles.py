@@ -9,8 +9,8 @@ generator for every draw, a JSONL writer and reader that go through
 one dict and one `json.dumps` / `json.loads` per record, an affine
 fit that checks the design's rank with its own `np.linalg.matrix_rank`
 before solving, the controller loop that takes one step, one window fit
-and one spectrum at a time, and the scorer's source cleaner that walks
-one character at a time.
+and one spectrum at a time, the scorer's source cleaner that walks one
+character at a time, and each axis score rebuilt from its rule hits.
 """
 
 from __future__ import annotations
@@ -24,19 +24,24 @@ from typing import Iterator
 import numpy as np
 
 from driftlab import inference, simulator, spectral
-from driftlab.controller import ZERO_MARGIN, ControlEvent, EventKind, _interventions_at
+from driftlab.controller import (
+    FALLBACK_STRATEGY,
+    ZERO_MARGIN,
+    ControlEvent,
+    EventKind,
+    _interventions_at,
+)
 from driftlab.core import (
     DimensionMismatch,
     InsufficientData,
     NonFinite,
     RankDeficientDesign,
     RecordFormatError,
-    ScheduleExhausted,
     StrategySpec,
     Trajectory,
     validate_trajectory,
 )
-from driftlab.scorer import _MARK, _Literal, _Logical
+from driftlab.scorer import _MARK, ScoreBreakdown, _axis_score, _Literal, _Logical
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +413,7 @@ class _LoopState:
     near_zero: bool = False
 
 
-def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
-                             session_index=0):
+def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False):
     """`controller.run_controlled` as the step-by-step loop: draw one step's
     noise, take the step, fit its trailing window, classify the spectrum
     and apply the rules, then the next step. A step whose arithmetic
@@ -420,14 +424,12 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
         missing = [p.strategy_id for p in schedule if p.strategy_id not in cat]
         if missing:
             raise KeyError(f"scheduled strategies missing from catalog: {missing}")
-    if cfg.fallback_strategy_id is not None and cfg.fallback_strategy_id not in cat:
-        raise KeyError(f"fallback strategy missing from catalog: {cfg.fallback_strategy_id!r}")
+    if FALLBACK_STRATEGY not in cat:
+        raise KeyError(f"fallback strategy missing from catalog: {FALLBACK_STRATEGY!r}")
     if cfg.window > sim.iterations:
         raise ValueError(
             f"window {cfg.window} > total iterations {sim.iterations}"
         )
-    if not 0 <= session_index < 2**64:
-        raise ValueError(f"session index must be in [0, 2**64), got {session_index}")
 
     if schedule:
         state = _LoopState(strategy=cat[schedule[0].strategy_id])
@@ -436,7 +438,7 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
 
     n = state.strategy.dimension
     m = np.empty((sim.iterations + 1, n))
-    m[0] = start_state(sim, session_index, n)
+    m[0] = start_state(sim, 0, n)
     events: list[ControlEvent] = []
 
     for t in range(sim.iterations):
@@ -445,7 +447,7 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
                 f"strategy {state.strategy.id!r} has dimension "
                 f"{state.strategy.dimension}, the run has {n}"
             )
-        eps = fresh_generator(sim.base_seed, session_index, t + 1).standard_normal(n)
+        eps = fresh_generator(sim.base_seed, 0, t + 1).standard_normal(n)
         now = t + 1
         with np.errstate(over="raise", invalid="raise"):
             try:
@@ -477,10 +479,9 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
             near = min_abs_re < ZERO_MARGIN
             if near and not state.near_zero:
                 detail = "eigenvalue near zero"
-                if schedule is None and cfg.fallback_strategy_id \
-                        and state.strategy.id != cfg.fallback_strategy_id:
-                    detail += f"; switching {state.strategy.id}->{cfg.fallback_strategy_id}"
-                    state.strategy = cat[cfg.fallback_strategy_id]
+                if schedule is None and state.strategy.id != FALLBACK_STRATEGY:
+                    detail += f"; switching {state.strategy.id}->{FALLBACK_STRATEGY}"
+                    state.strategy = cat[FALLBACK_STRATEGY]
                 step_events.append(ControlEvent(
                     now, EventKind.BOUNDARY_AVOID_SWITCH, detail, min_abs_re
                 ))
@@ -509,12 +510,7 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
                 elif phase.max_iters is not None:
                     # bounded final phase exhausted
                     if at_max and t < sim.iterations - 1:
-                        if cfg.fallback_strategy_id is None:
-                            raise ScheduleExhausted(
-                                f"schedule exhausted at iteration {now} with "
-                                f"{sim.iterations - now} step(s) remaining"
-                            )
-                        target = cfg.fallback_strategy_id
+                        target = FALLBACK_STRATEGY
                         step_events.append(ControlEvent(
                             now, EventKind.PHASE_SWITCH,
                             f"{phase.strategy_id}->{target} (fallback)",
@@ -528,8 +524,7 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False,
         if halt_on_intervention and intervened:
             break
 
-    traj = Trajectory(simulator.session_label(session_index),
-                      "controlled", m[:now + 1])
+    traj = Trajectory(simulator.session_label(0), "controlled", m[:now + 1])
     return traj, events
 
 
@@ -663,3 +658,16 @@ def reference_clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
                 end_literal()
             flush()
     return logical, valid, nonblank
+
+
+# ---------------------------------------------------------------------------
+# Scores rebuilt from their rule hits
+# ---------------------------------------------------------------------------
+
+def reconstruct_scores(breakdown: ScoreBreakdown) -> dict[str, float]:
+    """Recompute each axis as clip(base + sum of its rule-hit deltas)."""
+    return {
+        axis: _axis_score(axis, [h for h in breakdown.rule_hits
+                                 if h.rule_id.startswith(axis + ".")])
+        for axis in ("security", "efficiency", "functionality")
+    }

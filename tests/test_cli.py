@@ -545,6 +545,21 @@ def _bad_invocation(tmp_path, case):
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"path,expected_length\n{src},five\n")
         return ["score", "--manifest", str(manifest)]
+    # the bad row starts on physical line 4, after a row that spans two
+    # lines or after a blank line
+    line4_manifests = {
+        "manifest-after-multiline-field": 'path,expected_length,note\n{0},5,"two\nlines"\n'
+                                          '{0},five,ok\n',
+        "manifest-after-blank-line": "path,expected_length\n{0},5\n\n{0},five\n",
+        "manifest-strategy-change-after-blank-line":
+            "path,expected_length,session_id,strategy,iteration\n{0},5,s,X,0\n\n{0},5,s,Y,1\n",
+    }
+    if case in line4_manifests:
+        src = tmp_path / "a.py"
+        src.write_text("x = 1\n")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(line4_manifests[case].format(src))
+        return ["score", "--manifest", str(manifest)]
     if case == "manifest-no-length-column":
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"path\n{tmp_path / 'a.py'}\n")
@@ -597,6 +612,9 @@ def _bad_invocation(tmp_path, case):
     ("analyze-in-not-utf8", 1),
     ("manifest-not-utf8", 1),
     ("manifest-field-too-large", 1),
+    ("manifest-after-multiline-field", 1),
+    ("manifest-after-blank-line", 1),
+    ("manifest-strategy-change-after-blank-line", 1),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     argv = _bad_invocation(tmp_path, case)
@@ -611,3 +629,7 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert "not UTF-8 text" in err
     if case == "manifest-field-too-large":
         assert "RecordFormatError: manifest line 2:" in err
+    if case in ("manifest-after-multiline-field", "manifest-after-blank-line"):
+        assert "RecordFormatError: manifest line 4: expected_length 'five'" in err
+    if case == "manifest-strategy-change-after-blank-line":
+        assert "RecordFormatError: manifest line 4: session 's' changes strategy" in err

@@ -18,7 +18,6 @@ from driftlab.controller import (
 from driftlab.core import (
     DimensionMismatch,
     NonFinite,
-    ScheduleExhausted,
     StrategySpec,
     Trajectory,
     dumps_trajectories,
@@ -177,33 +176,32 @@ def test_run_controlled_deterministic():
 @pytest.mark.parametrize("halt", [False, True])
 @pytest.mark.parametrize("start", ["center", "init-box"])
 def test_run_controlled_draws_the_step_noise_stream(monkeypatch, sigma, schedule, halt, start):
-    seed, session = 41, 2
-    sim = simulator.SimConfig(strategy=simulator.preset("AI", sigma), sessions=3,
+    seed = 41
+    sim = simulator.SimConfig(strategy=simulator.preset("AI", sigma),
                               iterations=300, base_seed=seed,
                               init_box=(3.0, 7.0) if start == "init-box" else None)
     cfg = ControllerConfig(
         phase_schedule=phased_schedule_default() if schedule == "default" else None
     )
-    got_traj, got_events = run_controlled(sim, cfg, halt_on_intervention=halt,
-                                          session_index=session)
+    got_traj, got_events = run_controlled(sim, cfg, halt_on_intervention=halt)
 
-    # reference: a generator built afresh for every row, the k-th row drawn
-    # being the noise of step k; the tags asked for must run 1, 2, 3, ...
+    # reference: a generator built afresh for every row of session 0, the
+    # k-th row drawn being the noise of step k; the tags asked for must run
+    # 1, 2, 3, ...
     tags = []
 
     def normals(keys, want_tags, n):
-        rows = [fresh_generator(seed, session, len(tags) + k + 1).standard_normal(n)
+        rows = [fresh_generator(seed, 0, len(tags) + k + 1).standard_normal(n)
                 for k in range(len(want_tags))]
         tags.extend(want_tags)
         return np.array(rows)[:, None]
 
     def uniform_starts(keys, low, high, n):
-        return fresh_generator(seed, session, 0).uniform(low, high, size=(1, n))
+        return fresh_generator(seed, 0, 0).uniform(low, high, size=(1, n))
 
     monkeypatch.setattr(simulator, "_normals", normals)
     monkeypatch.setattr(simulator, "_uniform_starts", uniform_starts)
-    want_traj, want_events = run_controlled(sim, cfg, halt_on_intervention=halt,
-                                            session_index=session)
+    want_traj, want_events = run_controlled(sim, cfg, halt_on_intervention=halt)
     assert got_events
     assert tags == list(range(1, len(tags) + 1))
     assert len(want_traj) - 1 <= len(tags) <= sim.iterations
@@ -250,13 +248,6 @@ def test_halt_on_intervention_truncates_run():
     assert all(e.iteration <= first for e in events)
 
 
-def test_run_controlled_rejects_negative_session_index():
-    sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=10)
-    for index in (-1, -3, 2**64):
-        with pytest.raises(ValueError, match="session index"):
-            run_controlled(sim, ControllerConfig(), session_index=index)
-
-
 def test_controlled_trajectory_respects_clip_box():
     for seed in (0, 1, 2):
         sim = simulator.SimConfig(strategy=simulator.preset("FF"), iterations=12,
@@ -265,15 +256,6 @@ def test_controlled_trajectory_respects_clip_box():
         t, _e = run_controlled(sim, cfg)
         m = t.values_matrix
         assert np.all(m >= 0.0) and np.all(m <= 10.0)
-
-
-def test_schedule_exhausted_without_fallback():
-    schedule = (Phase("FF", 1, 1), Phase("SF", 1, 1))
-    sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=8,
-                              base_seed=2)
-    cfg = ControllerConfig(phase_schedule=schedule, fallback_strategy_id=None)
-    with pytest.raises(ScheduleExhausted):
-        run_controlled(sim, cfg)
 
 
 def test_exhausted_schedule_falls_back():
@@ -286,12 +268,11 @@ def test_exhausted_schedule_falls_back():
     assert len(fallbacks) == 1
 
 
-@pytest.mark.parametrize("fallback", ["AI", None])
-def test_bounded_schedule_ending_on_the_last_step_is_not_exhausted(fallback):
+def test_bounded_schedule_ending_on_the_last_step_is_not_exhausted():
     # SF reaches its max at step 5 of 5: no step is left to fall back for
     schedule = (Phase("FF", 2, 2), Phase("SF", 3, 3))
     sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=5, base_seed=2)
-    cfg = ControllerConfig(phase_schedule=schedule, fallback_strategy_id=fallback)
+    cfg = ControllerConfig(phase_schedule=schedule)
     _t, events = run_controlled(sim, cfg)
     switches = [(e.iteration, e.detail) for e in events if e.kind is EventKind.PHASE_SWITCH]
     assert switches == [(2, "FF->SF")]
@@ -306,18 +287,13 @@ def test_catalog_must_cover_schedule():
 
 def test_catalog_must_hold_the_fallback():
     # checked before the run, not at the first switch that needs it
-    sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=8)
-    for schedule in (None, (Phase("SF", 1, 2),)):
-        cfg = ControllerConfig(phase_schedule=schedule, fallback_strategy_id="ZZ")
-        with mock.patch.object(simulator, "_step", side_effect=AssertionError("ran")):
-            with pytest.raises(KeyError, match="fallback strategy missing from catalog: 'ZZ'"):
-                run_controlled(sim, cfg)
     catalog = {k: v for k, v in simulator.preset_catalog().items() if k != "AI"}
-    with pytest.raises(KeyError, match="'AI'"):
-        run_controlled(simulator.SimConfig(strategy=simulator.preset("SF"), iterations=8),
-                       ControllerConfig(), catalog=catalog)
-    run_controlled(simulator.SimConfig(strategy=simulator.preset("SF"), iterations=8),
-                   ControllerConfig(fallback_strategy_id=None), catalog=catalog)
+    sim = simulator.SimConfig(strategy=simulator.preset("SF"), iterations=8)
+    for schedule in (None, (Phase("SF", 1, 2),)):
+        cfg = ControllerConfig(phase_schedule=schedule)
+        with mock.patch.object(simulator, "_step", side_effect=AssertionError("ran")):
+            with pytest.raises(KeyError, match="fallback strategy missing from catalog: 'AI'"):
+                run_controlled(sim, cfg, catalog=catalog)
 
 
 def test_window_cannot_exceed_iterations():
@@ -477,14 +453,12 @@ def switching_schedule(seed, phases, last_open):
     return tuple(rows)
 
 
-@pytest.mark.parametrize("fallback", ["AI", None])
 @pytest.mark.parametrize("halt", [False, True])
-def test_run_controlled_matches_reference_on_fast_switching_schedules(monkeypatch, fallback, halt):
+def test_run_controlled_matches_reference_on_fast_switching_schedules(monkeypatch, halt):
     # a switch every step or two restarts the segment every step or two
     switches = 0
     for seed in range(4):
-        cfg = ControllerConfig(phase_schedule=switching_schedule(seed, 90, last_open=True),
-                               fallback_strategy_id=fallback)
+        cfg = ControllerConfig(phase_schedule=switching_schedule(seed, 90, last_open=True))
         sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=160,
                                   base_seed=seed, init_box=(2.0, 8.0))
         result = assert_matches_reference(monkeypatch, sim, cfg, halt_on_intervention=halt)
@@ -492,16 +466,13 @@ def test_run_controlled_matches_reference_on_fast_switching_schedules(monkeypatc
     assert switches > (0 if halt else 100)
 
 
-@pytest.mark.parametrize("fallback", ["AI", None])
-def test_run_controlled_matches_reference_when_a_bounded_schedule_runs_out(monkeypatch, fallback):
-    outcomes = set()
+def test_run_controlled_matches_reference_when_a_bounded_schedule_runs_out(monkeypatch):
     for seed in range(3):
-        cfg = ControllerConfig(phase_schedule=switching_schedule(seed, 12, last_open=False),
-                               fallback_strategy_id=fallback)
+        cfg = ControllerConfig(phase_schedule=switching_schedule(seed, 12, last_open=False))
         sim = simulator.SimConfig(strategy=simulator.preset("AI", 2.0), iterations=60,
                                   base_seed=seed)
-        outcomes.add(raised(assert_matches_reference(monkeypatch, sim, cfg)))
-    assert outcomes == ({None} if fallback else {ScheduleExhausted})
+        result = assert_matches_reference(monkeypatch, sim, cfg)
+        assert raised(result) is None and "(fallback)" in result[1]
 
 
 @pytest.mark.parametrize("window", [2, 3, 8])
@@ -516,21 +487,21 @@ def test_run_controlled_matches_reference_across_windows_and_dt(monkeypatch, win
 
 
 def dense_catalog(n, seed):
-    """Three dense n-dimensional strategies P, Q, R with drifts near -0.3 I."""
+    """Three dense n-dimensional strategies P, Q and AI (the fallback) with
+    drifts near -0.3 I."""
     rng = np.random.default_rng(seed)
     return {sid: StrategySpec(sid, -0.3 * np.eye(n) + 0.15 * rng.standard_normal((n, n)),
                               rng.normal(1.5, 0.5, n), 0.8 * np.eye(n) + 0.1 * rng.random((n, n)))
-            for sid in "PQR"}
+            for sid in ("P", "Q", "AI")}
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_run_controlled_matches_reference_on_custom_catalogs(monkeypatch, n):
     catalog = dense_catalog(n, n)
-    schedules = (None, (Phase("P", 2, 3), Phase("Q", 1, 2), Phase("R", 3, 5), Phase("P", 1, None)))
+    schedules = (None, (Phase("P", 2, 3), Phase("Q", 1, 2), Phase("AI", 3, 5), Phase("P", 1, None)))
     for schedule in schedules:
         for window in (n + 1, n + 3):
-            cfg = ControllerConfig(window=window, phase_schedule=schedule,
-                                   fallback_strategy_id="R")
+            cfg = ControllerConfig(window=window, phase_schedule=schedule)
             for seed in (1, 2):
                 sim = simulator.SimConfig(strategy=catalog["Q"], iterations=200,
                                           base_seed=seed, init_box=(2.0, 8.0))
@@ -571,20 +542,19 @@ def test_unclipped_overflow_raises_or_halts_as_the_reference_does(monkeypatch, w
 @pytest.mark.parametrize("window", [2, 3, 5])
 def test_an_overflow_raises_only_where_the_rules_reach_it(monkeypatch, window):
     # BOOM's steps from 5 reach 5e150, then 5e300, then overflow; CALM
-    # holds the state where it is
+    # holds the state where it is, and so does the fallback AI
     zero = np.zeros((2, 2))
-    catalog = {"BOOM": StrategySpec("BOOM", 1e150 * np.eye(2), np.zeros(2), zero),
-               "CALM": StrategySpec("CALM", zero, np.zeros(2), zero)}
+    catalog = {sid: StrategySpec(sid, zero, np.zeros(2), zero) for sid in ("CALM", "AI")}
+    catalog["BOOM"] = StrategySpec("BOOM", 1e150 * np.eye(2), np.zeros(2), zero)
     sim = simulator.SimConfig(strategy=catalog["BOOM"], iterations=12, clip_bounds=None)
     # the segment steps ahead with BOOM past its switch at step 1, into the
     # overflow of step 2, which the step-by-step loop never takes
-    cfg = ControllerConfig(window=window, fallback_strategy_id=None,
+    cfg = ControllerConfig(window=window,
                            phase_schedule=(Phase("BOOM", 1, 1), Phase("CALM", 1, None)))
     result = assert_matches_reference(monkeypatch, sim, cfg, catalog=catalog)
     assert raised(result) is None and '"detail": "BOOM->CALM"' in result[1]
     # with no switch the rules at step 2 run, then step 2 raises
-    cfg = ControllerConfig(window=window, fallback_strategy_id=None,
-                           phase_schedule=(Phase("BOOM", 1, None),))
+    cfg = ControllerConfig(window=window, phase_schedule=(Phase("BOOM", 1, None),))
     result = assert_matches_reference(monkeypatch, sim, cfg, catalog=catalog)
     assert result == (NonFinite, "step 2 gives a non-finite state", [1, 2])
 

@@ -272,3 +272,22 @@ def test_well_formed_lines_decode_in_place(sep, monkeypatch):
     monkeypatch.setattr(core.json, "loads", None)
     assert core.loads_trajectories(text) == trajs
     assert core.loads_trajectories(text + sep + sep) == trajs
+
+
+# ---------------------------------------------------------------------------
+# parse_key_values
+# ---------------------------------------------------------------------------
+
+def test_parse_key_values_skips_blank_and_comment_lines():
+    text = "# weights\n\n  a = 1.5  \nb=x = y\n   # indented comment\n"
+    assert core.parse_key_values(text, "t.cfg") == {"a": "1.5", "b": "x = y"}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a = 1\n\nno equals sign\n", "t.cfg:3: expected key = value"),
+    ("a = 1\n# c\n a = 2\n", "t.cfg:3: config key 'a' repeated"),
+])
+def test_parse_key_values_names_the_bad_line(text, message):
+    with pytest.raises(ValueError) as info:
+        core.parse_key_values(text, "t.cfg")
+    assert str(info.value) == message

@@ -5,13 +5,14 @@ import pytest
 from driftlab import scorer
 from driftlab.core import InvalidExpectedLength
 from driftlab.scorer import (
-    reconstruct_scores,
     scan_source,
     score_all,
     score_efficiency,
     score_functionality,
     score_security,
 )
+
+from oracles import reconstruct_scores
 
 
 def src(text: str) -> str:

@@ -134,22 +134,29 @@ def test_rate_is_negative_max_real_part():
 
 
 # ---------------------------------------------------------------------------
-# stability_bridge_check
+# continuous-to-discrete stability bridge, 1 + lambda * dt
 # ---------------------------------------------------------------------------
 
 def test_bridge_published_stable_pair():
-    lam_disc, cont, disc = spectral.stability_bridge_check(complex(-0.15), 1.0)
-    assert lam_disc == complex(0.85)
-    assert cont and disc
+    rep = spectral.classify_regime([complex(-0.15)], 1.0)
+    assert rep.discrete_eigenvalues == (complex(0.85),)
+    assert rep.convergence_rate > 0 and rep.discrete_stable
 
 
 def test_bridge_marginal_zero():
-    lam_disc, cont, disc = spectral.stability_bridge_check(complex(0.0), 1.0)
-    assert lam_disc == complex(1.0)
-    assert not cont and not disc
+    rep = spectral.classify_regime([complex(0.0)], 1.0)
+    assert rep.discrete_eigenvalues == (complex(1.0),)
+    assert rep.convergence_rate == 0 and not rep.discrete_stable
 
 
 def test_bridge_criteria_can_disagree():
-    lam_disc, cont, disc = spectral.stability_bridge_check(complex(-3.0), 1.0)
-    assert lam_disc == complex(-2.0)
-    assert cont and not disc
+    # stable in continuous time, but -3 maps to -2, outside the unit circle
+    rep = spectral.classify_regime([complex(-3.0)], 1.0)
+    assert rep.discrete_eigenvalues == (complex(-2.0),)
+    assert rep.convergence_rate > 0 and not rep.discrete_stable
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+def test_bridge_needs_a_positive_step(dt):
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        spectral.classify_regime([complex(-0.5)], dt)
