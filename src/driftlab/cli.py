@@ -88,18 +88,17 @@ def _write_text(path: Path, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Config file (plain key = value); flags win over file values
+# Input files named by flags; config values lose to flags
 # ---------------------------------------------------------------------------
 
-def load_config_file(path: str) -> dict[str, str]:
-    """The file's key = value pairs, each key at most once (see `_setting`)."""
+def _read_file(path: str, what: str, parse):
+    """parse(text) of the UTF-8 file at path. A file that cannot be read,
+    decoded or parsed is a usage error naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return parse_key_values(f.read(), path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"bad config file {path!r}: {exc}") from None
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        return parse(read_text(path))
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError,
+            DomainError) as exc:
+        raise _UsageError(f"bad {what} file {path!r}: {type(exc).__name__}: {exc}") from None
 
 
 def _setting(args, config: dict[str, str], name: str, cast, default):
@@ -127,15 +126,8 @@ def _resolve_strategy(name: str, sigma: float) -> StrategySpec:
         raise _UsageError(f"sigma must be finite, got {sigma}")
     if name in simulator.PRESET_DRIFT_DIAGONALS:
         return simulator.preset(name, sigma)
-    path = Path(name)
-    if path.is_file():
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                return StrategySpec.from_dict(json.load(f))
-        except (ValueError, KeyError, TypeError, DomainError) as exc:
-            raise _UsageError(
-                f"bad strategy file {name!r}: {type(exc).__name__}: {exc}"
-            ) from exc
+    if Path(name).is_file():
+        return _read_file(name, "strategy", lambda text: StrategySpec.from_dict(json.loads(text)))
     raise _UsageError(
         f"unknown strategy {name!r}: not a preset "
         f"({'|'.join(sorted(simulator.PRESET_DRIFT_DIAGONALS))}) or a spec file"
@@ -147,7 +139,8 @@ class _UsageError(Exception):
 
 
 def cmd_simulate(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
+    config = _read_file(args.config, "config", lambda text: parse_key_values(text, args.config)) \
+        if args.config else {}
     sessions = _setting(args, config, "sessions", int, 1)
     iterations = _setting(args, config, "iterations", int, 10)
     seed = _setting(args, config, "seed", int, 0)
@@ -266,19 +259,16 @@ def cmd_control(args) -> int:
     elif args.schedule == "none":
         schedule = None
     else:
-        try:
-            with open(args.schedule, "r", encoding="utf-8") as f:
-                schedule = controller.parse_schedule(json.load(f))
-        except (OSError, ValueError, DomainError) as exc:
-            raise _UsageError(f"bad schedule file {args.schedule!r}: {exc}") from exc
+        schedule = _read_file(args.schedule, "schedule",
+                              lambda text: controller.parse_schedule(json.loads(text)))
         unknown = sorted({p.strategy_id for p in schedule} - set(catalog))
         if unknown:
             raise _UsageError(f"bad schedule file {args.schedule!r}: unknown strategies {unknown}")
 
     try:
-        sim = simulator.SimConfig(
-            strategy=strategy, sessions=1, iterations=args.iterations,
-            dt=args.dt, base_seed=args.seed,
+        sim = simulator.SimConfig(  # at the width of the run's start strategy
+            strategy=catalog[schedule[0].strategy_id] if schedule else strategy,
+            sessions=1, iterations=args.iterations, dt=args.dt, base_seed=args.seed,
         )
         cfg = controller.ControllerConfig(window=args.window, phase_schedule=schedule)
     except ValueError as exc:
@@ -323,15 +313,15 @@ def _manifest_int(row: dict, column: str, lineno: int) -> int:
 
 
 def _manifest_rows(text: str) -> list[tuple[int, dict]]:
-    """Each row after the header as (the physical line it starts on, the row
-    keyed by the header, None for a missing field), blank lines skipped."""
+    """Each row after the header (the first non-blank row) as (the physical
+    line it starts on, the row keyed by the header, None for a missing field)."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    rows, start = [], 1
+    rows, start, header = [], 1, None
     try:
-        header = next(reader, [])
-        start = reader.line_num + 1
         for values in reader:
-            if values:
+            if header is None:
+                header = values or None
+            elif values:
                 rows.append((start, dict(zip(header, values + [None] * len(header)))))
             start = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv's size limit

@@ -29,11 +29,12 @@ next segment starts from `now` on the stored noise; a halt or an
 exception ends the run at its own step. Segments start at 16 steps after
 every switch and double up to 1024.
 
-A step whose arithmetic overflows or turns invalid, before the clip,
-raises NonFinite naming the step, as in `simulator`. A segment that
-overflows ahead of the rules ends before that step, and the rules walk up
-to it first: a switch or a halt there means the step is never taken, and
-otherwise the next segment starts at that step and raises.
+Every step is taken by `simulator._advance`, the one walk of every run: a
+step whose arithmetic overflows or turns invalid, before the clip, raises
+NonFinite naming the step. A segment that overflows ahead of the rules
+ends before that step, and the rules walk up to it first: a switch or a
+halt there means the step is never taken, and otherwise the next segment
+starts at that step and raises.
 """
 
 from __future__ import annotations
@@ -284,7 +285,8 @@ def run_controlled(
     the seed.
 
     Starts from the schedule's first phase when one is configured,
-    otherwise from sim.strategy (a balanced start by convention). Phases
+    otherwise from sim.strategy (a balanced start by convention), and runs
+    at the width of that start strategy, whatever sim.strategy's. Phases
     and the fallback strategy, always FALLBACK_STRATEGY (AI), are looked
     up in `catalog`, which defaults to `simulator.preset_catalog()`: the
     four presets at simulator.DEFAULT_SIGMA (0.5), whatever the diffusion
@@ -304,16 +306,11 @@ def run_controlled(
             f"window {cfg.window} > total iterations {sim.iterations}"
         )
 
-    if schedule:
-        state = _LoopState(strategy=cat[schedule[0].strategy_id])
-    else:
-        state = _LoopState(strategy=sim.strategy)
-
+    state = _LoopState(strategy=cat[schedule[0].strategy_id] if schedule else sim.strategy)
     n = state.strategy.dimension
     steps = sim.iterations
-    keys = simulator._session_keys(sim.base_seed, range(1))
-    m = np.empty((steps + 1, n))
-    m[0] = simulator._resolve_initial(sim, keys)
+    X, keys = simulator._start(sim, range(1), n)
+    m = X[:, 0]
     eps = np.empty((steps, n))  # row t: the noise of step t, drawn once
     drawn = 0
     events: list[ControlEvent] = []
@@ -335,14 +332,9 @@ def run_controlled(
         if stop > drawn:
             eps[drawn:stop] = simulator._normals(keys, range(drawn + 1, stop + 1), n)[:, 0]
             drawn = stop
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                for t in range(start, stop):
-                    m[t + 1] = simulator._step(m[t], strategy, sim.dt, eps[t], sim.clip_bounds)
-        except FloatingPointError:
-            if t == start:
-                raise NonFinite(f"step {t} gives a non-finite state") from None
-            stop = t  # the rules walk up to row t, then the next segment starts there
+        # an overflow ends the walk early; the next segment starts there
+        stop = simulator._advance(m, start, stop, strategy, sim.dt, eps[start:stop],
+                                  sim.clip_bounds)
         # windows ending at start+1 .. stop; the first ends at `first`
         first = max(start + 1, window)
         spectra, error = _window_signals(m[first - window:stop + 1], window)
@@ -371,18 +363,19 @@ def dumps_events(events: Iterable[ControlEvent]) -> str:
 
 
 def parse_schedule(spec: object) -> tuple[Phase, ...]:
-    """Schedule from JSON-ish data: a list of [strategy_id, min, max|null]."""
+    """Schedule from JSON data: a list of [strategy_id, min, max|null] rows,
+    each id a string and each count an integer (not a bool)."""
     if not isinstance(spec, list) or not spec:
         raise DomainError("schedule must be a non-empty list")
     phases = []
     for row in spec:
-        try:
-            sid, lo, hi = row
-            phases.append(Phase(str(sid), int(lo), None if hi is None else int(hi)))
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"malformed schedule row {row!r}: {exc}") from exc
-        if phases[-1].min_iters < 1:
+        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[0], str)
+                and type(row[1]) is int and (row[2] is None or type(row[2]) is int)):
+            raise DomainError(f"malformed schedule row {row!r}: expected [str, int, int or null]")
+        sid, lo, hi = row
+        if lo < 1:
             raise DomainError(f"phase {sid!r}: min_iters must be >= 1")
-        if phases[-1].max_iters is not None and phases[-1].max_iters < phases[-1].min_iters:
+        if hi is not None and hi < lo:
             raise DomainError(f"phase {sid!r}: max_iters < min_iters")
+        phases.append(Phase(sid, lo, hi))
     return tuple(phases)

@@ -253,6 +253,14 @@ class StrategySpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "StrategySpec":
+        """The strategy of JSON data; each array entry must be a JSON number."""
+        todo = [d["drift_matrix"], d["drift_intercept"], d["diffusion"]]
+        while todo:
+            value = todo.pop()
+            if isinstance(value, list):
+                todo.extend(value)
+            elif type(value) not in _JSON_NUMBERS:
+                raise TypeError(f"strategy entries must be JSON numbers, got {value!r}")
         return cls(d["id"], d["drift_matrix"], d["drift_intercept"], d["diffusion"])
 
 

@@ -334,45 +334,50 @@ def _step(x: np.ndarray, strategy: StrategySpec, dt: float, eps: np.ndarray,
     return nxt
 
 
-def _resolve_initial(cfg: SimConfig, keys: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The start state of each session with the given keys, as a
-    (sessions, n) array or one (n,) state shared by all."""
-    n = cfg.strategy.dimension
+def _start(cfg: SimConfig, session_indices: range, n: int) -> tuple[np.ndarray, tuple]:
+    """The (T+1, N, n) states of a run of the given sessions at width n, with
+    row 0 set to their starts, and the sessions' keys. The states are
+    allocated before any noise is drawn, so a run too large for memory fails
+    at once with MemoryError."""
+    X = np.empty((cfg.iterations + 1, len(session_indices), n))
+    keys = _session_keys(cfg.base_seed, session_indices)
     if cfg.init_box is not None:
-        low, high = cfg.init_box
-        return _uniform_starts(keys, low, high, n)
-    if cfg.clip_bounds is not None:
-        center = (cfg.clip_bounds[0] + cfg.clip_bounds[1]) / 2.0
+        X[0] = _uniform_starts(keys, *cfg.init_box, n)
     else:
-        center = 5.0
-    return np.full(n, center)
+        X[0] = 5.0 if cfg.clip_bounds is None else (cfg.clip_bounds[0] + cfg.clip_bounds[1]) / 2.0
+    return X, keys
+
+
+def _advance(X: np.ndarray, t: int, stop: int, strategy: StrategySpec, dt: float,
+             eps: np.ndarray, bounds: tuple[float, float] | None) -> int:
+    """Take steps t .. stop-1 of X, X[s + 1] from X[s] and the noise eps[s - t],
+    and return stop. A step whose arithmetic overflows or turns invalid before
+    the clip raises NonFinite naming it if it is step t; a later one is left
+    untaken and returned, so that the next walk starts there and raises."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for s in range(t, stop):
+                X[s + 1] = _step(X[s], strategy, dt, eps[s - t], bounds)
+    except FloatingPointError:
+        if s == t:
+            raise NonFinite(f"step {s} gives a non-finite state") from None
+        return s
+    return stop
 
 
 def _simulate(cfg: SimConfig, session_indices: range) -> np.ndarray:
     """Iterates of the given sessions, stepped together: a (T+1, N, n) array
-    whose [:, j] is session session_indices[j].
-
-    The states are allocated before any noise is drawn, so a run too large
-    for memory fails at once with MemoryError. The noise is drawn for
-    _CHUNK_ROWS rows (or one step) at a time, ahead of the steps that use
-    it. A step whose arithmetic overflows or turns invalid, before the clip,
-    raises NonFinite naming the step.
+    whose [:, j] is session session_indices[j]. The noise is drawn for
+    _CHUNK_ROWS rows (or one step) at a time, ahead of the walk that uses it.
     """
     n = cfg.strategy.dimension
-    sessions = len(session_indices)
-    X = np.empty((cfg.iterations + 1, sessions, n))
-    keys = _session_keys(cfg.base_seed, session_indices)
-    X[0] = _resolve_initial(cfg, keys)
-    ahead = max(1, _CHUNK_ROWS // sessions)
-    for start in range(0, cfg.iterations, ahead):
-        eps = _normals(keys, range(start + 1, min(start + ahead, cfg.iterations) + 1), n)
-        with np.errstate(over="raise", invalid="raise"):
-            for t in range(start, start + len(eps)):
-                try:
-                    X[t + 1] = _step(X[t], cfg.strategy, cfg.dt, eps[t - start],
-                                     cfg.clip_bounds)
-                except FloatingPointError:
-                    raise NonFinite(f"step {t} gives a non-finite state") from None
+    X, keys = _start(cfg, session_indices, n)
+    ahead = max(1, _CHUNK_ROWS // len(session_indices))
+    t = 0
+    while t < cfg.iterations:
+        stop = min(t + ahead, cfg.iterations)
+        eps = _normals(keys, range(t + 1, stop + 1), n)
+        t = _advance(X, t, stop, cfg.strategy, cfg.dt, eps, cfg.clip_bounds)
     return X
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from driftlab import cli, controller, core, simulator
 from driftlab.core import StrategySpec
+from oracles import reference_run_controlled
 
 
 def run_cli(*argv) -> int:
@@ -254,6 +255,20 @@ def test_control_sigma_reaches_the_fallback_after_a_switch(tmp_path):
     assert got == _library_bytes(sim, cfg, simulator.preset_catalog(3.0))
 
 
+def test_control_scheduled_run_starts_at_its_first_phase_width(tmp_path):
+    # a 2-D --strategy under the default schedule: the run starts at FF's
+    # width, as the step-by-step reference does
+    spec = tmp_path / "two_d.json"
+    two_d = StrategySpec("TD", np.diag([-0.5, -0.3]), np.ones(2), 0.5 * np.eye(2))
+    spec.write_text(json.dumps(two_d.to_dict()))
+    got = _control_bytes(tmp_path, "td", "--strategy", str(spec), "--iterations", "10")
+    sim = simulator.SimConfig(strategy=two_d, iterations=10)
+    cfg = controller.ControllerConfig(phase_schedule=controller.phased_schedule_default())
+    traj, events = reference_run_controlled(sim, cfg, simulator.preset_catalog())
+    assert got == (core.dumps_trajectories([traj]).encode(),
+                   controller.dumps_events(events).encode())
+
+
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
@@ -288,6 +303,18 @@ def test_score_manifest_without_metadata(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out.splitlines()[0])
     assert rec["path"] == str(f1)
     assert 0.0 <= rec["security"] <= 10.0
+
+
+def test_score_manifest_header_is_the_first_non_blank_row(tmp_path, capsys):
+    f1 = tmp_path / "a.py"
+    f1.write_text("x = 1\n")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"path,expected_length\n{f1},5\n")
+    assert run_cli("score", "--manifest", str(manifest)) == 0
+    want = capsys.readouterr().out
+    manifest.write_text(f"\n\npath,expected_length\n\n{f1},5\n")
+    assert run_cli("score", "--manifest", str(manifest)) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_score_manifest_with_metadata_emits_trajectories(tmp_path):
@@ -498,13 +525,29 @@ def _bad_invocation(tmp_path, case):
                          "config-unknown-key": b"sessions = 2\nsesions = 5\n",
                          "config-repeated-key": b"sessions = 2\nsessions = 5\n"}[case])
         return ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")]
-    if case == "control-schedule-unknown-strategy":
+    schedules = {
+        "control-schedule-unknown-strategy": '[["XX", 1, null]]',
+        "control-schedule-float-count": '[["FF", 2.7, null]]',
+        "control-schedule-bool-count": '[["FF", 1, true]]',
+        "control-schedule-string-count": '[["FF", "2", null]]',
+        "control-schedule-deep-nesting": "[" * 100_000,
+    }
+    if case in schedules:
         schedule = tmp_path / "schedule.json"
-        schedule.write_text('[["XX", 1, null]]')
+        schedule.write_text(schedules[case])
         return ["control", "--schedule", str(schedule), "--out", str(tmp_path / "c")]
-    if case == "strategy-bad-json":
+    if case == "control-2d-strategy-iterations-above-intp":
+        # within the byte range at the spec's width, not at the width of the
+        # default schedule's first phase, where the run starts
         spec = tmp_path / "spec.json"
-        spec.write_text('{"id": "X", "drift_matrix": [[0.1, 0')
+        spec.write_text(json.dumps({"id": "X", "drift_matrix": [[-0.5, 0], [0, -0.5]],
+                                    "drift_intercept": [0, 0], "diffusion": [[1, 0], [0, 1]]}))
+        return ["control", "--strategy", str(spec), "--iterations", str(4 * 10**17),
+                "--out", str(tmp_path / "c")]
+    if case in ("strategy-bad-json", "strategy-deep-nesting"):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"id": "X", "drift_matrix": [[0.1, 0' if case == "strategy-bad-json"
+                        else "[" * 100_000)
         return ["simulate", "--strategy", str(spec), "--out", str(tmp_path / "x.jsonl")]
     strategy_files = {
         "strategy-id-not-str": {"id": 7, "drift_matrix": [[-0.5, 0], [0, -0.5]],
@@ -513,6 +556,12 @@ def _bad_invocation(tmp_path, case):
                          "diffusion": [[1]]},
         "strategy-overflows": {"id": "X", "drift_matrix": [[1e308, 0], [0, 0]],
                                "drift_intercept": [0, 0], "diffusion": [[1, 0], [0, 1]]},
+        "strategy-bool-entry": {"id": "X", "drift_matrix": [[-0.5, 0], [0, -0.5]],
+                                "drift_intercept": [0, 0], "diffusion": [[True, 0], [0, 1]]},
+        "strategy-string-entry": {"id": "X", "drift_matrix": [["-0.5", 0], [0, -0.5]],
+                                  "drift_intercept": [0, 0], "diffusion": [[1, 0], [0, 1]]},
+        "strategy-int-too-large": {"id": "X", "drift_matrix": [[-10**400, 0], [0, -0.5]],
+                                   "drift_intercept": [0, 0], "diffusion": [[1, 0], [0, 1]]},
     }
     command, _, kind = case.partition("-")
     if kind in strategy_files:
@@ -546,11 +595,12 @@ def _bad_invocation(tmp_path, case):
         manifest.write_text(f"path,expected_length\n{src},five\n")
         return ["score", "--manifest", str(manifest)]
     # the bad row starts on physical line 4, after a row that spans two
-    # lines or after a blank line
+    # lines, after a blank line, or after two blank lines and the header
     line4_manifests = {
         "manifest-after-multiline-field": 'path,expected_length,note\n{0},5,"two\nlines"\n'
                                           '{0},five,ok\n',
         "manifest-after-blank-line": "path,expected_length\n{0},5\n\n{0},five\n",
+        "manifest-after-leading-blank-lines": "\n\npath,expected_length\n{0},five\n",
         "manifest-strategy-change-after-blank-line":
             "path,expected_length,session_id,strategy,iteration\n{0},5,s,X,0\n\n{0},5,s,Y,1\n",
     }
@@ -593,11 +643,22 @@ def _bad_invocation(tmp_path, case):
     ("config-repeated-key", 2),
     ("config-no-equals", 2),
     ("control-schedule-unknown-strategy", 2),
+    ("control-schedule-float-count", 2),
+    ("control-schedule-bool-count", 2),
+    ("control-schedule-string-count", 2),
+    ("control-schedule-deep-nesting", 2),
+    ("control-2d-strategy-iterations-above-intp", 2),
     ("strategy-bad-json", 2),
+    ("strategy-deep-nesting", 2),
     ("simulate-strategy-id-not-str", 2),
     ("control-strategy-id-not-str", 2),
     ("simulate-strategy-1x1", 2),
     ("control-strategy-1x1", 2),
+    ("simulate-strategy-bool-entry", 2),
+    ("simulate-strategy-string-entry", 2),
+    ("control-strategy-bool-entry", 2),
+    ("control-strategy-string-entry", 2),
+    ("simulate-strategy-int-too-large", 2),
     ("simulate-iterations-above-intp", 2),
     ("control-iterations-above-intp", 2),
     ("simulate-iterations-out-of-memory", 1),
@@ -614,6 +675,7 @@ def _bad_invocation(tmp_path, case):
     ("manifest-field-too-large", 1),
     ("manifest-after-multiline-field", 1),
     ("manifest-after-blank-line", 1),
+    ("manifest-after-leading-blank-lines", 1),
     ("manifest-strategy-change-after-blank-line", 1),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
@@ -623,13 +685,17 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     err = capsys.readouterr().err
     assert err.strip() and err.count("\n") == 1
     assert not any((tmp_path / "r").glob("*"))  # analyze wrote nothing
-    if case.endswith(("strategy-id-not-str", "strategy-1x1")):
+    if case.endswith(("strategy-id-not-str", "strategy-1x1", "-entry", "strategy-int-too-large",
+                      "strategy-bad-json", "strategy-deep-nesting")):
         assert "bad strategy file" in err
+    if case.startswith("control-schedule-"):
+        assert "bad schedule file" in err
     if case in ("score-not-utf8", "analyze-in-not-utf8", "manifest-not-utf8"):
         assert "not UTF-8 text" in err
     if case == "manifest-field-too-large":
         assert "RecordFormatError: manifest line 2:" in err
-    if case in ("manifest-after-multiline-field", "manifest-after-blank-line"):
+    if case in ("manifest-after-multiline-field", "manifest-after-blank-line",
+                "manifest-after-leading-blank-lines"):
         assert "RecordFormatError: manifest line 4: expected_length 'five'" in err
     if case == "manifest-strategy-change-after-blank-line":
         assert "RecordFormatError: manifest line 4: session 's' changes strategy" in err

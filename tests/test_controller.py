@@ -1,3 +1,4 @@
+import json
 from functools import partial
 from unittest import mock
 
@@ -508,6 +509,17 @@ def test_run_controlled_matches_reference_on_custom_catalogs(monkeypatch, n):
                 for halt in (False, True):
                     assert_matches_reference(monkeypatch, sim, cfg, catalog=catalog,
                                              halt_on_intervention=halt)
+
+
+@pytest.mark.parametrize("box", [None, (3.0, 7.0)])
+def test_scheduled_run_starts_at_its_first_phase_width(monkeypatch, box):
+    # sim.strategy is 2-D, but a scheduled run starts with the 3-D FF
+    two_d = StrategySpec("TD", np.diag([-0.5, -0.3]), np.ones(2), 0.5 * np.eye(2))
+    sim = simulator.SimConfig(strategy=two_d, iterations=40, base_seed=9, init_box=box)
+    result = assert_matches_reference(
+        monkeypatch, sim, ControllerConfig(phase_schedule=phased_schedule_default()))
+    assert raised(result) is None
+    assert len(json.loads(result[0].splitlines()[0])["objectives"]) == 3
 
 
 def test_run_controlled_matches_reference_on_a_switch_to_another_width(monkeypatch):

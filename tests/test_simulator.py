@@ -272,6 +272,18 @@ def test_em_step_raises_on_an_overflow_before_the_clip():
             em_step(np.array([1e300, 5, 5]), preset("AI"), 1e10, np.ones(3), bounds=bounds)
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8192])
+def test_an_overflow_names_its_step_wherever_the_noise_chunks_fall(monkeypatch, chunk):
+    # from 5 the steps reach 5e150, then 5e300, then overflow at step 2,
+    # whether step 2 starts a walk or sits inside one
+    zero = np.zeros((2, 2))
+    boom = StrategySpec("BOOM", 1e150 * np.eye(2), np.zeros(2), zero)
+    monkeypatch.setattr(simulator, "_CHUNK_ROWS", chunk)
+    cfg = SimConfig(strategy=boom, sessions=1, iterations=6, clip_bounds=None)
+    with pytest.raises(core.NonFinite, match="^step 2 gives a non-finite state$"):
+        simulate_set(cfg)
+
+
 def test_run_too_large_for_memory_fails_before_building_streams(monkeypatch):
     calls = []
     draw = simulator._normals
