@@ -30,6 +30,7 @@ from .core import (
     DimensionMismatch,
     DomainError,
     InsufficientData,
+    InvalidExpectedLength,
     RecordFormatError,
     StrategySpec,
     Trajectory,
@@ -303,13 +304,28 @@ def _score_one(path: str, expected_length: int, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _manifest_field(row: dict, column: str, lineno: int) -> str:
+    if row[column] is None:
+        raise RecordFormatError(f"manifest line {lineno}: the row has no {column} field")
+    return row[column]
+
+
 def _manifest_int(row: dict, column: str, lineno: int) -> int:
     try:
-        return int(row[column])
-    except (TypeError, ValueError):
+        return int(_manifest_field(row, column, lineno))
+    except ValueError:
         raise RecordFormatError(
             f"manifest line {lineno}: {column} {row[column]!r} is not an integer"
         ) from None
+
+
+def _manifest_score(row: dict, lineno: int) -> scorer.ScoreBreakdown:
+    expected_length = _manifest_int(row, "expected_length", lineno)
+    try:
+        return scorer.score_all(read_text(_manifest_field(row, "path", lineno)),
+                                expected_length)
+    except InvalidExpectedLength as exc:
+        raise InvalidExpectedLength(f"manifest line {lineno}: {exc}") from None
 
 
 def _manifest_rows(text: str) -> list[tuple[int, dict]]:
@@ -337,7 +353,8 @@ def _manifest_trajectories(rows: list[tuple[int, dict]], scores: list) -> list[T
     """
     sessions: dict[str, tuple[str, dict[int, list[float]]]] = {}
     for (lineno, row), b in zip(rows, scores):
-        sid, strategy = row["session_id"], row["strategy"]
+        sid = _manifest_field(row, "session_id", lineno)
+        strategy = _manifest_field(row, "strategy", lineno)
         first_strategy, points = sessions.setdefault(sid, (strategy, {}))
         if strategy != first_strategy:
             raise RecordFormatError(
@@ -372,11 +389,7 @@ def cmd_score(args) -> int:
         columns = set(rows[0][1])
         if not {"path", "expected_length"} <= columns:
             raise _UsageError(f"manifest {args.manifest!r} needs path,expected_length columns")
-        scores = [
-            scorer.score_all(read_text(row["path"]),
-                             _manifest_int(row, "expected_length", lineno))
-            for lineno, row in rows
-        ]
+        scores = [_manifest_score(row, lineno) for lineno, row in rows]
         if {"session_id", "strategy", "iteration"} <= columns:
             text = dumps_trajectories(_manifest_trajectories(rows, scores))
         else:
@@ -397,6 +410,8 @@ def cmd_score(args) -> int:
         return 0
     if not args.src:
         raise _UsageError("score requires --src FILE or --manifest FILE")
+    if args.expected_length < 1:
+        raise _UsageError(f"--expected-length must be >= 1, got {args.expected_length}")
     sys.stdout.write(_score_one(args.src, args.expected_length, args.json))
     return 0
 

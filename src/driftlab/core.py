@@ -295,21 +295,9 @@ class DriftModel:
         object.__setattr__(self, "sigma_hat", _readonly(S))
         object.__setattr__(self, "sample_count", int(sample_count))
 
-    @property
-    def dimension(self) -> int:
-        return self.A_hat.shape[0]
-
     def predict(self, states: np.ndarray) -> np.ndarray:
         """One-step delta predictions for an (N, n) state matrix."""
         return states @ self.A_hat.T + self.b_hat
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DriftModel):
-            return NotImplemented
-        return (np.array_equal(self.A_hat, other.A_hat)
-                and np.array_equal(self.b_hat, other.b_hat)
-                and np.array_equal(self.sigma_hat, other.sigma_hat)
-                and self.sample_count == other.sample_count)
 
     def to_dict(self) -> dict:
         return {
@@ -338,17 +326,8 @@ class InterferenceMatrix:
             raise DomainError("interference entries must lie in [-1, 1]")
         object.__setattr__(self, "entries", _readonly(E))
 
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
     def __getitem__(self, ij: tuple[int, int]) -> float:
         return float(self.entries[ij])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InterferenceMatrix):
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries)
 
     def to_dict(self) -> dict:
         return {"entries": [[float(v) for v in row] for row in self.entries]}

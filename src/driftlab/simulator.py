@@ -22,6 +22,10 @@ stacked matrix-vector product per row, which rounds exactly like the lone
 `A @ x` of a single session; `simulate_session` is the same kernel run on
 one session, so a session's bytes do not depend on the set around it.
 
+Every step is taken by `_advance`, the one Euler-Maruyama walk, and the
+public `em_step` is a one-step `_advance` walk. The default clip box is
+core's [SCORE_LOW, SCORE_HIGH].
+
 Ships the four built-in strategy presets (EF, SF, FF, AI) as diagonal
 drift matrices with zero intercept and a default diffusion of 0.5 * I.
 """
@@ -34,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ziggurat import KI_DOUBLE, WI_DOUBLE
-from .core import DimensionMismatch, NonFinite, SessionSet, StrategySpec, Trajectory
+from .core import (SCORE_HIGH, SCORE_LOW, DimensionMismatch, NonFinite, SessionSet,
+                   StrategySpec, Trajectory)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -242,7 +247,7 @@ class SimConfig:
     iterations: int = 1
     dt: float = 1.0
     base_seed: int = 0
-    clip_bounds: tuple[float, float] | None = (0.0, 10.0)
+    clip_bounds: tuple[float, float] | None = (SCORE_LOW, SCORE_HIGH)
     init_box: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -293,12 +298,13 @@ def em_step(
     strategy: StrategySpec,
     dt: float,
     noise: np.ndarray,
-    bounds: tuple[float, float] | None = (0.0, 10.0),
+    bounds: tuple[float, float] | None = (SCORE_LOW, SCORE_HIGH),
 ) -> np.ndarray:
-    """One Euler-Maruyama step. Noise is supplied by the caller (determinism).
+    """One Euler-Maruyama step, a one-step `_advance` walk. Noise is supplied
+    by the caller (determinism), and dt must be finite and > 0.
 
-    A step whose arithmetic overflows or turns invalid before the clip, or
-    whose result is not finite, raises NonFinite."""
+    A step that overflows raises NonFinite as a run's step 0 does, and so
+    does a non-finite result (NaN noise raises no floating-point error)."""
     xv = np.asarray(x, dtype=np.float64)
     eps = np.asarray(noise, dtype=np.float64)
     if xv.shape != (strategy.dimension,):
@@ -307,31 +313,20 @@ def em_step(
         )
     if eps.shape != xv.shape:
         raise DimensionMismatch(f"noise shape {eps.shape} != state shape {xv.shape}")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            nxt = _step(xv, strategy, dt, eps, bounds)
-    except FloatingPointError:
-        raise NonFinite(f"step from {xv.tolist()} overflows or turns invalid") from None
-    if not np.all(np.isfinite(nxt)):
-        raise NonFinite(f"step from {xv.tolist()} gives non-finite state {nxt.tolist()}")
-    return nxt
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    X = np.empty((2, len(xv)))
+    X[0] = xv
+    _advance(X, 0, 1, strategy, dt, eps[None], bounds)
+    if not np.all(np.isfinite(X[1])):
+        raise NonFinite(f"step from {xv.tolist()} gives non-finite state {X[1].tolist()}")
+    return X[1]
 
 
 def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """M @ x for every row x of X, shape (n,) or (N, n). The stacked product
     rounds each row exactly like a lone `M @ x`; `X @ M.T` does not."""
     return (M @ X[..., None])[..., 0]
-
-
-def _step(x: np.ndarray, strategy: StrategySpec, dt: float, eps: np.ndarray,
-          bounds: tuple[float, float] | None) -> np.ndarray:
-    """Unchecked array form of `em_step`, for one state (n,) or a stack of
-    states (N, n) with their noise rows."""
-    nxt = x + (_matvec(strategy.drift_matrix, x) + strategy.drift_intercept) * dt \
-        + _matvec(strategy.diffusion, eps) * np.sqrt(dt)
-    if bounds is not None:
-        nxt = np.clip(nxt, bounds[0], bounds[1])
-    return nxt
 
 
 def _start(cfg: SimConfig, session_indices: range, n: int) -> tuple[np.ndarray, tuple]:
@@ -344,7 +339,8 @@ def _start(cfg: SimConfig, session_indices: range, n: int) -> tuple[np.ndarray, 
     if cfg.init_box is not None:
         X[0] = _uniform_starts(keys, *cfg.init_box, n)
     else:
-        X[0] = 5.0 if cfg.clip_bounds is None else (cfg.clip_bounds[0] + cfg.clip_bounds[1]) / 2.0
+        low, high = cfg.clip_bounds or (SCORE_LOW, SCORE_HIGH)
+        X[0] = (low + high) / 2.0
     return X, keys
 
 
@@ -354,10 +350,14 @@ def _advance(X: np.ndarray, t: int, stop: int, strategy: StrategySpec, dt: float
     and return stop. A step whose arithmetic overflows or turns invalid before
     the clip raises NonFinite naming it if it is step t; a later one is left
     untaken and returned, so that the next walk starts there and raises."""
+    A, b, S = strategy.drift_matrix, strategy.drift_intercept, strategy.diffusion
+    root_dt = np.sqrt(dt)
     try:
         with np.errstate(over="raise", invalid="raise"):
             for s in range(t, stop):
-                X[s + 1] = _step(X[s], strategy, dt, eps[s - t], bounds)
+                x = X[s]
+                nxt = x + (_matvec(A, x) + b) * dt + _matvec(S, eps[s - t]) * root_dt
+                X[s + 1] = nxt if bounds is None else np.clip(nxt, bounds[0], bounds[1])
     except FloatingPointError:
         if s == t:
             raise NonFinite(f"step {s} gives a non-finite state") from None

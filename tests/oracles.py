@@ -449,11 +449,14 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False)
             )
         eps = fresh_generator(sim.base_seed, 0, t + 1).standard_normal(n)
         now = t + 1
+        spec = state.strategy
         with np.errstate(over="raise", invalid="raise"):
             try:
-                m[now] = simulator._step(m[t], state.strategy, sim.dt, eps, sim.clip_bounds)
+                x = m[t] + (spec.drift_matrix @ m[t] + spec.drift_intercept) * sim.dt \
+                    + (spec.diffusion @ eps) * np.sqrt(sim.dt)
             except FloatingPointError:
                 raise NonFinite(f"step {t} gives a non-finite state") from None
+        m[now] = x if sim.clip_bounds is None else np.clip(x, *sim.clip_bounds)
 
         # local spectrum over the trailing window
         spectrum = reference_window_spectrum(m, now, cfg.window)

@@ -610,6 +610,23 @@ def _bad_invocation(tmp_path, case):
         manifest = tmp_path / "m.csv"
         manifest.write_text(line4_manifests[case].format(src))
         return ["score", "--manifest", str(manifest)]
+    short_manifests = {
+        # a row that lacks a column the command reads, or a length below 1
+        "manifest-row-without-path": "expected_length,path\n5\n",
+        "manifest-row-without-strategy":
+            "path,expected_length,iteration,session_id,strategy\n{0},5,0,s\n{0},5,1,s\n",
+        "manifest-length-0": "path,expected_length\n{0},5\n{0},0\n",
+    }
+    if case in short_manifests:
+        src = tmp_path / "a.py"
+        src.write_text("x = 1\n")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(short_manifests[case].format(src))
+        return ["score", "--manifest", str(manifest)]
+    if case == "score-expected-length-0":
+        src = tmp_path / "a.py"
+        src.write_text("x = 1\n")
+        return ["score", "--src", str(src), "--expected-length", "0"]
     if case == "manifest-no-length-column":
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"path\n{tmp_path / 'a.py'}\n")
@@ -677,6 +694,10 @@ def _bad_invocation(tmp_path, case):
     ("manifest-after-blank-line", 1),
     ("manifest-after-leading-blank-lines", 1),
     ("manifest-strategy-change-after-blank-line", 1),
+    ("manifest-row-without-path", 1),
+    ("manifest-row-without-strategy", 1),
+    ("manifest-length-0", 1),
+    ("score-expected-length-0", 2),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     argv = _bad_invocation(tmp_path, case)
@@ -699,3 +720,11 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert "RecordFormatError: manifest line 4: expected_length 'five'" in err
     if case == "manifest-strategy-change-after-blank-line":
         assert "RecordFormatError: manifest line 4: session 's' changes strategy" in err
+    if case == "manifest-row-without-path":
+        assert "RecordFormatError: manifest line 2: the row has no path field" in err
+    if case == "manifest-row-without-strategy":
+        assert "RecordFormatError: manifest line 2: the row has no strategy field" in err
+    if case == "manifest-length-0":
+        assert "InvalidExpectedLength: manifest line 3: expected_length must be >= 1" in err
+    if case == "score-expected-length-0":
+        assert "--expected-length must be >= 1, got 0" in err

@@ -292,7 +292,7 @@ def test_catalog_must_hold_the_fallback():
     sim = simulator.SimConfig(strategy=simulator.preset("SF"), iterations=8)
     for schedule in (None, (Phase("SF", 1, 2),)):
         cfg = ControllerConfig(phase_schedule=schedule)
-        with mock.patch.object(simulator, "_step", side_effect=AssertionError("ran")):
+        with mock.patch.object(simulator, "_advance", side_effect=AssertionError("ran")):
             with pytest.raises(KeyError, match="fallback strategy missing from catalog: 'AI'"):
                 run_controlled(sim, cfg, catalog=catalog)
 

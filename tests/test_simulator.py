@@ -268,8 +268,15 @@ def test_em_step_rejects_a_non_finite_result():
 def test_em_step_raises_on_an_overflow_before_the_clip():
     # the overflowing state must not be clipped into the box and returned
     for bounds in ((0.0, 10.0), None):
-        with pytest.raises(core.NonFinite, match="overflows"):
+        with pytest.raises(core.NonFinite, match="^step 0 gives a non-finite state$"):
             em_step(np.array([1e300, 5, 5]), preset("AI"), 1e10, np.ones(3), bounds=bounds)
+
+
+@pytest.mark.parametrize("dt", [float("inf"), float("nan"), 0.0, -1.0])
+def test_em_step_rejects_a_step_that_is_not_finite_and_positive(dt):
+    # an infinite dt would clip an infinite state into the box
+    with pytest.raises(ValueError, match="dt must be finite and > 0"):
+        em_step([5, 5, 5], preset("AI"), dt, np.ones(3))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8192])
