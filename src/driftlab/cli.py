@@ -382,6 +382,10 @@ def _manifest_trajectories(rows: list[tuple[int, dict]], scores: list) -> list[T
 
 
 def cmd_score(args) -> int:
+    if args.src and args.manifest:
+        raise _UsageError("--src and --manifest cannot be given together")
+    if args.out and not args.manifest:
+        raise _UsageError("--out needs --manifest; a --src score goes to stdout")
     if args.manifest:
         rows = _manifest_rows(read_text(args.manifest, newline=""))
         if not rows:

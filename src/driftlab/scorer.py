@@ -36,12 +36,15 @@ _SPAWN_CONTEXT_RE = re.compile(
 _SQL_KEYWORD_RE = re.compile(
     r"(?i)\b(?:select|insert|update|delete|drop|alter|create)\b"
 )
+# Each validation pattern with a word that every match of it contains, so
+# a line without the word is skipped without running the pattern (a test
+# parses each pattern to check that its word is still needed).
 _VALIDATION_RES = (
-    re.compile(r"(?<![\w.])isinstance\s*\("),
-    re.compile(r"(?<![\w.])issubclass\s*\("),
-    re.compile(r"(?<![\w.])type\s*\([^)]*\)\s*(?:==|is\b)"),
-    re.compile(r"(?<!\w)assert\b.*(?:<=|>=|==|<|>)"),
-    re.compile(r"(?<!\w)raise\s+(?:TypeError|ValueError)\b"),
+    ("isinstance", re.compile(r"(?<![\w.])isinstance\s*\(")),
+    ("issubclass", re.compile(r"(?<![\w.])issubclass\s*\(")),
+    ("type", re.compile(r"(?<![\w.])type\s*\([^)]*\)\s*(?:==|is\b)")),
+    ("assert", re.compile(r"(?<!\w)assert\b.*(?:<=|>=|==|<|>)")),
+    ("raise", re.compile(r"(?<!\w)raise\s+(?:TypeError|ValueError)\b")),
 )
 
 _WORD_RE = re.compile(r"[A-Za-z_]\w*")
@@ -253,11 +256,17 @@ def scan_source(source: str) -> SourceScan:
             wants_doc = word in ("def", "class")
             pending = (indent, is_loop, wants_doc)
 
-        scan.eval_exec_calls += len(_EVAL_EXEC_RE.findall(cleaned))
-        if _SPAWN_CONTEXT_RE.search(cleaned):
-            scan.shell_true_calls += len(_SHELL_TRUE_RE.findall(cleaned))
+        # Each pattern runs only on a line that holds what its every match
+        # needs (a word, or for the spawn search a `shell=True` hit): the
+        # counts are the same, and most lines skip every pattern.
+        if "eval" in cleaned or "exec" in cleaned:
+            scan.eval_exec_calls += len(_EVAL_EXEC_RE.findall(cleaned))
+        shell = _SHELL_TRUE_RE.findall(cleaned)
+        if shell and _SPAWN_CONTEXT_RE.search(cleaned):
+            scan.shell_true_calls += len(shell)
         if not scan.has_validation:
-            scan.has_validation = any(rx.search(cleaned) for rx in _VALIDATION_RES)
+            scan.has_validation = any(word in cleaned and rx.search(cleaned)
+                                      for word, rx in _VALIDATION_RES)
         # SQL-keyword literals that are concatenated or interpolated
         # (f-string braces, +, %-format, .format)
         positions = [m.start() for m in re.finditer(_MARK, cleaned)] if literals else ()

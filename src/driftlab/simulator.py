@@ -266,8 +266,7 @@ class SimConfig:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not 0 <= self.base_seed <= _MASK64:
             raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
-        if self.clip_bounds is not None and not self.clip_bounds[0] < self.clip_bounds[1]:
-            raise ValueError(f"clip bounds must satisfy low < high, got {self.clip_bounds}")
+        _check_clip_bounds(self.clip_bounds)
         if self.init_box is not None:
             low, high = self.init_box
             # the start draw is low + (high - low) * u, so the width must be finite too
@@ -281,6 +280,12 @@ class SimConfig:
                 raise ValueError(
                     f"init_box {self.init_box} lies outside clip bounds {self.clip_bounds}"
                 )
+
+
+def _check_clip_bounds(bounds: tuple[float, float] | None) -> None:
+    """A clip box needs low < high, which a NaN bound fails; None is no clip."""
+    if bounds is not None and not bounds[0] < bounds[1]:
+        raise ValueError(f"clip bounds must satisfy low < high, got {bounds}")
 
 
 def drift(strategy: StrategySpec, x: np.ndarray) -> np.ndarray:
@@ -301,7 +306,8 @@ def em_step(
     bounds: tuple[float, float] | None = (SCORE_LOW, SCORE_HIGH),
 ) -> np.ndarray:
     """One Euler-Maruyama step, a one-step `_advance` walk. Noise is supplied
-    by the caller (determinism), and dt must be finite and > 0.
+    by the caller (determinism), dt must be finite and > 0, and `bounds`,
+    like `SimConfig.clip_bounds`, is None or a box with low < high.
 
     A step that overflows raises NonFinite as a run's step 0 does, and so
     does a non-finite result (NaN noise raises no floating-point error)."""
@@ -315,6 +321,7 @@ def em_step(
         raise DimensionMismatch(f"noise shape {eps.shape} != state shape {xv.shape}")
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
+    _check_clip_bounds(bounds)
     X = np.empty((2, len(xv)))
     X[0] = xv
     _advance(X, 0, 1, strategy, dt, eps[None], bounds)

@@ -10,7 +10,8 @@ one dict and one `json.dumps` / `json.loads` per record, an affine
 fit that checks the design's rank with its own `np.linalg.matrix_rank`
 before solving, the controller loop that takes one step, one window fit
 and one spectrum at a time, the scorer's source cleaner that walks one
-character at a time, and each axis score rebuilt from its rule hits.
+character at a time, the source scan that runs every rule pattern on
+every logical line, and each axis score rebuilt from its rule hits.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -41,7 +43,25 @@ from driftlab.core import (
     Trajectory,
     validate_trajectory,
 )
-from driftlab.scorer import _MARK, ScoreBreakdown, _axis_score, _Literal, _Logical
+from driftlab.scorer import (
+    _BLOCK_KEYWORDS,
+    _CONTROL_FLOW_KEYWORDS,
+    _EVAL_EXEC_RE,
+    _IMPORT_RE,
+    _LOOP_KEYWORDS,
+    _MARK,
+    _SHELL_TRUE_RE,
+    _SPAWN_CONTEXT_RE,
+    _SQL_KEYWORD_RE,
+    _VALIDATION_RES,
+    ScoreBreakdown,
+    SourceScan,
+    _axis_score,
+    _clean_lines,
+    _first_word,
+    _Literal,
+    _Logical,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +681,86 @@ def reference_clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
                 end_literal()
             flush()
     return logical, valid, nonblank
+
+
+# ---------------------------------------------------------------------------
+# Source scan with no gate before the rule patterns
+# ---------------------------------------------------------------------------
+
+def reference_scan_source(source: str) -> SourceScan:
+    """`scorer.scan_source` with every rule pattern run on every logical
+    line: no literal gate before `_EVAL_EXEC_RE`, `_SPAWN_CONTEXT_RE` or
+    the validation patterns."""
+    logical, valid, nonblank = _clean_lines(source)
+    scan = SourceScan(nonblank_lines=nonblank, structurally_valid=valid)
+
+    # Block analysis over logical lines: stack entries are
+    # (body_indent, opener_is_loop) for each enclosing block.
+    stack: list[tuple[int, bool]] = []
+    pending: tuple[int, bool, bool] | None = None  # (opener_indent, is_loop, wants_doc)
+    first_statement = True
+    for indent, cleaned, literals in logical:
+        stripped = cleaned.strip()
+        if not stripped:
+            continue
+        if pending is not None:
+            opener_indent, is_loop, wants_doc = pending
+            if indent <= opener_indent:
+                scan.structurally_valid = False
+                pending = None
+            else:
+                stack.append((indent, is_loop))
+                if wants_doc and stripped == _MARK:
+                    scan.has_docstring = True
+                pending = None
+        if pending is None:
+            while stack and indent < stack[-1][0]:
+                stack.pop()
+            level = stack[-1][0] if stack else 0
+            if indent != level:
+                scan.structurally_valid = False
+        depth = len(stack)
+        scan.max_depth = max(scan.max_depth, depth)
+        if first_statement:
+            if stripped == _MARK:
+                scan.has_docstring = True
+            first_statement = False
+
+        word = _first_word(stripped)
+        if word == "async":
+            rest = stripped[len("async"):].lstrip()
+            word = _first_word(rest)
+        elif word == "from" and _IMPORT_RE.search(stripped):
+            word = "import"
+        scan.words.add(word)
+        if word in _CONTROL_FLOW_KEYWORDS:
+            scan.control_flow_count += 1
+
+        if word in _BLOCK_KEYWORDS and stripped.endswith(":"):
+            is_loop = word in _LOOP_KEYWORDS
+            if is_loop and stack and stack[-1][1]:
+                scan.nested_loop_pairs += 1
+            wants_doc = word in ("def", "class")
+            pending = (indent, is_loop, wants_doc)
+
+        scan.eval_exec_calls += len(_EVAL_EXEC_RE.findall(cleaned))
+        if _SPAWN_CONTEXT_RE.search(cleaned):
+            scan.shell_true_calls += len(_SHELL_TRUE_RE.findall(cleaned))
+        if not scan.has_validation:
+            scan.has_validation = any(rx.search(cleaned) for _, rx in _VALIDATION_RES)
+        # SQL-keyword literals that are concatenated or interpolated
+        # (f-string braces, +, %-format, .format)
+        positions = [m.start() for m in re.finditer(_MARK, cleaned)] if literals else ()
+        for pos, lit in zip(positions, literals):
+            if _SQL_KEYWORD_RE.search(lit.text) and (
+                    ("f" in lit.prefix.lower() and "{" in lit.text)
+                    or cleaned[:pos].rstrip().endswith("+")
+                    or cleaned[pos + 1:].lstrip().startswith(("+", "%", ".format("))):
+                scan.sql_string_builds += 1
+    if pending is not None:
+        # block opener with no body
+        scan.structurally_valid = False
+    return scan
 
 
 # ---------------------------------------------------------------------------

@@ -627,6 +627,14 @@ def _bad_invocation(tmp_path, case):
         src = tmp_path / "a.py"
         src.write_text("x = 1\n")
         return ["score", "--src", str(src), "--expected-length", "0"]
+    if case in ("score-out-without-manifest", "score-src-with-manifest"):
+        src = tmp_path / "a.py"
+        src.write_text("x = 1\n")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path,expected_length\n{src},1\n")
+        if case == "score-out-without-manifest":
+            return ["score", "--src", str(src), "--out", str(tmp_path / "o.jsonl")]
+        return ["score", "--src", str(src), "--manifest", str(manifest)]
     if case == "manifest-no-length-column":
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"path\n{tmp_path / 'a.py'}\n")
@@ -698,6 +706,8 @@ def _bad_invocation(tmp_path, case):
     ("manifest-row-without-strategy", 1),
     ("manifest-length-0", 1),
     ("score-expected-length-0", 2),
+    ("score-out-without-manifest", 2),
+    ("score-src-with-manifest", 2),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     argv = _bad_invocation(tmp_path, case)
@@ -728,3 +738,8 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert "InvalidExpectedLength: manifest line 3: expected_length must be >= 1" in err
     if case == "score-expected-length-0":
         assert "--expected-length must be >= 1, got 0" in err
+    if case == "score-out-without-manifest":
+        assert "--out needs --manifest" in err
+        assert not (tmp_path / "o.jsonl").exists()
+    if case == "score-src-with-manifest":
+        assert "--src and --manifest cannot be given together" in err

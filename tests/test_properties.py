@@ -6,7 +6,8 @@ error, as the one-`json`-call-per-record reference in `oracles`. Also: the
 Pareto mask and the per-session efficiencies equal a brute-force scan
 whatever the sweep's block size. And the scorer's source cleaner gives the
 same logical lines, validity flag and non-blank count as the reference
-that walks one character at a time."""
+that walks one character at a time, and its source scan the same signals
+as the reference that runs every rule pattern on every logical line."""
 
 import json
 from unittest import mock
@@ -21,7 +22,8 @@ from driftlab import core, pareto, scorer
 from driftlab.core import DomainError, SessionSet, Trajectory
 
 from oracles import (brute_efficiency, brute_non_dominated, reference_clean_lines,
-                     reference_dumps, reference_loads, reference_records)
+                     reference_dumps, reference_loads, reference_records,
+                     reference_scan_source)
 
 # Fixed examples keep tier-1 deterministic; no example database is written.
 _SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -248,3 +250,27 @@ def test_clean_lines_matches_per_character_reference(source):
     assert logical == ref_logical  # indent, cleaned text, each literal's text and prefix
     assert valid == ref_valid
     assert nonblank == ref_nonblank
+
+
+# The rule patterns' gate words and near-misses of them, spawn calls with
+# and without `shell=True`, and the quotes, brackets, comments and line
+# breaks that hide a word from the patterns or join lines.
+_RULE_TOKENS = ["eval(", "eval (", "x.eval(", "evaluate(", "exec (", "exec", "_exec(",
+                "shell=True", "shell = True", "shell=Truex", "subprocess.run(", "os.system",
+                "Popen(", "run(", "isinstance(", "x.isinstance(", "issubclass(",
+                "type(x) ==", "type(x) is ", "typed(", "type(", "assert x <", "asserts",
+                "assert ", "_assert x == 1", "raise ValueError", "raise TypeError",
+                "raise_", "raise ", "x", " ", "(", ")", ",", ":", "==", "<", "'", '"', "# ",
+                "\n", "\n    "]
+# Each line's tokens as code, inside quotes, after `#` or inside brackets.
+_RULE_WRAPS = [("", ""), ("'", "'"), ('"', '"'), ("# ", ""), ("y = 1  # ", ""), ("f(", ")")]
+_rule_sources = st.lists(
+    st.tuples(st.sampled_from(_RULE_WRAPS), st.lists(st.sampled_from(_RULE_TOKENS), max_size=6)),
+    max_size=6,
+).map(lambda lines: "\n".join(pre + "".join(tokens) + post for (pre, post), tokens in lines))
+
+
+@settings(_SETTINGS, max_examples=600)
+@given(_rule_sources)
+def test_scan_source_matches_ungated_reference(source):
+    assert scorer.scan_source(source) == reference_scan_source(source)

@@ -1,6 +1,13 @@
+import re
 import textwrap
 
 import pytest
+
+try:
+    from re import _constants as sre_constants, _parser as sre_parse
+except ImportError:  # Python 3.10
+    import sre_constants
+    import sre_parse
 
 from driftlab import scorer
 from driftlab.core import InvalidExpectedLength
@@ -87,6 +94,48 @@ def test_shell_true_outside_spawn_context_ignored():
         configure(shell=True)
     """))
     assert all(h.rule_id != "security.shell_true" for h in hits)
+
+
+def _ways(items) -> list[list]:
+    """Each way through a parsed pattern's branches and plain groups, as a
+    flat list of (op, argument) items."""
+    ways = [[]]
+    for op, av in items:
+        if op is sre_constants.BRANCH:
+            ways = [w + sub for w in ways for alt in av[1] for sub in _ways(alt)]
+        elif op is sre_constants.SUBPATTERN and not av[1] and not av[2]:
+            ways = [w + sub for w in ways for sub in _ways(av[3])]
+        else:
+            ways = [w + [(op, av)] for w in ways]
+    return ways
+
+
+def _literal_runs(way) -> list[str]:
+    """The runs of consecutive literal characters on one way: every match
+    taken that way holds each of them."""
+    runs = [""]
+    for op, av in way:
+        if op is sre_constants.LITERAL:
+            runs[-1] += chr(av)
+        else:
+            runs.append("")
+    return [run for run in runs if run]
+
+
+@pytest.mark.parametrize("words, rx", [
+    pytest.param(("eval", "exec"), scorer._EVAL_EXEC_RE, id="eval-exec"),
+    *(pytest.param((word,), rx, id=word) for word, rx in scorer._VALIDATION_RES),
+])
+def test_each_gate_word_is_needed_by_its_pattern(words, rx):
+    """`scan_source` runs a pattern only on a line holding one of its gate
+    words, so every match must hold one: on each way through the pattern's
+    branches, a word lies in a run of literals outside any repeat. (The
+    spawn search needs no word: it is gated on a `_SHELL_TRUE_RE` hit, and
+    the count it adds is those hits.)"""
+    assert not rx.flags & re.IGNORECASE
+    for way in _ways(sre_parse.parse(rx.pattern)):
+        runs = _literal_runs(way)
+        assert any(w in run for w in words for run in runs), (words, rx.pattern, runs)
 
 
 def test_sql_concatenation_flagged():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,18 @@ def test_em_step_rejects_a_step_that_is_not_finite_and_positive(dt):
     # an infinite dt would clip an infinite state into the box
     with pytest.raises(ValueError, match="dt must be finite and > 0"):
         em_step([5, 5, 5], preset("AI"), dt, np.ones(3))
+
+
+@pytest.mark.parametrize("bounds", [(10.0, 0.0), (5.0, 5.0), (float("nan"), 10.0),
+                                    (0.0, float("nan"))])
+def test_em_step_rejects_a_clip_box_as_sim_config_does(bounds):
+    # a reversed box clipped every state to its `high`, and a NaN bound
+    # raised NonFinite about the state
+    message = re.escape(f"clip bounds must satisfy low < high, got {bounds}")
+    with pytest.raises(ValueError, match=message):
+        SimConfig(strategy=preset("AI"), clip_bounds=bounds)
+    with pytest.raises(ValueError, match=message):
+        em_step([5, 5, 5], preset("AI"), 1.0, np.zeros(3), bounds=bounds)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8192])
