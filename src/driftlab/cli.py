@@ -386,6 +386,10 @@ def cmd_score(args) -> int:
         raise _UsageError("--src and --manifest cannot be given together")
     if args.out and not args.manifest:
         raise _UsageError("--out needs --manifest; a --src score goes to stdout")
+    if args.manifest and args.expected_length is not None:
+        raise _UsageError("--expected-length needs --src; a manifest row gives its own")
+    if args.manifest and args.json:
+        raise _UsageError("--json needs --src; a manifest score is always JSON lines")
     if args.manifest:
         rows = _manifest_rows(read_text(args.manifest, newline=""))
         if not rows:
@@ -414,9 +418,10 @@ def cmd_score(args) -> int:
         return 0
     if not args.src:
         raise _UsageError("score requires --src FILE or --manifest FILE")
-    if args.expected_length < 1:
-        raise _UsageError(f"--expected-length must be >= 1, got {args.expected_length}")
-    sys.stdout.write(_score_one(args.src, args.expected_length, args.json))
+    expected_length = 1 if args.expected_length is None else args.expected_length
+    if expected_length < 1:
+        raise _UsageError(f"--expected-length must be >= 1, got {expected_length}")
+    sys.stdout.write(_score_one(args.src, expected_length, args.json))
     return 0
 
 
@@ -467,8 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("score", help="static scoring of source files")
     sc.add_argument("--src", help="source file to score")
-    sc.add_argument("--expected-length", type=int, default=1)
-    sc.add_argument("--json", action="store_true")
+    sc.add_argument("--expected-length", type=int, default=None,
+                    help="expected line count of --src (default 1)")
+    sc.add_argument("--json", action="store_true", help="print the --src score as JSON")
     sc.add_argument("--manifest", help="CSV of path,expected_length[,session_id,strategy,iteration]")
     sc.add_argument("--out", help="output path for manifest batch mode")
     sc.set_defaults(func=cmd_score)

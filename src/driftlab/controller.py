@@ -22,12 +22,13 @@ The loop runs in segments, as a speedup only. Each step's noise is drawn
 once, in step order: a segment draws the rows it has not yet drawn in one
 `simulator._normals` call. A segment steps the state ahead with the current
 strategy, fits all its windows in one stacked pass
-(`inference.fit_windows`) and takes their spectra in one `eigvals` call,
-then applies the rules step by step, as the one-step-at-a-time loop
-would. A strategy switch at step `now` drops the rows after it, and the
-next segment starts from `now` on the stored noise; a halt or an
-exception ends the run at its own step. Segments start at 16 steps after
-every switch and double up to 1024.
+(`inference.fit_windows`: one least-squares call for the segment's
+windows, bit-identical to one `lstsq` call per window) and takes their
+spectra in one `eigvals` call, then applies the rules step by step, as
+the one-step-at-a-time loop would. A strategy switch at step `now` drops
+the rows after it, and the next segment starts from `now` on the stored
+noise; a halt or an exception ends the run at its own step. Segments
+start at 16 steps after every switch and double up to 1024.
 
 Every step is taken by `simulator._advance`, the one walk of every run
 (the public `simulator.em_step` is a one-step `_advance` walk): a step

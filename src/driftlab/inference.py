@@ -5,7 +5,8 @@ Fits the affine one-step model delta ~ A x + b by pooled least squares
 covariance, computes the interference matrix of cross-objective
 step-change correlations, and scores one-step predictive R-squared.
 `fit_windows` is `fit_affine` over every trailing window of one
-trajectory, with its checks run on all windows at once.
+trajectory, with its checks run on all windows at once and its
+decompositions in one stacked call of the gufunc under `np.linalg.lstsq`.
 
 Steps are pooled across every session and iteration of a strategy, in
 session order; all reductions run in a fixed order so results do not
@@ -31,8 +32,18 @@ from .core import (
     pooled_step_matrix,
 )
 
+try:  # numpy's private gufunc module; `fit_windows` works without it
+    from numpy.linalg import _umath_linalg
+except ImportError:
+    _umath_linalg = None
+
 
 _NON_FINITE = "states and deltas must be finite for the fit"
+
+# The most design-matrix entries that one stacked `lstsq` call copies: a
+# whole controller segment (up to 1024 windows) at the default window,
+# and bounded memory for a long `check_interventions` scan or a wide window.
+_STACK_FLOATS = 1 << 18
 
 
 def _design(X: np.ndarray) -> np.ndarray:
@@ -48,6 +59,23 @@ def _solve(Z: np.ndarray, D: np.ndarray) -> np.ndarray | None:
     `lstsq` reports is below Z's column count."""
     theta, _res, rank, _s = np.linalg.lstsq(Z, D, rcond=None)
     return theta if rank == Z.shape[1] else None
+
+
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _solve_stack(Z: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta and rank of Z[k] theta ~ D[k] for every k of a (K, N, n+1)
+    stack, in one call of the gufunc that `np.linalg.lstsq` calls once per
+    problem, with the signature, rcond=None cut-off and error handling of
+    `lstsq`. Raises LinAlgError when the SVD of any problem does not
+    converge, and AttributeError when numpy has no such gufunc."""
+    rcond = np.finfo(np.float64).eps * max(Z.shape[-2:])
+    with np.errstate(call=_raise_lstsq, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        theta, _res, rank, _s = _umath_linalg.lstsq(Z, D, rcond, signature="ddd->ddid")
+    return theta, rank
 
 
 def fit_affine(
@@ -116,10 +144,15 @@ def fit_windows(rows: np.ndarray, window: int) -> WindowFits:
 
     A window that raises InsufficientData or RankDeficientDesign has no
     fit. The finiteness and constant-column checks run on all windows at
-    once; each window left gets one `lstsq` call on the same values as in
-    `fit_affine`, so it has the same bits and the same rank decision. Only
-    A is computed, so a window whose b or residual covariance overflows,
-    where `fit_affine` raises NonFinite, keeps its fit here.
+    once. The windows left are solved by one `_solve_stack` call per
+    `_STACK_FLOATS` entries of design (one call per controller segment),
+    on the values of `fit_affine`'s `lstsq` call, so each has the same
+    bits and the same rank decision. A block whose stacked call raises
+    LinAlgError, or that numpy's gufunc is missing for or rejects, is
+    solved one `_solve` call per window, so the first window whose SVD
+    fails ends the scan with `fit_affine`'s exception. Only A is computed,
+    so a window whose b or residual covariance overflows, where
+    `fit_affine` raises NonFinite, keeps its fit here.
     """
     m = np.asarray(rows, dtype=np.float64)
     n = m.shape[1]
@@ -141,17 +174,33 @@ def fit_windows(rows: np.ndarray, window: int) -> WindowFits:
     Zw = sliding_window_view(_design(X), (window, n + 1))[:, 0]
     Dw = sliding_window_view(D, (window, n))[:, 0]
     full = np.zeros(count, dtype=bool)
-    A = []
-    for k in np.flatnonzero(~flat).tolist():
+    thetas = []  # theta[:n] of the full-rank windows, block by block
+    ks = np.flatnonzero(~flat)
+    size = max(1, _STACK_FLOATS // (window * (n + 1)))
+    for lo in range(0, len(ks), size):
+        block = ks[lo:lo + size]
         try:
-            theta = _solve(Zw[k], Dw[k])
-        except np.linalg.LinAlgError as exc:
-            full, error = full[:k], exc
-            break
-        if theta is not None:
-            full[k] = True
-            A.append(theta[:n].T)
-    return WindowFits(full, np.array(A).reshape(-1, n, n), error)
+            theta, rank = _solve_stack(Zw[block], Dw[block])
+        except (AttributeError, TypeError, ValueError, np.linalg.LinAlgError):
+            # numpy lacks or rejects the gufunc, or some window's SVD failed
+            for k in block.tolist():
+                try:
+                    theta = _solve(Zw[k], Dw[k])
+                except np.linalg.LinAlgError as exc:
+                    return WindowFits(full[:k], _drift_stack(thetas, n), exc)
+                if theta is not None:
+                    full[k] = True
+                    thetas.append(theta[None, :n])
+            continue
+        ok = rank == n + 1
+        full[block[ok]] = True
+        thetas.append(theta[ok, :n])
+    return WindowFits(full, _drift_stack(thetas, n), error)
+
+
+def _drift_stack(thetas: list[np.ndarray], n: int) -> np.ndarray:
+    """The (k, n, n) stack of A = theta[:n].T from blocks of theta[:n]."""
+    return np.concatenate([np.empty((0, n, n)), *thetas]).swapaxes(1, 2).copy()
 
 
 def fit_drift(data: SessionSet) -> DriftModel:

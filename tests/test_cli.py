@@ -290,6 +290,17 @@ def test_score_json_output(tmp_path, capsys):
     assert set(doc) == {"security", "efficiency", "functionality", "rule_hits"}
 
 
+def test_score_src_expected_length_defaults_to_1(tmp_path, capsys):
+    target = tmp_path / "sample.py"
+    target.write_text("def f():\n    return 1\n")
+    assert run_cli("score", "--src", str(target), "--json") == 0
+    default = capsys.readouterr().out
+    assert run_cli("score", "--src", str(target), "--expected-length", "1", "--json") == 0
+    assert capsys.readouterr().out == default
+    assert run_cli("score", "--src", str(target), "--expected-length", "50", "--json") == 0
+    assert capsys.readouterr().out != default
+
+
 def test_score_requires_src_or_manifest(capsys):
     assert run_cli("score") == 2
 
@@ -627,13 +638,18 @@ def _bad_invocation(tmp_path, case):
         src = tmp_path / "a.py"
         src.write_text("x = 1\n")
         return ["score", "--src", str(src), "--expected-length", "0"]
-    if case in ("score-out-without-manifest", "score-src-with-manifest"):
+    if case in ("score-out-without-manifest", "score-src-with-manifest",
+                "manifest-with-expected-length", "manifest-with-json"):
         src = tmp_path / "a.py"
         src.write_text("x = 1\n")
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"path,expected_length\n{src},1\n")
         if case == "score-out-without-manifest":
             return ["score", "--src", str(src), "--out", str(tmp_path / "o.jsonl")]
+        if case == "manifest-with-expected-length":  # the flag's default value, given
+            return ["score", "--manifest", str(manifest), "--expected-length", "1"]
+        if case == "manifest-with-json":
+            return ["score", "--manifest", str(manifest), "--json"]
         return ["score", "--src", str(src), "--manifest", str(manifest)]
     if case == "manifest-no-length-column":
         manifest = tmp_path / "m.csv"
@@ -708,6 +724,8 @@ def _bad_invocation(tmp_path, case):
     ("score-expected-length-0", 2),
     ("score-out-without-manifest", 2),
     ("score-src-with-manifest", 2),
+    ("manifest-with-expected-length", 2),
+    ("manifest-with-json", 2),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     argv = _bad_invocation(tmp_path, case)
@@ -743,3 +761,7 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert not (tmp_path / "o.jsonl").exists()
     if case == "score-src-with-manifest":
         assert "--src and --manifest cannot be given together" in err
+    if case == "manifest-with-expected-length":
+        assert "--expected-length needs --src; a manifest row gives its own" in err
+    if case == "manifest-with-json":
+        assert "--json needs --src; a manifest score is always JSON lines" in err

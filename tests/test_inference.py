@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -380,6 +382,113 @@ def test_fit_windows_without_a_whole_window_is_empty():
         fits = inference.fit_windows(m, window)
         assert fits.full.shape == (max(0, 4 - window),)
         assert fits.A.shape == (0, 3, 3) and fits.error is None
+
+
+def test_fit_windows_matches_fit_affine_in_small_blocks(monkeypatch):
+    # several stacked calls per scan, down to one window per call
+    rng = np.random.default_rng(42)
+    m = pinned_walk(rng, 200, 3)
+    for floats in (1, 20, 100, 2000):
+        monkeypatch.setattr(inference, "_STACK_FLOATS", floats)
+        for window in (4, 5, 8):
+            assert_same_windows(m, window)
+
+
+def assert_stack_is_lstsq(Z, D, where):
+    """One `_solve_stack` call on a stack of designs gives, problem by
+    problem, the theta bits and the rank of the public `np.linalg.lstsq`."""
+    theta, rank = inference._solve_stack(Z, D)
+    for k in range(len(Z)):
+        want, _res, want_rank, _s = np.linalg.lstsq(Z[k], D[k], rcond=None)
+        assert rank[k] == want_rank and theta[k].tobytes() == want.tobytes(), (
+            f"{where}, problem {k}: numpy {np.__version__}'s stacked lstsq gufunc "
+            f"gives rank {rank[k]}, np.linalg.lstsq rank {want_rank}"
+            f"{'' if theta[k].tobytes() == want.tobytes() else ' and other theta bits'}; "
+            f"check inference._solve_stack against this numpy's np.linalg.lstsq"
+        )
+
+
+def test_stacked_lstsq_is_the_public_lstsq_on_simulated_windows():
+    # every window, constant-column ones included, of clipped runs
+    for seed in range(3):
+        for strategy in ("AI", "SF"):
+            for sigma in (0.5, 2.0, 4.0):
+                cfg = simulator.SimConfig(strategy=simulator.preset(strategy, sigma=sigma),
+                                          iterations=120, base_seed=seed)
+                m = simulator.simulate_session(cfg, 0).values_matrix
+                Z, D = inference._design(m[:-1]), np.diff(m, axis=0)
+                for window in (4, 5, 8):
+                    idx = np.arange(len(D) - window + 1)[:, None] + np.arange(window)
+                    assert_stack_is_lstsq(Z[idx], D[idx], (seed, strategy, sigma, window))
+
+
+def test_stacked_lstsq_is_the_public_lstsq_at_the_cutoff():
+    rng = np.random.default_rng(39)
+    X = np.array(CUTOFF_EXAMPLES)
+    Z = np.concatenate([X, np.ones(X.shape[:2] + (1,))], axis=2)
+    assert_stack_is_lstsq(Z, rng.normal(0.0, 1.0, X.shape), "CUTOFF_EXAMPLES")
+    by_shape = {}
+    for family, X, D in crafted_designs():
+        by_shape.setdefault(X.shape, []).append((inference._design(X), D))
+    for shape, designs in by_shape.items():
+        Z, D = (np.array(a) for a in zip(*designs))
+        assert_stack_is_lstsq(Z, D, f"crafted designs of shape {shape}")
+
+
+def test_fit_windows_redoes_a_failed_stack_one_window_at_a_time(monkeypatch):
+    rng = np.random.default_rng(43)
+    m = pinned_walk(rng, 120, 3)
+    window = 5
+    want = reference_fit_windows(m, window)
+    first = np.flatnonzero(want.full)
+    chosen = int(first[len(first) // 2])  # a full-rank window mid-run
+
+    def no_stack(Z, D):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(inference, "_solve_stack", no_stack)
+    # every window fails in the stack and none one at a time: the same fits
+    assert_same_windows(m, window)
+    lstsq = np.linalg.lstsq
+    failure = np.linalg.LinAlgError("window did not converge")
+    target = inference._design(m[chosen:chosen + window])
+
+    def failing_at_chosen(Z, D, rcond=None):
+        if np.array_equal(Z, target):
+            raise failure
+        return lstsq(Z, D, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing_at_chosen)
+    got = inference.fit_windows(m, window)
+    assert got.error is failure
+    assert np.array_equal(got.full, want.full[:chosen])
+    assert got.A.tobytes() == want.A[:want.full[:chosen].sum()].tobytes()
+
+
+@pytest.mark.parametrize("gufuncs", ["missing", "rejecting"])
+def test_fit_windows_without_the_stacked_gufunc_fits_window_by_window(monkeypatch, gufuncs):
+    rng = np.random.default_rng(44)
+    m = pinned_walk(rng, 300, 3)
+    stacked = [inference.fit_windows(m, window) for window in (4, 5, 8)]
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(Z, D, rcond=None):
+        calls.append(1)
+        return lstsq(Z, D, rcond=rcond)
+
+    def rejects(*args, **kwargs):
+        raise TypeError("no loop matching the specified signature")
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    monkeypatch.setattr(inference, "_umath_linalg",
+                        SimpleNamespace() if gufuncs == "missing" else SimpleNamespace(lstsq=rejects))
+    for window, want in zip((4, 5, 8), stacked):
+        got = inference.fit_windows(m, window)
+        assert np.array_equal(got.full, want.full)
+        assert got.A.shape == want.A.shape and got.A.tobytes() == want.A.tobytes()
+        assert got.error is None and want.error is None
+    assert calls
 
 
 # ---------------------------------------------------------------------------
