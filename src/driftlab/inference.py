@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.linalg import _umath_linalg  # the gufuncs under np.linalg
 
 from .core import (
     DegenerateVariance,
@@ -32,18 +33,8 @@ from .core import (
     pooled_step_matrix,
 )
 
-try:  # numpy's private gufunc module; `fit_windows` works without it
-    from numpy.linalg import _umath_linalg
-except ImportError:
-    _umath_linalg = None
-
 
 _NON_FINITE = "states and deltas must be finite for the fit"
-
-# The most design-matrix entries that one stacked `lstsq` call copies: a
-# whole controller segment (up to 1024 windows) at the default window,
-# and bounded memory for a long `check_interventions` scan or a wide window.
-_STACK_FLOATS = 1 << 18
 
 
 def _design(X: np.ndarray) -> np.ndarray:
@@ -144,12 +135,11 @@ def fit_windows(rows: np.ndarray, window: int) -> WindowFits:
 
     A window that raises InsufficientData or RankDeficientDesign has no
     fit. The finiteness and constant-column checks run on all windows at
-    once. The windows left are solved by one `_solve_stack` call per
-    `_STACK_FLOATS` entries of design (one call per controller segment),
-    on the values of `fit_affine`'s `lstsq` call, so each has the same
-    bits and the same rank decision. A block whose stacked call raises
-    LinAlgError, or that numpy's gufunc is missing for or rejects, is
-    solved one `_solve` call per window, so the first window whose SVD
+    once. The windows left are solved by one `_solve_stack` call (one per
+    controller segment) on the values of `fit_affine`'s `lstsq` call, so
+    each has the same bits and the same rank decision. When that call
+    raises LinAlgError, or numpy lacks or rejects the gufunc, the windows
+    are solved one `_solve` call each, so the first window whose SVD
     fails ends the scan with `fit_affine`'s exception. Only A is computed,
     so a window whose b or residual covariance overflows, where
     `fit_affine` raises NonFinite, keeps its fit here.
@@ -174,33 +164,25 @@ def fit_windows(rows: np.ndarray, window: int) -> WindowFits:
     Zw = sliding_window_view(_design(X), (window, n + 1))[:, 0]
     Dw = sliding_window_view(D, (window, n))[:, 0]
     full = np.zeros(count, dtype=bool)
-    thetas = []  # theta[:n] of the full-rank windows, block by block
     ks = np.flatnonzero(~flat)
-    size = max(1, _STACK_FLOATS // (window * (n + 1)))
-    for lo in range(0, len(ks), size):
-        block = ks[lo:lo + size]
-        try:
-            theta, rank = _solve_stack(Zw[block], Dw[block])
-        except (AttributeError, TypeError, ValueError, np.linalg.LinAlgError):
-            # numpy lacks or rejects the gufunc, or some window's SVD failed
-            for k in block.tolist():
-                try:
-                    theta = _solve(Zw[k], Dw[k])
-                except np.linalg.LinAlgError as exc:
-                    return WindowFits(full[:k], _drift_stack(thetas, n), exc)
-                if theta is not None:
-                    full[k] = True
-                    thetas.append(theta[None, :n])
-            continue
-        ok = rank == n + 1
-        full[block[ok]] = True
-        thetas.append(theta[ok, :n])
-    return WindowFits(full, _drift_stack(thetas, n), error)
-
-
-def _drift_stack(thetas: list[np.ndarray], n: int) -> np.ndarray:
-    """The (k, n, n) stack of A = theta[:n].T from blocks of theta[:n]."""
-    return np.concatenate([np.empty((0, n, n)), *thetas]).swapaxes(1, 2).copy()
+    try:
+        theta, rank = _solve_stack(Zw[ks], Dw[ks])
+    except (AttributeError, TypeError, ValueError, np.linalg.LinAlgError):
+        # numpy lacks or rejects the gufunc, or some window's SVD failed
+        A = []
+        for k in ks.tolist():
+            try:
+                theta = _solve(Zw[k], Dw[k])
+            except np.linalg.LinAlgError as exc:
+                full, error = full[:k], exc
+                break
+            if theta is not None:
+                full[k] = True
+                A.append(theta[:n].T)
+        return WindowFits(full, np.array(A).reshape(-1, n, n), error)
+    ok = rank == n + 1
+    full[ks[ok]] = True
+    return WindowFits(full, theta[ok, :n].swapaxes(1, 2).copy(), error)
 
 
 def fit_drift(data: SessionSet) -> DriftModel:

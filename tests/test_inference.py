@@ -384,14 +384,13 @@ def test_fit_windows_without_a_whole_window_is_empty():
         assert fits.A.shape == (0, 3, 3) and fits.error is None
 
 
-def test_fit_windows_matches_fit_affine_in_small_blocks(monkeypatch):
-    # several stacked calls per scan, down to one window per call
-    rng = np.random.default_rng(42)
-    m = pinned_walk(rng, 200, 3)
-    for floats in (1, 20, 100, 2000):
-        monkeypatch.setattr(inference, "_STACK_FLOATS", floats)
-        for window in (4, 5, 8):
-            assert_same_windows(m, window)
+# `_solve_stack` calls the gufunc that numpy 2 runs under np.linalg.lstsq;
+# a numpy whose lstsq calls other gufuncs leaves `fit_windows` on its
+# per-window path, which the fallback tests below cover
+needs_stacked_lstsq = pytest.mark.skipif(
+    not hasattr(inference._umath_linalg, "lstsq"),
+    reason=f"numpy {np.__version__} has no numpy.linalg._umath_linalg.lstsq gufunc",
+)
 
 
 def assert_stack_is_lstsq(Z, D, where):
@@ -408,6 +407,7 @@ def assert_stack_is_lstsq(Z, D, where):
         )
 
 
+@needs_stacked_lstsq
 def test_stacked_lstsq_is_the_public_lstsq_on_simulated_windows():
     # every window, constant-column ones included, of clipped runs
     for seed in range(3):
@@ -422,6 +422,7 @@ def test_stacked_lstsq_is_the_public_lstsq_on_simulated_windows():
                     assert_stack_is_lstsq(Z[idx], D[idx], (seed, strategy, sigma, window))
 
 
+@needs_stacked_lstsq
 def test_stacked_lstsq_is_the_public_lstsq_at_the_cutoff():
     rng = np.random.default_rng(39)
     X = np.array(CUTOFF_EXAMPLES)

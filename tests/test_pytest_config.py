@@ -1,8 +1,11 @@
 """The repository's pytest settings keep a test session running past a
 failing Hypothesis test, so every later test still runs and is counted."""
 
-import tomllib
 from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
 
 pytest_plugins = ["pytester"]
 
