@@ -31,7 +31,7 @@ from .core import (
 from .simulator import SimConfig, drift, em_step, preset, preset_catalog, simulate_session, simulate_set
 from .inference import fit_drift, interference_matrix, predictive_r2
 from .spectral import classify_regime, eigen_spectrum
-from .pareto import dominates, equilibrium_estimate, pareto_efficiency
+from .pareto import equilibrium_estimate, pareto_efficiency
 from .controller import (
     ControlEvent,
     ControllerConfig,

@@ -180,8 +180,8 @@ def cmd_analyze(args) -> int:
             raise _UsageError(f"unknown stages {unknown}; choose from {ANALYZE_STAGES}")
     if args.tail < 1:
         raise _UsageError(f"--tail must be >= 1, got {args.tail}")
-    if not args.zero_tol > 0:
-        raise _UsageError(f"--zero-tol must be > 0, got {args.zero_tol}")
+    if not (args.zero_tol > 0 and math.isfinite(args.zero_tol)):
+        raise _UsageError(f"--zero-tol must be finite and > 0, got {args.zero_tol}")
     if not (args.dt > 0 and math.isfinite(args.dt)):
         raise _UsageError(f"--dt must be finite and > 0, got {args.dt}")
     out_dir = Path(args.out)
@@ -419,8 +419,10 @@ def cmd_score(args) -> int:
     if not args.src:
         raise _UsageError("score requires --src FILE or --manifest FILE")
     expected_length = 1 if args.expected_length is None else args.expected_length
-    if expected_length < 1:
-        raise _UsageError(f"--expected-length must be >= 1, got {expected_length}")
+    try:
+        scorer._check_expected_length(expected_length, "--expected-length")
+    except InvalidExpectedLength as exc:
+        raise _UsageError(str(exc)) from None
     sys.stdout.write(_score_one(args.src, expected_length, args.json))
     return 0
 

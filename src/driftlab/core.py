@@ -20,6 +20,7 @@ the box and still flow through the estimation pipeline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -85,6 +86,12 @@ class NonFinite(DomainError):
 
 class RecordFormatError(DomainError):
     """Raised by the JSONL reader on malformed, gapped, or split sessions."""
+
+
+def check_finite_positive(name: str, value: float) -> None:
+    """Raise ValueError, naming the value, unless it is finite and > 0."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -458,26 +465,23 @@ def loads_trajectories(text: str) -> list[Trajectory]:
     RecordFormatError that names the line. Every trajectory is passed
     through `validate_trajectory`.
 
-    Each line is decoded in place, at its offset in `text`, and the value
-    is kept only when it ends exactly where the line ends. Anything else
-    (leading or trailing whitespace, a value that runs on past the line
-    break, a syntax error) is decoded again by `json.loads(line)`, so the
-    values and error messages are those of a per-line `json.loads`.
+    Each line is decoded by one `raw_decode`, and the value is kept only
+    when it ends exactly where the line ends. Anything else (leading or
+    trailing whitespace, a syntax error) is decoded again by
+    `json.loads(line)`, so the values and error messages are those of a
+    per-line `json.loads`.
     """
     sessions: dict[str, tuple[str, list[list[float]]]] = {}
     current: str | None = None
-    pos = 0  # offset in `text` of the next line
     for lineno, line in enumerate(text.splitlines(), start=1):
-        start, end = pos, pos + len(line)
-        pos = end + (2 if text.startswith("\r\n", end) else 1)
         if not line.strip():
             continue
         try:
-            rec, stop = _raw_decode(text, start)
+            rec, stop = _raw_decode(line)
         except (ValueError, RecursionError):
             stop = None
         try:
-            if stop != end:
+            if stop != len(line):
                 rec = json.loads(line)
             sid = rec["session_id"]
             strategy = rec["strategy"]

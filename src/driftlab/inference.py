@@ -134,15 +134,16 @@ def fit_windows(rows: np.ndarray, window: int) -> WindowFits:
     w = rows[k:k + window + 1] of a (T+1, n) matrix, k = 0 .. T - window.
 
     A window that raises InsufficientData or RankDeficientDesign has no
-    fit. The finiteness and constant-column checks run on all windows at
-    once. The windows left are solved by one `_solve_stack` call (one per
-    controller segment) on the values of `fit_affine`'s `lstsq` call, so
-    each has the same bits and the same rank decision. When that call
-    raises LinAlgError, or numpy lacks or rejects the gufunc, the windows
-    are solved one `_solve` call each, so the first window whose SVD
-    fails ends the scan with `fit_affine`'s exception. Only A is computed,
-    so a window whose b or residual covariance overflows, where
-    `fit_affine` raises NonFinite, keeps its fit here.
+    fit. The finiteness check and `fit_affine`'s constant-column test run
+    on all windows at once. The windows left are solved by one
+    `_solve_stack` call (one per controller segment) on the values of
+    `fit_affine`'s `lstsq` call, so each has the same bits and the same
+    rank decision. When that call raises LinAlgError, or numpy lacks or
+    rejects the gufunc, the windows are solved one `_solve` call each, so
+    the first window whose SVD fails ends the scan with `fit_affine`'s
+    exception. Only A is computed, so a window whose b or residual
+    covariance overflows, where `fit_affine` raises NonFinite, keeps its
+    fit here.
     """
     m = np.asarray(rows, dtype=np.float64)
     n = m.shape[1]
@@ -156,11 +157,8 @@ def fit_windows(rows: np.ndarray, window: int) -> WindowFits:
     cut = max(0, int(bad[0]) - window + 1) if len(bad) else count
     if cut < count:
         count, error = cut, NonFinite(_NON_FINITE)
-    # moves[j, i]: how often column i changes between rows 0 and j; a window
-    # in which some column never changes has a constant column
-    moves = np.zeros(X.shape, dtype=np.int64)
-    np.cumsum(X[1:] != X[:-1], axis=0, out=moves[1:])
-    flat = (moves[window - 1:window - 1 + count] == moves[:count]).any(axis=1)
+    Xw = sliding_window_view(X, (window, n))[:count, 0]
+    flat = (Xw == Xw[:, :1]).all(axis=1).any(axis=1)
     Zw = sliding_window_view(_design(X), (window, n + 1))[:, 0]
     Dw = sliding_window_view(D, (window, n))[:, 0]
     full = np.zeros(count, dtype=bool)

@@ -17,22 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import (
-    DimensionMismatch,
-    SessionSet,
-    TailTooLong,
-    TooShort,
-    Trajectory,
-)
-
-
-def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff a >= b component-wise with at least one strict improvement."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise DimensionMismatch(f"cannot compare shapes {av.shape} and {bv.shape}")
-    return bool(np.all(av >= bv) and np.any(av > bv))
+from .core import SessionSet, TailTooLong, TooShort, Trajectory
 
 
 _BLOCK = 512  # rows checked per step of the sweep in `non_dominated_mask`

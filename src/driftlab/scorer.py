@@ -13,6 +13,7 @@ deltas, 0, 10).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, NamedTuple
@@ -316,9 +317,13 @@ def _axis_score(axis: str, hits: list[RuleHit]) -> float:
     return min(SCORE_HIGH, max(SCORE_LOW, _RULES[f"{axis}.base"] + sum(h.delta for h in hits)))
 
 
-def _check_expected_length(expected_length: int) -> None:
+def _check_expected_length(expected_length: int, name: str = "expected_length") -> None:
+    """An expected length is an int from 1 up to the largest float, since the
+    stub-length penalty divides by it as a float."""
     if expected_length < 1:
-        raise InvalidExpectedLength(f"expected_length must be >= 1, got {expected_length}")
+        raise InvalidExpectedLength(f"{name} must be >= 1, got {expected_length}")
+    if expected_length > sys.float_info.max:
+        raise InvalidExpectedLength(f"{name} must be <= {sys.float_info.max:g}")
 
 
 def _weighted(counts: Iterable[tuple[str, int]]) -> list[RuleHit]:

@@ -39,7 +39,7 @@ import numpy as np
 
 from ._ziggurat import KI_DOUBLE, WI_DOUBLE
 from .core import (SCORE_HIGH, SCORE_LOW, DimensionMismatch, NonFinite, SessionSet,
-                   StrategySpec, Trajectory)
+                   StrategySpec, Trajectory, check_finite_positive)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -232,7 +232,8 @@ class SimConfig:
 
     A session starts at the midpoint of the clip box, [5, ..., 5] when
     clipping is disabled, or, when init_box is given as (low, high) with a
-    finite width, at its own uniform draw in that box.
+    finite width, at its own uniform draw in that box. dt must be finite
+    and > 0.
     clip_bounds None disables clipping entirely; otherwise init_box must
     lie inside the clip box. base_seed is a 64-bit unsigned integer. The
     run's states, sessions x (iterations + 1) x n float64 values, must fit
@@ -262,8 +263,7 @@ class SimConfig:
                 f"{self.strategy.dimension} float64 values need {size} bytes, "
                 f"more than one array can hold"
             )
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        check_finite_positive("dt", self.dt)
         if not 0 <= self.base_seed <= _MASK64:
             raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
         _check_clip_bounds(self.clip_bounds)
@@ -306,8 +306,9 @@ def em_step(
     bounds: tuple[float, float] | None = (SCORE_LOW, SCORE_HIGH),
 ) -> np.ndarray:
     """One Euler-Maruyama step, a one-step `_advance` walk. Noise is supplied
-    by the caller (determinism), dt must be finite and > 0, and `bounds`,
-    like `SimConfig.clip_bounds`, is None or a box with low < high.
+    by the caller (determinism), dt must be finite and > 0 as
+    `SimConfig.dt` must, and `bounds`, like `SimConfig.clip_bounds`, is
+    None or a box with low < high.
 
     A step that overflows raises NonFinite as a run's step 0 does, and so
     does a non-finite result (NaN noise raises no floating-point error)."""
@@ -319,8 +320,7 @@ def em_step(
         )
     if eps.shape != xv.shape:
         raise DimensionMismatch(f"noise shape {eps.shape} != state shape {xv.shape}")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    check_finite_positive("dt", dt)
     _check_clip_bounds(bounds)
     X = np.empty((2, len(xv)))
     X[0] = xv

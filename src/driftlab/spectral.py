@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NonFinite, NonSquare, Regime, SpectrumReport
+from .core import NonFinite, NonSquare, Regime, SpectrumReport, check_finite_positive
 
 DEFAULT_ZERO_TOL = 1e-2
 
@@ -40,12 +40,11 @@ def classify_regime(
 
     Regime precedence: Unstable (any real part above zero_tol), then
     Boundary (any real part within zero_tol of zero), then Oscillatory
-    (any imaginary part above zero_tol), else Exponential.
+    (any imaginary part above zero_tol), else Exponential. zero_tol and
+    dt must each be finite and > 0, as `SimConfig.dt` must.
     """
-    if zero_tol <= 0:
-        raise ValueError(f"zero_tol must be > 0, got {zero_tol}")
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    check_finite_positive("zero_tol", zero_tol)
+    check_finite_positive("dt", dt)
     lams = list(spectrum)
     if not lams:
         raise ValueError("empty spectrum")

@@ -501,6 +501,7 @@ def _bad_invocation(tmp_path, case):
     analyze_flags = {
         "analyze-tail-0": ("--tail", "0"),
         "analyze-zero-tol-0": ("--zero-tol", "0"),
+        "analyze-zero-tol-inf": ("--zero-tol", "inf"),
         "analyze-dt-0": ("--dt", "0"),
         "analyze-dt-negative": ("--dt", "-0.5"),
         "analyze-dt-inf": ("--dt", "inf"),
@@ -627,6 +628,7 @@ def _bad_invocation(tmp_path, case):
         "manifest-row-without-strategy":
             "path,expected_length,iteration,session_id,strategy\n{0},5,0,s\n{0},5,1,s\n",
         "manifest-length-0": "path,expected_length\n{0},5\n{0},0\n",
+        "manifest-length-too-large": "path,expected_length\n{0},5\n{0},1%s\n" % ("0" * 400),
     }
     if case in short_manifests:
         src = tmp_path / "a.py"
@@ -634,10 +636,11 @@ def _bad_invocation(tmp_path, case):
         manifest = tmp_path / "m.csv"
         manifest.write_text(short_manifests[case].format(src))
         return ["score", "--manifest", str(manifest)]
-    if case == "score-expected-length-0":
+    if case in ("score-expected-length-0", "score-expected-length-too-large"):
         src = tmp_path / "a.py"
         src.write_text("x = 1\n")
-        return ["score", "--src", str(src), "--expected-length", "0"]
+        length = "0" if case == "score-expected-length-0" else str(10**400)
+        return ["score", "--src", str(src), "--expected-length", length]
     if case in ("score-out-without-manifest", "score-src-with-manifest",
                 "manifest-with-expected-length", "manifest-with-json"):
         src = tmp_path / "a.py"
@@ -673,6 +676,7 @@ def _bad_invocation(tmp_path, case):
     ("control-seed-negative", 2),
     ("analyze-tail-0", 2),
     ("analyze-zero-tol-0", 2),
+    ("analyze-zero-tol-inf", 2),
     ("analyze-dt-0", 2),
     ("analyze-dt-negative", 2),
     ("analyze-dt-inf", 2),
@@ -721,7 +725,9 @@ def _bad_invocation(tmp_path, case):
     ("manifest-row-without-path", 1),
     ("manifest-row-without-strategy", 1),
     ("manifest-length-0", 1),
+    ("manifest-length-too-large", 1),
     ("score-expected-length-0", 2),
+    ("score-expected-length-too-large", 2),
     ("score-out-without-manifest", 2),
     ("score-src-with-manifest", 2),
     ("manifest-with-expected-length", 2),
@@ -754,8 +760,14 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert "RecordFormatError: manifest line 2: the row has no strategy field" in err
     if case == "manifest-length-0":
         assert "InvalidExpectedLength: manifest line 3: expected_length must be >= 1" in err
+    if case == "manifest-length-too-large":
+        assert "InvalidExpectedLength: manifest line 3: expected_length must be <=" in err
     if case == "score-expected-length-0":
         assert "--expected-length must be >= 1, got 0" in err
+    if case == "score-expected-length-too-large":
+        assert "--expected-length must be <=" in err
+    if case == "analyze-zero-tol-inf":
+        assert "--zero-tol must be finite and > 0, got inf" in err
     if case == "score-out-without-manifest":
         assert "--out needs --manifest" in err
         assert not (tmp_path / "o.jsonl").exists()

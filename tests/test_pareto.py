@@ -4,52 +4,13 @@ import numpy as np
 import pytest
 
 from driftlab import pareto, simulator
-from driftlab.core import (
-    DimensionMismatch,
-    SessionSet,
-    TailTooLong,
-    TooShort,
-    Trajectory,
-)
+from driftlab.core import SessionSet, TailTooLong, TooShort, Trajectory
 
 from oracles import brute_efficiency
 
 
 def traj(points):
     return Trajectory("s000", "X", points)
-
-
-# ---------------------------------------------------------------------------
-# dominates
-# ---------------------------------------------------------------------------
-
-def test_equal_points_do_not_dominate():
-    assert not pareto.dominates([5, 5, 5], [5, 5, 5])
-
-
-def test_single_strict_improvement_dominates():
-    assert pareto.dominates([6, 5, 5], [5, 5, 5])
-
-
-def test_trade_off_is_incomparable():
-    assert not pareto.dominates([6, 4, 5], [5, 5, 5])
-    assert not pareto.dominates([5, 5, 5], [6, 4, 5])
-
-
-def test_dominates_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        pareto.dominates([1, 2, 3], [1, 2])
-
-
-def test_dominates_is_strict_partial_order():
-    rng = np.random.default_rng(51)
-    for _ in range(300):
-        a, b, c = rng.integers(0, 4, size=(3, 3)).astype(float)
-        assert not pareto.dominates(a, a)  # irreflexive
-        if pareto.dominates(a, b):
-            assert not pareto.dominates(b, a)  # asymmetric
-        if pareto.dominates(a, b) and pareto.dominates(b, c):
-            assert pareto.dominates(a, c)  # transitive
 
 
 # ---------------------------------------------------------------------------

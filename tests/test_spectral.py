@@ -156,7 +156,16 @@ def test_bridge_criteria_can_disagree():
     assert rep.convergence_rate > 0 and not rep.discrete_stable
 
 
-@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
 def test_bridge_needs_a_positive_step(dt):
-    with pytest.raises(ValueError, match="dt must be > 0"):
+    # an infinite dt would report the discrete eigenvalue -inf+nanj
+    with pytest.raises(ValueError, match="^dt must be finite and > 0"):
         spectral.classify_regime([complex(-0.5)], dt)
+
+
+@pytest.mark.parametrize("zero_tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_zero_tol_must_be_finite_and_positive(zero_tol):
+    # a NaN tolerance would read an unstable spectrum as Exponential, and an
+    # infinite one would read every spectrum as Boundary
+    with pytest.raises(ValueError, match="^zero_tol must be finite and > 0"):
+        spectral.classify_regime([complex(0.5), complex(-1, 2), complex(-1, -2)], 1.0, zero_tol)
