@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -310,12 +311,35 @@ def _manifest_field(row: dict, column: str, lineno: int) -> str:
     return row[column]
 
 
-def _manifest_int(row: dict, column: str, lineno: int) -> int:
+# An error line shows at most this many characters of a manifest field.
+_SHOWN_CHARS = 40
+
+# An integer field as int() reads it: a sign and digits, in groups joined by
+# single underscores, within white space.
+_INT_FIELD = re.compile(r"\s*([+-]?)\d+(?:_\d+)*\s*")
+
+
+def _shown(field: str) -> str:
+    """A manifest field as an error line shows it: its repr, cut after
+    _SHOWN_CHARS characters."""
+    if len(field) <= _SHOWN_CHARS:
+        return repr(field)
+    return f"{field[:_SHOWN_CHARS]!r}... ({len(field)} characters)"
+
+
+def _manifest_int(row: dict, column: str, lineno: int) -> int | float:
+    """The column's integer. One with more digits than int() converts
+    (sys.get_int_max_str_digits()) lies beyond every bound a manifest
+    checks, so it reads as inf or -inf."""
+    field = _manifest_field(row, column, lineno)
     try:
-        return int(_manifest_field(row, column, lineno))
+        return int(field)
     except ValueError:
+        match = _INT_FIELD.fullmatch(field)
+        if match:
+            return -math.inf if match[1] == "-" else math.inf
         raise RecordFormatError(
-            f"manifest line {lineno}: {column} {row[column]!r} is not an integer"
+            f"manifest line {lineno}: {column} {_shown(field)} is not an integer"
         ) from None
 
 
@@ -358,13 +382,18 @@ def _manifest_trajectories(rows: list[tuple[int, dict]], scores: list) -> list[T
         first_strategy, points = sessions.setdefault(sid, (strategy, {}))
         if strategy != first_strategy:
             raise RecordFormatError(
-                f"manifest line {lineno}: session {sid!r} changes strategy "
-                f"{first_strategy!r} -> {strategy!r}"
+                f"manifest line {lineno}: session {_shown(sid)} changes strategy "
+                f"{_shown(first_strategy)} -> {_shown(strategy)}"
             )
         it = _manifest_int(row, "iteration", lineno)
+        if not 0 <= it < len(rows):  # no session of these rows reaches iteration len(rows)
+            raise RecordFormatError(
+                f"manifest line {lineno}: iteration {_shown(row['iteration'])} is outside "
+                f"the manifest's row range 0..{len(rows) - 1}"
+            )
         if it in points:
             raise RecordFormatError(
-                f"manifest line {lineno}: session {sid!r} repeats iteration {it}"
+                f"manifest line {lineno}: session {_shown(sid)} repeats iteration {it}"
             )
         points[it] = [b.security, b.efficiency, b.functionality]
     trajs = []
@@ -372,7 +401,7 @@ def _manifest_trajectories(rows: list[tuple[int, dict]], scores: list) -> list[T
         iterations = sorted(points)
         if iterations != list(range(len(iterations))):
             raise RecordFormatError(
-                f"manifest session {sid!r} has iterations {iterations}, "
+                f"manifest session {_shown(sid)} has iterations {iterations}, "
                 f"expected 0..{len(iterations) - 1}"
             )
         trajs.append(validate_trajectory(

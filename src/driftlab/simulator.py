@@ -17,14 +17,17 @@ per numpy call. Word k of a row is word k % 4 of the Philox4x64-10 block
 at counter [k // 4 + 1, 0, 0, t], and each word becomes a normal on the
 accept path of numpy's 256-layer ziggurat. A row with a word off that
 path (about 1.5% of words) is drawn again by numpy itself, so every row
-holds numpy's bytes. All sessions of a set are stepped together, one
-stacked matrix-vector product per row, which rounds exactly like the lone
+holds numpy's bytes. All sessions of a set are stepped together, with
+stacked matrix-vector products that round each row exactly like the lone
 `A @ x` of a single session; `simulate_session` is the same kernel run on
 one session, so a session's bytes do not depend on the set around it.
 
 Every step is taken by `_advance`, the one Euler-Maruyama walk, and the
-public `em_step` is a one-step `_advance` walk. The default clip box is
-core's [SCORE_LOW, SCORE_HIGH].
+public `em_step` is a one-step `_advance` walk. A walk computes the noise
+terms of all its steps as one stacked product, then takes the drift
+product and the clip step by step. A noise term that overflows still
+belongs to its own step: the walk ends before it, and the next walk
+raises there. The default clip box is core's [SCORE_LOW, SCORE_HIGH].
 
 Ships the four built-in strategy presets (EF, SF, FF, AI) as diagonal
 drift matrices with zero intercept and a default diffusion of 0.5 * I.
@@ -32,6 +35,7 @@ drift matrices with zero intercept and a default diffusion of 0.5 * I.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
@@ -53,6 +57,14 @@ _PHILOX_ROUNDS = 10
 # Rows of noise per kernel pass: long runs make few passes, and a pass's
 # temporaries stay well under 1 MB.
 _CHUNK_ROWS = 8192
+
+# The ufunc behind np.clip, called without np.clip's Python wrapper: a step
+# clips one short row, where the wrapper costs as much as the step's
+# arithmetic. np.maximum then np.minimum is not the same: it can return a
+# bound's zero sign where np.clip keeps the state's.
+_clip = importlib.import_module(
+    "numpy._core.umath" if int(np.__version__.split(".")[0]) >= 2 else "numpy.core.umath"
+).clip
 
 _LO32 = np.uint64(0xFFFFFFFF)
 _MAG52 = np.uint64((1 << 52) - 1)
@@ -351,24 +363,52 @@ def _start(cfg: SimConfig, session_indices: range, n: int) -> tuple[np.ndarray, 
     return X, keys
 
 
+def _noise_terms(S: np.ndarray, eps: np.ndarray, root_dt: float) -> np.ndarray:
+    """The diffusion term `_matvec(S, e) * root_dt` of every row e of eps, as
+    one stacked product, under the caller's floating-point error state. When
+    that raises, the terms of the rows before the first row whose own
+    product raises, so that a walk ends before that row's step."""
+    try:
+        return _matvec(S, eps) * root_dt
+    except FloatingPointError:
+        terms = []
+        for row in eps:
+            try:
+                terms.append(_matvec(S, row) * root_dt)
+            except FloatingPointError:
+                break
+        return np.reshape(terms, (len(terms),) + eps.shape[1:])
+
+
 def _advance(X: np.ndarray, t: int, stop: int, strategy: StrategySpec, dt: float,
              eps: np.ndarray, bounds: tuple[float, float] | None) -> int:
     """Take steps t .. stop-1 of X, X[s + 1] from X[s] and the noise eps[s - t],
-    and return stop. A step whose arithmetic overflows or turns invalid before
-    the clip raises NonFinite naming it if it is step t; a later one is left
-    untaken and returned, so that the next walk starts there and raises."""
-    A, b, S = strategy.drift_matrix, strategy.drift_intercept, strategy.diffusion
+    and return stop. The noise terms of all these steps are one stacked
+    product; the drift product and the clip are taken step by step.
+
+    A step whose arithmetic overflows or turns invalid before the clip, in
+    its drift or in its noise term, raises NonFinite naming it if it is step
+    t; a later one is left untaken and returned, so that the next walk
+    starts there and raises."""
+    A, b = strategy.drift_matrix, strategy.drift_intercept
     root_dt = np.sqrt(dt)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="raise", invalid="raise"):
+        shock = _noise_terms(strategy.diffusion, eps[:stop - t], root_dt)
+        if not len(shock):
+            raise NonFinite(f"step {t} gives a non-finite state")
+        stop = t + len(shock)
+        try:
             for s in range(t, stop):
                 x = X[s]
-                nxt = x + (_matvec(A, x) + b) * dt + _matvec(S, eps[s - t]) * root_dt
-                X[s + 1] = nxt if bounds is None else np.clip(nxt, bounds[0], bounds[1])
-    except FloatingPointError:
-        if s == t:
-            raise NonFinite(f"step {s} gives a non-finite state") from None
-        return s
+                nxt = x + (_matvec(A, x) + b) * dt + shock[s - t]
+                if bounds is None:
+                    X[s + 1] = nxt
+                else:
+                    _clip(nxt, bounds[0], bounds[1], out=X[s + 1])
+        except FloatingPointError:
+            if s == t:
+                raise NonFinite(f"step {s} gives a non-finite state") from None
+            return s
     return stop
 
 

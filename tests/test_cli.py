@@ -629,6 +629,17 @@ def _bad_invocation(tmp_path, case):
             "path,expected_length,iteration,session_id,strategy\n{0},5,0,s\n{0},5,1,s\n",
         "manifest-length-0": "path,expected_length\n{0},5\n{0},0\n",
         "manifest-length-too-large": "path,expected_length\n{0},5\n{0},1%s\n" % ("0" * 400),
+        # more digits than int() converts
+        "manifest-length-5001-digits": "path,expected_length\n{0},5\n{0},1%s\n" % ("0" * 5000),
+        "manifest-iteration-5001-digits":
+            "path,expected_length,session_id,strategy,iteration\n{0},5,s,X,1%s\n" % ("0" * 5000),
+        "manifest-iteration-400-digits":
+            "path,expected_length,session_id,strategy,iteration\n{0},5,s,X,0\n{0},5,s,X,1%s\n"
+            % ("0" * 400),
+        "manifest-length-long-not-int": "path,expected_length\n{0},%s\n" % ("5" * 5000 + "x"),
+        "manifest-long-session-changes-strategy":
+            "path,expected_length,session_id,strategy,iteration\n{0},5,%s,X,0\n{0},5,%s,Y,1\n"
+            % ("s" * 5000, "s" * 5000),
     }
     if case in short_manifests:
         src = tmp_path / "a.py"
@@ -726,6 +737,11 @@ def _bad_invocation(tmp_path, case):
     ("manifest-row-without-strategy", 1),
     ("manifest-length-0", 1),
     ("manifest-length-too-large", 1),
+    ("manifest-length-5001-digits", 1),
+    ("manifest-iteration-5001-digits", 1),
+    ("manifest-iteration-400-digits", 1),
+    ("manifest-length-long-not-int", 1),
+    ("manifest-long-session-changes-strategy", 1),
     ("score-expected-length-0", 2),
     ("score-expected-length-too-large", 2),
     ("score-out-without-manifest", 2),
@@ -760,8 +776,23 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert "RecordFormatError: manifest line 2: the row has no strategy field" in err
     if case == "manifest-length-0":
         assert "InvalidExpectedLength: manifest line 3: expected_length must be >= 1" in err
-    if case == "manifest-length-too-large":
-        assert "InvalidExpectedLength: manifest line 3: expected_length must be <=" in err
+    if case in ("manifest-length-too-large", "manifest-length-5001-digits"):
+        assert "InvalidExpectedLength: manifest line 3: expected_length must be <= 1.79769e+308" \
+            in err
+    if case == "manifest-iteration-5001-digits":
+        assert "RecordFormatError: manifest line 2: iteration '1000" in err
+        assert "(5001 characters) is outside the manifest's row range 0..0" in err
+    if case == "manifest-iteration-400-digits":
+        assert "RecordFormatError: manifest line 3: iteration '1000" in err
+        assert "(401 characters) is outside the manifest's row range 0..1" in err
+    if case == "manifest-length-long-not-int":
+        assert "RecordFormatError: manifest line 2: expected_length '5555" in err
+        assert "(5001 characters) is not an integer" in err
+    if case == "manifest-long-session-changes-strategy":
+        assert "RecordFormatError: manifest line 3: session 'ssss" in err
+        assert "(5000 characters) changes strategy 'X' -> 'Y'" in err
+    if case.startswith("manifest-"):  # a field is shown by a bounded prefix at most
+        assert len(err) < 200 + len(str(tmp_path))
     if case == "score-expected-length-0":
         assert "--expected-length must be >= 1, got 0" in err
     if case == "score-expected-length-too-large":

@@ -571,6 +571,26 @@ def test_an_overflow_raises_only_where_the_rules_reach_it(monkeypatch, window):
     assert result == (NonFinite, "step 2 gives a non-finite state", [1, 2])
 
 
+@pytest.mark.parametrize("window", [2, 5])
+@pytest.mark.parametrize("halt", [False, True])
+def test_a_noise_overflow_raises_only_where_the_rules_reach_it(monkeypatch, window, halt):
+    # zero drift and a 1e308 I diffusion: a step's noise term or its sum
+    # overflows within a few steps. With halting on, a run halts before its
+    # overflow although its segment has stepped into it; only an overflow
+    # at step 0 comes first.
+    noisy = StrategySpec("NOISY", np.zeros((3, 3)), np.zeros(3), 1e308 * np.eye(3))
+    steps = [None, None, 0, None, None, None] if halt else [2, 4, 0, 1, 1, 4]
+    for seed, step in enumerate(steps):
+        sim = simulator.SimConfig(strategy=noisy, iterations=50, base_seed=seed,
+                                  clip_bounds=None)
+        result = assert_matches_reference(monkeypatch, sim, ControllerConfig(window=window),
+                                          halt_on_intervention=halt)
+        if step is None:
+            assert raised(result) is None
+        else:
+            assert result[:2] == (NonFinite, f"step {step} gives a non-finite state")
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), iterations=st.integers(8, 120),
        window=st.integers(2, 8), sigma=st.sampled_from([0.3, 1.0, 2.0, 4.0]),

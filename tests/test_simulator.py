@@ -262,9 +262,14 @@ def test_em_step_checks_state_dimension():
 
 
 def test_em_step_rejects_a_non_finite_result():
+    # NaN noise raises no floating-point error, so the step is taken and its
+    # state rejected; infinite noise turns 0 * inf invalid in the noise term
+    nan_state = re.escape("step from [5.0, 5.0, 5.0] gives non-finite state [nan, nan, nan]")
     for bounds in ((0.0, 10.0), None):
-        with pytest.raises(core.NonFinite):
+        with pytest.raises(core.NonFinite, match=f"^{nan_state}$"):
             em_step([5, 5, 5], preset("AI"), 1.0, [float("nan"), 0.0, 0.0], bounds=bounds)
+        with pytest.raises(core.NonFinite, match="^step 0 gives a non-finite state$"):
+            em_step([5, 5, 5], preset("AI"), 1.0, [float("inf"), 0.0, 0.0], bounds=bounds)
 
 
 def test_em_step_raises_on_an_overflow_before_the_clip():
@@ -303,6 +308,35 @@ def test_an_overflow_names_its_step_wherever_the_noise_chunks_fall(monkeypatch, 
     cfg = SimConfig(strategy=boom, sessions=1, iterations=6, clip_bounds=None)
     with pytest.raises(core.NonFinite, match="^step 2 gives a non-finite state$"):
         simulate_set(cfg)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8192])
+def test_a_noise_overflow_names_its_step_wherever_the_noise_chunks_fall(monkeypatch, chunk):
+    # with zero drift, a step's noise term 1e308 * eps overflows where a draw
+    # exceeds 1.8 in size, and a later step's sum where two terms add up
+    noisy = StrategySpec("NOISY", np.zeros((3, 3)), np.zeros(3), 1e308 * np.eye(3))
+    monkeypatch.setattr(simulator, "_CHUNK_ROWS", chunk)
+    for seed, step in enumerate([2, 1, 0, 1, 1, 1]):
+        cfg = SimConfig(strategy=noisy, sessions=2, iterations=50, base_seed=seed,
+                        clip_bounds=None)
+        with pytest.raises(core.NonFinite, match=f"^step {step} gives a non-finite state$"):
+            simulate_set(cfg)
+
+
+def test_the_step_clip_is_np_clip_bit_for_bit():
+    # np.maximum then np.minimum would return a bound's zero sign where
+    # np.clip keeps the state's
+    values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5.0, -5.0, 10.0, -10.0, 20.0, -20.0])
+    for low, high in ((-0.0, 10.0), (0.0, 10.0), (-10.0, -0.0), (-10.0, 0.0), (-0.0, 0.0),
+                      (0.0, 5.0), (-np.inf, np.inf)):
+        out = np.empty_like(values)
+        simulator._clip(values, low, high, out=out)
+        assert out.tobytes() == np.clip(values, low, high).tobytes()
+    zero = StrategySpec("Z", np.zeros((3, 3)), np.zeros(3), np.zeros((3, 3)))
+    for x, bounds, axis in (([0.0, 5, 5], (-0.0, 10.0), 0), ([-5, 5, 0.0], (-10, -0.0), 2),
+                            ([-0.0, 5, 5], (0.0, 10.0), 0)):
+        out = em_step(x, zero, 1.0, np.zeros(3), bounds=bounds)
+        assert out[axis] == 0.0 and not np.signbit(out[axis])
 
 
 def test_run_too_large_for_memory_fails_before_building_streams(monkeypatch):
