@@ -35,6 +35,7 @@ from .core import (
     RecordFormatError,
     StrategySpec,
     Trajectory,
+    _shown,
     dumps_trajectories,
     group_by_strategy,
     parse_key_values,
@@ -311,20 +312,9 @@ def _manifest_field(row: dict, column: str, lineno: int) -> str:
     return row[column]
 
 
-# An error line shows at most this many characters of a manifest field.
-_SHOWN_CHARS = 40
-
 # An integer field as int() reads it: a sign and digits, in groups joined by
 # single underscores, within white space.
 _INT_FIELD = re.compile(r"\s*([+-]?)\d+(?:_\d+)*\s*")
-
-
-def _shown(field: str) -> str:
-    """A manifest field as an error line shows it: its repr, cut after
-    _SHOWN_CHARS characters."""
-    if len(field) <= _SHOWN_CHARS:
-        return repr(field)
-    return f"{field[:_SHOWN_CHARS]!r}... ({len(field)} characters)"
 
 
 def _manifest_int(row: dict, column: str, lineno: int) -> int | float:

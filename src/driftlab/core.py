@@ -12,18 +12,21 @@ when the `Trajectory` is built; every consumer (simulation, estimation,
 Pareto reports, control) works on that matrix.
 
 Score bounds (the 0-10 scale) are enforced once, at the ingestion
-boundary (`validate_trajectory` / the JSONL reader), never re-checked in
-hot loops. Generated data with clipping disabled may legitimately leave
-the box and still flow through the estimation pipeline.
+boundary (`validate_trajectory` / the JSONL reader, both by the one rule
+`_outside_box`), never re-checked in hot loops. Generated data with
+clipping disabled may legitimately leave the box and still flow through
+the estimation pipeline.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import groupby, repeat
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -94,6 +97,24 @@ def check_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+# An error line shows at most this many characters of a value it echoes.
+_SHOWN_CHARS = 40
+
+
+def _shown(value) -> str:
+    """A value as an error line shows it: its repr, with a str cut after
+    _SHOWN_CHARS characters, and the repr of any other value cut after as
+    many."""
+    if isinstance(value, str):
+        if len(value) <= _SHOWN_CHARS:
+            return repr(value)
+        return f"{value[:_SHOWN_CHARS]!r}... ({len(value)} characters)"
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -122,7 +143,7 @@ class Trajectory:
         if not (isinstance(session_id, str) and isinstance(strategy_id, str)):
             raise TypeError(
                 f"session_id and strategy_id must be str, "
-                f"got {session_id!r} and {strategy_id!r}"
+                f"got {_shown(session_id)} and {_shown(strategy_id)}"
             )
         if not isinstance(points, np.ndarray):
             points = list(points)
@@ -132,16 +153,16 @@ class Trajectory:
             dims = sorted({np.shape(p) for p in points})
             if len(dims) > 1:
                 raise DimensionMismatch(
-                    f"trajectory {session_id!r} mixes point shapes {dims}"
+                    f"trajectory {_shown(session_id)} mixes point shapes {dims}"
                 ) from None
             raise
         if m.ndim != 2 or m.shape[1] < 2:
             raise DimensionMismatch(
-                f"trajectory {session_id!r} must be a (T+1, n) matrix with n >= 2, "
+                f"trajectory {_shown(session_id)} must be a (T+1, n) matrix with n >= 2, "
                 f"got shape {m.shape}"
             )
         if not np.all(np.isfinite(m)):
-            raise NonFinite(f"trajectory {session_id!r} has non-finite values")
+            raise NonFinite(f"trajectory {_shown(session_id)} has non-finite values")
         object.__setattr__(self, "session_id", session_id)
         object.__setattr__(self, "strategy_id", strategy_id)
         object.__setattr__(self, "values_matrix", _readonly(m))
@@ -391,6 +412,12 @@ class PredictionReport:
 # Operations
 # ---------------------------------------------------------------------------
 
+def _outside_box(m: np.ndarray) -> np.ndarray:
+    """Mask over the rows of m: True where a component lies outside
+    [SCORE_LOW, SCORE_HIGH] (an infinite one does; NaN does not)."""
+    return np.any((m < SCORE_LOW) | (m > SCORE_HIGH), axis=1)
+
+
 def validate_trajectory(raw: Trajectory) -> Trajectory:
     """Accept a trajectory iff every invariant holds; normalize nothing.
 
@@ -404,13 +431,13 @@ def validate_trajectory(raw: Trajectory) -> Trajectory:
     m = raw.values_matrix
     if len(m) < 2:
         raise TooShort(
-            f"trajectory {raw.session_id!r} has {len(m)} point(s); need >= 2"
+            f"trajectory {_shown(raw.session_id)} has {len(m)} point(s); need >= 2"
         )
-    outside = np.any((m < SCORE_LOW) | (m > SCORE_HIGH), axis=1)
+    outside = _outside_box(m)
     if outside.any():
         t = int(np.argmax(outside))
         raise OutOfRangeScore(
-            f"trajectory {raw.session_id!r} iteration {t}: "
+            f"trajectory {_shown(raw.session_id)} iteration {t}: "
             f"{m[t].tolist()} outside [{SCORE_LOW}, {SCORE_HIGH}]"
         )
     return raw
@@ -451,19 +478,96 @@ def dumps_trajectories(trajectories: Iterable[Trajectory]) -> str:
 _JSON_NUMBERS = (int, float)  # exact types: a JSON true/false is not a score
 _raw_decode = json.JSONDecoder().raw_decode
 
+# One line as `dumps_trajectories` writes it. An id of printable ASCII but
+# `"` and `\` is its own decoded value and holds no `str.splitlines` break.
+# A number is a JSON number with a fraction or an exponent, as `repr` writes
+# a float, so `float` of its text is json's value; a JSON integer is not
+# (json reads `-0` as the int 0, whose float is +0.0).
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
+_WRITER_LINE = re.compile(
+    r'^\{"session_id": "([ !#-\[\]-~]*)", "strategy": "([ !#-\[\]-~]*)", '
+    rf'"iteration": ([0-9]+), "objectives": \[({_NUMBER}(?:, {_NUMBER})*)\]\}}$',
+    re.M,
+)
+_CHUNK = 1 << 18  # characters matched per step of `_read_writer_form`
+
+
+def _read_writer_form(text: str) -> list[Trajectory] | None:
+    """The trajectories of a text in the form `dumps_trajectories` writes
+    that the per-line reader would accept, else None. Never raises.
+
+    Every line must match `_WRITER_LINE` and end in a line feed, every row
+    must have the first row's width (n >= 2) and lie in the score box, and
+    the sessions must be new, contiguous, of one strategy and of >= 2 rows
+    with iterations 0, 1, 2, ... The text is matched one chunk at a time,
+    cut at the first line feed after each `_CHUNK` characters; a chunk's
+    numbers become floats in one `map` and are checked in one box check,
+    and a session may carry on from one chunk into the next.
+    """
+    if not text.endswith("\n"):
+        return None
+    blocks = []
+    runs: list[list] = []  # [session id, strategy, first row, end row]
+    seen: set[str] = set()
+    steps: tuple[str, ...] = ()  # the text of iterations 0, 1, 2, ...
+    width = 0
+    start = 0
+    rows = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk = text[start:end]
+        start = end
+        found = _WRITER_LINE.findall(chunk)
+        if len(found) != chunk.count("\n"):
+            return None
+        sids, strategies, iterations, objectives = zip(*found)
+        width = width or objectives[0].count(", ") + 1
+        if width < 2 or set(map(str.count, objectives, repeat(", "))) != {width - 1}:
+            return None
+        block = np.fromiter(map(float, ", ".join(objectives).split(", ")),
+                            np.float64, len(found) * width).reshape(-1, width)
+        if _outside_box(block).any():  # also an overflow to inf; no number is NaN
+            return None
+        blocks.append(block)
+        i = 0
+        for sid, group in groupby(sids):
+            k = len(list(group))
+            if i == 0 and runs and runs[-1][0] == sid:
+                run = runs[-1]
+            elif sid in seen:
+                return None
+            else:
+                seen.add(sid)
+                run = [sid, strategies[i], rows, rows]
+                runs.append(run)
+            done = run[3] - run[2]
+            if done + k > len(steps):
+                steps = tuple(map(str, range(2 * (done + k))))
+            if (strategies[i:i + k].count(run[1]) != k
+                    or iterations[i:i + k] != steps[done:done + k]):
+                return None
+            run[3] += k
+            rows += k
+            i += k
+    if min(stop - first for _, _, first, stop in runs) < 2:
+        return None
+    m = np.concatenate(blocks)
+    return [Trajectory(sid, strategy, m[first:stop]) for sid, strategy, first, stop in runs]
+
 
 def _not_a_number(value) -> NoReturn:
-    raise TypeError(f"objectives must be JSON numbers, got {value!r}")
+    raise TypeError(f"objectives must be JSON numbers, got {_shown(value)}")
 
 
-def loads_trajectories(text: str) -> list[Trajectory]:
-    """Parse and validate the JSONL trajectory format.
+def _objective_row(value) -> list[float]:
+    """A record's objectives as floats; TypeError unless a JSON array of numbers."""
+    if type(value) is not list:
+        raise TypeError(f"objectives must be a JSON array, got {_shown(value)}")
+    return [float(v) if type(v) in _JSON_NUMBERS else _not_a_number(v) for v in value]
 
-    Lines are those of `str.splitlines`, and each non-blank line must hold
-    exactly one record. Sessions must be contiguous blocks with iterations
-    0,1,2,... and a single strategy per session; anything else is a
-    RecordFormatError that names the line. Every trajectory is passed
-    through `validate_trajectory`.
+
+def _read_lines(text: str) -> list[Trajectory]:
+    """`loads_trajectories`, one line of `str.splitlines` at a time.
 
     Each line is decoded by one `raw_decode`, and the value is kept only
     when it ends exactly where the line ends. Anything else (leading or
@@ -486,40 +590,58 @@ def loads_trajectories(text: str) -> list[Trajectory]:
             sid = rec["session_id"]
             strategy = rec["strategy"]
             iteration = rec["iteration"]
-            objectives = [float(v) if type(v) in _JSON_NUMBERS else _not_a_number(v)
-                          for v in rec["objectives"]]
+            objectives = _objective_row(rec["objectives"])
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise RecordFormatError(f"line {lineno}: malformed record ({exc})") from exc
         if not isinstance(sid, str) or not isinstance(strategy, str):
             raise RecordFormatError(
                 f"line {lineno}: session_id and strategy must be strings, "
-                f"got {sid!r} and {strategy!r}"
+                f"got {_shown(sid)} and {_shown(strategy)}"
             )
         if type(iteration) is not int:
             raise RecordFormatError(
-                f"line {lineno}: iteration must be an integer, got {iteration!r}"
+                f"line {lineno}: iteration must be an integer, got {_shown(iteration)}"
             )
         if sid != current:
             if sid in sessions:
                 raise RecordFormatError(
-                    f"line {lineno}: session {sid!r} is not contiguous"
+                    f"line {lineno}: session {_shown(sid)} is not contiguous"
                 )
             sessions[sid] = (strategy, [])
             current = sid
         first_strategy, rows = sessions[sid]
         if strategy != first_strategy:
             raise RecordFormatError(
-                f"line {lineno}: session {sid!r} changes strategy "
-                f"{first_strategy!r} -> {strategy!r}"
+                f"line {lineno}: session {_shown(sid)} changes strategy "
+                f"{_shown(first_strategy)} -> {_shown(strategy)}"
             )
         if iteration != len(rows):
             raise RecordFormatError(
-                f"line {lineno}: session {sid!r} expected iteration {len(rows)}, "
-                f"got {iteration} (gap or disorder)"
+                f"line {lineno}: session {_shown(sid)} expected iteration {len(rows)}, "
+                f"got {_shown(iteration)} (gap or disorder)"
             )
         rows.append(objectives)
     return [validate_trajectory(Trajectory(sid, strategy, rows))
             for sid, (strategy, rows) in sessions.items()]
+
+
+def loads_trajectories(text: str) -> list[Trajectory]:
+    """Parse and validate the JSONL trajectory format.
+
+    Lines are those of `str.splitlines`, and each non-blank line must hold
+    exactly one record. Sessions must be contiguous blocks with iterations
+    0,1,2,... and a single strategy per session; anything else is a
+    RecordFormatError that names the line. Every trajectory is held to
+    `validate_trajectory`'s rules. An echoed id or value is cut by
+    `_shown`.
+
+    Text in the exact form `dumps_trajectories` writes is read whole, a
+    chunk at a time (`_read_writer_form`). Any other text, and any text
+    that breaks a rule, is read one line at a time (`_read_lines`), so its
+    values and error messages are those of a per-line `json.loads`.
+    """
+    trajectories = _read_writer_form(text)
+    return _read_lines(text) if trajectories is None else trajectories
 
 
 def read_text(path, newline: str | None = None) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, NamedTuple
 
-from .core import SCORE_HIGH, SCORE_LOW, InvalidExpectedLength, parse_key_values
+from .core import SCORE_HIGH, SCORE_LOW, InvalidExpectedLength, _shown, parse_key_values
 
 _BLOCK_KEYWORDS = {
     "def", "class", "if", "elif", "else", "for", "while", "with",
@@ -321,7 +321,7 @@ def _check_expected_length(expected_length: int, name: str = "expected_length") 
     """An expected length is an int from 1 up to the largest float, since the
     stub-length penalty divides by it as a float."""
     if expected_length < 1:
-        raise InvalidExpectedLength(f"{name} must be >= 1, got {expected_length}")
+        raise InvalidExpectedLength(f"{name} must be >= 1, got {_shown(expected_length)}")
     if expected_length > sys.float_info.max:
         raise InvalidExpectedLength(f"{name} must be <= {sys.float_info.max:g}")
 

@@ -41,6 +41,7 @@ from driftlab.core import (
     RecordFormatError,
     StrategySpec,
     Trajectory,
+    _shown,
     validate_trajectory,
 )
 from driftlab.scorer import (
@@ -347,7 +348,8 @@ def reference_dumps(trajectories) -> str:
 
 def reference_loads(text: str) -> list[Trajectory]:
     """The JSONL reader as a `json.loads` per line of `str.splitlines`,
-    with the same checks and messages as `core.loads_trajectories`."""
+    with the same checks and messages as `core.loads_trajectories`, each
+    echoed id or value cut by `core._shown`."""
     sessions: dict[str, tuple[str, list[list[float]]]] = {}
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -358,37 +360,41 @@ def reference_loads(text: str) -> list[Trajectory]:
             sid = rec["session_id"]
             strategy = rec["strategy"]
             iteration = rec["iteration"]
+            values = rec["objectives"]
+            if not isinstance(values, list):
+                raise TypeError(f"objectives must be a JSON array, got {_shown(values)}")
             objectives = []
-            for v in rec["objectives"]:
+            for v in values:
                 if type(v) not in (int, float):
-                    raise TypeError(f"objectives must be JSON numbers, got {v!r}")
+                    raise TypeError(f"objectives must be JSON numbers, got {_shown(v)}")
                 objectives.append(float(v))
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise RecordFormatError(f"line {lineno}: malformed record ({exc})") from exc
         if not isinstance(sid, str) or not isinstance(strategy, str):
             raise RecordFormatError(
                 f"line {lineno}: session_id and strategy must be strings, "
-                f"got {sid!r} and {strategy!r}"
+                f"got {_shown(sid)} and {_shown(strategy)}"
             )
         if type(iteration) is not int:
             raise RecordFormatError(
-                f"line {lineno}: iteration must be an integer, got {iteration!r}"
+                f"line {lineno}: iteration must be an integer, got {_shown(iteration)}"
             )
         if sid != current:
             if sid in sessions:
-                raise RecordFormatError(f"line {lineno}: session {sid!r} is not contiguous")
+                raise RecordFormatError(
+                    f"line {lineno}: session {_shown(sid)} is not contiguous")
             sessions[sid] = (strategy, [])
             current = sid
         first_strategy, rows = sessions[sid]
         if strategy != first_strategy:
             raise RecordFormatError(
-                f"line {lineno}: session {sid!r} changes strategy "
-                f"{first_strategy!r} -> {strategy!r}"
+                f"line {lineno}: session {_shown(sid)} changes strategy "
+                f"{_shown(first_strategy)} -> {_shown(strategy)}"
             )
         if iteration != len(rows):
             raise RecordFormatError(
-                f"line {lineno}: session {sid!r} expected iteration {len(rows)}, "
-                f"got {iteration} (gap or disorder)"
+                f"line {lineno}: session {_shown(sid)} expected iteration {len(rows)}, "
+                f"got {_shown(iteration)} (gap or disorder)"
             )
         rows.append(objectives)
     return [validate_trajectory(Trajectory(sid, strategy, rows))

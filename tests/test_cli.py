@@ -520,6 +520,19 @@ def _bad_invocation(tmp_path, case):
         data = tmp_path / "deep.jsonl"
         data.write_text("[" * 100_000 + "\n")
         return ["analyze", "--in", str(data), "--out", str(tmp_path / "r")]
+    if case in ("analyze-long-session-not-contiguous", "analyze-iteration-long-list"):
+        # a long id, or a long iteration value, that the error line echoes
+        long_id, other = "s" * 5000, "t"
+        if case == "analyze-iteration-long-list":
+            long_id, other = "s", None
+        sessions = [long_id, other, long_id] if other else [long_id]
+        records = [{"session_id": sid, "strategy": "AI", "iteration": t,
+                    "objectives": [5.0, 5.0, 5.0]} for sid in sessions for t in range(2)]
+        if case == "analyze-iteration-long-list":
+            records[1]["iteration"] = [0] * 3000
+        data = tmp_path / "long.jsonl"
+        data.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        return ["analyze", "--in", str(data), "--out", str(tmp_path / "r")]
     if case == "config-missing":
         return ["simulate", "--config", str(tmp_path / "missing.cfg"),
                 "--out", str(tmp_path / "x.jsonl")]
@@ -629,6 +642,8 @@ def _bad_invocation(tmp_path, case):
             "path,expected_length,iteration,session_id,strategy\n{0},5,0,s\n{0},5,1,s\n",
         "manifest-length-0": "path,expected_length\n{0},5\n{0},0\n",
         "manifest-length-too-large": "path,expected_length\n{0},5\n{0},1%s\n" % ("0" * 400),
+        "manifest-length-negative-401-digits":
+            "path,expected_length\n{0},5\n{0},-1%s\n" % ("0" * 400),
         # more digits than int() converts
         "manifest-length-5001-digits": "path,expected_length\n{0},5\n{0},1%s\n" % ("0" * 5000),
         "manifest-iteration-5001-digits":
@@ -647,10 +662,13 @@ def _bad_invocation(tmp_path, case):
         manifest = tmp_path / "m.csv"
         manifest.write_text(short_manifests[case].format(src))
         return ["score", "--manifest", str(manifest)]
-    if case in ("score-expected-length-0", "score-expected-length-too-large"):
+    if case in ("score-expected-length-0", "score-expected-length-too-large",
+                "score-expected-length-negative-401-digits"):
         src = tmp_path / "a.py"
         src.write_text("x = 1\n")
-        length = "0" if case == "score-expected-length-0" else str(10**400)
+        length = {"score-expected-length-0": "0",
+                  "score-expected-length-too-large": str(10**400),
+                  "score-expected-length-negative-401-digits": str(-10**400)}[case]
         return ["score", "--src", str(src), "--expected-length", length]
     if case in ("score-out-without-manifest", "score-src-with-manifest",
                 "manifest-with-expected-length", "manifest-with-json"):
@@ -693,6 +711,8 @@ def _bad_invocation(tmp_path, case):
     ("analyze-dt-inf", 2),
     ("analyze-no-records", 1),
     ("analyze-deep-nesting", 1),
+    ("analyze-long-session-not-contiguous", 1),
+    ("analyze-iteration-long-list", 1),
     ("config-not-int", 2),
     ("config-not-utf8", 2),
     ("config-unknown-key", 2),
@@ -737,6 +757,7 @@ def _bad_invocation(tmp_path, case):
     ("manifest-row-without-strategy", 1),
     ("manifest-length-0", 1),
     ("manifest-length-too-large", 1),
+    ("manifest-length-negative-401-digits", 1),
     ("manifest-length-5001-digits", 1),
     ("manifest-iteration-5001-digits", 1),
     ("manifest-iteration-400-digits", 1),
@@ -744,6 +765,7 @@ def _bad_invocation(tmp_path, case):
     ("manifest-long-session-changes-strategy", 1),
     ("score-expected-length-0", 2),
     ("score-expected-length-too-large", 2),
+    ("score-expected-length-negative-401-digits", 2),
     ("score-out-without-manifest", 2),
     ("score-src-with-manifest", 2),
     ("manifest-with-expected-length", 2),
@@ -791,7 +813,22 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case == "manifest-long-session-changes-strategy":
         assert "RecordFormatError: manifest line 3: session 'ssss" in err
         assert "(5000 characters) changes strategy 'X' -> 'Y'" in err
-    if case.startswith("manifest-"):  # a field is shown by a bounded prefix at most
+    if case == "manifest-length-negative-401-digits":
+        assert "InvalidExpectedLength: manifest line 3: expected_length must be >= 1, " \
+            "got -1000" in err
+        assert "(402 characters)" in err
+    if case == "score-expected-length-negative-401-digits":
+        assert "--expected-length must be >= 1, got -1000" in err
+        assert "(402 characters)" in err
+    if case == "analyze-long-session-not-contiguous":
+        assert "RecordFormatError: line 5: session 'ssss" in err
+        assert "(5000 characters) is not contiguous" in err
+    if case == "analyze-iteration-long-list":
+        assert "RecordFormatError: line 2: iteration must be an integer, got [0, 0" in err
+        assert "(9000 characters)" in err
+    if case.startswith(("manifest-", "analyze-long-", "analyze-iteration-",
+                        "score-expected-length-")):
+        # a field or value is shown by a bounded prefix at most
         assert len(err) < 200 + len(str(tmp_path))
     if case == "score-expected-length-0":
         assert "--expected-length must be >= 1, got 0" in err

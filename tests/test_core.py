@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from driftlab import core
+from driftlab import core, simulator
 from driftlab.core import (
     DimensionMismatch,
     OutOfRangeScore,
@@ -272,6 +272,35 @@ def test_well_formed_lines_decode_in_place(sep, monkeypatch):
     monkeypatch.setattr(core.json, "loads", None)
     assert core.loads_trajectories(text) == trajs
     assert core.loads_trajectories(text + sep + sep) == trajs
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("abc", "'abc'"),
+    ({"x": 1}, "{'x': 1}"),
+    (5, "5"),
+    (None, "None"),
+    (True, "True"),
+])
+def test_reader_wants_objectives_as_an_array(value, shown):
+    text = _record("s0", 0) + "\n" + json.dumps(
+        {"session_id": "s0", "strategy": "AI", "iteration": 1, "objectives": value}) + "\n"
+    with pytest.raises(RecordFormatError) as info:
+        core.loads_trajectories(text)
+    assert str(info.value) == f"line 2: malformed record (objectives must be a JSON array, " \
+                              f"got {shown})"
+
+
+@pytest.mark.parametrize("chunk", [core._CHUNK, 1000])
+def test_simulated_text_is_read_without_a_per_line_decode(chunk, monkeypatch):
+    # 300 sessions of 21 records, about 0.7 MB: several chunks either way
+    sim = simulator.SimConfig(simulator.preset("SF"), sessions=300, iterations=20,
+                              base_seed=23)
+    trajs = list(simulator.simulate_set(sim))
+    text = core.dumps_trajectories(trajs)
+    monkeypatch.setattr(core, "_CHUNK", chunk)
+    monkeypatch.setattr(core, "_raw_decode", None)
+    monkeypatch.setattr(core.json, "loads", None)
+    assert core.loads_trajectories(text) == trajs
 
 
 # ---------------------------------------------------------------------------

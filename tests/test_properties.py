@@ -2,7 +2,9 @@
 back the same trajectories, and a record with any one field corrupted is
 rejected with a DomainError, never with a bare exception. The writer is
 byte-identical, and the reader gives the same trajectories or the same
-error, as the one-`json`-call-per-record reference in `oracles`. Also: the
+error, as the one-`json`-call-per-record reference in `oracles`, whatever
+its chunk size; text in the writer's own form is read whole, and any other
+text is left to the per-line path. Also: the
 Pareto mask and the per-session efficiencies equal a brute-force scan
 whatever the sweep's block size. And the scorer's source cleaner gives the
 same logical lines, validity flag and non-blank count as the reference
@@ -32,6 +34,8 @@ _SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=
 # JSONL writer or split lines under `str.splitlines`. A fixed alphabet also
 # spares Hypothesis from building its Unicode tables.
 _text = st.text(alphabet="a5.\x00\n\"\\\u00e9\u2028\U0001f600", max_size=6)
+# Ids the JSONL writer leaves as they are, the ends of its id class among them.
+_plain_text = st.text(alphabet="a5. !#[]~", max_size=6)
 _json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _text),
     lambda inner: st.one_of(st.lists(inner, max_size=3),
@@ -49,13 +53,14 @@ _bad_scores = st.one_of(
 
 
 @st.composite
-def trajectory_lists(draw):
+def trajectory_lists(draw, ids=_text, one_width=False):
+    width = draw(st.integers(2, 4)) if one_width else None
     trajectories = []
-    for sid in draw(st.lists(_text, min_size=1, max_size=4, unique=True)):
-        n = draw(st.integers(2, 4))
+    for sid in draw(st.lists(ids, min_size=1, max_size=4, unique=True)):
+        n = width or draw(st.integers(2, 4))
         rows = draw(st.lists(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n),
                              min_size=2, max_size=5))
-        trajectories.append(Trajectory(sid, draw(_text), rows))
+        trajectories.append(Trajectory(sid, draw(ids), rows))
     return trajectories
 
 
@@ -69,6 +74,19 @@ def _is_valid_row(value, n):
 def test_jsonl_round_trip_is_identity(trajectories):
     text = core.dumps_trajectories(trajectories)
     back = core.loads_trajectories(text)
+    assert back == trajectories
+    assert core.dumps_trajectories(back) == text
+
+
+@_SETTINGS
+@given(trajectory_lists(_plain_text, one_width=True), st.integers(1, 60))
+def test_jsonl_round_trip_reads_the_writer_form_whole_in_any_chunks(trajectories, chunk):
+    # chunks of a few dozen characters: sessions, and a session's rows,
+    # straddle them
+    text = core.dumps_trajectories(trajectories)
+    with mock.patch.object(core, "_CHUNK", chunk):
+        assert core._read_writer_form(text) == trajectories
+        back = core.loads_trajectories(text)
     assert back == trajectories
     assert core.dumps_trajectories(back) == text
 
@@ -176,6 +194,22 @@ def _outcome(read, text):
 @settings(_SETTINGS, max_examples=30)
 @given(trajectory_lists(), st.sampled_from(_DAMAGE), st.data())
 def test_reader_matches_per_line_reference(field, trajectories, kind, data):
+    _check_reader_matches_reference(field, trajectories, kind, data)
+
+
+# Half the texts are left whole and half have every field intact, so that
+# many reach the whole-text path's later checks.
+@settings(_SETTINGS, max_examples=120)
+@given(st.sampled_from((None,) * len(_FIELDS) + _FIELDS),
+       trajectory_lists(_plain_text, one_width=True),
+       st.sampled_from(("none",) * len(_DAMAGE) + _DAMAGE), st.integers(1, 60), st.data())
+def test_reader_matches_per_line_reference_in_small_chunks(field, trajectories, kind, chunk,
+                                                           data):
+    with mock.patch.object(core, "_CHUNK", chunk):
+        _check_reader_matches_reference(field, trajectories, kind, data)
+
+
+def _check_reader_matches_reference(field, trajectories, kind, data):
     records = [rec for traj in trajectories for rec in reference_records(traj)]
     if field is not None:
         _corrupt_one_field(records, field, data)
@@ -200,6 +234,53 @@ def test_reader_keeps_records_on_their_own_lines():
         with pytest.raises(core.RecordFormatError, match="^line 1: malformed record"):
             read(text)
     assert _outcome(core.loads_trajectories, text) == _outcome(reference_loads, text)
+
+
+# Two sessions of three rows in the writer's form, and edits of it that the
+# whole-text path must leave to the per-line reader: each line-level damage
+# kind above, and each rule the whole-text path checks.
+_WRITER_TEXT = core.dumps_trajectories(
+    [Trajectory(f"s{i}", "AI", [[1.5, 2.0], [4.5, 0.0], [5.0, 5.0]]) for i in range(2)])
+_NOT_WRITER_FORM = {
+    "two on one line": lambda L: [L[0][:-1] + ", " + L[1]] + L[2:],
+    "split record": lambda L: [L[0][:30] + "\n" + L[0][30:]] + L[1:],
+    "lone bracket": lambda L: L[:2] + ["[\n"] + L[2:],
+    "trailing comma": lambda L: [L[0][:-1] + ",\n"] + L[1:],
+    "padding": lambda L: L[:4] + [" " + L[4]] + L[5:],
+    "bom": lambda L: ["\ufeff" + L[0]] + L[1:],
+    "raw u+2028": lambda L: L[:3] + [L[3].replace('"s1"', '"s\u20281"')] + L[4:],
+    "blank line": lambda L: L[:1] + ["\n"] + L[1:],
+    "crlf": lambda L: [line.replace("\n", "\r\n") for line in L],
+    "no final line feed": lambda L: L[:-1] + [L[-1][:-1]],
+    "integer objectives": lambda L: L[:2] + [L[2].replace("[5.0, 5.0]", "[5, 5]")] + L[3:],
+    "integer -0": lambda L: L[:1] + [L[1].replace("[4.5, 0.0]", "[4.5, -0]")] + L[2:],
+    "escaped id": lambda L: [line.replace('"s0"', '"s\\"0"') for line in L],
+    "non-ASCII id": lambda L: [line.replace('"s0"', '"s\\u00e90"') for line in L],
+    "one-row session": lambda L: L[:4],
+    "repeated session": lambda L: L + L[:3],
+    "strategy change": lambda L: L[:4] + [L[4].replace('"AI"', '"FF"')] + L[5:],
+    "iteration gap": lambda L: L[:1] + L[2:],
+    "iteration 01": lambda L: L[:1] + [L[1].replace('"iteration": 1', '"iteration": 01')] + L[2:],
+    "widths differ": lambda L: L[:3] + [line.replace("]}", ", 1.0]}") for line in L[3:]],
+    "one objective": lambda L: [line[:line.rindex(", ")] + "]}\n" for line in L],
+    "value 10.5": lambda L: L[:4] + [L[4].replace("4.5", "10.5")] + L[5:],
+    "value 1e999": lambda L: L[:4] + [L[4].replace("4.5", "1e999")] + L[5:],
+}
+
+
+def test_the_writer_form_edits_start_from_a_whole_text_read():
+    assert core._read_writer_form(_WRITER_TEXT) == reference_loads(_WRITER_TEXT)
+    assert set(_DAMAGE) - {"none"} <= set(_NOT_WRITER_FORM)
+
+
+@pytest.mark.parametrize("edit", sorted(_NOT_WRITER_FORM))
+def test_reader_leaves_other_text_to_the_per_line_path(edit):
+    text = "".join(_NOT_WRITER_FORM[edit](_WRITER_TEXT.splitlines(keepends=True)))
+    assert text != _WRITER_TEXT
+    for chunk in (core._CHUNK, 1, 100):  # one chunk, one line a chunk, and between
+        with mock.patch.object(core, "_CHUNK", chunk):
+            assert core._read_writer_form(text) is None
+            assert _outcome(core.loads_trajectories, text) == _outcome(reference_loads, text)
 
 
 # Small integer grids make ties, duplicates and block-crossing dominators common.
