@@ -153,7 +153,7 @@ class Trajectory:
             dims = sorted({np.shape(p) for p in points})
             if len(dims) > 1:
                 raise DimensionMismatch(
-                    f"trajectory {_shown(session_id)} mixes point shapes {dims}"
+                    f"trajectory {_shown(session_id)} mixes point shapes {_shown(dims)}"
                 ) from None
             raise
         if m.ndim != 2 or m.shape[1] < 2:
@@ -201,7 +201,7 @@ class SessionSet:
             raise InsufficientData("session set must contain at least one trajectory")
         dims = {t.dimension for t in trajs}
         if len(dims) != 1:
-            raise DimensionMismatch(f"session set mixes dimensions {sorted(dims)}")
+            raise DimensionMismatch(f"session set mixes dimensions {_shown(sorted(dims))}")
         n = dims.pop()
         bad = [t.session_id for t in trajs if t.strategy_id != strategy_id]
         if bad:
@@ -426,7 +426,7 @@ def validate_trajectory(raw: Trajectory) -> Trajectory:
     Raises:
         TooShort: fewer than 2 points (no step change exists).
         OutOfRangeScore: any component outside [0, 10]; the message names
-            the first offending iteration.
+            the first offending iteration and shows its row through `_shown`.
     """
     m = raw.values_matrix
     if len(m) < 2:
@@ -438,7 +438,7 @@ def validate_trajectory(raw: Trajectory) -> Trajectory:
         t = int(np.argmax(outside))
         raise OutOfRangeScore(
             f"trajectory {_shown(raw.session_id)} iteration {t}: "
-            f"{m[t].tolist()} outside [{SCORE_LOW}, {SCORE_HIGH}]"
+            f"{_shown(m[t].tolist())} outside [{SCORE_LOW}, {SCORE_HIGH}]"
         )
     return raw
 

@@ -8,6 +8,14 @@ One dominance kernel, `_dominated`, serves two paths: a trajectory longer
 than `_BLOCK` points is swept in sorted blocks by `non_dominated_mask`,
 and `efficiency_rows` checks short trajectories of equal length all at
 once, stacked, with one full pairwise comparison per chunk.
+
+The sweep seeds its front with the lexicographic maximum, which nothing
+dominates, and filters each block against the front before checking the
+block's remaining rows against each other. Strict dominance is
+transitive, so a row the front dominates is never needed as a
+dominator. A block then costs |front| * |block| + |candidates|**2
+comparisons in place of (|front| + |block|) * |block|; when every row is
+on the front, the two are the same work.
 """
 
 from __future__ import annotations
@@ -45,25 +53,35 @@ def non_dominated_mask(points: np.ndarray) -> np.ndarray:
 
     The rows are swept in descending lexicographic order. A dominator is
     >= on every axis and > on at least one, so it sorts strictly before
-    the rows it dominates; each block of `_BLOCK` rows therefore needs
-    checking only against the front found so far plus the block itself
-    (a dominated dominator is itself dominated by a front row, which then
-    dominates the same point). Exact duplicates never dominate each other,
-    so copies of a maximal point all survive.
+    the rows it dominates. The first sorted row is therefore kept and
+    seeds the front, and each later block of `_BLOCK` rows needs checking
+    only against the front found so far and against itself. The front
+    goes first: the block's rows it dominates are dropped, and only the
+    rest, the candidates, are checked against each other. That is exact
+    because dominance is transitive: if a front row dominates b1 and b1
+    dominates b2, the front row dominates b2 as well, so a dropped row is
+    never the only dominator of another. Exact duplicates never dominate
+    each other, so copies of a maximal point all survive.
 
-    Memory is O((|front| + _BLOCK) * _BLOCK) booleans: O(T * _BLOCK) in the
-    worst case, where every row is on the front.
+    A block costs |front| * |B| + |candidates|**2 comparisons. In the
+    worst case, where every row is on the front, that is the
+    (|front| + |B|) * |B| of checking the front and the block together.
+    Memory is O((|front| + _BLOCK) * _BLOCK) booleans: O(T * _BLOCK) in
+    that worst case.
     """
     P = np.asarray(points, dtype=np.float64)
     order = np.lexsort(P.T[::-1])[::-1]
     S = P[order]
-    keep = np.empty(len(S), dtype=bool)
-    front = S[:0]
-    for start in range(0, len(S), _BLOCK):
+    keep = np.zeros(len(S), dtype=bool)
+    keep[:1] = True
+    front = S[:1]
+    for start in range(1, len(S), _BLOCK):
         B = S[start:start + _BLOCK]
-        survivors = ~_dominated(np.concatenate((front, B)), B)
-        keep[start:start + len(B)] = survivors
-        front = np.concatenate((front, B[survivors]))
+        cand = np.flatnonzero(~_dominated(front, B))
+        C = B[cand]
+        cand = cand[~_dominated(C, C)]
+        keep[start + cand] = True
+        front = np.concatenate((front, B[cand]))
     mask = np.empty_like(keep)
     mask[order] = keep
     return mask
@@ -95,8 +113,8 @@ def _efficiencies(trajectories: Iterable[Trajectory]) -> list[float]:
     A run of consecutive trajectories with the same length T <= `_BLOCK`
     is stacked into (S, T, n) chunks of S * T**2 <= `_BLOCK`**2 and checked
     with one pairwise `_dominated` per chunk: for such T the sweep in
-    `non_dominated_mask` is that same single block. Longer trajectories
-    take the sweep.
+    `non_dominated_mask` is a single block, and the full pairwise check
+    gives the same mask. Longer trajectories take the sweep.
     """
     out: list[float] = []
     for T, run in groupby(trajectories, key=len):

@@ -1,17 +1,18 @@
 """Independent oracles used by the test suite.
 
-Each implementation here is deliberately naive and kept separate from the
-library code paths it checks: textbook Pearson correlation via fsum
-loops, O(T^2) dominance scanning, closed-form characteristic-
-polynomial eigenvalues for n <= 3 (quadratic formula / Cardano), a
-one-session-at-a-time Euler-Maruyama loop that builds a fresh Philox
-generator for every draw, a JSONL writer and reader that go through
-one dict and one `json.dumps` / `json.loads` per record, an affine
-fit that checks the design's rank with its own `np.linalg.matrix_rank`
-before solving, the controller loop that takes one step, one window fit
-and one spectrum at a time, the scorer's source cleaner that walks one
-character at a time, the source scan that runs every rule pattern on
-every logical line, and each axis score rebuilt from its rule hits.
+Each implementation here is deliberately naive and kept separate from
+the library code paths it checks: textbook Pearson correlation via fsum
+loops, O(T^2) dominance scanning (pair by pair, or one point against all
+points), closed-form characteristic-polynomial eigenvalues for n <= 3
+(quadratic formula / Cardano), a one-session-at-a-time Euler-Maruyama
+loop that builds a fresh Philox generator for every draw, a JSONL writer
+and reader that go through one dict and one `json.dumps` / `json.loads`
+per record, an affine fit that checks the design's rank with its own
+`np.linalg.matrix_rank` before solving, the controller loop that takes
+one step, one window fit and one spectrum at a time, the scorer's source
+cleaner that walks one character at a time, the source scan that runs
+every rule pattern on every logical line, and each axis score rebuilt
+from its rule hits.
 """
 
 from __future__ import annotations
@@ -111,6 +112,14 @@ def brute_non_dominated(points) -> list[bool]:
                 break
         flags.append(not dominated)
     return flags
+
+
+def pairwise_non_dominated(points) -> list[bool]:
+    """Per point: True when no other point dominates it, checking one point
+    at a time against every point in one vectorized comparison. Fast enough
+    for sessions of thousands of points, where `brute_non_dominated` is not."""
+    P = np.asarray(points, dtype=np.float64)
+    return [not np.any(np.all(P >= p, axis=1) & np.any(P > p, axis=1)) for p in P]
 
 
 def brute_efficiency(points) -> float:

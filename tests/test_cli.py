@@ -533,6 +533,20 @@ def _bad_invocation(tmp_path, case):
         data = tmp_path / "long.jsonl"
         data.write_text("".join(json.dumps(rec) + "\n" for rec in records))
         return ["analyze", "--in", str(data), "--out", str(tmp_path / "r")]
+    if case in ("analyze-long-row-outside-box", "analyze-long-mixed-point-shapes",
+                "analyze-long-mixed-dimensions"):
+        # a row, or a list of widths, that the error line echoes
+        if case == "analyze-long-row-outside-box":
+            sessions = [("s", [[11.0] * 3000] * 2)]
+        elif case == "analyze-long-mixed-point-shapes":
+            sessions = [("s", [[5.0] * width for width in range(2, 502)])]
+        else:
+            sessions = [(f"s{width}", [[5.0] * width] * 2) for width in range(2, 502)]
+        records = [{"session_id": sid, "strategy": "AI", "iteration": t, "objectives": row}
+                   for sid, rows in sessions for t, row in enumerate(rows)]
+        data = tmp_path / "long.jsonl"
+        data.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        return ["analyze", "--in", str(data), "--out", str(tmp_path / "r")]
     if case == "config-missing":
         return ["simulate", "--config", str(tmp_path / "missing.cfg"),
                 "--out", str(tmp_path / "x.jsonl")]
@@ -713,6 +727,9 @@ def _bad_invocation(tmp_path, case):
     ("analyze-deep-nesting", 1),
     ("analyze-long-session-not-contiguous", 1),
     ("analyze-iteration-long-list", 1),
+    ("analyze-long-row-outside-box", 1),
+    ("analyze-long-mixed-point-shapes", 1),
+    ("analyze-long-mixed-dimensions", 1),
     ("config-not-int", 2),
     ("config-not-utf8", 2),
     ("config-unknown-key", 2),
@@ -826,6 +843,15 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case == "analyze-iteration-long-list":
         assert "RecordFormatError: line 2: iteration must be an integer, got [0, 0" in err
         assert "(9000 characters)" in err
+    if case == "analyze-long-row-outside-box":
+        assert "OutOfRangeScore: trajectory 's' iteration 0: [11.0, 11.0" in err
+        assert "(18000 characters) outside [0.0, 10.0]" in err
+    if case == "analyze-long-mixed-point-shapes":
+        assert "DimensionMismatch: trajectory 's' mixes point shapes [(2,), (3,)" in err
+        assert "(3894 characters)" in err
+    if case == "analyze-long-mixed-dimensions":
+        assert "DimensionMismatch: session set mixes dimensions [2, 3, 4" in err
+        assert "(2394 characters)" in err
     if case.startswith(("manifest-", "analyze-long-", "analyze-iteration-",
                         "score-expected-length-")):
         # a field or value is shown by a bounded prefix at most

@@ -6,7 +6,7 @@ import pytest
 from driftlab import pareto, simulator
 from driftlab.core import SessionSet, TailTooLong, TooShort, Trajectory
 
-from oracles import brute_efficiency
+from oracles import brute_efficiency, pairwise_non_dominated
 
 
 def traj(points):
@@ -79,6 +79,52 @@ def test_mask_memory_is_bounded_at_50k_points():
         assert not np.any(np.all(pts >= f, axis=1) & np.any(pts > f, axis=1))
         covered |= np.all(f >= pts, axis=1) & np.any(f > pts, axis=1)
     assert np.array_equal(covered, ~mask)
+
+
+def _long_case(case):
+    """(T, n) points: one simulated session of 4000 steps, or an all-front
+    anti-diagonal of 1300 rows in shuffled order."""
+    if case == "anti-diagonal":
+        a = np.arange(1300.0)
+        pts = np.stack([a, 1299.0 - a, np.full(1300, 5.0)], axis=1)
+        return pts[np.random.default_rng(58).permutation(1300)]
+    cfg = simulator.SimConfig(strategy=simulator.preset(case), sessions=1,
+                              iterations=4000, base_seed=63)
+    return simulator.simulate_set(cfg).trajectories[0].values_matrix
+
+
+def _unpruned_comparisons(pts, mask):
+    """Row pairs compared by a sweep that checks each block of `_BLOCK`
+    sorted rows against the front so far and the block together:
+    the sum of (|front so far| + |B|) * |B| over the blocks."""
+    keep = mask[np.lexsort(pts.T[::-1])[::-1]]
+    total = 0
+    for start in range(0, len(pts), pareto._BLOCK):
+        size = min(pareto._BLOCK, len(pts) - start)
+        total += (int(np.count_nonzero(keep[:start])) + size) * size
+    return total
+
+
+@pytest.mark.parametrize("case", ["SF", "FF", "AI", "EF", "anti-diagonal"])
+def test_long_sweep_matches_oracle_and_prunes_blocks(monkeypatch, case):
+    pts = _long_case(case)
+    compared = []
+    dominated = pareto._dominated
+
+    def counting(C, B):
+        compared.append(C.shape[-2] * B.shape[-2])
+        return dominated(C, B)
+
+    monkeypatch.setattr(pareto, "_dominated", counting)
+    mask = pareto.non_dominated_mask(pts)
+    assert mask.tolist() == pairwise_non_dominated(pts)
+    unpruned = _unpruned_comparisons(pts, mask)
+    assert sum(compared) <= unpruned
+    if case == "SF":
+        # the front is a handful of points, so it rejects almost every row
+        assert sum(compared) < unpruned / 4
+    if case == "anti-diagonal":
+        assert mask.all()
 
 
 def test_efficiency_invariant_under_reordering():

@@ -284,12 +284,23 @@ def test_reader_leaves_other_text_to_the_per_line_path(edit):
 
 
 # Small integer grids make ties, duplicates and block-crossing dominators common.
-_grids = st.integers(2, 4).flatmap(lambda n: st.lists(
-    st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=30))
+@st.composite
+def _grids(draw):
+    """Rows of a small integer grid, with copies of the lexicographic
+    maximum and rows tied with it on axis 0 shuffled in, so that the row
+    the sweep starts from and its duplicates meet blocks of every size."""
+    n = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                         min_size=1, max_size=30))
+    top = max(rows)
+    tied = draw(st.lists(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1),
+                         max_size=6))
+    copies = draw(st.integers(0, 4))
+    return draw(st.permutations(rows + [top] * copies + [[top[0], *t] for t in tied]))
 
 
 @_SETTINGS
-@given(_grids, st.integers(1, 5))
+@given(_grids(), st.integers(1, 5))
 def test_pareto_mask_matches_brute_force(rows, block):
     with mock.patch.object(pareto, "_BLOCK", block):
         mask = pareto.non_dominated_mask(np.array(rows, dtype=float))
