@@ -115,7 +115,7 @@ def _setting(args, config: dict[str, str], name: str, cast, default):
             return cast(raw)
         except ValueError:
             raise _UsageError(
-                f"config value {name} = {raw!r} is not a valid {cast.__name__}"
+                f"config value {name} = {_shown(raw)} is not a valid {cast.__name__}"
             ) from None
     return default
 
@@ -129,10 +129,14 @@ def _resolve_strategy(name: str, sigma: float) -> StrategySpec:
         raise _UsageError(f"sigma must be finite, got {sigma}")
     if name in simulator.PRESET_DRIFT_DIAGONALS:
         return simulator.preset(name, sigma)
-    if Path(name).is_file():
+    try:
+        is_file = Path(name).is_file()
+    except OSError:  # a name no file can have, too long say
+        is_file = False
+    if is_file:
         return _read_file(name, "strategy", lambda text: StrategySpec.from_dict(json.loads(text)))
     raise _UsageError(
-        f"unknown strategy {name!r}: not a preset "
+        f"unknown strategy {_shown(name)}: not a preset "
         f"({'|'.join(sorted(simulator.PRESET_DRIFT_DIAGONALS))}) or a spec file"
     )
 
@@ -152,7 +156,7 @@ def cmd_simulate(args) -> int:
     strategy_name = _setting(args, config, "strategy", str, "AI")
     out = Path(_setting(args, config, "out", str, "trajectories.jsonl"))
     if config:
-        raise _UsageError(f"unknown config key(s) {sorted(config)} in {args.config!r}")
+        raise _UsageError(f"unknown config key(s) {_shown(sorted(config))} in {args.config!r}")
 
     strategy = _resolve_strategy(strategy_name, sigma)
     try:
@@ -188,10 +192,10 @@ def cmd_analyze(args) -> int:
         raise _UsageError(f"--dt must be finite and > 0, got {args.dt}")
     out_dir = Path(args.out)
 
-    trajectories = read_trajectories(args.infile)
-    if not trajectories:
+    by_strategy = group_by_strategy(read_trajectories(args.infile))
+    if not by_strategy:
         raise InsufficientData(f"no trajectory records in {args.infile}")
-    by_strategy = group_by_strategy(trajectories)
+    sessions = sum(map(len, by_strategy.values()))
     if args.strategy:
         if args.strategy not in by_strategy:
             print(f"analyze: no sessions for strategy {args.strategy!r}", file=sys.stderr)
@@ -246,7 +250,7 @@ def cmd_analyze(args) -> int:
         else:
             doc = {"schema_version": SCHEMA_VERSION, "strategies": bundles[stage]}
             _write_text(out_dir / f"{stage}.json", dumps_report(doc) + "\n")
-    print(f"analyze: {len(by_strategy)} strategies, {len(trajectories)} sessions -> {out_dir}")
+    print(f"analyze: {len(by_strategy)} strategies, {sessions} sessions -> {out_dir}")
     return 0
 
 
@@ -266,7 +270,8 @@ def cmd_control(args) -> int:
                               lambda text: controller.parse_schedule(json.loads(text)))
         unknown = sorted({p.strategy_id for p in schedule} - set(catalog))
         if unknown:
-            raise _UsageError(f"bad schedule file {args.schedule!r}: unknown strategies {unknown}")
+            raise _UsageError(
+                f"bad schedule file {args.schedule!r}: unknown strategies {_shown(unknown)}")
 
     try:
         sim = simulator.SimConfig(  # at the width of the run's start strategy

@@ -55,6 +55,7 @@ from .core import (
     NonFinite,
     StrategySpec,
     Trajectory,
+    _shown,
 )
 
 SECURITY_AXIS = 0
@@ -373,11 +374,12 @@ def parse_schedule(spec: object) -> tuple[Phase, ...]:
     for row in spec:
         if not (isinstance(row, list) and len(row) == 3 and isinstance(row[0], str)
                 and type(row[1]) is int and (row[2] is None or type(row[2]) is int)):
-            raise DomainError(f"malformed schedule row {row!r}: expected [str, int, int or null]")
+            raise DomainError(
+                f"malformed schedule row {_shown(row)}: expected [str, int, int or null]")
         sid, lo, hi = row
         if lo < 1:
-            raise DomainError(f"phase {sid!r}: min_iters must be >= 1")
+            raise DomainError(f"phase {_shown(sid)}: min_iters must be >= 1")
         if hi is not None and hi < lo:
-            raise DomainError(f"phase {sid!r}: max_iters < min_iters")
+            raise DomainError(f"phase {_shown(sid)}: max_iters < min_iters")
         phases.append(Phase(sid, lo, hi))
     return tuple(phases)

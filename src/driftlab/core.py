@@ -7,9 +7,13 @@ operations are pure functions.
 
 A state, one point of the n-dimensional objective space (n >= 2), is a
 plain float64 array; there is no per-point type. A trajectory is one
-read-only (T+1, n) float64 matrix, checked for shape and finiteness once
-when the `Trajectory` is built; every consumer (simulation, estimation,
-Pareto reports, control) works on that matrix.
+read-only (T+1, n) float64 matrix; a `SessionSet` holds its sessions'
+rows on one read-only (rows, n) array, each trajectory a view of it, and
+step pooling, equilibria and Pareto efficiencies read that array. Shape
+and finiteness are checked once, where data enters: by `Trajectory` for
+outside input (API callers, the per-line JSONL reader, `score`
+manifests), by one whole-array check in `simulator.simulate_set`, and by
+the writer-form JSONL reader's score-box check, which rejects infinities.
 
 Score bounds (the 0-10 scale) are enforced once, at the ingestion
 boundary (`validate_trajectory` / the JSONL reader, both by the one rule
@@ -26,7 +30,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
+from json.encoder import encode_basestring_ascii as _encode_str  # json.dumps of a str
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -167,6 +172,15 @@ class Trajectory:
         object.__setattr__(self, "strategy_id", strategy_id)
         object.__setattr__(self, "values_matrix", _readonly(m))
 
+    @classmethod
+    def _view(cls, session_id: str, strategy_id: str, m: np.ndarray) -> "Trajectory":
+        """A trajectory over m itself: a read-only (T+1, n) float64 matrix
+        with n >= 2 that was already checked as `__init__` checks. Nothing
+        is copied or checked again."""
+        traj = object.__new__(cls)
+        traj.__dict__.update(session_id=session_id, strategy_id=strategy_id, values_matrix=m)
+        return traj
+
     def __len__(self) -> int:
         return self.values_matrix.shape[0]
 
@@ -189,26 +203,62 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class SessionSet:
-    """All trajectories collected under one strategy, with a fixed dimension."""
+    """All trajectories collected under one strategy, with a fixed dimension.
+
+    The sessions' rows are held on one read-only (rows, n) float64 array,
+    `values_matrix`: session i is rows offsets[i] to offsets[i + 1], in
+    session order, and each of `trajectories` is a view of its rows. The
+    constructor concatenates its trajectories' matrices once.
+    """
 
     strategy_id: str
     trajectories: tuple[Trajectory, ...]
     dimension: int
+    values_matrix: np.ndarray
+    offsets: np.ndarray
 
     def __init__(self, strategy_id: str, trajectories: Iterable[Trajectory]):
         trajs = tuple(trajectories)
         if not trajs:
             raise InsufficientData("session set must contain at least one trajectory")
-        dims = {t.dimension for t in trajs}
+        mats = [t.values_matrix for t in trajs]
+        dims = {m.shape[1] for m in mats}
         if len(dims) != 1:
             raise DimensionMismatch(f"session set mixes dimensions {_shown(sorted(dims))}")
-        n = dims.pop()
         bad = [t.session_id for t in trajs if t.strategy_id != strategy_id]
         if bad:
-            raise DomainError(f"sessions {bad} do not belong to strategy {strategy_id!r}")
-        object.__setattr__(self, "strategy_id", strategy_id)
-        object.__setattr__(self, "trajectories", trajs)
-        object.__setattr__(self, "dimension", n)
+            raise DomainError(
+                f"sessions {_shown(bad)} do not belong to strategy {_shown(strategy_id)}"
+            )
+        offsets = np.zeros(len(mats) + 1, dtype=np.intp)
+        np.cumsum(list(map(len, mats)), out=offsets[1:])
+        self._hold(strategy_id, [t.session_id for t in trajs], np.concatenate(mats), offsets)
+
+    @classmethod
+    def _of_rows(cls, strategy_id: str, session_ids: Sequence[str], rows: np.ndarray,
+                 offsets: np.ndarray) -> "SessionSet":
+        """The set of rows, a (rows, n) float64 array with n >= 2 that the
+        set takes over, whose session i is session_ids[i] over rows
+        offsets[i] to offsets[i + 1]. One check on the whole array stands
+        for `Trajectory`'s; when it fails, the sessions are built by
+        `Trajectory`, which names the first bad one."""
+        if not np.isfinite(rows).all():
+            bounds = offsets.tolist()
+            return cls(strategy_id, [Trajectory(sid, strategy_id, rows[first:stop])
+                                     for sid, first, stop in zip(session_ids, bounds, bounds[1:])])
+        data = object.__new__(cls)
+        data._hold(strategy_id, session_ids, rows, offsets)
+        return data
+
+    def _hold(self, strategy_id: str, session_ids: Sequence[str], rows: np.ndarray,
+              offsets: np.ndarray) -> None:
+        """Own rows, read-only from now on, with a view of it per session."""
+        _readonly(rows)
+        bounds = offsets.tolist()
+        trajs = tuple(Trajectory._view(sid, strategy_id, rows[first:stop])
+                      for sid, first, stop in zip(session_ids, bounds, bounds[1:]))
+        self.__dict__.update(strategy_id=strategy_id, trajectories=trajs, dimension=rows.shape[1],
+                             values_matrix=rows, offsets=_readonly(offsets))
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -218,9 +268,14 @@ class SessionSet:
 
     @cached_property
     def _pooled_steps(self) -> tuple[np.ndarray, np.ndarray]:
-        xs = [t.values_matrix[:-1] for t in self.trajectories]
-        ds = [np.diff(t.values_matrix, axis=0) for t in self.trajectories]
-        return _readonly(np.concatenate(xs, axis=0)), _readonly(np.concatenate(ds, axis=0))
+        m = self.values_matrix
+        # row r starts a step unless it is the last row of its session,
+        # that is, unless r + 1 is where a session stops
+        step = np.ones(len(m) + 1, dtype=bool)
+        step[self.offsets[1:]] = False
+        step = step[1:]
+        return (_readonly(m.compress(step, axis=0)),
+                _readonly(np.diff(m, axis=0).compress(step[:-1], axis=0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +293,7 @@ class StrategySpec:
 
     def __init__(self, id: str, drift_matrix, drift_intercept, diffusion):
         if not isinstance(id, str):
-            raise TypeError(f"strategy id must be str, got {id!r}")
+            raise TypeError(f"strategy id must be str, got {_shown(id)}")
         A = np.array(drift_matrix, dtype=np.float64)
         b = np.array(drift_intercept, dtype=np.float64)
         S = np.array(diffusion, dtype=np.float64)
@@ -288,7 +343,7 @@ class StrategySpec:
             if isinstance(value, list):
                 todo.extend(value)
             elif type(value) not in _JSON_NUMBERS:
-                raise TypeError(f"strategy entries must be JSON numbers, got {value!r}")
+                raise TypeError(f"strategy entries must be JSON numbers, got {_shown(value)}")
         return cls(d["id"], d["drift_matrix"], d["drift_intercept"], d["diffusion"])
 
 
@@ -457,22 +512,58 @@ def pooled_step_matrix(data: SessionSet) -> tuple[np.ndarray, np.ndarray]:
 # Trajectory persistence (JSON Lines, one record per iteration)
 # ---------------------------------------------------------------------------
 
+# Rows rendered per group by `dumps_trajectories`. Groups of 1024 or 8192
+# rows raised the peak memory of some `simulate` runs by 1-3 MiB; no size
+# was quicker.
+_GROUP_ROWS = 2048
+
+
 def dumps_trajectories(trajectories: Iterable[Trajectory]) -> str:
     """Serialize trajectories to the JSONL wire format (LF-terminated).
 
     One record per iteration, the bytes `json.dumps` gives for
     `{"session_id": …, "strategy": …, "iteration": t, "objectives": row}`.
-    The ids are encoded once per session; a row is rendered by `repr` of
-    its list of floats, which is what `json` writes for finite floats, and
-    a `Trajectory` holds only finite values.
+    Rows are rendered a group at a time: consecutive rows of one width, at
+    most `_GROUP_ROWS` of them, a long session split across groups. A group
+    takes one `tolist`, one `repr` of that list of rows, which is what
+    `json` writes for finite floats (a `Trajectory` holds only finite
+    values), and one join of the row texts with each record's head and
+    iteration. The ids are encoded once per session.
     """
-    lines = []
+    texts = []
+    group: list[tuple[str, int, np.ndarray]] = []  # (head, first iteration, rows)
+    width = rows = 0
+    iterations: list[str] = []  # the text from each iteration to its row
     for traj in trajectories:
-        head = (f'{{"session_id": {json.dumps(traj.session_id)}, '
-                f'"strategy": {json.dumps(traj.strategy_id)}, "iteration": ')
-        lines += [f'{head}{t}, "objectives": {row!r}}}\n'
-                  for t, row in enumerate(traj.values_matrix.tolist())]
-    return "".join(lines)
+        m = traj.values_matrix
+        head = (f']}}\n{{"session_id": {_encode_str(traj.session_id)}, '
+                f'"strategy": {_encode_str(traj.strategy_id)}, "iteration": ')
+        iterations += map('{}, "objectives": ['.format, range(len(iterations), len(m)))
+        for first in range(0, len(m), _GROUP_ROWS):
+            piece = m[first:first + _GROUP_ROWS]
+            if group and (rows + len(piece) > _GROUP_ROWS or m.shape[1] != width):
+                texts.append(_render(group, iterations))
+                group, rows = [], 0
+            group.append((head, first, piece))
+            width = m.shape[1]
+            rows += len(piece)
+    if group:
+        texts.append(_render(group, iterations))
+    return "".join(texts)
+
+
+def _render(group: list[tuple[str, int, np.ndarray]], iterations: list[str]) -> str:
+    """The records of a group of rows of one width. Each head starts with
+    the end of the record before it, which the group's first record drops."""
+    rows = repr(np.concatenate([piece for _, _, piece in group]).tolist())[2:-2].split("], [")
+    parts = [""] * (3 * len(rows))
+    parts[0::3] = chain.from_iterable(repeat(head, len(piece)) for head, _, piece in group)
+    parts[1::3] = chain.from_iterable(iterations[first:first + len(piece)]
+                                      for _, first, piece in group)
+    parts[2::3] = rows
+    parts[0] = parts[0][3:]
+    parts.append("]}\n")
+    return "".join(parts)
 
 
 _JSON_NUMBERS = (int, float)  # exact types: a JSON true/false is not a score
@@ -502,7 +593,10 @@ def _read_writer_form(text: str) -> list[Trajectory] | None:
     with iterations 0, 1, 2, ... The text is matched one chunk at a time,
     cut at the first line feed after each `_CHUNK` characters; a chunk's
     numbers become floats in one `map` and are checked in one box check,
-    and a session may carry on from one chunk into the next.
+    and a session may carry on from one chunk into the next. The
+    trajectories are views of the one read-only array of all the rows: the
+    box check has already rejected every infinite value, and no number the
+    pattern takes is NaN.
     """
     if not text.endswith("\n"):
         return None
@@ -551,8 +645,8 @@ def _read_writer_form(text: str) -> list[Trajectory] | None:
             i += k
     if min(stop - first for _, _, first, stop in runs) < 2:
         return None
-    m = np.concatenate(blocks)
-    return [Trajectory(sid, strategy, m[first:stop]) for sid, strategy, first, stop in runs]
+    m = _readonly(np.concatenate(blocks))
+    return [Trajectory._view(sid, strategy, m[first:stop]) for sid, strategy, first, stop in runs]
 
 
 def _not_a_number(value) -> NoReturn:
@@ -668,7 +762,7 @@ def parse_key_values(text: str, where: str) -> dict[str, str]:
         key, _, value = stripped.partition("=")
         key = key.strip()
         if key in values:
-            raise ValueError(f"{where}:{lineno}: config key {key!r} repeated")
+            raise ValueError(f"{where}:{lineno}: config key {_shown(key)} repeated")
         values[key] = value.strip()
     return values
 

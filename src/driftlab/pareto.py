@@ -7,7 +7,8 @@ same trajectory.
 One dominance kernel, `_dominated`, serves two paths: a trajectory longer
 than `_BLOCK` points is swept in sorted blocks by `non_dominated_mask`,
 and `efficiency_rows` checks short trajectories of equal length all at
-once, stacked, with one full pairwise comparison per chunk.
+once, stacked, with one full pairwise comparison per chunk. The stacks and
+the equilibria are read from the session set's one array of rows.
 
 The sweep seeds its front with the lexicographic maximum, which nothing
 dominates, and filters each block against the front before checking the
@@ -21,11 +22,10 @@ on the front, the two are the same work.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Iterable
 
 import numpy as np
 
-from .core import SessionSet, TailTooLong, TooShort, Trajectory
+from .core import SessionSet, TailTooLong, TooShort, Trajectory, _shown
 
 
 _BLOCK = 512  # rows checked per step of the sweep in `non_dominated_mask`
@@ -93,40 +93,48 @@ def pareto_efficiency(traj: Trajectory) -> float:
     Raises TooShort on a trajectory with no points.
     """
     if len(traj) == 0:
-        raise TooShort(f"trajectory {traj.session_id!r} has no points")
+        raise TooShort(f"trajectory {_shown(traj.session_id)} has no points")
     mask = non_dominated_mask(traj.values_matrix)
     return float(np.count_nonzero(mask)) / float(mask.size)
 
 
-def equilibrium_estimate(traj: Trajectory, tail: int = 3) -> np.ndarray:
-    """Component-wise mean of the final `tail` points."""
+def _check_tail(tail: int, length: int) -> None:
     if tail < 1:
         raise ValueError(f"tail must be >= 1, got {tail}")
-    if tail > len(traj):
-        raise TailTooLong(f"tail {tail} > trajectory length {len(traj)}")
+    if tail > length:
+        raise TailTooLong(f"tail {tail} > trajectory length {length}")
+
+
+def equilibrium_estimate(traj: Trajectory, tail: int = 3) -> np.ndarray:
+    """Component-wise mean of the final `tail` points."""
+    _check_tail(tail, len(traj))
     return traj.values_matrix[-tail:].mean(axis=0)
 
 
-def _efficiencies(trajectories: Iterable[Trajectory]) -> list[float]:
-    """`pareto_efficiency` of each trajectory, in order.
+def _efficiencies(data: SessionSet) -> list[float]:
+    """`pareto_efficiency` of each session, in order.
 
-    A run of consecutive trajectories with the same length T <= `_BLOCK`
-    is stacked into (S, T, n) chunks of S * T**2 <= `_BLOCK`**2 and checked
-    with one pairwise `_dominated` per chunk: for such T the sweep in
-    `non_dominated_mask` is a single block, and the full pairwise check
-    gives the same mask. Longer trajectories take the sweep.
+    A run of consecutive sessions with the same length T <= `_BLOCK` is
+    checked in (S, T, n) chunks of S * T**2 <= `_BLOCK`**2, each a view of
+    the set's rows, with one pairwise `_dominated` per chunk: for such T the
+    sweep in `non_dominated_mask` is a single block, and the full pairwise
+    check gives the same mask. Longer sessions take the sweep.
     """
+    m, offsets = data.values_matrix, data.offsets.tolist()
     out: list[float] = []
-    for T, run in groupby(trajectories, key=len):
-        run = list(run)
+    first = 0
+    for T, run in groupby(np.diff(data.offsets).tolist()):
+        stop = first + len(list(run))
         if T > _BLOCK:
-            out += [pareto_efficiency(traj) for traj in run]
-            continue
-        per_chunk = _BLOCK**2 // T**2
-        for first in range(0, len(run), per_chunk):
-            X = np.stack([traj.values_matrix for traj in run[first:first + per_chunk]])
-            counts = np.count_nonzero(~_dominated(X, X), axis=-1)
-            out += [count / T for count in counts.tolist()]
+            out += [pareto_efficiency(traj) for traj in data.trajectories[first:stop]]
+        else:
+            per_chunk = _BLOCK**2 // T**2
+            for lo in range(first, stop, per_chunk):
+                hi = min(lo + per_chunk, stop)
+                X = m[offsets[lo]:offsets[hi]].reshape(hi - lo, T, -1)
+                counts = np.count_nonzero(~_dominated(X, X), axis=-1)
+                out += [count / T for count in counts.tolist()]
+        first = stop
     return out
 
 
@@ -134,9 +142,17 @@ def efficiency_rows(data: SessionSet, tail: int = 3) -> list[dict]:
     """Per-session efficiency and equilibrium rows for the CSV report.
 
     The equilibria come first, so a bad `tail` raises before any Pareto
-    work; the efficiencies equal `pareto_efficiency` of each session.
+    work, as `equilibrium_estimate` of the first session too short for it
+    would. They are the means of each session's last `tail` rows, gathered
+    from the set's rows in one (sessions, tail, n) array, and equal
+    `equilibrium_estimate` of each session; the efficiencies equal
+    `pareto_efficiency` of each session.
     """
-    equilibria = [equilibrium_estimate(traj, tail).tolist() for traj in data]
+    lengths = np.diff(data.offsets)
+    _check_tail(tail, int(lengths[np.argmax(lengths < tail)]))  # session 0 when none is short
+    tails = data.offsets[1:, None] + np.arange(-tail, 0)
+    equilibria = data.values_matrix[tails].mean(axis=1).tolist()
+    keys = [f"eq_{i}" for i in range(1, data.dimension + 1)]
     rows = []
     for traj, efficiency, eq in zip(data, _efficiencies(data), equilibria):
         row = {
@@ -144,7 +160,6 @@ def efficiency_rows(data: SessionSet, tail: int = 3) -> list[dict]:
             "session_id": traj.session_id,
             "efficiency": efficiency,
         }
-        for i, v in enumerate(eq, start=1):
-            row[f"eq_{i}"] = v
+        row.update(zip(keys, eq))
         rows.append(row)
     return rows

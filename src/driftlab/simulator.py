@@ -441,8 +441,11 @@ def simulate_session(cfg: SimConfig, session_index: int) -> Trajectory:
 
 
 def simulate_set(cfg: SimConfig) -> SessionSet:
-    """All sessions of a config, assembled in session-index order."""
+    """All sessions of a config, assembled in session-index order: the walk's
+    (T+1, N, n) states become the set's session-major rows in one
+    transposing copy, checked finite as a whole."""
     X = _simulate(cfg, range(cfg.sessions))
-    trajs = [Trajectory(session_label(i), cfg.strategy.id, X[:, i])
-             for i in range(cfg.sessions)]
-    return SessionSet(cfg.strategy.id, trajs)
+    T1, N, n = X.shape
+    return SessionSet._of_rows(cfg.strategy.id, [session_label(i) for i in range(N)],
+                               X.transpose(1, 0, 2).reshape(N * T1, n),
+                               np.arange(0, N * T1 + 1, T1))

@@ -7,7 +7,8 @@ points), closed-form characteristic-polynomial eigenvalues for n <= 3
 (quadratic formula / Cardano), a one-session-at-a-time Euler-Maruyama
 loop that builds a fresh Philox generator for every draw, a JSONL writer
 and reader that go through one dict and one `json.dumps` / `json.loads`
-per record, an affine fit that checks the design's rank with its own
+per record, the step pooling of a session set one session at a time, an
+affine fit that checks the design's rank with its own
 `np.linalg.matrix_rank` before solving, the controller loop that takes
 one step, one window fit and one spectrum at a time, the scorer's source
 cleaner that walks one character at a time, the source scan that runs
@@ -353,6 +354,14 @@ def reference_dumps(trajectories) -> str:
     """`json.dumps` of every record, each followed by a line feed."""
     return "".join(json.dumps(rec) + "\n"
                    for traj in trajectories for rec in reference_records(traj))
+
+
+def reference_pooled_steps(trajectories) -> tuple[np.ndarray, np.ndarray]:
+    """The (states, deltas) of `core.pooled_step_matrix`, built one session
+    at a time: each session's rows but its last, and its `np.diff`."""
+    mats = [traj.values_matrix for traj in trajectories]
+    return (np.concatenate([m[:-1] for m in mats]),
+            np.concatenate([np.diff(m, axis=0) for m in mats]))
 
 
 def reference_loads(text: str) -> list[Trajectory]:

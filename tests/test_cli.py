@@ -459,11 +459,22 @@ def test_cli_paths_never_build_per_point_objects(tmp_path, monkeypatch):
     def forbidden(self):
         raise AssertionError("Trajectory.points used on a CLI path")
 
+    checked = []  # session ids given to the checked constructor
+    init = core.Trajectory.__init__
+
+    def counted(self, session_id, *args):
+        checked.append(session_id)
+        init(self, session_id, *args)
+
     monkeypatch.setattr(core.Trajectory, "points", property(forbidden))
+    monkeypatch.setattr(core.Trajectory, "__init__", counted)
     data = tmp_path / "t.jsonl"
     assert run_cli("simulate", "--strategy", "SF", "--sessions", "20",
                    "--iterations", "8", "--seed", "3", "--out", str(data)) == 0
     assert run_cli("analyze", "--in", str(data), "--out", str(tmp_path / "r")) == 0
+    # the simulated set and the writer-form text are checked as whole
+    # arrays; no session is copied and checked on its own
+    assert checked == []
     assert run_cli("control", "--iterations", "12", "--seed", "3",
                    "--out", str(tmp_path / "c")) == 0
 
@@ -556,13 +567,19 @@ def _bad_invocation(tmp_path, case):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sessions = abc\n")
         return ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")]
-    if case in ("config-not-utf8", "config-unknown-key", "config-repeated-key",
-                "config-no-equals"):
+    configs = {
+        "config-not-utf8": b"strategy = \xe9t\xe9\n",
+        "config-no-equals": b"sessions 2\n",
+        "config-unknown-key": b"sessions = 2\nsesions = 5\n",
+        "config-repeated-key": b"sessions = 2\nsessions = 5\n",
+        # a value, or a key, that the error line echoes
+        "config-long-value": b"sessions = 1" + b"0" * 4999 + b"\n",
+        "config-long-unknown-key": b"k" * 5000 + b" = 1\n",
+        "config-long-repeated-key": (b"k" * 5000 + b" = 1\n") * 2,
+    }
+    if case in configs:
         cfg = tmp_path / "run.cfg"
-        cfg.write_bytes({"config-not-utf8": b"strategy = \xe9t\xe9\n",
-                         "config-no-equals": b"sessions 2\n",
-                         "config-unknown-key": b"sessions = 2\nsesions = 5\n",
-                         "config-repeated-key": b"sessions = 2\nsessions = 5\n"}[case])
+        cfg.write_bytes(configs[case])
         return ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.jsonl")]
     schedules = {
         "control-schedule-unknown-strategy": '[["XX", 1, null]]',
@@ -570,6 +587,10 @@ def _bad_invocation(tmp_path, case):
         "control-schedule-bool-count": '[["FF", 1, true]]',
         "control-schedule-string-count": '[["FF", "2", null]]',
         "control-schedule-deep-nesting": "[" * 100_000,
+        # a row, or a strategy id, that the error line echoes
+        "control-schedule-long-row": json.dumps([["FF", 1, list(range(3000))]]),
+        "control-schedule-long-phase": json.dumps([["F" * 5000, 0, None]]),
+        "control-schedule-long-unknown-strategy": json.dumps([["Q" * 5000, 1, None]]),
     }
     if case in schedules:
         schedule = tmp_path / "schedule.json"
@@ -601,7 +622,14 @@ def _bad_invocation(tmp_path, case):
                                   "drift_intercept": [0, 0], "diffusion": [[1, 0], [0, 1]]},
         "strategy-int-too-large": {"id": "X", "drift_matrix": [[-10**400, 0], [0, -0.5]],
                                    "drift_intercept": [0, 0], "diffusion": [[1, 0], [0, 1]]},
+        "strategy-long-list-id": {"id": [0] * 2000, "drift_matrix": [[-0.5, 0], [0, -0.5]],
+                                  "drift_intercept": [0, 0], "diffusion": [[1, 0], [0, 1]]},
+        "strategy-long-string-entry": {"id": "X", "drift_matrix": [["5" * 5000, 0], [0, -0.5]],
+                                       "drift_intercept": [0, 0],
+                                       "diffusion": [[1, 0], [0, 1]]},
     }
+    if case == "simulate-strategy-name-too-long":  # longer than any file name
+        return ["simulate", "--strategy", "Q" * 5000, "--out", str(tmp_path / "x.jsonl")]
     command, _, kind = case.partition("-")
     if kind in strategy_files:
         spec = tmp_path / "spec.json"
@@ -735,11 +763,17 @@ def _bad_invocation(tmp_path, case):
     ("config-unknown-key", 2),
     ("config-repeated-key", 2),
     ("config-no-equals", 2),
+    ("config-long-value", 2),
+    ("config-long-unknown-key", 2),
+    ("config-long-repeated-key", 2),
     ("control-schedule-unknown-strategy", 2),
     ("control-schedule-float-count", 2),
     ("control-schedule-bool-count", 2),
     ("control-schedule-string-count", 2),
     ("control-schedule-deep-nesting", 2),
+    ("control-schedule-long-row", 2),
+    ("control-schedule-long-phase", 2),
+    ("control-schedule-long-unknown-strategy", 2),
     ("control-2d-strategy-iterations-above-intp", 2),
     ("strategy-bad-json", 2),
     ("strategy-deep-nesting", 2),
@@ -752,6 +786,9 @@ def _bad_invocation(tmp_path, case):
     ("control-strategy-bool-entry", 2),
     ("control-strategy-string-entry", 2),
     ("simulate-strategy-int-too-large", 2),
+    ("simulate-strategy-long-list-id", 2),
+    ("simulate-strategy-long-string-entry", 2),
+    ("simulate-strategy-name-too-long", 2),
     ("simulate-iterations-above-intp", 2),
     ("control-iterations-above-intp", 2),
     ("simulate-iterations-out-of-memory", 1),
@@ -852,10 +889,30 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case == "analyze-long-mixed-dimensions":
         assert "DimensionMismatch: session set mixes dimensions [2, 3, 4" in err
         assert "(2394 characters)" in err
-    if case.startswith(("manifest-", "analyze-long-", "analyze-iteration-",
-                        "score-expected-length-")):
-        # a field or value is shown by a bounded prefix at most
-        assert len(err) < 200 + len(str(tmp_path))
+    long_echoes = {
+        "config-long-value": ("config value sessions = '1000", "(5000 characters) is not"),
+        "config-long-unknown-key": ("unknown config key(s) ['kkkk", "(5004 characters) in"),
+        "config-long-repeated-key": (":2: config key 'kkkk", "(5000 characters) repeated"),
+        "control-schedule-long-row": ("malformed schedule row ['FF', 1, [0, 1,",
+                                      "(16901 characters): expected"),
+        "control-schedule-long-phase": ("phase 'FFFF", "(5000 characters): min_iters"),
+        "control-schedule-long-unknown-strategy": ("unknown strategies ['QQQQ",
+                                                   "(5004 characters)"),
+        "simulate-strategy-long-list-id": ("TypeError: strategy id must be str, got [0, 0,",
+                                           "(6000 characters)"),
+        "simulate-strategy-long-string-entry": (
+            "TypeError: strategy entries must be JSON numbers, got '5555",
+            "(5000 characters)"),
+        "simulate-strategy-name-too-long": ("unknown strategy 'QQQQ",
+                                            "(5000 characters): not a preset"),
+    }
+    if case in long_echoes:
+        assert all(part in err for part in long_echoes[case]), err
+    if case in long_echoes or case.startswith(("manifest-", "analyze-long-",
+                                               "analyze-iteration-", "score-expected-length-")):
+        # a field or value is shown by a bounded prefix at most; the temporary
+        # path may be named more than once
+        assert len(err) < 200 + err.count(str(tmp_path)) * len(str(tmp_path))
     if case == "score-expected-length-0":
         assert "--expected-length must be >= 1, got 0" in err
     if case == "score-expected-length-too-large":

@@ -15,6 +15,8 @@ from driftlab.core import (
     validate_trajectory,
 )
 
+from oracles import reference_pooled_steps
+
 
 def traj(points, session_id="s000", strategy_id="AI"):
     return Trajectory(session_id, strategy_id, points)
@@ -184,6 +186,62 @@ def test_pooled_steps_are_built_once_and_read_only():
     assert not states.flags.writeable and not deltas.flags.writeable
     assert states.tolist() == [[1, 1, 1], [5, 5, 5], [4, 4, 4]]
     assert deltas.tolist() == [[1, 2, 3], [-1, -1, -1], [2, 1, 0]]
+
+
+def test_session_set_error_shows_long_ids_cut():
+    others = [traj([[1, 1, 1], [2, 2, 2]], session_id=f"s{i}", strategy_id="FF")
+              for i in range(500)]
+    with pytest.raises(core.DomainError) as info:
+        SessionSet("A" * 5000, others)
+    message = str(info.value)
+    assert message.startswith("sessions ['s0', 's1', 's2', ")
+    assert "(3890 characters) do not belong to strategy 'AAAA" in message
+    assert message.endswith("(5000 characters)") and len(message) < 200
+
+
+def test_set_of_rows_checks_the_whole_array_once():
+    rows = np.full((6, 3), 5.0)
+    offsets = np.array([0, 2, 2, 4, 6])
+    data = SessionSet._of_rows("X", ["a", "b", "c", "d"], rows.copy(), offsets)
+    assert [len(t) for t in data] == [2, 0, 2, 2] and data.dimension == 3
+    for t in data:  # read-only views of the set's one array
+        assert np.shares_memory(t.values_matrix, data.values_matrix) or len(t) == 0
+        assert not t.values_matrix.flags.writeable
+    assert data.trajectories[2] == traj(rows[2:4], session_id="c", strategy_id="X")
+    rows[3, 1], rows[5, 0] = np.nan, np.inf  # the first non-finite row is session c's
+    with pytest.raises(core.NonFinite, match="^trajectory 'c' has non-finite values$"):
+        SessionSet._of_rows("X", ["a", "b", "c", "d"], rows, offsets)
+    # a run without clipping whose start is not finite names its first session
+    cfg = simulator.SimConfig(simulator.preset("SF"), sessions=3, iterations=2,
+                              clip_bounds=(-np.inf, np.inf))
+    with pytest.raises(core.NonFinite, match="^trajectory 's000' has non-finite values$"):
+        simulator.simulate_set(cfg)
+
+
+def _unequal_sessions():
+    """Simulated SF sessions of 2, 5 and 9 rows, interleaved."""
+    sets = [simulator.simulate_set(simulator.SimConfig(simulator.preset("SF"), sessions=3,
+                                                       iterations=its, base_seed=its))
+            for its in (1, 4, 8)]
+    return [Trajectory(f"{len(t)}-{t.session_id}", "SF", t.values_matrix)
+            for group in zip(*sets) for t in group]
+
+
+@pytest.mark.parametrize("build", ["trajectories", "per-line reader", "writer-form reader"])
+def test_pooled_steps_equal_per_session_concatenation(build):
+    trajs = _unequal_sessions()
+    text = core.dumps_trajectories(trajs)
+    if build == "per-line reader":
+        trajs = core._read_lines(text)
+    elif build == "writer-form reader":
+        trajs = core._read_writer_form(text)
+    data = core.group_by_strategy(trajs)["SF"]
+    assert [len(t) for t in data] == [2, 5, 9] * 3
+    states, deltas = core.pooled_step_matrix(data)
+    want_states, want_deltas = reference_pooled_steps(data)
+    assert states.shape == want_states.shape == (3 * (1 + 4 + 8), 3)
+    assert states.tobytes() == want_states.tobytes()
+    assert deltas.tobytes() == want_deltas.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -210,3 +210,51 @@ def test_efficiency_rows_equal_per_session_efficiency():
     assert [row["efficiency"] for row in rows] == [pareto.pareto_efficiency(t) for t in data]
     assert [row["eq_2"] for row in rows] == \
         [float(pareto.equilibrium_estimate(t, 3)[1]) for t in data]
+
+
+def _preset_sessions(strategy_id, iterations, seed):
+    """Simulated sessions of one preset, one set per length in
+    `iterations`, renamed apart and shuffled, so that lengths differ from
+    one session to the next."""
+    trajs = []
+    for k, its in enumerate(iterations):
+        cfg = simulator.SimConfig(strategy=simulator.preset(strategy_id), sessions=8,
+                                  iterations=its, base_seed=seed + k)
+        trajs += [Trajectory(f"{its}-{t.session_id}", strategy_id, t.values_matrix)
+                  for t in simulator.simulate_set(cfg)]
+    np.random.default_rng(seed).shuffle(trajs)
+    return trajs
+
+
+@pytest.mark.parametrize("strategy_id", sorted(simulator.PRESET_DRIFT_DIAGONALS))
+def test_stacked_equilibria_equal_per_session_estimates(strategy_id):
+    # tails 1..T+1 of the shortest session, past 8, where a pairwise sum
+    # would start, on sessions of unequal lengths
+    iterations = (12, 20, 31)
+    data = SessionSet(strategy_id, _preset_sessions(strategy_id, iterations, seed=91))
+    for tail in range(1, min(iterations) + 2):
+        rows = pareto.efficiency_rows(data, tail)
+        for row, t in zip(rows, data):
+            want = pareto.equilibrium_estimate(t, tail)
+            got = np.array([row["eq_1"], row["eq_2"], row["eq_3"]])
+            assert got.tobytes() == want.tobytes(), (tail, t.session_id)
+        assert [row["session_id"] for row in rows] == [t.session_id for t in data]
+
+
+def test_stacked_equilibria_name_the_first_session_too_short():
+    data = SessionSet("X", [traj([[1, 1, 1]] * 6), Trajectory("b", "X", [[2, 2, 2]] * 4),
+                            Trajectory("c", "X", [[3, 3, 3]] * 2)])
+    for tail, short in ((5, data.trajectories[1]), (7, data.trajectories[0])):
+        with pytest.raises(TailTooLong) as want:
+            pareto.equilibrium_estimate(short, tail)
+        with pytest.raises(TailTooLong) as got:
+            pareto.efficiency_rows(data, tail)
+        assert str(got.value) == str(want.value) == f"tail {tail} > trajectory length {len(short)}"
+    with pytest.raises(ValueError, match="tail must be >= 1, got 0"):
+        pareto.efficiency_rows(data, 0)
+
+
+def test_too_short_shows_a_long_session_id_cut():
+    with pytest.raises(TooShort) as info:
+        pareto.pareto_efficiency(Trajectory("s" * 5000, "X", np.empty((0, 3))))
+    assert str(info.value) == f"trajectory {'s' * 40!r}... (5000 characters) has no points"

@@ -1,9 +1,9 @@
 """Property tests of the JSONL trajectory format: a write then a read gives
 back the same trajectories, and a record with any one field corrupted is
 rejected with a DomainError, never with a bare exception. The writer is
-byte-identical, and the reader gives the same trajectories or the same
-error, as the one-`json`-call-per-record reference in `oracles`, whatever
-its chunk size; text in the writer's own form is read whole, and any other
+byte-identical, whatever its group size, and the reader gives the same
+trajectories or the same error, as the one-`json`-call-per-record
+reference in `oracles`, whatever its chunk size; text in the writer's own form is read whole, and any other
 text is left to the per-line path. Also: the
 Pareto mask and the per-session efficiencies equal a brute-force scan
 whatever the sweep's block size. And the scorer's source cleaner gives the
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from driftlab import core, pareto, scorer
 from driftlab.core import DomainError, SessionSet, Trajectory
@@ -148,6 +148,19 @@ def finite_trajectory_lists(draw):
 @given(finite_trajectory_lists())
 def test_writer_is_byte_identical_to_reference(trajectories):
     assert core.dumps_trajectories(trajectories) == reference_dumps(trajectories)
+
+
+@pytest.mark.parametrize("group_rows", [1, 2, 3])
+@_SETTINGS
+@example([Trajectory("a", "X", [[1.5, 2.0, 0.1]] * 4), Trajectory("b", "X", np.empty((0, 3))),
+          Trajectory("c", "Y", [[1.0, -0.0]] * 3), Trajectory("d", "X", [[3.0, 4.0, 5.0]] * 2),
+          Trajectory("e", "X", np.empty((0, 2))), Trajectory("f", "X", [[7.0, 8.0, 9.0]])])
+@given(finite_trajectory_lists())
+def test_writer_groups_match_reference(group_rows, trajectories):
+    # groups of a few rows: sessions straddle them, and mixed widths and
+    # sessions with no rows meet their ends
+    with mock.patch.object(core, "_GROUP_ROWS", group_rows):
+        assert core.dumps_trajectories(trajectories) == reference_dumps(trajectories)
 
 
 # Line-level damage, each kind aimed at a way a whole-text parse could
