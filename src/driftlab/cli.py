@@ -146,8 +146,7 @@ class _UsageError(Exception):
 
 
 def cmd_simulate(args) -> int:
-    config = _read_file(args.config, "config", lambda text: parse_key_values(text, args.config)) \
-        if args.config else {}
+    config = _read_file(args.config, "config", parse_key_values) if args.config else {}
     sessions = _setting(args, config, "sessions", int, 1)
     iterations = _setting(args, config, "iterations", int, 10)
     seed = _setting(args, config, "seed", int, 0)
@@ -183,7 +182,7 @@ def cmd_analyze(args) -> int:
         stages = tuple(s.strip() for s in args.only.split(","))
         unknown = [s for s in stages if s not in ANALYZE_STAGES]
         if unknown:
-            raise _UsageError(f"unknown stages {unknown}; choose from {ANALYZE_STAGES}")
+            raise _UsageError(f"unknown stages {_shown(unknown)}; choose from {ANALYZE_STAGES}")
     if args.tail < 1:
         raise _UsageError(f"--tail must be >= 1, got {args.tail}")
     if not (args.zero_tol > 0 and math.isfinite(args.zero_tol)):
@@ -198,7 +197,7 @@ def cmd_analyze(args) -> int:
     sessions = sum(map(len, by_strategy.values()))
     if args.strategy:
         if args.strategy not in by_strategy:
-            print(f"analyze: no sessions for strategy {args.strategy!r}", file=sys.stderr)
+            print(f"analyze: no sessions for strategy {_shown(args.strategy)}", file=sys.stderr)
             return 1
         by_strategy = {args.strategy: by_strategy[args.strategy]}
     widths = {data.dimension for data in by_strategy.values()}

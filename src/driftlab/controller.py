@@ -336,8 +336,7 @@ def run_controlled(
             eps[drawn:stop] = simulator._normals(keys, range(drawn + 1, stop + 1), n)[:, 0]
             drawn = stop
         # an overflow ends the walk early; the next segment starts there
-        stop = simulator._advance(m, start, stop, strategy, sim.dt, eps[start:stop],
-                                  sim.clip_bounds)
+        stop = simulator._advance(m, start, stop, strategy, sim.dt, eps[start:stop], sim.clip)
         # windows ending at start+1 .. stop; the first ends at `first`
         first = max(start + 1, window)
         spectra, error = _window_signals(m[first - window:stop + 1], window)

@@ -567,7 +567,6 @@ def _render(group: list[tuple[str, int, np.ndarray]], iterations: list[str]) -> 
 
 
 _JSON_NUMBERS = (int, float)  # exact types: a JSON true/false is not a score
-_raw_decode = json.JSONDecoder().raw_decode
 
 # One line as `dumps_trajectories` writes it. An id of printable ASCII but
 # `"` and `\` is its own decoded value and holds no `str.splitlines` break.
@@ -661,26 +660,15 @@ def _objective_row(value) -> list[float]:
 
 
 def _read_lines(text: str) -> list[Trajectory]:
-    """`loads_trajectories`, one line of `str.splitlines` at a time.
-
-    Each line is decoded by one `raw_decode`, and the value is kept only
-    when it ends exactly where the line ends. Anything else (leading or
-    trailing whitespace, a syntax error) is decoded again by
-    `json.loads(line)`, so the values and error messages are those of a
-    per-line `json.loads`.
-    """
+    """`loads_trajectories`, one line of `str.splitlines` at a time, each
+    decoded by `json.loads(line)`."""
     sessions: dict[str, tuple[str, list[list[float]]]] = {}
     current: str | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rec, stop = _raw_decode(line)
-        except (ValueError, RecursionError):
-            stop = None
-        try:
-            if stop != len(line):
-                rec = json.loads(line)
+            rec = json.loads(line)
             sid = rec["session_id"]
             strategy = rec["strategy"]
             iteration = rec["iteration"]
@@ -748,21 +736,21 @@ def read_text(path, newline: str | None = None) -> str:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def parse_key_values(text: str, where: str) -> dict[str, str]:
+def parse_key_values(text: str) -> dict[str, str]:
     """The `key = value` pairs of a text read in text mode, skipping blank
     and `#` lines. A line without `=`, or a key given twice, raises
-    ValueError naming `where:line`."""
+    ValueError naming its line; the caller names the file."""
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ValueError(f"{where}:{lineno}: expected key = value")
+            raise ValueError(f"line {lineno}: expected key = value")
         key, _, value = stripped.partition("=")
         key = key.strip()
         if key in values:
-            raise ValueError(f"{where}:{lineno}: config key {_shown(key)} repeated")
+            raise ValueError(f"line {lineno}: config key {_shown(key)} repeated")
         values[key] = value.strip()
     return values
 

@@ -65,8 +65,7 @@ _LITERAL_BODY_RES = {
 
 
 _RULES = {key: float(value) for key, value in parse_key_values(
-    resources.files(__package__).joinpath("scorer_rules.cfg").read_text("utf-8"),
-    "scorer_rules.cfg").items()}
+    resources.files(__package__).joinpath("scorer_rules.cfg").read_text("utf-8")).items()}
 
 
 # ---------------------------------------------------------------------------

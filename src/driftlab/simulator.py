@@ -2,9 +2,10 @@
 
 One step of the discrete scheme is
 
-    x_next = clip(x + (A x + b) * dt + sigma * sqrt(dt) * eps, low, high)
+    x_next = clip(x + (A x + b) * dt + sigma * sqrt(dt) * eps, SCORE_LOW, SCORE_HIGH)
 
-with eps a standard-normal vector. Noise comes from a counter-based
+with eps a standard-normal vector, and the clip to core's score box taken
+unless a run turns it off. Noise comes from a counter-based
 (Philox) generator keyed by (base_seed, session_index, iteration), so a
 session set is bitwise reproducible no matter how the sessions are
 scheduled or parallelized.
@@ -27,7 +28,7 @@ public `em_step` is a one-step `_advance` walk. A walk computes the noise
 terms of all its steps as one stacked product, then takes the drift
 product and the clip step by step. A noise term that overflows still
 belongs to its own step: the walk ends before it, and the next walk
-raises there. The default clip box is core's [SCORE_LOW, SCORE_HIGH].
+raises there. The one clip box is core's [SCORE_LOW, SCORE_HIGH].
 
 Ships the four built-in strategy presets (EF, SF, FF, AI) as diagonal
 drift matrices with zero intercept and a default diffusion of 0.5 * I.
@@ -242,12 +243,11 @@ def preset_catalog(sigma: float = DEFAULT_SIGMA) -> dict[str, StrategySpec]:
 class SimConfig:
     """Parameters of one batch simulation.
 
-    A session starts at the midpoint of the clip box, [5, ..., 5] when
-    clipping is disabled, or, when init_box is given as (low, high) with a
-    finite width, at its own uniform draw in that box. dt must be finite
-    and > 0.
-    clip_bounds None disables clipping entirely; otherwise init_box must
-    lie inside the clip box. base_seed is a 64-bit unsigned integer. The
+    A session starts at the centre of the score box [SCORE_LOW, SCORE_HIGH],
+    or, when init_box is given as (low, high) with a finite width, at its
+    own uniform draw in that box. dt must be finite and > 0.
+    clip False turns the clip to the score box off; with it on, init_box
+    must lie inside the score box. base_seed is a 64-bit unsigned integer. The
     run's states, sessions x (iterations + 1) x n float64 values, must fit
     in the byte range of one numpy array; simulating a run that fits that
     range but not in memory raises MemoryError. A simulated step whose
@@ -260,7 +260,7 @@ class SimConfig:
     iterations: int = 1
     dt: float = 1.0
     base_seed: int = 0
-    clip_bounds: tuple[float, float] | None = (SCORE_LOW, SCORE_HIGH)
+    clip: bool = True
     init_box: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -278,7 +278,6 @@ class SimConfig:
         check_finite_positive("dt", self.dt)
         if not 0 <= self.base_seed <= _MASK64:
             raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
-        _check_clip_bounds(self.clip_bounds)
         if self.init_box is not None:
             low, high = self.init_box
             # the start draw is low + (high - low) * u, so the width must be finite too
@@ -287,17 +286,10 @@ class SimConfig:
                     f"init_box must be finite with low <= high and a finite width, "
                     f"got {self.init_box}"
                 )
-            if self.clip_bounds is not None \
-                    and not self.clip_bounds[0] <= low <= high <= self.clip_bounds[1]:
+            if self.clip and not SCORE_LOW <= low <= high <= SCORE_HIGH:
                 raise ValueError(
-                    f"init_box {self.init_box} lies outside clip bounds {self.clip_bounds}"
+                    f"init_box {self.init_box} lies outside clip bounds {(SCORE_LOW, SCORE_HIGH)}"
                 )
-
-
-def _check_clip_bounds(bounds: tuple[float, float] | None) -> None:
-    """A clip box needs low < high, which a NaN bound fails; None is no clip."""
-    if bounds is not None and not bounds[0] < bounds[1]:
-        raise ValueError(f"clip bounds must satisfy low < high, got {bounds}")
 
 
 def drift(strategy: StrategySpec, x: np.ndarray) -> np.ndarray:
@@ -315,12 +307,12 @@ def em_step(
     strategy: StrategySpec,
     dt: float,
     noise: np.ndarray,
-    bounds: tuple[float, float] | None = (SCORE_LOW, SCORE_HIGH),
+    clip: bool = True,
 ) -> np.ndarray:
     """One Euler-Maruyama step, a one-step `_advance` walk. Noise is supplied
     by the caller (determinism), dt must be finite and > 0 as
-    `SimConfig.dt` must, and `bounds`, like `SimConfig.clip_bounds`, is
-    None or a box with low < high.
+    `SimConfig.dt` must, and `clip`, like `SimConfig.clip`, clips the step
+    to the score box.
 
     A step that overflows raises NonFinite as a run's step 0 does, and so
     does a non-finite result (NaN noise raises no floating-point error)."""
@@ -333,10 +325,9 @@ def em_step(
     if eps.shape != xv.shape:
         raise DimensionMismatch(f"noise shape {eps.shape} != state shape {xv.shape}")
     check_finite_positive("dt", dt)
-    _check_clip_bounds(bounds)
     X = np.empty((2, len(xv)))
     X[0] = xv
-    _advance(X, 0, 1, strategy, dt, eps[None], bounds)
+    _advance(X, 0, 1, strategy, dt, eps[None], clip)
     if not np.all(np.isfinite(X[1])):
         raise NonFinite(f"step from {xv.tolist()} gives non-finite state {X[1].tolist()}")
     return X[1]
@@ -358,8 +349,7 @@ def _start(cfg: SimConfig, session_indices: range, n: int) -> tuple[np.ndarray, 
     if cfg.init_box is not None:
         X[0] = _uniform_starts(keys, *cfg.init_box, n)
     else:
-        low, high = cfg.clip_bounds or (SCORE_LOW, SCORE_HIGH)
-        X[0] = (low + high) / 2.0
+        X[0] = (SCORE_LOW + SCORE_HIGH) / 2.0
     return X, keys
 
 
@@ -381,10 +371,11 @@ def _noise_terms(S: np.ndarray, eps: np.ndarray, root_dt: float) -> np.ndarray:
 
 
 def _advance(X: np.ndarray, t: int, stop: int, strategy: StrategySpec, dt: float,
-             eps: np.ndarray, bounds: tuple[float, float] | None) -> int:
+             eps: np.ndarray, clip: bool) -> int:
     """Take steps t .. stop-1 of X, X[s + 1] from X[s] and the noise eps[s - t],
     and return stop. The noise terms of all these steps are one stacked
-    product; the drift product and the clip are taken step by step.
+    product; the drift product and, when `clip` is true, the clip to the
+    score box are taken step by step.
 
     A step whose arithmetic overflows or turns invalid before the clip, in
     its drift or in its noise term, raises NonFinite naming it if it is step
@@ -401,10 +392,10 @@ def _advance(X: np.ndarray, t: int, stop: int, strategy: StrategySpec, dt: float
             for s in range(t, stop):
                 x = X[s]
                 nxt = x + (_matvec(A, x) + b) * dt + shock[s - t]
-                if bounds is None:
-                    X[s + 1] = nxt
+                if clip:
+                    _clip(nxt, SCORE_LOW, SCORE_HIGH, out=X[s + 1])
                 else:
-                    _clip(nxt, bounds[0], bounds[1], out=X[s + 1])
+                    X[s + 1] = nxt
         except FloatingPointError:
             if s == t:
                 raise NonFinite(f"step {s} gives a non-finite state") from None
@@ -424,7 +415,7 @@ def _simulate(cfg: SimConfig, session_indices: range) -> np.ndarray:
     while t < cfg.iterations:
         stop = min(t + ahead, cfg.iterations)
         eps = _normals(keys, range(t + 1, stop + 1), n)
-        t = _advance(X, t, stop, cfg.strategy, cfg.dt, eps, cfg.clip_bounds)
+        t = _advance(X, t, stop, cfg.strategy, cfg.dt, eps, cfg.clip)
     return X
 
 

@@ -41,6 +41,8 @@ from driftlab.core import (
     NonFinite,
     RankDeficientDesign,
     RecordFormatError,
+    SCORE_HIGH,
+    SCORE_LOW,
     StrategySpec,
     Trajectory,
     _shown,
@@ -306,13 +308,11 @@ def fresh_generator(base_seed: int, session_index: int, tag: int) -> np.random.G
 
 def start_state(cfg, session_index: int, n: int) -> np.ndarray:
     """The start state of one session of a `SimConfig`: a fresh uniform draw
-    in the init_box, or the clip-box centre."""
+    in the init_box, or the score-box centre."""
     if cfg.init_box is not None:
         low, high = cfg.init_box
         return fresh_generator(cfg.base_seed, session_index, 0).uniform(low, high, size=n)
-    if cfg.clip_bounds is not None:
-        return np.full(n, (cfg.clip_bounds[0] + cfg.clip_bounds[1]) / 2.0)
-    return np.full(n, 5.0)
+    return np.full(n, (SCORE_LOW + SCORE_HIGH) / 2.0)
 
 
 def sequential_sessions(cfg) -> list[np.ndarray]:
@@ -328,8 +328,8 @@ def sequential_sessions(cfg) -> list[np.ndarray]:
         for t in range(cfg.iterations):
             eps = fresh_generator(cfg.base_seed, i, t + 1).standard_normal(n)
             x = x + (A @ x + b) * cfg.dt + (S @ eps) * np.sqrt(cfg.dt)
-            if cfg.clip_bounds is not None:
-                x = np.clip(x, cfg.clip_bounds[0], cfg.clip_bounds[1])
+            if cfg.clip:
+                x = np.clip(x, SCORE_LOW, SCORE_HIGH)
             rows.append(x)
         out.append(np.stack(rows))
     return out
@@ -500,7 +500,7 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False)
                     + (spec.diffusion @ eps) * np.sqrt(sim.dt)
             except FloatingPointError:
                 raise NonFinite(f"step {t} gives a non-finite state") from None
-        m[now] = x if sim.clip_bounds is None else np.clip(x, *sim.clip_bounds)
+        m[now] = np.clip(x, SCORE_LOW, SCORE_HIGH) if sim.clip else x
 
         # local spectrum over the trailing window
         spectrum = reference_window_spectrum(m, now, cfg.window)

@@ -39,7 +39,7 @@ def test_c01_moment_matching():
         eps = rng.standard_normal((n_draws, 3))
         deltas = np.empty((n_draws, 3))
         for i in range(n_draws):
-            deltas[i] = simulator.em_step(x, ai, 1.0, eps[i], bounds=None) - x
+            deltas[i] = simulator.em_step(x, ai, 1.0, eps[i], clip=False) - x
         elapsed = time.perf_counter() - start
         mu = simulator.drift(ai, x)
         assert np.max(np.abs(deltas.mean(axis=0) - mu)) <= 0.02
@@ -60,7 +60,7 @@ def test_c02_drift_recovery():
             start = time.perf_counter()
             cfg = simulator.SimConfig(
                 strategy=simulator.preset(sid, sigma=0.5), sessions=400,
-                iterations=10, base_seed=54, clip_bounds=None,
+                iterations=10, base_seed=54, clip=False,
                 init_box=(3.0, 7.0),
             )
             model = inference.fit_drift(simulator.simulate_set(cfg))

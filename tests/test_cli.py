@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -156,6 +157,23 @@ def test_analyze_strategy_filter(tmp_path, simulated, capsys):
     assert run_cli("analyze", "--in", str(simulated), "--strategy", "FF",
                    "--out", str(tmp_path / "x")) == 1
     assert "no sessions" in capsys.readouterr().err
+
+
+def test_analyze_strategy_present_reports_it_alone(tmp_path):
+    trajs = [core.Trajectory(sid + t.session_id, sid, t.values_matrix)
+             for sid in ("SF", "FF")
+             for t in simulator.simulate_set(simulator.SimConfig(
+                 simulator.preset(sid), sessions=4, iterations=6, base_seed=1))]
+    data = tmp_path / "two.jsonl"
+    data.write_text(core.dumps_trajectories(trajs))
+    out_dir = tmp_path / "ff"
+    assert run_cli("analyze", "--in", str(data), "--strategy", "FF", "--out", str(out_dir)) == 0
+    for stage in ("drift", "interference", "spectrum", "prediction"):
+        doc = json.loads((out_dir / f"{stage}.json").read_text())
+        assert list(doc["strategies"]) == ["FF"], stage
+    with open(out_dir / "pareto.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 4 and {r["strategy"] for r in rows} == {"FF"}
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +534,9 @@ def _bad_invocation(tmp_path, case):
         "analyze-dt-0": ("--dt", "0"),
         "analyze-dt-negative": ("--dt", "-0.5"),
         "analyze-dt-inf": ("--dt", "inf"),
+        # a value that the error line echoes
+        "analyze-long-strategy": ("--strategy", "Z" * 5000),
+        "analyze-long-only": ("--only", "Z" * 5000),
     }
     if case in analyze_flags:
         data = tmp_path / "t.jsonl"
@@ -725,6 +746,10 @@ def _bad_invocation(tmp_path, case):
         if case == "manifest-with-json":
             return ["score", "--manifest", str(manifest), "--json"]
         return ["score", "--src", str(src), "--manifest", str(manifest)]
+    if case == "manifest-header-only":
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,expected_length\n")
+        return ["score", "--manifest", str(manifest)]
     if case == "manifest-no-length-column":
         manifest = tmp_path / "m.csv"
         manifest.write_text(f"path\n{tmp_path / 'a.py'}\n")
@@ -751,6 +776,8 @@ def _bad_invocation(tmp_path, case):
     ("analyze-dt-0", 2),
     ("analyze-dt-negative", 2),
     ("analyze-dt-inf", 2),
+    ("analyze-long-strategy", 1),
+    ("analyze-long-only", 2),
     ("analyze-no-records", 1),
     ("analyze-deep-nesting", 1),
     ("analyze-long-session-not-contiguous", 1),
@@ -800,6 +827,7 @@ def _bad_invocation(tmp_path, case):
     ("score-not-utf8", 1),
     ("manifest-length-not-int", 1),
     ("manifest-no-length-column", 2),
+    ("manifest-header-only", 2),
     ("analyze-in-not-utf8", 1),
     ("manifest-not-utf8", 1),
     ("manifest-field-too-large", 1),
@@ -892,7 +920,10 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     long_echoes = {
         "config-long-value": ("config value sessions = '1000", "(5000 characters) is not"),
         "config-long-unknown-key": ("unknown config key(s) ['kkkk", "(5004 characters) in"),
-        "config-long-repeated-key": (":2: config key 'kkkk", "(5000 characters) repeated"),
+        "config-long-repeated-key": ("ValueError: line 2: config key 'kkkk",
+                                     "(5000 characters) repeated"),
+        "analyze-long-strategy": ("analyze: no sessions for strategy 'ZZZZ", "(5000 characters)"),
+        "analyze-long-only": ("unknown stages ['ZZZZ", "(5004 characters); choose from"),
         "control-schedule-long-row": ("malformed schedule row ['FF', 1, [0, 1,",
                                       "(16901 characters): expected"),
         "control-schedule-long-phase": ("phase 'FFFF", "(5000 characters): min_iters"),
@@ -908,11 +939,16 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     }
     if case in long_echoes:
         assert all(part in err for part in long_echoes[case]), err
+    if case in ("config-no-equals", "config-repeated-key", "config-long-repeated-key"):
+        # `_read_file` names the file; the parser names only the line
+        assert err.count("run.cfg") == 1 and ": line " in err
     if case in long_echoes or case.startswith(("manifest-", "analyze-long-",
                                                "analyze-iteration-", "score-expected-length-")):
         # a field or value is shown by a bounded prefix at most; the temporary
         # path may be named more than once
         assert len(err) < 200 + err.count(str(tmp_path)) * len(str(tmp_path))
+    if case == "manifest-header-only":
+        assert "score: empty manifest" in err
     if case == "score-expected-length-0":
         assert "--expected-length must be >= 1, got 0" in err
     if case == "score-expected-length-too-large":

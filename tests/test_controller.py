@@ -541,7 +541,7 @@ def test_unclipped_overflow_raises_or_halts_as_the_reference_does(monkeypatch, w
     outcomes = set()
     for seed, box in ((1, (4.0, 6.0)), (2, (4.0, 6.0)), (3, (-3.0, -1.0))):
         sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=900, dt=20.0,
-                                  base_seed=seed, clip_bounds=None, init_box=box)
+                                  base_seed=seed, clip=False, init_box=box)
         result = assert_matches_reference(monkeypatch, sim, ControllerConfig(window=window),
                                           halt_on_intervention=halt)
         outcomes.add(raised(result))
@@ -558,7 +558,7 @@ def test_an_overflow_raises_only_where_the_rules_reach_it(monkeypatch, window):
     zero = np.zeros((2, 2))
     catalog = {sid: StrategySpec(sid, zero, np.zeros(2), zero) for sid in ("CALM", "AI")}
     catalog["BOOM"] = StrategySpec("BOOM", 1e150 * np.eye(2), np.zeros(2), zero)
-    sim = simulator.SimConfig(strategy=catalog["BOOM"], iterations=12, clip_bounds=None)
+    sim = simulator.SimConfig(strategy=catalog["BOOM"], iterations=12, clip=False)
     # the segment steps ahead with BOOM past its switch at step 1, into the
     # overflow of step 2, which the step-by-step loop never takes
     cfg = ControllerConfig(window=window,
@@ -581,8 +581,7 @@ def test_a_noise_overflow_raises_only_where_the_rules_reach_it(monkeypatch, wind
     noisy = StrategySpec("NOISY", np.zeros((3, 3)), np.zeros(3), 1e308 * np.eye(3))
     steps = [None, None, 0, None, None, None] if halt else [2, 4, 0, 1, 1, 4]
     for seed, step in enumerate(steps):
-        sim = simulator.SimConfig(strategy=noisy, iterations=50, base_seed=seed,
-                                  clip_bounds=None)
+        sim = simulator.SimConfig(strategy=noisy, iterations=50, base_seed=seed, clip=False)
         result = assert_matches_reference(monkeypatch, sim, ControllerConfig(window=window),
                                           halt_on_intervention=halt)
         if step is None:

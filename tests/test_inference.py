@@ -71,7 +71,7 @@ def test_constant_trajectories_give_zero_model():
 def test_simulated_ai_recovery_with_noise():
     cfg = simulator.SimConfig(
         strategy=simulator.preset("AI", sigma=0.5), sessions=400, iterations=10,
-        base_seed=12, clip_bounds=None, init_box=(3.0, 7.0),
+        base_seed=12, clip=False, init_box=(3.0, 7.0),
     )
     model = inference.fit_drift(simulator.simulate_set(cfg))
     assert np.max(np.abs(model.A_hat - 0.08 * np.eye(3))) <= 0.05

@@ -206,6 +206,12 @@ def test_opener_without_body_is_invalid():
     assert score == 2.0
 
 
+def test_opener_followed_by_a_line_at_its_indent_is_invalid():
+    score, hits = score_efficiency("def f():\nx = 1\n")
+    assert score == 2.0
+    assert [h.rule_id for h in hits] == ["efficiency.invalid_baseline"]
+
+
 def test_triple_nested_loop():
     score, _ = score_efficiency(src("""
         for i in range(3):

@@ -80,8 +80,15 @@ def test_em_step_noise_shape_checked():
 
 def test_em_step_scales_noise_by_sqrt_dt():
     s = StrategySpec("N", np.zeros((3, 3)), np.zeros(3), np.eye(3))
-    out = em_step(np.full(3, 5.0), s, 0.25, np.ones(3), bounds=None)
+    out = em_step(np.full(3, 5.0), s, 0.25, np.ones(3), clip=False)
     assert np.allclose(out, 5.0 + 0.5, atol=1e-15)
+
+
+def test_em_step_clips_to_the_score_box_unless_told_not_to():
+    s = StrategySpec("N", np.zeros((3, 3)), np.zeros(3), np.eye(3))
+    x, noise = [9.5, 5.0, 0.5], [1.0, 0.0, -1.0]
+    assert em_step(x, s, 1.0, noise).tolist() == [10.0, 5.0, 0.0]
+    assert em_step(x, s, 1.0, noise, clip=False).tolist() == [10.5, 5.0, -0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +154,7 @@ def test_moment_matching_small_n():
     rng = np.random.default_rng(17)
     eps = rng.standard_normal((n_draws, 3))
     deltas = np.stack([
-        em_step(x, ai, 1.0, eps[i], bounds=None) - x for i in range(n_draws)
+        em_step(x, ai, 1.0, eps[i], clip=False) - x for i in range(n_draws)
     ])
     bound = 4.0 * 0.5 * np.sqrt(1.0 / n_draws)
     assert np.all(np.abs(deltas.mean(axis=0) - drift(ai, x)) <= bound)
@@ -221,9 +228,9 @@ def test_config_accepts_the_full_64_bit_seed_range():
 @pytest.mark.parametrize("box", [(7.0, 3.0), (float("nan"), 7.0), (3.0, float("inf")),
                                  (float("-inf"), 7.0), (-1e308, 1e308)])
 def test_config_rejects_bad_init_box(box):
-    for clip in ((0.0, 10.0), None):
+    for clip in (True, False):
         with pytest.raises(ValueError, match="init_box must be finite"):
-            SimConfig(strategy=preset("AI"), init_box=box, clip_bounds=clip)
+            SimConfig(strategy=preset("AI"), init_box=box, clip=clip)
 
 
 @pytest.mark.parametrize("box", [(-5.0, 20.0), (-0.5, 7.0), (3.0, 10.5)])
@@ -231,7 +238,7 @@ def test_config_rejects_init_box_outside_clip_box(box):
     with pytest.raises(ValueError, match="outside clip bounds"):
         SimConfig(strategy=preset("AI"), init_box=box)
     # without clipping any finite box is a valid start region
-    SimConfig(strategy=preset("AI"), init_box=box, clip_bounds=None)
+    SimConfig(strategy=preset("AI"), init_box=box, clip=False)
 
 
 def test_config_accepts_start_states_on_the_clip_box():
@@ -265,18 +272,18 @@ def test_em_step_rejects_a_non_finite_result():
     # NaN noise raises no floating-point error, so the step is taken and its
     # state rejected; infinite noise turns 0 * inf invalid in the noise term
     nan_state = re.escape("step from [5.0, 5.0, 5.0] gives non-finite state [nan, nan, nan]")
-    for bounds in ((0.0, 10.0), None):
+    for clip in (True, False):
         with pytest.raises(core.NonFinite, match=f"^{nan_state}$"):
-            em_step([5, 5, 5], preset("AI"), 1.0, [float("nan"), 0.0, 0.0], bounds=bounds)
+            em_step([5, 5, 5], preset("AI"), 1.0, [float("nan"), 0.0, 0.0], clip=clip)
         with pytest.raises(core.NonFinite, match="^step 0 gives a non-finite state$"):
-            em_step([5, 5, 5], preset("AI"), 1.0, [float("inf"), 0.0, 0.0], bounds=bounds)
+            em_step([5, 5, 5], preset("AI"), 1.0, [float("inf"), 0.0, 0.0], clip=clip)
 
 
 def test_em_step_raises_on_an_overflow_before_the_clip():
     # the overflowing state must not be clipped into the box and returned
-    for bounds in ((0.0, 10.0), None):
+    for clip in (True, False):
         with pytest.raises(core.NonFinite, match="^step 0 gives a non-finite state$"):
-            em_step(np.array([1e300, 5, 5]), preset("AI"), 1e10, np.ones(3), bounds=bounds)
+            em_step(np.array([1e300, 5, 5]), preset("AI"), 1e10, np.ones(3), clip=clip)
 
 
 @pytest.mark.parametrize("dt", [float("inf"), float("nan"), 0.0, -1.0])
@@ -286,18 +293,6 @@ def test_em_step_rejects_a_step_that_is_not_finite_and_positive(dt):
         em_step([5, 5, 5], preset("AI"), dt, np.ones(3))
 
 
-@pytest.mark.parametrize("bounds", [(10.0, 0.0), (5.0, 5.0), (float("nan"), 10.0),
-                                    (0.0, float("nan"))])
-def test_em_step_rejects_a_clip_box_as_sim_config_does(bounds):
-    # a reversed box clipped every state to its `high`, and a NaN bound
-    # raised NonFinite about the state
-    message = re.escape(f"clip bounds must satisfy low < high, got {bounds}")
-    with pytest.raises(ValueError, match=message):
-        SimConfig(strategy=preset("AI"), clip_bounds=bounds)
-    with pytest.raises(ValueError, match=message):
-        em_step([5, 5, 5], preset("AI"), 1.0, np.zeros(3), bounds=bounds)
-
-
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8192])
 def test_an_overflow_names_its_step_wherever_the_noise_chunks_fall(monkeypatch, chunk):
     # from 5 the steps reach 5e150, then 5e300, then overflow at step 2,
@@ -305,7 +300,7 @@ def test_an_overflow_names_its_step_wherever_the_noise_chunks_fall(monkeypatch, 
     zero = np.zeros((2, 2))
     boom = StrategySpec("BOOM", 1e150 * np.eye(2), np.zeros(2), zero)
     monkeypatch.setattr(simulator, "_CHUNK_ROWS", chunk)
-    cfg = SimConfig(strategy=boom, sessions=1, iterations=6, clip_bounds=None)
+    cfg = SimConfig(strategy=boom, sessions=1, iterations=6, clip=False)
     with pytest.raises(core.NonFinite, match="^step 2 gives a non-finite state$"):
         simulate_set(cfg)
 
@@ -317,8 +312,7 @@ def test_a_noise_overflow_names_its_step_wherever_the_noise_chunks_fall(monkeypa
     noisy = StrategySpec("NOISY", np.zeros((3, 3)), np.zeros(3), 1e308 * np.eye(3))
     monkeypatch.setattr(simulator, "_CHUNK_ROWS", chunk)
     for seed, step in enumerate([2, 1, 0, 1, 1, 1]):
-        cfg = SimConfig(strategy=noisy, sessions=2, iterations=50, base_seed=seed,
-                        clip_bounds=None)
+        cfg = SimConfig(strategy=noisy, sessions=2, iterations=50, base_seed=seed, clip=False)
         with pytest.raises(core.NonFinite, match=f"^step {step} gives a non-finite state$"):
             simulate_set(cfg)
 
@@ -333,10 +327,8 @@ def test_the_step_clip_is_np_clip_bit_for_bit():
         simulator._clip(values, low, high, out=out)
         assert out.tobytes() == np.clip(values, low, high).tobytes()
     zero = StrategySpec("Z", np.zeros((3, 3)), np.zeros(3), np.zeros((3, 3)))
-    for x, bounds, axis in (([0.0, 5, 5], (-0.0, 10.0), 0), ([-5, 5, 0.0], (-10, -0.0), 2),
-                            ([-0.0, 5, 5], (0.0, 10.0), 0)):
-        out = em_step(x, zero, 1.0, np.zeros(3), bounds=bounds)
-        assert out[axis] == 0.0 and not np.signbit(out[axis])
+    out = em_step([-0.0, 5, 5], zero, 1.0, np.zeros(3))
+    assert out[0] == 0.0 and not np.signbit(out[0])
 
 
 def test_run_too_large_for_memory_fails_before_building_streams(monkeypatch):
@@ -479,7 +471,7 @@ def test_noise_is_drawn_in_chunks_of_bounded_rows(monkeypatch, sessions, iterati
     monkeypatch.setattr(simulator, "_CHUNK_ROWS", 64)
     monkeypatch.setattr(simulator, "_philox_words", counting)
     cfg = SimConfig(strategy=_dense(3, 7), sessions=sessions, iterations=iterations,
-                    base_seed=2**63 - 5, clip_bounds=None)
+                    base_seed=2**63 - 5, clip=False)
     got = [t.values_matrix for t in simulate_set(cfg)]
     assert max(sizes) <= 64
     assert sum(sizes) == sessions * iterations
@@ -499,11 +491,11 @@ ORACLE_CONFIGS = {
     "dense3-dt0.7-init-box": SimConfig(strategy=_dense(3, 1), sessions=25, iterations=30,
                                        dt=0.7, base_seed=11, init_box=(3.0, 7.0)),
     "dense4-unclipped": SimConfig(strategy=_dense(4, 2), sessions=20, iterations=30,
-                                  base_seed=5, clip_bounds=None),
+                                  base_seed=5, clip=False),
     "dense2-dt0.3-big-seed": SimConfig(strategy=_dense(2, 3), sessions=20, iterations=30,
                                        dt=0.3, base_seed=2**40 + 123),
     "dense2-unclipped-init-box": SimConfig(strategy=_dense(2, 4), sessions=15, iterations=25,
-                                           dt=1.7, base_seed=2**64 - 2, clip_bounds=None,
+                                           dt=1.7, base_seed=2**64 - 2, clip=False,
                                            init_box=(-3.0, 12.0)),
     "dense4-dt2.5-init-box": SimConfig(strategy=_dense(4, 5, intercept=False), sessions=15,
                                        iterations=25, dt=2.5, base_seed=99,
