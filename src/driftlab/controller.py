@@ -24,11 +24,19 @@ once, in step order: a segment draws the rows it has not yet drawn in one
 strategy, fits all its windows in one stacked pass
 (`inference.fit_windows`: one least-squares call for the segment's
 windows, bit-identical to one `lstsq` call per window) and takes their
-spectra in one `eigvals` call, then applies the rules step by step, as
-the one-step-at-a-time loop would. A strategy switch at step `now` drops
-the rows after it, and the next segment starts from `now` on the stored
-noise; a halt or an exception ends the run at its own step. Segments
-start at 16 steps after every switch and double up to 1024.
+spectra in one `eigvals` call. It then applies the rules to all its steps
+at once, as arrays: the three triggers in the IEEE operations of one
+step's check, and each spectrum edge as one shifted comparison seeded
+with the state the segment starts from. A table of one row per step and
+one column per rule, read in row order, puts the events in step order
+and, within a step, in rule order. One step at a time is left only where
+the state can change: the first intervention of a halting run, the first
+boundary edge that switches to the fallback, and each step at which the
+phase may switch. A strategy switch at step `now` drops the rows
+after it, and the next segment starts from `now` on the stored noise; a
+halt or an exception ends the run at its own step, as the one-step-at-a-
+time loop would. Segments start at 16 steps after every switch and double
+up to 1024.
 
 Every step is taken by `simulator._advance`, the one walk of every run
 (the public `simulator.em_step` is a one-step `_advance` walk): a step
@@ -42,6 +50,7 @@ starts at that step and raises.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
@@ -121,15 +130,25 @@ def phased_schedule_default() -> tuple[Phase, ...]:
     )
 
 
-def _window_signals(rows: np.ndarray, window: int
-                    ) -> tuple[list[tuple[float, bool, float] | None], Exception | None]:
-    """What the rules read from the spectrum of the affine drift fitted on
-    each `window`-step window of rows, for the windows ending at
-    rows[window:], in order: (convergence rate -Re lambda_max, whether an
-    imaginary part exceeds spectral.DEFAULT_ZERO_TOL, min |Re lambda|), or
-    None when the fit is unsolvable (too few samples / rank deficient). The
-    list stops short at the first window whose fit or spectrum raises, with
-    that exception.
+class _Signals(NamedTuple):
+    """What the rules read from the spectra of the affine drifts fitted on
+    consecutive windows, in order. full[k] says whether window k has a fit
+    (too few samples or a rank-deficient design has none); rate (the
+    convergence rate -Re lambda_max), has_complex (whether an imaginary
+    part exceeds spectral.DEFAULT_ZERO_TOL) and min_abs_re (min |Re lambda|)
+    hold one entry per fitted window. When error is not None, the fit or
+    spectrum of window len(full) raises it, and later windows are left out.
+    """
+    full: np.ndarray
+    rate: np.ndarray
+    has_complex: np.ndarray
+    min_abs_re: np.ndarray
+    error: Exception | None
+
+
+def _window_signals(rows: np.ndarray, window: int) -> _Signals:
+    """The `_Signals` of every `window`-step window of rows, the windows
+    ending at rows[window:].
 
     All fits are one `inference.fit_windows` pass, and all spectra one
     `np.linalg.eigvals` call over the stack, bit-identical to per-matrix
@@ -143,47 +162,101 @@ def _window_signals(rows: np.ndarray, window: int
     except np.linalg.LinAlgError:
         stacked = False
     if stacked:
-        has_complex = (np.abs(lams.imag) > spectral.DEFAULT_ZERO_TOL).any(axis=1)
-        fitted = zip(rate.tolist(), has_complex.tolist(), np.abs(lams.real).min(axis=1).tolist())
-    else:
-        # One matrix at a time: a failure (a non-finite matrix, no
-        # convergence) belongs to its own window, and a stacked max or min
-        # may pick another signed zero or NaN than the scan below.
-        signals = []
-        for a in A:
-            try:
-                spectrum = spectral.eigen_spectrum(a)
-            except (NonFinite, np.linalg.LinAlgError) as exc:
-                full, error = full[:np.flatnonzero(full)[len(signals)]], exc
-                break
-            signals.append((-max(lam.real for lam in spectrum),
-                            any(abs(lam.imag) > spectral.DEFAULT_ZERO_TOL
-                                for lam in spectrum),
-                            min(abs(lam.real) for lam in spectrum)))
-        fitted = iter(signals)
-    return [next(fitted) if f else None for f in full.tolist()], error
+        return _Signals(full, rate, (np.abs(lams.imag) > spectral.DEFAULT_ZERO_TOL).any(axis=1),
+                        np.abs(lams.real).min(axis=1), error)
+    # One matrix at a time: a failure (a non-finite matrix, no convergence)
+    # belongs to its own window, and a stacked max or min may pick another
+    # signed zero or NaN than the scan below.
+    signals = []
+    for a in A:
+        try:
+            spectrum = spectral.eigen_spectrum(a)
+        except (NonFinite, np.linalg.LinAlgError) as exc:
+            full, error = full[:np.flatnonzero(full)[len(signals)]], exc
+            break
+        signals.append((-max(lam.real for lam in spectrum),
+                        any(abs(lam.imag) > spectral.DEFAULT_ZERO_TOL for lam in spectrum),
+                        min(abs(lam.real) for lam in spectrum)))
+    rate, has_complex, min_abs_re = np.array(signals, dtype=np.float64).reshape(-1, 3).T
+    return _Signals(full, rate, has_complex.astype(bool), min_abs_re, error)
 
 
-def _interventions_at(m: np.ndarray, t: int, rate: float | None) -> list[ControlEvent]:
-    """The three trigger rules at iteration t of the (T+1, n) matrix m, in
-    order: (a) security below SECURITY_FLOOR, (b) efficiency dropping by
-    more than EFFICIENCY_DROP of its value at t-1, (c) the windowed local
-    convergence rate (None when there is no fit) above RATE_CEILING."""
-    events: list[ControlEvent] = []
-    sec = float(m[t, SECURITY_AXIS])
-    if sec < SECURITY_FLOOR:
-        events.append(ControlEvent(t, EventKind.INTERVENTION, "security_floor", sec))
-    if t >= 1:
-        prev = float(m[t - 1, EFFICIENCY_AXIS])
-        cur = float(m[t, EFFICIENCY_AXIS])
-        # drops are measured against a positive base
-        if prev > 0 and cur < (1.0 - EFFICIENCY_DROP) * prev:
-            events.append(ControlEvent(
-                t, EventKind.INTERVENTION, "efficiency_drop", 1.0 - cur / prev
-            ))
-    if rate is not None and rate > RATE_CEILING:
-        events.append(ControlEvent(t, EventKind.INTERVENTION, "rate_ceiling", rate))
-    return events
+# The rules in the order they apply at one step, as (kind, detail) of
+# their events: the three interventions, then the two edges of the
+# window's spectrum. A phase switch comes after all of them.
+_RULES = (
+    (EventKind.INTERVENTION, "security_floor"),
+    (EventKind.INTERVENTION, "efficiency_drop"),
+    (EventKind.INTERVENTION, "rate_ceiling"),
+    (EventKind.EXPLORATION_TO_EXPLOITATION, "local spectrum turned real"),
+    (EventKind.BOUNDARY_AVOID_SWITCH, "eigenvalue near zero"),
+)
+_TRIGGERS = 3
+_BOUNDARY = 4
+
+
+def _triggers(m: np.ndarray, lo: int, hi: int, fitted: np.ndarray,
+              rate: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The three trigger rules at iterations lo..hi-1 of the (T+1, n)
+    matrix m, in rule order, each as the iterations where it fires and its
+    values there: (a) security below SECURITY_FLOOR, (b) efficiency dropping
+    by more than EFFICIENCY_DROP of its value at t-1, (c) the windowed local
+    convergence rate above RATE_CEILING, where rate[k] is the rate at
+    iteration fitted[k] and an iteration with no fit has none."""
+    sec = m[lo:hi, SECURITY_AXIS]
+    low = np.flatnonzero(sec < SECURITY_FLOOR)
+    b = max(lo, 1)
+    prev, cur = m[b - 1:hi - 1, EFFICIENCY_AXIS], m[b:hi, EFFICIENCY_AXIS]
+    # drops are measured against a positive base
+    drop = np.flatnonzero((prev > 0) & (cur < (1.0 - EFFICIENCY_DROP) * prev))
+    fast = rate > RATE_CEILING
+    return [(low + lo, sec[low]), (drop + b, 1.0 - cur[drop] / prev[drop]),
+            (fitted[fast], rate[fast])]
+
+
+def _edges(fitted: np.ndarray, sig: _Signals, had_complex: bool,
+           near_zero: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The two edges of the spectrum at the fitted iterations `fitted`, as
+    `_triggers` gives its rules: exploration to exploitation (the spectrum
+    just lost its complex parts; the value is the rate) and boundary
+    proximity (min |Re lambda| just fell below ZERO_MARGIN; the value is
+    that minimum). The state before fitted[0] is had_complex, near_zero."""
+    real = ~sig.has_complex
+    near = sig.min_abs_re < ZERO_MARGIN
+    turned = np.flatnonzero(real & np.concatenate(([had_complex], sig.has_complex))[:-1])
+    nearing = np.flatnonzero(near & ~np.concatenate(([near_zero], near))[:-1])
+    return [(fitted[turned], sig.rate[turned]), (fitted[nearing], sig.min_abs_re[nearing])]
+
+
+class _Ruled(NamedTuple):
+    """Rule events at iterations first, first+1, ..., one row each: rule r
+    of _RULES fires at iteration first+k where fires[k, r], with the value
+    values[k, r]."""
+    first: int
+    fires: np.ndarray
+    values: np.ndarray
+
+
+def _ruled(first: int, steps: int, columns: list[tuple[np.ndarray, np.ndarray]]) -> _Ruled:
+    """The events at iterations first..first+steps-1 of the rules whose
+    (iterations, values) are `columns`, in _RULES order."""
+    fires = np.zeros((steps, len(columns)), dtype=bool)
+    values = np.empty((steps, len(columns)))
+    for r, (its, vals) in enumerate(columns):
+        fires[its - first, r] = True
+        values[its - first, r] = vals
+    return _Ruled(first, fires, values)
+
+
+def _rule_events(ruled: _Ruled, lo: int, hi: int) -> list[ControlEvent]:
+    """The events of `ruled` at iterations lo..hi-1, in step order and,
+    within a step, in rule order."""
+    rows = slice(lo - ruled.first, hi - ruled.first)
+    fires = ruled.fires[rows]
+    k = np.flatnonzero(fires)  # row-major: by iteration, then by rule
+    n = fires.shape[1]
+    return [ControlEvent(t, *_RULES[r], v) for t, r, v in zip(
+        (k // n + lo).tolist(), (k % n).tolist(), ruled.values[rows].ravel()[k].tolist())]
 
 
 def check_interventions(traj: Trajectory, cfg: ControllerConfig) -> list[ControlEvent]:
@@ -193,14 +266,11 @@ def check_interventions(traj: Trajectory, cfg: ControllerConfig) -> list[Control
     including the initial point (one event per rule per iteration).
     """
     m = traj.values_matrix
-    spectra, error = _window_signals(m, cfg.window)
-    if error is not None:
-        raise error
-    rates = [None] * min(cfg.window, len(m)) + [None if s is None else s[0] for s in spectra]
-    events: list[ControlEvent] = []
-    for t, rate in enumerate(rates):
-        events.extend(_interventions_at(m, t, rate))
-    return events
+    sig = _window_signals(m, cfg.window)
+    if sig.error is not None:
+        raise sig.error
+    fitted = cfg.window + np.flatnonzero(sig.full)
+    return _rule_events(_ruled(0, len(m), _triggers(m, 0, len(m), fitted, sig.rate)), 0, len(m))
 
 
 # Steps per segment of `run_controlled`: the first segment and the first
@@ -219,44 +289,37 @@ class _LoopState:
     near_zero: bool = False
 
 
-def _rules_at(state: _LoopState, m: np.ndarray, now: int,
-              spectrum: tuple[float, bool, float] | None, cfg: ControllerConfig,
-              cat: Mapping[str, StrategySpec], steps: int) -> tuple[list[ControlEvent], bool]:
-    """Every rule at step `now` of a run of `steps` steps, in order: the
-    three triggers, exploration to exploitation, boundary proximity and the
-    phase schedule, given the window's signals from `_window_signals` (None
-    when there is no fit). Updates `state`, whose strategy switches where a
-    rule says so. Returns the step's events and whether one intervened."""
-    step_events = _interventions_at(m, now, None if spectrum is None else spectrum[0])
-    if spectrum is not None:
-        rate, has_complex, min_abs_re = spectrum
-        # exploration -> exploitation: the local spectrum just lost its
-        # complex parts
-        if state.had_complex and not has_complex:
-            step_events.append(ControlEvent(
-                now, EventKind.EXPLORATION_TO_EXPLOITATION,
-                "local spectrum turned real", rate,
-            ))
-        state.had_complex = has_complex
-        # boundary proximity (edge-triggered)
-        near = min_abs_re < ZERO_MARGIN
-        if near and not state.near_zero:
-            detail = "eigenvalue near zero"
-            if cfg.phase_schedule is None and state.strategy.id != FALLBACK_STRATEGY:
-                detail += f"; switching {state.strategy.id}->{FALLBACK_STRATEGY}"
-                state.strategy = cat[FALLBACK_STRATEGY]
-            step_events.append(ControlEvent(
-                now, EventKind.BOUNDARY_AVOID_SWITCH, detail, min_abs_re
-            ))
-        state.near_zero = near
+def _phase_wait(state: _LoopState, schedule: tuple[Phase, ...] | None) -> int | None:
+    """Steps from now to the first at which the current phase may switch,
+    or None when it never does."""
+    if schedule is None or state.phase_index >= len(schedule):
+        return None
+    phase = schedule[state.phase_index]
+    # the next phase is due at min_iters; a last phase switches to the
+    # fallback only at a bounded max_iters
+    limit = phase.min_iters if state.phase_index + 1 < len(schedule) else phase.max_iters
+    return None if limit is None else max(1, limit - state.phase_iters)
 
-    intervened = any(e.kind is EventKind.INTERVENTION for e in step_events)
 
-    # phase schedule transitions at min_iters, deferred by interventions
-    # but never past max_iters
+def _rules_at_pivot(state: _LoopState, now: int, fired: np.ndarray, events: list[ControlEvent],
+                    cfg: ControllerConfig, cat: Mapping[str, StrategySpec],
+                    steps: int) -> bool:
+    """The rules at step `now` of a run of `steps` steps that can change
+    `state`, after `events` got the step's rule events (fired[r] says
+    whether rule r of _RULES fired): a boundary edge that switches an
+    unscheduled run to FALLBACK_STRATEGY, and the phase schedule, which
+    switches at min_iters, deferred by interventions but never past
+    max_iters. `state.phase_iters` already counts step `now`. Returns
+    whether the step intervened."""
+    intervened = bool(fired[:_TRIGGERS].any())
     schedule = cfg.phase_schedule
+    if schedule is None and state.strategy.id != FALLBACK_STRATEGY and fired[_BOUNDARY]:
+        edge = events.pop()
+        events.append(ControlEvent(
+            now, edge.kind, f"{edge.detail}; switching {state.strategy.id}->{FALLBACK_STRATEGY}",
+            edge.triggering_value))
+        state.strategy = cat[FALLBACK_STRATEGY]
     if schedule is not None and state.phase_index < len(schedule):
-        state.phase_iters += 1
         phase = schedule[state.phase_index]
         at_max = phase.max_iters is not None and state.phase_iters >= phase.max_iters
         due = state.phase_iters >= phase.min_iters
@@ -268,14 +331,14 @@ def _rules_at(state: _LoopState, m: np.ndarray, now: int,
                 # a bounded last phase at its max with steps left
                 target, detail = FALLBACK_STRATEGY, f"{FALLBACK_STRATEGY} (fallback)"
         if target is not None:
-            step_events.append(ControlEvent(
+            events.append(ControlEvent(
                 now, EventKind.PHASE_SWITCH, f"{phase.strategy_id}->{detail}",
                 float(state.phase_iters),
             ))
             state.strategy = cat[target]
             state.phase_index += 1
             state.phase_iters = 0
-    return step_events, intervened
+    return intervened
 
 
 def run_controlled(
@@ -320,9 +383,10 @@ def run_controlled(
     window = cfg.window
 
     # Rows up to m[start] are settled. Each segment steps ahead with the
-    # current strategy, then fits every window ending in it at once and
-    # walks the rules step by step. A strategy switch at step `now` drops
-    # the rows after it, and the next segment starts there.
+    # current strategy, fits every window ending in it at once and takes
+    # the rule events of all its steps as arrays, then walks them to the
+    # steps where the state can change. A strategy switch at step `now`
+    # drops the rows after it, and the next segment starts there.
     start, length = 0, _FIRST_SEGMENT
     while start < steps:
         strategy = state.strategy
@@ -339,20 +403,48 @@ def run_controlled(
         stop = simulator._advance(m, start, stop, strategy, sim.dt, eps[start:stop], sim.clip)
         # windows ending at start+1 .. stop; the first ends at `first`
         first = max(start + 1, window)
-        spectra, error = _window_signals(m[first - window:stop + 1], window)
-
-        for now in range(start + 1, stop + 1):
-            spectrum = None
-            if now >= first:
-                if now - first == len(spectra):
-                    raise error
-                spectrum = spectra[now - first]
-            step_events, intervened = _rules_at(state, m, now, spectrum, cfg, cat, steps)
-            events.extend(step_events)
+        sig = _window_signals(m[first - window:stop + 1], window)
+        # the steps before `end` have their signals; the window ending at
+        # `end`, if there is one, raises sig.error
+        end = stop + 1 if sig.error is None else first + len(sig.full)
+        fitted = first + np.flatnonzero(sig.full)
+        ruled = _ruled(start + 1, end - start - 1,
+                       _triggers(m, start + 1, end, fitted, sig.rate)
+                       + _edges(fitted, sig, state.had_complex, state.near_zero))
+        # pivots, the steps where the state can change: the first
+        # intervention of a halting run, the first boundary edge that
+        # switches to the fallback, and each step at which the phase may
+        # switch
+        pivots = []
+        if halt_on_intervention:
+            pivots += np.flatnonzero(ruled.fires[:, :_TRIGGERS].any(axis=1))[:1].tolist()
+        if schedule is None and strategy.id != FALLBACK_STRATEGY:
+            pivots += np.flatnonzero(ruled.fires[:, _BOUNDARY])[:1].tolist()
+        pivots = [start + 1 + k for k in pivots]
+        now = start
+        while now < end - 1:
+            wait = _phase_wait(state, schedule)
+            cut = min([p for p in pivots if p > now] + ([] if wait is None else [now + wait]),
+                      default=end)
+            last = min(cut, end - 1)
+            events.extend(_rule_events(ruled, now + 1, last + 1))
+            if schedule is not None and state.phase_index < len(schedule):
+                state.phase_iters += last - now
+            now = last
+            if cut > now:
+                break
+            intervened = _rules_at_pivot(state, now, ruled.fires[now - start - 1], events,
+                                        cfg, cat, steps)
             if halt_on_intervention and intervened:
                 return Trajectory(simulator.session_label(0), "controlled", m[:now + 1]), events
             if state.strategy is not strategy:
                 break
+        ruled_fits = np.count_nonzero(fitted <= now)
+        if ruled_fits:
+            state.had_complex = bool(sig.has_complex[ruled_fits - 1])
+            state.near_zero = bool(sig.min_abs_re[ruled_fits - 1] < ZERO_MARGIN)
+        if state.strategy is strategy and sig.error is not None:
+            raise sig.error
         start = now
         length = _FIRST_SEGMENT if state.strategy is not strategy \
             else min(2 * length, _LAST_SEGMENT)
@@ -361,7 +453,27 @@ def run_controlled(
 
 
 def dumps_events(events: Iterable[ControlEvent]) -> str:
-    return "".join(json.dumps(e.to_dict()) + "\n" for e in events)
+    """The events as JSON lines, each the text of `json.dumps(e.to_dict())`.
+    Each distinct kind and detail is JSON-encoded once, and a value that is
+    a finite float is written by `float.__repr__`, as `json` writes it."""
+    encoded: dict = {}
+    lines = []
+    for e in events:
+        kind, detail = encoded.get(e.kind), encoded.get(e.detail)
+        if kind is None:
+            kind = encoded[e.kind] = json.dumps(e.kind.value)
+        if detail is None:
+            detail = encoded[e.detail] = json.dumps(e.detail)
+        t, value = e.iteration, e.triggering_value
+        if type(t) is not int:
+            t = json.dumps(t)
+        if type(value) is float and math.isfinite(value):
+            value = float.__repr__(value)
+        else:
+            value = json.dumps(value)
+        lines.append(f'{{"iteration": {t}, "kind": {kind}, '
+                     f'"detail": {detail}, "value": {value}}}\n')
+    return "".join(lines)
 
 
 def parse_schedule(spec: object) -> tuple[Phase, ...]:

@@ -10,7 +10,8 @@ and reader that go through one dict and one `json.dumps` / `json.loads`
 per record, the step pooling of a session set one session at a time, an
 affine fit that checks the design's rank with its own
 `np.linalg.matrix_rank` before solving, the controller loop that takes
-one step, one window fit and one spectrum at a time, the scorer's source
+one step, one window fit, one spectrum and one rule check at a time, the
+event writer with one `json.dumps` per event, the scorer's source
 cleaner that walks one character at a time, the source scan that runs
 every rule pattern on every logical line, and each axis score rebuilt
 from its rule hits.
@@ -29,11 +30,15 @@ import numpy as np
 
 from driftlab import inference, simulator, spectral
 from driftlab.controller import (
+    EFFICIENCY_AXIS,
+    EFFICIENCY_DROP,
     FALLBACK_STRATEGY,
+    RATE_CEILING,
+    SECURITY_AXIS,
+    SECURITY_FLOOR,
     ZERO_MARGIN,
     ControlEvent,
     EventKind,
-    _interventions_at,
 )
 from driftlab.core import (
     DimensionMismatch,
@@ -437,6 +442,28 @@ def reference_window_spectrum(m: np.ndarray, t: int, window: int) -> list[comple
     return spectral.eigen_spectrum(A)
 
 
+def _interventions_at(m: np.ndarray, t: int, rate: float | None) -> list[ControlEvent]:
+    """The three trigger rules at iteration t of the (T+1, n) matrix m, in
+    order: (a) security below SECURITY_FLOOR, (b) efficiency dropping by
+    more than EFFICIENCY_DROP of its value at t-1, (c) the windowed local
+    convergence rate (None when there is no fit) above RATE_CEILING."""
+    events: list[ControlEvent] = []
+    sec = float(m[t, SECURITY_AXIS])
+    if sec < SECURITY_FLOOR:
+        events.append(ControlEvent(t, EventKind.INTERVENTION, "security_floor", sec))
+    if t >= 1:
+        prev = float(m[t - 1, EFFICIENCY_AXIS])
+        cur = float(m[t, EFFICIENCY_AXIS])
+        # drops are measured against a positive base
+        if prev > 0 and cur < (1.0 - EFFICIENCY_DROP) * prev:
+            events.append(ControlEvent(
+                t, EventKind.INTERVENTION, "efficiency_drop", 1.0 - cur / prev
+            ))
+    if rate is not None and rate > RATE_CEILING:
+        events.append(ControlEvent(t, EventKind.INTERVENTION, "rate_ceiling", rate))
+    return events
+
+
 def reference_check_interventions(traj: Trajectory, cfg) -> list[ControlEvent]:
     """`controller.check_interventions` with one window fit per iteration."""
     m = traj.values_matrix
@@ -573,6 +600,12 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False)
 
     traj = Trajectory(simulator.session_label(0), "controlled", m[:now + 1])
     return traj, events
+
+
+def reference_dumps_events(events) -> str:
+    """`controller.dumps_events` with one dict and one `json.dumps` per
+    event."""
+    return "".join(json.dumps(e.to_dict()) + "\n" for e in events)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from driftlab import controller, inference, simulator, spectral
 from driftlab.controller import (
+    ControlEvent,
     ControllerConfig,
     EventKind,
     Phase,
@@ -19,6 +20,7 @@ from driftlab.controller import (
 from driftlab.core import (
     DimensionMismatch,
     NonFinite,
+    RankDeficientDesign,
     StrategySpec,
     Trajectory,
     dumps_trajectories,
@@ -29,6 +31,7 @@ from oracles import (
     contraction_trajectory,
     fresh_generator,
     reference_check_interventions,
+    reference_dumps_events,
     reference_fit_affine,
     reference_fit_windows,
     reference_run_controlled,
@@ -355,11 +358,42 @@ def test_events_serialize_to_jsonl():
                               base_seed=3)
     _t, events = run_controlled(sim, ControllerConfig(phase_schedule=phased_schedule_default()))
     text = controller.dumps_events(events)
-    lines = [line for line in text.splitlines() if line]
-    assert len(lines) == len(events)
-    import json
-    rec = json.loads(lines[0])
-    assert set(rec) == {"iteration", "kind", "detail", "value"}
+    assert len(text.splitlines()) == len(events) > 0
+    assert text == reference_dumps_events(events)
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7,
+    3.0, -2.0, 1.9, 1.7976931348623157e308, 7, np.float64(0.1), np.float64("nan"),
+    np.float64("-inf"),
+], ids=repr)
+def test_dumps_events_matches_the_per_event_writer_on_odd_values(value):
+    # a finite float is written as float.__repr__; anything else as json.dumps
+    events = [ControlEvent(t, kind, detail, value) for t, kind, detail in (
+        (0, EventKind.INTERVENTION, "security_floor"),
+        (3, EventKind.PHASE_SWITCH, "FF->SF"),
+        (3, EventKind.INTERVENTION, "security_floor"))]
+    assert controller.dumps_events(events) == reference_dumps_events(events)
+
+
+def test_boundary_switch_from_an_oddly_named_strategy_writes_its_bytes(monkeypatch):
+    # the detail names the strategy: a quote, a backslash, a control
+    # character and non-ASCII text must be escaped as json.dumps escapes them
+    odd = 'L"Z\\\x01\u00e9\u2192\U0001f600'
+    lazy = StrategySpec(odd, np.diag([-0.001, -0.5, -0.6]), np.zeros(3), 0.4 * np.eye(3))
+    catalog = {**simulator.preset_catalog(), odd: lazy}
+    for seed in range(30):
+        sim = simulator.SimConfig(strategy=lazy, iterations=12, base_seed=seed)
+        _t, events = run_controlled(sim, ControllerConfig(), catalog=catalog)
+        switches = [e for e in events if e.kind is EventKind.BOUNDARY_AVOID_SWITCH]
+        if switches:
+            break
+    assert switches[0].detail == f"eigenvalue near zero; switching {odd}->AI"
+    text = controller.dumps_events(events)
+    assert text == reference_dumps_events(events)
+    assert text.isascii()
+    assert [json.loads(line)["detail"] for line in text.splitlines()] == [e.detail for e in events]
+    assert_matches_reference(monkeypatch, sim, ControllerConfig(), catalog=catalog)
 
 
 def test_parse_schedule_rejects_malformed():
@@ -396,31 +430,40 @@ def test_online_interventions_match_offline_scan():
 # segmented run_controlled against the step-by-step reference loop
 # ---------------------------------------------------------------------------
 
-def outcome(monkeypatch, module, run, *args, **kwargs):
+def outcome(monkeypatch, run, *args, **kwargs):
     """What a run gives: its trajectory and event bytes, or the type and
-    message of what it raises; with the iterations whose trigger rules ran,
-    in order, which places a raise at its step."""
-    rules = module._interventions_at
+    message of what it raises; with the iterations whose rule events the
+    run took, in order, which places a raise at its step. The controller
+    takes a span of steps at a time (`_rule_events`), the reference loop
+    one step at a time (`_interventions_at`)."""
     seen = []
+    if run is run_controlled:
+        module, name = controller, "_rule_events"
 
-    def spy(m, t, rate):
-        seen.append(t)
-        return rules(m, t, rate)
+        def spy(ruled, lo, hi):
+            seen.extend(range(lo, hi))
+            return rules(ruled, lo, hi)
+    else:
+        module, name = oracles, "_interventions_at"
 
-    monkeypatch.setattr(module, "_interventions_at", spy)
+        def spy(m, t, rate):
+            seen.append(t)
+            return rules(m, t, rate)
+    rules = getattr(module, name)
+    monkeypatch.setattr(module, name, spy)
     try:
         traj, events = run(*args, **kwargs)
         result = (dumps_trajectories([traj]), controller.dumps_events(events))
     except Exception as exc:  # compared with the reference's, whatever it is
         result = (type(exc), str(exc))
     finally:
-        monkeypatch.setattr(module, "_interventions_at", rules)
+        monkeypatch.setattr(module, name, rules)
     return result + (seen,)
 
 
 def assert_matches_reference(monkeypatch, sim, cfg, **kwargs):
-    got = outcome(monkeypatch, controller, run_controlled, sim, cfg, **kwargs)
-    want = outcome(monkeypatch, oracles, reference_run_controlled, sim, cfg, **kwargs)
+    got = outcome(monkeypatch, run_controlled, sim, cfg, **kwargs)
+    want = outcome(monkeypatch, reference_run_controlled, sim, cfg, **kwargs)
     assert got[:2] == want[:2]
     assert got[2] == want[2]
     return got
@@ -627,6 +670,12 @@ def per_matrix_signals(A, zero_tol):
             min(abs(lam.real) for lam in lams))
 
 
+def columns_repr(sig):
+    """The fitted windows' signals of a `controller._Signals` as lists, so
+    that repr tells -0.0 from 0.0."""
+    return repr([sig.rate.tolist(), sig.has_complex.tolist(), sig.min_abs_re.tolist()])
+
+
 def test_window_signals_match_per_matrix_reports(monkeypatch):
     # signed zeros, where a stacked max may pick another zero than the
     # scan over the sorted spectrum, and a non-finite matrix mid-stack,
@@ -638,16 +687,238 @@ def test_window_signals_match_per_matrix_reports(monkeypatch):
     full = np.array([True, False, True, True, True, True, False, True, True])
     fits = inference.WindowFits(full, np.array(stack), None)
     monkeypatch.setattr(inference, "fit_windows", lambda rows, window: fits)
-    signals, error = controller._window_signals(None, 5)
+    sig = controller._window_signals(None, 5)
     want = [per_matrix_signals(a, 0.01) for a in stack[:5]]
-    assert repr(signals) == repr([want[0], None, want[1], want[2], want[3], want[4], None])
-    assert isinstance(error, NonFinite) and str(error) == "matrix has non-finite entries"
+    # the inf matrix is window 7's fit: the windows before it stay
+    assert sig.full.tolist() == full[:7].tolist()
+    assert columns_repr(sig) == repr([list(column) for column in zip(*want)])
+    assert repr(sig.rate.tolist()[:2]) == "[0.0, -0.0]"
+    assert isinstance(sig.error, NonFinite) and str(sig.error) == "matrix has non-finite entries"
     # signed zeros alone
     fits = inference.WindowFits(np.ones(4, dtype=bool), np.array(stack[:4]), None)
-    signals, error = controller._window_signals(None, 5)
-    assert error is None and repr(signals) == repr(want[:4])
+    sig = controller._window_signals(None, 5)
+    assert sig.error is None and sig.full.all()
+    assert columns_repr(sig) == repr([list(column) for column in zip(*want[:4])])
     # without the bad matrix the stacked path serves every window
     fits = inference.WindowFits(full[:6], np.array(stack[4:5] * 5), None)
-    signals, error = controller._window_signals(None, 5)
-    assert error is None and signals[1] is None
-    assert repr([s for s in signals if s]) == repr([per_matrix_signals(stack[4], 0.01)] * 5)
+    sig = controller._window_signals(None, 5)
+    assert sig.error is None and sig.full.tolist() == full[:6].tolist()
+    assert sig.has_complex.dtype == bool
+    assert columns_repr(sig) == repr([list(column) for column in
+                                      zip(*[per_matrix_signals(stack[4], 0.01)] * 5)])
+
+
+# ---------------------------------------------------------------------------
+# the array triggers at their thresholds, against the per-step rules
+# ---------------------------------------------------------------------------
+
+# A scripted run: drift 0, diffusion I and dt 1, so each step adds its noise
+# row exactly, and the noise is the differences of the wanted rows. Axis 2
+# counts the steps in 64ths from 5, which names the row a window ends
+# after, so that a scripted drift can be fitted on the window ending at
+# each iteration. All values are exact in binary.
+STEPS = 64
+SCRIPTED_CATALOG = {sid: StrategySpec(sid, np.zeros((3, 3)), np.zeros(3), np.eye(3))
+                    for sid in ("S", "AI")}
+SCRIPTED = SCRIPTED_CATALOG["S"]
+REAL = np.diag([-1.0, -2.0, -3.0])
+COMPLEX = np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.0], [0.0, 0.0, -3.0]])
+AT_CEILING = np.diag([-controller.RATE_CEILING, -2.0, -3.0])
+ABOVE_CEILING = np.diag([-np.nextafter(controller.RATE_CEILING, 2.0), -2.0, -3.0])
+
+
+def scripted_rows(security=(), efficiency=()):
+    """The rows of a STEPS-step run from the box centre, with the security
+    and efficiency values `{iteration: value}` given; a value below the
+    box is clipped to 0 there and stays clipped while it is unchanged."""
+    rows = np.full((STEPS + 1, 3), 5.0)
+    rows[:, 2] += np.arange(STEPS + 1) / 64
+    for axis, values in ((0, security), (1, efficiency)):
+        for t, value in sorted(dict(values).items()):
+            rows[t:, axis] = value
+    return rows
+
+
+def walked(rows):
+    """The rows a scripted run gives: each step adds the next difference of
+    `rows` and clips to the box."""
+    out = rows.copy()
+    for t, step in enumerate(np.diff(rows, axis=0)):
+        out[t + 1] = np.clip(out[t] + step, 0.0, 10.0)
+    return out
+
+
+def script(monkeypatch, rows, drifts):
+    """Patch the noise and the window fits of `run_controlled`,
+    `check_interventions` and their references so that a run of SCRIPTED
+    walks through `walked(rows)` and the drift fitted on the window ending
+    at iteration t is drifts[t]: no fit where t is absent, and where
+    drifts[t] is an exception the fit raises it."""
+    noise = np.diff(rows, axis=0)
+
+    def ends(states):
+        return np.rint((states[:, 2] - 5.0) * 64).astype(int) + 1
+
+    def fit_windows(m, window):
+        keys = ends(np.asarray(m)[window - 1:-1]).tolist()
+        raising = [k for k in keys if isinstance(drifts.get(k), Exception)]
+        if raising:
+            keys = keys[:keys.index(raising[0])]
+        A = np.array([drifts[k] for k in keys if k in drifts]).reshape(-1, 3, 3)
+        return inference.WindowFits(np.array([k in drifts for k in keys], dtype=bool), A,
+                                    drifts[raising[0]] if raising else None)
+
+    def unchecked_fit_affine(states, deltas):
+        end = int(ends(states[-1:])[0])
+        if end not in drifts:
+            raise RankDeficientDesign("scripted: no fit")
+        if isinstance(drifts[end], Exception):
+            raise drifts[end]
+        return drifts[end], None, None, len(states)
+
+    class Generator:
+        def __init__(self, tag):
+            self.tag = tag
+
+        def standard_normal(self, n):
+            return noise[self.tag - 1].copy()
+
+    def normals(keys, tags, n):
+        return noise[np.array(tags) - 1][:, None]
+
+    monkeypatch.setattr(simulator, "_normals", normals)
+    monkeypatch.setattr(oracles, "fresh_generator", lambda seed, index, tag: Generator(tag))
+    monkeypatch.setattr(inference, "fit_windows", fit_windows)
+    monkeypatch.setattr(oracles, "unchecked_fit_affine", unchecked_fit_affine)
+
+
+EDGE_CASES = {
+    # exactly at the floor is not below it: 16 is quiet, 17 and 48 fire
+    "security-at-floor": (dict(security={16: 2.0, 17: 1.5, 18: 5.0, 47: 2.0, 48: 1.0, 49: 5.0}),
+                          {}, {"security_floor": [17, 48]}),
+    # (1 - 0.3) * 10 is 7.0 exactly, so 10 -> 7 is no drop; 10 -> 6.5 is
+    "efficiency-at-drop": (dict(efficiency={15: 10.0, 16: 7.0, 47: 10.0, 48: 6.5}),
+                           {}, {"efficiency_drop": [48]}),
+    # a drop to the box floor fires once, and a base of 0 drops no further:
+    # the step to -1 is clipped to 0, and 4 at 48 (0 + 3 - -1) is no drop
+    "efficiency-at-box-floor": (dict(efficiency={16: 0.0, 17: -1.0, 48: 3.0, 49: 0.0}),
+                                {}, {"efficiency_drop": [16, 49]}),
+    # a rate of exactly 1.5 is not above the ceiling
+    "rate-at-ceiling": (dict(), {**{t: REAL for t in range(5, STEPS + 1)}, 16: AT_CEILING,
+                                 17: ABOVE_CEILING, 47: AT_CEILING, 48: ABOVE_CEILING},
+                        {"rate_ceiling": [17, 48]}),
+    # signed zero rates take the per-matrix spectra; the edges carry them
+    "signed-zero-rates": (dict(), {15: COMPLEX, 16: np.diag([-0.0, 0.0, -1.0]),
+                                   17: np.diag([0.0, -0.0, -1.0]), 18: REAL,
+                                   47: COMPLEX, 48: np.diag([0.0, -0.0, -1.0]), 49: REAL},
+                          {"local spectrum turned real": [16, 48],
+                           "eigenvalue near zero; switching S->AI": [16],
+                           "eigenvalue near zero": [48]}),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_check_interventions_at_the_thresholds(monkeypatch, case):
+    paths, drifts, want = EDGE_CASES[case]
+    rows = scripted_rows(**paths)
+    script(monkeypatch, rows, drifts)
+    t = traj(walked(rows))
+    got = check_interventions(t, ControllerConfig(window=3))
+    assert controller.dumps_events(got) == \
+        controller.dumps_events(reference_check_interventions(t, ControllerConfig(window=3)))
+    # only the triggers are scanned offline
+    triggers = ("security_floor", "efficiency_drop", "rate_ceiling")
+    assert {d: [e.iteration for e in got if e.detail == d] for d in triggers} == \
+        {d: want.get(d, []) for d in triggers}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+@pytest.mark.parametrize("halt", [False, True])
+@pytest.mark.parametrize("schedule", [None, (Phase("S", 20, 40), Phase("AI", 1, None))],
+                         ids=["none", "phased"])
+def test_run_controlled_at_the_thresholds(monkeypatch, case, halt, schedule):
+    paths, drifts, want = EDGE_CASES[case]
+    rows = scripted_rows(**paths)
+    script(monkeypatch, rows, drifts)
+    sim = simulator.SimConfig(strategy=SCRIPTED, iterations=STEPS, base_seed=1)
+    cfg = ControllerConfig(window=3, phase_schedule=schedule)
+    result = assert_matches_reference(monkeypatch, sim, cfg, catalog=SCRIPTED_CATALOG,
+                                      halt_on_intervention=halt)
+    assert raised(result) is None
+    got = [json.loads(line) for line in result[1].splitlines()]
+    assert result[0] == dumps_trajectories([Trajectory(
+        "s000", "controlled", walked(rows)[:len(result[0].splitlines())])])
+    if not halt:
+        want = dict(want)
+        if schedule is not None and "eigenvalue near zero" in want:
+            # a scheduled run does not switch at a boundary edge
+            want["eigenvalue near zero"] = sorted(
+                want.pop("eigenvalue near zero; switching S->AI") + want["eigenvalue near zero"])
+        assert {d: [e["iteration"] for e in got if e["detail"] == d] for d in want} == want
+    if case == "signed-zero-rates":
+        turned = [repr(e["value"]) for e in got if e["kind"] == "ExplorationToExploitation"]
+        assert turned == ["0.0", "-0.0"]
+
+
+def test_efficiency_from_a_zero_base_never_drops(monkeypatch):
+    # unclipped, a drop from 0 to -1 is still no drop: the base must be > 0
+    rows = [[5.0, 0.0, 5.0], [5.0, -1.0, 5.0], [5.0, 0.0, 5.0]]
+    assert check_interventions(traj(rows), CFG) == []
+    assert reference_check_interventions(traj(rows), CFG) == []
+    script(monkeypatch, scripted_rows(efficiency={10: 0.0, 11: -1.0, 12: -2.0}), {})
+    sim = simulator.SimConfig(strategy=SCRIPTED, iterations=STEPS, clip=False)
+    result = assert_matches_reference(monkeypatch, sim, ControllerConfig(window=3),
+                                      catalog=SCRIPTED_CATALOG)
+    assert [json.loads(line)["iteration"] for line in result[1].splitlines()] == [10]
+
+
+@pytest.mark.parametrize("halt", [False, True])
+def test_a_fit_that_raises_after_a_switch_raises_where_the_rules_reach_it(monkeypatch, halt):
+    # the boundary edge at 10 switches S to AI in the segment whose window
+    # ending at 14 raises; the next segment refits that window and raises
+    # there, after the rules at 11..13
+    drifts = {t: REAL for t in range(3, STEPS + 1)}
+    drifts.update({10: np.diag([0.0, -1.0, -2.0]), 14: NonFinite("scripted fit failure")})
+    script(monkeypatch, scripted_rows(), drifts)
+    sim = simulator.SimConfig(strategy=SCRIPTED, iterations=STEPS)
+    result = assert_matches_reference(monkeypatch, sim, ControllerConfig(window=3),
+                                      catalog=SCRIPTED_CATALOG, halt_on_intervention=halt)
+    assert result == (NonFinite, "scripted fit failure", list(range(1, 14)))
+
+
+def test_an_unscheduled_fallback_run_applies_no_per_step_rule(monkeypatch):
+    # control_long's configuration: no schedule, the run starts at the
+    # fallback and does not halt, so no rule can change the state. Every
+    # segment's rule events are taken as one span, and the per-step rules
+    # never run.
+    pivots, spans = [], []
+    rules_at_pivot, rule_events = controller._rules_at_pivot, controller._rule_events
+
+    def spy_pivot(state, now, *args):
+        pivots.append(now)
+        return rules_at_pivot(state, now, *args)
+
+    def spy_spans(ruled, lo, hi):
+        spans.append((lo, hi))
+        return rule_events(ruled, lo, hi)
+
+    monkeypatch.setattr(controller, "_rules_at_pivot", spy_pivot)
+    monkeypatch.setattr(controller, "_rule_events", spy_spans)
+    sim = simulator.SimConfig(strategy=simulator.preset("AI", 2.0), iterations=3000,
+                              base_seed=33002)
+    _t, events = run_controlled(sim, ControllerConfig(), simulator.preset_catalog(2.0))
+    assert pivots == []
+    assert len(events) > 500 and {e.kind for e in events} == {
+        EventKind.INTERVENTION, EventKind.EXPLORATION_TO_EXPLOITATION,
+        EventKind.BOUNDARY_AVOID_SWITCH}
+    bounds = [0, 16, 48, 112, 240, 496, 1008, 2032, 3000]
+    assert spans == [(lo + 1, hi + 1) for lo, hi in zip(bounds, bounds[1:])]
+    # halting, a schedule or a start away from the fallback do reach them
+    for kwargs in (dict(halt_on_intervention=True),
+                   dict(cfg=ControllerConfig(phase_schedule=phased_schedule_default())),
+                   dict(sim=simulator.SimConfig(strategy=simulator.preset("SF", 2.0),
+                                                iterations=3000, base_seed=33002))):
+        pivots.clear()
+        run_controlled(kwargs.pop("sim", sim), kwargs.pop("cfg", ControllerConfig()),
+                       simulator.preset_catalog(2.0), **kwargs)
+        assert pivots
