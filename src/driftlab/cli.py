@@ -24,8 +24,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import controller, inference, pareto, scorer, simulator, spectral
 from .core import (
     DimensionMismatch,
@@ -36,6 +34,7 @@ from .core import (
     StrategySpec,
     Trajectory,
     _shown,
+    check_finite_positive,
     dumps_trajectories,
     group_by_strategy,
     parse_key_values,
@@ -75,9 +74,9 @@ def dumps_report(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _fmt_float(float(obj))
     if obj is None:
         return "null"
@@ -185,10 +184,11 @@ def cmd_analyze(args) -> int:
             raise _UsageError(f"unknown stages {_shown(unknown)}; choose from {ANALYZE_STAGES}")
     if args.tail < 1:
         raise _UsageError(f"--tail must be >= 1, got {args.tail}")
-    if not (args.zero_tol > 0 and math.isfinite(args.zero_tol)):
-        raise _UsageError(f"--zero-tol must be finite and > 0, got {args.zero_tol}")
-    if not (args.dt > 0 and math.isfinite(args.dt)):
-        raise _UsageError(f"--dt must be finite and > 0, got {args.dt}")
+    try:
+        check_finite_positive("--zero-tol", args.zero_tol)
+        check_finite_positive("--dt", args.dt)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     out_dir = Path(args.out)
 
     by_strategy = group_by_strategy(read_trajectories(args.infile))
@@ -239,12 +239,9 @@ def cmd_analyze(args) -> int:
             n = next(iter(by_strategy.values())).dimension
             lines = ["strategy,session_id,efficiency,"
                      + ",".join(f"eq_{i + 1}" for i in range(n))]
-            for sid in bundles["pareto"]:
-                for row in bundles["pareto"][sid]:
-                    lines.append(",".join(
-                        [row["strategy"], row["session_id"], _fmt_float(row["efficiency"])]
-                        + [_fmt_float(row[f"eq_{i + 1}"]) for i in range(n)]
-                    ))
+            for sid, rows in bundles["pareto"].items():
+                lines += [",".join([sid, session_id, *map(_fmt_float, values)])
+                          for session_id, *values in rows]
             _write_text(out_dir / "pareto.csv", "\n".join(lines) + "\n")
         else:
             doc = {"schema_version": SCHEMA_VERSION, "strategies": bundles[stage]}

@@ -94,20 +94,11 @@ class EventKind(Enum):
     INTERVENTION = "Intervention"
 
 
-@dataclass(frozen=True)
-class ControlEvent:
+class ControlEvent(NamedTuple):
     iteration: int
     kind: EventKind
     detail: str
     triggering_value: float
-
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "kind": self.kind.value,
-            "detail": self.detail,
-            "value": self.triggering_value,
-        }
 
 
 @dataclass(frozen=True)
@@ -453,9 +444,10 @@ def run_controlled(
 
 
 def dumps_events(events: Iterable[ControlEvent]) -> str:
-    """The events as JSON lines, each the text of `json.dumps(e.to_dict())`.
-    Each distinct kind and detail is JSON-encoded once, and a value that is
-    a finite float is written by `float.__repr__`, as `json` writes it."""
+    """The events as JSON lines, `{"iteration", "kind", "detail", "value"}`
+    records of each event's fields in order, the kind as its value. Each
+    distinct kind and detail is JSON-encoded once, and a finite float value
+    is written by `float.__repr__`, as `json` writes it."""
     encoded: dict = {}
     lines = []
     for e in events:

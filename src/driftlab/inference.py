@@ -190,9 +190,9 @@ def fit_drift(data: SessionSet) -> DriftModel:
     return DriftModel(A_hat=A, b_hat=b, sigma_hat=sigma, sample_count=count)
 
 
-def correlation_of_deltas(deltas: np.ndarray) -> InterferenceMatrix:
-    """Interference matrix from an already-pooled (N, n) delta matrix."""
-    D = np.asarray(deltas, dtype=np.float64)
+def interference_matrix(data: SessionSet) -> InterferenceMatrix:
+    """Pearson correlations of pooled step changes; diagonal forced to zero."""
+    _, D = pooled_step_matrix(data)
     count, n = D.shape
     if count < 2:
         raise InsufficientData(f"{count} step(s) < 2 required for correlations")
@@ -209,12 +209,6 @@ def correlation_of_deltas(deltas: np.ndarray) -> InterferenceMatrix:
     entries = (entries + entries.T) / 2.0
     np.fill_diagonal(entries, 0.0)
     return InterferenceMatrix(entries)
-
-
-def interference_matrix(data: SessionSet) -> InterferenceMatrix:
-    """Pearson correlations of pooled step changes; diagonal forced to zero."""
-    _, D = pooled_step_matrix(data)
-    return correlation_of_deltas(D)
 
 
 def predictive_r2(data: SessionSet, model: DriftModel) -> PredictionReport:

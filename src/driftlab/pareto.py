@@ -138,8 +138,8 @@ def _efficiencies(data: SessionSet) -> list[float]:
     return out
 
 
-def efficiency_rows(data: SessionSet, tail: int = 3) -> list[dict]:
-    """Per-session efficiency and equilibrium rows for the CSV report.
+def efficiency_rows(data: SessionSet, tail: int = 3) -> list[tuple]:
+    """One `(session_id, efficiency, *equilibrium)` row per session, in order.
 
     The equilibria come first, so a bad `tail` raises before any Pareto
     work, as `equilibrium_estimate` of the first session too short for it
@@ -152,14 +152,5 @@ def efficiency_rows(data: SessionSet, tail: int = 3) -> list[dict]:
     _check_tail(tail, int(lengths[np.argmax(lengths < tail)]))  # session 0 when none is short
     tails = data.offsets[1:, None] + np.arange(-tail, 0)
     equilibria = data.values_matrix[tails].mean(axis=1).tolist()
-    keys = [f"eq_{i}" for i in range(1, data.dimension + 1)]
-    rows = []
-    for traj, efficiency, eq in zip(data, _efficiencies(data), equilibria):
-        row = {
-            "strategy": data.strategy_id,
-            "session_id": traj.session_id,
-            "efficiency": efficiency,
-        }
-        row.update(zip(keys, eq))
-        rows.append(row)
-    return rows
+    return [(traj.session_id, efficiency, *eq)
+            for traj, efficiency, eq in zip(data, _efficiencies(data), equilibria)]

@@ -292,14 +292,19 @@ class SimConfig:
                 )
 
 
-def drift(strategy: StrategySpec, x: np.ndarray) -> np.ndarray:
-    """Deterministic instantaneous change A x + b."""
+def _state(strategy: StrategySpec, x: np.ndarray) -> np.ndarray:
+    """x as a float64 state of the strategy's width; DimensionMismatch else."""
     xv = np.asarray(x, dtype=np.float64)
     if xv.shape != (strategy.dimension,):
         raise DimensionMismatch(
             f"state shape {xv.shape} != strategy dimension ({strategy.dimension},)"
         )
-    return strategy.drift_matrix @ xv + strategy.drift_intercept
+    return xv
+
+
+def drift(strategy: StrategySpec, x: np.ndarray) -> np.ndarray:
+    """Deterministic instantaneous change A x + b."""
+    return strategy.drift_matrix @ _state(strategy, x) + strategy.drift_intercept
 
 
 def em_step(
@@ -316,12 +321,8 @@ def em_step(
 
     A step that overflows raises NonFinite as a run's step 0 does, and so
     does a non-finite result (NaN noise raises no floating-point error)."""
-    xv = np.asarray(x, dtype=np.float64)
+    xv = _state(strategy, x)
     eps = np.asarray(noise, dtype=np.float64)
-    if xv.shape != (strategy.dimension,):
-        raise DimensionMismatch(
-            f"state shape {xv.shape} != strategy dimension ({strategy.dimension},)"
-        )
     if eps.shape != xv.shape:
         raise DimensionMismatch(f"noise shape {eps.shape} != state shape {xv.shape}")
     check_finite_positive("dt", dt)

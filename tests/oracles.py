@@ -605,7 +605,9 @@ def reference_run_controlled(sim, cfg, catalog=None, halt_on_intervention=False)
 def reference_dumps_events(events) -> str:
     """`controller.dumps_events` with one dict and one `json.dumps` per
     event."""
-    return "".join(json.dumps(e.to_dict()) + "\n" for e in events)
+    return "".join(json.dumps({"iteration": e.iteration, "kind": e.kind.value,
+                               "detail": e.detail, "value": e.triggering_value}) + "\n"
+                   for e in events)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from driftlab import cli, controller, core, simulator
+from driftlab import cli, controller, core, pareto, simulator
 from driftlab.core import StrategySpec
 from oracles import reference_run_controlled
 
@@ -174,6 +175,68 @@ def test_analyze_strategy_present_reports_it_alone(tmp_path):
     with open(out_dir / "pareto.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 4 and {r["strategy"] for r in rows} == {"FF"}
+
+
+def test_analyze_pareto_csv_equals_rows_built_one_session_at_a_time(tmp_path):
+    # two strategies in one writer-form file, their sessions interleaved and
+    # of unequal lengths: runs of equal short lengths take the stacked
+    # check, and sessions longer than pareto._BLOCK take the sweep
+    iterations = {"SF": (20, 20, 600, 7, 20), "FF": (600, 11, 11)}
+    assert max(map(max, iterations.values())) + 1 > pareto._BLOCK
+    sets = {sid: [core.Trajectory(f"{sid}-{k}", sid, simulator.simulate_set(simulator.SimConfig(
+                      simulator.preset(sid), iterations=its, base_seed=k)).values_matrix)
+                  for k, its in enumerate(runs)]
+            for sid, runs in iterations.items()}
+    trajs = [t for pair in itertools.zip_longest(*sets.values()) for t in pair if t]
+    data = tmp_path / "two.jsonl"
+    data.write_text(core.dumps_trajectories(trajs))
+    out_dir = tmp_path / "p"
+    assert run_cli("analyze", "--in", str(data), "--only", "pareto", "--tail", "4",
+                   "--out", str(out_dir)) == 0
+    lines = ["strategy,session_id,efficiency,eq_1,eq_2,eq_3"]
+    for sid, group in sets.items():
+        for t in group:
+            values = [pareto.pareto_efficiency(t), *pareto.equilibrium_estimate(t, 4)]
+            lines.append(",".join([sid, t.session_id] + [format(float(x), ".17g")
+                                                         for x in values]))
+    assert (out_dir / "pareto.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _non_plain_values(report) -> list[str]:
+    """The type names of the values in a report that are not a plain dict,
+    list, str, bool, int, float or None, and of any dict key not a str."""
+    todo, found = [report], []
+    while todo:
+        value = todo.pop()
+        if type(value) is dict:
+            found += [type(k).__name__ for k in value if type(k) is not str]
+            todo += value.values()
+        elif type(value) is list:
+            todo += value
+        elif type(value) not in (str, bool, int, float, type(None)):
+            found.append(type(value).__name__)
+    return found
+
+
+def test_reports_hold_only_plain_python_values(tmp_path, simulated, monkeypatch):
+    reports = []
+    dumps_report = cli.dumps_report
+
+    def spy(obj, indent=0):
+        if indent == 0:
+            reports.append(obj)
+        return dumps_report(obj, indent)
+
+    monkeypatch.setattr(cli, "dumps_report", spy)
+    assert run_cli("analyze", "--in", str(simulated), "--out", str(tmp_path / "r")) == 0
+    target = tmp_path / "sample.py"
+    target.write_text("import os\ndef f(x):\n    assert x\n    return eval(x)\n")
+    assert run_cli("score", "--src", str(target), "--json") == 0
+    assert [sorted(r) for r in reports] == [["schema_version", "strategies"]] * 4 + [
+        ["efficiency", "functionality", "rule_hits", "security"]]
+    assert reports[-1]["rule_hits"]
+    for report in reports:
+        assert _non_plain_values(report) == [], report
 
 
 # ---------------------------------------------------------------------------

@@ -193,8 +193,8 @@ def test_efficiency_rows_shape():
                               iterations=5, base_seed=62)
     rows = pareto.efficiency_rows(simulator.simulate_set(cfg), tail=3)
     assert len(rows) == 3
-    assert set(rows[0]) == {"strategy", "session_id", "efficiency", "eq_1", "eq_2", "eq_3"}
-    assert rows[0]["strategy"] == "AI"
+    assert all(type(row) is tuple and len(row) == 5 for row in rows)
+    assert [row[0] for row in rows] == [simulator.session_label(i) for i in range(3)]
 
 
 def test_efficiency_rows_equal_per_session_efficiency():
@@ -207,8 +207,8 @@ def test_efficiency_rows_equal_per_session_efficiency():
     data = SessionSet("X", [Trajectory(f"s{i}", "X", rng.integers(0, 4, size=(T, 3)))
                             for i, T in enumerate(lengths)])
     rows = pareto.efficiency_rows(data, tail=3)
-    assert [row["efficiency"] for row in rows] == [pareto.pareto_efficiency(t) for t in data]
-    assert [row["eq_2"] for row in rows] == \
+    assert [row[1] for row in rows] == [pareto.pareto_efficiency(t) for t in data]
+    assert [row[3] for row in rows] == \
         [float(pareto.equilibrium_estimate(t, 3)[1]) for t in data]
 
 
@@ -236,9 +236,9 @@ def test_stacked_equilibria_equal_per_session_estimates(strategy_id):
         rows = pareto.efficiency_rows(data, tail)
         for row, t in zip(rows, data):
             want = pareto.equilibrium_estimate(t, tail)
-            got = np.array([row["eq_1"], row["eq_2"], row["eq_3"]])
+            got = np.array(row[2:])
             assert got.tobytes() == want.tobytes(), (tail, t.session_id)
-        assert [row["session_id"] for row in rows] == [t.session_id for t in data]
+        assert [row[0] for row in rows] == [t.session_id for t in data]
 
 
 def test_stacked_equilibria_name_the_first_session_too_short():

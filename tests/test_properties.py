@@ -27,8 +27,8 @@ from oracles import (brute_efficiency, brute_non_dominated, reference_clean_line
                      reference_dumps, reference_loads, reference_records,
                      reference_scan_source)
 
-# Fixed examples keep tier-1 deterministic; no example database is written.
-_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# Examples are fixed and no example database is written (conftest.py).
+_SETTINGS = settings(max_examples=40, deadline=None)
 
 # Digits and dots make number-like strings; the rest must be escaped by the
 # JSONL writer or split lines under `str.splitlines`. A fixed alphabet also
@@ -335,7 +335,7 @@ def grid_session_sets(draw):
 def test_efficiency_rows_match_per_session_efficiency(sessions, block):
     data = SessionSet("X", [Trajectory(f"s{i}", "X", rows) for i, rows in enumerate(sessions)])
     with mock.patch.object(pareto, "_BLOCK", block):
-        got = [row["efficiency"] for row in pareto.efficiency_rows(data, tail=1)]
+        got = [row[1] for row in pareto.efficiency_rows(data, tail=1)]
         want = [pareto.pareto_efficiency(traj) for traj in data]
     assert got == want == [brute_efficiency(rows) for rows in sessions]
 

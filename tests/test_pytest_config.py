@@ -1,11 +1,11 @@
 """The repository's pytest settings keep a test session running past a
-failing Hypothesis test, so every later test still runs and is counted."""
+failing Hypothesis test, so every later test still runs and is counted,
+and every Hypothesis test draws the same fixed examples on every run."""
 
+import importlib
 from pathlib import Path
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
 
 pytest_plugins = ["pytester"]
 
@@ -13,6 +13,7 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_a_failing_hypothesis_test_ends_only_itself(pytester):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     filters = tomllib.loads(PYPROJECT.read_text())["tool"]["pytest"]["ini_options"][
         "filterwarnings"]
     pytester.makeini("[pytest]\nfilterwarnings =\n" + "".join(f"    {f}\n" for f in filters))
@@ -33,3 +34,22 @@ def test_a_failing_hypothesis_test_ends_only_itself(pytester):
     output = "\n".join(result.outlines + result.errlines)
     assert "INTERNALERROR" not in output, output
     result.assert_outcomes(failed=1, passed=1)
+
+
+def test_every_given_test_draws_fixed_examples():
+    # conftest.py loads a derandomized profile with no example database; a
+    # test that sets either back, or a module that builds its settings
+    # before the profile loads, would draw fresh random examples per run
+    hypothesis = pytest.importorskip("hypothesis")
+
+    found, random = [], []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        module = importlib.import_module(path.stem)
+        for name, fn in vars(module).items():
+            if hypothesis.is_hypothesis_test(fn):
+                used = fn._hypothesis_internal_use_settings
+                found.append(name)
+                if not (used.derandomize and used.database is None):
+                    random.append(f"{path.stem}::{name}")
+    assert found
+    assert not random, f"tests that draw random examples: {random}"
