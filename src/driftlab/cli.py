@@ -83,6 +83,19 @@ def dumps_report(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+_CSV_QUOTE_RE = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field, quoted as the `csv` module's default dialect
+    quotes it (QUOTE_MINIMAL): only when it holds a comma, a quote or a line
+    break, with inner quotes doubled. (A `csv.writer` with the "\\n" line
+    end `pareto.csv` uses leaves a lone "\\r" unquoted on Python 3.11.)"""
+    if _CSV_QUOTE_RE.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -240,7 +253,8 @@ def cmd_analyze(args) -> int:
             lines = ["strategy,session_id,efficiency,"
                      + ",".join(f"eq_{i + 1}" for i in range(n))]
             for sid, rows in bundles["pareto"].items():
-                lines += [",".join([sid, session_id, *map(_fmt_float, values)])
+                strategy = _csv_field(sid)
+                lines += [",".join([strategy, _csv_field(session_id), *map(_fmt_float, values)])
                           for session_id, *values in rows]
             _write_text(out_dir / "pareto.csv", "\n".join(lines) + "\n")
         else:

@@ -77,12 +77,6 @@ class _Literal(NamedTuple):
     prefix: str
 
 
-class _Logical(NamedTuple):
-    indent: int
-    cleaned: str          # literals replaced by a marker char, comments gone
-    literals: list[_Literal]
-
-
 @dataclass
 class SourceScan:
     """Every signal the three axis rules read, gathered by `scan_source`:
@@ -103,7 +97,7 @@ class SourceScan:
     has_validation: bool = False
 
 
-def _clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
+def _clean_lines(source: str) -> tuple[list[tuple[int, str, list[_Literal]]], bool, int]:
     """Strip strings and comments, join continuations, balance brackets.
 
     One state says whether a string literal is open: `close`, its closing
@@ -113,12 +107,14 @@ def _clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
     or the line end. A literal's prefix is the string-prefix letters
     (at most three) that end the code run before its opening quote.
 
-    Returns the logical lines, a validity flag covering bracket balance
-    and string termination, and the count of non-blank physical lines.
+    Returns the logical lines as (indent, cleaned, literals) tuples, where
+    `cleaned` is the code with each literal replaced by `_MARK` and
+    comments gone; a validity flag covering bracket balance and string
+    termination; and the count of non-blank physical lines.
     """
     valid = True
     nonblank = 0
-    logical: list[_Logical] = []
+    logical: list[tuple[int, str, list[_Literal]]] = []
     # The open logical line's code: empty only between logical lines, as
     # every step in code appends its run, even an empty one.
     parts: list[str] = []
@@ -182,20 +178,15 @@ def _clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
         elif backslash_eol or brackets:
             parts.append(" ")
         else:
-            logical.append(_Logical(indent, "".join(parts), literals))
+            logical.append((indent, "".join(parts), literals))
             parts, literals = [], []
     if parts:
         valid = False
         if close is not None:
             literals.append(_Literal("".join(body), prefix))
             parts.append(_MARK)
-        logical.append(_Logical(indent, "".join(parts), literals))
+        logical.append((indent, "".join(parts), literals))
     return logical, valid, nonblank
-
-
-def _first_word(text: str) -> str:
-    m = _WORD_RE.match(text)
-    return m.group(0) if m else ""
 
 
 def scan_source(source: str) -> SourceScan:
@@ -205,7 +196,11 @@ def scan_source(source: str) -> SourceScan:
     work on the `SourceScan` it returns.
     """
     logical, valid, nonblank = _clean_lines(source)
-    scan = SourceScan(nonblank_lines=nonblank, structurally_valid=valid)
+    match_word = _WORD_RE.match
+    words: set[str] = set()
+    max_depth = nested_loop_pairs = control_flow_count = 0
+    eval_exec_calls = shell_true_calls = sql_string_builds = 0
+    has_docstring = has_validation = False
 
     # Block analysis over logical lines: stack entries are
     # (body_indent, opener_is_loop) for each enclosing block.
@@ -218,41 +213,41 @@ def scan_source(source: str) -> SourceScan:
             continue
         if pending is not None:
             opener_indent, is_loop, wants_doc = pending
+            pending = None
             if indent <= opener_indent:
-                scan.structurally_valid = False
-                pending = None
+                valid = False
             else:
                 stack.append((indent, is_loop))
                 if wants_doc and stripped == _MARK:
-                    scan.has_docstring = True
-                pending = None
-        if pending is None:
-            while stack and indent < stack[-1][0]:
-                stack.pop()
-            level = stack[-1][0] if stack else 0
-            if indent != level:
-                scan.structurally_valid = False
-        depth = len(stack)
-        scan.max_depth = max(scan.max_depth, depth)
+                    has_docstring = True
+        # Also on the line after an opener it fails to indent under: that
+        # line may close enclosing blocks too.
+        while stack and indent < stack[-1][0]:
+            stack.pop()
+        if indent != (stack[-1][0] if stack else 0):
+            valid = False
+        if len(stack) > max_depth:
+            max_depth = len(stack)
         if first_statement:
             if stripped == _MARK:
-                scan.has_docstring = True
+                has_docstring = True
             first_statement = False
 
-        word = _first_word(stripped)
+        m = match_word(stripped)
+        word = m[0] if m else ""
         if word == "async":
-            rest = stripped[len("async"):].lstrip()
-            word = _first_word(rest)
+            m = match_word(stripped[len("async"):].lstrip())
+            word = m[0] if m else ""
         elif word == "from" and _IMPORT_RE.search(stripped):
             word = "import"
-        scan.words.add(word)
+        words.add(word)
         if word in _CONTROL_FLOW_KEYWORDS:
-            scan.control_flow_count += 1
+            control_flow_count += 1
 
         if word in _BLOCK_KEYWORDS and stripped.endswith(":"):
             is_loop = word in _LOOP_KEYWORDS
             if is_loop and stack and stack[-1][1]:
-                scan.nested_loop_pairs += 1
+                nested_loop_pairs += 1
             wants_doc = word in ("def", "class")
             pending = (indent, is_loop, wants_doc)
 
@@ -260,26 +255,37 @@ def scan_source(source: str) -> SourceScan:
         # needs (a word, or for the spawn search a `shell=True` hit): the
         # counts are the same, and most lines skip every pattern.
         if "eval" in cleaned or "exec" in cleaned:
-            scan.eval_exec_calls += len(_EVAL_EXEC_RE.findall(cleaned))
-        shell = _SHELL_TRUE_RE.findall(cleaned)
-        if shell and _SPAWN_CONTEXT_RE.search(cleaned):
-            scan.shell_true_calls += len(shell)
-        if not scan.has_validation:
-            scan.has_validation = any(word in cleaned and rx.search(cleaned)
-                                      for word, rx in _VALIDATION_RES)
+            eval_exec_calls += len(_EVAL_EXEC_RE.findall(cleaned))
+        if "shell" in cleaned:
+            shell = _SHELL_TRUE_RE.findall(cleaned)
+            if shell and _SPAWN_CONTEXT_RE.search(cleaned):
+                shell_true_calls += len(shell)
+        if not has_validation:
+            for gate, rx in _VALIDATION_RES:
+                if gate in cleaned and rx.search(cleaned):
+                    has_validation = True
+                    break
         # SQL-keyword literals that are concatenated or interpolated
-        # (f-string braces, +, %-format, .format)
-        positions = [m.start() for m in re.finditer(_MARK, cleaned)] if literals else ()
-        for pos, lit in zip(positions, literals):
-            if _SQL_KEYWORD_RE.search(lit.text) and (
-                    ("f" in lit.prefix.lower() and "{" in lit.text)
+        # (f-string braces, +, %-format, .format); the cleaner puts one
+        # marker in `cleaned` per literal, in order.
+        pos = -1
+        for text, prefix in literals:
+            pos = cleaned.index(_MARK, pos + 1)
+            if _SQL_KEYWORD_RE.search(text) and (
+                    ("f" in prefix.lower() and "{" in text)
                     or cleaned[:pos].rstrip().endswith("+")
                     or cleaned[pos + 1:].lstrip().startswith(("+", "%", ".format("))):
-                scan.sql_string_builds += 1
+                sql_string_builds += 1
     if pending is not None:
         # block opener with no body
-        scan.structurally_valid = False
-    return scan
+        valid = False
+    return SourceScan(
+        nonblank_lines=nonblank, structurally_valid=valid, max_depth=max_depth,
+        nested_loop_pairs=nested_loop_pairs, control_flow_count=control_flow_count,
+        words=words, has_docstring=has_docstring, eval_exec_calls=eval_exec_calls,
+        shell_true_calls=shell_true_calls, sql_string_builds=sql_string_builds,
+        has_validation=has_validation,
+    )
 
 
 # ---------------------------------------------------------------------------

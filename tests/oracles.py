@@ -64,13 +64,12 @@ from driftlab.scorer import (
     _SPAWN_CONTEXT_RE,
     _SQL_KEYWORD_RE,
     _VALIDATION_RES,
+    _WORD_RE,
     ScoreBreakdown,
     SourceScan,
     _axis_score,
     _clean_lines,
-    _first_word,
     _Literal,
-    _Logical,
 )
 
 
@@ -614,7 +613,7 @@ def reference_dumps_events(events) -> str:
 # Source cleaner, one character at a time
 # ---------------------------------------------------------------------------
 
-def reference_clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
+def reference_clean_lines(source: str) -> tuple[list[tuple[int, str, list[_Literal]]], bool, int]:
     """`scorer._clean_lines` one character at a time: strip strings and
     comments, join continuations, balance brackets.
 
@@ -623,7 +622,7 @@ def reference_clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
     """
     valid = True
     nonblank = 0
-    logical: list[_Logical] = []
+    logical: list[tuple[int, str, list[_Literal]]] = []
     cur_parts: list[str] = []
     cur_literals: list[_Literal] = []
     cur_indent = 0
@@ -637,7 +636,7 @@ def reference_clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
 
     def flush():
         nonlocal cur_parts, cur_literals, open_logical
-        logical.append(_Logical(cur_indent, "".join(cur_parts), cur_literals))
+        logical.append((cur_indent, "".join(cur_parts), cur_literals))
         cur_parts, cur_literals = [], []
         open_logical = False
 
@@ -746,10 +745,17 @@ def reference_clean_lines(source: str) -> tuple[list[_Logical], bool, int]:
 # Source scan with no gate before the rule patterns
 # ---------------------------------------------------------------------------
 
+def _first_word(text: str) -> str:
+    m = _WORD_RE.match(text)
+    return m.group(0) if m else ""
+
+
 def reference_scan_source(source: str) -> SourceScan:
     """`scorer.scan_source` with every rule pattern run on every logical
-    line: no literal gate before `_EVAL_EXEC_RE`, `_SPAWN_CONTEXT_RE` or
-    the validation patterns."""
+    line: no literal gate before `_EVAL_EXEC_RE`, `_SHELL_TRUE_RE`,
+    `_SPAWN_CONTEXT_RE` or the validation patterns. It also keeps the
+    older form of the block walk, its signals written to the `SourceScan`
+    line by line."""
     logical, valid, nonblank = _clean_lines(source)
     scan = SourceScan(nonblank_lines=nonblank, structurally_valid=valid)
 

@@ -202,6 +202,29 @@ def test_analyze_pareto_csv_equals_rows_built_one_session_at_a_time(tmp_path):
     assert (out_dir / "pareto.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_analyze_pareto_csv_quotes_ids_that_need_it(tmp_path):
+    # ids holding the delimiter, a quote or a line break are quoted, and
+    # csv.reader gives back every id and one field per header column
+    rows = simulator.simulate_set(simulator.SimConfig(
+        simulator.preset("SF"), iterations=6, base_seed=3)).values_matrix
+    ids = {'S,"1"': ["a,b", 'q"x', "line\nbreak", "cr\rhere", "plain"], "T\r\n": ["c"]}
+    trajs = [core.Trajectory(session_id, strategy, rows)
+             for strategy, sessions in ids.items() for session_id in sessions]
+    data = tmp_path / "odd.jsonl"
+    data.write_text(core.dumps_trajectories(trajs))
+    out_dir = tmp_path / "p"
+    assert run_cli("analyze", "--in", str(data), "--only", "pareto", "--tail", "2",
+                   "--out", str(out_dir)) == 0
+    with open(out_dir / "pareto.csv", encoding="utf-8", newline="") as f:
+        header, *table = csv.reader(f)
+    assert header == ["strategy", "session_id", "efficiency", "eq_1", "eq_2", "eq_3"]
+    assert [row[:2] for row in table] == [[strategy, session_id]
+                                          for strategy, sessions in ids.items()
+                                          for session_id in sessions]
+    assert all(len(row) == len(header) for row in table)
+    assert b"plain," in (out_dir / "pareto.csv").read_bytes()  # quoted only when needed
+
+
 def _non_plain_values(report) -> list[str]:
     """The type names of the values in a report that are not a plain dict,
     list, str, bool, int, float or None, and of any dict key not a str."""

@@ -9,7 +9,8 @@ Pareto mask and the per-session efficiencies equal a brute-force scan
 whatever the sweep's block size. And the scorer's source cleaner gives the
 same logical lines, validity flag and non-blank count as the reference
 that walks one character at a time, and its source scan the same signals
-as the reference that runs every rule pattern on every logical line."""
+as the reference that runs every rule pattern on every logical line,
+on rule-pattern sources and on indented block structure."""
 
 import json
 from unittest import mock
@@ -378,4 +379,22 @@ _rule_sources = st.lists(
 @settings(_SETTINGS, max_examples=600)
 @given(_rule_sources)
 def test_scan_source_matches_ungated_reference(source):
+    assert scorer.scan_source(source) == reference_scan_source(source)
+
+
+# One logical line each: the block openers, an import, a one-line `if` that
+# opens no block, bare docstring literals, plain statements and a blank line.
+_BLOCK_LINES = ["def f():", "class C:", "for a in b:", "while x:", "if x:", "async def g():",
+                "from a import b", "if x: y", '"""doc"""', "'doc'", "pass", "x = 1", ""]
+_block_sources = st.lists(
+    st.tuples(st.sampled_from([0, 2, 4, 8, 12]), st.sampled_from(_BLOCK_LINES)), max_size=10,
+).map(lambda lines: "".join(" " * indent + text + "\n" for indent, text in lines))
+
+
+@settings(_SETTINGS, max_examples=600)
+@given(_block_sources)
+# The line after an opener that it fails to indent under still closes the
+# enclosing blocks: the last loop does not nest in the first.
+@example("for a in b:\n    for c in d:\nfor e in f:\n    pass\n")
+def test_scan_source_block_walk_matches_reference(source):
     assert scorer.scan_source(source) == reference_scan_source(source)

@@ -124,14 +124,15 @@ def _literal_runs(way) -> list[str]:
 
 @pytest.mark.parametrize("words, rx", [
     pytest.param(("eval", "exec"), scorer._EVAL_EXEC_RE, id="eval-exec"),
+    pytest.param(("shell",), scorer._SHELL_TRUE_RE, id="shell-true"),
     *(pytest.param((word,), rx, id=word) for word, rx in scorer._VALIDATION_RES),
 ])
 def test_each_gate_word_is_needed_by_its_pattern(words, rx):
     """`scan_source` runs a pattern only on a line holding one of its gate
     words, so every match must hold one: on each way through the pattern's
     branches, a word lies in a run of literals outside any repeat. (The
-    spawn search needs no word: it is gated on a `_SHELL_TRUE_RE` hit, and
-    the count it adds is those hits.)"""
+    spawn search needs no word: it runs only after a `_SHELL_TRUE_RE` hit,
+    and the count it adds is those hits.)"""
     assert not rx.flags & re.IGNORECASE
     for way in _ways(sre_parse.parse(rx.pattern)):
         runs = _literal_runs(way)
