@@ -22,6 +22,7 @@ import json
 import math
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import controller, inference, pareto, scorer, simulator, spectral
@@ -94,6 +95,20 @@ def _csv_field(text: str) -> str:
     if _CSV_QUOTE_RE.search(text):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _csv_rows(strategy: str, rows: list[tuple]) -> list[str]:
+    """The `pareto.csv` lines of one strategy's `(session_id, *values)`
+    rows: the strategy field, the session id field and each value as
+    `_fmt_float` writes it, all through one `%` format per row. A
+    non-finite value raises `_fmt_float`'s error for the first one."""
+    session_ids, *columns = zip(*rows)
+    if not all(map(math.isfinite, chain.from_iterable(columns))):
+        for _, *values in rows:
+            for value in values:
+                _fmt_float(value)
+    row = strategy.replace("%", "%%") + ",%s" + ",%.17g" * len(columns)
+    return list(map(row.__mod__, zip(map(_csv_field, session_ids), *columns)))
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -196,7 +211,7 @@ def cmd_analyze(args) -> int:
         if unknown:
             raise _UsageError(f"unknown stages {_shown(unknown)}; choose from {ANALYZE_STAGES}")
     if args.tail < 1:
-        raise _UsageError(f"--tail must be >= 1, got {args.tail}")
+        raise _UsageError(f"--tail must be >= 1, got {_shown(args.tail)}")
     try:
         check_finite_positive("--zero-tol", args.zero_tol)
         check_finite_positive("--dt", args.dt)
@@ -253,9 +268,7 @@ def cmd_analyze(args) -> int:
             lines = ["strategy,session_id,efficiency,"
                      + ",".join(f"eq_{i + 1}" for i in range(n))]
             for sid, rows in bundles["pareto"].items():
-                strategy = _csv_field(sid)
-                lines += [",".join([strategy, _csv_field(session_id), *map(_fmt_float, values)])
-                          for session_id, *values in rows]
+                lines += _csv_rows(_csv_field(sid), rows)
             _write_text(out_dir / "pareto.csv", "\n".join(lines) + "\n")
         else:
             doc = {"schema_version": SCHEMA_VERSION, "strategies": bundles[stage]}
@@ -292,7 +305,8 @@ def cmd_control(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     if args.window > args.iterations:
-        raise _UsageError(f"--window {args.window} > --iterations {args.iterations}")
+        raise _UsageError(
+            f"--window {_shown(args.window)} > --iterations {_shown(args.iterations)}")
     traj, events = controller.run_controlled(
         sim, cfg, catalog, halt_on_intervention=args.halt_on_intervention
     )

@@ -108,7 +108,7 @@ class ControllerConfig:
 
     def __post_init__(self):
         if self.window < 2:
-            raise ValueError(f"window must be >= 2, got {self.window}")
+            raise ValueError(f"window must be >= 2, got {_shown(self.window)}")
 
 
 def phased_schedule_default() -> tuple[Phase, ...]:
@@ -360,7 +360,7 @@ def run_controlled(
         raise KeyError(f"fallback strategy missing from catalog: {FALLBACK_STRATEGY!r}")
     if cfg.window > sim.iterations:
         raise ValueError(
-            f"window {cfg.window} > total iterations {sim.iterations}"
+            f"window {_shown(cfg.window)} > total iterations {_shown(sim.iterations)}"
         )
 
     state = _LoopState(strategy=cat[schedule[0].strategy_id] if schedule else sim.strategy)

@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _encode_str  # json.dumps of a str
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
@@ -572,14 +572,25 @@ _JSON_NUMBERS = (int, float)  # exact types: a JSON true/false is not a score
 # `"` and `\` is its own decoded value and holds no `str.splitlines` break.
 # A number is a JSON number with a fraction or an exponent, as `repr` writes
 # a float, so `float` of its text is json's value; a JSON integer is not
-# (json reads `-0` as the int 0, whose float is +0.0).
-_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
-_WRITER_LINE = re.compile(
-    r'^\{"session_id": "([ !#-\[\]-~]*)", "strategy": "([ !#-\[\]-~]*)", '
-    rf'"iteration": ([0-9]+), "objectives": \[({_NUMBER}(?:, {_NUMBER})*)\]\}}$',
-    re.M,
-)
-_CHUNK = 1 << 18  # characters matched per step of `_read_writer_form`
+# (json reads `-0` as the int 0, whose float is +0.0). The grammar is
+# deterministic (no part can end where the next one may start), so the
+# possessive quantifiers match the same lines as greedy ones, with no
+# backtracking.
+_NUMBER = r"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++(?:[eE][+-]?+[0-9]++)?+|[eE][+-]?+[0-9]++)"
+_HEAD = (r'^\{"session_id": "([ !#-\[\]-~]*+)", "strategy": "([ !#-\[\]-~]*+)", '
+         r'"iteration": ([0-9]++), "objectives": \[')
+_WRITER_LINE = re.compile(rf"{_HEAD}({_NUMBER}(?:, {_NUMBER})*+)\]\}}$", re.M)
+# Characters matched per step of `_read_writer_form`. Chunks of 128 or 256
+# KiB were slower, and 256 KiB raised the peak memory of `analyze`.
+_CHUNK = 1 << 16
+
+
+@cache
+def _writer_line_of_width(width: int) -> re.Pattern:
+    """`_WRITER_LINE` for rows of exactly `width` numbers, each number in
+    its own group, compiled on first use."""
+    numbers = ", ".join([f"({_NUMBER})"] * width)
+    return re.compile(rf"{_HEAD}{numbers}\]\}}$", re.M)
 
 
 def _read_writer_form(text: str) -> list[Trajectory] | None:
@@ -589,36 +600,39 @@ def _read_writer_form(text: str) -> list[Trajectory] | None:
     Every line must match `_WRITER_LINE` and end in a line feed, every row
     must have the first row's width (n >= 2) and lie in the score box, and
     the sessions must be new, contiguous, of one strategy and of >= 2 rows
-    with iterations 0, 1, 2, ... The text is matched one chunk at a time,
-    cut at the first line feed after each `_CHUNK` characters; a chunk's
-    numbers become floats in one `map` and are checked in one box check,
-    and a session may carry on from one chunk into the next. The
-    trajectories are views of the one read-only array of all the rows: the
-    box check has already rejected every infinite value, and no number the
-    pattern takes is NaN.
+    with iterations 0, 1, 2, ... The width is read from the first line,
+    and every line is matched by the pattern of that width, so a line of
+    another width fails the match. The text is matched in place one chunk
+    at a time, cut at the first line feed after each `_CHUNK` characters;
+    each column of a chunk's numbers becomes floats in one `map`, the chunk
+    is checked in one box check, and a session may carry on from one chunk
+    into the next. The trajectories are views of the one read-only array
+    of all the rows: the box check has already rejected every infinite
+    value, and no number the pattern takes is NaN.
     """
-    if not text.endswith("\n"):
+    first_line = _WRITER_LINE.match(text)
+    if first_line is None or not text.endswith("\n"):
         return None
+    width = first_line[4].count(", ") + 1
+    if width < 2:
+        return None
+    findall = _writer_line_of_width(width).findall
     blocks = []
     runs: list[list] = []  # [session id, strategy, first row, end row]
     seen: set[str] = set()
     steps: tuple[str, ...] = ()  # the text of iterations 0, 1, 2, ...
-    width = 0
     start = 0
     rows = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        chunk = text[start:end]
+        found = findall(text, start, end)
+        if len(found) != text.count("\n", start, end):
+            return None
         start = end
-        found = _WRITER_LINE.findall(chunk)
-        if len(found) != chunk.count("\n"):
-            return None
-        sids, strategies, iterations, objectives = zip(*found)
-        width = width or objectives[0].count(", ") + 1
-        if width < 2 or set(map(str.count, objectives, repeat(", "))) != {width - 1}:
-            return None
-        block = np.fromiter(map(float, ", ".join(objectives).split(", ")),
-                            np.float64, len(found) * width).reshape(-1, width)
+        sids, strategies, iterations, *columns = zip(*found)
+        block = np.empty((len(found), width))
+        for j, column in enumerate(columns):
+            block[:, j] = np.fromiter(map(float, column), np.float64, len(found))
         if _outside_box(block).any():  # also an overflow to inf; no number is NaN
             return None
         blocks.append(block)

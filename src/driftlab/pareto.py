@@ -100,9 +100,9 @@ def pareto_efficiency(traj: Trajectory) -> float:
 
 def _check_tail(tail: int, length: int) -> None:
     if tail < 1:
-        raise ValueError(f"tail must be >= 1, got {tail}")
+        raise ValueError(f"tail must be >= 1, got {_shown(tail)}")
     if tail > length:
-        raise TailTooLong(f"tail {tail} > trajectory length {length}")
+        raise TailTooLong(f"tail {_shown(tail)} > trajectory length {length}")
 
 
 def equilibrium_estimate(traj: Trajectory, tail: int = 3) -> np.ndarray:

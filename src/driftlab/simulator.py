@@ -44,7 +44,7 @@ import numpy as np
 
 from ._ziggurat import KI_DOUBLE, WI_DOUBLE
 from .core import (SCORE_HIGH, SCORE_LOW, DimensionMismatch, NonFinite, SessionSet,
-                   StrategySpec, Trajectory, check_finite_positive)
+                   StrategySpec, Trajectory, _shown, check_finite_positive)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -207,11 +207,11 @@ def step_noise(base_seed: int, session_index: int, iteration: int, n: int) -> np
     For one row numpy's own draw is the quicker path, so this is the
     kernel's fallback alone."""
     if not 0 <= base_seed <= _MASK64:
-        raise ValueError(f"base_seed must be in [0, 2**64), got {base_seed}")
+        raise ValueError(f"base_seed must be in [0, 2**64), got {_shown(base_seed)}")
     if not 0 <= session_index <= _MASK64:
-        raise ValueError(f"session index must be in [0, 2**64), got {session_index}")
+        raise ValueError(f"session index must be in [0, 2**64), got {_shown(session_index)}")
     if not 0 <= iteration < _MASK64:
-        raise ValueError(f"iteration must be in [0, 2**64 - 1), got {iteration}")
+        raise ValueError(f"iteration must be in [0, 2**64 - 1), got {_shown(iteration)}")
     k0, k1 = _session_keys(base_seed, range(session_index, session_index + 1))
     out = np.empty((1, n))
     _redraw(k0, k1, np.array([iteration + 1], dtype=np.uint64), [0], out)
@@ -265,19 +265,19 @@ class SimConfig:
 
     def __post_init__(self):
         if self.sessions < 1:
-            raise ValueError(f"sessions must be >= 1, got {self.sessions}")
+            raise ValueError(f"sessions must be >= 1, got {_shown(self.sessions)}")
         if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+            raise ValueError(f"iterations must be >= 1, got {_shown(self.iterations)}")
         size = self.sessions * (self.iterations + 1) * self.strategy.dimension * 8
         if size > np.iinfo(np.intp).max:
             raise ValueError(
-                f"{self.sessions} session(s) x {self.iterations + 1} states x "
-                f"{self.strategy.dimension} float64 values need {size} bytes, "
+                f"{_shown(self.sessions)} session(s) x {_shown(self.iterations + 1)} states"
+                f" x {self.strategy.dimension} float64 values need {_shown(size)} bytes, "
                 f"more than one array can hold"
             )
         check_finite_positive("dt", self.dt)
         if not 0 <= self.base_seed <= _MASK64:
-            raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
+            raise ValueError(f"base_seed must be in [0, 2**64), got {_shown(self.base_seed)}")
         if self.init_box is not None:
             low, high = self.init_box
             # the start draw is low + (high - low) * u, so the width must be finite too

@@ -279,12 +279,41 @@ _NOT_WRITER_FORM = {
     "one objective": lambda L: [line[:line.rindex(", ")] + "]}\n" for line in L],
     "value 10.5": lambda L: L[:4] + [L[4].replace("4.5", "10.5")] + L[5:],
     "value 1e999": lambda L: L[:4] + [L[4].replace("4.5", "1e999")] + L[5:],
+    # 2-wide sessions past the first chunk, then a 3-wide one
+    "width change after a chunk": lambda L: L + core.dumps_trajectories(
+        [Trajectory(f"w{i}", "AI", [[1.0, 2.0]] * 2) for i in range(core._CHUNK // 80)]
+        + [Trajectory("wide", "AI", [[1.0, 2.0, 3.0]] * 2)]).splitlines(keepends=True),
 }
+# Number texts that `float` or `json` may take but `repr` never writes, each
+# put in place of one 4.5
+_NOT_WRITER_FORM.update({
+    f"number {number}": lambda L, number=number: L[:4] + [L[4].replace("4.5", number)] + L[5:]
+    for number in ("1.", ".5", "+1.5", "01.5", "1.5e", "1.5e+", "1e", "1_0.5", "1.2_5",
+                   "NaN", "Infinity")
+})
 
 
 def test_the_writer_form_edits_start_from_a_whole_text_read():
     assert core._read_writer_form(_WRITER_TEXT) == reference_loads(_WRITER_TEXT)
     assert set(_DAMAGE) - {"none"} <= set(_NOT_WRITER_FORM)
+    lines = _NOT_WRITER_FORM["width change after a chunk"](_WRITER_TEXT.splitlines(keepends=True))
+    assert "".join(lines).index("[1.0, 2.0, 3.0]") > core._CHUNK
+
+
+def _exactly(trajectories):
+    """Ids and the repr of every row, so that -0.0 differs from 0.0."""
+    return [(t.session_id, t.strategy_id, repr(t.values_matrix.tolist())) for t in trajectories]
+
+
+@pytest.mark.parametrize("number", ["5E-1", "1e0", "-0.0", "2.5e-07"])
+def test_reader_takes_every_in_box_number_of_the_writer_grammar(number):
+    lines = _WRITER_TEXT.splitlines(keepends=True)
+    text = "".join(lines[:4] + [lines[4].replace("4.5", number)] + lines[5:])
+    for chunk in (core._CHUNK, 1, 100):
+        with mock.patch.object(core, "_CHUNK", chunk):
+            trajectories = core._read_writer_form(text)
+            assert trajectories is not None
+            assert _exactly(trajectories) == _exactly(reference_loads(text))
 
 
 @pytest.mark.parametrize("edit", sorted(_NOT_WRITER_FORM))

@@ -3,6 +3,7 @@ failing Hypothesis test, so every later test still runs and is counted,
 and every Hypothesis test draws the same fixed examples on every run."""
 
 import importlib
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_a_failing_hypothesis_test_ends_only_itself(pytester):
-    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     filters = tomllib.loads(PYPROJECT.read_text())["tool"]["pytest"]["ini_options"][
         "filterwarnings"]
     pytester.makeini("[pytest]\nfilterwarnings =\n" + "".join(f"    {f}\n" for f in filters))

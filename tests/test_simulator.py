@@ -451,10 +451,14 @@ def test_kernel_start_draw_is_tag_zero():
 
 @pytest.mark.parametrize("args, what", [((0, 0, -1, 3), "iteration"),
                                         ((0, -1, 0, 3), "session index"),
-                                        ((2**64, 0, 0, 3), "base_seed")])
+                                        ((2**64, 0, 0, 3), "base_seed"),
+                                        ((0, 0, 10**60, 3), "iteration"),
+                                        ((0, -10**60, 0, 3), "session index"),
+                                        ((10**60, 0, 0, 3), "base_seed")])
 def test_step_noise_rejects_out_of_range_arguments(args, what):
-    with pytest.raises(ValueError, match=what):
+    with pytest.raises(ValueError, match=what) as info:
         simulator.step_noise(*args)
+    assert len(str(info.value)) <= 100  # a long number is cut by `_shown`
 
 
 @pytest.mark.parametrize("sessions, iterations", [(10, 30), (100, 3), (3, 100)])
