@@ -31,6 +31,7 @@ from .core import (
     DomainError,
     InsufficientData,
     InvalidExpectedLength,
+    NonFinite,
     RecordFormatError,
     StrategySpec,
     Trajectory,
@@ -54,7 +55,7 @@ ANALYZE_STAGES = ("drift", "interference", "spectrum", "prediction", "pareto")
 
 def _fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"cannot emit non-finite number {x!r}")
+        raise NonFinite(f"cannot emit non-finite number {x!r}")
     return format(x, ".17g")
 
 

@@ -24,19 +24,19 @@ once, in step order: a segment draws the rows it has not yet drawn in one
 strategy, fits all its windows in one stacked pass
 (`inference.fit_windows`: one least-squares call for the segment's
 windows, bit-identical to one `lstsq` call per window) and takes their
-spectra in one `eigvals` call. It then applies the rules to all its steps
-at once, as arrays: the three triggers in the IEEE operations of one
-step's check, and each spectrum edge as one shifted comparison seeded
-with the state the segment starts from. A table of one row per step and
-one column per rule, read in row order, puts the events in step order
-and, within a step, in rule order. One step at a time is left only where
-the state can change: the first intervention of a halting run, the first
+spectra in one `eigvals` call. It then fills one table for all its steps
+(`_ruled`), one row per step and one column per rule, as arrays: the three
+triggers in the IEEE operations of one step's check, and each spectrum
+edge as one shifted comparison seeded with the state the segment starts
+from. Read in row order, the table puts the events in step order and,
+within a step, in rule order. One step at a time is left only where the
+state can change: the first intervention of a halting run, the first
 boundary edge that switches to the fallback, and each step at which the
-phase may switch. A strategy switch at step `now` drops the rows
-after it, and the next segment starts from `now` on the stored noise; a
-halt or an exception ends the run at its own step, as the one-step-at-a-
-time loop would. Segments start at 16 steps after every switch and double
-up to 1024.
+phase may switch, a phase's age being the steps since the one it began
+at. A strategy switch at step `now` drops the rows after it, and the next
+segment starts from `now` on the stored noise; a halt or an exception ends
+the run at its own step, as the one-step-at-a-time loop would. Segments
+start at 16 steps after every switch and double up to 1024.
 
 Every step is taken by `simulator._advance`, the one walk of every run
 (the public `simulator.em_step` is a one-step `_advance` walk): a step
@@ -186,39 +186,6 @@ _TRIGGERS = 3
 _BOUNDARY = 4
 
 
-def _triggers(m: np.ndarray, lo: int, hi: int, fitted: np.ndarray,
-              rate: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The three trigger rules at iterations lo..hi-1 of the (T+1, n)
-    matrix m, in rule order, each as the iterations where it fires and its
-    values there: (a) security below SECURITY_FLOOR, (b) efficiency dropping
-    by more than EFFICIENCY_DROP of its value at t-1, (c) the windowed local
-    convergence rate above RATE_CEILING, where rate[k] is the rate at
-    iteration fitted[k] and an iteration with no fit has none."""
-    sec = m[lo:hi, SECURITY_AXIS]
-    low = np.flatnonzero(sec < SECURITY_FLOOR)
-    b = max(lo, 1)
-    prev, cur = m[b - 1:hi - 1, EFFICIENCY_AXIS], m[b:hi, EFFICIENCY_AXIS]
-    # drops are measured against a positive base
-    drop = np.flatnonzero((prev > 0) & (cur < (1.0 - EFFICIENCY_DROP) * prev))
-    fast = rate > RATE_CEILING
-    return [(low + lo, sec[low]), (drop + b, 1.0 - cur[drop] / prev[drop]),
-            (fitted[fast], rate[fast])]
-
-
-def _edges(fitted: np.ndarray, sig: _Signals, had_complex: bool,
-           near_zero: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The two edges of the spectrum at the fitted iterations `fitted`, as
-    `_triggers` gives its rules: exploration to exploitation (the spectrum
-    just lost its complex parts; the value is the rate) and boundary
-    proximity (min |Re lambda| just fell below ZERO_MARGIN; the value is
-    that minimum). The state before fitted[0] is had_complex, near_zero."""
-    real = ~sig.has_complex
-    near = sig.min_abs_re < ZERO_MARGIN
-    turned = np.flatnonzero(real & np.concatenate(([had_complex], sig.has_complex))[:-1])
-    nearing = np.flatnonzero(near & ~np.concatenate(([near_zero], near))[:-1])
-    return [(fitted[turned], sig.rate[turned]), (fitted[nearing], sig.min_abs_re[nearing])]
-
-
 class _Ruled(NamedTuple):
     """Rule events at iterations first, first+1, ..., one row each: rule r
     of _RULES fires at iteration first+k where fires[k, r], with the value
@@ -228,14 +195,38 @@ class _Ruled(NamedTuple):
     values: np.ndarray
 
 
-def _ruled(first: int, steps: int, columns: list[tuple[np.ndarray, np.ndarray]]) -> _Ruled:
-    """The events at iterations first..first+steps-1 of the rules whose
-    (iterations, values) are `columns`, in _RULES order."""
-    fires = np.zeros((steps, len(columns)), dtype=bool)
-    values = np.empty((steps, len(columns)))
-    for r, (its, vals) in enumerate(columns):
-        fires[its - first, r] = True
-        values[its - first, r] = vals
+def _ruled(m: np.ndarray, first: int, end: int, fitted: np.ndarray, sig: _Signals,
+           edges: tuple[bool, bool] | None = None) -> _Ruled:
+    """The rule table of iterations first..end-1 of the (T+1, n) matrix m,
+    one column per rule in _RULES order: (a) security below SECURITY_FLOOR,
+    (b) efficiency dropping by more than EFFICIENCY_DROP of its value at
+    t-1, (c) the windowed local convergence rate above RATE_CEILING, where
+    sig.rate[k] is the rate at iteration fitted[k] and an iteration with no
+    fit has none. Given edges=(had_complex, near_zero), the state before
+    fitted[0], the table also holds the two edges of the spectrum at the
+    fitted iterations: exploration to exploitation (the spectrum just lost
+    its complex parts; the value is the rate) and boundary proximity
+    (min |Re lambda| just fell below ZERO_MARGIN; the value is that
+    minimum)."""
+    fires = np.zeros((end - first, _TRIGGERS if edges is None else len(_RULES)), dtype=bool)
+    values = np.empty(fires.shape)
+    sec = values[:, 0] = m[first:end, SECURITY_AXIS]
+    fires[:, 0] = sec < SECURITY_FLOOR
+    b = max(first, 1)
+    prev, cur = m[b - 1:end - 1, EFFICIENCY_AXIS], m[b:end, EFFICIENCY_AXIS]
+    # drops are measured against a positive base
+    drop = (prev > 0) & (cur < (1.0 - EFFICIENCY_DROP) * prev)
+    fires[b - first:, 1] = drop
+    values[b - first + np.flatnonzero(drop), 1] = 1.0 - cur[drop] / prev[drop]
+    rows = fitted - first
+    fires[rows, 2] = sig.rate > RATE_CEILING
+    values[rows, 2] = sig.rate
+    if edges is not None:
+        had_complex, near_zero = edges
+        near = sig.min_abs_re < ZERO_MARGIN
+        fires[rows, 3] = ~sig.has_complex & np.concatenate(([had_complex], sig.has_complex))[:-1]
+        fires[rows, 4] = near & ~np.concatenate(([near_zero], near))[:-1]
+        values[rows, 3], values[rows, 4] = sig.rate, sig.min_abs_re
     return _Ruled(first, fires, values)
 
 
@@ -260,8 +251,8 @@ def check_interventions(traj: Trajectory, cfg: ControllerConfig) -> list[Control
     sig = _window_signals(m, cfg.window)
     if sig.error is not None:
         raise sig.error
-    fitted = cfg.window + np.flatnonzero(sig.full)
-    return _rule_events(_ruled(0, len(m), _triggers(m, 0, len(m), fitted, sig.rate)), 0, len(m))
+    return _rule_events(_ruled(m, 0, len(m), cfg.window + np.flatnonzero(sig.full), sig),
+                        0, len(m))
 
 
 # Steps per segment of `run_controlled`: the first segment and the first
@@ -275,21 +266,21 @@ _LAST_SEGMENT = 1024
 class _LoopState:
     strategy: StrategySpec
     phase_index: int = 0
-    phase_iters: int = 0
+    phase_start: int = 0  # the step at which the current phase began
     had_complex: bool = False
     near_zero: bool = False
 
 
-def _phase_wait(state: _LoopState, schedule: tuple[Phase, ...] | None) -> int | None:
-    """Steps from now to the first at which the current phase may switch,
-    or None when it never does."""
+def _phase_wait(state: _LoopState, schedule: tuple[Phase, ...] | None, now: int) -> int | None:
+    """Steps from step `now` to the first at which the current phase may
+    switch, or None when it never does."""
     if schedule is None or state.phase_index >= len(schedule):
         return None
     phase = schedule[state.phase_index]
     # the next phase is due at min_iters; a last phase switches to the
     # fallback only at a bounded max_iters
     limit = phase.min_iters if state.phase_index + 1 < len(schedule) else phase.max_iters
-    return None if limit is None else max(1, limit - state.phase_iters)
+    return None if limit is None else max(1, limit - (now - state.phase_start))
 
 
 def _rules_at_pivot(state: _LoopState, now: int, fired: np.ndarray, events: list[ControlEvent],
@@ -300,20 +291,19 @@ def _rules_at_pivot(state: _LoopState, now: int, fired: np.ndarray, events: list
     whether rule r of _RULES fired): a boundary edge that switches an
     unscheduled run to FALLBACK_STRATEGY, and the phase schedule, which
     switches at min_iters, deferred by interventions but never past
-    max_iters. `state.phase_iters` already counts step `now`. Returns
+    max_iters, a phase's age at step `now` being now - phase_start. Returns
     whether the step intervened."""
     intervened = bool(fired[:_TRIGGERS].any())
     schedule = cfg.phase_schedule
     if schedule is None and state.strategy.id != FALLBACK_STRATEGY and fired[_BOUNDARY]:
-        edge = events.pop()
-        events.append(ControlEvent(
-            now, edge.kind, f"{edge.detail}; switching {state.strategy.id}->{FALLBACK_STRATEGY}",
-            edge.triggering_value))
+        events[-1] = events[-1]._replace(detail=f"{events[-1].detail}; switching "
+                                         f"{state.strategy.id}->{FALLBACK_STRATEGY}")
         state.strategy = cat[FALLBACK_STRATEGY]
     if schedule is not None and state.phase_index < len(schedule):
         phase = schedule[state.phase_index]
-        at_max = phase.max_iters is not None and state.phase_iters >= phase.max_iters
-        due = state.phase_iters >= phase.min_iters
+        age = now - state.phase_start
+        at_max = phase.max_iters is not None and age >= phase.max_iters
+        due = age >= phase.min_iters
         target = None
         if due and (at_max or not intervened):
             if state.phase_index + 1 < len(schedule):
@@ -324,11 +314,11 @@ def _rules_at_pivot(state: _LoopState, now: int, fired: np.ndarray, events: list
         if target is not None:
             events.append(ControlEvent(
                 now, EventKind.PHASE_SWITCH, f"{phase.strategy_id}->{detail}",
-                float(state.phase_iters),
+                float(age),
             ))
             state.strategy = cat[target]
             state.phase_index += 1
-            state.phase_iters = 0
+            state.phase_start = now
     return intervened
 
 
@@ -399,9 +389,7 @@ def run_controlled(
         # `end`, if there is one, raises sig.error
         end = stop + 1 if sig.error is None else first + len(sig.full)
         fitted = first + np.flatnonzero(sig.full)
-        ruled = _ruled(start + 1, end - start - 1,
-                       _triggers(m, start + 1, end, fitted, sig.rate)
-                       + _edges(fitted, sig, state.had_complex, state.near_zero))
+        ruled = _ruled(m, start + 1, end, fitted, sig, (state.had_complex, state.near_zero))
         # pivots, the steps where the state can change: the first
         # intervention of a halting run, the first boundary edge that
         # switches to the fallback, and each step at which the phase may
@@ -414,13 +402,11 @@ def run_controlled(
         pivots = [start + 1 + k for k in pivots]
         now = start
         while now < end - 1:
-            wait = _phase_wait(state, schedule)
+            wait = _phase_wait(state, schedule, now)
             cut = min([p for p in pivots if p > now] + ([] if wait is None else [now + wait]),
                       default=end)
             last = min(cut, end - 1)
             events.extend(_rule_events(ruled, now + 1, last + 1))
-            if schedule is not None and state.phase_index < len(schedule):
-                state.phase_iters += last - now
             now = last
             if cut > now:
                 break

@@ -7,9 +7,20 @@ to them.
 Hypothesis still caches what it reads (the constants in the test sources,
 its Unicode tables) in its home directory, `.hypothesis/` in the working
 directory by default. Here that is a temporary directory, removed when the
-test process exits, so a run leaves no `.hypothesis/` in the tree."""
+test process exits, so a run leaves no `.hypothesis/` in the tree.
 
+The checkout's `src` comes first on `sys.path` and on the PYTHONPATH that
+child processes inherit, so `python -m pytest` tests this checkout, installed
+or not, and the tests that run `python -m driftlab.cli` run it too."""
+
+import os
+import sys
 import tempfile
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, _SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 try:
     from hypothesis import settings

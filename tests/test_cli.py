@@ -250,7 +250,7 @@ def test_analyze_pareto_csv_writes_percent_signs_literally(tmp_path):
 
 def test_analyze_pareto_csv_still_refuses_a_non_finite_value(tmp_path):
     # no in-box data gives a non-finite row, so one is put in by a patch; the
-    # error is `_fmt_float`'s, uncaught, so the command exits 1
+    # error is `_fmt_float`'s NonFinite, a one-line data error
     data = tmp_path / "t.jsonl"
     assert run_cli("simulate", "--strategy", "SF", "--sessions", "3",
                    "--iterations", "5", "--out", str(data)) == 0
@@ -269,7 +269,7 @@ def test_analyze_pareto_csv_still_refuses_a_non_finite_value(tmp_path):
                            "--only", "pareto", "--out", str(tmp_path / "r")],
                           capture_output=True, text=True)
     assert done.returncode == 1
-    assert done.stderr.splitlines()[-1] == "ValueError: cannot emit non-finite number nan"
+    assert done.stderr == "analyze: NonFinite: cannot emit non-finite number nan\n"
     assert not (tmp_path / "r" / "pareto.csv").exists()
 
 
@@ -544,20 +544,23 @@ def test_report_floats_have_17_significant_digits():
 
 
 def test_dumps_report_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(core.NonFinite, match="cannot emit non-finite number nan"):
         cli.dumps_report({"v": float("nan")})
 
 
 def test_score_manifest_gapped_iterations_exit_1(tmp_path, capsys):
+    # a second session's row puts iteration 2 inside the row range 0..2, so
+    # the gap rule, not the row-range rule, rejects s000's rows
     f = tmp_path / "a.py"
     f.write_text("def f():\n    return 1\n")
     manifest = tmp_path / "m.csv"
     manifest.write_text("path,expected_length,session_id,strategy,iteration\n"
-                        f"{f},5,s000,AI,0\n{f},5,s000,AI,2\n")
+                        f"{f},5,s000,AI,0\n{f},5,s000,AI,2\n{f},5,s001,AI,0\n")
     out = tmp_path / "scored.jsonl"
     assert run_cli("score", "--manifest", str(manifest), "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert "RecordFormatError" in err and err.count("\n") == 1
+    assert err == ("score: RecordFormatError: manifest session 's000' has iterations [0, 2], "
+                   "expected 0..1\n")
     assert not out.exists()
 
 
@@ -775,6 +778,11 @@ def _bad_invocation(tmp_path, case):
         spec.write_text('{"id": "X", "drift_matrix": [[0.1, 0' if case == "strategy-bad-json"
                         else "[" * 100_000)
         return ["simulate", "--strategy", str(spec), "--out", str(tmp_path / "x.jsonl")]
+    if case == "simulate-strategy-1e999-entry":  # a finite-looking number that reads as inf
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"id": "X", "drift_matrix": [[1e999, 0], [0, -0.5]], '
+                        '"drift_intercept": [0, 0], "diffusion": [[1, 0], [0, 1]]}')
+        return ["simulate", "--strategy", str(spec), "--out", str(tmp_path / "x.jsonl")]
     strategy_files = {
         "strategy-id-not-str": {"id": 7, "drift_matrix": [[-0.5, 0], [0, -0.5]],
                                 "drift_intercept": [0, 0], "diffusion": [[1, 0], [0, 1]]},
@@ -793,6 +801,17 @@ def _bad_invocation(tmp_path, case):
         "strategy-long-string-entry": {"id": "X", "drift_matrix": [["5" * 5000, 0], [0, -0.5]],
                                        "drift_intercept": [0, 0],
                                        "diffusion": [[1, 0], [0, 1]]},
+        "strategy-not-square": {"id": "X", "drift_matrix": [[-0.5, 0, 0], [0, -0.5, 0]],
+                                "drift_intercept": [0, 0], "diffusion": [[1, 0], [0, 1]]},
+        "strategy-diffusion-shape": {"id": "X", "drift_matrix": [[-0.5, 0], [0, -0.5]],
+                                     "drift_intercept": [0, 0], "diffusion": [[1, 0]]},
+        "strategy-intercept-shape": {"id": "X", "drift_matrix": [[-0.5, 0], [0, -0.5]],
+                                     "drift_intercept": [0, 0, 0],
+                                     "diffusion": [[1, 0], [0, 1]]},
+        # json.dumps writes the infinity as `Infinity`, which json.loads reads
+        "strategy-infinite-entry": {"id": "X", "drift_matrix": [[-0.5, 0], [0, -0.5]],
+                                    "drift_intercept": [0, float("inf")],
+                                    "diffusion": [[1, 0], [0, 1]]},
     }
     if case == "simulate-strategy-name-too-long":  # longer than any file name
         return ["simulate", "--strategy", "Q" * 5000, "--out", str(tmp_path / "x.jsonl")]
@@ -960,6 +979,11 @@ def _bad_invocation(tmp_path, case):
     ("simulate-strategy-int-too-large", 2),
     ("simulate-strategy-long-list-id", 2),
     ("simulate-strategy-long-string-entry", 2),
+    ("simulate-strategy-not-square", 2),
+    ("simulate-strategy-diffusion-shape", 2),
+    ("simulate-strategy-intercept-shape", 2),
+    ("simulate-strategy-infinite-entry", 2),
+    ("simulate-strategy-1e999-entry", 2),
     ("simulate-strategy-name-too-long", 2),
     ("simulate-iterations-above-intp", 2),
     ("control-iterations-above-intp", 2),
@@ -1016,8 +1040,18 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     assert err.strip() and err.count("\n") == 1
     assert not any((tmp_path / "r").glob("*"))  # analyze wrote nothing
     if case.endswith(("strategy-id-not-str", "strategy-1x1", "-entry", "strategy-int-too-large",
-                      "strategy-bad-json", "strategy-deep-nesting")):
+                      "strategy-bad-json", "strategy-deep-nesting", "strategy-not-square",
+                      "-shape")):
         assert "bad strategy file" in err
+    strategy_errors = {
+        "simulate-strategy-not-square": "NonSquare: drift matrix must be square, got shape (2, 3)",
+        "simulate-strategy-diffusion-shape": "DimensionMismatch: diffusion shape (1, 2) != (2, 2)",
+        "simulate-strategy-intercept-shape": "DimensionMismatch: intercept shape (3,) != (2,)",
+        "simulate-strategy-infinite-entry": "NonFinite: drift_intercept has non-finite entries",
+        "simulate-strategy-1e999-entry": "NonFinite: drift_matrix has non-finite entries",
+    }
+    if case in strategy_errors:
+        assert err.endswith(f"spec.json': {strategy_errors[case]}\n"), err
     if case.startswith("control-schedule-"):
         assert "bad schedule file" in err
     if case in ("score-not-utf8", "analyze-in-not-utf8", "manifest-not-utf8"):

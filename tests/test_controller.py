@@ -153,6 +153,35 @@ def test_phase_switches_respect_min_max_bounds():
             prev = sw.iteration
 
 
+@pytest.mark.parametrize("schedule", [phased_schedule_default(),
+                                      (Phase("FF", 2, 3), Phase("SF", 1, 2))])
+def test_a_phase_is_ruled_one_step_at_a_time_only_from_its_min_iters(monkeypatch, schedule):
+    # a phase that began at step s is ruled at a pivot from step s +
+    # min_iters (a bounded last phase: s + max_iters) until it switches, and
+    # at no step before that
+    pivots = []
+    rules_at_pivot = controller._rules_at_pivot
+
+    def spy(state, now, *args):
+        pivots.append(now)
+        return rules_at_pivot(state, now, *args)
+
+    monkeypatch.setattr(controller, "_rules_at_pivot", spy)
+    for seed in range(6):
+        pivots.clear()
+        sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=40, base_seed=seed)
+        _t, events = run_controlled(sim, ControllerConfig(phase_schedule=schedule))
+        began = [0] + [e.iteration for e in events if e.kind is EventKind.PHASE_SWITCH]
+        bounded = schedule[-1].max_iters is not None  # then the last phase falls back
+        assert len(began) == len(schedule) + bounded
+        want = []
+        for phase, (start, stop) in zip(schedule[:-1], zip(began, began[1:])):
+            want += range(start + phase.min_iters, stop + 1)
+        if bounded:
+            want.append(began[-2] + schedule[-1].max_iters)
+        assert pivots == want
+
+
 def test_ff_run_triggers_security_intervention_in_majority_of_seeds():
     hits = 0
     for seed in range(100):

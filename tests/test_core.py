@@ -6,6 +6,11 @@ import pytest
 from driftlab import core, simulator
 from driftlab.core import (
     DimensionMismatch,
+    DomainError,
+    DriftModel,
+    InsufficientData,
+    InterferenceMatrix,
+    NonSquare,
     OutOfRangeScore,
     RecordFormatError,
     SessionSet,
@@ -69,6 +74,49 @@ def test_types_are_frozen():
     t = traj([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(Exception):
         t.values_matrix = np.zeros((2, 3))
+
+
+# ---------------------------------------------------------------------------
+# fitted records reject what they cannot hold
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("A, b, sigma, count, error, message", [
+    (np.eye(3), np.zeros(2), np.eye(3), 10, DimensionMismatch,
+     r"inconsistent shapes A\(3, 3\) b\(2,\) sigma\(3, 3\)"),
+    (np.eye(3), np.zeros(3), np.eye(2), 10, DimensionMismatch, "inconsistent shapes"),
+    (np.ones((3, 2)), np.zeros(3), np.eye(3), 10, DimensionMismatch, "inconsistent shapes"),
+    (np.eye(2), np.zeros(2), [[1.0, 0.5], [0.0, 1.0]], 10, DomainError,
+     "sigma_hat must be symmetric"),
+    (np.eye(2), np.zeros(2), [[1.0, 0.0], [0.0, -1.0]], 10, DomainError,
+     "sigma_hat must be positive semi-definite"),
+    (np.eye(3), np.zeros(3), np.eye(3), 3, InsufficientData,
+     r"sample_count 3 < n\+1 = 4: regression unsolvable"),
+])
+def test_drift_model_rejects(A, b, sigma, count, error, message):
+    with pytest.raises(error, match=message):
+        DriftModel(A, b, sigma, count)
+
+
+def test_drift_model_accepts_n_plus_one_samples_and_a_psd_sigma():
+    model = DriftModel(np.eye(3), np.zeros(3), np.diag([1.0, 0.0, 2.0]), 4)
+    assert model.sample_count == 4
+
+
+@pytest.mark.parametrize("entries, error, message", [
+    (np.zeros((2, 3)), NonSquare, r"interference matrix must be square, got \(2, 3\)"),
+    (np.zeros(3), NonSquare, "interference matrix must be square"),
+    ([[0.0, 0.1], [0.1, 1e-300]], DomainError, "interference diagonal must be exactly zero"),
+    ([[0.0, 0.1], [0.2, 0.0]], DomainError, "interference matrix must be symmetric"),
+    ([[0.0, 1.5], [1.5, 0.0]], DomainError, r"interference entries must lie in \[-1, 1\]"),
+    ([[0.0, -1.01], [-1.01, 0.0]], DomainError, r"interference entries must lie in \[-1, 1\]"),
+])
+def test_interference_matrix_rejects(entries, error, message):
+    with pytest.raises(error, match=message):
+        InterferenceMatrix(entries)
+
+
+def test_interference_matrix_accepts_the_closed_range():
+    assert InterferenceMatrix([[0.0, -1.0], [-1.0, 0.0]])[0, 1] == -1.0
 
 
 # ---------------------------------------------------------------------------

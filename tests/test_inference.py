@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,6 +123,17 @@ def test_sigma_hat_is_psd_and_symmetric():
     _A, _b, sigma, _n = inference.fit_affine(X, D)
     assert np.array_equal(sigma, sigma.T)
     assert np.min(np.linalg.eigvalsh(sigma)) >= -1e-12
+
+
+@pytest.mark.parametrize("states, deltas", [
+    (np.ones((8, 3)), np.ones((8, 2))),
+    (np.ones((8, 3)), np.ones((7, 3))),
+    (np.ones(8), np.ones(8)),
+])
+def test_fit_affine_rejects_mismatched_shapes(states, deltas):
+    message = f"states {states.shape} and deltas {deltas.shape} must match (N, n)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        inference.fit_affine(states, deltas)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -599,6 +611,13 @@ def test_r2_invariant_under_session_reordering():
     shuffled = SessionSet("AI", list(reversed(data.trajectories)))
     again = inference.predictive_r2(shuffled, model).r_squared
     assert abs(base - again) <= 1e-12
+
+
+def test_r2_needs_two_steps():
+    data = SessionSet("X", [Trajectory("s000", "X", [[4.0, 4.0, 4.0], [5.0, 3.0, 4.5]])])
+    model = DriftModel(np.zeros((3, 3)), np.zeros(3), np.eye(3), 10)
+    with pytest.raises(InsufficientData, match=r"^1 step\(s\) < 2 required for R-squared$"):
+        inference.predictive_r2(data, model)
 
 
 def test_r2_degenerate_variance():

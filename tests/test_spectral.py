@@ -92,6 +92,11 @@ def test_oscillatory_regime_modulus():
     assert rep.discrete_stable
 
 
+def test_classify_regime_rejects_an_empty_spectrum():
+    with pytest.raises(ValueError, match="empty spectrum"):
+        spectral.classify_regime([])
+
+
 def test_unstable_regime_takes_precedence():
     rep = spectral.classify_regime([0.16, -0.5, 0.0])
     assert rep.regime is Regime.UNSTABLE
