@@ -39,9 +39,10 @@ the run at its own step, as the one-step-at-a-time loop would. Segments
 start at 16 steps after every switch and double up to 1024.
 
 Every step is taken by `simulator._advance`, the one walk of every run
-(the public `simulator.em_step` is a one-step `_advance` walk): a step
-whose arithmetic overflows or turns invalid, before the clip, raises
-NonFinite naming the step. A segment that overflows ahead of the rules
+(the public `simulator.em_step` is a one-step `_advance` walk), which
+steps a controlled run's one session on Python floats with the bytes of
+a set's numpy walk: a step whose arithmetic overflows or turns invalid,
+before the clip, raises NonFinite naming the step. A segment that overflows ahead of the rules
 ends before that step, and the rules walk up to it first: a switch or a
 halt there means the step is never taken, and otherwise the next segment
 starts at that step and raises.

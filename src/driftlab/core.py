@@ -360,7 +360,7 @@ class DriftModel:
         A = np.array(A_hat, dtype=np.float64)
         b = np.array(b_hat, dtype=np.float64)
         S = np.array(sigma_hat, dtype=np.float64)
-        n = A.shape[0]
+        n = A.shape[0] if A.ndim else 0
         if A.shape != (n, n) or S.shape != (n, n) or b.shape != (n,):
             raise DimensionMismatch(
                 f"inconsistent shapes A{A.shape} b{b.shape} sigma{S.shape}"
@@ -401,6 +401,8 @@ class InterferenceMatrix:
         E = np.array(entries, dtype=np.float64)
         if E.ndim != 2 or E.shape[0] != E.shape[1]:
             raise NonSquare(f"interference matrix must be square, got {E.shape}")
+        if not np.all(np.isfinite(E)):
+            raise NonFinite("interference matrix has non-finite entries")
         if np.any(np.diag(E) != 0.0):
             raise DomainError("interference diagonal must be exactly zero")
         if not np.array_equal(E, E.T):

@@ -18,17 +18,24 @@ per numpy call. Word k of a row is word k % 4 of the Philox4x64-10 block
 at counter [k // 4 + 1, 0, 0, t], and each word becomes a normal on the
 accept path of numpy's 256-layer ziggurat. A row with a word off that
 path (about 1.5% of words) is drawn again by numpy itself, so every row
-holds numpy's bytes. All sessions of a set are stepped together, with
-stacked matrix-vector products that round each row exactly like the lone
-`A @ x` of a single session; `simulate_session` is the same kernel run on
-one session, so a session's bytes do not depend on the set around it.
+holds numpy's bytes.
 
 Every step is taken by `_advance`, the one Euler-Maruyama walk, and the
 public `em_step` is a one-step `_advance` walk. A walk computes the noise
 terms of all its steps as one stacked product, then takes the drift
-product and the clip step by step. A noise term that overflows still
-belongs to its own step: the walk ends before it, and the next walk
-raises there. The one clip box is core's [SCORE_LOW, SCORE_HIGH].
+product and the clip step by step, in one of two ways that give the same
+bytes. The sessions of a set are stepped together as numpy rows, with
+stacked matrix-vector products that round each row exactly like the lone
+`A @ x` of a single session: at thousands of sessions a step costs a few
+numpy calls for all of them. One session (`simulate_session`, a
+one-session set, every controlled run and `em_step`) is stepped on Python
+floats, where six numpy calls on one short row would cost more than the
+step's arithmetic: the drift product is the same BLAS product, the rest
+the numpy step's IEEE operations in its order, and a step that overflows
+or is not finite is taken again as a numpy step, which decides it. So a
+session's bytes do not depend on the set around it. A noise term that
+overflows still belongs to its own step: the walk ends before it, and the
+next walk raises there. The one clip box is core's [SCORE_LOW, SCORE_HIGH].
 
 Ships the four built-in strategy presets (EF, SF, FF, AI) as diagonal
 drift matrices with zero intercept and a default diffusion of 0.5 * I.
@@ -374,33 +381,86 @@ def _noise_terms(S: np.ndarray, eps: np.ndarray, root_dt: float) -> np.ndarray:
 def _advance(X: np.ndarray, t: int, stop: int, strategy: StrategySpec, dt: float,
              eps: np.ndarray, clip: bool) -> int:
     """Take steps t .. stop-1 of X, X[s + 1] from X[s] and the noise eps[s - t],
-    and return stop. The noise terms of all these steps are one stacked
+    and return stop. X holds one session's (T+1, n) states or a set's
+    (T+1, N, n). The noise terms of all these steps are one stacked
     product; the drift product and, when `clip` is true, the clip to the
-    score box are taken step by step.
+    score box are taken step by step, on Python floats for one session
+    (`_float_steps`) and as stacked rows for a set (`_row_steps`).
 
     A step whose arithmetic overflows or turns invalid before the clip, in
     its drift or in its noise term, raises NonFinite naming it if it is step
     t; a later one is left untaken and returned, so that the next walk
     starts there and raises."""
-    A, b = strategy.drift_matrix, strategy.drift_intercept
     root_dt = np.sqrt(dt)
     with np.errstate(over="raise", invalid="raise"):
         shock = _noise_terms(strategy.diffusion, eps[:stop - t], root_dt)
-        if not len(shock):
-            raise NonFinite(f"step {t} gives a non-finite state")
-        stop = t + len(shock)
+        walk = _float_steps if X.ndim == 2 else _row_steps
+        stop = walk(X, t, t + len(shock), strategy, dt, shock, clip)
+    if stop == t:
+        raise NonFinite(f"step {t} gives a non-finite state")
+    return stop
+
+
+def _step(X: np.ndarray, s: int, strategy: StrategySpec, dt: float, shock: np.ndarray,
+          clip: bool) -> None:
+    """Take step s of X with numpy, X[s + 1] from X[s] and its noise term,
+    under the caller's floating-point error state."""
+    x = X[s]
+    nxt = x + (_matvec(strategy.drift_matrix, x) + strategy.drift_intercept) * dt + shock
+    if clip:
+        _clip(nxt, SCORE_LOW, SCORE_HIGH, out=X[s + 1])
+    else:
+        X[s + 1] = nxt
+
+
+def _row_steps(X: np.ndarray, t: int, stop: int, strategy: StrategySpec, dt: float,
+               shock: np.ndarray, clip: bool) -> int:
+    """Take steps t .. stop-1 of a set's (T+1, N, n) states, each one
+    `_step` on all the set's rows, and return stop, or the first step that
+    raises FloatingPointError, untaken."""
+    for s in range(t, stop):
         try:
-            for s in range(t, stop):
-                x = X[s]
-                nxt = x + (_matvec(A, x) + b) * dt + shock[s - t]
-                if clip:
-                    _clip(nxt, SCORE_LOW, SCORE_HIGH, out=X[s + 1])
-                else:
-                    X[s + 1] = nxt
+            _step(X, s, strategy, dt, shock[s - t], clip)
         except FloatingPointError:
-            if s == t:
-                raise NonFinite(f"step {s} gives a non-finite state") from None
             return s
+    return stop
+
+
+def _float_steps(X: np.ndarray, t: int, stop: int, strategy: StrategySpec, dt: float,
+                 shock: np.ndarray, clip: bool) -> int:
+    """Take steps t .. stop-1 of one session's (T+1, n) states on Python
+    floats, writing each row as it is taken, and return stop, or the first
+    step that raises FloatingPointError, untaken.
+
+    For one row, six numpy calls cost more than the step's arithmetic. The
+    drift product stays `A.dot(x)`, the BLAS product that rounds like
+    `_matvec` (a Python sum of products does not: the kernel fuses
+    multiply-adds); the rest is the numpy step's IEEE operations in its
+    order, and the clip keeps a -0.0 state as np.clip does. Python floats
+    overflow silently, so a step whose product raises or whose values are
+    not all finite is taken again by `_step`, which decides it as a set's
+    walk does."""
+    dot, b, h = strategy.drift_matrix.dot, strategy.drift_intercept.tolist(), float(dt)
+    lo, hi = SCORE_LOW, SCORE_HIGH
+    x = X[t].tolist()
+    for s, (row, e) in enumerate(zip(X[t:stop], shock), t):
+        try:
+            ax = dot(row).tolist()
+        except FloatingPointError:
+            pass
+        else:
+            nxt = [v + (a + c) * h + w for v, a, c, w in zip(x, ax, b, e.tolist())]
+            # a sum of finite values may overflow, which only costs a retake
+            if math.isfinite(sum(nxt)):
+                if clip:
+                    nxt = [lo if v < lo else hi if v > hi else v for v in nxt]
+                X[s + 1] = x = nxt
+                continue
+        try:
+            _step(X, s, strategy, dt, e, clip)
+        except FloatingPointError:
+            return s
+        x = X[s + 1].tolist()
     return stop
 
 
@@ -411,12 +471,14 @@ def _simulate(cfg: SimConfig, session_indices: range) -> np.ndarray:
     """
     n = cfg.strategy.dimension
     X, keys = _start(cfg, session_indices, n)
+    # one session is walked as its (T+1, n) states, on Python floats
+    states = X[:, 0] if len(session_indices) == 1 else X
     ahead = max(1, _CHUNK_ROWS // len(session_indices))
     t = 0
     while t < cfg.iterations:
         stop = min(t + ahead, cfg.iterations)
-        eps = _normals(keys, range(t + 1, stop + 1), n)
-        t = _advance(X, t, stop, cfg.strategy, cfg.dt, eps, cfg.clip)
+        eps = _normals(keys, range(t + 1, stop + 1), n).reshape((-1,) + states.shape[1:])
+        t = _advance(states, t, stop, cfg.strategy, cfg.dt, eps, cfg.clip)
     return X
 
 

@@ -10,6 +10,7 @@ from driftlab.core import (
     DriftModel,
     InsufficientData,
     InterferenceMatrix,
+    NonFinite,
     NonSquare,
     OutOfRangeScore,
     RecordFormatError,
@@ -91,6 +92,8 @@ def test_types_are_frozen():
      "sigma_hat must be positive semi-definite"),
     (np.eye(3), np.zeros(3), np.eye(3), 3, InsufficientData,
      r"sample_count 3 < n\+1 = 4: regression unsolvable"),
+    (1.0, [0.0], [[1.0]], 5, DimensionMismatch,
+     r"inconsistent shapes A\(\) b\(1,\) sigma\(1, 1\)"),
 ])
 def test_drift_model_rejects(A, b, sigma, count, error, message):
     with pytest.raises(error, match=message):
@@ -109,6 +112,9 @@ def test_drift_model_accepts_n_plus_one_samples_and_a_psd_sigma():
     ([[0.0, 0.1], [0.2, 0.0]], DomainError, "interference matrix must be symmetric"),
     ([[0.0, 1.5], [1.5, 0.0]], DomainError, r"interference entries must lie in \[-1, 1\]"),
     ([[0.0, -1.01], [-1.01, 0.0]], DomainError, r"interference entries must lie in \[-1, 1\]"),
+    ([[0.0, np.nan], [np.nan, 0.0]], NonFinite, "interference matrix has non-finite entries"),
+    ([[0.0, np.inf], [np.inf, 0.0]], NonFinite, "interference matrix has non-finite entries"),
+    ([[0.0, -np.inf], [-np.inf, 0.0]], NonFinite, "interference matrix has non-finite entries"),
 ])
 def test_interference_matrix_rejects(entries, error, message):
     with pytest.raises(error, match=message):

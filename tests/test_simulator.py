@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from driftlab import core, simulator
+from driftlab import controller, core, simulator
 from driftlab.core import DimensionMismatch, StrategySpec
 from driftlab.simulator import SimConfig, drift, em_step, preset, simulate_session, simulate_set
 from oracles import fresh_generator, sequential_sessions, session_seed
@@ -329,6 +329,135 @@ def test_the_step_clip_is_np_clip_bit_for_bit():
     zero = StrategySpec("Z", np.zeros((3, 3)), np.zeros(3), np.zeros((3, 3)))
     out = em_step([-0.0, 5, 5], zero, 1.0, np.zeros(3))
     assert out[0] == 0.0 and not np.signbit(out[0])
+
+
+# ---------------------------------------------------------------------------
+# one session is walked on Python floats, a set as stacked rows
+# ---------------------------------------------------------------------------
+
+COUPLED = StrategySpec("C", [[-0.3, 0.2, 0.1], [0.15, -0.2, -0.25], [0.05, 0.3, -0.1]],
+                       [0.5, -0.4, 0.3], [[1.5, 0.2, 0.0], [0.3, 1.0, -0.4], [0.0, 0.5, 2.0]])
+
+
+def test_a_lone_drift_product_rounds_like_the_stacked_one():
+    # the one-session walk takes A.dot(x), a set's walk the stacked _matvec;
+    # a numpy or BLAS that rounds them apart must fail here, not move digests
+    rng = np.random.default_rng(3201)
+
+    def draw(shape):
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 150, shape)
+
+    draws = 0
+    for n in range(2, 7):
+        for k in range(40):
+            A = draw((n, n))
+            if k % 2:
+                A = np.asfortranarray(A)  # a StrategySpec keeps a Fortran matrix's order
+            X = draw((256, n))
+            lone = np.array([A.dot(x) for x in X])
+            assert lone.tobytes() == simulator._matvec(A, X).tobytes(), (n, k)
+            draws += len(X)
+    assert draws >= 50_000
+
+
+@pytest.mark.parametrize("clip", [True, False])
+@pytest.mark.parametrize("dt", [0.37, 0.5, 1.0])
+def test_one_session_runs_equal_the_session_in_a_stacked_set(dt, clip):
+    cfg = SimConfig(strategy=COUPLED, sessions=5, iterations=400, dt=dt, base_seed=3202,
+                    clip=clip, init_box=(1.0, 9.0))
+    stacked = simulate_set(cfg)
+    for i in range(cfg.sessions):
+        alone = simulate_session(cfg, i).values_matrix
+        assert alone.tobytes() == stacked.trajectories[i].values_matrix.tobytes(), i
+    rows = stacked.values_matrix
+    hits = np.count_nonzero((rows == core.SCORE_LOW) | (rows == core.SCORE_HIGH))
+    assert hits > 100 if clip else (rows.min() < core.SCORE_LOW and rows.max() > core.SCORE_HIGH)
+
+
+def test_a_finite_one_session_run_takes_no_numpy_step(monkeypatch):
+    taken = []
+    step = simulator._step
+    monkeypatch.setattr(simulator, "_step", lambda X, s, *rest: taken.append(s) or step(X, s, *rest))
+    cfg = SimConfig(strategy=COUPLED, sessions=3, iterations=200, dt=0.5, base_seed=3203)
+    simulate_session(cfg, 1)
+    controller.run_controlled(cfg, controller.ControllerConfig())
+    assert not taken
+    simulate_set(cfg)
+    assert taken == list(range(200))
+
+
+def _walked(X, strategy, dt, eps, clip):
+    """The step `_advance` returns over all of eps, or its NonFinite
+    message, and the states."""
+    try:
+        got = simulator._advance(X, 0, len(eps), strategy, dt, eps, clip)
+    except core.NonFinite as e:
+        got = str(e)
+    return got, X.tobytes()
+
+
+WALK_CASES = {
+    "coupled": (COUPLED, [4.0, 5.0, 6.0], 1.0, 1.0),
+    "drift overflow": (StrategySpec("B", [[1e150, 1.0], [2.0, 1e150]], [1.0, -1.0],
+                                    np.eye(2)), [5.0, 5.0], 0.5, 1.0),
+    "sum overflow": (StrategySpec("M", [[0.5, 0.2, 0], [0, 0.5, 0.1], [0.3, 0, 0.5]],
+                                  [1e306, 0, 0], 1e307 * np.eye(3)), [5.0, 5.0, 5.0], 1.0, 1.0),
+    "noise overflow": (StrategySpec("N", np.zeros((3, 3)), np.zeros(3), 7e307 * np.eye(3)),
+                       [5.0, 5.0, 5.0], 1.0, 1.0),
+    "nan noise": (COUPLED, [4.0, 5.0, 6.0], 0.37, np.nan),
+    "infinite noise": (COUPLED, [4.0, 5.0, 6.0], 0.37, np.inf),
+    "infinite start": (StrategySpec("F", [[0.5, 0, 0], [0.25, -0.5, 0], [1.0, 0.1, 0.2]],
+                                    [0.1, 0, 0], np.eye(3)), [np.inf, 5.0, 5.0], 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("clip", [True, False])
+@pytest.mark.parametrize("case", list(WALK_CASES))
+def test_the_float_walk_decides_every_step_as_the_stacked_walk(case, clip):
+    # one session's (T+1, n) states against the same session as a
+    # one-session set's (T+1, 1, n): the same states, and the same
+    # overflow, invalid or non-finite step, wherever it falls
+    strategy, x0, dt, odd = WALK_CASES[case]
+    n = len(x0)
+    eps = np.random.default_rng(3204).standard_normal((60, n))
+    eps[[9, 31], 1] = odd
+    outcomes = []
+    for shape in ((61, n), (61, 1, n)):
+        X = np.zeros(shape)
+        X[0] = np.reshape(x0, shape[1:])
+        outcomes.append(_walked(X, strategy, dt, eps.reshape((60,) + shape[1:]), clip))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_em_step_from_an_infinite_state_component():
+    # an inf that meets a zero coefficient in the drift product turns it
+    # invalid; one that does not reaches the clip, which puts it on the
+    # box, and unclipped fails the finiteness check
+    inf = float("inf")
+    full = StrategySpec("F", [[0.5, 0, 0], [0.25, -0.5, 0], [1.0, 0.1, 0.2]], [0.1, 0, 0],
+                        np.eye(3))
+    noise = [0.1, 0.2, 0.3]
+    for clip in (True, False):
+        for x in ([inf, 5, 5], [5, inf, 5], [-inf, 5, 5]):
+            with pytest.raises(core.NonFinite, match="^step 0 gives a non-finite state$"):
+                em_step(x, preset("AI"), 1.0, noise, clip=clip)
+        with pytest.raises(core.NonFinite, match="^step 0 gives a non-finite state$"):
+            em_step([inf, -inf, 5], full, 1.0, noise, clip=clip)
+    assert em_step([inf, 5, 5], full, 1.0, noise).tolist() == [10.0, 10.0, 10.0]
+    assert em_step([-inf, 5, 5], full, 1.0, noise).tolist() == [0.0, 0.0, 0.0]
+    for x in (inf, -inf):
+        message = re.escape(f"step from [{x}, 5.0, 5.0] gives non-finite state [{x}, {x}, {x}]")
+        with pytest.raises(core.NonFinite, match=f"^{message}$"):
+            em_step([x, 5, 5], full, 1.0, noise, clip=False)
+
+
+def test_a_step_that_underflows_to_minus_zero_keeps_its_sign_through_the_clip():
+    # the drift and noise terms underflow to -0.0, and -0.0 + -0.0 is -0.0:
+    # np.clip keeps the state's zero sign, and so must the float walk's clip
+    tiny = StrategySpec("T", np.zeros((3, 3)), [-1e-300, 0.0, 0.0], 1e-310 * np.eye(3))
+    for clip in (True, False):
+        out = em_step([-0.0, 5, 5], tiny, 1e-30, [-1.0, 0.0, 0.0], clip=clip)
+        assert out.tolist() == [0.0, 5.0, 5.0] and np.signbit(out).tolist() == [True, False, False]
 
 
 def test_run_too_large_for_memory_fails_before_building_streams(monkeypatch):
