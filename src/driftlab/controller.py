@@ -29,23 +29,22 @@ spectra in one `eigvals` call. It then fills one table for all its steps
 triggers in the IEEE operations of one step's check, and each spectrum
 edge as one shifted comparison seeded with the state the segment starts
 from. Read in row order, the table puts the events in step order and,
-within a step, in rule order. One step at a time is left only where the
-state can change: the first intervention of a halting run, the first
-boundary edge that switches to the fallback, and each step at which the
-phase may switch, a phase's age being the steps since the one it began
-at. A strategy switch at step `now` drops the rows after it, and the next
-segment starts from `now` on the stored noise; a halt or an exception ends
-the run at its own step, as the one-step-at-a-time loop would. Segments
-start at 16 steps after every switch and double up to 1024.
+within a step, in rule order. The strategy switches, too, are a mask over
+the rows (`_switches`): a boundary edge of an unscheduled run away from
+the fallback, and the phase schedule, a phase's age being the steps since
+the one it began at. The segment's events are taken up to its first
+switch, or the first intervention of a halting run, where the run halts or
+the next segment starts on the stored noise; an exception ends the run at
+its own step, as the one-step-at-a-time loop would. Segments start at 16
+steps after every switch and double up to 1024.
 
 Every step is taken by `simulator._advance`, the one walk of every run
-(the public `simulator.em_step` is a one-step `_advance` walk), which
-steps a controlled run's one session on Python floats with the bytes of
-a set's numpy walk: a step whose arithmetic overflows or turns invalid,
-before the clip, raises NonFinite naming the step. A segment that overflows ahead of the rules
-ends before that step, and the rules walk up to it first: a switch or a
-halt there means the step is never taken, and otherwise the next segment
-starts at that step and raises.
+(the public `simulator.em_step` is a one-step walk), on Python floats for
+a controlled run's one session: a step whose arithmetic overflows or turns
+invalid before the clip raises NonFinite naming the step. A segment that
+overflows ends before that step and is ruled up to it: a switch or a halt
+there means the step is never taken, and otherwise the next segment starts
+at that step and raises.
 """
 
 from __future__ import annotations
@@ -272,55 +271,52 @@ class _LoopState:
     near_zero: bool = False
 
 
-def _phase_wait(state: _LoopState, schedule: tuple[Phase, ...] | None, now: int) -> int | None:
-    """Steps from step `now` to the first at which the current phase may
-    switch, or None when it never does."""
-    if schedule is None or state.phase_index >= len(schedule):
-        return None
+def _switches(state: _LoopState, schedule: tuple[Phase, ...] | None, ruled: _Ruled,
+              intervened: np.ndarray, steps: int) -> np.ndarray:
+    """Which rows of `ruled`, a segment's rule table in a run of `steps`
+    steps, switch the strategy; intervened[k] says whether row k holds an
+    intervention. An unscheduled run away from FALLBACK_STRATEGY falls back
+    at a boundary edge. A phase with a next phase switches at min_iters,
+    deferred by interventions but never past max_iters, a phase's age at
+    step t being t - phase_start; a bounded last phase falls back at its
+    max_iters if steps are left after it."""
+    fires = ruled.fires
+    if schedule is None:
+        return fires[:, _BOUNDARY] & (state.strategy.id != FALLBACK_STRATEGY)
+    if state.phase_index >= len(schedule):
+        return np.zeros(len(fires), dtype=bool)
     phase = schedule[state.phase_index]
-    # the next phase is due at min_iters; a last phase switches to the
-    # fallback only at a bounded max_iters
-    limit = phase.min_iters if state.phase_index + 1 < len(schedule) else phase.max_iters
-    return None if limit is None else max(1, limit - (now - state.phase_start))
+    iters = np.arange(ruled.first, ruled.first + len(fires))
+    age = iters - state.phase_start
+    at_max = age >= (np.inf if phase.max_iters is None else phase.max_iters)
+    switch = (age >= phase.min_iters) & (at_max | ~intervened)
+    if state.phase_index + 1 == len(schedule):
+        switch &= at_max & (iters < steps)
+    return switch
 
 
-def _rules_at_pivot(state: _LoopState, now: int, fired: np.ndarray, events: list[ControlEvent],
-                    cfg: ControllerConfig, cat: Mapping[str, StrategySpec],
-                    steps: int) -> bool:
-    """The rules at step `now` of a run of `steps` steps that can change
-    `state`, after `events` got the step's rule events (fired[r] says
-    whether rule r of _RULES fired): a boundary edge that switches an
-    unscheduled run to FALLBACK_STRATEGY, and the phase schedule, which
-    switches at min_iters, deferred by interventions but never past
-    max_iters, a phase's age at step `now` being now - phase_start. Returns
-    whether the step intervened."""
-    intervened = bool(fired[:_TRIGGERS].any())
-    schedule = cfg.phase_schedule
-    if schedule is None and state.strategy.id != FALLBACK_STRATEGY and fired[_BOUNDARY]:
+def _switch(state: _LoopState, now: int, events: list[ControlEvent],
+            schedule: tuple[Phase, ...] | None, cat: Mapping[str, StrategySpec]) -> None:
+    """Switch the strategy at step `now`, after `events` got the step's
+    rule events: an unscheduled run falls back, noted in the boundary
+    event's detail, and a scheduled one takes its next phase (a bounded
+    last phase, the fallback), logged as a PhaseSwitch whose value is the
+    phase's age."""
+    if schedule is None:
         events[-1] = events[-1]._replace(detail=f"{events[-1].detail}; switching "
                                          f"{state.strategy.id}->{FALLBACK_STRATEGY}")
         state.strategy = cat[FALLBACK_STRATEGY]
-    if schedule is not None and state.phase_index < len(schedule):
-        phase = schedule[state.phase_index]
-        age = now - state.phase_start
-        at_max = phase.max_iters is not None and age >= phase.max_iters
-        due = age >= phase.min_iters
-        target = None
-        if due and (at_max or not intervened):
-            if state.phase_index + 1 < len(schedule):
-                target = detail = schedule[state.phase_index + 1].strategy_id
-            elif at_max and now < steps:
-                # a bounded last phase at its max with steps left
-                target, detail = FALLBACK_STRATEGY, f"{FALLBACK_STRATEGY} (fallback)"
-        if target is not None:
-            events.append(ControlEvent(
-                now, EventKind.PHASE_SWITCH, f"{phase.strategy_id}->{detail}",
-                float(age),
-            ))
-            state.strategy = cat[target]
-            state.phase_index += 1
-            state.phase_start = now
-    return intervened
+        return
+    phase = schedule[state.phase_index]
+    state.phase_index += 1
+    if state.phase_index < len(schedule):
+        target = detail = schedule[state.phase_index].strategy_id
+    else:
+        target, detail = FALLBACK_STRATEGY, f"{FALLBACK_STRATEGY} (fallback)"
+    events.append(ControlEvent(now, EventKind.PHASE_SWITCH, f"{phase.strategy_id}->{detail}",
+                               float(now - state.phase_start)))
+    state.strategy = cat[target]
+    state.phase_start = now
 
 
 def run_controlled(
@@ -365,10 +361,10 @@ def run_controlled(
     window = cfg.window
 
     # Rows up to m[start] are settled. Each segment steps ahead with the
-    # current strategy, fits every window ending in it at once and takes
-    # the rule events of all its steps as arrays, then walks them to the
-    # steps where the state can change. A strategy switch at step `now`
-    # drops the rows after it, and the next segment starts there.
+    # current strategy, fits every window ending in it at once and rules
+    # all its steps as arrays, up to the first step where the state can
+    # change. A strategy switch at step `now` drops the rows after it, and
+    # the next segment starts there.
     start, length = 0, _FIRST_SEGMENT
     while start < steps:
         strategy = state.strategy
@@ -391,37 +387,22 @@ def run_controlled(
         end = stop + 1 if sig.error is None else first + len(sig.full)
         fitted = first + np.flatnonzero(sig.full)
         ruled = _ruled(m, start + 1, end, fitted, sig, (state.had_complex, state.near_zero))
-        # pivots, the steps where the state can change: the first
-        # intervention of a halting run, the first boundary edge that
-        # switches to the fallback, and each step at which the phase may
-        # switch
-        pivots = []
-        if halt_on_intervention:
-            pivots += np.flatnonzero(ruled.fires[:, :_TRIGGERS].any(axis=1))[:1].tolist()
-        if schedule is None and strategy.id != FALLBACK_STRATEGY:
-            pivots += np.flatnonzero(ruled.fires[:, _BOUNDARY])[:1].tolist()
-        pivots = [start + 1 + k for k in pivots]
-        now = start
-        while now < end - 1:
-            wait = _phase_wait(state, schedule, now)
-            cut = min([p for p in pivots if p > now] + ([] if wait is None else [now + wait]),
-                      default=end)
-            last = min(cut, end - 1)
-            events.extend(_rule_events(ruled, now + 1, last + 1))
-            now = last
-            if cut > now:
-                break
-            intervened = _rules_at_pivot(state, now, ruled.fires[now - start - 1], events,
-                                        cfg, cat, steps)
-            if halt_on_intervention and intervened:
-                return Trajectory(simulator.session_label(0), "controlled", m[:now + 1]), events
-            if state.strategy is not strategy:
-                break
+        # the pivot, the first step where the state can change: a strategy
+        # switch, or an intervention that halts the run
+        intervened = ruled.fires[:, :_TRIGGERS].any(axis=1)
+        switch = _switches(state, schedule, ruled, intervened, steps)
+        k = np.flatnonzero(switch | intervened & halt_on_intervention)[:1].tolist()
+        now = end - 1 if not k else start + 1 + k[0]
+        events.extend(_rule_events(ruled, start + 1, now + 1))
+        if k and switch[k[0]]:
+            _switch(state, now, events, schedule, cat)
+        if k and halt_on_intervention and intervened[k[0]]:
+            return Trajectory(simulator.session_label(0), "controlled", m[:now + 1]), events
         ruled_fits = np.count_nonzero(fitted <= now)
         if ruled_fits:
             state.had_complex = bool(sig.has_complex[ruled_fits - 1])
             state.near_zero = bool(sig.min_abs_re[ruled_fits - 1] < ZERO_MARGIN)
-        if state.strategy is strategy and sig.error is not None:
+        if not k and sig.error is not None:
             raise sig.error
         start = now
         length = _FIRST_SEGMENT if state.strategy is not strategy \

@@ -326,9 +326,12 @@ def em_step(
     `SimConfig.dt` must, and `clip`, like `SimConfig.clip`, clips the step
     to the score box.
 
+    A state with a non-finite component raises NonFinite before the step.
     A step that overflows raises NonFinite as a run's step 0 does, and so
     does a non-finite result (NaN noise raises no floating-point error)."""
     xv = _state(strategy, x)
+    if not np.isfinite(xv).all():
+        raise NonFinite(f"state {xv.tolist()} has non-finite entries")
     eps = np.asarray(noise, dtype=np.float64)
     if eps.shape != xv.shape:
         raise DimensionMismatch(f"noise shape {eps.shape} != state shape {xv.shape}")

@@ -156,30 +156,56 @@ def test_phase_switches_respect_min_max_bounds():
 @pytest.mark.parametrize("schedule", [phased_schedule_default(),
                                       (Phase("FF", 2, 3), Phase("SF", 1, 2))])
 def test_a_phase_is_ruled_one_step_at_a_time_only_from_its_min_iters(monkeypatch, schedule):
-    # a phase that began at step s is ruled at a pivot from step s +
-    # min_iters (a bounded last phase: s + max_iters) until it switches, and
-    # at no step before that
-    pivots = []
-    rules_at_pivot = controller._rules_at_pivot
+    # a phase's switch is found as a mask over its segment's rows: the
+    # switch function runs once per PhaseSwitch event, at its step, and at
+    # no other step
+    calls = []
+    switch = controller._switch
 
     def spy(state, now, *args):
-        pivots.append(now)
-        return rules_at_pivot(state, now, *args)
+        calls.append(now)
+        return switch(state, now, *args)
 
-    monkeypatch.setattr(controller, "_rules_at_pivot", spy)
+    monkeypatch.setattr(controller, "_switch", spy)
     for seed in range(6):
-        pivots.clear()
+        calls.clear()
         sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=40, base_seed=seed)
         _t, events = run_controlled(sim, ControllerConfig(phase_schedule=schedule))
-        began = [0] + [e.iteration for e in events if e.kind is EventKind.PHASE_SWITCH]
+        began = [e.iteration for e in events if e.kind is EventKind.PHASE_SWITCH]
         bounded = schedule[-1].max_iters is not None  # then the last phase falls back
-        assert len(began) == len(schedule) + bounded
-        want = []
-        for phase, (start, stop) in zip(schedule[:-1], zip(began, began[1:])):
-            want += range(start + phase.min_iters, stop + 1)
-        if bounded:
-            want.append(began[-2] + schedule[-1].max_iters)
-        assert pivots == want
+        assert len(began) == len(schedule) - 1 + bounded
+        assert calls == began
+
+
+def switch_steps(schedule, phase_index, rows, steps, intervened=()):
+    """The steps at which `controller._switches` switches a phase of
+    `schedule` that began at step 10, over a segment ruling steps 11 ..
+    10 + rows of a `steps`-step run, with interventions at the given steps."""
+    fires = np.zeros((rows, len(controller._RULES)), dtype=bool)
+    fires[[t - 11 for t in intervened], 0] = True
+    ruled = controller._Ruled(11, fires, np.zeros(fires.shape))
+    state = controller._LoopState(simulator.preset("AI"), phase_index=phase_index,
+                                  phase_start=10)
+    mask = controller._switches(state, schedule, ruled, fires[:, :3].any(axis=1), steps)
+    return (11 + np.flatnonzero(mask)).tolist()
+
+
+def test_the_phase_switch_mask_at_its_thresholds():
+    schedule = (Phase("FF", 3, 5), Phase("SF", 2, 4))
+    # a phase with a next phase: age min_iters - 1 holds, min_iters switches
+    assert switch_steps(schedule, 0, 10, 100) == list(range(13, 21))
+    # an intervention defers the switch, until max_iters
+    assert switch_steps(schedule, 0, 10, 100, [13, 14]) == list(range(15, 21))
+    assert switch_steps(schedule, 0, 10, 100, range(13, 21)) == list(range(15, 21))
+    # a bounded last phase falls back at max_iters, an intervention or not,
+    # only if a step is left after it
+    assert switch_steps(schedule, 1, 10, 100) == list(range(14, 21))
+    assert switch_steps(schedule, 1, 10, 100, [14]) == list(range(14, 21))
+    assert switch_steps(schedule, 1, 5, 15) == [14]
+    assert switch_steps(schedule, 1, 4, 14) == []
+    # an open last phase never switches, and a finished schedule neither
+    assert switch_steps(schedule[:1] + (Phase("SF", 2, None),), 1, 500, 1000) == []
+    assert switch_steps(schedule, 2, 10, 100) == []
 
 
 def test_ff_run_triggers_security_intervention_in_majority_of_seeds():
@@ -594,6 +620,18 @@ def test_scheduled_run_starts_at_its_first_phase_width(monkeypatch, box):
     assert len(json.loads(result[0].splitlines()[0])["objectives"]) == 3
 
 
+def test_a_fallback_of_another_id_notes_every_boundary_switch(monkeypatch):
+    # the catalog's fallback is the run's own strategy under another id, so
+    # each boundary edge switches to the same spec; every one is noted, not
+    # only the first of its segment
+    ai = simulator.preset("AI", 2.0)
+    alias = StrategySpec("Q", ai.drift_matrix, ai.drift_intercept, ai.diffusion)
+    catalog = {**simulator.preset_catalog(2.0), "AI": alias}
+    sim = simulator.SimConfig(strategy=alias, iterations=3000, base_seed=5)
+    result = assert_matches_reference(monkeypatch, sim, ControllerConfig(), catalog=catalog)
+    assert result[1].count("switching Q->AI") == result[1].count("BoundaryAvoidSwitch") > 50
+
+
 def test_run_controlled_matches_reference_on_a_switch_to_another_width(monkeypatch):
     lazy = StrategySpec("LZ", np.diag([-0.001, -0.5]), np.zeros(2), 0.4 * np.eye(2))
     outcomes = set()
@@ -662,17 +700,35 @@ def test_a_noise_overflow_raises_only_where_the_rules_reach_it(monkeypatch, wind
             assert result[:2] == (NonFinite, f"step {step} gives a non-finite state")
 
 
+def drawn_schedule(rows, last_open):
+    """The schedule of (strategy_id, min_iters, max_iters - min_iters) rows,
+    its last phase open when last_open."""
+    phases = [Phase(sid, lo, lo + extra) for sid, lo, extra in rows]
+    if last_open:
+        phases[-1] = phases[-1]._replace(max_iters=None)
+    return tuple(phases)
+
+
+# 1 to 12 phases over the presets, of 1 to 6 steps each and up to 6 more
+# (0: min == max), the last one bounded or open
+random_schedules = st.builds(
+    drawn_schedule,
+    st.lists(st.tuples(st.sampled_from(["AI", "FF", "SF", "EF"]), st.integers(1, 6),
+                       st.integers(0, 6)), min_size=1, max_size=12),
+    st.booleans())
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), iterations=st.integers(8, 120),
        window=st.integers(2, 8), sigma=st.sampled_from([0.3, 1.0, 2.0, 4.0]),
-       strategy=st.sampled_from(["AI", "FF", "SF", "EF"]), scheduled=st.booleans(),
+       strategy=st.sampled_from(["AI", "FF", "SF", "EF"]),
+       schedule=st.one_of(st.none(), st.just(phased_schedule_default()), random_schedules),
        halt=st.booleans())
 def test_run_controlled_matches_reference_property(seed, iterations, window, sigma, strategy,
-                                                   scheduled, halt):
+                                                   schedule, halt):
     sim = simulator.SimConfig(strategy=simulator.preset(strategy, sigma),
                               iterations=max(iterations, window), base_seed=seed)
-    cfg = ControllerConfig(window=window,
-                           phase_schedule=phased_schedule_default() if scheduled else None)
+    cfg = ControllerConfig(window=window, phase_schedule=schedule)
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_matches_reference(monkeypatch, sim, cfg, halt_on_intervention=halt)
 
@@ -918,36 +974,40 @@ def test_a_fit_that_raises_after_a_switch_raises_where_the_rules_reach_it(monkey
 def test_an_unscheduled_fallback_run_applies_no_per_step_rule(monkeypatch):
     # control_long's configuration: no schedule, the run starts at the
     # fallback and does not halt, so no rule can change the state. Every
-    # segment's rule events are taken as one span, and the per-step rules
-    # never run.
-    pivots, spans = [], []
-    rules_at_pivot, rule_events = controller._rules_at_pivot, controller._rule_events
+    # segment's rule events are taken as one span, and no switch is made.
+    calls, spans = [], []
+    switch, rule_events = controller._switch, controller._rule_events
 
-    def spy_pivot(state, now, *args):
-        pivots.append(now)
-        return rules_at_pivot(state, now, *args)
+    def spy_switch(state, now, *args):
+        calls.append(now)
+        return switch(state, now, *args)
 
     def spy_spans(ruled, lo, hi):
         spans.append((lo, hi))
         return rule_events(ruled, lo, hi)
 
-    monkeypatch.setattr(controller, "_rules_at_pivot", spy_pivot)
+    monkeypatch.setattr(controller, "_switch", spy_switch)
     monkeypatch.setattr(controller, "_rule_events", spy_spans)
     sim = simulator.SimConfig(strategy=simulator.preset("AI", 2.0), iterations=3000,
                               base_seed=33002)
     _t, events = run_controlled(sim, ControllerConfig(), simulator.preset_catalog(2.0))
-    assert pivots == []
+    assert calls == []
     assert len(events) > 500 and {e.kind for e in events} == {
         EventKind.INTERVENTION, EventKind.EXPLORATION_TO_EXPLOITATION,
         EventKind.BOUNDARY_AVOID_SWITCH}
     bounds = [0, 16, 48, 112, 240, 496, 1008, 2032, 3000]
     assert spans == [(lo + 1, hi + 1) for lo, hi in zip(bounds, bounds[1:])]
-    # halting, a schedule or a start away from the fallback do reach them
-    for kwargs in (dict(halt_on_intervention=True),
-                   dict(cfg=ControllerConfig(phase_schedule=phased_schedule_default())),
+    # halting ends the run at its first intervention with no switch; a
+    # schedule or a start away from the fallback do switch
+    spans.clear()
+    _t, events = run_controlled(sim, ControllerConfig(), simulator.preset_catalog(2.0),
+                                halt_on_intervention=True)
+    assert calls == [] and events[-1].kind is EventKind.INTERVENTION
+    assert spans[-1][1] == events[-1].iteration + 1
+    for kwargs in (dict(cfg=ControllerConfig(phase_schedule=phased_schedule_default())),
                    dict(sim=simulator.SimConfig(strategy=simulator.preset("SF", 2.0),
                                                 iterations=3000, base_seed=33002))):
-        pivots.clear()
         run_controlled(kwargs.pop("sim", sim), kwargs.pop("cfg", ControllerConfig()),
                        simulator.preset_catalog(2.0), **kwargs)
-        assert pivots
+        assert calls
+        calls.clear()
