@@ -223,12 +223,12 @@ def cmd_analyze(args) -> int:
     by_strategy = group_by_strategy(read_trajectories(args.infile))
     if not by_strategy:
         raise InsufficientData(f"no trajectory records in {args.infile}")
-    sessions = sum(map(len, by_strategy.values()))
     if args.strategy:
         if args.strategy not in by_strategy:
             print(f"analyze: no sessions for strategy {_shown(args.strategy)}", file=sys.stderr)
             return 1
         by_strategy = {args.strategy: by_strategy[args.strategy]}
+    sessions = sum(map(len, by_strategy.values()))
     widths = {data.dimension for data in by_strategy.values()}
     if len(widths) > 1:
         raise DimensionMismatch(

@@ -274,8 +274,10 @@ class SessionSet:
         step = np.ones(len(m) + 1, dtype=bool)
         step[self.offsets[1:]] = False
         step = step[1:]
+        with np.errstate(over="ignore", invalid="ignore"):  # each user rejects a non-finite delta
+            deltas = np.diff(m, axis=0)
         return (_readonly(m.compress(step, axis=0)),
-                _readonly(np.diff(m, axis=0).compress(step[:-1], axis=0)))
+                _readonly(deltas.compress(step[:-1], axis=0)))
 
 
 @dataclass(frozen=True, eq=False)

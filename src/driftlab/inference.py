@@ -147,7 +147,9 @@ def fit_windows(rows: np.ndarray, window: int) -> WindowFits:
     """
     m = np.asarray(rows, dtype=np.float64)
     n = m.shape[1]
-    X, D = m[:-1], np.diff(m, axis=0)
+    X = m[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects what overflows
+        D = np.diff(m, axis=0)
     count = max(0, len(X) - window + 1)
     if window < n + 1 or count == 0:
         return WindowFits(np.zeros(count, dtype=bool), np.empty((0, n, n)), None)
@@ -196,6 +198,8 @@ def interference_matrix(data: SessionSet) -> InterferenceMatrix:
     count, n = D.shape
     if count < 2:
         raise InsufficientData(f"{count} step(s) < 2 required for correlations")
+    if not np.isfinite(D).all():
+        raise NonFinite("deltas must be finite for the correlations")
     centered = D - D.mean(axis=0)
     cov = centered.T @ centered
     var = np.diag(cov)
@@ -222,6 +226,8 @@ def predictive_r2(data: SessionSet, model: DriftModel) -> PredictionReport:
     X, D = pooled_step_matrix(data)
     if X.shape[0] < 2:
         raise InsufficientData(f"{X.shape[0]} step(s) < 2 required for R-squared")
+    if not np.isfinite(D).all():
+        raise NonFinite("deltas must be finite for R-squared")
     pred = model.predict(X)
     resid = D - pred
     ss_res = np.sum(resid**2, axis=0)

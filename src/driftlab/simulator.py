@@ -30,12 +30,14 @@ stacked matrix-vector products that round each row exactly like the lone
 numpy calls for all of them. One session (`simulate_session`, a
 one-session set, every controlled run and `em_step`) is stepped on Python
 floats, where six numpy calls on one short row would cost more than the
-step's arithmetic: the drift product is the same BLAS product, the rest
-the numpy step's IEEE operations in its order, and a step that overflows
-or is not finite is taken again as a numpy step, which decides it. So a
-session's bytes do not depend on the set around it. A noise term that
-overflows still belongs to its own step: the walk ends before it, and the
-next walk raises there. The one clip box is core's [SCORE_LOW, SCORE_HIGH].
+step's arithmetic: the drift product is the same BLAS product and the
+rest the numpy step's IEEE operations in its order, so a session's bytes
+do not depend on the set around it. Both ways decide a step they cannot
+take by one rule: a walk ends before the first step whose noise term or
+new values are not all finite, and the next walk raises NonFinite there.
+A walk starts from a finite row, so only an overflow, or an `em_step`
+caller's NaN or infinite noise, ends it early. The one clip box is core's
+[SCORE_LOW, SCORE_HIGH].
 
 Ships the four built-in strategy presets (EF, SF, FF, AI) as diagonal
 drift matrices with zero intercept and a default diffusion of 0.5 * I.
@@ -327,8 +329,8 @@ def em_step(
     to the score box.
 
     A state with a non-finite component raises NonFinite before the step.
-    A step that overflows raises NonFinite as a run's step 0 does, and so
-    does a non-finite result (NaN noise raises no floating-point error)."""
+    A step that overflows, or whose noise is not finite, raises NonFinite
+    as a run's step 0 does."""
     xv = _state(strategy, x)
     if not np.isfinite(xv).all():
         raise NonFinite(f"state {xv.tolist()} has non-finite entries")
@@ -339,8 +341,6 @@ def em_step(
     X = np.empty((2, len(xv)))
     X[0] = xv
     _advance(X, 0, 1, strategy, dt, eps[None], clip)
-    if not np.all(np.isfinite(X[1])):
-        raise NonFinite(f"step from {xv.tolist()} gives non-finite state {X[1].tolist()}")
     return X[1]
 
 
@@ -366,66 +366,54 @@ def _start(cfg: SimConfig, session_indices: range, n: int) -> tuple[np.ndarray, 
 
 def _noise_terms(S: np.ndarray, eps: np.ndarray, root_dt: float) -> np.ndarray:
     """The diffusion term `_matvec(S, e) * root_dt` of every row e of eps, as
-    one stacked product, under the caller's floating-point error state. When
-    that raises, the terms of the rows before the first row whose own
-    product raises, so that a walk ends before that row's step."""
-    try:
-        return _matvec(S, eps) * root_dt
-    except FloatingPointError:
-        terms = []
-        for row in eps:
-            try:
-                terms.append(_matvec(S, row) * root_dt)
-            except FloatingPointError:
-                break
-        return np.reshape(terms, (len(terms),) + eps.shape[1:])
+    one stacked product, up to the first row whose term is not finite: an
+    overflow, or a caller's NaN or infinite noise. A walk ends before that
+    row's step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        shock = _matvec(S, eps) * root_dt
+    finite = np.isfinite(shock).all(axis=tuple(range(1, shock.ndim)))
+    return shock if finite.all() else shock[:finite.argmin()]
 
 
 def _advance(X: np.ndarray, t: int, stop: int, strategy: StrategySpec, dt: float,
              eps: np.ndarray, clip: bool) -> int:
     """Take steps t .. stop-1 of X, X[s + 1] from X[s] and the noise eps[s - t],
     and return stop. X holds one session's (T+1, n) states or a set's
-    (T+1, N, n). The noise terms of all these steps are one stacked
-    product; the drift product and, when `clip` is true, the clip to the
-    score box are taken step by step, on Python floats for one session
-    (`_float_steps`) and as stacked rows for a set (`_row_steps`).
+    (T+1, N, n), and row t is finite. The noise terms of all these steps are
+    one stacked product; the drift product and, when `clip` is true, the
+    clip to the score box are taken step by step, on Python floats for one
+    session (`_float_steps`) and as stacked rows for a set (`_row_steps`).
 
-    A step whose arithmetic overflows or turns invalid before the clip, in
-    its drift or in its noise term, raises NonFinite naming it if it is step
-    t; a later one is left untaken and returned, so that the next walk
-    starts there and raises."""
-    root_dt = np.sqrt(dt)
+    The walk ends before the first step whose noise term or new values are
+    not all finite: with finite noise, the step whose arithmetic overflows
+    before the clip. It raises NonFinite naming it if it is step t; a later
+    one is left untaken and returned, so that the next walk starts there
+    and raises."""
+    shock = _noise_terms(strategy.diffusion, eps[:stop - t], np.sqrt(dt))
+    walk = _float_steps if X.ndim == 2 else _row_steps
     with np.errstate(over="raise", invalid="raise"):
-        shock = _noise_terms(strategy.diffusion, eps[:stop - t], root_dt)
-        walk = _float_steps if X.ndim == 2 else _row_steps
         stop = walk(X, t, t + len(shock), strategy, dt, shock, clip)
     if stop == t:
         raise NonFinite(f"step {t} gives a non-finite state")
     return stop
 
 
-def _step(X: np.ndarray, s: int, strategy: StrategySpec, dt: float, shock: np.ndarray,
-          clip: bool) -> None:
-    """Take step s of X with numpy, X[s + 1] from X[s] and its noise term,
-    under the caller's floating-point error state."""
-    x = X[s]
-    nxt = x + (_matvec(strategy.drift_matrix, x) + strategy.drift_intercept) * dt + shock
-    if clip:
-        _clip(nxt, SCORE_LOW, SCORE_HIGH, out=X[s + 1])
-    else:
-        X[s + 1] = nxt
-
-
 def _row_steps(X: np.ndarray, t: int, stop: int, strategy: StrategySpec, dt: float,
                shock: np.ndarray, clip: bool) -> int:
-    """Take steps t .. stop-1 of a set's (T+1, N, n) states, each one
-    `_step` on all the set's rows, and return stop, or the first step that
-    raises FloatingPointError, untaken."""
+    """Take steps t .. stop-1 of a set's (T+1, N, n) states with numpy, each
+    step on all the set's rows, and return stop, or the first step whose
+    arithmetic raises FloatingPointError, untaken."""
+    A, b = strategy.drift_matrix, strategy.drift_intercept
     for s in range(t, stop):
+        x = X[s]
         try:
-            _step(X, s, strategy, dt, shock[s - t], clip)
+            nxt = x + (_matvec(A, x) + b) * dt + shock[s - t]
         except FloatingPointError:
             return s
+        if clip:
+            _clip(nxt, SCORE_LOW, SCORE_HIGH, out=X[s + 1])
+        else:
+            X[s + 1] = nxt
     return stop
 
 
@@ -433,16 +421,16 @@ def _float_steps(X: np.ndarray, t: int, stop: int, strategy: StrategySpec, dt: f
                  shock: np.ndarray, clip: bool) -> int:
     """Take steps t .. stop-1 of one session's (T+1, n) states on Python
     floats, writing each row as it is taken, and return stop, or the first
-    step that raises FloatingPointError, untaken.
+    step whose drift product raises FloatingPointError or whose values are
+    not all finite, untaken.
 
     For one row, six numpy calls cost more than the step's arithmetic. The
     drift product stays `A.dot(x)`, the BLAS product that rounds like
     `_matvec` (a Python sum of products does not: the kernel fuses
-    multiply-adds); the rest is the numpy step's IEEE operations in its
+    multiply-adds); the rest is `_row_steps`' IEEE operations in its
     order, and the clip keeps a -0.0 state as np.clip does. Python floats
-    overflow silently, so a step whose product raises or whose values are
-    not all finite is taken again by `_step`, which decides it as a set's
-    walk does."""
+    overflow silently, to a value that is not finite, so a step is
+    untakeable exactly where `_row_steps` raises."""
     dot, b, h = strategy.drift_matrix.dot, strategy.drift_intercept.tolist(), float(dt)
     lo, hi = SCORE_LOW, SCORE_HIGH
     x = X[t].tolist()
@@ -450,20 +438,14 @@ def _float_steps(X: np.ndarray, t: int, stop: int, strategy: StrategySpec, dt: f
         try:
             ax = dot(row).tolist()
         except FloatingPointError:
-            pass
-        else:
-            nxt = [v + (a + c) * h + w for v, a, c, w in zip(x, ax, b, e.tolist())]
-            # a sum of finite values may overflow, which only costs a retake
-            if math.isfinite(sum(nxt)):
-                if clip:
-                    nxt = [lo if v < lo else hi if v > hi else v for v in nxt]
-                X[s + 1] = x = nxt
-                continue
-        try:
-            _step(X, s, strategy, dt, e, clip)
-        except FloatingPointError:
             return s
-        x = X[s + 1].tolist()
+        nxt = [v + (a + c) * h + w for v, a, c, w in zip(x, ax, b, e.tolist())]
+        # a sum of finite values may overflow, so only then look at each
+        if not math.isfinite(sum(nxt)) and not all(map(math.isfinite, nxt)):
+            return s
+        if clip:
+            nxt = [lo if v < lo else hi if v > hi else v for v in nxt]
+        X[s + 1] = x = nxt
     return stop
 
 

@@ -178,6 +178,21 @@ def test_analyze_strategy_present_reports_it_alone(tmp_path):
     assert len(rows) == 4 and {r["strategy"] for r in rows} == {"FF"}
 
 
+def test_analyze_strategy_summary_counts_only_its_sessions(tmp_path, capsys):
+    trajs = [core.Trajectory(sid + t.session_id, sid, t.values_matrix)
+             for sid, sessions in (("SF", 30), ("FF", 20))
+             for t in simulator.simulate_set(simulator.SimConfig(
+                 simulator.preset(sid), sessions=sessions, iterations=6, base_seed=2))]
+    data = tmp_path / "two.jsonl"
+    data.write_text(core.dumps_trajectories(trajs))
+    out_dir = tmp_path / "ff"
+    assert run_cli("analyze", "--in", str(data), "--strategy", "FF", "--out", str(out_dir)) == 0
+    assert capsys.readouterr().out == f"analyze: 1 strategies, 20 sessions -> {out_dir}\n"
+    assert len((out_dir / "pareto.csv").read_text().splitlines()) == 1 + 20
+    assert run_cli("analyze", "--in", str(data), "--out", str(tmp_path / "all")) == 0
+    assert capsys.readouterr().out.startswith("analyze: 2 strategies, 50 sessions -> ")
+
+
 def test_analyze_pareto_csv_equals_rows_built_one_session_at_a_time(tmp_path):
     # two strategies in one writer-form file, their sessions interleaved and
     # of unequal lengths: runs of equal short lengths take the stacked

@@ -423,11 +423,14 @@ def test_events_serialize_to_jsonl():
     np.float64("-inf"),
 ], ids=repr)
 def test_dumps_events_matches_the_per_event_writer_on_odd_values(value):
-    # a finite float is written as float.__repr__; anything else as json.dumps
+    # a finite float is written as float.__repr__; anything else as json.dumps,
+    # and an iteration that is not an int (a bool, a float) as json.dumps too
     events = [ControlEvent(t, kind, detail, value) for t, kind, detail in (
         (0, EventKind.INTERVENTION, "security_floor"),
         (3, EventKind.PHASE_SWITCH, "FF->SF"),
-        (3, EventKind.INTERVENTION, "security_floor"))]
+        (3, EventKind.INTERVENTION, "security_floor"),
+        (True, EventKind.INTERVENTION, "security_floor"),
+        (3.0, EventKind.PHASE_SWITCH, "FF->SF"))]
     assert controller.dumps_events(events) == reference_dumps_events(events)
 
 

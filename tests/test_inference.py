@@ -1,10 +1,11 @@
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from driftlab import inference, simulator
+from driftlab import controller, inference, simulator
 from driftlab.core import (
     DegenerateVariance,
     DomainError,
@@ -148,6 +149,31 @@ def test_fit_affine_rejects_non_finite_input(capfd, arg, bad):
     assert issubclass(NonFinite, DomainError)
     # no LAPACK complaint on stderr: nothing was decomposed
     assert capfd.readouterr().err == ""
+
+
+def test_deltas_that_overflow_raise_non_finite_and_warn_nothing():
+    # every row is finite, but two consecutive rows differ by more than the
+    # float range: each function rejects the step with one NonFinite line
+    # and no numpy RuntimeWarning ahead of it
+    rows = np.random.default_rng(39).uniform(0, 10, (10, 3))
+    rows[4:6] = [[1e308, -1e308, 5.0], [-1e308, 1e308, 5.0]]
+    traj = Trajectory("s000", "X", rows)
+    model = DriftModel(np.eye(3), np.zeros(3), np.eye(3), 9)
+    fit = "states and deltas must be finite for the fit"
+    calls = [  # each call gets a new set, whose pooled steps are not yet built
+        (fit, lambda: inference.fit_drift(SessionSet("X", [traj]))),
+        ("deltas must be finite for the correlations",
+         lambda: inference.interference_matrix(SessionSet("X", [traj]))),
+        ("deltas must be finite for R-squared",
+         lambda: inference.predictive_r2(SessionSet("X", [traj]), model)),
+        (fit, lambda: controller.check_interventions(traj, controller.ControllerConfig(window=4))),
+    ]
+    for message, call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFinite, match=f"^{message}$"):
+                call()
+        assert not caught, (message, [str(w.message) for w in caught])
 
 
 @pytest.mark.parametrize("overflow", ["A", "b and sigma"])

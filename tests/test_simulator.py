@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from driftlab import controller, core, simulator
 from driftlab.core import DimensionMismatch, StrategySpec
@@ -269,14 +271,12 @@ def test_em_step_checks_state_dimension():
 
 
 def test_em_step_rejects_a_non_finite_result():
-    # NaN noise raises no floating-point error, so the step is taken and its
-    # state rejected; infinite noise turns 0 * inf invalid in the noise term
-    nan_state = re.escape("step from [5.0, 5.0, 5.0] gives non-finite state [nan, nan, nan]")
+    # NaN noise gives a NaN noise term, and infinite noise turns 0 * inf
+    # invalid in it: either way the step's noise term is not finite
     for clip in (True, False):
-        with pytest.raises(core.NonFinite, match=f"^{nan_state}$"):
-            em_step([5, 5, 5], preset("AI"), 1.0, [float("nan"), 0.0, 0.0], clip=clip)
-        with pytest.raises(core.NonFinite, match="^step 0 gives a non-finite state$"):
-            em_step([5, 5, 5], preset("AI"), 1.0, [float("inf"), 0.0, 0.0], clip=clip)
+        for odd in (float("nan"), float("inf")):
+            with pytest.raises(core.NonFinite, match="^step 0 gives a non-finite state$"):
+                em_step([5, 5, 5], preset("AI"), 1.0, [odd, 0.0, 0.0], clip=clip)
 
 
 def test_em_step_raises_on_an_overflow_before_the_clip():
@@ -375,15 +375,23 @@ def test_one_session_runs_equal_the_session_in_a_stacked_set(dt, clip):
 
 
 def test_a_finite_one_session_run_takes_no_numpy_step(monkeypatch):
-    taken = []
-    step = simulator._step
-    monkeypatch.setattr(simulator, "_step", lambda X, s, *rest: taken.append(s) or step(X, s, *rest))
+    # a one-session run never takes the set walk, even at an overflow
+    walked = []
+    rows = simulator._row_steps
+    monkeypatch.setattr(simulator, "_row_steps",
+                        lambda X, t, *rest: walked.append(t) or rows(X, t, *rest))
     cfg = SimConfig(strategy=COUPLED, sessions=3, iterations=200, dt=0.5, base_seed=3203)
     simulate_session(cfg, 1)
     controller.run_controlled(cfg, controller.ControllerConfig())
-    assert not taken
+    boom = StrategySpec("BOOM", 1e150 * np.eye(3), np.zeros(3), np.eye(3))
+    for strategy in (boom, StrategySpec("N", np.zeros((3, 3)), np.zeros(3), 1e308 * np.eye(3))):
+        with pytest.raises(core.NonFinite):
+            simulate_session(SimConfig(strategy=strategy, iterations=50, clip=False), 0)
+    with pytest.raises(core.NonFinite):
+        em_step([1e200, 5, 5], boom, 1.0, np.ones(3))
+    assert not walked
     simulate_set(cfg)
-    assert taken == list(range(200))
+    assert walked == [0]
 
 
 def _walked(X, strategy, dt, eps, clip):
@@ -406,8 +414,6 @@ WALK_CASES = {
                        [5.0, 5.0, 5.0], 1.0, 1.0),
     "nan noise": (COUPLED, [4.0, 5.0, 6.0], 0.37, np.nan),
     "infinite noise": (COUPLED, [4.0, 5.0, 6.0], 0.37, np.inf),
-    "infinite start": (StrategySpec("F", [[0.5, 0, 0], [0.25, -0.5, 0], [1.0, 0.1, 0.2]],
-                                    [0.1, 0, 0], np.eye(3)), [np.inf, 5.0, 5.0], 1.0, 1.0),
 }
 
 
@@ -427,6 +433,65 @@ def test_the_float_walk_decides_every_step_as_the_stacked_walk(case, clip):
         X[0] = np.reshape(x0, shape[1:])
         outcomes.append(_walked(X, strategy, dt, eps.reshape((60,) + shape[1:]), clip))
     assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def _walk_inputs(draw):
+    """A strategy and a finite start, each of their parts tame (magnitudes
+    1e-3 to 1) or near overflow (1e100 to 1e308); a start may also sit at
+    the edge of the float range, where a sum of finite values overflows.
+    Then dt, clip, and noise with NaN or an infinity at random places."""
+    n, steps = draw(st.integers(2, 4)), draw(st.integers(1, 40))
+
+    def entries(k, ranges=((-3, 0), (100, 308))):
+        low, high = draw(st.sampled_from(ranges))
+        return np.array(draw(st.lists(st.builds(lambda sign, e: sign * 10.0 ** e,
+                                                st.sampled_from([-1.0, 0.0, 1.0]),
+                                                st.floats(low, high)),
+                                      min_size=k, max_size=k)))
+
+    strategy = StrategySpec("H", entries(n * n).reshape(n, n), entries(n),
+                            entries(n * n).reshape(n, n))
+    eps = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((steps, n))
+    for s, i, odd in draw(st.lists(st.tuples(st.integers(0, steps - 1), st.integers(0, n - 1),
+                                             st.sampled_from([np.nan, np.inf, -np.inf])),
+                                   max_size=3)):
+        eps[s, i] = odd
+    dt = draw(st.floats(1e-3, 1e3) | st.sampled_from([1e-300, 1e300]))
+    x0 = entries(n, ((-3, 0), (100, 308), (307.9, 308.2)))
+    return strategy, x0, dt, eps, draw(st.booleans())
+
+
+# a failure reports the example as drawn: shrinking these draws would run
+# into Hypothesis's five-minute shrink limit
+@settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(_walk_inputs())
+def test_both_walks_end_before_the_first_step_that_is_not_finite(inputs):
+    # the float walk and the set walk write the same rows, all finite, and
+    # stop at the same step, one whose noise term or new values are not
+    strategy, x0, dt, eps, clip = inputs
+    steps, n = eps.shape
+    walks = []
+    for shape in ((steps + 1, n), (steps + 1, 1, n)):
+        X = np.full(shape, np.nan)
+        X[0] = x0.reshape(shape[1:])
+        try:
+            stop = simulator._advance(X, 0, steps, strategy, dt, eps.reshape((steps,) + shape[1:]),
+                                      clip)
+        except core.NonFinite as e:
+            assert str(e) == "step 0 gives a non-finite state"
+            stop = 0
+        X = X.reshape(steps + 1, n)
+        assert np.isfinite(X[:stop + 1]).all() and np.isnan(X[stop + 1:]).all()
+        walks.append((stop, X.tobytes()))
+    assert walks[0] == walks[1]
+    stop = walks[0][0]
+    if stop < steps:
+        x = X[stop]
+        with np.errstate(all="ignore"):
+            shock = strategy.diffusion @ eps[stop] * np.sqrt(dt)
+            nxt = x + (strategy.drift_matrix @ x + strategy.drift_intercept) * dt + shock
+        assert not (np.isfinite(shock).all() and np.isfinite(nxt).all())
 
 
 def test_em_step_from_an_infinite_state_component():
