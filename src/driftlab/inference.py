@@ -200,15 +200,19 @@ def interference_matrix(data: SessionSet) -> InterferenceMatrix:
         raise InsufficientData(f"{count} step(s) < 2 required for correlations")
     if not np.isfinite(D).all():
         raise NonFinite("deltas must be finite for the correlations")
-    centered = D - D.mean(axis=0)
-    cov = centered.T @ centered
-    var = np.diag(cov)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects what overflows
+        centered = D - D.mean(axis=0)
+        cov = centered.T @ centered
+        var = np.diag(cov)
+        denom = np.sqrt(np.outer(var, var))
+    if not (np.isfinite(cov).all() and np.isfinite(denom).all()):
+        raise NonFinite("the correlations overflowed: the step-change covariance "
+                        "or a product of two variances is not finite")
     for i in range(n):
         if var[i] == 0.0:
             raise DegenerateVariance(
                 f"dimension {i} has zero step-change variance", dimension=i
             )
-    denom = np.sqrt(np.outer(var, var))
     entries = np.clip(cov / denom, -1.0, 1.0)
     entries = (entries + entries.T) / 2.0
     np.fill_diagonal(entries, 0.0)
@@ -228,18 +232,20 @@ def predictive_r2(data: SessionSet, model: DriftModel) -> PredictionReport:
         raise InsufficientData(f"{X.shape[0]} step(s) < 2 required for R-squared")
     if not np.isfinite(D).all():
         raise NonFinite("deltas must be finite for R-squared")
-    pred = model.predict(X)
-    resid = D - pred
-    ss_res = np.sum(resid**2, axis=0)
-    centered = D - D.mean(axis=0)
-    ss_tot = np.sum(centered**2, axis=0)
+    with np.errstate(all="ignore"):  # the checks below reject a zero variance and an overflow
+        resid = D - model.predict(X)
+        ss_res = np.sum(resid**2, axis=0)
+        centered = D - D.mean(axis=0)
+        ss_tot = np.sum(centered**2, axis=0)
+        per_dim = tuple(float(1.0 - r / t) for r, t in zip(ss_res, ss_tot))
+        pooled = float(1.0 - np.sum(ss_res) / np.sum(ss_tot))
     for i, tot in enumerate(ss_tot):
         if tot == 0.0:
             raise DegenerateVariance(
                 f"dimension {i} has zero target variance", dimension=i
             )
-    per_dim = tuple(float(1.0 - r / t) for r, t in zip(ss_res, ss_tot))
-    pooled = float(1.0 - np.sum(ss_res) / np.sum(ss_tot))
+    if not np.isfinite([*ss_res, *ss_tot, *per_dim, pooled]).all():
+        raise NonFinite("R-squared overflowed: a sum of squares or a ratio of two is not finite")
     return PredictionReport(
         r_squared=pooled,
         per_dimension_r_squared=per_dim,

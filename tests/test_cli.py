@@ -1,9 +1,14 @@
 import csv
+import importlib.util
 import itertools
 import json
+import os
+import pickle
+import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -602,6 +607,200 @@ def test_score_manifest_matches_trajectory_writer(tmp_path, capsys):
     text = capsys.readouterr().out
     assert core.dumps_trajectories(core.loads_trajectories(text)) == text
     assert [json.loads(line)["iteration"] for line in text.splitlines()] == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# score --manifest over several processes
+# ---------------------------------------------------------------------------
+
+def _load_corpus_writer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.write_corpus
+
+
+write_corpus = _load_corpus_writer()
+
+
+def _seeded_manifest(workdir, form: str, files: int = 13) -> Path:
+    """A manifest of a seeded corpus that fires every scorer rule, its paths
+    relative to `workdir`. In trajectory form its rows give three sessions
+    and come in a shuffled order."""
+    write_corpus(workdir, {"files": files, "lines": 100 * files}, 35)
+    manifest = workdir / "manifest.csv"
+    if form == "trajectory":
+        with open(manifest, newline="") as f:
+            rows = [(row["path"], row["expected_length"], f"s{i % 3}", ("AI", "SF", "FF")[i % 3],
+                     i // 3) for i, row in enumerate(csv.DictReader(f))]
+        random.Random(35).shuffle(rows)
+        manifest.write_text("path,expected_length,session_id,strategy,iteration\n"
+                            + "".join("%s,%s,%s,%s,%d\n" % row for row in rows))
+    return manifest
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k, cut) lets the CLI see k CPUs and sets its fork cut-off to
+    `cut` bytes; cpus.forks counts its os.fork calls."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    def use(k: int, cut: int = 0) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", cut)
+
+    monkeypatch.setattr(os, "fork", fork)
+    use.forks = forks
+    yield use
+    with pytest.raises(ChildProcessError):  # no child is left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _scored_manifest(manifest: Path, out: Path, capsys) -> tuple[int, str, bytes | None]:
+    code = run_cli("score", "--manifest", str(manifest), "--out", str(out))
+    return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("form", ["plain", "trajectory"])
+def test_score_manifest_split_over_processes_writes_the_inline_bytes(
+        tmp_path, monkeypatch, capsys, cpus, parts, form):
+    monkeypatch.chdir(tmp_path)
+    manifest = _seeded_manifest(tmp_path, form)
+    cpus(1)
+    inline = _scored_manifest(manifest, tmp_path / "inline.jsonl", capsys)
+    assert cpus.forks == [] and inline[0] == 0 and inline[1] == ""
+    cpus(parts)
+    assert _scored_manifest(manifest, tmp_path / "split.jsonl", capsys) == inline
+    assert len(cpus.forks) == parts - 1
+
+
+_BAD_ROWS = {  # kind -> (path, expected_length, a fragment of its error line)
+    "missing file": ("corpus/absent.py", "5", "No such file or directory: 'corpus/absent.py'"),
+    "not UTF-8": ("latin1.py", "5", "latin1.py: not UTF-8 text"),
+    "expected_length 0": ("corpus/f000.py", "0", "expected_length must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("kind", list(_BAD_ROWS))
+@pytest.mark.parametrize("placement", ["parent", "child", "parent then child",
+                                       "child then parent"])
+def test_score_manifest_split_over_processes_fails_on_the_first_failing_row(
+        tmp_path, monkeypatch, capsys, cpus, parts, kind, placement):
+    # row i goes to part i % parts; part 0 is the parent's
+    at = {"parent": [2 * parts], "child": [2 * parts + 1],
+          "parent then child": [parts, 3 * parts + 1],
+          "child then parent": [1, 3 * parts]}[placement]
+    kinds = list(_BAD_ROWS)
+    monkeypatch.chdir(tmp_path)
+    manifest = _seeded_manifest(tmp_path, "plain")
+    (tmp_path / "latin1.py").write_bytes(b"x = '\xe9'\n")
+    lines = manifest.read_text().splitlines()
+    for j, row in enumerate(at):  # a second bad row is of the next kind
+        path, expected_length, _ = _BAD_ROWS[kinds[(kinds.index(kind) + j) % 3]]
+        lines[1 + row] = f"{path},{expected_length}"
+    manifest.write_text("\n".join(lines) + "\n")
+    cpus(1)
+    inline = _scored_manifest(manifest, tmp_path / "inline.jsonl", capsys)
+    assert inline[0] == 1 and inline[2] is None
+    assert inline[1].startswith("score: ") and inline[1].count("\n") == 1
+    assert _BAD_ROWS[kind][2] in inline[1]
+    cpus(parts)
+    assert _scored_manifest(manifest, tmp_path / "split.jsonl", capsys) == inline
+    assert len(cpus.forks) == parts - 1
+
+
+@pytest.mark.parametrize("death", ["exit before writing", "bytes that do not unpickle",
+                                   "no fork"])
+def test_score_manifest_scores_again_what_a_dead_child_did_not_send(
+        tmp_path, monkeypatch, capsys, cpus, death):
+    monkeypatch.chdir(tmp_path)
+    manifest = _seeded_manifest(tmp_path, "trajectory")
+    cpus(1)
+    inline = _scored_manifest(manifest, tmp_path / "inline.jsonl", capsys)
+    parent = os.getpid()
+    if death == "exit before writing":
+        scored = cli._scored
+
+        def exiting(rows):
+            if os.getpid() != parent:
+                os._exit(1)
+            return scored(rows)
+
+        monkeypatch.setattr(cli, "_scored", exiting)
+    elif death == "bytes that do not unpickle":
+        dumps = pickle.dumps
+        monkeypatch.setattr(pickle, "dumps", lambda obj: dumps(obj)[:-7])
+    cpus(3)
+    if death == "no fork":  # as at a process limit: the parent scores every part
+        fork, failed = os.fork, [0]
+
+        def refused():
+            if failed[0] == 0:
+                failed[0] = 1
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refused)
+    assert _scored_manifest(manifest, tmp_path / "split.jsonl", capsys) == inline
+    assert len(cpus.forks) == (1 if death == "no fork" else 2)
+
+
+def test_score_manifest_interrupted_in_the_parent_reaps_its_children(
+        tmp_path, monkeypatch, cpus):
+    monkeypatch.chdir(tmp_path)
+    manifest = _seeded_manifest(tmp_path, "plain")
+    parent, scored = os.getpid(), cli._scored
+
+    def interrupted(rows):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return scored(rows)
+
+    monkeypatch.setattr(cli, "_scored", interrupted)
+    cpus(3)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("score", "--manifest", str(manifest), "--out", "split.jsonl")
+    assert len(cpus.forks) == 2 and not (tmp_path / "split.jsonl").exists()
+
+
+@pytest.mark.parametrize("case", ["one CPU", "under the cut-off", "one row", "no os.fork",
+                                  "no CPU set, one CPU"])
+def test_score_manifest_forks_nothing_where_a_split_cannot_pay(
+        tmp_path, monkeypatch, capsys, cpus, case):
+    monkeypatch.chdir(tmp_path)
+    manifest = _seeded_manifest(tmp_path, "plain", files=1 if case == "one row" else 13)
+    cpus(1)
+    inline = _scored_manifest(manifest, tmp_path / "inline.jsonl", capsys)
+    size = sum(p.stat().st_size for p in (tmp_path / "corpus").iterdir())
+    cpus(1 if case == "one CPU" else 3, size + 1 if case == "under the cut-off" else 0)
+    if case == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    if case == "no CPU set, one CPU":
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert _scored_manifest(manifest, tmp_path / "split.jsonl", capsys) == inline
+    assert cpus.forks == []
+    if case == "under the cut-off":  # at the cut-off exactly, it splits
+        cpus(3, size)
+        assert _scored_manifest(manifest, tmp_path / "split.jsonl", capsys) == inline
+        assert len(cpus.forks) == 2
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # `score --manifest` forks by hand: a pool's import would cost every
+    # command more than the split saves
+    script = ("import sys, driftlab.cli; print(sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_analyze_mixed_widths_exit_1_before_writing(tmp_path, capsys):

@@ -176,6 +176,37 @@ def test_deltas_that_overflow_raise_non_finite_and_warn_nothing():
         assert not caught, (message, [str(w.message) for w in caught])
 
 
+_CORRELATIONS_OVERFLOWED = ("the correlations overflowed: the step-change covariance "
+                            "or a product of two variances is not finite")
+_R2_OVERFLOWED = "R-squared overflowed: a sum of squares or a ratio of two is not finite"
+
+
+@pytest.mark.parametrize("scale, r2_overflows", [((1e200, 1.0), True), ((1e100, 1e100), False)],
+                         ids=["covariance", "variances"])
+def test_finite_deltas_that_overflow_the_statistics_raise_non_finite_and_warn_nothing(
+        scale, r2_overflows):
+    # every step change is finite, but the covariance and the sums of squares
+    # (steps of +-1e200), or only the product of two variances (two axes at
+    # 1e100), are not: each call that overflows rejects the set with one
+    # NonFinite line and no numpy RuntimeWarning
+    rows = np.random.default_rng(40).uniform(0, 10, (12, 3))
+    rows[:, 0] *= scale[0] * np.where(np.arange(12) % 2, -1.0, 1.0)
+    rows[:, 1] *= scale[1]
+    traj = Trajectory("s000", "X", rows)
+    model = DriftModel(np.eye(3), np.zeros(3), np.eye(3), 9)
+    calls = [(_CORRELATIONS_OVERFLOWED,
+              lambda: inference.interference_matrix(SessionSet("X", [traj])))]
+    if r2_overflows:
+        calls.append((_R2_OVERFLOWED,
+                      lambda: inference.predictive_r2(SessionSet("X", [traj]), model)))
+    for message, call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFinite, match=f"^{message}$"):
+                call()
+        assert not caught, (message, [str(w.message) for w in caught])
+
+
 @pytest.mark.parametrize("overflow", ["A", "b and sigma"])
 def test_fit_affine_raises_non_finite_when_the_fit_overflows(capfd, overflow):
     if overflow == "A":
