@@ -51,7 +51,6 @@ from .core import (
 )
 
 SCHEMA_VERSION = "1"
-ANALYZE_STAGES = ("drift", "interference", "spectrum", "prediction", "pareto")
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +208,47 @@ def cmd_simulate(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
+# Each stage's record of one strategy, from its sessions, their drift fit
+# (None when no requested stage reads it) and the flags: one record per
+# strategy in `<stage>.json`, or the strategy's rows of `pareto.csv`.
+
+def _drift_record(data, model, args) -> dict:
+    return {"A_hat": model.A_hat.tolist(), "b_hat": model.b_hat.tolist(),
+            "sigma_hat": model.sigma_hat.tolist(), "sample_count": model.sample_count}
+
+
+def _interference_record(data, model, args) -> dict:
+    return {"entries": inference.interference_matrix(data).entries.tolist()}
+
+
+def _spectrum_record(data, model, args) -> dict:
+    report = spectral.classify_regime(spectral.eigen_spectrum(model.A_hat), args.dt,
+                                      args.zero_tol)
+    return {"eigenvalues": [[z.real, z.imag] for z in report.eigenvalues],
+            "discrete_eigenvalues": [[z.real, z.imag] for z in report.discrete_eigenvalues],
+            "convergence_rate": report.convergence_rate, "regime": report.regime.value,
+            "discrete_stable": report.discrete_stable}
+
+
+def _prediction_record(data, model, args) -> dict:
+    report = inference.predictive_r2(data, model)
+    return {"r_squared": report.r_squared,
+            "per_dimension_r_squared": list(report.per_dimension_r_squared),
+            "step_count": report.step_count}
+
+
+# The stages run in this order, whatever the order `--only` names them in;
+# the drift fit is made, and fails, at the drift stage.
+_STAGES = {
+    "drift": _drift_record,
+    "interference": _interference_record,
+    "spectrum": _spectrum_record,
+    "prediction": _prediction_record,
+    "pareto": lambda data, model, args: pareto.efficiency_rows(data, args.tail),
+}
+ANALYZE_STAGES = tuple(_STAGES)
+
+
 def cmd_analyze(args) -> int:
     stages = ANALYZE_STAGES
     if args.only:
@@ -241,43 +281,30 @@ def cmd_analyze(args) -> int:
             + ", ".join(f"{sid}={data.dimension}" for sid, data in by_strategy.items())
         )
 
-    needs_model = {"drift", "spectrum", "prediction"} & set(stages)
-    bundles: dict[str, dict] = {s: {} for s in stages}
+    records: dict[str, dict] = {stage: {} for stage in stages}  # in the order asked, once each
+    fits = not {"drift", "spectrum", "prediction"}.isdisjoint(records)  # stages that read the fit
     for sid, data in by_strategy.items():
-        stage = "drift"
+        model = None
         try:
-            model = inference.fit_drift(data) if needs_model else None
-            if "drift" in stages:
-                bundles["drift"][sid] = model.to_dict()
-            stage = "interference"
-            if "interference" in stages:
-                bundles["interference"][sid] = inference.interference_matrix(data).to_dict()
-            stage = "spectrum"
-            if "spectrum" in stages:
-                report = spectral.classify_regime(
-                    spectral.eigen_spectrum(model.A_hat), args.dt, args.zero_tol
-                )
-                bundles["spectrum"][sid] = report.to_dict()
-            stage = "prediction"
-            if "prediction" in stages:
-                bundles["prediction"][sid] = inference.predictive_r2(data, model).to_dict()
-            stage = "pareto"
-            if "pareto" in stages:
-                bundles["pareto"][sid] = pareto.efficiency_rows(data, args.tail)
+            for stage, record in _STAGES.items():
+                if stage == "drift" and fits:
+                    model = inference.fit_drift(data)
+                if stage in records:
+                    records[stage][sid] = record(data, model, args)
         except DomainError as exc:
             print(f"analyze: {stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
 
-    for stage in stages:
+    for stage, bundle in records.items():
         if stage == "pareto":
             n = next(iter(by_strategy.values())).dimension
             lines = ["strategy,session_id,efficiency,"
                      + ",".join(f"eq_{i + 1}" for i in range(n))]
-            for sid, rows in bundles["pareto"].items():
+            for sid, rows in bundle.items():
                 lines += _csv_rows(_csv_field(sid), rows)
             _write_text(out_dir / "pareto.csv", "\n".join(lines) + "\n")
         else:
-            doc = {"schema_version": SCHEMA_VERSION, "strategies": bundles[stage]}
+            doc = {"schema_version": SCHEMA_VERSION, "strategies": bundle}
             _write_text(out_dir / f"{stage}.json", dumps_report(doc) + "\n")
     print(f"analyze: {len(by_strategy)} strategies, {sessions} sessions -> {out_dir}")
     return 0
@@ -331,7 +358,9 @@ def cmd_control(args) -> int:
 def _score_one(path: str, expected_length: int, as_json: bool) -> str:
     breakdown = scorer.score_all(read_text(path), expected_length)
     if as_json:
-        return dumps_report(breakdown.to_dict()) + "\n"
+        return dumps_report({"security": breakdown.security, "efficiency": breakdown.efficiency,
+                             "functionality": breakdown.functionality,
+                             "rule_hits": [hit._asdict() for hit in breakdown.rule_hits]}) + "\n"
     lines = [
         f"security={breakdown.security:g} efficiency={breakdown.efficiency:g} "
         f"functionality={breakdown.functionality:g}"

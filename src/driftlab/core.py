@@ -206,13 +206,14 @@ class SessionSet:
     """All trajectories collected under one strategy, with a fixed dimension.
 
     The sessions' rows are held on one read-only (rows, n) float64 array,
-    `values_matrix`: session i is rows offsets[i] to offsets[i + 1], in
-    session order, and each of `trajectories` is a view of its rows. The
-    constructor concatenates its trajectories' matrices once.
+    `values_matrix`: session i, `session_ids[i]`, is rows offsets[i] to
+    offsets[i + 1], in session order. `trajectories`, a view of each
+    session's rows, is built on first use. The constructor concatenates its
+    trajectories' matrices once.
     """
 
     strategy_id: str
-    trajectories: tuple[Trajectory, ...]
+    session_ids: tuple[str, ...]
     dimension: int
     values_matrix: np.ndarray
     offsets: np.ndarray
@@ -252,16 +253,19 @@ class SessionSet:
 
     def _hold(self, strategy_id: str, session_ids: Sequence[str], rows: np.ndarray,
               offsets: np.ndarray) -> None:
-        """Own rows, read-only from now on, with a view of it per session."""
-        _readonly(rows)
-        bounds = offsets.tolist()
-        trajs = tuple(Trajectory._view(sid, strategy_id, rows[first:stop])
-                      for sid, first, stop in zip(session_ids, bounds, bounds[1:]))
-        self.__dict__.update(strategy_id=strategy_id, trajectories=trajs, dimension=rows.shape[1],
-                             values_matrix=rows, offsets=_readonly(offsets))
+        """Own rows, read-only from now on."""
+        self.__dict__.update(strategy_id=strategy_id, session_ids=tuple(session_ids),
+                             dimension=rows.shape[1], values_matrix=_readonly(rows),
+                             offsets=_readonly(offsets))
+
+    @cached_property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        bounds = self.offsets.tolist()
+        return tuple(Trajectory._view(sid, self.strategy_id, self.values_matrix[first:stop])
+                     for sid, first, stop in zip(self.session_ids, bounds, bounds[1:]))
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.session_ids)
 
     def __iter__(self) -> Iterator[Trajectory]:
         return iter(self.trajectories)
@@ -384,14 +388,6 @@ class DriftModel:
         """One-step delta predictions for an (N, n) state matrix."""
         return states @ self.A_hat.T + self.b_hat
 
-    def to_dict(self) -> dict:
-        return {
-            "A_hat": [[float(v) for v in row] for row in self.A_hat],
-            "b_hat": [float(v) for v in self.b_hat],
-            "sigma_hat": [[float(v) for v in row] for row in self.sigma_hat],
-            "sample_count": self.sample_count,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class InterferenceMatrix:
@@ -416,9 +412,6 @@ class InterferenceMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> float:
         return float(self.entries[ij])
 
-    def to_dict(self) -> dict:
-        return {"entries": [[float(v) for v in row] for row in self.entries]}
-
 
 class Regime(Enum):
     EXPONENTIAL = "Exponential"
@@ -441,15 +434,6 @@ class SpectrumReport:
     regime: Regime
     discrete_stable: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [[v.real, v.imag] for v in self.eigenvalues],
-            "discrete_eigenvalues": [[v.real, v.imag] for v in self.discrete_eigenvalues],
-            "convergence_rate": self.convergence_rate,
-            "regime": self.regime.value,
-            "discrete_stable": self.discrete_stable,
-        }
-
 
 @dataclass(frozen=True)
 class PredictionReport:
@@ -458,13 +442,6 @@ class PredictionReport:
     r_squared: float
     per_dimension_r_squared: tuple[float, ...]
     step_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "r_squared": self.r_squared,
-            "per_dimension_r_squared": list(self.per_dimension_r_squared),
-            "step_count": self.step_count,
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,9 @@ def fit_drift(data: SessionSet) -> DriftModel:
 
 
 def interference_matrix(data: SessionSet) -> InterferenceMatrix:
-    """Pearson correlations of pooled step changes; diagonal forced to zero."""
+    """Pearson correlations of pooled step changes; diagonal forced to zero.
+    Where var_i * var_j falls below the normal range, sqrt(var_i) * sqrt(var_j)
+    divides instead, so tiny step changes keep their correlations."""
     _, D = pooled_step_matrix(data)
     count, n = D.shape
     if count < 2:
@@ -204,7 +206,9 @@ def interference_matrix(data: SessionSet) -> InterferenceMatrix:
         centered = D - D.mean(axis=0)
         cov = centered.T @ centered
         var = np.diag(cov)
-        denom = np.sqrt(np.outer(var, var))
+        product = np.outer(var, var)
+        denom = np.where(product < np.finfo(np.float64).tiny,
+                         np.outer(np.sqrt(var), np.sqrt(var)), np.sqrt(product))
     if not (np.isfinite(cov).all() and np.isfinite(denom).all()):
         raise NonFinite("the correlations overflowed: the step-change covariance "
                         "or a product of two variances is not finite")

@@ -118,7 +118,8 @@ def _efficiencies(data: SessionSet) -> list[float]:
     checked in (S, T, n) chunks of S * T**2 <= `_BLOCK`**2, each a view of
     the set's rows, with one pairwise `_dominated` per chunk: for such T the
     sweep in `non_dominated_mask` is a single block, and the full pairwise
-    check gives the same mask. Longer sessions take the sweep.
+    check gives the same mask. Longer sessions take the sweep, each as a
+    `Trajectory` view of its rows.
     """
     m, offsets = data.values_matrix, data.offsets.tolist()
     out: list[float] = []
@@ -126,7 +127,9 @@ def _efficiencies(data: SessionSet) -> list[float]:
     for T, run in groupby(np.diff(data.offsets).tolist()):
         stop = first + len(list(run))
         if T > _BLOCK:
-            out += [pareto_efficiency(traj) for traj in data.trajectories[first:stop]]
+            out += [pareto_efficiency(Trajectory._view(data.session_ids[i], data.strategy_id,
+                                                       m[offsets[i]:offsets[i + 1]]))
+                    for i in range(first, stop)]
         else:
             per_chunk = _BLOCK**2 // T**2
             for lo in range(first, stop, per_chunk):
@@ -152,5 +155,5 @@ def efficiency_rows(data: SessionSet, tail: int = 3) -> list[tuple]:
     _check_tail(tail, int(lengths[np.argmax(lengths < tail)]))  # session 0 when none is short
     tails = data.offsets[1:, None] + np.arange(-tail, 0)
     equilibria = data.values_matrix[tails].mean(axis=1).tolist()
-    return [(traj.session_id, efficiency, *eq)
-            for traj, efficiency, eq in zip(data, _efficiencies(data), equilibria)]
+    return [(sid, efficiency, *eq)
+            for sid, efficiency, eq in zip(data.session_ids, _efficiencies(data), equilibria)]

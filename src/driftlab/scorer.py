@@ -305,17 +305,6 @@ class ScoreBreakdown:
     functionality: float
     rule_hits: tuple[RuleHit, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "security": self.security,
-            "efficiency": self.efficiency,
-            "functionality": self.functionality,
-            "rule_hits": [
-                {"rule_id": h.rule_id, "count": h.count, "delta": h.delta}
-                for h in self.rule_hits
-            ],
-        }
-
 
 def _axis_score(axis: str, hits: list[RuleHit]) -> float:
     """clip(base + sum of the axis's rule-hit deltas): every score is this."""

@@ -41,13 +41,16 @@ def classify_regime(
     Regime precedence: Unstable (any real part above zero_tol), then
     Boundary (any real part within zero_tol of zero), then Oscillatory
     (any imaginary part above zero_tol), else Exponential. zero_tol and
-    dt must each be finite and > 0, as `SimConfig.dt` must.
+    dt must each be finite and > 0, as `SimConfig.dt` must, and every
+    eigenvalue finite.
     """
     check_finite_positive("zero_tol", zero_tol)
     check_finite_positive("dt", dt)
     lams = list(spectrum)
     if not lams:
         raise ValueError("empty spectrum")
+    if not np.isfinite(lams).all():
+        raise NonFinite("spectrum has non-finite eigenvalues")
     if any(lam.real > zero_tol for lam in lams):
         regime = Regime.UNSTABLE
     elif any(abs(lam.real) <= zero_tol for lam in lams):

@@ -146,6 +146,38 @@ def test_analyze_only_subset(tmp_path, simulated):
     assert {p.name for p in out_dir.iterdir()} == {"interference.json", "pareto.csv"}
 
 
+def _stage_file(stage: str) -> str:
+    return "pareto.csv" if stage == "pareto" else f"{stage}.json"
+
+
+@pytest.mark.parametrize("only", ["pareto,prediction,spectrum,interference,drift,prediction",
+                                  "spectrum,spectrum", "pareto,interference,pareto"])
+def test_analyze_only_in_any_order_writes_the_full_runs_bytes(tmp_path, simulated, only):
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert run_cli("analyze", "--in", str(simulated), "--out", str(full)) == 0
+    assert run_cli("analyze", "--in", str(simulated), "--out", str(part), "--only", only) == 0
+    names = {_stage_file(stage) for stage in only.split(",")}
+    assert {p.name for p in part.iterdir()} == names
+    for name in names:
+        assert (part / name).read_bytes() == (full / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("only", ["pareto,drift", "drift,pareto"])
+def test_analyze_stages_fail_in_table_order_whatever_the_only_order(tmp_path, capsys, only):
+    # one step fails the drift fit, and a tail of 40 fails pareto
+    path = tmp_path / "tiny.jsonl"
+    path.write_text("".join(json.dumps({"session_id": "s000", "strategy": "AI", "iteration": t,
+                                        "objectives": [5.0, 5.0, 5.0]}) + "\n"
+                            for t in range(2)))
+    for stages, message in (("pareto", "pareto: TailTooLong: tail 40 > trajectory length 2"),
+                            (only, "drift: InsufficientData: 1 step(s) < n+1 = 4 required "
+                                   "for the fit")):
+        assert run_cli("analyze", "--in", str(path), "--out", str(tmp_path / "r"),
+                       "--only", stages, "--tail", "40") == 1
+        assert capsys.readouterr().err == f"analyze: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_analyze_contractive_custom_strategy_reports_exponential(tmp_path):
     spec = StrategySpec("NEG", np.diag([-0.5, -0.4, -0.3]),
                         [2.5, 2.0, 1.5], 0.3 * np.eye(3))

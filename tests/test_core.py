@@ -231,6 +231,16 @@ def test_group_by_strategy():
     assert [t.session_id for t in groups["AI"]] == ["a", "c"]
 
 
+def test_session_set_builds_its_trajectories_on_first_use():
+    data = SessionSet("AI", [traj([[1, 1, 1], [2, 2, 2]], session_id="a"),
+                             traj([[3, 3, 3]], session_id="b")])
+    assert data.session_ids == ("a", "b") and len(data) == 2
+    assert "trajectories" not in vars(data)
+    first = data.trajectories
+    assert data.trajectories is first and [len(t) for t in data] == [2, 1]
+    assert np.shares_memory(first[1].values_matrix, data.values_matrix)
+
+
 def test_pooled_steps_are_built_once_and_read_only():
     data = SessionSet("AI", [traj([[1, 1, 1], [2, 3, 4]], session_id="a"),
                              traj([[5, 5, 5], [4, 4, 4], [6, 5, 4]], session_id="b")])

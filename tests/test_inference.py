@@ -622,6 +622,21 @@ def test_matches_naive_pearson_oracle():
         assert np.all(np.abs(im.entries) <= 1.0)
 
 
+def test_tiny_step_changes_keep_their_correlations_and_warn_nothing():
+    # at 1e-80 a product of two variances falls below the normal float
+    # range, and at 1e-110 it underflows to 0; neither moves a correlation
+    rows = np.cumsum(np.random.default_rng(41).normal(size=(30, 3)), axis=0)
+    got = []
+    for scale in (1.0, 1e-80, 1e-110):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = SessionSet("X", [Trajectory("s000", "X", rows * scale)])
+            got.append(inference.interference_matrix(data).entries)
+    assert np.abs(got[0]).max() > 0.1
+    for scale, entries in zip((1e-80, 1e-110), got[1:]):
+        assert np.abs(entries - got[0]).max() <= 1e-12, scale
+
+
 # ---------------------------------------------------------------------------
 # predictive_r2
 # ---------------------------------------------------------------------------

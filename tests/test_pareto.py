@@ -212,6 +212,21 @@ def test_efficiency_rows_equal_per_session_efficiency():
         [float(pareto.equilibrium_estimate(t, 3)[1]) for t in data]
 
 
+def test_efficiency_rows_build_a_trajectory_only_for_a_long_session(monkeypatch):
+    views = []
+    view = Trajectory._view
+    monkeypatch.setattr(Trajectory, "_view",
+                        classmethod(lambda cls, sid, *args: views.append(sid) or view(sid, *args)))
+    rng = np.random.default_rng(58)
+    data = SessionSet("X", [Trajectory(f"s{i}", "X", rng.uniform(0, 10, size=(T, 3)))
+                            for i, T in enumerate([21, 600, 5, 21])])
+    rows = pareto.efficiency_rows(data, tail=3)
+    assert views == ["s1"]
+    assert "trajectories" not in vars(data)  # the set built no view of its own
+    assert [row[:2] for row in rows] == [(t.session_id, pareto.pareto_efficiency(t))
+                                         for t in data]
+
+
 def _preset_sessions(strategy_id, iterations, seed):
     """Simulated sessions of one preset, one set per length in
     `iterations`, renamed apart and shuffled, so that lengths differ from

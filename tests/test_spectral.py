@@ -97,6 +97,17 @@ def test_classify_regime_rejects_an_empty_spectrum():
         spectral.classify_regime([])
 
 
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), complex(float("nan"), 0.0), complex(-1.0, float("nan")),
+    complex(float("inf"), 1.0), complex(float("-inf"), 0.0),
+    complex(-1.0, float("inf")), complex(-1.0, float("-inf")),
+])
+def test_classify_regime_rejects_a_non_finite_eigenvalue(bad):
+    # NaN once read as Exponential with rate nan, and inf as Unstable with rate -inf
+    with pytest.raises(NonFinite, match="^spectrum has non-finite eigenvalues$"):
+        spectral.classify_regime([bad, complex(-1.0)])
+
+
 def test_unstable_regime_takes_precedence():
     rep = spectral.classify_regime([0.16, -0.5, 0.0])
     assert rep.regime is Regime.UNSTABLE
