@@ -237,14 +237,28 @@ def _prediction_record(data, model, args) -> dict:
             "step_count": report.step_count}
 
 
-# The stages run in this order, whatever the order `--only` names them in;
-# the drift fit is made, and fails, at the drift stage.
+def _json_text(records: dict, n: int) -> str:
+    return dumps_report({"schema_version": SCHEMA_VERSION, "strategies": records}) + "\n"
+
+
+def _pareto_text(records: dict, n: int) -> str:
+    lines = ["strategy,session_id,efficiency," + ",".join(f"eq_{i + 1}" for i in range(n))]
+    for sid, rows in records.items():
+        lines += _csv_rows(_csv_field(sid), rows)
+    return "\n".join(lines) + "\n"
+
+
+# Each stage's file, the builder of one strategy's record, and the renderer
+# of the file's text from every strategy's record (in strategy order) and the
+# objective count n. The stages run in this order, whatever the order
+# `--only` names them in; the drift fit is made, and fails, at the drift stage.
 _STAGES = {
-    "drift": _drift_record,
-    "interference": _interference_record,
-    "spectrum": _spectrum_record,
-    "prediction": _prediction_record,
-    "pareto": lambda data, model, args: pareto.efficiency_rows(data, args.tail),
+    "drift": ("drift.json", _drift_record, _json_text),
+    "interference": ("interference.json", _interference_record, _json_text),
+    "spectrum": ("spectrum.json", _spectrum_record, _json_text),
+    "prediction": ("prediction.json", _prediction_record, _json_text),
+    "pareto": ("pareto.csv", lambda data, model, args: pareto.efficiency_rows(data, args.tail),
+               _pareto_text),
 }
 ANALYZE_STAGES = tuple(_STAGES)
 
@@ -276,36 +290,23 @@ def cmd_analyze(args) -> int:
     sessions = sum(map(len, by_strategy.values()))
     widths = {data.dimension for data in by_strategy.values()}
     if len(widths) > 1:
-        raise DimensionMismatch(
-            "strategies differ in width: "
-            + ", ".join(f"{sid}={data.dimension}" for sid, data in by_strategy.items())
-        )
+        raise DimensionMismatch("strategies differ in width: " + ", ".join(
+            f"{sid}={data.dimension}" for sid, data in by_strategy.items()))
 
-    records: dict[str, dict] = {stage: {} for stage in stages}  # in the order asked, once each
-    fits = not {"drift", "spectrum", "prediction"}.isdisjoint(records)  # stages that read the fit
-    for sid, data in by_strategy.items():
-        model = None
-        try:
-            for stage, record in _STAGES.items():
-                if stage == "drift" and fits:
-                    model = inference.fit_drift(data)
-                if stage in records:
-                    records[stage][sid] = record(data, model, args)
-        except DomainError as exc:
-            print(f"analyze: {stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-
-    for stage, bundle in records.items():
-        if stage == "pareto":
-            n = next(iter(by_strategy.values())).dimension
-            lines = ["strategy,session_id,efficiency,"
-                     + ",".join(f"eq_{i + 1}" for i in range(n))]
-            for sid, rows in bundle.items():
-                lines += _csv_rows(_csv_field(sid), rows)
-            _write_text(out_dir / "pareto.csv", "\n".join(lines) + "\n")
-        else:
-            doc = {"schema_version": SCHEMA_VERSION, "strategies": bundle}
-            _write_text(out_dir / f"{stage}.json", dumps_report(doc) + "\n")
+    models = dict.fromkeys(by_strategy)  # fitted only if a stage that reads the fit is asked
+    texts = {}  # each asked file's text: none is written until every one has rendered
+    try:
+        for stage, (name, build, render) in _STAGES.items():
+            if stage == "drift" and not {"drift", "spectrum", "prediction"}.isdisjoint(stages):
+                models = {sid: inference.fit_drift(data) for sid, data in by_strategy.items()}
+            if stage in stages:
+                records = {sid: build(data, models[sid], args) for sid, data in by_strategy.items()}
+                texts[out_dir / name] = render(records, *widths)
+    except DomainError as exc:
+        print(f"analyze: {stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    for path, text in texts.items():
+        _write_text(path, text)
     print(f"analyze: {len(by_strategy)} strategies, {sessions} sessions -> {out_dir}")
     return 0
 
@@ -506,9 +507,9 @@ def _manifest_scores(rows: list[tuple[int, dict]]) -> list[scorer.ScoreBreakdown
     return scores
 
 
-def _manifest_rows(text: str) -> list[tuple[int, dict]]:
-    """Each row after the header (the first non-blank row) as (the physical
-    line it starts on, the row keyed by the header, None for a missing field)."""
+def _manifest_rows(text: str) -> tuple[list[str] | None, list[tuple[int, dict]]]:
+    """The header (the first non-blank row, or None) and each row after it as
+    (the physical line it starts on, the row keyed by the header, None for a missing field)."""
     reader = csv.reader(io.StringIO(text, newline=""))
     rows, start, header = [], 1, None
     try:
@@ -520,7 +521,7 @@ def _manifest_rows(text: str) -> list[tuple[int, dict]]:
             start = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv's size limit
         raise RecordFormatError(f"manifest line {start}: {exc}") from None
-    return rows
+    return header, rows
 
 
 def _manifest_trajectories(rows: list[tuple[int, dict]], scores: list) -> list[Trajectory]:
@@ -574,14 +575,16 @@ def cmd_score(args) -> int:
     if args.manifest and args.json:
         raise _UsageError("--json needs --src; a manifest score is always JSON lines")
     if args.manifest:
-        rows = _manifest_rows(read_text(args.manifest, newline=""))
+        header, rows = _manifest_rows(read_text(args.manifest, newline=""))
         if not rows:
             raise _UsageError(f"empty manifest {args.manifest!r}")
-        columns = set(rows[0][1])
-        if not {"path", "expected_length"} <= columns:
+        if not {"path", "expected_length"} <= set(header):
             raise _UsageError(f"manifest {args.manifest!r} needs path,expected_length columns")
+        for column in ("path", "expected_length", "session_id", "strategy", "iteration"):
+            if header.count(column) > 1:  # a row keeps only the last one's field
+                raise _UsageError(f"manifest {args.manifest!r} repeats the {column} column")
         scores = _manifest_scores(rows)
-        if {"session_id", "strategy", "iteration"} <= columns:
+        if {"session_id", "strategy", "iteration"} <= set(header):
             text = dumps_trajectories(_manifest_trajectories(rows, scores))
         else:
             text = "".join(

@@ -23,6 +23,7 @@ from numpy.linalg import _umath_linalg  # the gufuncs under np.linalg
 
 from .core import (
     DegenerateVariance,
+    DimensionMismatch,
     DriftModel,
     InsufficientData,
     InterferenceMatrix,
@@ -231,6 +232,9 @@ def predictive_r2(data: SessionSet, model: DriftModel) -> PredictionReport:
     that predicts exactly the mean delta scores 0). Per-dimension values
     are computed the same way, one component at a time.
     """
+    if model.A_hat.shape[0] != data.dimension:
+        raise DimensionMismatch(
+            f"drift model has {model.A_hat.shape[0]} objectives, sessions have {data.dimension}")
     X, D = pooled_step_matrix(data)
     if X.shape[0] < 2:
         raise InsufficientData(f"{X.shape[0]} step(s) < 2 required for R-squared")

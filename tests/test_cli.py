@@ -147,7 +147,7 @@ def test_analyze_only_subset(tmp_path, simulated):
 
 
 def _stage_file(stage: str) -> str:
-    return "pareto.csv" if stage == "pareto" else f"{stage}.json"
+    return cli._STAGES[stage][0]
 
 
 @pytest.mark.parametrize("only", ["pareto,prediction,spectrum,interference,drift,prediction",
@@ -176,6 +176,38 @@ def test_analyze_stages_fail_in_table_order_whatever_the_only_order(tmp_path, ca
                        "--only", stages, "--tail", "40") == 1
         assert capsys.readouterr().err == f"analyze: {message}\n"
     assert not (tmp_path / "r").exists()
+
+
+def test_analyze_fails_at_the_stage_whose_file_does_not_render(tmp_path, capsys):
+    # every record builds, but at this dt the spectrum's discrete eigenvalues
+    # are not finite, so spectrum.json cannot be written; no file is written
+    spec = StrategySpec("R15", -1.5 * np.eye(3), [7.5, 7.5, 7.5], 0.5 * np.eye(3))
+    spec_path = tmp_path / "r15.json"
+    spec_path.write_text(json.dumps(spec.to_dict()))
+    data = tmp_path / "r15.jsonl"
+    assert run_cli("simulate", "--strategy", str(spec_path), "--sessions", "100",
+                   "--iterations", "10", "--out", str(data)) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "r"
+    assert run_cli("analyze", "--in", str(data), "--dt", "1.5e308", "--out", str(out_dir)) == 1
+    assert capsys.readouterr().err == (
+        "analyze: spectrum: NonFinite: cannot emit non-finite number -inf\n")
+    assert not out_dir.exists()
+
+
+def test_analyze_reports_the_first_failing_stage_across_strategies(tmp_path, capsys):
+    # SF fits and fails only at pareto (11 rows < a tail of 40); X, one
+    # 2-row session, fails its drift fit, the earlier stage, so X's is reported
+    sf = simulator.simulate_set(simulator.SimConfig(
+        simulator.preset("SF"), sessions=10, iterations=10, base_seed=5))
+    trajs = [*sf, core.Trajectory("x0", "X", [[5.0, 5.0, 5.0], [5.0, 5.0, 5.0]])]
+    data = tmp_path / "two.jsonl"
+    data.write_text(core.dumps_trajectories(trajs))
+    out_dir = tmp_path / "r"
+    assert run_cli("analyze", "--in", str(data), "--tail", "40", "--out", str(out_dir)) == 1
+    assert capsys.readouterr().err == (
+        "analyze: drift: InsufficientData: 1 step(s) < n+1 = 4 required for the fit\n")
+    assert not out_dir.exists()
 
 
 def test_analyze_contractive_custom_strategy_reports_exponential(tmp_path):
@@ -321,7 +353,7 @@ def test_analyze_pareto_csv_still_refuses_a_non_finite_value(tmp_path):
                            "--only", "pareto", "--out", str(tmp_path / "r")],
                           capture_output=True, text=True)
     assert done.returncode == 1
-    assert done.stderr == "analyze: NonFinite: cannot emit non-finite number nan\n"
+    assert done.stderr == "analyze: pareto: NonFinite: cannot emit non-finite number nan\n"
     assert not (tmp_path / "r" / "pareto.csv").exists()
 
 
@@ -528,6 +560,49 @@ def test_score_manifest_header_is_the_first_non_blank_row(tmp_path, capsys):
     assert run_cli("score", "--manifest", str(manifest)) == 0
     want = capsys.readouterr().out
     manifest.write_text(f"\n\npath,expected_length\n\n{f1},5\n")
+    assert run_cli("score", "--manifest", str(manifest)) == 0
+    assert capsys.readouterr().out == want
+
+
+_MANIFEST_FIELDS = {"path": "a.py", "expected_length": "3", "session_id": "s0",
+                    "strategy": "X", "iteration": "0"}
+
+
+@pytest.mark.parametrize("header", [
+    "path,expected_length,path",
+    "expected_length,path,expected_length",
+    "path,expected_length,session_id,strategy,iteration,session_id",
+    "strategy,path,expected_length,session_id,strategy,iteration",
+    "iteration,path,expected_length,session_id,strategy,iteration",
+])
+def test_score_manifest_refuses_a_read_column_named_twice(tmp_path, capsys, monkeypatch,
+                                                          header):
+    # a row keyed by the header keeps only the last of two same-named fields,
+    # so `a.py,3,b.py` under `path,expected_length,path` would score b.py alone
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "b.py").write_text("y = 2\n")
+    names = header.split(",")
+    column = next(name for name in names if names.count(name) > 1)
+    values = [_MANIFEST_FIELDS[name] for name in names]
+    values[len(names) - 1 - names[::-1].index(column)] = "b.py" if column == "path" else "4"
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"{header}\n{','.join(values)}\n")
+    out = tmp_path / "scored.jsonl"
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("score", "--manifest", str(manifest), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"score: manifest {str(manifest)!r} repeats the {column} column\n")
+    assert not out.exists()
+
+
+def test_score_manifest_keeps_a_repeated_column_it_does_not_read(tmp_path, capsys):
+    f1 = tmp_path / "a.py"
+    f1.write_text("x = 1\n")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"path,expected_length\n{f1},5\n")
+    assert run_cli("score", "--manifest", str(manifest)) == 0
+    want = capsys.readouterr().out
+    manifest.write_text(f"note,path,expected_length,note,,\nx,{f1},5,y,,\n")
     assert run_cli("score", "--manifest", str(manifest)) == 0
     assert capsys.readouterr().out == want
 

@@ -8,6 +8,7 @@ import pytest
 from driftlab import controller, inference, simulator
 from driftlab.core import (
     DegenerateVariance,
+    DimensionMismatch,
     DomainError,
     DriftModel,
     InsufficientData,
@@ -689,6 +690,15 @@ def test_r2_needs_two_steps():
     data = SessionSet("X", [Trajectory("s000", "X", [[4.0, 4.0, 4.0], [5.0, 3.0, 4.5]])])
     model = DriftModel(np.zeros((3, 3)), np.zeros(3), np.eye(3), 10)
     with pytest.raises(InsufficientData, match=r"^1 step\(s\) < 2 required for R-squared$"):
+        inference.predictive_r2(data, model)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_r2_rejects_a_model_of_another_width(width):
+    data = delta_sessions(np.random.default_rng(43).normal(0, 1, size=(10, 3)), start=[5, 5, 5])
+    model = DriftModel(np.zeros((width, width)), np.zeros(width), np.eye(width), 10)
+    with pytest.raises(DimensionMismatch,
+                       match=rf"^drift model has {width} objectives, sessions have 3$"):
         inference.predictive_r2(data, model)
 
 
