@@ -78,14 +78,8 @@ def dumps_report(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{dumps_report(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(int(obj))
     if isinstance(obj, float):
-        return _fmt_float(float(obj))
-    if obj is None:
-        return "null"
+        return _fmt_float(obj)
     return json.dumps(obj)
 
 

@@ -57,7 +57,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from . import inference, simulator, spectral
+from . import core, inference, simulator, spectral
 from .core import (
     DimensionMismatch,
     DomainError,
@@ -65,6 +65,7 @@ from .core import (
     StrategySpec,
     Trajectory,
     _shown,
+    check_integer,
 )
 
 SECURITY_AXIS = 0
@@ -107,6 +108,7 @@ class ControllerConfig:
     phase_schedule: tuple[Phase, ...] | None = None
 
     def __post_init__(self):
+        check_integer("window", self.window)
         if self.window < 2:
             raise ValueError(f"window must be >= 2, got {_shown(self.window)}")
 
@@ -397,7 +399,8 @@ def run_controlled(
         if k and switch[k[0]]:
             _switch(state, now, events, schedule, cat)
         if k and halt_on_intervention and intervened[k[0]]:
-            return Trajectory(simulator.session_label(0), "controlled", m[:now + 1]), events
+            m = m[:now + 1].copy()  # so the trajectory does not hold every row of X
+            break
         ruled_fits = np.count_nonzero(fitted <= now)
         if ruled_fits:
             state.had_complex = bool(sig.has_complex[ruled_fits - 1])
@@ -408,7 +411,7 @@ def run_controlled(
         length = _FIRST_SEGMENT if state.strategy is not strategy \
             else min(2 * length, _LAST_SEGMENT)
 
-    return Trajectory(simulator.session_label(0), "controlled", m), events
+    return Trajectory._view(simulator.session_label(0), "controlled", core._readonly(m)), events
 
 
 def dumps_events(events: Iterable[ControlEvent]) -> str:

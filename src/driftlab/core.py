@@ -11,8 +11,8 @@ read-only (T+1, n) float64 matrix; a `SessionSet` holds its sessions'
 rows on one read-only (rows, n) array, each trajectory a view of it, and
 step pooling, equilibria and Pareto efficiencies read that array. Shape
 and finiteness are checked once, where data enters: by `Trajectory` for
-outside input (API callers, the per-line JSONL reader, `score`
-manifests), by one whole-array check in `simulator.simulate_set`, and by
+outside input (API callers, the per-line JSONL reader, `score` manifests),
+by the simulator's walk, which takes no step to a non-finite state, and by
 the writer-form JSONL reader's score-box check, which rejects infinities.
 
 Score bounds (the 0-10 scale) are enforced once, at the ingestion
@@ -100,6 +100,13 @@ def check_finite_positive(name: str, value: float) -> None:
     """Raise ValueError, naming the value, unless it is finite and > 0."""
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def check_integer(name: str, value) -> None:
+    """Raise TypeError, naming the value, unless it is an integer, a numpy
+    integer among them, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {_shown(value)}")
 
 
 # An error line shows at most this many characters of a value it echoes.
@@ -238,15 +245,11 @@ class SessionSet:
     @classmethod
     def _of_rows(cls, strategy_id: str, session_ids: Sequence[str], rows: np.ndarray,
                  offsets: np.ndarray) -> "SessionSet":
-        """The set of rows, a (rows, n) float64 array with n >= 2 that the
-        set takes over, whose session i is session_ids[i] over rows
-        offsets[i] to offsets[i + 1]. One check on the whole array stands
-        for `Trajectory`'s; when it fails, the sessions are built by
-        `Trajectory`, which names the first bad one."""
-        if not np.isfinite(rows).all():
-            bounds = offsets.tolist()
-            return cls(strategy_id, [Trajectory(sid, strategy_id, rows[first:stop])
-                                     for sid, first, stop in zip(session_ids, bounds, bounds[1:])])
+        """The set of rows, a finite (rows, n) float64 array with n >= 2 that
+        the set takes over, whose session i is session_ids[i] over rows
+        offsets[i] to offsets[i + 1]. Like `Trajectory._view`, it checks
+        nothing: the caller guarantees the rows, as the simulator's walk
+        does."""
         data = object.__new__(cls)
         data._hold(strategy_id, session_ids, rows, offsets)
         return data

@@ -107,6 +107,10 @@ def _clean_lines(source: str) -> tuple[list[tuple[int, str, list[_Literal]]], bo
     or the line end. A literal's prefix is the string-prefix letters
     (at most three) that end the code run before its opening quote.
 
+    The physical lines are Python's: a leading BOM is dropped, a line ends
+    at "\n", "\r\n" or "\r" only, and a form feed in a line's indentation
+    resets its column to 0, as CPython's tokenizer does.
+
     Returns the logical lines as (indent, cleaned, literals) tuples, where
     `cleaned` is the code with each literal replaced by `_MARK` and
     comments gone; a validity flag covering bracket balance and string
@@ -124,7 +128,11 @@ def _clean_lines(source: str) -> tuple[list[tuple[int, str, list[_Literal]]], bo
     body: list[str] = []
     prefix = ""
     brackets: list[str] = []
-    for raw in source.splitlines():
+    lines = source.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the line break of the last line, or no text at all
+    feed = "\x0c" in source
+    for raw in lines:
         line = raw.expandtabs()
         blank = not line.strip()
         nonblank += not blank
@@ -132,6 +140,9 @@ def _clean_lines(source: str) -> tuple[list[tuple[int, str, list[_Literal]]], bo
             if blank:
                 continue
             indent = len(line) - len(line.lstrip(" "))
+            if feed and line.startswith("\x0c", indent):
+                lead = raw[:len(raw) - len(raw.lstrip(" \t\x0c"))]
+                indent = len(lead[lead.rfind("\x0c") + 1:].expandtabs())
         i, end = 0, len(line)
         backslash_eol = False
         while True:

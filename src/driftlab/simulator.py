@@ -53,7 +53,8 @@ import numpy as np
 
 from ._ziggurat import KI_DOUBLE, WI_DOUBLE
 from .core import (SCORE_HIGH, SCORE_LOW, DimensionMismatch, NonFinite, SessionSet,
-                   StrategySpec, Trajectory, _shown, check_finite_positive)
+                   StrategySpec, Trajectory, _readonly, _shown, check_finite_positive,
+                   check_integer)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -215,6 +216,9 @@ def step_noise(base_seed: int, session_index: int, iteration: int, n: int) -> np
     """The standard-normal draw used for step `iteration` of one session.
     For one row numpy's own draw is the quicker path, so this is the
     kernel's fallback alone."""
+    check_integer("base_seed", base_seed)
+    check_integer("session index", session_index)
+    check_integer("iteration", iteration)
     if not 0 <= base_seed <= _MASK64:
         raise ValueError(f"base_seed must be in [0, 2**64), got {_shown(base_seed)}")
     if not 0 <= session_index <= _MASK64:
@@ -256,12 +260,14 @@ class SimConfig:
     or, when init_box is given as (low, high) with a finite width, at its
     own uniform draw in that box. dt must be finite and > 0.
     clip False turns the clip to the score box off; with it on, init_box
-    must lie inside the score box. base_seed is a 64-bit unsigned integer. The
-    run's states, sessions x (iterations + 1) x n float64 values, must fit
-    in the byte range of one numpy array; simulating a run that fits that
-    range but not in memory raises MemoryError. A simulated step whose
-    arithmetic overflows or turns invalid before the clip raises NonFinite,
-    so no infinite state is clipped into the box.
+    must lie inside the score box. base_seed is a 64-bit unsigned integer,
+    and sessions and iterations are integers: a float or a bool raises
+    TypeError, and a numpy integer counts as its value. The run's states,
+    sessions x (iterations + 1) x n float64 values, must fit in the byte
+    range of one numpy array; simulating a run that fits that range but
+    not in memory raises MemoryError. A simulated step whose arithmetic
+    overflows or turns invalid before the clip raises NonFinite, so no
+    infinite state is clipped into the box.
     """
 
     strategy: StrategySpec
@@ -273,11 +279,14 @@ class SimConfig:
     init_box: tuple[float, float] | None = None
 
     def __post_init__(self):
+        check_integer("sessions", self.sessions)
+        check_integer("iterations", self.iterations)
+        check_integer("base_seed", self.base_seed)
         if self.sessions < 1:
             raise ValueError(f"sessions must be >= 1, got {_shown(self.sessions)}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {_shown(self.iterations)}")
-        size = self.sessions * (self.iterations + 1) * self.strategy.dimension * 8
+        size = int(self.sessions) * (int(self.iterations) + 1) * self.strategy.dimension * 8
         if size > np.iinfo(np.intp).max:
             raise ValueError(
                 f"{_shown(self.sessions)} session(s) x {_shown(self.iterations + 1)} states"
@@ -473,16 +482,17 @@ def session_label(session_index: int) -> str:
 
 def simulate_session(cfg: SimConfig, session_index: int) -> Trajectory:
     """Generate one session; fully determined by (base_seed, session_index)."""
+    check_integer("session index", session_index)
     if not 0 <= session_index < cfg.sessions:
         raise ValueError(f"session index {session_index} outside [0, {cfg.sessions})")
     X = _simulate(cfg, range(session_index, session_index + 1))
-    return Trajectory(session_label(session_index), cfg.strategy.id, X[:, 0])
+    return Trajectory._view(session_label(session_index), cfg.strategy.id, _readonly(X[:, 0]))
 
 
 def simulate_set(cfg: SimConfig) -> SessionSet:
     """All sessions of a config, assembled in session-index order: the walk's
     (T+1, N, n) states become the set's session-major rows in one
-    transposing copy, checked finite as a whole."""
+    transposing copy, finite as the walk took them."""
     X = _simulate(cfg, range(cfg.sessions))
     T1, N, n = X.shape
     return SessionSet._of_rows(cfg.strategy.id, [session_label(i) for i in range(N)],

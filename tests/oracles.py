@@ -613,9 +613,31 @@ def reference_dumps_events(events) -> str:
 # Source cleaner, one character at a time
 # ---------------------------------------------------------------------------
 
+def _physical_lines(source: str) -> list[str]:
+    """Python's physical lines of source, one character at a time: a
+    leading BOM is dropped, and a line ends at "\n", "\r\n" or "\r"."""
+    lines: list[str] = []
+    line: list[str] = []
+    i = 1 if source.startswith("\ufeff") else 0
+    while i < len(source):
+        ch = source[i]
+        i += 1
+        if ch == "\r" and source.startswith("\n", i):
+            i += 1
+        if ch in "\r\n":
+            lines.append("".join(line))
+            line = []
+        else:
+            line.append(ch)
+    if line:
+        lines.append("".join(line))
+    return lines
+
+
 def reference_clean_lines(source: str) -> tuple[list[tuple[int, str, list[_Literal]]], bool, int]:
-    """`scorer._clean_lines` one character at a time: strip strings and
-    comments, join continuations, balance brackets.
+    """`scorer._clean_lines` one character at a time: split Python's
+    physical lines, strip strings and comments, join continuations,
+    balance brackets.
 
     Returns the logical lines, a validity flag covering bracket balance
     and string termination, and the count of non-blank physical lines.
@@ -646,14 +668,23 @@ def reference_clean_lines(source: str) -> tuple[list[tuple[int, str, list[_Liter
         cur_parts.append(_MARK)
         literal_buf, literal_prefix = [], ""
 
-    for raw in source.splitlines():
+    for raw in _physical_lines(source):
         line = raw.expandtabs()
         blank = not line.strip()
         nonblank += not blank
         if triple is None and single is None and not open_logical:
             if blank:
                 continue
-            cur_indent = len(line) - len(line.lstrip(" "))
+            cur_indent = 0
+            for ch in raw:  # CPython's tokenizer: tabs to 8 columns, a form feed back to 0
+                if ch == " ":
+                    cur_indent += 1
+                elif ch == "\t":
+                    cur_indent += 8 - cur_indent % 8
+                elif ch == "\x0c":
+                    cur_indent = 0
+                else:
+                    break
         i = 0
         backslash_eol = False
         while i < len(line):

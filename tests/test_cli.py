@@ -526,6 +526,25 @@ def test_score_json_output(tmp_path, capsys):
     assert set(doc) == {"security", "efficiency", "functionality", "rule_hits"}
 
 
+def test_score_json_writes_an_empty_rule_hit_list(tmp_path, capsys):
+    target = tmp_path / "plain.py"
+    target.write_text("x = 1\n")
+    assert run_cli("score", "--src", str(target), "--json") == 0
+    out = capsys.readouterr().out
+    assert '\n  "rule_hits": []\n}\n' in out and json.loads(out)["rule_hits"] == []
+
+
+def test_score_src_reads_a_file_with_a_bom_as_python_does(tmp_path, capsys):
+    source = b"def f(x):\n    return x\n"
+    (tmp_path / "bom.py").write_bytes(b"\xef\xbb\xbf" + source)
+    (tmp_path / "plain.py").write_bytes(source)
+    outs = []
+    for name in ("bom.py", "plain.py"):
+        assert run_cli("score", "--src", str(tmp_path / name), "--json") == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["efficiency"] == 10
+
+
 def test_score_src_expected_length_defaults_to_1(tmp_path, capsys):
     target = tmp_path / "sample.py"
     target.write_text("def f():\n    return 1\n")
@@ -953,6 +972,53 @@ def test_cli_paths_never_build_per_point_objects(tmp_path, monkeypatch):
     assert checked == []
     assert run_cli("control", "--iterations", "12", "--seed", "3",
                    "--out", str(tmp_path / "c")) == 0
+
+
+def _walked_outputs(workdir, monkeypatch, capsys) -> tuple[dict, str]:
+    """The files and stdout of `simulate` with one session and with many,
+    `analyze` of the second file, and `control` under the default
+    schedule, with none, and halting, all run in workdir."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    for argv in (("simulate", "--strategy", "SF", "--sessions", "1", "--iterations", "12",
+                  "--seed", "5", "--out", "one.jsonl"),
+                 ("simulate", "--strategy", "AI", "--sessions", "30", "--iterations", "10",
+                  "--seed", "3", "--out", "many.jsonl"),
+                 ("analyze", "--in", "many.jsonl", "--out", "report"),
+                 ("control", "--iterations", "10", "--seed", "4", "--out", "default"),
+                 ("control", "--schedule", "none", "--strategy", "SF", "--sigma", "3",
+                  "--iterations", "20", "--seed", "7", "--out", "none"),
+                 ("control", "--iterations", "10", "--seed", "6", "--schedule", "none",
+                  "--strategy", "FF", "--halt-on-intervention", "--out", "halted")):
+        assert run_cli(*argv) == 0
+    files = {str(p.relative_to(workdir)): p.read_bytes()
+             for p in sorted(workdir.rglob("*")) if p.is_file()}
+    return files, capsys.readouterr().out
+
+
+def test_simulated_and_controlled_rows_are_checked_by_the_walk_alone(tmp_path, monkeypatch,
+                                                                       capsys):
+    checked = _walked_outputs(tmp_path / "checked", monkeypatch, capsys)
+    session_cfg = simulator.SimConfig(simulator.preset("FF"), sessions=4, iterations=9,
+                                      base_seed=2)
+    session = core.dumps_trajectories([simulator.simulate_session(session_cfg, 3)])
+    halting = (simulator.SimConfig(simulator.preset("FF"), iterations=10, base_seed=6),
+               controller.ControllerConfig())
+    reference = reference_run_controlled(*halting, simulator.preset_catalog(),
+                                         halt_on_intervention=True)
+
+    def refused(self, *args):
+        raise AssertionError("walked rows given to the checked Trajectory constructor")
+
+    monkeypatch.setattr(core.Trajectory, "__init__", refused)
+    assert _walked_outputs(tmp_path / "walked", monkeypatch, capsys) == checked
+    assert len(checked[0]) == 13  # two simulations, five report files, three control runs
+    assert core.dumps_trajectories([simulator.simulate_session(session_cfg, 3)]) == session
+    traj, events = controller.run_controlled(*halting, halt_on_intervention=True)
+    assert (traj, events) == reference
+    assert not traj.values_matrix.flags.writeable and traj.values_matrix.base is None
+    assert events[-1].kind is controller.EventKind.INTERVENTION
+    assert len(traj) - 1 == events[-1].iteration < halting[0].iterations
 
 
 def _bad_invocation(tmp_path, case):

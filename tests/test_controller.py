@@ -355,6 +355,19 @@ def test_catalog_must_hold_the_fallback():
                 run_controlled(sim, cfg, catalog=catalog)
 
 
+@pytest.mark.parametrize("window", [4.5, 4.0, True, np.float64(3)])
+def test_window_must_be_an_integer(window):
+    with pytest.raises(TypeError, match="^window must be an integer, got "):
+        ControllerConfig(window=window)
+
+
+def test_a_numpy_integer_window_runs_as_its_value():
+    sim = simulator.SimConfig(strategy=simulator.preset("SF", 3.0), iterations=40, base_seed=7)
+    traj, events = run_controlled(sim, ControllerConfig(window=np.int64(4)))
+    again, again_events = run_controlled(sim, ControllerConfig(window=4))
+    assert traj == again and events == again_events
+
+
 def test_window_cannot_exceed_iterations():
     sim = simulator.SimConfig(strategy=simulator.preset("AI"), iterations=3)
     with pytest.raises(ValueError):

@@ -213,6 +213,46 @@ def test_opener_followed_by_a_line_at_its_indent_is_invalid():
     assert [h.rule_id for h in hits] == ["efficiency.invalid_baseline"]
 
 
+# Characters at which `str.splitlines` breaks a line and Python does not.
+_NOT_PYTHON_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                           "\u2029"]
+
+
+@pytest.mark.parametrize("ch", _NOT_PYTHON_LINE_BREAKS)
+def test_only_python_line_breaks_end_a_line(ch):
+    for source, twin in [(f"def f(x):\n    s = 'a{ch}b'\n    return s\n",
+                          "def f(x):\n    s = 'ab'\n    return s\n"),
+                         (f"def f(x):\n    # note{ch}if x:\n    return x\n",
+                          "def f(x):\n    # note if x:\n    return x\n")]:
+        compile(source, "<source>", "exec")  # one string, one comment, three lines
+        assert score_all(source, 3) == score_all(twin, 3)
+    assert score_all(f"def f(x):\n    s = 'a{ch}b'\n    return s\n", 3).efficiency == 10.0
+
+
+@pytest.mark.parametrize("lead", ["\x0c    ", "  \x0c    ", "\t\x0c  ", "\x0c\t", "        \x0c "])
+def test_a_form_feed_in_the_indentation_resets_its_column(lead):
+    source = f"def f(x):\n{lead}return x\n"
+    compile(source, "<source>", "exec")
+    assert score_all(source, 2) == score_all("def f(x):\n    return x\n", 2)
+
+
+def test_a_form_feed_dedents_a_line_as_python_reads_it():
+    # the form feed takes `y` back to column 0: a statement after the block
+    source = "if x:\n    z = 1\n    \x0cy = 2\n"
+    compile(source, "<source>", "exec")
+    assert scan_source(source).max_depth == scan_source("if x:\n    z = 1\ny = 2\n").max_depth
+    assert score_all(source, 3) == score_all("if x:\n    z = 1\ny = 2\n", 3)
+
+
+def test_a_leading_bom_is_not_source_text():
+    source = "def f(x):\n    return x\n"
+    compile(("\ufeff" + source).encode("utf-8"), "<source>", "exec")  # Python drops it
+    assert score_all("\ufeff" + source, 1) == score_all(source, 1)
+    assert score_all("\ufeff" + source, 1).efficiency == 10.0
+    # only one, and only at the start
+    assert score_all("\ufeff\ufeff" + source, 1) != score_all(source, 1)
+
+
 def test_triple_nested_loop():
     score, _ = score_efficiency(src("""
         for i in range(3):

@@ -541,6 +541,51 @@ def test_simulate_session_rejects_negative_index():
             simulate_session(cfg, index)
 
 
+@pytest.mark.parametrize("field, value", [("base_seed", 1.9), ("base_seed", 1.0),
+                                          ("sessions", 2.5), ("sessions", np.float64(2)),
+                                          ("iterations", 3.0), ("iterations", True),
+                                          ("base_seed", False)])
+def test_config_rejects_a_count_or_seed_that_is_not_an_integer(field, value):
+    kwargs = {"sessions": 2, "iterations": 3, "base_seed": 1, field: value}
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got "
+                                        f"{re.escape(repr(value))}$"):
+        SimConfig(strategy=preset("SF"), **kwargs)
+
+
+def test_numpy_counts_too_large_for_one_array_raise_value_error():
+    with pytest.raises(ValueError, match="more than one array can hold"):
+        SimConfig(strategy=preset("SF"), sessions=np.int64(2**40), iterations=np.int64(2**40))
+
+
+@pytest.mark.parametrize("args, what", [((1.0, 0, 0, 3), "base_seed"),
+                                        ((0, 0.0, 0, 3), "session index"),
+                                        ((0, 0, 2.5, 3), "iteration"),
+                                        ((0, True, 0, 3), "session index")])
+def test_step_noise_rejects_an_argument_that_is_not_an_integer(args, what):
+    with pytest.raises(TypeError, match=f"^{what} must be an integer"):
+        simulator.step_noise(*args)
+
+
+@pytest.mark.parametrize("index", [1.0, True, np.float32(1)])
+def test_simulate_session_rejects_an_index_that_is_not_an_integer(index):
+    cfg = SimConfig(strategy=preset("SF"), sessions=2, iterations=3)
+    with pytest.raises(TypeError, match="^session index must be an integer"):
+        simulate_session(cfg, index)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64])
+def test_numpy_integer_counts_and_seeds_give_the_bytes_of_python_ints(kind):
+    plain = SimConfig(strategy=preset("SF"), sessions=3, iterations=4, base_seed=2**40 + 7)
+    numpy = SimConfig(strategy=preset("SF"), sessions=kind(3), iterations=kind(4),
+                      base_seed=kind(2**40 + 7))
+    assert (core.dumps_trajectories(simulate_set(numpy))
+            == core.dumps_trajectories(simulate_set(plain)))
+    assert (core.dumps_trajectories([simulate_session(numpy, kind(2))])
+            == core.dumps_trajectories([simulate_session(plain, 2)]))
+    assert np.array_equal(simulator.step_noise(kind(2**40 + 7), kind(2), kind(3), 3),
+                          simulator.step_noise(2**40 + 7, 2, 3, 3))
+
+
 # ---------------------------------------------------------------------------
 # the noise kernel against numpy's own generators, and the batched
 # simulator against the sequential oracle
