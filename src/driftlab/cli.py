@@ -317,8 +317,8 @@ def cmd_control(args) -> int:
     elif args.schedule == "none":
         schedule = None
     else:
-        schedule = _read_file(args.schedule, "schedule",
-                              lambda text: controller.parse_schedule(json.loads(text)))
+        schedule = _read_file(args.schedule, "schedule", lambda text: controller.ControllerConfig(
+            phase_schedule=json.loads(text) or []).phase_schedule)  # JSON null is not unscheduled
         unknown = sorted({p.strategy_id for p in schedule} - set(catalog))
         if unknown:
             raise _UsageError(

@@ -104,6 +104,7 @@ class ControlEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class ControllerConfig:
+    """A run's fit window and phase schedule: None, or rows kept as `Phase`s."""
     window: int = 5
     phase_schedule: tuple[Phase, ...] | None = None
 
@@ -111,6 +112,21 @@ class ControllerConfig:
         check_integer("window", self.window)
         if self.window < 2:
             raise ValueError(f"window must be >= 2, got {_shown(self.window)}")
+        spec = self.phase_schedule
+        if spec is None:
+            return
+        if not isinstance(spec, (list, tuple)) or not spec:
+            raise DomainError("schedule must be a non-empty list")
+        for row in spec:
+            if not (isinstance(row, (list, Phase)) and len(row) == 3 and isinstance(row[0], str)
+                    and core.is_integer(row[1]) and (row[2] is None or core.is_integer(row[2]))):
+                raise DomainError(
+                    f"malformed schedule row {_shown(row)}: expected [str, int, int or null]")
+            if row[1] < 1:
+                raise DomainError(f"phase {_shown(row[0])}: min_iters must be >= 1")
+            if row[2] is not None and row[2] < row[1]:
+                raise DomainError(f"phase {_shown(row[0])}: max_iters < min_iters")
+        object.__setattr__(self, "phase_schedule", tuple(Phase(*row) for row in spec))
 
 
 def phased_schedule_default() -> tuple[Phase, ...]:
@@ -341,7 +357,7 @@ def run_controlled(
     """
     cat = simulator.preset_catalog() if catalog is None else dict(catalog)
     schedule = cfg.phase_schedule
-    if schedule:
+    if schedule is not None:
         missing = [p.strategy_id for p in schedule if p.strategy_id not in cat]
         if missing:
             raise KeyError(f"scheduled strategies missing from catalog: {missing}")
@@ -352,7 +368,7 @@ def run_controlled(
             f"window {_shown(cfg.window)} > total iterations {_shown(sim.iterations)}"
         )
 
-    state = _LoopState(strategy=cat[schedule[0].strategy_id] if schedule else sim.strategy)
+    state = _LoopState(strategy=sim.strategy if schedule is None else cat[schedule[0].strategy_id])
     n = state.strategy.dimension
     steps = sim.iterations
     X, keys = simulator._start(sim, range(1), n)
@@ -438,22 +454,3 @@ def dumps_events(events: Iterable[ControlEvent]) -> str:
                      f'"detail": {detail}, "value": {value}}}\n')
     return "".join(lines)
 
-
-def parse_schedule(spec: object) -> tuple[Phase, ...]:
-    """Schedule from JSON data: a list of [strategy_id, min, max|null] rows,
-    each id a string and each count an integer (not a bool)."""
-    if not isinstance(spec, list) or not spec:
-        raise DomainError("schedule must be a non-empty list")
-    phases = []
-    for row in spec:
-        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[0], str)
-                and type(row[1]) is int and (row[2] is None or type(row[2]) is int)):
-            raise DomainError(
-                f"malformed schedule row {_shown(row)}: expected [str, int, int or null]")
-        sid, lo, hi = row
-        if lo < 1:
-            raise DomainError(f"phase {_shown(sid)}: min_iters must be >= 1")
-        if hi is not None and hi < lo:
-            raise DomainError(f"phase {_shown(sid)}: max_iters < min_iters")
-        phases.append(Phase(sid, lo, hi))
-    return tuple(phases)

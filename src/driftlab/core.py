@@ -102,10 +102,14 @@ def check_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def is_integer(value) -> bool:
+    """Whether value is an integer, a numpy integer among them, and not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def check_integer(name: str, value) -> None:
-    """Raise TypeError, naming the value, unless it is an integer, a numpy
-    integer among them, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """Raise TypeError, naming the value, unless `is_integer(value)`."""
+    if not is_integer(value):
         raise TypeError(f"{name} must be an integer, got {_shown(value)}")
 
 
@@ -553,7 +557,7 @@ def _render(group: list[tuple[str, int, np.ndarray]], iterations: list[str]) -> 
 _JSON_NUMBERS = (int, float)  # exact types: a JSON true/false is not a score
 
 # One line as `dumps_trajectories` writes it. An id of printable ASCII but
-# `"` and `\` is its own decoded value and holds no `str.splitlines` break.
+# `"` and `\` is its own decoded value and holds no line break.
 # A number is a JSON number with a fraction or an exponent, as `repr` writes
 # a float, so `float` of its text is json's value; a JSON integer is not
 # (json reads `-0` as the int 0, whose float is +0.0). The grammar is
@@ -658,11 +662,11 @@ def _objective_row(value) -> list[float]:
 
 
 def _read_lines(text: str) -> list[Trajectory]:
-    """`loads_trajectories`, one line of `str.splitlines` at a time, each
+    """`loads_trajectories`, one of `physical_lines(text)` at a time, each
     decoded by `json.loads(line)`."""
     sessions: dict[str, tuple[str, list[list[float]]]] = {}
     current: str | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(physical_lines(text), start=1):
         if not line.strip():
             continue
         try:
@@ -708,7 +712,7 @@ def _read_lines(text: str) -> list[Trajectory]:
 def loads_trajectories(text: str) -> list[Trajectory]:
     """Parse and validate the JSONL trajectory format.
 
-    Lines are those of `str.splitlines`, and each non-blank line must hold
+    Lines are those of `physical_lines`, and each non-blank line must hold
     exactly one record. Sessions must be contiguous blocks with iterations
     0,1,2,... and a single strategy per session; anything else is a
     RecordFormatError that names the line. Every trajectory is held to
@@ -725,21 +729,33 @@ def loads_trajectories(text: str) -> list[Trajectory]:
 
 
 def read_text(path, newline: str | None = None) -> str:
-    """The text of a UTF-8 file, read with `open`'s newline mode. A file
-    that is not UTF-8 raises DomainError naming the file and the byte."""
+    """The text of a UTF-8 file, read with `open`'s newline mode, without
+    one leading BOM. A file that is not UTF-8 raises DomainError naming the
+    file and the byte."""
     try:
         with open(path, "r", encoding="utf-8", newline=newline) as f:
-            return f.read()
+            return f.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def physical_lines(text: str) -> list[str]:
+    """The lines of a text as Python reads a source: a leading BOM is
+    dropped, and a line ends at "\n", "\r\n" or "\r" only, not at the
+    other characters `str.splitlines` breaks at (U+0085, U+2028, ...),
+    which JSON lets stand raw inside a string."""
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the line break of the last line, or no text at all
+    return lines
+
+
 def parse_key_values(text: str) -> dict[str, str]:
-    """The `key = value` pairs of a text read in text mode, skipping blank
-    and `#` lines. A line without `=`, or a key given twice, raises
+    """The `key = value` pairs of the `physical_lines` of a text, skipping
+    blank and `#` lines. A line without `=`, or a key given twice, raises
     ValueError naming its line; the caller names the file."""
     values: dict[str, str] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(physical_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -25,7 +25,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .core import SessionSet, TailTooLong, TooShort, Trajectory, _shown
+from .core import SessionSet, TailTooLong, TooShort, Trajectory, _shown, check_integer
 
 
 _BLOCK = 512  # rows checked per step of the sweep in `non_dominated_mask`
@@ -99,6 +99,7 @@ def pareto_efficiency(traj: Trajectory) -> float:
 
 
 def _check_tail(tail: int, length: int) -> None:
+    check_integer("tail", tail)
     if tail < 1:
         raise ValueError(f"tail must be >= 1, got {_shown(tail)}")
     if tail > length:
@@ -108,7 +109,7 @@ def _check_tail(tail: int, length: int) -> None:
 def equilibrium_estimate(traj: Trajectory, tail: int = 3) -> np.ndarray:
     """Component-wise mean of the final `tail` points."""
     _check_tail(tail, len(traj))
-    return traj.values_matrix[-tail:].mean(axis=0)
+    return traj.values_matrix[-int(tail):].mean(axis=0)  # -tail of a numpy uint wraps
 
 
 def _efficiencies(data: SessionSet) -> list[float]:
@@ -153,7 +154,7 @@ def efficiency_rows(data: SessionSet, tail: int = 3) -> list[tuple]:
     """
     lengths = np.diff(data.offsets)
     _check_tail(tail, int(lengths[np.argmax(lengths < tail)]))  # session 0 when none is short
-    tails = data.offsets[1:, None] + np.arange(-tail, 0)
+    tails = data.offsets[1:, None] + np.arange(-int(tail), 0)
     equilibria = data.values_matrix[tails].mean(axis=1).tolist()
     return [(sid, efficiency, *eq)
             for sid, efficiency, eq in zip(data.session_ids, _efficiencies(data), equilibria)]

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, NamedTuple
 
-from .core import SCORE_HIGH, SCORE_LOW, InvalidExpectedLength, _shown, parse_key_values
+from .core import (SCORE_HIGH, SCORE_LOW, InvalidExpectedLength, _shown, check_integer,
+                   parse_key_values, physical_lines)
 
 _BLOCK_KEYWORDS = {
     "def", "class", "if", "elif", "else", "for", "while", "with",
@@ -107,9 +108,10 @@ def _clean_lines(source: str) -> tuple[list[tuple[int, str, list[_Literal]]], bo
     or the line end. A literal's prefix is the string-prefix letters
     (at most three) that end the code run before its opening quote.
 
-    The physical lines are Python's: a leading BOM is dropped, a line ends
-    at "\n", "\r\n" or "\r" only, and a form feed in a line's indentation
-    resets its column to 0, as CPython's tokenizer does.
+    The physical lines are Python's (`physical_lines`: a leading BOM is
+    dropped, and a line ends at "\n", "\r\n" or "\r" only), and a form feed
+    in a line's indentation resets its column to 0, as CPython's tokenizer
+    does.
 
     Returns the logical lines as (indent, cleaned, literals) tuples, where
     `cleaned` is the code with each literal replaced by `_MARK` and
@@ -128,11 +130,8 @@ def _clean_lines(source: str) -> tuple[list[tuple[int, str, list[_Literal]]], bo
     body: list[str] = []
     prefix = ""
     brackets: list[str] = []
-    lines = source.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()  # the line break of the last line, or no text at all
     feed = "\x0c" in source
-    for raw in lines:
+    for raw in physical_lines(source):
         line = raw.expandtabs()
         blank = not line.strip()
         nonblank += not blank
@@ -323,12 +322,15 @@ def _axis_score(axis: str, hits: list[RuleHit]) -> float:
 
 
 def _check_expected_length(expected_length: int, name: str = "expected_length") -> None:
-    """An expected length is an int from 1 up to the largest float, since the
-    stub-length penalty divides by it as a float."""
+    """An expected length is an integer from 1 up to the largest float, since
+    the stub-length penalty divides by it as a float. The range is checked
+    first, so a manifest field too long for int(), read as +-inf, keeps its
+    range message; any other non-integer raises `check_integer`'s TypeError."""
     if expected_length < 1:
         raise InvalidExpectedLength(f"{name} must be >= 1, got {_shown(expected_length)}")
     if expected_length > sys.float_info.max:
         raise InvalidExpectedLength(f"{name} must be <= {sys.float_info.max:g}")
+    check_integer(name, expected_length)
 
 
 def _weighted(counts: Iterable[tuple[str, int]]) -> list[RuleHit]:

@@ -369,12 +369,13 @@ def reference_pooled_steps(trajectories) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reference_loads(text: str) -> list[Trajectory]:
-    """The JSONL reader as a `json.loads` per line of `str.splitlines`,
-    with the same checks and messages as `core.loads_trajectories`, each
-    echoed id or value cut by `core._shown`."""
+    """The JSONL reader as a `json.loads` per line of `_physical_lines`
+    (a leading BOM dropped, a line ending at "\n", "\r\n" or "\r"), with
+    the same checks and messages as `core.loads_trajectories`, each echoed
+    id or value cut by `core._shown`."""
     sessions: dict[str, tuple[str, list[list[float]]]] = {}
     current = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_physical_lines(text), start=1):
         if not line.strip():
             continue
         try:

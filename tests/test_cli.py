@@ -450,6 +450,32 @@ def test_control_malformed_schedule_exits_2(tmp_path, capsys):
     assert "schedule" in capsys.readouterr().err
 
 
+_ROW = "expected [str, int, int or null]"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("null", "DomainError: schedule must be a non-empty list"),
+    ("[]", "DomainError: schedule must be a non-empty list"),
+    ('{"FF": [1, null]}', "DomainError: schedule must be a non-empty list"),
+    ('[["FF", 0, 3]]', "DomainError: phase 'FF': min_iters must be >= 1"),
+    ('[["FF", 3, 1]]', "DomainError: phase 'FF': max_iters < min_iters"),
+    ('[["FF", 2.5, 3.5]]', f"DomainError: malformed schedule row ['FF', 2.5, 3.5]: {_ROW}"),
+    ('[["FF", true, true]]', f"DomainError: malformed schedule row ['FF', True, True]: {_ROW}"),
+    ('[[1, 2, 3]]', f"DomainError: malformed schedule row [1, 2, 3]: {_ROW}"),
+    ('[["FF", 2]]', f"DomainError: malformed schedule row ['FF', 2]: {_ROW}"),
+    ('[["FF", 1, null], ["XX", 1, null]]', "unknown strategies ['XX']"),
+    ("[[", "JSONDecodeError: Expecting value: line 1 column 3 (char 2)"),
+])
+def test_control_schedule_file_errors_keep_their_lines(tmp_path, capsys, text, message):
+    # the schedule is checked before the window, and names the file once
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    assert run_cli("control", "--schedule", str(path), "--window", "1",
+                   "--out", str(tmp_path / "c")) == 2
+    assert capsys.readouterr().err == f"control: bad schedule file {str(path)!r}: {message}\n"
+    assert not list(tmp_path.glob("c*"))
+
+
 def test_control_deterministic(tmp_path):
     p1, p2 = tmp_path / "d1", tmp_path / "d2"
     for p in (p1, p2):
@@ -543,6 +569,61 @@ def test_score_src_reads_a_file_with_a_bom_as_python_does(tmp_path, capsys):
         assert run_cli("score", "--src", str(tmp_path / name), "--json") == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and json.loads(outs[0])["efficiency"] == 10
+
+
+def _input_file_cases(tmp_path) -> dict:
+    """For each kind of input file: its bytes and the argv of a run that
+    reads it as {inp} and writes under {out}."""
+    source = tmp_path / "src.py"
+    source.write_text("def f(x):\n    return eval(x)\n")
+    spec = StrategySpec("CUSTOM", np.diag([-0.5, -0.4]), [1.0, 1.0], 0.2 * np.eye(2))
+    sims = simulator.simulate_set(simulator.SimConfig(
+        strategy=simulator.preset("SF"), sessions=20, iterations=8, base_seed=4))
+    return {
+        "config": (b"sessions = 3\r\niterations = 4\nseed = 2\n",
+                   ["simulate", "--config", "{inp}", "--out", "{out}/t.jsonl"]),
+        "strategy": (json.dumps(spec.to_dict()).encode(),
+                     ["simulate", "--strategy", "{inp}", "--sessions", "2", "--iterations", "4",
+                      "--out", "{out}/t.jsonl"]),
+        "schedule": (b'[["SF", 2, 4], ["FF", 1, null]]',
+                     ["control", "--schedule", "{inp}", "--iterations", "30", "--out", "{out}/c"]),
+        "manifest": (f"path,expected_length\n{source},3\n{source},1\n".encode(),
+                     ["score", "--manifest", "{inp}", "--out", "{out}/s.jsonl"]),
+        "analyze-in": (core.dumps_trajectories(sims).encode(),
+                       ["analyze", "--in", "{inp}", "--out", "{out}/a"]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["config", "strategy", "schedule", "manifest", "analyze-in"])
+def test_every_input_file_drops_a_leading_bom(tmp_path, kind):
+    data, argv = _input_file_cases(tmp_path)[kind]
+    outs = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path, out = tmp_path / f"{name}.in", tmp_path / name
+        path.write_bytes(bom + data)
+        out.mkdir()
+        assert run_cli(*[arg.format(inp=path, out=out) for arg in argv]) == 0
+        outs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert outs[0] and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("ch", ["\x85", "\u2028", "\u2029"])
+def test_analyze_reads_a_raw_separator_inside_an_id(tmp_path, ch):
+    # the writer escapes it; a JSON Lines file may hold it raw in a string
+    trajs = [core.Trajectory(f"s{i}{ch}", "SF", t.values_matrix) for i, t in enumerate(
+        simulator.simulate_set(simulator.SimConfig(
+            strategy=simulator.preset("SF"), sessions=20, iterations=8, base_seed=4)))]
+    escaped = core.dumps_trajectories(trajs)
+    raw = escaped.replace(json.dumps(ch)[1:-1], ch)
+    assert raw != escaped
+    bundles = []
+    for name, text in (("escaped", escaped), ("raw", raw)):
+        (tmp_path / f"{name}.jsonl").write_text(text, encoding="utf-8")
+        assert run_cli("analyze", "--in", str(tmp_path / f"{name}.jsonl"),
+                       "--out", str(tmp_path / name)) == 0
+        bundles.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert bundles[0] == bundles[1]
+    assert ch.encode() in bundles[0]["pareto.csv"]
 
 
 def test_score_src_expected_length_defaults_to_1(tmp_path, capsys):

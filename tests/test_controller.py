@@ -467,16 +467,58 @@ def test_boundary_switch_from_an_oddly_named_strategy_writes_its_bytes(monkeypat
     assert_matches_reference(monkeypatch, sim, ControllerConfig(), catalog=catalog)
 
 
-def test_parse_schedule_rejects_malformed():
-    from driftlab.core import DomainError
-    with pytest.raises(DomainError):
-        controller.parse_schedule([["FF", 0, 3]])
-    with pytest.raises(DomainError):
-        controller.parse_schedule([["FF", 3, 2]])
-    with pytest.raises(DomainError):
-        controller.parse_schedule("FF")
-    good = controller.parse_schedule([["FF", 2, 3], ["AI", 1, None]])
-    assert good == (Phase("FF", 2, 3), Phase("AI", 1, None))
+_ROW = "expected [str, int, int or null]"
+
+
+@pytest.mark.parametrize("schedule, message", [
+    ([["FF", 0, 3]], "phase 'FF': min_iters must be >= 1"),
+    ([["FF", 3, 2]], "phase 'FF': max_iters < min_iters"),
+    ("FF", "schedule must be a non-empty list"),
+    ((), "schedule must be a non-empty list"),
+    ([], "schedule must be a non-empty list"),
+    ({"FF": [1, None]}, "schedule must be a non-empty list"),
+    ([["FF", 2.5, 3.5]], f"malformed schedule row ['FF', 2.5, 3.5]: {_ROW}"),
+    ([["FF", 2, True]], f"malformed schedule row ['FF', 2, True]: {_ROW}"),
+    ([[1, 2, 3]], f"malformed schedule row [1, 2, 3]: {_ROW}"),
+    ([["FF", 2]], f"malformed schedule row ['FF', 2]: {_ROW}"),
+    ([["FF", 2, 3, 4]], f"malformed schedule row ['FF', 2, 3, 4]: {_ROW}"),
+    ([("FF", 2, 3)], f"malformed schedule row ('FF', 2, 3): {_ROW}"),
+    ((Phase("FF", 2.5, 3.5),), None),
+    ((Phase("FF", True, True),), None),
+    ((Phase("FF", 3, 1),), "phase 'FF': max_iters < min_iters"),
+    ((Phase("FF", 0, None),), "phase 'FF': min_iters must be >= 1"),
+    ((Phase(7, 1, None),), None),
+    ((Phase("FF", 2, 3), Phase("SF", np.float64(1.0), None)), None),
+])
+def test_config_rejects_a_malformed_schedule(schedule, message):
+    # the rules and messages of a `control --schedule` file hold for a
+    # library schedule too, a count being an integer and never a bool; a
+    # None message is the malformed-row one, its last row cut by `_shown`
+    from driftlab.core import DomainError, _shown
+    message = message or f"malformed schedule row {_shown(schedule[-1])}: {_ROW}"
+    with pytest.raises(DomainError) as info:
+        ControllerConfig(phase_schedule=schedule)
+    assert str(info.value) == message
+
+
+def test_config_keeps_a_schedule_as_phases():
+    good = ControllerConfig(phase_schedule=[["FF", 2, 3], Phase("SF", 1, 1), ["AI", 1, None]])
+    assert good.phase_schedule == (Phase("FF", 2, 3), Phase("SF", 1, 1), Phase("AI", 1, None))
+    assert type(good.phase_schedule) is tuple
+    assert all(type(p) is Phase for p in good.phase_schedule)
+    assert ControllerConfig().phase_schedule is None
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32])
+def test_numpy_integer_phases_give_the_bytes_of_python_ints(dtype):
+    sim = simulator.SimConfig(strategy=simulator.preset("FF"), iterations=60, base_seed=5)
+    rows = [("FF", 2, 3), ("SF", 3, 9), ("EF", 2, None)]
+    want = run_controlled(sim, ControllerConfig(phase_schedule=[Phase(*r) for r in rows]))
+    got = run_controlled(sim, ControllerConfig(phase_schedule=[
+        Phase(sid, dtype(lo), None if hi is None else dtype(hi)) for sid, lo, hi in rows]))
+    assert dumps_trajectories([got[0]]) == dumps_trajectories([want[0]])
+    assert controller.dumps_events(got[1]) == controller.dumps_events(want[1])
+    assert any(e.kind is EventKind.PHASE_SWITCH for e in want[1])
 
 
 def test_online_interventions_match_offline_scan():

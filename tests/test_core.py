@@ -21,7 +21,7 @@ from driftlab.core import (
     validate_trajectory,
 )
 
-from oracles import reference_pooled_steps
+from oracles import reference_loads, reference_pooled_steps
 
 
 def traj(points, session_id="s000", strategy_id="AI"):
@@ -376,10 +376,9 @@ def test_reader_rejects_deep_nesting_with_its_line():
         core.loads_trajectories(text)
 
 
-@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
-                                 "\u2028", "\u2029"])
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"])
 def test_well_formed_lines_decode_in_place(sep, monkeypatch):
-    # whatever the line separator, every record reads back, and no line is
+    # whatever the line break, every record reads back, and no line is
     # decoded more than once
     trajs = [traj([[1, 2, 3], [4.5, 0.0, 10.0]], session_id=f"s{i}") for i in range(3)]
     text = core.dumps_trajectories(trajs).replace("\n", sep)
@@ -390,6 +389,47 @@ def test_well_formed_lines_decode_in_place(sep, monkeypatch):
         decoded.clear()
         assert core.loads_trajectories(text + tail) == trajs
         assert len(decoded) == len(set(decoded))
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_only_a_line_break_ends_a_record(sep):
+    # `str.splitlines` also breaks at these, JSON Lines does not: records
+    # joined by one are one line, which is not one JSON value
+    trajs = [traj([[1, 2, 3], [4.5, 0.0, 10.0]], session_id=f"s{i}") for i in range(2)]
+    text = core.dumps_trajectories(trajs).replace("\n", sep)
+    for read in (core.loads_trajectories, reference_loads):
+        with pytest.raises(RecordFormatError, match=r"^line 1: malformed record \(Extra data"):
+            read(text)
+
+
+@pytest.mark.parametrize("ch", ["\x85", "\u2028", "\u2029"])
+def test_a_raw_separator_inside_a_string_stays_in_its_record(ch):
+    # JSON lets these stand raw inside a string
+    records = [{"session_id": f"a{ch}b", "strategy": "AI", "iteration": t,
+                "objectives": [5.0, 4.0]} for t in range(2)]
+    text = "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records)
+    assert ch in text
+    got = core.loads_trajectories(text)
+    assert got == reference_loads(text) == [traj([[5.0, 4.0]] * 2, session_id=f"a{ch}b")]
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("", []),
+    ("\n", [""]),
+    ("a", ["a"]),
+    ("a\n", ["a"]),
+    ("a\r\nb\rc\n\n", ["a", "b", "c", ""]),
+    ("\r\r\n", ["", ""]),
+    ("\ufeffa\x0bb\x0c\x1c\x1d\x1e\x85\u2028\u2029\n", ["a\x0bb\x0c\x1c\x1d\x1e\x85\u2028\u2029"]),
+    ("\ufeff\ufeffa", ["\ufeffa"]),
+])
+def test_physical_lines_end_at_a_line_break_only(text, lines):
+    assert core.physical_lines(text) == lines
+
+
+def test_reader_drops_a_leading_bom():
+    text = core.dumps_trajectories([traj([[1, 2], [3, 4]])])
+    assert core.loads_trajectories("\ufeff" + text) == core.loads_trajectories(text)
 
 
 @pytest.mark.parametrize("value, shown", [
@@ -437,3 +477,32 @@ def test_parse_key_values_names_the_bad_line(text, message):
     with pytest.raises(ValueError) as info:
         core.parse_key_values(text)
     assert str(info.value) == message
+
+
+def test_parse_key_values_reads_physical_lines():
+    assert core.parse_key_values("\ufeffa = 1\r\nb = 2\rc = x\u2028y\n") == {
+        "a": "1", "b": "2", "c": "x\u2028y"}
+    with pytest.raises(ValueError, match="^line 3: expected key = value$"):
+        core.parse_key_values("a = 1\r\n\rno equals sign")
+
+
+# ---------------------------------------------------------------------------
+# read_text
+# ---------------------------------------------------------------------------
+
+def test_read_text_drops_one_leading_bom(tmp_path):
+    path = tmp_path / "f.txt"
+    for data, text in [(b"\xef\xbb\xbfa\r\nb", "a\nb"), (b"a\xef\xbb\xbf", "a\ufeff"),
+                       (b"\xef\xbb\xbf\xef\xbb\xbfa", "\ufeffa"), (b"", "")]:
+        path.write_bytes(data)
+        assert core.read_text(path) == text
+    path.write_bytes(b"\xef\xbb\xbf\r\n")
+    assert core.read_text(path, newline="") == "\r\n"
+
+
+def test_read_text_names_the_files_own_byte_offset(tmp_path):
+    # the BOM is dropped after decoding, so the offset counts its 3 bytes
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"\xef\xbb\xbfab\xff")
+    with pytest.raises(DomainError, match=r"not UTF-8 text \(invalid start byte at byte 5\)$"):
+        core.read_text(path)

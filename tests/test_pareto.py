@@ -174,6 +174,25 @@ def test_tail_too_long():
         pareto.equilibrium_estimate(traj([[1, 1, 1], [2, 2, 2]]), 0)
 
 
+@pytest.mark.parametrize("tail", [2.0, 2.5, True, np.float64(2.0)])
+def test_tail_must_be_an_integer(tail):
+    t = traj([[1, 1, 1], [2, 2, 2], [3, 3, 3]])
+    data = SessionSet("X", [t])
+    for call in (lambda: pareto.equilibrium_estimate(t, tail),
+                 lambda: pareto.efficiency_rows(data, tail)):
+        with pytest.raises(TypeError, match="^tail must be an integer, got "):
+            call()
+
+
+def test_a_numpy_integer_tail_counts_as_its_value():
+    t = traj([[1, 1, 1], [2, 2, 2], [3, 3, 3]])
+    data = SessionSet("X", [t])
+    for tail in (np.int64(2), np.uint8(2), np.uint64(2)):
+        assert np.array_equal(pareto.equilibrium_estimate(t, tail),
+                              pareto.equilibrium_estimate(t, 2))
+    assert pareto.efficiency_rows(data, np.uint8(2)) == pareto.efficiency_rows(data, 2)
+
+
 def test_ff_simulation_saturates_functionality_and_loses_security():
     cfg = simulator.SimConfig(strategy=simulator.preset("FF", sigma=0.5),
                               sessions=200, iterations=10, base_seed=61)

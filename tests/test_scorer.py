@@ -1,6 +1,7 @@
 import re
 import textwrap
 
+import numpy as np
 import pytest
 
 try:
@@ -339,6 +340,18 @@ def test_stub_penalty_scales_score():
 def test_expected_length_validated():
     with pytest.raises(InvalidExpectedLength):
         score_functionality("x = 1\n", 0)
+
+
+@pytest.mark.parametrize("expected_length", [2.5, 2.0, True, np.float64(3.0)])
+def test_expected_length_must_be_an_integer(expected_length):
+    for score in (score_all, score_functionality):
+        with pytest.raises(TypeError, match="^expected_length must be an integer, got "):
+            score("def f(x):\n    return x\n", expected_length)
+
+
+def test_a_numpy_integer_expected_length_counts_as_its_value():
+    code = "def f(x):\n    return x\n"
+    assert score_all(code, np.int64(40)) == score_all(code, 40)
 
 
 def test_docstring_requires_first_statement_position():
