@@ -740,11 +740,11 @@ def read_text(path, newline: str | None = None) -> str:
 
 
 def physical_lines(text: str) -> list[str]:
-    """The lines of a text as Python reads a source: a leading BOM is
-    dropped, and a line ends at "\n", "\r\n" or "\r" only, not at the
-    other characters `str.splitlines` breaks at (U+0085, U+2028, ...),
-    which JSON lets stand raw inside a string."""
-    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    """The lines of a text as Python reads a decoded source: a line ends at
+    "\n", "\r\n" or "\r" only, not at the other characters
+    `str.splitlines` breaks at (U+0085, U+2028, ...), which JSON lets stand
+    raw inside a string. A leading BOM stays: `read_text` drops a file's."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if not lines[-1]:
         lines.pop()  # the line break of the last line, or no text at all
     return lines

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.linalg import _umath_linalg  # the gufuncs under np.linalg
+from numpy.linalg._umath_linalg import lstsq  # the gufunc under np.linalg.lstsq
 
 from .core import (
     DegenerateVariance,
@@ -46,13 +46,6 @@ def _design(X: np.ndarray) -> np.ndarray:
     return Z
 
 
-def _solve(Z: np.ndarray, D: np.ndarray) -> np.ndarray | None:
-    """The least-squares theta of Z theta ~ D, or None when the rank that
-    `lstsq` reports is below Z's column count."""
-    theta, _res, rank, _s = np.linalg.lstsq(Z, D, rcond=None)
-    return theta if rank == Z.shape[1] else None
-
-
 def _raise_lstsq(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
@@ -62,11 +55,11 @@ def _solve_stack(Z: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack, in one call of the gufunc that `np.linalg.lstsq` calls once per
     problem, with the signature, rcond=None cut-off and error handling of
     `lstsq`. Raises LinAlgError when the SVD of any problem does not
-    converge, and AttributeError when numpy has no such gufunc."""
+    converge."""
     rcond = np.finfo(np.float64).eps * max(Z.shape[-2:])
     with np.errstate(call=_raise_lstsq, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
-        theta, _res, rank, _s = _umath_linalg.lstsq(Z, D, rcond, signature="ddd->ddid")
+        theta, _res, rank, _s = lstsq(Z, D, rcond, signature="ddd->ddid")
     return theta, rank
 
 
@@ -89,7 +82,7 @@ def fit_affine(
     """
     X = np.asarray(states, dtype=np.float64)
     D = np.asarray(deltas, dtype=np.float64)
-    if X.ndim != 2 or X.shape != D.shape:
+    if X.ndim != 2 or X.shape != D.shape or not X.shape[1]:  # LAPACK takes no empty system
         raise ValueError(f"states {X.shape} and deltas {D.shape} must match (N, n)")
     count, n = X.shape
     if count < n + 1:
@@ -101,8 +94,9 @@ def fit_affine(
             f"design matrix rank < {n + 1}; a state column is constant"
         )
     Z = _design(X)
-    theta = _solve(Z, D)
-    if theta is None:
+    theta, rank = _solve_stack(Z[None], D[None])
+    theta = theta[0]
+    if rank[0] < n + 1:
         raise RankDeficientDesign(
             f"design matrix rank < {n + 1}; states do not span the space"
         )
@@ -139,12 +133,11 @@ def fit_windows(rows: np.ndarray, window: int) -> WindowFits:
     on all windows at once. The windows left are solved by one
     `_solve_stack` call (one per controller segment) on the values of
     `fit_affine`'s `lstsq` call, so each has the same bits and the same
-    rank decision. When that call raises LinAlgError, or numpy lacks or
-    rejects the gufunc, the windows are solved one `_solve` call each, so
-    the first window whose SVD fails ends the scan with `fit_affine`'s
-    exception. Only A is computed, so a window whose b or residual
-    covariance overflows, where `fit_affine` raises NonFinite, keeps its
-    fit here.
+    rank decision. When that call raises LinAlgError, the windows are
+    solved one `_solve_stack` call each, so the first window whose SVD
+    fails ends the scan with `fit_affine`'s exception. Only A is computed,
+    so a window whose b or residual covariance overflows, where
+    `fit_affine` raises NonFinite, keeps its fit here.
     """
     m = np.asarray(rows, dtype=np.float64)
     n = m.shape[1]
@@ -168,18 +161,17 @@ def fit_windows(rows: np.ndarray, window: int) -> WindowFits:
     ks = np.flatnonzero(~flat)
     try:
         theta, rank = _solve_stack(Zw[ks], Dw[ks])
-    except (AttributeError, TypeError, ValueError, np.linalg.LinAlgError):
-        # numpy lacks or rejects the gufunc, or some window's SVD failed
+    except np.linalg.LinAlgError:  # some window's SVD failed
         A = []
         for k in ks.tolist():
             try:
-                theta = _solve(Zw[k], Dw[k])
+                theta, rank = _solve_stack(Zw[k:k + 1], Dw[k:k + 1])
             except np.linalg.LinAlgError as exc:
                 full, error = full[:k], exc
                 break
-            if theta is not None:
+            if rank[0] == n + 1:
                 full[k] = True
-                A.append(theta[:n].T)
+                A.append(theta[0, :n].T)
         return WindowFits(full, np.array(A).reshape(-1, n, n), error)
     ok = rank == n + 1
     full[ks[ok]] = True

@@ -108,10 +108,10 @@ def _clean_lines(source: str) -> tuple[list[tuple[int, str, list[_Literal]]], bo
     or the line end. A literal's prefix is the string-prefix letters
     (at most three) that end the code run before its opening quote.
 
-    The physical lines are Python's (`physical_lines`: a leading BOM is
-    dropped, and a line ends at "\n", "\r\n" or "\r" only), and a form feed
-    in a line's indentation resets its column to 0, as CPython's tokenizer
-    does.
+    The physical lines are Python's (`physical_lines`: a line ends at "\n",
+    "\r\n" or "\r" only, and a BOM is text, as in compile(str)), and a
+    form feed in a line's indentation resets its column to 0, as CPython's
+    tokenizer does.
 
     Returns the logical lines as (indent, cleaned, literals) tuples, where
     `cleaned` is the code with each literal replaced by `_MARK` and
@@ -338,29 +338,6 @@ def _weighted(counts: Iterable[tuple[str, int]]) -> list[RuleHit]:
     return [RuleHit(rule_id, n, n * _RULES[rule_id]) for rule_id, n in counts if n]
 
 
-def _security_hits(scan: SourceScan) -> list[RuleHit]:
-    return _weighted((
-        ("security.eval_exec_call", scan.eval_exec_calls),
-        ("security.shell_true", scan.shell_true_calls),
-        ("security.sql_string_build", scan.sql_string_builds),
-        ("security.exception_handling", int(_ERROR_WORDS <= scan.words)),
-        ("security.input_validation", int(scan.has_validation)),
-    ))
-
-
-def _efficiency_hits(scan: SourceScan) -> list[RuleHit]:
-    if not scan.structurally_valid:
-        delta = _RULES["efficiency.invalid_score"] - _RULES["efficiency.base"]
-        return [RuleHit("efficiency.invalid_baseline", 1, delta)]
-    return _weighted((
-        ("efficiency.depth_beyond_free",
-         max(0, scan.max_depth - int(_RULES["efficiency.free_depth"]))),
-        ("efficiency.nested_loop_pair", scan.nested_loop_pairs),
-        ("efficiency.extra_control_flow",
-         max(0, scan.control_flow_count - int(_RULES["efficiency.free_control_flow"]))),
-    ))
-
-
 _FEATURE_CLASSES = (
     ("functions", lambda s: "def" in s.words),
     ("classes", lambda s: "class" in s.words),
@@ -371,56 +348,67 @@ _FEATURE_CLASSES = (
 )
 
 
-def _functionality_hits(scan: SourceScan, expected_length: int) -> list[RuleHit]:
-    hits = [RuleHit(f"functionality.feature.{name}", 1, _RULES["functionality.feature_class"])
-            for name, present in _FEATURE_CLASSES if present(scan)]
-    preclip = _RULES["functionality.base"] + sum(h.delta for h in hits)
-    stub_lines = _RULES["functionality.stub_fraction"] * expected_length
-    factor = min(1.0, scan.nonblank_lines / stub_lines)
-    if factor < 1.0:
-        hits.append(RuleHit("functionality.length_scale", 1, preclip * (factor - 1.0)))
-    return hits
-
-
-def score_security(src: str) -> tuple[float, list[RuleHit]]:
-    """Pattern-rule security score: base 5.0, unsafe calls subtract,
-    exception handling and input validation add (once each)."""
-    hits = _security_hits(scan_source(src))
-    return _axis_score("security", hits), hits
-
-
-def score_efficiency(src: str) -> tuple[float, list[RuleHit]]:
-    """Complexity score from nesting depth, nested loops, and branch count.
-
-    Structurally unparseable source short-circuits to the flat invalid
-    baseline.
-    """
-    hits = _efficiency_hits(scan_source(src))
-    return _axis_score("efficiency", hits), hits
-
-
-def score_functionality(src: str, expected_length: int) -> tuple[float, list[RuleHit]]:
-    """Structural-richness score with a stub-length penalty.
-
-    The pre-clip score scales by min(1, lines / (stub_fraction *
-    expected_length)) so near-empty answers to long tasks score near 0.
-    """
-    _check_expected_length(expected_length)
-    hits = _functionality_hits(scan_source(src), expected_length)
-    return _axis_score("functionality", hits), hits
-
-
 def score_all(src: str, expected_length: int) -> ScoreBreakdown:
     """All three axes of one source text, from one scan. Never executes
-    the input."""
+    the input. Each axis is clip(base + its rule-hit deltas).
+
+    Security (base 5.0): unsafe calls subtract, exception handling and
+    input validation add (once each). Efficiency: nesting depth, nested
+    loops and branch count subtract; structurally unparseable source
+    short-circuits to the flat invalid baseline. Functionality: feature
+    classes add, and the pre-clip score scales by min(1, lines /
+    (stub_fraction * expected_length)) so stubs of long tasks score near 0.
+    """
     _check_expected_length(expected_length)
     scan = scan_source(src)
-    sec = _security_hits(scan)
-    eff = _efficiency_hits(scan)
-    fun = _functionality_hits(scan, expected_length)
+    sec = _weighted((
+        ("security.eval_exec_call", scan.eval_exec_calls),
+        ("security.shell_true", scan.shell_true_calls),
+        ("security.sql_string_build", scan.sql_string_builds),
+        ("security.exception_handling", int(_ERROR_WORDS <= scan.words)),
+        ("security.input_validation", int(scan.has_validation)),
+    ))
+    if not scan.structurally_valid:
+        delta = _RULES["efficiency.invalid_score"] - _RULES["efficiency.base"]
+        eff = [RuleHit("efficiency.invalid_baseline", 1, delta)]
+    else:
+        eff = _weighted((
+            ("efficiency.depth_beyond_free",
+             max(0, scan.max_depth - int(_RULES["efficiency.free_depth"]))),
+            ("efficiency.nested_loop_pair", scan.nested_loop_pairs),
+            ("efficiency.extra_control_flow",
+             max(0, scan.control_flow_count - int(_RULES["efficiency.free_control_flow"]))),
+        ))
+    fun = [RuleHit(f"functionality.feature.{name}", 1, _RULES["functionality.feature_class"])
+           for name, present in _FEATURE_CLASSES if present(scan)]
+    preclip = _RULES["functionality.base"] + sum(h.delta for h in fun)
+    factor = min(1.0, scan.nonblank_lines / (_RULES["functionality.stub_fraction"] * expected_length))
+    if factor < 1.0:
+        fun.append(RuleHit("functionality.length_scale", 1, preclip * (factor - 1.0)))
     return ScoreBreakdown(
         security=_axis_score("security", sec),
         efficiency=_axis_score("efficiency", eff),
         functionality=_axis_score("functionality", fun),
         rule_hits=tuple(sec + eff + fun),
     )
+
+
+def _axis(breakdown: ScoreBreakdown, axis: str) -> tuple[float, list[RuleHit]]:
+    """One axis of a breakdown: its score and its rule hits, in order."""
+    return (getattr(breakdown, axis),
+            [h for h in breakdown.rule_hits if h.rule_id.startswith(axis + ".")])
+
+
+def score_security(src: str) -> tuple[float, list[RuleHit]]:
+    """The security axis of `score_all(src, 1)`."""
+    return _axis(score_all(src, 1), "security")
+
+
+def score_efficiency(src: str) -> tuple[float, list[RuleHit]]:
+    """The efficiency axis of `score_all(src, 1)`."""
+    return _axis(score_all(src, 1), "efficiency")
+
+
+def score_functionality(src: str, expected_length: int) -> tuple[float, list[RuleHit]]:
+    """The functionality axis of `score_all(src, expected_length)`."""
+    return _axis(score_all(src, expected_length), "functionality")

@@ -45,11 +45,15 @@ drift matrices with zero intercept and a default diffusion of 0.5 * I.
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
+# The ufunc behind np.clip, called without np.clip's Python wrapper: a step
+# clips one short row, where the wrapper costs as much as the step's
+# arithmetic. np.maximum then np.minimum is not the same: it can return a
+# bound's zero sign where np.clip keeps the state's.
+from numpy._core.umath import clip as _clip
 
 from ._ziggurat import KI_DOUBLE, WI_DOUBLE
 from .core import (SCORE_HIGH, SCORE_LOW, DimensionMismatch, NonFinite, SessionSet,
@@ -68,14 +72,6 @@ _PHILOX_ROUNDS = 10
 # Rows of noise per kernel pass: long runs make few passes, and a pass's
 # temporaries stay well under 1 MB.
 _CHUNK_ROWS = 8192
-
-# The ufunc behind np.clip, called without np.clip's Python wrapper: a step
-# clips one short row, where the wrapper costs as much as the step's
-# arithmetic. np.maximum then np.minimum is not the same: it can return a
-# bound's zero sign where np.clip keeps the state's.
-_clip = importlib.import_module(
-    "numpy._core.umath" if int(np.__version__.split(".")[0]) >= 2 else "numpy.core.umath"
-).clip
 
 _LO32 = np.uint64(0xFFFFFFFF)
 _MAG52 = np.uint64((1 << 52) - 1)

@@ -241,7 +241,7 @@ def unchecked_fit_affine(states, deltas):
         D = np.asarray(deltas, dtype=np.float64)
         if not (np.isfinite(X).all() and np.isfinite(D).all()):
             raise
-    theta = inference._solve(inference._design(X), D)
+    theta, *_ = np.linalg.lstsq(np.hstack([X, np.ones((len(X), 1))]), D, rcond=None)
     return theta[:X.shape[1]].T, None, None, len(X)
 
 
@@ -370,7 +370,7 @@ def reference_pooled_steps(trajectories) -> tuple[np.ndarray, np.ndarray]:
 
 def reference_loads(text: str) -> list[Trajectory]:
     """The JSONL reader as a `json.loads` per line of `_physical_lines`
-    (a leading BOM dropped, a line ending at "\n", "\r\n" or "\r"), with
+    (a leading BOM kept, a line ending at "\n", "\r\n" or "\r"), with
     the same checks and messages as `core.loads_trajectories`, each echoed
     id or value cut by `core._shown`."""
     sessions: dict[str, tuple[str, list[list[float]]]] = {}
@@ -615,11 +615,12 @@ def reference_dumps_events(events) -> str:
 # ---------------------------------------------------------------------------
 
 def _physical_lines(source: str) -> list[str]:
-    """Python's physical lines of source, one character at a time: a
-    leading BOM is dropped, and a line ends at "\n", "\r\n" or "\r"."""
+    """Python's physical lines of a decoded source, one character at a
+    time: a leading BOM is kept, as `compile` keeps it in a str, and a line
+    ends at "\n", "\r\n" or "\r"."""
     lines: list[str] = []
     line: list[str] = []
-    i = 1 if source.startswith("\ufeff") else 0
+    i = 0
     while i < len(source):
         ch = source[i]
         i += 1

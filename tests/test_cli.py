@@ -607,6 +607,34 @@ def test_every_input_file_drops_a_leading_bom(tmp_path, kind):
     assert outs[0] and outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("kind", ["score", "config", "analyze-in"])
+def test_an_input_file_drops_only_one_leading_bom(tmp_path, capsys, kind):
+    # the second BOM is text: Python rejects such a source, a config key
+    # holds it, and JSON rejects such a record
+    sims = simulator.simulate_set(simulator.SimConfig(
+        strategy=simulator.preset("SF"), sessions=3, iterations=4, base_seed=4))
+    data, argv, code, err = {
+        "score": (b"def f(x):\n    return x\n", ["score", "--src", "{inp}", "--json"], 0, ""),
+        "config": (b"sessions = 3\niterations = 4\n",
+                   ["simulate", "--config", "{inp}", "--out", "{out}/t.jsonl"], 2,
+                   "simulate: unknown config key(s) ['\\ufeffsessions'] in '{inp}'\n"),
+        "analyze-in": (core.dumps_trajectories(sims).encode(),
+                       ["analyze", "--in", "{inp}", "--out", "{out}/a"], 1,
+                       "analyze: RecordFormatError: line 1: malformed record (Unexpected UTF-8 "
+                       "BOM (decode using utf-8-sig): line 1 column 1 (char 0))\n"),
+    }[kind]
+    path = tmp_path / "two-boms.in"
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf" + data)
+    assert run_cli(*[arg.format(inp=path, out=tmp_path) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err.format(inp=path)
+    if kind == "score":
+        report = json.loads(captured.out)
+        assert (report["security"], report["efficiency"], report["functionality"]) == (5, 2, 2.5)
+    else:
+        assert not list(tmp_path.glob("t.jsonl")) and not (tmp_path / "a").exists()
+
+
 @pytest.mark.parametrize("ch", ["\x85", "\u2028", "\u2029"])
 def test_analyze_reads_a_raw_separator_inside_an_id(tmp_path, ch):
     # the writer escapes it; a JSON Lines file may hold it raw in a string

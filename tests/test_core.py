@@ -420,16 +420,23 @@ def test_a_raw_separator_inside_a_string_stays_in_its_record(ch):
     ("a\n", ["a"]),
     ("a\r\nb\rc\n\n", ["a", "b", "c", ""]),
     ("\r\r\n", ["", ""]),
-    ("\ufeffa\x0bb\x0c\x1c\x1d\x1e\x85\u2028\u2029\n", ["a\x0bb\x0c\x1c\x1d\x1e\x85\u2028\u2029"]),
-    ("\ufeff\ufeffa", ["\ufeffa"]),
+    ("\ufeffa\x0bb\x0c\x1c\x1d\x1e\x85\u2028\u2029\n",
+     ["\ufeffa\x0bb\x0c\x1c\x1d\x1e\x85\u2028\u2029"]),
+    ("\ufeff\ufeffa", ["\ufeff\ufeffa"]),  # `read_text` drops a file's BOM, not this
 ])
 def test_physical_lines_end_at_a_line_break_only(text, lines):
     assert core.physical_lines(text) == lines
 
 
-def test_reader_drops_a_leading_bom():
+def test_reader_drops_a_leading_bom(tmp_path):
+    # a file's BOM goes where it is decoded; a str holds none to drop, as in json.loads
     text = core.dumps_trajectories([traj([[1, 2], [3, 4]])])
-    assert core.loads_trajectories("\ufeff" + text) == core.loads_trajectories(text)
+    (tmp_path / "t.jsonl").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert core.loads_trajectories(core.read_text(tmp_path / "t.jsonl")) == \
+        core.loads_trajectories(text)
+    with pytest.raises(RecordFormatError,
+                       match=r"^line 1: malformed record \(Unexpected UTF-8 BOM"):
+        core.loads_trajectories("\ufeff" + text)
 
 
 @pytest.mark.parametrize("value, shown", [
@@ -480,8 +487,9 @@ def test_parse_key_values_names_the_bad_line(text, message):
 
 
 def test_parse_key_values_reads_physical_lines():
-    assert core.parse_key_values("\ufeffa = 1\r\nb = 2\rc = x\u2028y\n") == {
+    assert core.parse_key_values("a = 1\r\nb = 2\rc = x\u2028y\n") == {
         "a": "1", "b": "2", "c": "x\u2028y"}
+    assert core.parse_key_values("\ufeffa = 1\n") == {"\ufeffa": "1"}  # a str's BOM is text
     with pytest.raises(ValueError, match="^line 3: expected key = value$"):
         core.parse_key_values("a = 1\r\n\rno equals sign")
 

@@ -1,6 +1,5 @@
 import re
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,6 +135,12 @@ def test_fit_affine_rejects_mismatched_shapes(states, deltas):
     message = f"states {states.shape} and deltas {deltas.shape} must match (N, n)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         inference.fit_affine(states, deltas)
+
+
+def test_fit_affine_needs_one_objective(capfd):
+    with pytest.raises(ValueError, match=re.escape("states (3, 0) and deltas (3, 0) must")):
+        inference.fit_affine(np.ones((3, 0)), np.ones((3, 0)))
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -454,15 +459,6 @@ def test_fit_windows_without_a_whole_window_is_empty():
         assert fits.A.shape == (0, 3, 3) and fits.error is None
 
 
-# `_solve_stack` calls the gufunc that numpy 2 runs under np.linalg.lstsq;
-# a numpy whose lstsq calls other gufuncs leaves `fit_windows` on its
-# per-window path, which the fallback tests below cover
-needs_stacked_lstsq = pytest.mark.skipif(
-    not hasattr(inference._umath_linalg, "lstsq"),
-    reason=f"numpy {np.__version__} has no numpy.linalg._umath_linalg.lstsq gufunc",
-)
-
-
 def assert_stack_is_lstsq(Z, D, where):
     """One `_solve_stack` call on a stack of designs gives, problem by
     problem, the theta bits and the rank of the public `np.linalg.lstsq`."""
@@ -477,7 +473,6 @@ def assert_stack_is_lstsq(Z, D, where):
         )
 
 
-@needs_stacked_lstsq
 def test_stacked_lstsq_is_the_public_lstsq_on_simulated_windows():
     # every window, constant-column ones included, of clipped runs
     for seed in range(3):
@@ -492,7 +487,6 @@ def test_stacked_lstsq_is_the_public_lstsq_on_simulated_windows():
                     assert_stack_is_lstsq(Z[idx], D[idx], (seed, strategy, sigma, window))
 
 
-@needs_stacked_lstsq
 def test_stacked_lstsq_is_the_public_lstsq_at_the_cutoff():
     rng = np.random.default_rng(39)
     X = np.array(CUTOFF_EXAMPLES)
@@ -514,52 +508,29 @@ def test_fit_windows_redoes_a_failed_stack_one_window_at_a_time(monkeypatch):
     first = np.flatnonzero(want.full)
     chosen = int(first[len(first) // 2])  # a full-rank window mid-run
 
-    def no_stack(Z, D):
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    solve_stack = inference._solve_stack
 
-    monkeypatch.setattr(inference, "_solve_stack", no_stack)
+    def one_at_a_time(Z, D):
+        if len(Z) > 1:
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        return solve_stack(Z, D)
+
+    monkeypatch.setattr(inference, "_solve_stack", one_at_a_time)
     # every window fails in the stack and none one at a time: the same fits
     assert_same_windows(m, window)
-    lstsq = np.linalg.lstsq
     failure = np.linalg.LinAlgError("window did not converge")
     target = inference._design(m[chosen:chosen + window])
 
-    def failing_at_chosen(Z, D, rcond=None):
-        if np.array_equal(Z, target):
+    def failing_at_chosen(Z, D):
+        if len(Z) == 1 and np.array_equal(Z[0], target):
             raise failure
-        return lstsq(Z, D, rcond=rcond)
+        return one_at_a_time(Z, D)
 
-    monkeypatch.setattr(np.linalg, "lstsq", failing_at_chosen)
+    monkeypatch.setattr(inference, "_solve_stack", failing_at_chosen)
     got = inference.fit_windows(m, window)
     assert got.error is failure
     assert np.array_equal(got.full, want.full[:chosen])
     assert got.A.tobytes() == want.A[:want.full[:chosen].sum()].tobytes()
-
-
-@pytest.mark.parametrize("gufuncs", ["missing", "rejecting"])
-def test_fit_windows_without_the_stacked_gufunc_fits_window_by_window(monkeypatch, gufuncs):
-    rng = np.random.default_rng(44)
-    m = pinned_walk(rng, 300, 3)
-    stacked = [inference.fit_windows(m, window) for window in (4, 5, 8)]
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def counted(Z, D, rcond=None):
-        calls.append(1)
-        return lstsq(Z, D, rcond=rcond)
-
-    def rejects(*args, **kwargs):
-        raise TypeError("no loop matching the specified signature")
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    monkeypatch.setattr(inference, "_umath_linalg",
-                        SimpleNamespace() if gufuncs == "missing" else SimpleNamespace(lstsq=rejects))
-    for window, want in zip((4, 5, 8), stacked):
-        got = inference.fit_windows(m, window)
-        assert np.array_equal(got.full, want.full)
-        assert got.A.shape == want.A.shape and got.A.tobytes() == want.A.tobytes()
-        assert got.error is None and want.error is None
-    assert calls
 
 
 # ---------------------------------------------------------------------------

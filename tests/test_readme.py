@@ -1,4 +1,5 @@
-"""README's "CLI quick start" commands and "Library example" code still run.
+"""README's "CLI quick start" commands and "Library example" code still run,
+and its "Install and test" section names the floors `pyproject.toml` declares.
 
 Each `driftlab ...` line of the quick start (a trailing backslash joins
 the next line) runs through `cli.main` in a fresh working directory that
@@ -8,6 +9,7 @@ every command must exit 0. The library example runs with `exec`.
 
 import re
 import shlex
+import tomllib
 from pathlib import Path
 
 from driftlab import cli
@@ -15,11 +17,17 @@ from driftlab import cli
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def code_block(heading: str, language: str) -> str:
-    """The first fenced `language` block after the `## heading` line."""
+def section(heading: str) -> str:
+    """README from the `## heading` line to the next `## ` line."""
     text = README.read_text("utf-8")
-    section = text[text.index(f"\n## {heading}\n"):]
-    return re.search(rf"```{language}\n(.*?)```", section, re.S)[1]
+    start = text.index(f"\n## {heading}\n") + 1
+    end = text.find("\n## ", start)
+    return text[start:end if end >= 0 else len(text)]
+
+
+def code_block(heading: str, language: str) -> str:
+    """The first fenced `language` block of the `## heading` section."""
+    return re.search(rf"```{language}\n(.*?)```", section(heading), re.S)[1]
 
 
 def quick_start_commands() -> list[list[str]]:
@@ -40,3 +48,13 @@ def test_readme_quick_start_commands_exit_0(tmp_path, monkeypatch, capsys):
 def test_readme_library_example_runs(capsys):
     exec(compile(code_block("Library example", "python"), str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_names_the_declared_floors():
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text("utf-8"))["project"]
+    python = re.fullmatch(r">=(\d+\.\d+)", project["requires-python"])[1]
+    [numpy] = [re.fullmatch(r"numpy>=(\d+\.\d+)", dep)[1]
+               for dep in project["dependencies"] if dep.startswith("numpy")]
+    text = " ".join(section("Install and test").split())
+    assert f"Python {python} or later" in text
+    assert f"numpy {numpy} or later" in text

@@ -11,7 +11,7 @@ except ImportError:  # Python 3.10
     import sre_parse
 
 from driftlab import scorer
-from driftlab.core import InvalidExpectedLength
+from driftlab.core import InvalidExpectedLength, read_text
 from driftlab.scorer import (
     scan_source,
     score_all,
@@ -245,13 +245,21 @@ def test_a_form_feed_dedents_a_line_as_python_reads_it():
     assert score_all(source, 3) == score_all("if x:\n    z = 1\ny = 2\n", 3)
 
 
-def test_a_leading_bom_is_not_source_text():
+def test_a_leading_bom_is_not_source_text(tmp_path):
+    # a file's BOM is dropped where the file is decoded, once, as Python
+    # drops it from bytes; a str's BOM is a character, as in compile(str)
     source = "def f(x):\n    return x\n"
-    compile(("\ufeff" + source).encode("utf-8"), "<source>", "exec")  # Python drops it
-    assert score_all("\ufeff" + source, 1) == score_all(source, 1)
-    assert score_all("\ufeff" + source, 1).efficiency == 10.0
-    # only one, and only at the start
-    assert score_all("\ufeff\ufeff" + source, 1) != score_all(source, 1)
+    compile(("\ufeff" + source).encode("utf-8"), "<source>", "exec")
+    path = tmp_path / "bom.py"
+    path.write_bytes(("\ufeff" + source).encode("utf-8"))
+    assert score_all(read_text(path), 1) == score_all(source, 1)
+    assert score_all(read_text(path), 1).efficiency == 10.0
+    for text in ("\ufeff" + source, "\ufeff\ufeff" + source):
+        with pytest.raises(SyntaxError, match="U\\+FEFF"):
+            compile(text, "<source>", "exec")
+        assert score_all(text, 1).efficiency == 2.0
+    path.write_bytes(("\ufeff\ufeff" + source).encode("utf-8"))
+    assert score_all(read_text(path), 1).efficiency == 2.0
 
 
 def test_triple_nested_loop():
@@ -436,6 +444,57 @@ def test_reconstruction_identity():
                 score_functionality(text, expected_length))
         assert ((b.security, b.efficiency, b.functionality), b.rule_hits) == (
             tuple(score for score, _ in axes), tuple(h for _, hits in axes for h in hits))
+
+
+_EVERY_RULE = src('''
+    """Tools."""
+    import subprocess
+    class Runner:
+        def run(self, cmd, rows):
+            if not isinstance(cmd, str):
+                raise ValueError(cmd)
+            try:
+                subprocess.run(cmd, shell=True)
+                cursor.execute("SELECT * FROM t WHERE id = " + cmd)
+            except OSError:
+                return eval(cmd)
+            for row in rows:
+                for cell in row:
+                    if cell:
+                        while cell:
+                            if cell > 1:
+                                cell -= 1
+            return rows
+''')
+
+
+@pytest.mark.parametrize("source, expected_length", [
+    (_EVERY_RULE, 10),  # valid
+    (_EVERY_RULE + "def broken(:\n", 10),  # structurally invalid
+    ("def f(x):\n    return x\n", 1),
+    ("def f(x):\n    return x\n", 500),  # stub-length
+    ("", 1),
+])
+def test_each_axis_function_is_its_axis_of_score_all(source, expected_length):
+    b = score_all(source, expected_length)
+    views = {"security": score_security(source), "efficiency": score_efficiency(source),
+             "functionality": score_functionality(source, expected_length)}
+    for axis, (score, hits) in views.items():
+        assert score == getattr(b, axis)
+        assert hits == [h for h in b.rule_hits if h.rule_id.startswith(axis + ".")]
+
+
+def test_the_axis_sources_fire_every_rule():
+    compile(_EVERY_RULE, "<source>", "exec")
+    fired = {h.rule_id for source, expected_length in [
+        (_EVERY_RULE, 10), (_EVERY_RULE + "def broken(:\n", 10), ("def f(x):\n    return x\n", 500)]
+        for h in score_all(source, expected_length).rule_hits}
+    features = ("functions", "classes", "imports", "returns", "docstrings", "error_handling")
+    rules = {key for key in scorer._RULES if not key.endswith(
+        (".base", ".invalid_score", ".free_depth", ".free_control_flow", ".feature_class",
+         ".stub_fraction"))}
+    assert fired == rules | {f"functionality.feature.{name}" for name in features} | {
+        "efficiency.invalid_baseline", "functionality.length_scale"}
 
 
 def test_score_all_scans_once(monkeypatch):
