@@ -8,8 +8,9 @@ Four subcommands wire the library into reproducible runs:
     score      static code scoring, single file or manifest batch
 
 Every command is a pure function of its flags and input files: no clock,
-no environment (`score --manifest` reads the CPUs it may use, only to
-share its rows out among forked processes). Exit codes: 0 success, 1
+no environment (the JSONL writer and reader and `score --manifest` read
+the CPUs they may use, only to share large work out among forked
+processes, with the same bytes). Exit codes: 0 success, 1
 runtime/data failure, 2 usage error. Report JSON is emitted by a
 fixed-order writer with floats at 17 significant digits so repeated runs
 are byte-identical.
@@ -23,10 +24,8 @@ import io
 import json
 import math
 import os
-import pickle
 import re
 import sys
-import warnings
 from itertools import chain
 from pathlib import Path
 
@@ -40,6 +39,7 @@ from .core import (
     RecordFormatError,
     StrategySpec,
     Trajectory,
+    _fork_map,
     _shown,
     check_finite_positive,
     dumps_trajectories,
@@ -415,20 +415,6 @@ def _file_bytes(row: dict) -> int:
         return 0
 
 
-def _score_parts(rows: list[tuple[int, dict]]) -> int:
-    """How many processes score `rows`: one per CPU this process may run
-    on, at most one per row; 1 without `os.fork` or when the rows' files
-    hold fewer than `_FORK_MIN_BYTES` bytes."""
-    if not hasattr(os, "fork"):
-        return 1
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    parts = min(cpus, len(rows))
-    if parts > 1 and sum(_file_bytes(row) for _, row in rows) < _FORK_MIN_BYTES:
-        return 1
-    return parts
-
-
 def _scored(rows: list[tuple[int, dict]]) -> list[scorer.ScoreBreakdown]:
     """The scores of `rows` in order, up to the first row that raises; the
     caller scores that row again to raise its error in manifest order."""
@@ -441,62 +427,16 @@ def _scored(rows: list[tuple[int, dict]]) -> list[scorer.ScoreBreakdown]:
     return scores
 
 
-def _fork_scored(rows: list[tuple[int, dict]]) -> tuple[int, int] | None:
-    """(pid, pipe) of a forked child that writes `_scored(rows)` pickled to
-    the pipe and exits; None when no child can be made."""
-    try:
-        pipe, out = os.pipe()
-    except OSError:
-        return None
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns that a child forked beside threads (OpenBLAS's
-            # here) may deadlock; this child runs no numpy.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(pipe)
-        os.close(out)
-        return None
-    if pid == 0:  # the child: never flush the parent's stdio, never return
-        try:
-            os.close(pipe)
-            with open(out, "wb") as f:
-                f.write(pickle.dumps(_scored(rows)))
-        finally:
-            os._exit(0)
-    os.close(out)
-    return pid, pipe
-
-
 def _manifest_scores(rows: list[tuple[int, dict]]) -> list[scorer.ScoreBreakdown]:
     """`_manifest_score` of each row, in order, or the error of the first
-    row that raises. With k parts, part j is rows[j::k]: this process
-    scores part 0 and one forked child each other part. A row a part did
-    not score (it raised, or its child died) is scored here again."""
-    parts = _score_parts(rows)
-    shares: list[list] = [[] for _ in range(parts)]
-    children = []
-    try:
-        for j in range(1, parts):
-            child = _fork_scored(rows[j::parts])
-            if child is not None:
-                children.append((j, *child))
-        shares[0] = _scored(rows[::parts])
-    finally:
-        for j, pid, pipe in children:
-            try:
-                with open(pipe, "rb") as f:
-                    data = f.read()
-            finally:
-                os.waitpid(pid, 0)
-            try:
-                shares[j] = pickle.loads(data)
-            except Exception:  # a child that died before it wrote them all
-                pass
+    row that raises. With k shares, at most one per row, share j is
+    rows[j::k], scored by `_fork_map`. A row a share did not score (it
+    raised) is scored here again."""
+    shares = _fork_map(_scored, lambda k: [rows[j::k] for j in range(min(k, len(rows)))],
+                       sum(_file_bytes(row) for _, row in rows), _FORK_MIN_BYTES)
     scores = []
     for i, (lineno, row) in enumerate(rows):
-        share, at = shares[i % parts], i // parts
+        share, at = shares[i % len(shares)], i // len(shares)
         scores.append(share[at] if at < len(share) else _manifest_score(row, lineno))
     return scores
 

@@ -26,13 +26,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import re
+import threading
+import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
-from itertools import chain, groupby, repeat
+from functools import cache, cached_property, partial
+from itertools import accumulate, chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _encode_str  # json.dumps of a str
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -497,6 +502,71 @@ def pooled_step_matrix(data: SessionSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# Work shared among forked processes
+# ---------------------------------------------------------------------------
+
+def _fork_map(fn: Callable, split: Callable[[int], list], size: int, cut: int) -> list:
+    """`[fn(share) for share in split(k)]`, the k processes sharing the work.
+
+    k is the number of CPUs this process may run on, or 1: without
+    `os.fork`, when the job's `size` is below the stage's `cut`, or while
+    another Python thread runs (a child holds no copy of it, so a library
+    caller's threads never see a fork). `split(k)` gives 1 to k shares.
+    This process runs share 0 and one forked child each other share. A
+    child writes its result pickled to a pipe and leaves by `os._exit`,
+    so it never flushes this process's stdio; this process reads every
+    pipe and reaps every child before it returns or raises. A share whose
+    result did not come back (no child could be made, the child died, or
+    `fn` raised in it) is run again here, so its error is raised here.
+    `fn` must call no BLAS routine: a child holds no copy of OpenBLAS's
+    threads.
+    """
+    k = 1
+    if hasattr(os, "fork") and size >= cut and threading.active_count() == 1:
+        k = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    shares = split(k)
+    results = {}
+    children = []
+    try:
+        for j in range(1, len(shares)):
+            try:
+                pipe, out = os.pipe()
+            except OSError:
+                continue
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12 warns that a child forked beside threads
+                    # (OpenBLAS's here) may deadlock; no child calls BLAS.
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(pipe)
+                os.close(out)
+                continue
+            if pid == 0:  # the child: never return
+                try:
+                    os.close(pipe)
+                    with open(out, "wb") as f:
+                        f.write(pickle.dumps(fn(shares[j])))
+                finally:
+                    os._exit(0)
+            os.close(out)
+            children.append((j, pid, pipe))
+        results[0] = fn(shares[0])
+    finally:
+        for j, pid, pipe in children:
+            try:  # the result is read and unpickled while the child exits
+                with open(pipe, "rb") as f:
+                    results[j] = pickle.loads(f.read())
+            except Exception:  # a child that died before it wrote its result
+                pass
+            finally:
+                os.waitpid(pid, 0)
+    return [results[j] if j in results else fn(share) for j, share in enumerate(shares)]
+
+
+# ---------------------------------------------------------------------------
 # Trajectory persistence (JSON Lines, one record per iteration)
 # ---------------------------------------------------------------------------
 
@@ -504,6 +574,12 @@ def pooled_step_matrix(data: SessionSet) -> tuple[np.ndarray, np.ndarray]:
 # rows raised the peak memory of some `simulate` runs by 1-3 MiB; no size
 # was quicker.
 _GROUP_ROWS = 2048
+# Rows below which `dumps_trajectories` writes in one process. On a 2-CPU
+# Xeon (rows of 3 numbers, in process, 100 alternating pairs a size) a
+# two-way split took 1.06x the one-process time at 4,200 rows and 0.89x at
+# 6,300 and 8,400, so it breaks even near 5,000 rows (about 600 KB of
+# text); a fork with its reaping costs about 3 ms.
+_DUMP_FORK_MIN_ROWS = 8192
 
 
 def dumps_trajectories(trajectories: Iterable[Trajectory]) -> str:
@@ -511,13 +587,40 @@ def dumps_trajectories(trajectories: Iterable[Trajectory]) -> str:
 
     One record per iteration, the bytes `json.dumps` gives for
     `{"session_id": …, "strategy": …, "iteration": t, "objectives": row}`.
-    Rows are rendered a group at a time: consecutive rows of one width, at
-    most `_GROUP_ROWS` of them, a long session split across groups. A group
-    takes one `tolist`, one `repr` of that list of rows, which is what
-    `json` writes for finite floats (a `Trajectory` holds only finite
-    values), and one join of the row texts with each record's head and
-    iteration. The ids are encoded once per session.
+    From `_DUMP_FORK_MIN_ROWS` rows on, the sessions are cut into one run
+    of whole sessions per CPU, each cut at the session end nearest its
+    share of the rows, and the runs are written by `_fork_map` and joined
+    in order; one session is one run.
     """
+    trajectories = list(trajectories)
+    ends = list(accumulate(map(len, trajectories)))  # the rows up to each session's end
+    texts = _fork_map(_dumps, partial(_session_runs, trajectories, ends),
+                      ends[-1] if ends else 0, _DUMP_FORK_MIN_ROWS)
+    return "".join(texts)
+
+
+def _session_runs(trajectories: list[Trajectory], ends: list[int], k: int) -> list[list[Trajectory]]:
+    """`trajectories` in 1 to k runs, cut at the session end nearest to
+    each j/k of the rows (the earlier one on a tie)."""
+    if not trajectories:
+        return [trajectories]
+    cuts = {0, len(trajectories)}
+    for j in range(1, k):
+        share = j * ends[-1] / k
+        i = bisect_left(ends, share)  # the first session that ends at or after it
+        cuts.add(i if i and share - ends[i - 1] <= ends[i] - share else i + 1)
+    cuts = sorted(cuts)
+    return [trajectories[first:stop] for first, stop in zip(cuts, cuts[1:])]
+
+
+def _dumps(trajectories: list[Trajectory]) -> str:
+    """The records of `trajectories`, rendered a group at a time:
+    consecutive rows of one width, at most `_GROUP_ROWS` of them, a long
+    session split across groups. A group takes one `tolist`, one `repr` of
+    that list of rows, which is what `json` writes for finite floats (a
+    `Trajectory` holds only finite values), and one join of the row texts
+    with each record's head and iteration. The ids are encoded once per
+    session."""
     texts = []
     group: list[tuple[str, int, np.ndarray]] = []  # (head, first iteration, rows)
     width = rows = 0
@@ -568,9 +671,17 @@ _NUMBER = r"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++(?:[eE][+-]?+[0-9]++)?+|[eE][+-]?+[
 _HEAD = (r'^\{"session_id": "([ !#-\[\]-~]*+)", "strategy": "([ !#-\[\]-~]*+)", '
          r'"iteration": ([0-9]++), "objectives": \[')
 _WRITER_LINE = re.compile(rf"{_HEAD}({_NUMBER}(?:, {_NUMBER})*+)\]\}}$", re.M)
-# Characters matched per step of `_read_writer_form`. Chunks of 128 or 256
-# KiB were slower, and 256 KiB raised the peak memory of `analyze`.
+# Characters matched per step of `_read_span`. Chunks of 128 or 256 KiB
+# were slower, and 256 KiB raised the peak memory of `analyze`.
 _CHUNK = 1 << 16
+# Characters below which `_read_writer_form` reads in one process. On a
+# 2-CPU Xeon (in process, 100 alternating pairs a size) a two-way split
+# took 1.32x the one-process time at 0.49 MB, 0.96x at 0.74 MB and 0.82x
+# at 0.99 MB, so it breaks even near 0.7 MB.
+_READ_FORK_MIN_CHARS = 1 << 20
+# What only the head of a writer-form line of iteration 0 holds: no id
+# holds a quote.
+_FIRST_ITERATION = '"iteration": 0, '
 
 
 @cache
@@ -588,15 +699,16 @@ def _read_writer_form(text: str) -> list[Trajectory] | None:
     Every line must match `_WRITER_LINE` and end in a line feed, every row
     must have the first row's width (n >= 2) and lie in the score box, and
     the sessions must be new, contiguous, of one strategy and of >= 2 rows
-    with iterations 0, 1, 2, ... The width is read from the first line,
-    and every line is matched by the pattern of that width, so a line of
-    another width fails the match. The text is matched in place one chunk
-    at a time, cut at the first line feed after each `_CHUNK` characters;
-    each column of a chunk's numbers becomes floats in one `map`, the chunk
-    is checked in one box check, and a session may carry on from one chunk
-    into the next. The trajectories are views of the one read-only array
-    of all the rows: the box check has already rejected every infinite
-    value, and no number the pattern takes is NaN.
+    with iterations 0, 1, 2, ... The width is read from the first line.
+    From `_READ_FORK_MIN_CHARS` characters on, the text is cut into one
+    span of whole lines per CPU, each span after the first starting at the
+    first line at or after its share of the text that holds iteration 0;
+    `_fork_map` reads the spans (`_read_span`), and the spans are merged
+    here under the rules that cross them: no session id in two spans, and
+    no session of fewer than 2 rows. A cut inside a session fails the
+    merge, as the text would fail as one span. The trajectories are views
+    of the one read-only array of all the rows: the box check has already
+    rejected every infinite value, and no number the pattern takes is NaN.
     """
     first_line = _WRITER_LINE.match(text)
     if first_line is None or not text.endswith("\n"):
@@ -604,15 +716,58 @@ def _read_writer_form(text: str) -> list[Trajectory] | None:
     width = first_line[4].count(", ") + 1
     if width < 2:
         return None
+    spans = _fork_map(partial(_read_span, text, width), partial(_line_spans, text),
+                      len(text), _READ_FORK_MIN_CHARS)
+    if any(span is None for span in spans):
+        return None
+    blocks, runs = [], []
+    for span_blocks, span_runs in spans:
+        rows = runs[-1][3] if runs else 0
+        blocks += span_blocks
+        runs += [(sid, strategy, rows + first, rows + stop)
+                 for sid, strategy, first, stop in span_runs]
+    if (len({sid for sid, _, _, _ in runs}) < len(runs)
+            or min(stop - first for _, _, first, stop in runs) < 2):
+        return None
+    m = _readonly(np.concatenate(blocks))
+    return [Trajectory._view(sid, strategy, m[first:stop]) for sid, strategy, first, stop in runs]
+
+
+def _line_spans(text: str, k: int) -> list[tuple[int, int]]:
+    """(start, end) of at most k spans of whole lines that make up `text`
+    (which ends in a line feed): each span after the first starts at the
+    first line at or after j/k of the text that holds `_FIRST_ITERATION`."""
+    cuts = [0]
+    for j in range(1, k):
+        line = text.find("\n", max(j * len(text) // k, cuts[-1] + 1) - 1) + 1
+        at = text.find(_FIRST_ITERATION, line) if line else -1
+        if at < 0:
+            break
+        cuts.append(text.rfind("\n", 0, at) + 1)
+    cuts.append(len(text))
+    return list(zip(cuts, cuts[1:]))
+
+
+def _read_span(text: str, width: int, span: tuple[int, int]) -> tuple[list, list] | None:
+    """The rows of a span of whole lines of a writer-form text, as blocks
+    of a (rows, width) array, and its sessions as [session id, strategy,
+    first row, end row] in the span; None unless every line matches the
+    pattern of `width` numbers, every row lies in the score box, and the
+    sessions are new in the span, contiguous, of one strategy, with
+    iterations 0, 1, 2, ... The span is matched in place one chunk at a
+    time, cut at the first line feed after each `_CHUNK` characters; each
+    column of a chunk's numbers becomes floats in one `map`, the chunk is
+    checked in one box check, and a session may carry on from one chunk
+    into the next."""
+    start, stop = span
     findall = _writer_line_of_width(width).findall
     blocks = []
     runs: list[list] = []  # [session id, strategy, first row, end row]
     seen: set[str] = set()
     steps: tuple[str, ...] = ()  # the text of iterations 0, 1, 2, ...
-    start = 0
     rows = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+    while start < stop:
+        end = text.find("\n", start + _CHUNK, stop) + 1 or stop
         found = findall(text, start, end)
         if len(found) != text.count("\n", start, end):
             return None
@@ -644,10 +799,7 @@ def _read_writer_form(text: str) -> list[Trajectory] | None:
             run[3] += k
             rows += k
             i += k
-    if min(stop - first for _, _, first, stop in runs) < 2:
-        return None
-    m = _readonly(np.concatenate(blocks))
-    return [Trajectory._view(sid, strategy, m[first:stop]) for sid, strategy, first, stop in runs]
+    return blocks, runs
 
 
 def _not_a_number(value) -> NoReturn:
@@ -720,7 +872,7 @@ def loads_trajectories(text: str) -> list[Trajectory]:
     `_shown`.
 
     Text in the exact form `dumps_trajectories` writes is read whole, a
-    chunk at a time (`_read_writer_form`). Any other text, and any text
+    span and a chunk at a time (`_read_writer_form`). Any other text, and any text
     that breaks a rule, is read one line at a time (`_read_lines`), so its
     values and error messages are those of a per-line `json.loads`.
     """

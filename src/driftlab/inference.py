@@ -126,7 +126,8 @@ class WindowFits(NamedTuple):
 
 def fit_windows(rows: np.ndarray, window: int) -> WindowFits:
     """`fit_affine(w[:-1], np.diff(w, axis=0))` on every window
-    w = rows[k:k + window + 1] of a (T+1, n) matrix, k = 0 .. T - window.
+    w = rows[k:k + window + 1] of a (T+1, n) matrix, k = 0 .. T - window;
+    rows of another shape, or with n = 0, raise `fit_affine`'s ValueError.
 
     A window that raises InsufficientData or RankDeficientDesign has no
     fit. The finiteness check and `fit_affine`'s constant-column test run
@@ -140,6 +141,8 @@ def fit_windows(rows: np.ndarray, window: int) -> WindowFits:
     `fit_affine` raises NonFinite, keeps its fit here.
     """
     m = np.asarray(rows, dtype=np.float64)
+    if m.ndim != 2 or not m.shape[1]:  # LAPACK takes no empty system
+        raise ValueError(f"rows {m.shape} must be (T+1, n) with n >= 1")
     n = m.shape[1]
     X = m[:-1]
     with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects what overflows

@@ -875,27 +875,6 @@ def _seeded_manifest(workdir, form: str, files: int = 13) -> Path:
     return manifest
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """cpus(k, cut) lets the CLI see k CPUs and sets its fork cut-off to
-    `cut` bytes; cpus.forks counts its os.fork calls."""
-    real_fork, forks = os.fork, []
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    def use(k: int, cut: int = 0) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-        monkeypatch.setattr(cli, "_FORK_MIN_BYTES", cut)
-
-    monkeypatch.setattr(os, "fork", fork)
-    use.forks = forks
-    yield use
-    with pytest.raises(ChildProcessError):  # no child is left, running or unreaped
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _scored_manifest(manifest: Path, out: Path, capsys) -> tuple[int, str, bytes | None]:
     code = run_cli("score", "--manifest", str(manifest), "--out", str(out))
     return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
@@ -1029,8 +1008,8 @@ def test_score_manifest_forks_nothing_where_a_split_cannot_pay(
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # `score --manifest` forks by hand: a pool's import would cost every
-    # command more than the split saves
+    # driftlab forks by hand (`core._fork_map`): a pool's import would cost
+    # every command more than a split saves
     script = ("import sys, driftlab.cli; print(sorted(m for m in sys.modules "
               "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

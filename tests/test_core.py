@@ -1,4 +1,7 @@
+import itertools
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -514,3 +517,263 @@ def test_read_text_names_the_files_own_byte_offset(tmp_path):
     path.write_bytes(b"\xef\xbb\xbfab\xff")
     with pytest.raises(DomainError, match=r"not UTF-8 text \(invalid start byte at byte 5\)$"):
         core.read_text(path)
+
+
+# ---------------------------------------------------------------------------
+# work shared among forked processes: `_fork_map`, the JSONL writer and reader
+# (the `cpus` fixture, in conftest.py, checks that no child is left)
+# ---------------------------------------------------------------------------
+
+def _pid_of(share):
+    return share, os.getpid()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_fork_map_runs_share_0_here_and_each_other_share_in_a_child(cpus, k):
+    cpus(k)
+    got = core._fork_map(_pid_of, lambda parts: list(range(parts)), 1, 1)
+    assert [share for share, _ in got] == list(range(k))
+    assert got[0][1] == os.getpid() and len({pid for _, pid in got}) == k
+    assert len(cpus.forks) == k - 1
+
+
+@pytest.mark.parametrize("case", ["one CPU", "under the cut-off", "no os.fork",
+                                  "a running thread", "one share"])
+def test_fork_map_forks_nothing_where_it_cannot_or_need_not(cpus, monkeypatch, case):
+    cpus(1 if case == "one CPU" else 2)
+    if case == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "a running thread":  # a library caller's: a child would hold no copy of it
+        thread.start()
+    try:
+        got = core._fork_map(_pid_of, lambda parts: list(range(1 if case == "one share" else parts)),
+                             10, 11 if case == "under the cut-off" else 10)
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    assert got == [(0, os.getpid())] and cpus.forks == []
+
+
+@pytest.mark.parametrize("failure", ["the child dies", "fn raises in the child", "no fork",
+                                     "no pipe"])
+def test_fork_map_runs_here_a_share_that_did_not_come_back(cpus, monkeypatch, failure):
+    parent = os.getpid()
+
+    def fn(share):
+        if os.getpid() != parent:
+            if failure == "the child dies":
+                os._exit(1)
+            raise ValueError(share)
+        return share, os.getpid()
+
+    cpus(3)
+    if failure == "no fork":  # as at a process limit, once
+        fork = os.fork
+        refusals = iter([BlockingIOError(11, "Resource temporarily unavailable")])
+
+        def refused():
+            for error in refusals:
+                raise error
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refused)
+    if failure == "no pipe":
+        pipe = os.pipe
+        refusals = iter([OSError(24, "Too many open files")])
+
+        def no_pipe():
+            for error in refusals:
+                raise error
+            return pipe()
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
+    got = core._fork_map(fn, lambda parts: list(range(parts)), 1, 1)
+    assert got == [(share, parent) for share in range(3)]
+
+
+def test_fork_map_raises_here_the_error_of_a_share_and_reaps_every_child(cpus):
+    def fn(share):
+        if share == 2:
+            raise ValueError(f"share {share}")
+        return share
+
+    cpus(3)
+    with pytest.raises(ValueError, match="^share 2$"):
+        core._fork_map(fn, lambda parts: list(range(parts)), 1, 1)
+    assert len(cpus.forks) == 2
+
+
+def test_fork_map_interrupted_here_reaps_its_children(cpus):
+    parent = os.getpid()
+
+    def fn(share):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return share
+
+    cpus(3)
+    with pytest.raises(KeyboardInterrupt):
+        core._fork_map(fn, lambda parts: list(range(parts)), 1, 1)
+    assert len(cpus.forks) == 2
+
+
+def _sessions_of_width(widths, lengths, seed) -> list[Trajectory]:
+    rng = np.random.default_rng(seed)
+    return [Trajectory(f"w{width}-{i}", ("AI", "SF")[i % 2], rng.uniform(0.0, 10.0, (length, width)))
+            for i, (width, length) in enumerate(zip(widths, lengths))]
+
+
+_LAYOUTS = {  # name -> (widths, lengths) of the sessions
+    **{f"unequal, width {n}": ([n] * 40, [2 + (7 * i) % 53 for i in range(40)])
+       for n in (2, 3, 4, 5)},
+    "widths 2 to 5": ([2 + i % 4 for i in range(40)], [2 + (11 * i) % 37 for i in range(40)]),
+    "a cut on the last session": ([3] * 2, [200, 3]),
+    "a long first session": ([3] * 3, [150, 60, 3]),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_writer_split_over_processes_writes_the_one_process_bytes(cpus, layout, k):
+    trajs = _sessions_of_width(*_LAYOUTS[layout], seed=len(layout))
+    cpus(1, 0, "dump")
+    one = core.dumps_trajectories(trajs)
+    assert one == "".join(map(core._dumps, [[t] for t in trajs]))
+    cpus(k, 0, "dump")
+    assert core.dumps_trajectories(iter(trajs)) == one
+    runs = core._session_runs(trajs, list(itertools.accumulate(map(len, trajs))), k)
+    assert sum(runs, []) == trajs and len(cpus.forks) == len(runs) - 1 > 0
+
+
+def test_writer_cuts_at_the_session_end_nearest_each_share():
+    trajs = _sessions_of_width([3] * 4, [3, 3, 3, 200], seed=1)
+    ends = list(itertools.accumulate(map(len, trajs)))
+    assert core._session_runs(trajs, ends, 2) == [trajs[:3], trajs[3:]]
+    assert core._session_runs(trajs[3:], ends[:1], 2) == [trajs[3:]]
+    trajs = _sessions_of_width([3] * 4, [10, 10, 10, 10], seed=1)
+    ends = list(itertools.accumulate(map(len, trajs)))
+    assert core._session_runs(trajs, ends, 2) == [trajs[:2], trajs[2:]]
+    assert core._session_runs(trajs, ends, 3) == [trajs[:1], trajs[1:3], trajs[3:]]
+    assert core._session_runs([], [], 2) == [[]]
+
+
+@pytest.mark.parametrize("one_session", [False, True])
+def test_writer_forks_nothing_for_one_session_or_under_its_cut_off(cpus, one_session):
+    trajs = _sessions_of_width([3] * 3, [50, 50, 50], seed=2)[:1 if one_session else 3]
+    cpus(1, 0, "dump")
+    one = core.dumps_trajectories(trajs)
+    cpus(2, 1 if one_session else 151, "dump")
+    assert core.dumps_trajectories(trajs) == one and cpus.forks == []
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_reader_split_over_processes_reads_the_one_process_trajectories(cpus, layout, k):
+    text = core.dumps_trajectories(_sessions_of_width(*_LAYOUTS[layout], seed=len(layout)))
+    cpus(1, 0, "read")
+    one = core.loads_trajectories(text)
+    cpus(k, 0, "read")
+    two = core.loads_trajectories(text)
+    assert two == one
+    spans = core._line_spans(text, k)
+    assert len(cpus.forks) == len(spans) - 1 > 0
+    assert "".join(text[start:end] for start, end in spans) == text
+    assert all(text.startswith('{"session_id"', start) for start, _ in spans)
+    if layout != "widths 2 to 5":  # one width: views of one array, not the per-line reader's
+        assert all(t.values_matrix.base is two[0].values_matrix.base is not None for t in two)
+
+
+def test_reader_cuts_at_the_first_session_at_or_after_each_share():
+    trajs = _sessions_of_width([3] * 4, [3, 3, 3, 200], seed=3)
+    text = core.dumps_trajectories(trajs)
+    # the middle falls inside the last session: no session starts after it
+    assert core._line_spans(text, 2) == [(0, len(text))]
+    text = core.dumps_trajectories(trajs[::-1])
+    last = text.index('"session_id": "w3-2"') - 1
+    assert core._line_spans(text, 2) == [(0, last), (last, len(text))]
+
+
+def _broken(text: str, kind: str) -> tuple[str, int]:
+    """`text` with one fault, and the index of the line it is on: in the
+    last fifth of the lines, or in the session that ends the first span."""
+    lines = text.splitlines(keepends=True)
+    at = len(lines) - len(lines) // 5
+    if kind == "a malformed line":
+        lines[at] = lines[at].replace("]}", "]")
+    elif kind == "an iteration gap":
+        lines[at] = lines[at].replace('"iteration": ', '"iteration": 9')
+    elif kind == "a row outside the box":
+        lines[at] = lines[at].replace('"objectives": [', '"objectives": [1')
+    elif kind == "an id of the first span again":
+        sid, again = (json.loads(lines[i])["session_id"] for i in (0, at))
+        lines = [line.replace(f'"{again}"', f'"{sid}"') for line in lines]
+    elif kind == "a session of one row":  # the one that ends the first span
+        at = text.count("\n", 0, core._line_spans(text, 2)[1][0]) - 1
+        sid = json.loads(lines[at])["session_id"]
+        lines = [line for line in lines
+                 if json.loads(line)["session_id"] != sid or '"iteration": 0,' in line]
+        at = next(i for i, line in enumerate(lines) if f'"{sid}"' in line)
+    return "".join(lines), at
+
+
+@pytest.mark.parametrize("kind", ["a malformed line", "an iteration gap", "a row outside the box",
+                                  "an id of the first span again", "a session of one row"])
+def test_reader_split_over_processes_raises_the_one_process_error(cpus, kind):
+    trajs = _sessions_of_width([3] * 30, [20 + i % 7 for i in range(30)], seed=4)
+    text, at = _broken(core.dumps_trajectories(trajs), kind)
+    spans = core._line_spans(text, 2)
+    assert len(spans) == 2
+    # the fault lies in the second span, or ends the first
+    assert text.count("\n", 0, spans[1][0]) <= at + (kind == "a session of one row")
+    cpus(1, 0, "read")
+    with pytest.raises(DomainError) as one:
+        core.loads_trajectories(text)
+    cpus(2, 0, "read")
+    with pytest.raises(DomainError) as two:
+        core.loads_trajectories(text)
+    assert (type(two.value), str(two.value)) == (type(one.value), str(one.value))
+    assert len(cpus.forks) == 1
+
+
+@pytest.mark.parametrize("stage", ["dump", "read"])
+@pytest.mark.parametrize("case", ["the child dies", "no fork", "one CPU", "a running thread"])
+def test_text_stages_give_the_one_process_result_when_a_share_is_not_forked(
+        cpus, monkeypatch, stage, case):
+    trajs = _sessions_of_width([3] * 30, [20 + i % 7 for i in range(30)], seed=5)
+    text = core.dumps_trajectories(trajs)
+    parent, step = os.getpid(), core.dumps_trajectories if stage == "dump" else core.loads_trajectories
+    given = trajs if stage == "dump" else text
+    cpus(1, 0, stage)
+    one = step(given)
+    cpus(1 if case == "one CPU" else 2, 0, stage)
+    if case == "the child dies":
+        name = "_dumps" if stage == "dump" else "_read_span"
+        fn = getattr(core, name)
+
+        def dies(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return fn(*args)
+
+        monkeypatch.setattr(core, name, dies)
+    if case == "no fork":
+        def refused():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refused)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "a running thread":
+        thread.start()
+    try:
+        assert step(given) == one
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    assert len(cpus.forks) == (1 if case == "the child dies" else 0)

@@ -451,6 +451,16 @@ def test_fit_windows_stops_at_the_first_non_finite_window(capfd, bad):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("rows", [np.arange(10.0).reshape(10, 1)[:, :0], np.arange(10.0),
+                                  np.zeros((10, 3, 1)), np.float64(5.0)])
+def test_fit_windows_rejects_rows_not_shaped_t_plus_1_by_n(capfd, rows):
+    # rows of no column once reached LAPACK, which printed its complaint
+    # to stderr before a reshape raised
+    with pytest.raises(ValueError, match=r"^rows \(.*\) must be \(T\+1, n\) with n >= 1$"):
+        inference.fit_windows(rows, 3)
+    assert capfd.readouterr().err == ""
+
+
 def test_fit_windows_without_a_whole_window_is_empty():
     m = np.arange(12.0).reshape(4, 3)
     for window in (3, 4, 9):
