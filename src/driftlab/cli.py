@@ -26,7 +26,8 @@ import math
 import os
 import re
 import sys
-from itertools import chain
+from functools import partial
+from itertools import accumulate, chain
 from pathlib import Path
 
 from . import controller, inference, pareto, scorer, simulator, spectral
@@ -40,6 +41,7 @@ from .core import (
     StrategySpec,
     Trajectory,
     _fork_map,
+    _runs,
     _shown,
     check_finite_positive,
     dumps_trajectories,
@@ -415,30 +417,21 @@ def _file_bytes(row: dict) -> int:
         return 0
 
 
-def _scored(rows: list[tuple[int, dict]]) -> list[scorer.ScoreBreakdown]:
-    """The scores of `rows` in order, up to the first row that raises; the
-    caller scores that row again to raise its error in manifest order."""
-    scores = []
-    try:
-        for lineno, row in rows:
-            scores.append(_manifest_score(row, lineno))
-    except Exception:
-        pass
-    return scores
+def _score_rows(rows: list[tuple[int, dict]]) -> list[scorer.ScoreBreakdown]:
+    return [_manifest_score(row, lineno) for lineno, row in rows]
 
 
 def _manifest_scores(rows: list[tuple[int, dict]]) -> list[scorer.ScoreBreakdown]:
     """`_manifest_score` of each row, in order, or the error of the first
-    row that raises. With k shares, at most one per row, share j is
-    rows[j::k], scored by `_fork_map`. A row a share did not score (it
-    raised) is scored here again."""
-    shares = _fork_map(_scored, lambda k: [rows[j::k] for j in range(min(k, len(rows)))],
-                       sum(_file_bytes(row) for _, row in rows), _FORK_MIN_BYTES)
-    scores = []
-    for i, (lineno, row) in enumerate(rows):
-        share, at = shares[i % len(shares)], i // len(shares)
-        scores.append(share[at] if at < len(share) else _manifest_score(row, lineno))
-    return scores
+    row that raises. The rows are cut into one contiguous run per CPU,
+    each cut at the row end nearest its share of the files' bytes
+    (`core._runs`), and `_fork_map` scores the runs. Run 0, the first
+    rows, is scored here first, and a run whose scores did not come back
+    is scored here again in order, so the error raised is the first
+    failing row's."""
+    ends = list(accumulate(_file_bytes(row) for _, row in rows))
+    runs = _fork_map(_score_rows, partial(_runs, rows, ends), ends[-1], _FORK_MIN_BYTES)
+    return list(chain.from_iterable(runs))
 
 
 def _manifest_rows(text: str) -> tuple[list[str] | None, list[tuple[int, dict]]]:

@@ -589,28 +589,29 @@ def dumps_trajectories(trajectories: Iterable[Trajectory]) -> str:
     `{"session_id": …, "strategy": …, "iteration": t, "objectives": row}`.
     From `_DUMP_FORK_MIN_ROWS` rows on, the sessions are cut into one run
     of whole sessions per CPU, each cut at the session end nearest its
-    share of the rows, and the runs are written by `_fork_map` and joined
-    in order; one session is one run.
+    share of the rows (`_runs`), and the runs are written by `_fork_map`
+    and joined in order; one session is one run.
     """
     trajectories = list(trajectories)
     ends = list(accumulate(map(len, trajectories)))  # the rows up to each session's end
-    texts = _fork_map(_dumps, partial(_session_runs, trajectories, ends),
+    texts = _fork_map(_dumps, partial(_runs, trajectories, ends),
                       ends[-1] if ends else 0, _DUMP_FORK_MIN_ROWS)
     return "".join(texts)
 
 
-def _session_runs(trajectories: list[Trajectory], ends: list[int], k: int) -> list[list[Trajectory]]:
-    """`trajectories` in 1 to k runs, cut at the session end nearest to
-    each j/k of the rows (the earlier one on a tie)."""
-    if not trajectories:
-        return [trajectories]
-    cuts = {0, len(trajectories)}
+def _runs(items: list, ends: list[int], k: int) -> list[list]:
+    """`items` in 1 to k contiguous runs, cut at the item end nearest to
+    each j/k of the whole size (the earlier one on a tie); `ends[i]` is the
+    size up to the end of item i."""
+    if not items:
+        return [items]
+    cuts = {0, len(items)}
     for j in range(1, k):
         share = j * ends[-1] / k
-        i = bisect_left(ends, share)  # the first session that ends at or after it
+        i = bisect_left(ends, share)  # the first item that ends at or after it
         cuts.add(i if i and share - ends[i - 1] <= ends[i] - share else i + 1)
     cuts = sorted(cuts)
-    return [trajectories[first:stop] for first, stop in zip(cuts, cuts[1:])]
+    return [items[first:stop] for first, stop in zip(cuts, cuts[1:])]
 
 
 def _dumps(trajectories: list[Trajectory]) -> str:
@@ -659,8 +660,9 @@ def _render(group: list[tuple[str, int, np.ndarray]], iterations: list[str]) -> 
 
 _JSON_NUMBERS = (int, float)  # exact types: a JSON true/false is not a score
 
-# One line as `dumps_trajectories` writes it. An id of printable ASCII but
-# `"` and `\` is its own decoded value and holds no line break.
+# One line as `dumps_trajectories` writes it, up to its numbers. An id of
+# printable ASCII but `"` and `\` is its own decoded value and holds no
+# line break.
 # A number is a JSON number with a fraction or an exponent, as `repr` writes
 # a float, so `float` of its text is json's value; a JSON integer is not
 # (json reads `-0` as the int 0, whose float is +0.0). The grammar is
@@ -670,7 +672,12 @@ _JSON_NUMBERS = (int, float)  # exact types: a JSON true/false is not a score
 _NUMBER = r"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++(?:[eE][+-]?+[0-9]++)?+|[eE][+-]?+[0-9]++)"
 _HEAD = (r'^\{"session_id": "([ !#-\[\]-~]*+)", "strategy": "([ !#-\[\]-~]*+)", '
          r'"iteration": ([0-9]++), "objectives": \[')
-_WRITER_LINE = re.compile(rf"{_HEAD}({_NUMBER}(?:, {_NUMBER})*+)\]\}}$", re.M)
+# Numbers a row may hold for `_read_writer_form`; wider rows are read one
+# line at a time. A pattern costs about 0.15 ms a number to compile and is
+# kept (9.6 ms at 64, 1 s at 5,000). On a 2-CPU Xeon, at 64 numbers the
+# writer-form read took 0.65x the per-line time of 2,000 rows with its
+# pattern compiled, and 1.6x of 4 rows.
+_MAX_WIDTH = 64
 # Characters matched per step of `_read_span`. Chunks of 128 or 256 KiB
 # were slower, and 256 KiB raised the peak memory of `analyze`.
 _CHUNK = 1 << 16
@@ -686,8 +693,8 @@ _FIRST_ITERATION = '"iteration": 0, '
 
 @cache
 def _writer_line_of_width(width: int) -> re.Pattern:
-    """`_WRITER_LINE` for rows of exactly `width` numbers, each number in
-    its own group, compiled on first use."""
+    """A writer-form line with a row of exactly `width` numbers, each
+    number in its own group, compiled on first use."""
     numbers = ", ".join([f"({_NUMBER})"] * width)
     return re.compile(rf"{_HEAD}{numbers}\]\}}$", re.M)
 
@@ -696,41 +703,38 @@ def _read_writer_form(text: str) -> list[Trajectory] | None:
     """The trajectories of a text in the form `dumps_trajectories` writes
     that the per-line reader would accept, else None. Never raises.
 
-    Every line must match `_WRITER_LINE` and end in a line feed, every row
-    must have the first row's width (n >= 2) and lie in the score box, and
-    the sessions must be new, contiguous, of one strategy and of >= 2 rows
-    with iterations 0, 1, 2, ... The width is read from the first line.
-    From `_READ_FORK_MIN_CHARS` characters on, the text is cut into one
-    span of whole lines per CPU, each span after the first starting at the
-    first line at or after its share of the text that holds iteration 0;
-    `_fork_map` reads the spans (`_read_span`), and the spans are merged
-    here under the rules that cross them: no session id in two spans, and
-    no session of fewer than 2 rows. A cut inside a session fails the
-    merge, as the text would fail as one span. The trajectories are views
-    of the one read-only array of all the rows: the box check has already
+    The width is read from the first line's text after its last `[`, and
+    must be 2 to `_MAX_WIDTH`. Every line must match the pattern of that
+    width (`_writer_line_of_width`) and end in a line feed, every row must
+    lie in the score box, and the sessions must be new, contiguous, of one
+    strategy and of >= 2 rows with iterations 0, 1, 2, ... A first line
+    that does not match turns the text away before any fork. From
+    `_READ_FORK_MIN_CHARS` characters on, the text is cut into one span of
+    whole lines per CPU, each span after the first starting at the first
+    line at or after its share of the text that holds iteration 0;
+    `_fork_map` reads the spans (`_read_span`), and the runs of all spans
+    are checked here once: no session id in two runs, and no run of fewer
+    than 2 rows. A session cut across spans, or repeated after another,
+    is two runs and fails that check. The trajectories are views of the
+    one read-only array of all the rows: the box check has already
     rejected every infinite value, and no number the pattern takes is NaN.
     """
-    first_line = _WRITER_LINE.match(text)
-    if first_line is None or not text.endswith("\n"):
+    if not text.endswith("\n"):
         return None
-    width = first_line[4].count(", ") + 1
-    if width < 2:
+    end = text.index("\n")  # of the first line
+    width = text.count(", ", text.rfind("[", 0, end) + 1, end) + 1
+    if not 2 <= width <= _MAX_WIDTH or not _writer_line_of_width(width).match(text):
         return None
     spans = _fork_map(partial(_read_span, text, width), partial(_line_spans, text),
                       len(text), _READ_FORK_MIN_CHARS)
     if any(span is None for span in spans):
         return None
-    blocks, runs = [], []
-    for span_blocks, span_runs in spans:
-        rows = runs[-1][3] if runs else 0
-        blocks += span_blocks
-        runs += [(sid, strategy, rows + first, rows + stop)
-                 for sid, strategy, first, stop in span_runs]
-    if (len({sid for sid, _, _, _ in runs}) < len(runs)
-            or min(stop - first for _, _, first, stop in runs) < 2):
+    runs = [run for _, span_runs in spans for run in span_runs]
+    if len({sid for sid, _, _ in runs}) < len(runs) or min(rows for _, _, rows in runs) < 2:
         return None
-    m = _readonly(np.concatenate(blocks))
-    return [Trajectory._view(sid, strategy, m[first:stop]) for sid, strategy, first, stop in runs]
+    m = _readonly(np.concatenate([block for blocks, _ in spans for block in blocks]))
+    return [Trajectory._view(sid, strategy, m[stop - rows:stop])
+            for (sid, strategy, rows), stop in zip(runs, accumulate(rows for _, _, rows in runs))]
 
 
 def _line_spans(text: str, k: int) -> list[tuple[int, int]]:
@@ -750,22 +754,19 @@ def _line_spans(text: str, k: int) -> list[tuple[int, int]]:
 
 def _read_span(text: str, width: int, span: tuple[int, int]) -> tuple[list, list] | None:
     """The rows of a span of whole lines of a writer-form text, as blocks
-    of a (rows, width) array, and its sessions as [session id, strategy,
-    first row, end row] in the span; None unless every line matches the
-    pattern of `width` numbers, every row lies in the score box, and the
-    sessions are new in the span, contiguous, of one strategy, with
-    iterations 0, 1, 2, ... The span is matched in place one chunk at a
-    time, cut at the first line feed after each `_CHUNK` characters; each
-    column of a chunk's numbers becomes floats in one `map`, the chunk is
-    checked in one box check, and a session may carry on from one chunk
-    into the next."""
+    of a (rows, width) array, and its runs of lines of one session id as
+    [session id, strategy, rows]; None unless every line matches the
+    pattern of `width` numbers, every row lies in the score box, and each
+    run keeps one strategy, with iterations 0, 1, 2, ... The span is
+    matched in place one chunk at a time, cut at the first line feed after
+    each `_CHUNK` characters; each column of a chunk's numbers becomes
+    floats in one `map`, the chunk is checked in one box check, and a run
+    may carry on from one chunk into the next."""
     start, stop = span
     findall = _writer_line_of_width(width).findall
     blocks = []
-    runs: list[list] = []  # [session id, strategy, first row, end row]
-    seen: set[str] = set()
+    runs: list[list] = []  # [session id, strategy, rows]
     steps: tuple[str, ...] = ()  # the text of iterations 0, 1, 2, ...
-    rows = 0
     while start < stop:
         end = text.find("\n", start + _CHUNK, stop) + 1 or stop
         found = findall(text, start, end)
@@ -784,20 +785,16 @@ def _read_span(text: str, width: int, span: tuple[int, int]) -> tuple[list, list
             k = len(list(group))
             if i == 0 and runs and runs[-1][0] == sid:
                 run = runs[-1]
-            elif sid in seen:
-                return None
             else:
-                seen.add(sid)
-                run = [sid, strategies[i], rows, rows]
+                run = [sid, strategies[i], 0]
                 runs.append(run)
-            done = run[3] - run[2]
+            done = run[2]
             if done + k > len(steps):
                 steps = tuple(map(str, range(2 * (done + k))))
             if (strategies[i:i + k].count(run[1]) != k
                     or iterations[i:i + k] != steps[done:done + k]):
                 return None
-            run[3] += k
-            rows += k
+            run[2] += k
             i += k
     return blocks, runs
 

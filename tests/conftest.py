@@ -6,8 +6,9 @@ to them.
 
 Hypothesis still caches what it reads (the constants in the test sources,
 its Unicode tables) in its home directory, `.hypothesis/` in the working
-directory by default. Here that is a temporary directory, removed when the
-test process exits, so a run leaves no `.hypothesis/` in the tree.
+directory by default. Here that is a temporary directory, removed at exit
+(`atexit`), so a run leaves no `.hypothesis/` in the tree and no
+`ResourceWarning` for the directory.
 
 The checkout's `src` comes first on `sys.path` and on the PYTHONPATH that
 child processes inherit, so `python -m pytest` tests this checkout, installed
@@ -16,6 +17,7 @@ or not, and the tests that run `python -m driftlab.cli` run it too.
 The `cpus` fixture sets the CPUs `core._fork_map` sees and a stage's fork
 cut-off, and counts forks."""
 
+import atexit
 import os
 import sys
 import tempfile
@@ -36,6 +38,7 @@ else:
     settings.register_profile("fixed", derandomize=True, database=None)
     settings.load_profile("fixed")
     _HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    atexit.register(_HOME.cleanup)
     set_hypothesis_home_dir(_HOME.name)
 
 

@@ -880,18 +880,32 @@ def _scored_manifest(manifest: Path, out: Path, capsys) -> tuple[int, str, bytes
     return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
 
 
+def _manifest_runs(manifest: Path, parts: int) -> list[list[int]]:
+    """The indices of the manifest's rows in each run `score` cuts at
+    `parts` CPUs, its paths read from the working directory."""
+    rows = cli._manifest_rows(manifest.read_text())[1]
+    ends = list(itertools.accumulate(cli._file_bytes(row) for _, row in rows))
+    return core._runs(list(range(len(rows))), ends, parts)
+
+
 @pytest.mark.parametrize("parts", [2, 3])
-@pytest.mark.parametrize("form", ["plain", "trajectory"])
+@pytest.mark.parametrize("form", ["plain", "trajectory", "one file of most bytes"])
 def test_score_manifest_split_over_processes_writes_the_inline_bytes(
         tmp_path, monkeypatch, capsys, cpus, parts, form):
     monkeypatch.chdir(tmp_path)
-    manifest = _seeded_manifest(tmp_path, form)
+    manifest = _seeded_manifest(tmp_path, "plain" if form == "one file of most bytes" else form)
+    if form == "one file of most bytes":  # the first: one run holds it alone
+        first = tmp_path / "corpus" / "f000.py"
+        first.write_text(first.read_text() * 60)
+    runs = _manifest_runs(manifest, parts)
+    assert sum(runs, []) == list(range(13))
+    assert len(runs) == (2 if form == "one file of most bytes" else parts)
     cpus(1)
     inline = _scored_manifest(manifest, tmp_path / "inline.jsonl", capsys)
     assert cpus.forks == [] and inline[0] == 0 and inline[1] == ""
     cpus(parts)
     assert _scored_manifest(manifest, tmp_path / "split.jsonl", capsys) == inline
-    assert len(cpus.forks) == parts - 1
+    assert len(cpus.forks) == len(runs) - 1
 
 
 _BAD_ROWS = {  # kind -> (path, expected_length, a fragment of its error line)
@@ -901,25 +915,40 @@ _BAD_ROWS = {  # kind -> (path, expected_length, a fragment of its error line)
 }
 
 
-@pytest.mark.parametrize("parts", [2, 3])
+# placement -> the (run, row of the run) of each bad row, None for the
+# run's middle row; run 0 is the parent's
+_PLACEMENTS = {
+    "first row": [(0, 0)],
+    "parent": [(0, None)],
+    "child": [(1, None)],
+    "last row": [(-1, -1)],
+    "parent then child": [(0, None), (-1, None)],
+    "child then child": [(1, None), (2, None)],
+}
+
+
+@pytest.mark.parametrize("parts, placement", [(parts, placement) for parts in (2, 3)
+                                              for placement in _PLACEMENTS
+                                              if placement != "child then child" or parts == 3])
 @pytest.mark.parametrize("kind", list(_BAD_ROWS))
-@pytest.mark.parametrize("placement", ["parent", "child", "parent then child",
-                                       "child then parent"])
 def test_score_manifest_split_over_processes_fails_on_the_first_failing_row(
         tmp_path, monkeypatch, capsys, cpus, parts, kind, placement):
-    # row i goes to part i % parts; part 0 is the parent's
-    at = {"parent": [2 * parts], "child": [2 * parts + 1],
-          "parent then child": [parts, 3 * parts + 1],
-          "child then parent": [1, 3 * parts]}[placement]
     kinds = list(_BAD_ROWS)
     monkeypatch.chdir(tmp_path)
     manifest = _seeded_manifest(tmp_path, "plain")
     (tmp_path / "latin1.py").write_bytes(b"x = '\xe9'\n")
+    runs = _manifest_runs(manifest, parts)
+    at = [runs[run][len(runs[run]) // 2 if row is None else row]
+          for run, row in _PLACEMENTS[placement]]
     lines = manifest.read_text().splitlines()
     for j, row in enumerate(at):  # a second bad row is of the next kind
         path, expected_length, _ = _BAD_ROWS[kinds[(kinds.index(kind) + j) % 3]]
         lines[1 + row] = f"{path},{expected_length}"
     manifest.write_text("\n".join(lines) + "\n")
+    # the bad rows, which change the files' bytes, stay in their runs
+    runs = _manifest_runs(manifest, parts)
+    assert len(runs) == parts
+    assert all(row in runs[run] for row, (run, _) in zip(at, _PLACEMENTS[placement]))
     cpus(1)
     inline = _scored_manifest(manifest, tmp_path / "inline.jsonl", capsys)
     assert inline[0] == 1 and inline[2] is None
@@ -940,14 +969,14 @@ def test_score_manifest_scores_again_what_a_dead_child_did_not_send(
     inline = _scored_manifest(manifest, tmp_path / "inline.jsonl", capsys)
     parent = os.getpid()
     if death == "exit before writing":
-        scored = cli._scored
+        scored = cli._score_rows
 
         def exiting(rows):
             if os.getpid() != parent:
                 os._exit(1)
             return scored(rows)
 
-        monkeypatch.setattr(cli, "_scored", exiting)
+        monkeypatch.setattr(cli, "_score_rows", exiting)
     elif death == "bytes that do not unpickle":
         dumps = pickle.dumps
         monkeypatch.setattr(pickle, "dumps", lambda obj: dumps(obj)[:-7])
@@ -970,14 +999,14 @@ def test_score_manifest_interrupted_in_the_parent_reaps_its_children(
         tmp_path, monkeypatch, cpus):
     monkeypatch.chdir(tmp_path)
     manifest = _seeded_manifest(tmp_path, "plain")
-    parent, scored = os.getpid(), cli._scored
+    parent, scored = os.getpid(), cli._score_rows
 
     def interrupted(rows):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         return scored(rows)
 
-    monkeypatch.setattr(cli, "_scored", interrupted)
+    monkeypatch.setattr(cli, "_score_rows", interrupted)
     cpus(3)
     with pytest.raises(KeyboardInterrupt):
         run_cli("score", "--manifest", str(manifest), "--out", "split.jsonl")

@@ -645,20 +645,36 @@ def test_writer_split_over_processes_writes_the_one_process_bytes(cpus, layout, 
     assert one == "".join(map(core._dumps, [[t] for t in trajs]))
     cpus(k, 0, "dump")
     assert core.dumps_trajectories(iter(trajs)) == one
-    runs = core._session_runs(trajs, list(itertools.accumulate(map(len, trajs))), k)
+    runs = core._runs(trajs, list(itertools.accumulate(map(len, trajs))), k)
     assert sum(runs, []) == trajs and len(cpus.forks) == len(runs) - 1 > 0
 
 
 def test_writer_cuts_at_the_session_end_nearest_each_share():
     trajs = _sessions_of_width([3] * 4, [3, 3, 3, 200], seed=1)
     ends = list(itertools.accumulate(map(len, trajs)))
-    assert core._session_runs(trajs, ends, 2) == [trajs[:3], trajs[3:]]
-    assert core._session_runs(trajs[3:], ends[:1], 2) == [trajs[3:]]
+    assert core._runs(trajs, ends, 2) == [trajs[:3], trajs[3:]]
+    assert core._runs(trajs[3:], ends[:1], 2) == [trajs[3:]]
     trajs = _sessions_of_width([3] * 4, [10, 10, 10, 10], seed=1)
     ends = list(itertools.accumulate(map(len, trajs)))
-    assert core._session_runs(trajs, ends, 2) == [trajs[:2], trajs[2:]]
-    assert core._session_runs(trajs, ends, 3) == [trajs[:1], trajs[1:3], trajs[3:]]
-    assert core._session_runs([], [], 2) == [[]]
+    assert core._runs(trajs, ends, 2) == [trajs[:2], trajs[2:]]
+    assert core._runs(trajs, ends, 3) == [trajs[:1], trajs[1:3], trajs[3:]]
+    assert core._runs([], [], 2) == [[]]
+
+
+@pytest.mark.parametrize("sizes, k, lengths", [
+    # a missing file is 0 bytes: its row joins the run its neighbours fall in
+    ([0, 0, 100, 100, 0, 100, 100, 0], 2, [4, 4]),
+    ([0, 0, 100, 100, 0, 100, 100, 0], 3, [3, 3, 2]),
+    ([0, 0, 0], 2, [1, 2]),
+    # one file of most of the bytes: fewer runs than CPUs
+    ([10, 10, 1000], 3, [2, 1]),
+    ([1000, 10, 10, 10], 3, [1, 3]),
+    ([1000, 10, 10, 10], 2, [1, 3]),
+])
+def test_runs_cut_manifest_rows_by_their_files_bytes(sizes, k, lengths):
+    rows = [(2 + i, {"path": f"f{i}.py"}) for i in range(len(sizes))]
+    runs = core._runs(rows, list(itertools.accumulate(sizes)), k)
+    assert [len(run) for run in runs] == lengths and sum(runs, []) == rows
 
 
 @pytest.mark.parametrize("one_session", [False, True])
@@ -695,6 +711,19 @@ def test_reader_cuts_at_the_first_session_at_or_after_each_share():
     text = core.dumps_trajectories(trajs[::-1])
     last = text.index('"session_id": "w3-2"') - 1
     assert core._line_spans(text, 2) == [(0, last), (last, len(text))]
+
+
+@pytest.mark.parametrize("width", [core._MAX_WIDTH, core._MAX_WIDTH + 1, 5000])
+def test_reader_reads_rows_wider_than_its_bound_one_line_at_a_time(width):
+    # a pattern of 5,000 numbers takes about a second to compile, and is kept
+    trajs = _sessions_of_width([width] * 2, [2, 3], seed=6)
+    text = core.dumps_trajectories(trajs)
+    core._read_writer_form(core.dumps_trajectories(trajs[:1]))  # compiles what it may, once
+    cached = core._writer_line_of_width.cache_info().currsize
+    whole = core._read_writer_form(text)
+    assert core._writer_line_of_width.cache_info().currsize == cached
+    assert (whole is not None) == (width <= core._MAX_WIDTH)
+    assert core.loads_trajectories(text) == core._read_lines(text) == trajs
 
 
 def _broken(text: str, kind: str) -> tuple[str, int]:

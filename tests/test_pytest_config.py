@@ -1,8 +1,11 @@
 """The repository's pytest settings keep a test session running past a
 failing Hypothesis test, so every later test still runs and is counted,
-and every Hypothesis test draws the same fixed examples on every run."""
+every Hypothesis test draws the same fixed examples on every run, and a
+run under `python -X dev` ends with no `ResourceWarning`."""
 
 import importlib
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -53,3 +56,14 @@ def test_every_given_test_draws_fixed_examples():
                     random.append(f"{path.stem}::{name}")
     assert found
     assert not random, f"tests that draw random examples: {random}"
+
+
+def test_a_dev_mode_run_leaves_no_resource_warning(tmp_path):
+    # conftest.py's Hypothesis home is removed at exit, not left to the
+    # finalizer, which warns under -X dev
+    target = Path(__file__).with_name("test_coupling.py")
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "pytest", "-q", "-p", "no:cacheprovider", str(target)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "ResourceWarning" not in result.stdout + result.stderr
