@@ -261,7 +261,7 @@ ANALYZE_STAGES = tuple(_STAGES)
 
 def cmd_analyze(args) -> int:
     stages = ANALYZE_STAGES
-    if args.only:
+    if args.only is not None:
         stages = tuple(s.strip() for s in args.only.split(","))
         unknown = [s for s in stages if s not in ANALYZE_STAGES]
         if unknown:
@@ -337,6 +337,10 @@ def cmd_control(args) -> int:
     if args.window > args.iterations:
         raise _UsageError(
             f"--window {_shown(args.window)} > --iterations {_shown(args.iterations)}")
+    n = sim.strategy.dimension  # a window fit of n objectives needs n + 1 steps
+    if args.window <= n:
+        raise _UsageError(f"--window {_shown(args.window)} < {n + 1}: a window fit of "
+                          f"{n} objectives needs at least {n + 1} steps")
     traj, events = controller.run_controlled(
         sim, cfg, catalog, halt_on_intervention=args.halt_on_intervention
     )
@@ -566,7 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--in", dest="infile", required=True)
     ana.add_argument("--strategy", help="restrict to one strategy")
     ana.add_argument("--tail", type=int, default=3)
-    ana.add_argument("--dt", type=float, default=1.0)
+    ana.add_argument("--dt", type=float, default=1.0,
+                     help="step of an Euler scheme for the fitted per-step generator, read "
+                          "by spectrum.json's discrete eigenvalues (1: the fitted one-step map)")
     ana.add_argument("--zero-tol", type=float, default=spectral.DEFAULT_ZERO_TOL)
     ana.add_argument("--out", default="analysis")
     ana.add_argument("--only", help=f"comma list of stages {ANALYZE_STAGES}")

@@ -19,9 +19,9 @@ before any decomposition); the controller then simply holds the current
 strategy.
 
 The loop runs in segments, as a speedup only. Each step's noise is drawn
-once, in step order: a segment draws the rows it has not yet drawn in one
-`simulator._normals` call. A segment steps the state ahead with the current
-strategy, fits all its windows in one stacked pass
+once, in step order: a segment asks `simulator._normals` for the steps it
+has not yet drawn, in one call. A segment steps the state ahead with the
+current strategy, fits all its windows in one stacked pass
 (`inference.fit_windows`: one least-squares call for the segment's
 windows, bit-identical to one `lstsq` call per window) and takes their
 spectra in one `eigvals` call. It then fills one table for all its steps
@@ -393,7 +393,7 @@ def run_controlled(
             )
         stop = min(steps, start + length)
         if stop > drawn:
-            eps[drawn:stop] = simulator._normals(keys, range(drawn + 1, stop + 1), n)[:, 0]
+            eps[drawn:stop] = simulator._normals(keys, range(drawn, stop), n)[:, 0]
             drawn = stop
         # an overflow ends the walk early; the next segment starts there
         stop = simulator._advance(m, start, stop, strategy, sim.dt, eps[start:stop], sim.clip)

@@ -13,12 +13,13 @@ scheduled or parallelized.
 The draw at tag t of a session is the one numpy's
 `Generator(Philox(key, counter=[0, 0, 0, t])).standard_normal(n)` makes:
 tag 0 is the init_box start and tag t+1 the noise of step t. Noise does
-not depend on the state, so a run computes its draws up front, many rows
-per numpy call. Word k of a row is word k % 4 of the Philox4x64-10 block
-at counter [k // 4 + 1, 0, 0, t], and each word becomes a normal on the
-accept path of numpy's 256-layer ziggurat. A row with a word off that
-path (about 1.5% of words) is drawn again by numpy itself, so every row
-holds numpy's bytes.
+not depend on the state, so a run draws it ahead, many rows per numpy
+call, through one entry: a walk asks `_normals` for the steps it takes,
+and `_normals` alone maps step t to tag t + 1. Word k of a row is word
+k % 4 of the Philox4x64-10 block at counter [k // 4 + 1, 0, 0, t], and
+each word becomes a normal on the accept path of numpy's 256-layer
+ziggurat. A row with a word off that path (about 1.5% of words) is
+drawn again by numpy itself, so every row holds numpy's bytes.
 
 Every step is taken by `_advance`, the one Euler-Maruyama walk, and the
 public `em_step` is a one-step `_advance` walk. A walk computes the noise
@@ -169,29 +170,23 @@ def _redraw(k0: np.ndarray, k1: np.ndarray, tags: np.ndarray, rows: list[int],
         gen.standard_normal(out=out[i])
 
 
-def _normal_rows(k0: np.ndarray, k1: np.ndarray, tags: np.ndarray, n: int) -> np.ndarray:
-    """Row i of the (rows, n) result is the standard-normal draw at tag
-    tags[i] of the session keyed (k0[i], k1[i]). A row with any word off the
-    ziggurat's accept path is drawn again by numpy."""
-    x, accepted = _ziggurat(_philox_words(k0, k1, tags, n))
-    rejected = np.flatnonzero(~accepted.all(axis=1)).tolist()
-    if rejected:
-        _redraw(k0, k1, tags, rejected, x)
-    return x
-
-
-def _normals(keys: tuple[np.ndarray, np.ndarray], tags: range, n: int) -> np.ndarray:
-    """The standard-normal draws of every session at every tag: a
-    (len(tags), sessions, n) array whose [s, j] is the draw at tag tags[s]
-    of the session with key (keys[0][j], keys[1][j]), computed _CHUNK_ROWS
-    rows at a time."""
+def _normals(keys: tuple[np.ndarray, np.ndarray], steps: range, n: int) -> np.ndarray:
+    """The kernel's one entry: a (len(steps), sessions, n) array whose
+    [s, j] is the noise of step steps[s], the draw at tag steps[s] + 1, of
+    the session keyed (keys[0][j], keys[1][j]), made _CHUNK_ROWS rows at a
+    time. A row with any word off the ziggurat's accept path is drawn
+    again by numpy."""
     sessions = len(keys[0])
-    tag = np.arange(tags.start, tags.stop, dtype=np.uint64)
+    tag = np.arange(steps.start + 1, steps.stop + 1, dtype=np.uint64)
     out = np.empty((len(tag) * sessions, n))
     for lo in range(0, len(out), _CHUNK_ROWS):
         row = np.arange(lo, min(lo + _CHUNK_ROWS, len(out)))
-        j = row % sessions
-        out[lo:lo + len(row)] = _normal_rows(keys[0][j], keys[1][j], tag[row // sessions], n)
+        k0, k1, tags = keys[0][row % sessions], keys[1][row % sessions], tag[row // sessions]
+        # drawn straight into out, so no chunk of draws outlives its copy
+        out[lo:lo + len(row)], accepted = _ziggurat(_philox_words(k0, k1, tags, n))
+        rejected = np.flatnonzero(~accepted.all(axis=1)).tolist()
+        if rejected:
+            _redraw(k0, k1, tags, rejected, out[lo:lo + len(row)])
     return out.reshape(len(tag), sessions, n)
 
 
@@ -209,9 +204,8 @@ def _uniform_starts(keys: tuple[np.ndarray, np.ndarray], low: float, high: float
 
 
 def step_noise(base_seed: int, session_index: int, iteration: int, n: int) -> np.ndarray:
-    """The standard-normal draw used for step `iteration` of one session.
-    For one row numpy's own draw is the quicker path, so this is the
-    kernel's fallback alone."""
+    """The noise of step `iteration` of one session, as `_normals` draws it,
+    by numpy's own draw, which for one row is quicker than the kernel."""
     check_integer("base_seed", base_seed)
     check_integer("session index", session_index)
     check_integer("iteration", iteration)
@@ -467,7 +461,7 @@ def _simulate(cfg: SimConfig, session_indices: range) -> np.ndarray:
     t = 0
     while t < cfg.iterations:
         stop = min(t + ahead, cfg.iterations)
-        eps = _normals(keys, range(t + 1, stop + 1), n).reshape((-1,) + states.shape[1:])
+        eps = _normals(keys, range(t, stop), n).reshape((-1,) + states.shape[1:])
         t = _advance(states, t, stop, cfg.strategy, cfg.dt, eps, cfg.clip)
     return X
 

@@ -40,9 +40,12 @@ def classify_regime(
 
     Regime precedence: Unstable (any real part above zero_tol), then
     Boundary (any real part within zero_tol of zero), then Oscillatory
-    (any imaginary part above zero_tol), else Exponential. zero_tol and
-    dt must each be finite and > 0, as `SimConfig.dt` must, and every
-    eigenvalue finite.
+    (any imaginary part above zero_tol), else Exponential. A discrete
+    eigenvalue is 1 + lambda * dt, that of an Euler step of dt with the
+    generator whose spectrum is given. `fit_drift` fits a per-step drift,
+    whatever dt the data was simulated at, so dt = 1 reads a fitted
+    spectrum's one-step map. zero_tol and dt must each be finite and > 0,
+    and every eigenvalue finite.
     """
     check_finite_positive("zero_tol", zero_tol)
     check_finite_positive("dt", dt)

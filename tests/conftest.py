@@ -15,14 +15,21 @@ child processes inherit, so `python -m pytest` tests this checkout, installed
 or not, and the tests that run `python -m driftlab.cli` run it too.
 
 The `cpus` fixture sets the CPUs `core._fork_map` sees and a stage's fork
-cut-off, and counts forks."""
+cut-off, and counts forks.
+
+Every run names the numpy version and the OpenBLAS core first: in the
+report header, or on the first line of a `-q` run, which shows no header.
+The analysis digests hold for one BLAS kernel only, so a run on another
+kernel says up front why those digest tests fail."""
 
 import atexit
+import ctypes
 import os
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -40,6 +47,40 @@ else:
     _HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
     atexit.register(_HOME.cleanup)
     set_hypothesis_home_dir(_HOME.name)
+
+
+def _openblas_core() -> str:
+    """The core of the OpenBLAS this process loaded (`SkylakeX`, `Haswell`,
+    ...), read through its `*_get_corename*` function; "unknown" when no
+    such library or function is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+        for path in filter(os.path.isfile, paths):
+            lib = ctypes.CDLL(path)
+            for prefix in ("scipy_openblas", "openblas"):
+                for suffix in ("64_", ""):
+                    corename = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+                    if corename is not None:
+                        corename.argtypes, corename.restype = [], ctypes.c_char_p
+                        return corename().decode()
+    except (OSError, UnicodeDecodeError):
+        pass
+    return "unknown"
+
+
+def blas_kernel() -> str:
+    return f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}"
+
+
+def pytest_report_header(config):
+    return blas_kernel()
+
+
+def pytest_sessionstart(session):
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None and not reporter.showheader:
+        reporter.write_line(blas_kernel())
 
 
 # stage -> the fork cut-off it reads

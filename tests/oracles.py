@@ -14,7 +14,9 @@ one step, one window fit, one spectrum and one rule check at a time, the
 event writer with one `json.dumps` per event, the scorer's source
 cleaner that walks one character at a time, the source scan that runs
 every rule pattern on every logical line, and each axis score rebuilt
-from its rule hits.
+from its rule hits. The Euler chain without the box has a closed form
+here too: each step's mean and covariance, and the pooled one-step R²
+that follows from them.
 """
 
 from __future__ import annotations
@@ -337,6 +339,37 @@ def sequential_sessions(cfg) -> list[np.ndarray]:
             rows.append(x)
         out.append(np.stack(rows))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Euler chain without the box, in closed form
+# ---------------------------------------------------------------------------
+
+def expected_moments(spec: StrategySpec, iterations: int, x0,
+                     dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The mean m_t and covariance P_t of the unclipped Euler chain's state
+    at steps 0 .. iterations, from the fixed start x0: with Phi = I + A dt,
+    m_{t+1} = Phi m_t + b dt and P_{t+1} = Phi P_t Phi^T + G G^T dt."""
+    m = [np.asarray(x0, dtype=np.float64)]
+    P = [np.zeros((len(m[0]), len(m[0])))]
+    phi = np.eye(len(m[0])) + spec.drift_matrix * dt
+    Q = spec.diffusion @ spec.diffusion.T * dt
+    for _ in range(iterations):
+        m.append(phi @ m[-1] + spec.drift_intercept * dt)
+        P.append(phi @ P[-1] @ phi.T + Q)
+    return np.array(m), np.array(P)
+
+
+def expected_pooled_r2(spec: StrategySpec, iterations: int, x0, dt: float = 1.0) -> float:
+    """The pooled one-step R-squared of the true drift on many sessions of
+    the unclipped chain from x0: 1 - tr(G G^T dt) / tr(A V A^T dt^2 +
+    G G^T dt), V = mean_t P_t + Cov_t(m_t) being the pooled covariance of
+    the states the steps start from (t = 0 .. iterations - 1)."""
+    m, P = expected_moments(spec, iterations, x0, dt)
+    centered = m[:-1] - m[:-1].mean(axis=0)
+    V = P[:-1].mean(axis=0) + centered.T @ centered / len(centered)
+    A, Q = spec.drift_matrix, spec.diffusion @ spec.diffusion.T * dt
+    return float(1.0 - np.trace(Q) / np.trace(A @ V @ A.T * dt**2 + Q))
 
 
 # ---------------------------------------------------------------------------

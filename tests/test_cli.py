@@ -146,6 +146,17 @@ def test_analyze_only_subset(tmp_path, simulated):
     assert {p.name for p in out_dir.iterdir()} == {"interference.json", "pareto.csv"}
 
 
+@pytest.mark.parametrize("only", ["", " ", ","])
+def test_analyze_only_with_no_stage_named_is_a_usage_error(tmp_path, simulated, capsys, only):
+    # an empty --only names the stage '', as a blank one names ' ' stripped
+    out_dir = tmp_path / "none"
+    assert run_cli("analyze", "--in", str(simulated), "--out", str(out_dir), "--only", only) == 2
+    unknown = [""] * len(only.split(","))
+    assert capsys.readouterr().err == (
+        f"analyze: unknown stages {unknown}; choose from {cli.ANALYZE_STAGES}\n")
+    assert not out_dir.exists()
+
+
 def _stage_file(stage: str) -> str:
     return cli._STAGES[stage][0]
 
@@ -783,6 +794,26 @@ def test_package_runs_as_a_module_with_one_line_errors():
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert "--window 9 > --iterations 3" in proc.stderr
+
+
+@pytest.mark.parametrize("schedule, strategy", [("none", "SF"), ("default", "AI")])
+def test_control_window_below_the_objective_count_plus_one_is_a_usage_error(
+        tmp_path, capsys, schedule, strategy):
+    # a window fit of 3 objectives needs 4 steps: a smaller window fits nothing
+    flags = ("--schedule", schedule, "--strategy", strategy, "--sigma", "2.0",
+             "--iterations", "400")
+    for window in (2, 3):
+        out = tmp_path / f"w{window}"
+        assert run_cli("control", *flags, "--window", str(window), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"control: --window {window} < 4: a window fit of 3 objectives needs at least "
+            f"4 steps\n")
+        assert not list(tmp_path.glob(f"w{window}*"))
+    # at 4 the windows fit, and the rate ceiling, which reads a fit, fires
+    assert run_cli("control", *flags, "--window", "4", "--out", str(tmp_path / "w4")) == 0
+    details = [json.loads(line)["detail"]
+               for line in (tmp_path / "w4.events.jsonl").read_text().splitlines()]
+    assert "rate_ceiling" in details
 
 
 def test_usage_error_from_argparse_is_exit_2(tmp_path):

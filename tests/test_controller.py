@@ -245,14 +245,14 @@ def test_run_controlled_draws_the_step_noise_stream(monkeypatch, sigma, schedule
     got_traj, got_events = run_controlled(sim, cfg, halt_on_intervention=halt)
 
     # reference: a generator built afresh for every row of session 0, the
-    # k-th row drawn being the noise of step k; the tags asked for must run
-    # 1, 2, 3, ...
-    tags = []
+    # k-th row drawn being the noise of step k, at tag k + 1; the steps asked
+    # for must run 0, 1, 2, ...
+    steps = []
 
-    def normals(keys, want_tags, n):
-        rows = [fresh_generator(seed, 0, len(tags) + k + 1).standard_normal(n)
-                for k in range(len(want_tags))]
-        tags.extend(want_tags)
+    def normals(keys, want_steps, n):
+        rows = [fresh_generator(seed, 0, len(steps) + k + 1).standard_normal(n)
+                for k in range(len(want_steps))]
+        steps.extend(want_steps)
         return np.array(rows)[:, None]
 
     def uniform_starts(keys, low, high, n):
@@ -262,8 +262,8 @@ def test_run_controlled_draws_the_step_noise_stream(monkeypatch, sigma, schedule
     monkeypatch.setattr(simulator, "_uniform_starts", uniform_starts)
     want_traj, want_events = run_controlled(sim, cfg, halt_on_intervention=halt)
     assert got_events
-    assert tags == list(range(1, len(tags) + 1))
-    assert len(want_traj) - 1 <= len(tags) <= sim.iterations
+    assert steps == list(range(len(steps)))
+    assert len(want_traj) - 1 <= len(steps) <= sim.iterations
     assert dumps_trajectories([got_traj]) == dumps_trajectories([want_traj])
     assert controller.dumps_events(got_events) == controller.dumps_events(want_events)
 
@@ -926,8 +926,8 @@ def script(monkeypatch, rows, drifts):
         def standard_normal(self, n):
             return noise[self.tag - 1].copy()
 
-    def normals(keys, tags, n):
-        return noise[np.array(tags) - 1][:, None]
+    def normals(keys, steps, n):
+        return noise[np.array(steps)][:, None]
 
     monkeypatch.setattr(simulator, "_normals", normals)
     monkeypatch.setattr(oracles, "fresh_generator", lambda seed, index, tag: Generator(tag))

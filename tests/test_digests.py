@@ -6,15 +6,13 @@ re-pin. The analysis floats come through BLAS and LAPACK, so a failure
 names the numpy version and the OpenBLAS core (the kernel that
 `OPENBLAS_CORETYPE` picks) beside the files that moved."""
 
-import ctypes
 import importlib.util
 import json
-import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from conftest import blas_kernel
 from driftlab import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -32,26 +30,6 @@ def _load_workloads():
 workloads = _load_workloads()
 
 
-def _openblas_core() -> str:
-    """The core of the OpenBLAS this process loaded (`SkylakeX`, `Haswell`,
-    ...), read through its `*_get_corename*` function; "unknown" when no
-    such library or function is found."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
-        for path in filter(os.path.isfile, paths):
-            lib = ctypes.CDLL(path)
-            for prefix in ("scipy_openblas", "openblas"):
-                for suffix in ("64_", ""):
-                    corename = getattr(lib, f"{prefix}_get_corename{suffix}", None)
-                    if corename is not None:
-                        corename.argtypes, corename.restype = [], ctypes.c_char_p
-                        return corename().decode()
-    except (OSError, UnicodeDecodeError):
-        pass
-    return "unknown"
-
-
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_workload_outputs_match_the_pinned_digests(workload, tmp_path, monkeypatch, capsys):
     seed, pinned = PINNED["seed"], PINNED["workloads"][workload]
@@ -63,5 +41,5 @@ def test_workload_outputs_match_the_pinned_digests(workload, tmp_path, monkeypat
     moved = sorted(rel for rel, digest in got["files"].items()
                    if pinned["files"].get(rel) != digest)
     assert got["digest"] == pinned["digest"], (
-        f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}: {workload} outputs at seed {seed} differ from "
+        f"{blas_kernel()}: {workload} outputs at seed {seed} differ from "
         f"perfbench/digests.json in {moved}")

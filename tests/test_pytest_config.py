@@ -1,7 +1,8 @@
 """The repository's pytest settings keep a test session running past a
 failing Hypothesis test, so every later test still runs and is counted,
-every Hypothesis test draws the same fixed examples on every run, and a
-run under `python -X dev` ends with no `ResourceWarning`."""
+every Hypothesis test draws the same fixed examples on every run, a run
+under `python -X dev` ends with no `ResourceWarning`, and every run names
+its numpy version and OpenBLAS core before any test."""
 
 import importlib
 import subprocess
@@ -10,6 +11,8 @@ import tomllib
 from pathlib import Path
 
 import pytest
+
+from conftest import blas_kernel
 
 pytest_plugins = ["pytester"]
 
@@ -67,3 +70,17 @@ def test_a_dev_mode_run_leaves_no_resource_warning(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "ResourceWarning" not in result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("flags", [["-q"], []])
+def test_every_run_names_the_blas_kernel_first(tmp_path, flags):
+    # the analysis digests hold for one kernel only: a run names it in its
+    # header, or, under -q, which shows none, on its first line
+    target = Path(__file__).with_name("test_readme.py")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", *flags, "-p", "no:cacheprovider", str(target)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    head = lines[:1] if flags else lines[:[l.startswith("collected") for l in lines].index(True)]
+    assert blas_kernel() in head, result.stdout

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from driftlab import controller, core, simulator
 from driftlab.core import DimensionMismatch, StrategySpec
 from driftlab.simulator import SimConfig, drift, em_step, preset, simulate_session, simulate_set
-from oracles import fresh_generator, sequential_sessions, session_seed
+from oracles import expected_moments, fresh_generator, sequential_sessions, session_seed
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +162,35 @@ def test_moment_matching_small_n():
     assert np.all(np.abs(deltas.mean(axis=0) - drift(ai, x)) <= bound)
     sample_cov = np.cov(deltas.T, bias=True)
     assert np.max(np.abs(sample_cov - 0.25 * np.eye(3))) <= 0.05
+
+
+MOMENT_K = 5.0
+
+
+def test_unclipped_set_moments_match_the_closed_form_at_every_step():
+    """With the clip off, each step's sample mean and covariance over the
+    set's sessions match the chain's m_t and P_t (`oracles.expected_moments`)
+    within MOMENT_K standard errors. The state is Gaussian, so the errors
+    are known: sqrt(P_ii / N) for a mean and sqrt((P_ii P_jj + P_ij^2) /
+    (N - 1)) for a covariance entry. Over all entries, steps and strategies
+    the largest deviation was 3.77 standard errors on seeds 1-20, where
+    MOMENT_K was chosen, and 4.07 on seeds 21-80. The run's seed, 3, is
+    among the first."""
+    sessions, iterations = 2000, 12
+    mixed = StrategySpec("M", [[-0.3, 0.1, 0.0], [0.05, -0.2, 0.1], [0.0, -0.1, 0.05]],
+                         [1.0, 0.5, -0.2], [[0.5, 0.0, 0.0], [0.2, 0.4, 0.0], [0.1, -0.1, 0.3]])
+    for spec, dt in [*((preset(sid), 1.0) for sid in ("EF", "SF", "FF", "AI")), (mixed, 0.5)]:
+        cfg = SimConfig(strategy=spec, sessions=sessions, iterations=iterations, dt=dt,
+                        base_seed=3, clip=False)
+        X = simulate_set(cfg).values_matrix.reshape(sessions, iterations + 1, 3)
+        m, P = expected_moments(spec, iterations, [5.0] * 3, dt)
+        assert (X[:, 0] == m[0]).all()
+        for t in range(1, iterations + 1):
+            d = np.diag(P[t])
+            mean_z = np.abs(X[:, t].mean(axis=0) - m[t]) / np.sqrt(d / sessions)
+            cov_z = (np.abs(np.cov(X[:, t].T) - P[t])
+                     / np.sqrt((np.outer(d, d) + P[t] ** 2) / (sessions - 1)))
+            assert mean_z.max() <= MOMENT_K and cov_z.max() <= MOMENT_K, (spec.id, t)
 
 
 def test_every_emitted_point_is_clipped():
@@ -633,18 +662,19 @@ def test_kernel_rows_are_numpys_draws_in_every_layer(monkeypatch):
     keys = _keys_of(pairs)
     rows = 0
     for n in (2, 3, 4, 5, 9):
-        tags = range(1000 * n, 1000 * n + 500)
-        got = simulator._normals(keys, tags, n)
-        want = np.array([[fresh_generator(base, i, tag).standard_normal(n) for base, i in pairs]
-                         for tag in tags])
+        # steps 1000n - 1 .. 1000n + 498, drawn at tags 1000n .. 1000n + 499
+        steps = range(1000 * n - 1, 1000 * n + 499)
+        got = simulator._normals(keys, steps, n)
+        want = np.array([[fresh_generator(base, i, step + 1).standard_normal(n)
+                          for base, i in pairs] for step in steps])
         bad = np.argwhere((got != want).any(axis=2))
         assert not len(bad), (
             f"n={n}: {len(bad)} kernel rows differ from numpy {np.__version__}'s own draws, "
-            f"first at session seed {seeds[bad[0][1]]:#x}, tag {tags[bad[0][0]]}; "
+            f"first at session seed {seeds[bad[0][1]]:#x}, step {steps[bad[0][0]]}; "
             f"check the ziggurat tables in driftlab/_ziggurat.py against this numpy"
         )
-        words = simulator._philox_words(np.tile(keys[0], len(tags)), np.tile(keys[1], len(tags)),
-                                        np.repeat(np.arange(tags.start, tags.stop,
+        words = simulator._philox_words(np.tile(keys[0], len(steps)), np.tile(keys[1], len(steps)),
+                                        np.repeat(np.arange(steps.start + 1, steps.stop + 1,
                                                             dtype=np.uint64), len(seeds)), n)
         assert len(np.unique(words & np.uint64(0xFF))) == 256
         assert np.unique((words >> np.uint64(8)) & np.uint64(1)).tolist() == [0, 1]
@@ -654,19 +684,19 @@ def test_kernel_rows_are_numpys_draws_in_every_layer(monkeypatch):
 
 
 def test_kernel_rows_match_fresh_generators_in_any_order():
-    draws = [(seed, i, t) for seed in (0, 13, 2**40 + 7, 2**64 - 1)
-             for i in (0, 1, 5, 1000) for t in range(50)]
-    k0, k1 = _keys_of([(seed, i) for seed, i, _ in draws])
-    tags = np.array([t + 1 for *_, t in draws], dtype=np.uint64)
-    order = np.random.default_rng(3).permutation(len(draws))
+    # one _normals call draws steps 0 .. 49 of sessions of mixed base seeds,
+    # in a permuted session order
+    sessions = [(seed, i) for seed in (0, 13, 2**40 + 7, 2**64 - 1) for i in (0, 1, 5, 1000)]
+    draws = [(seed, i, t) for seed, i in sessions for t in range(50)]
+    order = np.random.default_rng(3).permutation(len(sessions))
+    keys = _keys_of([sessions[j] for j in order])
     for n in (3, 2, 4):
         want = np.array([fresh_generator(seed, i, t + 1).standard_normal(n)
-                         for seed, i, t in draws])
-        assert np.array_equal(simulator._normal_rows(k0, k1, tags, n), want)
-        assert np.array_equal(simulator._normal_rows(k0[order], k1[order], tags[order], n),
-                              want[order])
-        for k in order:
-            assert np.array_equal(simulator.step_noise(*draws[k], n), want[k])
+                         for seed, i, t in draws]).reshape(len(sessions), 50, n)
+        assert np.array_equal(simulator._normals(keys, range(50), n),
+                              want[order].transpose(1, 0, 2))
+        for k in np.random.default_rng(3).permutation(len(draws)):
+            assert np.array_equal(simulator.step_noise(*draws[k], n), want.reshape(-1, n)[k])
 
 
 def test_kernel_start_draw_is_tag_zero():
@@ -676,7 +706,8 @@ def test_kernel_start_draw_is_tag_zero():
             got = simulator._uniform_starts(keys, *box, 3)
             for j in range(3):
                 assert np.array_equal(got[j], fresh_generator(seed, i + j, 0).uniform(*box, size=3))
-        noise = simulator._normals(keys, range(5, 6), 3)[0]
+        # step 4's noise is the draw at tag 5
+        noise = simulator._normals(keys, range(4, 5), 3)[0]
         for j in range(3):
             assert np.array_equal(noise[j], fresh_generator(seed, i + j, 5).standard_normal(3))
 
