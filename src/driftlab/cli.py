@@ -400,17 +400,20 @@ def _manifest_int(row: dict, column: str, lineno: int) -> int | float:
 
 def _manifest_score(row: dict, lineno: int) -> scorer.ScoreBreakdown:
     expected_length = _manifest_int(row, "expected_length", lineno)
+    path = _manifest_field(row, "path", lineno)
+    if "\x00" in path:  # open() raises ValueError on it
+        raise RecordFormatError(f"manifest line {lineno}: path {_shown(path)} holds a NUL byte")
     try:
-        return scorer.score_all(read_text(_manifest_field(row, "path", lineno)),
-                                expected_length)
-    except InvalidExpectedLength as exc:
-        raise InvalidExpectedLength(f"manifest line {lineno}: {exc}") from None
+        return scorer.score_all(read_text(path), expected_length)
+    except (DomainError, OSError) as exc:  # a bad length, or a file not read or not UTF-8
+        raise type(exc)(f"manifest line {lineno}: {exc}") from None
 
 
 # A manifest whose files hold fewer bytes than this is scored in one
 # process. A forked child costs about 5 ms (fork, copy-on-write faults,
-# reaping); on a 2-CPU Xeon the second CPU wins that back from about 40 KiB
-# of source, and at 64 KiB the split takes ~10% off the command.
+# reaping); on a 2-CPU Xeon (in process, 100 alternating pairs per size) the
+# second CPU wins that back from about 58 KiB of source, and from 72 to
+# 100 KiB the split takes 8-19% off the command.
 _FORK_MIN_BYTES = 64 * 1024
 
 

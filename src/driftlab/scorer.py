@@ -28,6 +28,11 @@ _BLOCK_KEYWORDS = {
 _LOOP_KEYWORDS = {"for", "while"}
 _CONTROL_FLOW_KEYWORDS = {"for", "while", "if", "elif"}
 _ERROR_WORDS = {"try", "except"}  # both must open a line to count as handling
+# Each block keyword's roles when it opens a logical line: (counts as control
+# flow, opens a loop, its block wants a docstring). It opens a block when
+# the line ends in ":".
+_WORD_ROLES = {word: (word in _CONTROL_FLOW_KEYWORDS, word in _LOOP_KEYWORDS,
+                      word in ("def", "class")) for word in _BLOCK_KEYWORDS}
 
 _EVAL_EXEC_RE = re.compile(r"(?<![\w.])(?:eval|exec)\s*\(")
 _SHELL_TRUE_RE = re.compile(r"shell\s*=\s*True\b")
@@ -56,6 +61,13 @@ _MARK = "\x00"  # stand-in for a string literal in cleaned code
 _PAIRS = {")": "(", "]": "[", "}": "{"}
 # In code, a run up to the next quote, bracket, backslash or comment.
 _CODE_RUN_RE = re.compile(r"[^\"'#()\[\]{}\\]*")
+# A whole line of code that the run loop would leave as it stands: its
+# leading spaces (group 1), then no quote, `#`, backslash, NUL or form
+# feed, and every bracket closed before the next opens.
+_PLAIN_RUN = r"[^\"'#\\\x00\x0c()\[\]{}]*+"
+_PLAIN_LINE_RE = re.compile(
+    rf"( *+){_PLAIN_RUN}"
+    rf"(?:(?:\({_PLAIN_RUN}\)|\[{_PLAIN_RUN}\]|{{{_PLAIN_RUN}}}){_PLAIN_RUN})*+")
 # Inside a literal, its body up to the closing delimiter or the line end:
 # a backslash takes the character after it, and a triple-quoted body may
 # hold its quote character alone or doubled.
@@ -101,17 +113,23 @@ class SourceScan:
 def _clean_lines(source: str) -> tuple[list[tuple[int, str, list[_Literal]]], bool, int]:
     """Strip strings and comments, join continuations, balance brackets.
 
-    One state says whether a string literal is open: `close`, its closing
-    delimiter, or None in code. Each step consumes a whole run with one
-    precompiled match: in code, the characters up to the next quote,
-    bracket, backslash or `#`; inside a literal, its body up to the close
-    or the line end. A literal's prefix is the string-prefix letters
-    (at most three) that end the code run before its opening quote.
+    Tabs are expanded once, over the whole source: `str.expandtabs`
+    restarts its column only at "\n" and "\r", the same breaks as Python's
+    physical lines (`physical_lines`: a line ends at "\n", "\r\n" or "\r"
+    only, and a BOM is text, as in compile(str)). A form feed in a line's
+    indentation resets its column to 0, as CPython's tokenizer does; only
+    that rule reads the raw lines.
 
-    The physical lines are Python's (`physical_lines`: a line ends at "\n",
-    "\r\n" or "\r" only, and a BOM is text, as in compile(str)), and a
-    form feed in a line's indentation resets its column to 0, as CPython's
-    tokenizer does.
+    A line that starts a logical line and holds no quote, `#`, backslash,
+    NUL or form feed, its brackets closed in flat pairs, is a whole logical
+    line as it stands: one precompiled match (`_PLAIN_LINE_RE`) takes it.
+    Every other line goes through the run loop. One state says whether a
+    string literal is open: `close`, its closing delimiter, or None in
+    code. Each step consumes a whole run with one precompiled match: in
+    code, the characters up to the next quote, bracket, backslash or `#`;
+    inside a literal, its body up to the close or the line end. A
+    literal's prefix is the string-prefix letters (at most three) that end
+    the code run before its opening quote.
 
     Returns the logical lines as (indent, cleaned, literals) tuples, where
     `cleaned` is the code with each literal replaced by `_MARK` and
@@ -130,18 +148,24 @@ def _clean_lines(source: str) -> tuple[list[tuple[int, str, list[_Literal]]], bo
     body: list[str] = []
     prefix = ""
     brackets: list[str] = []
+    plain = _PLAIN_LINE_RE.fullmatch
+    lines = physical_lines(source.expandtabs())
     feed = "\x0c" in source
-    for raw in physical_lines(source):
-        line = raw.expandtabs()
-        blank = not line.strip()
-        nonblank += not blank
-        if not parts:
-            if blank:
+    for raw, line in zip(physical_lines(source) if feed else lines, lines):
+        if not line.strip():
+            if not parts:
                 continue
-            indent = len(line) - len(line.lstrip(" "))
-            if feed and line.startswith("\x0c", indent):
-                lead = raw[:len(raw) - len(raw.lstrip(" \t\x0c"))]
-                indent = len(lead[lead.rfind("\x0c") + 1:].expandtabs())
+        else:
+            nonblank += 1
+            if not parts:
+                m = plain(line)
+                if m:
+                    logical.append((m.end(1), line, []))
+                    continue
+                indent = len(line) - len(line.lstrip(" "))
+                if feed and line.startswith("\x0c", indent):
+                    lead = raw[:len(raw) - len(raw.lstrip(" \t\x0c"))]
+                    indent = len(lead[lead.rfind("\x0c") + 1:].expandtabs())
         i, end = 0, len(line)
         backslash_eol = False
         while True:
@@ -203,7 +227,11 @@ def scan_source(source: str) -> SourceScan:
     """Read the source once and return every signal of all three axes.
 
     This is the only function that reads source text: the axis rules
-    work on the `SourceScan` it returns.
+    work on the `SourceScan` it returns. Its block walk over the logical
+    lines keeps the innermost body indent in a local and pops the block
+    stack only on a line indented below it, updates the depth only on a
+    push, reads each line-opening word's roles from `_WORD_ROLES`, and
+    runs the SQL check only on a line that holds a literal.
     """
     logical, valid, nonblank = _clean_lines(source)
     match_word = _WORD_RE.match
@@ -213,8 +241,10 @@ def scan_source(source: str) -> SourceScan:
     has_docstring = has_validation = False
 
     # Block analysis over logical lines: stack entries are
-    # (body_indent, opener_is_loop) for each enclosing block.
-    stack: list[tuple[int, bool]] = []
+    # (body_indent, opener_is_loop) for each enclosing block, over a
+    # bottom entry for the top level; `level` is the innermost body indent.
+    stack: list[tuple[int, bool]] = [(0, False)]
+    level = 0
     pending: tuple[int, bool, bool] | None = None  # (opener_indent, is_loop, wants_doc)
     first_statement = True
     for indent, cleaned, literals in logical:
@@ -228,38 +258,45 @@ def scan_source(source: str) -> SourceScan:
                 valid = False
             else:
                 stack.append((indent, is_loop))
+                level = indent
+                if len(stack) > max_depth + 1:
+                    max_depth = len(stack) - 1
                 if wants_doc and stripped == _MARK:
                     has_docstring = True
         # Also on the line after an opener it fails to indent under: that
         # line may close enclosing blocks too.
-        while stack and indent < stack[-1][0]:
+        if indent < level:
             stack.pop()
-        if indent != (stack[-1][0] if stack else 0):
+            while indent < stack[-1][0]:
+                stack.pop()
+            level = stack[-1][0]
+        if indent != level:
             valid = False
-        if len(stack) > max_depth:
-            max_depth = len(stack)
         if first_statement:
             if stripped == _MARK:
                 has_docstring = True
             first_statement = False
 
-        m = match_word(stripped)
-        word = m[0] if m else ""
+        # `_WORD_RE`'s match, with no call of it when the text up to the
+        # first space is an ASCII identifier, as on most lines.
+        word = stripped.partition(" ")[0]
+        if not (word.isascii() and word.isidentifier()):
+            m = match_word(stripped)
+            word = m[0] if m else ""
         if word == "async":
             m = match_word(stripped[len("async"):].lstrip())
             word = m[0] if m else ""
         elif word == "from" and _IMPORT_RE.search(stripped):
             word = "import"
         words.add(word)
-        if word in _CONTROL_FLOW_KEYWORDS:
-            control_flow_count += 1
-
-        if word in _BLOCK_KEYWORDS and stripped.endswith(":"):
-            is_loop = word in _LOOP_KEYWORDS
-            if is_loop and stack and stack[-1][1]:
-                nested_loop_pairs += 1
-            wants_doc = word in ("def", "class")
-            pending = (indent, is_loop, wants_doc)
+        roles = _WORD_ROLES.get(word)
+        if roles is not None:
+            is_control, is_loop, wants_doc = roles
+            control_flow_count += is_control
+            if stripped.endswith(":"):
+                if is_loop and stack[-1][1]:
+                    nested_loop_pairs += 1
+                pending = (indent, is_loop, wants_doc)
 
         # Each pattern runs only on a line that holds what its every match
         # needs (a word, or for the spawn search a `shell=True` hit): the
@@ -275,17 +312,19 @@ def scan_source(source: str) -> SourceScan:
                 if gate in cleaned and rx.search(cleaned):
                     has_validation = True
                     break
-        # SQL-keyword literals that are concatenated or interpolated
-        # (f-string braces, +, %-format, .format); the cleaner puts one
-        # marker in `cleaned` per literal, in order.
-        pos = -1
-        for text, prefix in literals:
-            pos = cleaned.index(_MARK, pos + 1)
-            if _SQL_KEYWORD_RE.search(text) and (
-                    ("f" in prefix.lower() and "{" in text)
-                    or cleaned[:pos].rstrip().endswith("+")
-                    or cleaned[pos + 1:].lstrip().startswith(("+", "%", ".format("))):
-                sql_string_builds += 1
+        if literals:
+            # SQL-keyword literals that are concatenated or interpolated
+            # (f-string braces, +, %-format, .format); the cleaner puts one
+            # marker in `cleaned` per literal, in order. The keyword search,
+            # the dearest test, runs last.
+            pos = -1
+            for text, prefix in literals:
+                pos = cleaned.index(_MARK, pos + 1)
+                if (("f" in prefix.lower() and "{" in text)
+                        or cleaned[:pos].rstrip().endswith("+")
+                        or cleaned[pos + 1:].lstrip().startswith(("+", "%", ".format("))
+                        ) and _SQL_KEYWORD_RE.search(text):
+                    sql_string_builds += 1
     if pending is not None:
         # block opener with no body
         valid = False

@@ -1,4 +1,5 @@
 import csv
+import errno
 import importlib.util
 import itertools
 import json
@@ -990,7 +991,37 @@ def test_score_manifest_split_over_processes_fails_on_the_first_failing_row(
     assert len(cpus.forks) == parts - 1
 
 
-@pytest.mark.parametrize("death", ["exit before writing", "bytes that do not unpickle",
+# kind -> the path of a row whose file is not read, and its error line
+_UNREAD_FILES = {
+    "missing": ("absent.py", f"score: manifest line 3: [Errno {errno.ENOENT}] "
+                             f"{os.strerror(errno.ENOENT)}: 'absent.py'\n"),
+    "a directory": ("d", f"score: manifest line 3: [Errno {errno.EISDIR}] "
+                         f"{os.strerror(errno.EISDIR)}: 'd'\n"),
+    "not UTF-8": ("latin1.py", "score: DomainError: manifest line 3: latin1.py: not UTF-8 text "
+                               "(invalid continuation byte at byte 5)\n"),
+    "a NUL in its path": ("a\x00b.py", "score: RecordFormatError: manifest line 3: "
+                                       "path 'a\\x00b.py' holds a NUL byte\n"),
+}
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(_UNREAD_FILES))
+def test_score_manifest_names_the_line_of_a_file_it_cannot_read(
+        tmp_path, monkeypatch, capsys, cpus, kind, parts):
+    monkeypatch.chdir(tmp_path)
+    manifest = _seeded_manifest(tmp_path, "plain")
+    (tmp_path / "d").mkdir()
+    (tmp_path / "latin1.py").write_bytes(b"x = '\xe9'\n")
+    lines = manifest.read_text().splitlines()
+    lines[2] = f"{_UNREAD_FILES[kind][0]},5"  # manifest line 3, the second row
+    lines[-1] = "d,5"  # a later unread file, in the last run
+    manifest.write_text("\n".join(lines) + "\n")
+    cpus(parts)
+    assert _scored_manifest(manifest, tmp_path / "s.jsonl", capsys) == (
+        1, _UNREAD_FILES[kind][1], None)
+
+
+@pytest.mark.parametrize("death",["exit before writing", "bytes that do not unpickle",
                                    "no fork"])
 def test_score_manifest_scores_again_what_a_dead_child_did_not_send(
         tmp_path, monkeypatch, capsys, cpus, death):

@@ -387,6 +387,34 @@ def test_clean_lines_matches_per_character_reference(source):
     assert nonblank == ref_nonblank
 
 
+# Lines of code words around the edge of the cleaner's whole-line path:
+# flat, nested and unbalanced brackets, brackets left open for a later line,
+# NUL, and tabs after the whitespace that does not end a line, under
+# indentation of tabs, spaces and form feeds and each of Python's line breaks.
+_CODE_TOKENS = ["x", "f", "if", "def", " ", "=", ":", "+", "1", "(", ")", "[", "]", "{", "}",
+                "(a)", "[b]", "{c}", "(g(x))", ")(", "([)]", "(a]", "[b)", "{c]", "\x00", "\t",
+                "\x0b\t", "\x0c\t", "\x85\t", "\u2028\t"]
+_code_lines = st.lists(
+    st.tuples(st.lists(st.sampled_from([" ", "  ", "\t", "\x0c"]), max_size=3).map("".join),
+              st.lists(st.sampled_from(_CODE_TOKENS), max_size=8).map("".join),
+              st.sampled_from(["\n", "\r\n", "\r"])),
+    max_size=8,
+).map(lambda lines: "".join(lead + body + end for lead, body, end in lines))
+
+
+@settings(_SETTINGS, max_examples=600)
+@given(_code_lines)
+@example("f(a)[b]{c}")
+@example("f(g(x))")
+@example("x = (\n1)\n")
+@example("\tif x:\r\t\ty()\r")
+@example("  \x0cz")
+@example("a\x00(b)")
+def test_clean_lines_takes_code_only_lines_as_the_reference_does(source):
+    assert scorer._clean_lines(source) == reference_clean_lines(source)
+    assert scorer.scan_source(source) == reference_scan_source(source)
+
+
 # The rule patterns' gate words and near-misses of them, spawn calls with
 # and without `shell=True`, and the quotes, brackets, comments and line
 # breaks that hide a word from the patterns or join lines.

@@ -509,6 +509,29 @@ def test_score_all_scans_once(monkeypatch):
     assert len(calls) == 1
 
 
+class _CountingPattern:
+    """A compiled pattern that counts its `match` calls."""
+
+    def __init__(self, rx):
+        self.rx, self.calls = rx, 0
+
+    def match(self, *args):
+        self.calls += 1
+        return self.rx.match(*args)
+
+
+def test_code_only_lines_skip_the_run_loop(monkeypatch):
+    runs = _CountingPattern(scorer._CODE_RUN_RE)
+    monkeypatch.setattr(scorer, "_CODE_RUN_RE", runs)
+    code = "def f(a, b):\n\tx = g(a)[b] + {1: 2}[1]\n\n        return x\nclass C:\n    pass\n"
+    logical, valid, nonblank = scorer._clean_lines(code)
+    assert runs.calls == 0
+    assert valid and nonblank == 5
+    assert [line[0] for line in logical] == [0, 8, 8, 0, 4]
+    scorer._clean_lines(code + 'y = "s"\n')
+    assert runs.calls > 0
+
+
 def test_scoring_never_touches_filesystem(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     score_all('open("landmine.txt", "w").write("boom")\n', 10)
